@@ -35,8 +35,7 @@ print("walk/train/restock rates: %.3f / %.3f / %.3f"
 
 eps = 2e-4
 gbar = [moment_vector(measures[i], bases[i]) for i in range(N)]
-oracle = make_oracle(model, spaces, bases, z_space, z_basis,
-                     pool_margin=10 * eps / N)
+oracle = make_oracle(model, spaces, bases, z_space, z_basis)
 result = run(model, gbar, spaces, bases, z_space, z_basis, oracle,
              eps_lsip=eps)
 print("cutting plane: %d iterations, %d rows, certified gap %.2e"

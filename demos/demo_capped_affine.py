@@ -35,8 +35,7 @@ for N in (4, 8):
 
     eps = 1e-4
     gbar = [moment_vector(measures[i], bases[i]) for i in range(N)]
-    oracle = make_oracle(model, spaces, bases, z_space, z_basis,
-                         pool_margin=10 * eps / N)
+    oracle = make_oracle(model, spaces, bases, z_space, z_basis)
     result = run(model, gbar, spaces, bases, z_space, z_basis, oracle,
                  eps_lsip=eps)
     report = construct(result, model, measures, spaces, bases, z_space,

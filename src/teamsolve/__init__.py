@@ -22,7 +22,7 @@ from .geometry import (FiniteSpace, HatBasis, IndicatorBasis,
 from .measures import (CpwaDensityMeasure, DiscreteMeasure, moment_vector,
                        quantile_1d, random_cpwa, sample, second_moment)
 from .oracle import (OracleResult, make_oracle, oracle_cell_cpwa,
-                     oracle_lipschitz_grid, oracle_quadratic)
+                     oracle_quadratic)
 from .problems import (barycenter_cost, business_location_cost,
                        capped_affine_cost, tabulated_cpwa_cost)
 from .transport import (ot_discrete, ot_quantile_1d, ot_semidiscrete,

@@ -4,7 +4,7 @@ machine-readable artifacts.
 
 Subcommands::
 
-    teamsolve run    --config F --out DIR [--seed S] [--threads T]
+    teamsolve run    --config F --out DIR [--seed S]
     teamsolve verify --config F
 
 Set ``TEAMSOLVE_LOG`` to ``error``, ``info`` or ``debug`` to control
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import cutting_plane, equilibrium
 from .geometry import (FiniteSpace, HatBasis, IndicatorBasis,
-                       build_box_partition)
+                       build_box_partition, epsilon_bar)
 from .measures import (DiscreteMeasure, measure_from_json, moment_vector,
                        moments_all_vertices, random_cpwa, uniform_points)
 from .oracle import make_oracle
@@ -137,7 +137,6 @@ class ProblemSetup:
             if not 0 <= self.i_hat < self.N:
                 raise ConfigError("$.i_hat", "index out of range")
         self.max_iterations = int(config.get("max_iterations", 10000))
-        self.threads = int(config.get("threads", 1))
         self.config = config
 
     def _build_model(self, doc):
@@ -205,22 +204,18 @@ def _provenance(config):
     return doc
 
 
-def run_pipeline(setup, out_dir=None, threads=None, seed=None):
+def run_pipeline(setup, out_dir=None, seed=None):
     """Solve and assemble; optionally write the artifact files."""
     if seed is not None:
         setup.seed = int(seed)
-    if threads is not None:
-        setup.threads = int(threads)
     t_total = time.perf_counter()
     gbar = setup.moments()
     oracle = make_oracle(setup.model, setup.x_spaces, setup.x_bases,
-                         setup.z_space, setup.z_basis,
-                         pool_margin=10.0 * setup.eps_lsip / setup.N,
-                         pool_cap=32)
+                         setup.z_space, setup.z_basis)
     cp_res = cutting_plane.run(
         setup.model, gbar, setup.x_spaces, setup.x_bases, setup.z_space,
         setup.z_basis, oracle, setup.eps_lsip, tau=setup.tau,
-        max_iterations=setup.max_iterations, threads=setup.threads)
+        max_iterations=setup.max_iterations)
     t_solve = time.perf_counter() - t_total
     report = equilibrium.construct(
         cp_res, setup.model, setup.measures, setup.x_spaces, setup.x_bases,
@@ -293,14 +288,11 @@ def verify_setup(setup, out=sys.stdout):
         raise ConfigError("$.problem",
                           "Lipschitz constants violated by %.3g" % worst)
     n_vars = setup.lp_width()
-    from .geometry import epsilon_bar
-    radii = [0.0 if isinstance(sp, FiniteSpace) else epsilon_bar(sp, 0.0)
-             for sp in setup.x_spaces]
-    rh = 0.0 if isinstance(setup.z_space, FiniteSpace) \
-        else epsilon_bar(setup.z_space, 0.0)
     best_ih = int(np.argmax(setup.model.L2))
-    theo = equilibrium.eps_theo(setup.eps_lsip, setup.model.L1,
-                                setup.model.L2, radii, rh, best_ih)
+    theo = equilibrium.eps_theo(
+        setup.eps_lsip, setup.model.L1, setup.model.L2,
+        [epsilon_bar(sp, 0.0) for sp in setup.x_spaces],
+        epsilon_bar(setup.z_space, 0.0), best_ih)
     out.write("lp decision variables n = %d\n" % n_vars)
     out.write("predicted eps_theo (best reference category) = %.6g\n" % theo)
     out.write("verify ok: %d warning(s)\n" % warnings)
@@ -317,7 +309,6 @@ def main(argv=None):
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None)
     p_ver = sub.add_parser("verify", help="validate a config without solving")
     p_ver.add_argument("--config", required=True)
     args = parser.parse_args(argv)
@@ -340,8 +331,7 @@ def main(argv=None):
             return 2
         return 0
     try:
-        cp_res, report = run_pipeline(setup, out_dir=args.out,
-                                      threads=args.threads, seed=args.seed)
+        cp_res, report = run_pipeline(setup, out_dir=args.out, seed=args.seed)
     except Exception as e:
         sys.stderr.write("solver error [%s]: %s\n" % (type(e).__name__, e))
         return 1

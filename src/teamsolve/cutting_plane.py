@@ -17,18 +17,17 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from . import linprog
+from .geometry import point_key
 
 log = logging.getLogger("teamsolve.cutting_plane")
 
 WEIGHT_PRUNE = 1e-12
-DEDUP_DECIMALS = 12
 
 
 class CuttingPlaneError(RuntimeError):
@@ -68,9 +67,6 @@ class DualDiscreteMeasures:
     zs: list                # per category, (q_i, d_0)
     weights: list           # per category, (q_i,)
 
-    def n_categories(self):
-        return len(self.weights)
-
     def objective(self, model):
         return float(sum(
             (model.eval(i, self.xs[i], self.zs[i]) * self.weights[i]).sum()
@@ -85,10 +81,9 @@ class DualDiscreteMeasures:
 
     def conditional_x_given_z(self, i):
         """List of (z_atom, x_atoms, probs) rows of the disintegration."""
-        zk = np.round(self.zs[i], DEDUP_DECIMALS)
         rows = {}
         for q in range(len(self.weights[i])):
-            rows.setdefault(tuple(zk[q]), []).append(q)
+            rows.setdefault(point_key(self.zs[i][q]), []).append(q)
         out = []
         for key in sorted(rows):
             qs = rows[key]
@@ -99,11 +94,10 @@ class DualDiscreteMeasures:
 
 
 def _group_atoms(pts, wts):
-    keys = np.round(pts, DEDUP_DECIMALS)
     seen = {}
     atoms, weights = [], []
     for q in range(len(wts)):
-        k = tuple(keys[q])
+        k = point_key(pts[q])
         if k in seen:
             weights[seen[k]] += wts[q]
         else:
@@ -185,8 +179,7 @@ class _CutStore:
     def add(self, i, x, z):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        key = (tuple(np.round(x, DEDUP_DECIMALS)),
-               tuple(np.round(z, DEDUP_DECIMALS)))
+        key = (point_key(x), point_key(z))
         if key in self.keys[i]:
             return 0
         self.keys[i].add(key)
@@ -242,8 +235,7 @@ def _assemble_lp(store, gbar, k):
 
 
 def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
-        eps_lsip, tau=None, initial_cuts=None, max_iterations=10000,
-        threads=1, pool_margin=None):
+        eps_lsip, tau=None, initial_cuts=None, max_iterations=10000):
     """Run the cutting-plane loop to an eps_lsip-certified solution.
 
     Parameters
@@ -293,12 +285,7 @@ def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
                       for i in range(N)])
 
         t1 = time.perf_counter()
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(
-                    lambda i: oracle(i, y[i], w[i], tau), range(N)))
-        else:
-            results = [oracle(i, y[i], w[i], tau) for i in range(N)]
+        results = [oracle(i, y[i], w[i], tau) for i in range(N)]
         oracle_time = time.perf_counter() - t1
 
         beta_lower = np.array([res.beta_lower for res in results])

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FiniteSpace, epsilon_bar
+from .cutting_plane import sparsity_bound
+from .geometry import FiniteSpace, epsilon_bar, point_key
 from .linprog import solve_min
 from .measures import (CpwaDensityMeasure, DiscreteMeasure, moment_vector,
                        spawn_rngs)
@@ -72,24 +73,17 @@ def z_opt(model, x_list, z_space, chunk=4096):
     """
     x_list = [np.atleast_2d(np.asarray(X, dtype=float)) for X in x_list]
     n = x_list[0].shape[0]
-    if isinstance(z_space, FiniteSpace):
+    # a tabulated cost is biaffine on each cell pair, so a vertex minimizes
+    if isinstance(z_space, FiniteSpace) \
+            or isinstance(model, TabulatedCpwaCost):
         zs = z_space.vertices
         vals = np.zeros((n, len(zs)))
         for i in range(model.N):
-            XX = np.repeat(x_list[i], len(zs), axis=0)
-            ZZ = np.tile(zs, (n, 1))
-            vals += model.eval(i, XX, ZZ).reshape(n, len(zs))
+            vals += model.eval_grid(i, x_list[i], zs)
         pts = np.broadcast_to(zs[None], (n,) + zs.shape)
         return zs[_lex_argmin(pts, vals, np.ones_like(vals, dtype=bool))]
     if isinstance(model, QuadraticBarycenterCost):
         return _z_opt_quadratic(model, x_list, z_space)
-    if isinstance(model, TabulatedCpwaCost):
-        zs = z_space.vertices
-        vals = np.zeros((n, len(zs)))
-        for i in range(model.N):
-            vals += model.z_vertex_costs(i, x_list[i])
-        pts = np.broadcast_to(zs[None], (n,) + zs.shape)
-        return zs[_lex_argmin(pts, vals, np.ones_like(vals, dtype=bool))]
     # min-of-convex-terms families: exact candidate arrangements per sample
     out = np.empty((n, z_space.dim))
     for s0 in range(0, n, chunk):
@@ -166,9 +160,7 @@ def transfer_eval(model, i, Z, solution, x_spaces, x_bases):
             or isinstance(space, FiniteSpace):
         cand = space.vertices
         Yc = _vertex_multipliers(basis, y)
-        nz, nc = Z.shape[0], len(cand)
-        C = model.eval(i, np.repeat(cand, nz, axis=0),
-                       np.tile(Z, (nc, 1))).reshape(nc, nz)
+        C = model.eval_grid(i, cand, Z)
         return (C - Yc[:, None]).min(axis=0) - y0
     out = np.empty(Z.shape[0])
     for s, z in enumerate(Z):
@@ -345,8 +337,7 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
             i_hat = int(np.argmin(dsum))
     i_hat = int(i_hat)
 
-    m_list = [b.m for b in x_bases]
-    bound = int(min(m_list) + z_basis.m + 2)
+    bound = sparsity_bound([b.m for b in x_bases], z_basis.m)
     nu_atoms, nu_w = nu_parts[i_hat]
     reduced = False
     if len(nu_w) > bound:
@@ -364,22 +355,21 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
     for i in range(N):
         rows = duals.conditional_x_given_z(i)
         zatoms = nu_parts[i][0]
-        zkey = {tuple(np.round(z, 12)): q for q, z in enumerate(zatoms)}
+        zkey = {point_key(z): q for q, z in enumerate(zatoms)}
         atoms_rows = [None] * len(zatoms)
         cum_rows = [None] * len(zatoms)
         mh_atoms, mh_w = duals.x_marginal(i)
         mu_hat_atoms.append(mh_atoms)
-        xkey = {tuple(np.round(x, 12)): q for q, x in enumerate(mh_atoms)}
+        xkey = {point_key(x): q for q, x in enumerate(mh_atoms)}
         for z, xs, probs in rows:
-            q = zkey[tuple(np.round(z, 12))]
-            atoms_rows[q] = np.asarray([xkey[tuple(np.round(x, 12))]
-                                        for x in xs], dtype=int)
+            q = zkey[point_key(z)]
+            atoms_rows[q] = np.asarray([xkey[point_key(x)] for x in xs],
+                                       dtype=int)
             cum_rows[q] = np.cumsum(probs)
         cond_x.append((atoms_rows, cum_rows))
 
     # couplings onto the true agent measures
     sd_params = dict(semidiscrete_params or {})
-    rng_master = np.random.SeedSequence(seed)
     setup_rngs = spawn_rngs(seed ^ 0x5EED, N)
     xbar_couplings = []
     all_discrete = True
@@ -440,12 +430,9 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
             alpha_tilde, alpha_tilde_se = np.nan, np.nan
 
     alpha_lb = cp_result.alpha_lb
-    radii_x = [0.0 if isinstance(sp, FiniteSpace) else epsilon_bar(sp, 0.0)
-               for sp in x_spaces]
-    radius_h = 0.0 if isinstance(z_space, FiniteSpace) \
-        else epsilon_bar(z_space, 0.0)
     theo = eps_theo(cp_result.eps_lsip or cp_result.gap, model.L1, model.L2,
-                    radii_x, radius_h, i_hat)
+                    [epsilon_bar(sp, 0.0) for sp in x_spaces],
+                    epsilon_bar(z_space, 0.0), i_hat)
 
     shift = getattr(model, "shift", 0.0)
     return EquilibriumReport(
@@ -496,9 +483,7 @@ def _exact_bounds(model, chain, measures, z_space, compute_tilde, combo_cap):
     hat = 0.0
     for i in range(N):
         M = nu.weights[:, None] * kernels[i]        # joint (Z, X_bar_i)
-        nz, nx = M.shape
-        C = model.eval(i, np.tile(xbar_atoms[i], (nz, 1)),
-                       np.repeat(nu.atoms, nx, axis=0)).reshape(nz, nx)
+        C = model.eval_grid(i, xbar_atoms[i], nu.atoms).T
         hat += float((M * C).sum())
     if not compute_tilde:
         return True, hat, np.nan
@@ -564,10 +549,7 @@ def equilibrium_diagnostics(report, model, measures, x_spaces, x_bases,
         C = np.empty((n, len(z_grid)))
         for q0 in range(0, n, 4096):
             sl = slice(q0, min(q0 + 4096, n))
-            k = sl.stop - sl.start
-            C[sl] = model.eval(
-                i, np.repeat(S["X_bar"][i][sl], len(z_grid), axis=0),
-                np.tile(z_grid, (k, 1))).reshape(k, len(z_grid))
+            C[sl] = model.eval_grid(i, S["X_bar"][i][sl], z_grid)
         phic = (C - phi_grid[i][None, :]).min(axis=1)
         out["complementarity"].append(
             float((cost - phi_z - phic).mean()))

@@ -10,6 +10,8 @@ The solver parametrizes continuous test functions by vertex-interpolation
 * ``FiniteSpace`` -- a finite point set (degenerate complex of 0-simplices),
 * ``HatBasis`` / ``IndicatorBasis`` -- the test-function bases with one
   designated vertex excluded,
+* ``point_key`` / ``has_duplicate_rows`` -- the rounding key that decides
+  when two points are the same,
 * mesh statistics (``epsilon_bar``) and a-priori partition planning
   (``plan_partition``).
 """
@@ -17,13 +19,14 @@ The solver parametrizes continuous test functions by vertex-interpolation
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 TOL_GEOM = 1e-9
+# points whose coordinates agree to this many decimals are the same point
+DEDUP_DECIMALS = 12
 
 
 class GeometryError(ValueError):
@@ -36,6 +39,17 @@ class PointOutsideComplexError(GeometryError):
 
 class BudgetError(GeometryError):
     """Raised when the partition-planning error budget is non-positive."""
+
+
+def point_key(p):
+    """Hashable key of a point: its coordinates rounded to DEDUP_DECIMALS."""
+    return tuple(np.round(np.atleast_1d(p), DEDUP_DECIMALS))
+
+
+def has_duplicate_rows(P):
+    """True when two rows of the (n, d) array P have the same point key."""
+    v = np.ascontiguousarray(np.round(P, DEDUP_DECIMALS))
+    return np.unique(v.view([('', v.dtype)] * v.shape[1])).shape[0] != len(v)
 
 
 def _norm(v, ord=2):
@@ -68,9 +82,7 @@ class SimplicialComplex:
         self._build_cell_data()
 
     def _validate(self):
-        v = np.ascontiguousarray(np.round(self.vertices, 12))
-        uniq = np.unique(v.view([('', v.dtype)] * v.shape[1]))
-        if uniq.shape[0] != v.shape[0]:
+        if has_duplicate_rows(self.vertices):
             raise GeometryError("duplicate vertices")
         for s, idx in enumerate(self.simplices):
             edges = self.vertices[idx[1:]] - self.vertices[idx[0]]
@@ -221,43 +233,6 @@ class SimplicialComplex:
             raise GeometryError("dim mismatch in complex document")
         return c
 
-    def check_face_property(self, tol=1e-9):
-        """Exhaustively verify that pairwise intersections are common faces.
-
-        For every pair of simplices this solves two small LPs asking for a
-        common point whose barycentric weight on the non-shared vertices is
-        maximal; the pair passes when no such point exists beyond tolerance.
-        Desk-scale only (quadratic in the number of simplices).
-        """
-        from scipy.optimize import linprog as _lp
-        d = self.dim
-        for a in range(self.n_simplices):
-            for b in range(a + 1, self.n_simplices):
-                ia, ib = self.simplices[a], self.simplices[b]
-                shared = set(ia) & set(ib)
-                Va, Vb = self.vertices[ia], self.vertices[ib]
-                # point x = Va' lam = Vb' mu, lam, mu >= 0, sums 1
-                A_eq = np.zeros((d + 2, 2 * (d + 1)))
-                A_eq[:d, :d + 1] = Va.T
-                A_eq[:d, d + 1:] = -Vb.T
-                A_eq[d, :d + 1] = 1.0
-                A_eq[d + 1, d + 1:] = 1.0
-                b_eq = np.concatenate([np.zeros(d), [1.0, 1.0]])
-                for side, idxs in ((0, ia), (1, ib)):
-                    c = np.zeros(2 * (d + 1))
-                    off = side * (d + 1)
-                    for j, v in enumerate(idxs):
-                        if v not in shared:
-                            c[off + j] = -1.0
-                    if not c.any():
-                        continue
-                    res = _lp(c, A_eq=A_eq, b_eq=b_eq,
-                              bounds=[(0, None)] * (2 * (d + 1)),
-                              method="highs")
-                    if res.status == 0 and -res.fun > tol:
-                        return False
-        return True
-
 
 def build_box_partition(box, counts):
     """Triangulate a d-dimensional box into a regular simplicial grid.
@@ -310,8 +285,7 @@ class FiniteSpace:
         if self.vertices.ndim != 2:
             raise GeometryError("points must be a 2d array")
         self.dim = self.vertices.shape[1]
-        v = np.ascontiguousarray(np.round(self.vertices, 12))
-        if np.unique(v.view([('', v.dtype)] * v.shape[1])).shape[0] != len(v):
+        if has_duplicate_rows(self.vertices):
             raise GeometryError("duplicate points")
 
     @property
@@ -416,23 +390,6 @@ class HatBasis:
             out[i] = self.eval(X[i], tol)
         return out
 
-    def vertex_values(self):
-        """(n_vertices, m) matrix of basis vectors at every vertex."""
-        out = np.zeros((self.complex.n_vertices, self.m))
-        for v in range(self.complex.n_vertices):
-            c = self._col[v]
-            if c >= 0:
-                out[v, c] = 1.0
-        return out
-
-    def gradients(self):
-        """Per-simplex gradient rows of <g(.), y>: (n_simplices, d+1, d).
-
-        Row j is the gradient of the barycentric coordinate of local vertex j
-        inside the simplex; pair with ``component_of`` to map to y entries.
-        """
-        return self.complex._minv[:, :, 1:].copy()
-
     def component_of(self, vertex_index):
         c = self._col[vertex_index]
         return None if c < 0 else int(c)
@@ -470,14 +427,6 @@ class IndicatorBasis:
         out = np.zeros((X.shape[0], self.m))
         for i in range(X.shape[0]):
             out[i] = self.eval(X[i], tol)
-        return out
-
-    def vertex_values(self):
-        out = np.zeros((self.complex.n_vertices, self.m))
-        for v in range(self.complex.n_vertices):
-            c = self._col[v]
-            if c >= 0:
-                out[v, c] = 1.0
         return out
 
     def component_of(self, vertex_index):
@@ -576,13 +525,3 @@ def space_from_json(doc):
     if doc.get("type") == "finite":
         return FiniteSpace.from_json(doc)
     return SimplicialComplex.from_json(doc)
-
-
-def save_complex(complex, path):
-    with open(path, "w") as f:
-        json.dump(space_to_json(complex), f)
-
-
-def load_complex(path):
-    with open(path) as f:
-        return space_from_json(json.load(f))

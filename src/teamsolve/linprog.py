@@ -16,8 +16,6 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog as _scipy_linprog
 
-TOL_LP = 1e-9
-
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -192,47 +190,3 @@ class BlockLp:
             xs.append(xb)
             values[b] = float(self.c[b] @ xb) + self.consts[b]
         return values, xs
-
-
-def export_mps(problem: LpProblem, path, name="TEAMSOLVE"):
-    """Write the problem in fixed MPS format (debugging aid).
-
-    The max objective is written as min of its negation, matching how the
-    solver transcribes it.
-    """
-    A_ub = problem.A_ub
-    A_eq = problem.A_eq
-    ub = sparse.csc_matrix(A_ub) if A_ub is not None else None
-    eq = sparse.csc_matrix(A_eq) if A_eq is not None else None
-    with open(path, "w") as f:
-        f.write("NAME          %s\n" % name)
-        f.write("ROWS\n N  COST\n")
-        if ub is not None:
-            for r in range(ub.shape[0]):
-                f.write(" L  UB%06d\n" % r)
-        if eq is not None:
-            for r in range(eq.shape[0]):
-                f.write(" E  EQ%06d\n" % r)
-        f.write("COLUMNS\n")
-        for j in range(problem.n):
-            col = "X%07d" % j
-            if problem.c[j] != 0.0:
-                f.write("    %-10s%-10s%15.8e\n" % (col, "COST", -problem.c[j]))
-            for mat, tag in ((ub, "UB"), (eq, "EQ")):
-                if mat is None:
-                    continue
-                start, end = mat.indptr[j], mat.indptr[j + 1]
-                for p in range(start, end):
-                    f.write("    %-10s%-10s%15.8e\n"
-                            % (col, "%s%06d" % (tag, mat.indices[p]), mat.data[p]))
-        f.write("RHS\n")
-        if ub is not None:
-            for r, v in enumerate(np.asarray(problem.b_ub, dtype=float)):
-                f.write("    %-10s%-10s%15.8e\n" % ("RHS", "UB%06d" % r, v))
-        if eq is not None:
-            for r, v in enumerate(np.asarray(problem.b_eq, dtype=float)):
-                f.write("    %-10s%-10s%15.8e\n" % ("RHS", "EQ%06d" % r, v))
-        f.write("RANGES\nBOUNDS\n")
-        for j in range(problem.n):
-            f.write(" FR %-10sX%07d\n" % ("BND", j))
-        f.write("ENDATA\n")

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .geometry import FiniteSpace, PointOutsideComplexError
+from .geometry import (FiniteSpace, PointOutsideComplexError,
+                       has_duplicate_rows)
 
 MASS_TOL = 1e-6
 
@@ -41,8 +42,7 @@ class DiscreteMeasure:
             if abs(self.weights.sum() - 1.0) > MASS_TOL:
                 raise MeasureError("weights sum to %.6g, not 1" % self.weights.sum())
             self.weights = self.weights / self.weights.sum()
-        a = np.ascontiguousarray(np.round(self.atoms, 12))
-        if np.unique(a.view([('', a.dtype)] * a.shape[1])).shape[0] != len(a):
+        if has_duplicate_rows(self.atoms):
             raise MeasureError("atoms must be distinct")
 
     @property

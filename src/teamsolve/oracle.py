@@ -6,9 +6,8 @@ tolerance tau, an oracle returns a tau-optimizer of
     min over (x, z) of  c_i(x, z) - <g_i(x), y> - <h(z), w>
 
 together with its objective value, the test-function vectors at the
-minimizer, and a certified lower bound on the true minimum.  The cell
-oracles are exact (the certified bound equals the returned value); the
-Lipschitz grid oracle certifies within a requested positive tau.
+minimizer, and a certified lower bound on the true minimum.  Both oracles
+are exact: the certified bound equals the returned value.
 """
 
 from __future__ import annotations
@@ -17,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FiniteSpace
+from .geometry import FiniteSpace, point_key
 from .linprog import BlockLp
 from .problems import (DirectL1Term, QuadraticBarycenterCost, ScalarRampTerm,
-                       SeparableL1Term, TabulatedCpwaCost,
-                       axis_arrangement_candidates, unique_edges)
+                       SeparableL1Term, axis_arrangement_candidates,
+                       unique_edges)
 
 
 class OracleError(RuntimeError):
@@ -30,10 +29,6 @@ class OracleError(RuntimeError):
 
 class WrongCostModelError(OracleError):
     pass
-
-
-class ZeroTauError(OracleError):
-    """The grid oracle cannot certify tau = 0."""
 
 
 @dataclass
@@ -66,10 +61,9 @@ def _finalize(model, i, x_basis, z_basis, y, w, x, z, pool_pairs, beta_lower=Non
         pool=pool_pairs)
 
 
-def _pool_from_matrix(xs, zs, vals, margin, cap):
-    # the pool keeps everything within the margin and tops up with the next
-    # best candidates until the cap; extra cuts are harmless (grow-only LP)
-    # and markedly reduce the number of outer iterations
+def _pool_from_matrix(xs, zs, vals, cap):
+    # the pool holds the best ``cap`` candidates: extra cuts are harmless
+    # (grow-only LP) and markedly reduce the number of outer iterations
     flat = vals.ravel()
     best = flat.min()
     idx = np.argsort(flat, kind="stable")[:cap]
@@ -79,26 +73,20 @@ def _pool_from_matrix(xs, zs, vals, margin, cap):
 
 
 def _enumeration_oracle(model, i, x_space, x_basis, z_space, z_basis, y, w,
-                        margin, cap):
+                        cap):
     """Exact oracle by enumeration over vertex/point pairs.
 
     Valid whenever the objective restricted to every cell pair attains its
-    minimum at a vertex pair: finite spaces, and tabulated costs (biaffine
-    on each cell pair).
+    minimum at a vertex pair: finite spaces, tabulated costs (biaffine on
+    each cell pair), and the quadratic cost (affine in x) over a finite
+    quality space.
     """
     xs = x_space.vertices
     zs = z_space.vertices
     Yv = _vertex_multipliers(x_basis, y)
     Wv = _vertex_multipliers(z_basis, w)
-    if isinstance(model, TabulatedCpwaCost):
-        C = model.tables[i]
-    else:
-        nx, nz = len(xs), len(zs)
-        XX = np.repeat(xs, nz, axis=0)
-        ZZ = np.tile(zs, (nx, 1))
-        C = model.eval(i, XX, ZZ).reshape(nx, nz)
-    vals = C - Yv[:, None] - Wv[None, :]
-    pool, best, (bi, bj) = _pool_from_matrix(xs, zs, vals, margin, cap)
+    vals = model.eval_grid(i, xs, zs) - Yv[:, None] - Wv[None, :]
+    pool, best, (bi, bj) = _pool_from_matrix(xs, zs, vals, cap)
     return _finalize(model, i, x_basis, z_basis, y, w, xs[bi], zs[bj], pool,
                      beta_lower=float(best))
 
@@ -188,7 +176,7 @@ def _coupled_term_blocks(term, x_space, z_space, Yv, Wv):
 
 
 def oracle_cell_cpwa(model, i, x_space, x_basis, z_space, z_basis, y, w,
-                     tau=0.0, pool_margin=0.0, pool_cap=32, _cache=None):
+                     tau=0.0, pool_cap=32, _cache=None):
     """Exact oracle for costs that are minima of convex CPWA terms.
 
     Separable terms are minimized by direct evaluation on their kink
@@ -199,7 +187,7 @@ def oracle_cell_cpwa(model, i, x_space, x_basis, z_space, z_basis, y, w,
     if model.kind == "tabulated" or (isinstance(x_space, FiniteSpace)
                                      and isinstance(z_space, FiniteSpace)):
         return _enumeration_oracle(model, i, x_space, x_basis, z_space,
-                                   z_basis, y, w, pool_margin, pool_cap)
+                                   z_basis, y, w, pool_cap)
     if model.kind != "cpwa-pieces":
         raise WrongCostModelError("cost model lacks a cpwa piece decomposition")
     cache = _cache if _cache is not None else {}
@@ -207,8 +195,7 @@ def oracle_cell_cpwa(model, i, x_space, x_basis, z_space, z_basis, y, w,
     candidates = []     # (value, x, z)
 
     def _anchor_key(side, anchor, space):
-        a = None if anchor is None else tuple(np.round(anchor, 12))
-        return (side, a, id(space))
+        return (side, None if anchor is None else point_key(anchor), id(space))
 
     for t_idx, term in enumerate(terms):
         if isinstance(term, SeparableL1Term):
@@ -243,8 +230,7 @@ def oracle_cell_cpwa(model, i, x_space, x_basis, z_space, z_basis, y, w,
     for v, px, pz in candidates:
         if len(pool) >= pool_cap:
             break
-        key = (tuple(np.round(np.atleast_1d(px), 12)),
-               tuple(np.round(np.atleast_1d(pz), 12)))
+        key = (point_key(px), point_key(pz))
         if key in seen:
             continue
         seen.add(key)
@@ -285,7 +271,7 @@ def _get_zfaces(z_space):
 
 
 def oracle_quadratic(model, i, x_space, x_basis, z_space, z_basis, y, w,
-                     tau=0.0, pool_margin=0.0, pool_cap=32):
+                     tau=0.0, pool_cap=32):
     """Exact oracle for the squared-distance barycenter cost.
 
     The cost is affine in x for fixed z, so the x-minimum over each cell sits
@@ -296,20 +282,13 @@ def oracle_quadratic(model, i, x_space, x_basis, z_space, z_basis, y, w,
     if not isinstance(model, QuadraticBarycenterCost):
         raise WrongCostModelError("oracle_quadratic needs the quadratic "
                                   "barycenter cost model")
+    if isinstance(z_space, FiniteSpace):
+        return _enumeration_oracle(model, i, x_space, x_basis, z_space,
+                                   z_basis, y, w, pool_cap)
     lam = model.lam[i]
     xs = x_space.vertices                              # (nx, d)
     Yx = _vertex_multipliers(x_basis, y)
     Wv = _vertex_multipliers(z_basis, w)
-
-    if isinstance(z_space, FiniteSpace):
-        zs = z_space.vertices
-        vals = (lam * ((zs ** 2).sum(1)[None, :] - 2.0 * xs @ zs.T)
-                - Wv[None, :] - Yx[:, None])
-        pool, best, (bi, bj) = _pool_from_matrix(xs, zs, vals, pool_margin,
-                                                 pool_cap)
-        return _finalize(model, i, x_basis, z_basis, y, w, xs[bi], zs[bj],
-                         pool, beta_lower=float(best))
-
     faces = _get_zfaces(z_space)
     V0 = faces.vertices
     aC, bC = faces.affine_coeffs(Wv)
@@ -360,111 +339,23 @@ def oracle_quadratic(model, i, x_space, x_basis, z_space, z_basis, y, w,
                      beta_lower=float(flat[best]))
 
 
-def _simplex_lattice(q, d):
-    """Barycentric lattice with denominator q on a d-simplex."""
-    if d == 1:
-        k = np.arange(q + 1)
-        return np.stack([q - k, k], axis=1) / q
-    pts = []
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            pts.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-    rec([], q, d + 1)
-    return np.asarray(pts, dtype=float) / q
-
-
-def _grad_bound(basis, coeffs):
-    """Max cell gradient norm of <g(.), coeffs> over the complex."""
-    if isinstance(basis.complex, FiniteSpace):
-        return 0.0
-    Yv = _vertex_multipliers(basis, coeffs)
-    worst = 0.0
-    for s, idx in enumerate(basis.complex.simplices):
-        G = basis.complex._minv[s][:, 1:]
-        worst = max(worst, float(np.linalg.norm(Yv[idx] @ G)))
-    return worst
-
-
-def _grid_points(space, delta):
-    """Lattice points covering the space with radius at most delta."""
-    if isinstance(space, FiniteSpace):
-        return space.vertices
-    pts = []
-    d = space.dim
-    diam = space.cell_diameters()
-    for s in range(space.n_simplices):
-        q = max(1, int(np.ceil(diam[s] * (d + 1) / max(delta, 1e-15))))
-        lam = _simplex_lattice(q, d)
-        pts.append(lam @ space._cell_pts[s])
-    return np.vstack(pts)
-
-
-def oracle_lipschitz_grid(model, i, x_space, x_basis, z_space, z_basis, y, w,
-                          tau, pool_margin=0.0, pool_cap=32):
-    """Certified oracle from objective evaluations on a covering grid.
-
-    The grid spacing is chosen so that the objective's Lipschitz modulus
-    (cost constants plus the multiplier-dependent hat moduli) times the
-    covering radii stays below tau; the certified bound is the grid minimum
-    minus tau.
-    """
-    if tau <= 0:
-        raise ZeroTauError("the grid oracle cannot certify tau = 0")
-    Lx = model.L1[i] + _grad_bound(x_basis, y)
-    Lz = model.L2[i] + _grad_bound(z_basis, w)
-    dx = tau / (2.0 * Lx) if Lx > 0 else np.inf
-    dz = tau / (2.0 * Lz) if Lz > 0 else np.inf
-    Xg = _grid_points(x_space, dx)
-    Zg = _grid_points(z_space, dz)
-    Gx = x_basis.eval_many(Xg) @ y
-    Hz = z_basis.eval_many(Zg) @ w
-    best = np.inf
-    bi = bj = 0
-    pool_vals = []
-    chunk = max(1, int(2e6 // max(len(Zg), 1)))
-    for s0 in range(0, len(Xg), chunk):
-        xs = Xg[s0:s0 + chunk]
-        nx, nz = len(xs), len(Zg)
-        C = model.eval(i, np.repeat(xs, nz, axis=0),
-                       np.tile(Zg, (nx, 1))).reshape(nx, nz)
-        vals = C - Gx[s0:s0 + chunk, None] - Hz[None, :]
-        k = int(vals.argmin())
-        if vals.ravel()[k] < best:
-            best = float(vals.ravel()[k])
-            bi, bj = s0 + k // nz, k % nz
-        flat = vals.ravel()
-        cut = np.flatnonzero(flat <= best + max(pool_margin, 0.0))
-        for kk in cut[np.argsort(flat[cut])][:pool_cap]:
-            pool_vals.append((float(flat[kk]), Xg[s0 + kk // nz], Zg[kk % nz]))
-    pool_vals.sort(key=lambda t: t[0])
-    pool = [(p[1], p[2]) for p in pool_vals
-            if p[0] <= best + max(pool_margin, 0.0)][:pool_cap]
-    res = _finalize(model, i, x_basis, z_basis, y, w, Xg[bi], Zg[bj], pool,
-                    beta_lower=best - tau)
-    res.beta_lower = res.beta_tilde - tau
-    return res
-
-
 def make_oracle(model, x_spaces, x_bases, z_space, z_basis,
                 pool_margin=0.0, pool_cap=32):
     """Dispatching oracle callable with per-instance candidate caches.
 
-    The returned function has the signature ``oracle(i, y, w, tau)`` and
-    picks the exact oracle matching the cost model; distinct categories may
-    be called concurrently (read-only shared state after warmup).
+    The returned function has the signature ``oracle(i, y, w, tau)``, picks
+    the exact oracle matching the cost model and offers at most ``pool_cap``
+    cuts per call.  ``pool_margin`` has no effect and is accepted only for
+    callers that still pass it.
     """
     cache = {}
 
     def oracle(i, y, w, tau=0.0):
         if isinstance(model, QuadraticBarycenterCost):
             return oracle_quadratic(model, i, x_spaces[i], x_bases[i],
-                                    z_space, z_basis, y, w, tau,
-                                    pool_margin, pool_cap)
+                                    z_space, z_basis, y, w, tau, pool_cap)
         return oracle_cell_cpwa(model, i, x_spaces[i], x_bases[i],
-                                z_space, z_basis, y, w, tau,
-                                pool_margin, pool_cap, _cache=cache)
+                                z_space, z_basis, y, w, tau, pool_cap,
+                                _cache=cache)
 
     return oracle

@@ -28,10 +28,7 @@ import math
 
 import numpy as np
 
-from .geometry import FiniteSpace
-
-_CAND_TOL = 1e-9
-
+from .geometry import FiniteSpace, has_duplicate_rows, point_key
 
 class CostModelError(ValueError):
     pass
@@ -85,13 +82,13 @@ def unique_edges(complex):
     return np.asarray(sorted(pairs), dtype=int)
 
 
-def _dedup_points(P, tol=1e-12):
-    if len(P) == 0:
-        return np.zeros((0, 0))
-    P = np.asarray(P, dtype=float)
-    r = np.round(P / max(tol, 1e-300)).astype(np.int64) if tol > 0 else P
-    _, idx = np.unique(r, axis=0, return_index=True)
-    return P[np.sort(idx)]
+def _dedup_points(P):
+    """Rows of the (n, d) array P in order, keeping the first of each point
+    key."""
+    first = {}
+    for q, p in enumerate(P):
+        first.setdefault(point_key(p), q)
+    return P[sorted(first.values())]
 
 
 def axis_arrangement_candidates(space, anchors):
@@ -187,18 +184,19 @@ class CostModel:
     """Base class: N categories, eval, Lipschitz constants, objective shift."""
 
     kind = None
-    metric = "euclidean"
     shift = 0.0
 
     def eval(self, i, X, Z):
         raise NotImplementedError
 
-    def eval_sum(self, X_list, Z):
-        """Total cost over all categories for batched samples."""
-        tot = np.zeros(np.atleast_2d(Z).shape[0])
-        for i in range(self.N):
-            tot += self.eval(i, X_list[i], Z)
-        return tot
+    def eval_grid(self, i, X, Z):
+        """(len(X), len(Z)) costs of every row of X paired with every row
+        of Z."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        nx, nz = len(X), len(Z)
+        return self.eval(i, np.repeat(X, nz, axis=0),
+                         np.tile(Z, (nx, 1))).reshape(nx, nz)
 
     def check_lipschitz(self, rng, x_sampler, z_sampler, n=10000, slack=1e-9):
         """Random-pair verification of the declared Lipschitz constants."""
@@ -232,8 +230,7 @@ class BusinessLocationCost(CostModel):
         self.stations = np.atleast_2d(np.asarray(stations, dtype=float))
         if self.stations.shape[1] != 2:
             raise CostModelError("stations must be 2d points")
-        s = np.ascontiguousarray(np.round(self.stations, 12))
-        if np.unique(s.view([('', s.dtype)] * 2)).shape[0] != len(s):
+        if has_duplicate_rows(self.stations):
             raise CostModelError("stations must be distinct")
         self.c_walk = float(c_walk)
         self.c_train = float(c_train)
@@ -342,6 +339,11 @@ class QuadraticBarycenterCost(CostModel):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         return self.lam[i] * ((Z ** 2).sum(1) - 2.0 * (X * Z).sum(1))
+
+    def eval_grid(self, i, X, Z):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        return self.lam[i] * ((Z ** 2).sum(1)[None, :] - 2.0 * X @ Z.T)
 
 
 class CappedAffineCost(CostModel):
@@ -501,10 +503,10 @@ class TabulatedCpwaCost(CostModel):
         Wz = full_vertex_weights(self.z_space, Z)
         return ((Wx @ self.tables[i]) * Wz).sum(1)
 
-    def z_vertex_costs(self, i, X):
-        """(n, n_z_vertices) cost of pairing each sample with each z vertex."""
+    def eval_grid(self, i, X, Z):
         Wx = full_vertex_weights(self.x_spaces[i], X)
-        return Wx @ self.tables[i]
+        Wz = full_vertex_weights(self.z_space, Z)
+        return Wx @ self.tables[i] @ Wz.T
 
 
 def business_location_cost(stations, c_walk=0.15, c_train=0.015,

@@ -267,28 +267,3 @@ def ot_semidiscrete(nu1, nu2, metric="euclidean", step0=None,
             "cell masses off by %.4g (> %.4g) after %d iterations"
             % (mismatch, tol_mass, n_iterations), mismatch)
     return coupling
-
-
-def write_pairs_csv(sampler, rng, n, path):
-    """Stream n coupled samples to CSV with src_*/tgt_* coordinate columns."""
-    import csv
-    src, tgt = sampler.sample_pairs(rng, n)
-    src = np.atleast_2d(src)
-    tgt = np.atleast_2d(tgt)
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["src_%d" % j for j in range(src.shape[1])]
-                    + ["tgt_%d" % j for j in range(tgt.shape[1])])
-        for s, t in zip(src, tgt):
-            wr.writerow(["%.17g" % v for v in s] + ["%.17g" % v for v in t])
-
-
-def assignment_bruteforce_w1(atoms1, atoms2):
-    """Exhaustive uniform-weights assignment cost (reference for tests)."""
-    import itertools
-    n = len(atoms1)
-    D = _pairwise_dist(atoms1, atoms2)
-    best = np.inf
-    for perm in itertools.permutations(range(n)):
-        best = min(best, sum(D[i, perm[i]] for i in range(n)) / n)
-    return float(best)

@@ -5,10 +5,13 @@ check (dense brute force where the library is structured/sparse)."""
 import itertools
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog as scipy_linprog
 
 from teamsolve.geometry import FiniteSpace, IndicatorBasis
+from teamsolve.linprog import LpProblem
 from teamsolve.measures import DiscreteMeasure
+from teamsolve.oracle import OracleError, _finalize, _vertex_multipliers
 from teamsolve.problems import tabulated_cpwa_cost
 
 
@@ -143,3 +146,188 @@ def rebased_y(basis_from, basis_to, y):
         else:
             yp[comp] = y[basis_from.component_of(v)] - cshift
     return yp, cshift
+
+
+# ---------------------------------------------------------------------------
+# certified Lipschitz-grid oracle: a brute-force reference for the exact
+# oracles that works for any cost with known Lipschitz constants
+
+class ZeroTauError(OracleError):
+    """The grid oracle cannot certify tau = 0."""
+
+
+def _simplex_lattice(q, d):
+    """Barycentric lattice with denominator q on a d-simplex."""
+    if d == 1:
+        k = np.arange(q + 1)
+        return np.stack([q - k, k], axis=1) / q
+    pts = []
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            pts.append(prefix + [remaining])
+            return
+        for v in range(remaining + 1):
+            rec(prefix + [v], remaining - v, slots - 1)
+    rec([], q, d + 1)
+    return np.asarray(pts, dtype=float) / q
+
+
+def _grad_bound(basis, coeffs):
+    """Max cell gradient norm of <g(.), coeffs> over the complex."""
+    if isinstance(basis.complex, FiniteSpace):
+        return 0.0
+    Yv = _vertex_multipliers(basis, coeffs)
+    worst = 0.0
+    for s, idx in enumerate(basis.complex.simplices):
+        G = basis.complex._minv[s][:, 1:]
+        worst = max(worst, float(np.linalg.norm(Yv[idx] @ G)))
+    return worst
+
+
+def _grid_points(space, delta):
+    """Lattice points covering the space with radius at most delta."""
+    if isinstance(space, FiniteSpace):
+        return space.vertices
+    pts = []
+    d = space.dim
+    diam = space.cell_diameters()
+    for s in range(space.n_simplices):
+        q = max(1, int(np.ceil(diam[s] * (d + 1) / max(delta, 1e-15))))
+        lam = _simplex_lattice(q, d)
+        pts.append(lam @ space._cell_pts[s])
+    return np.vstack(pts)
+
+
+def oracle_lipschitz_grid(model, i, x_space, x_basis, z_space, z_basis, y, w,
+                          tau, pool_margin=0.0, pool_cap=32):
+    """Certified oracle from objective evaluations on a covering grid.
+
+    The grid spacing is chosen so that the objective's Lipschitz modulus
+    (cost constants plus the multiplier-dependent hat moduli) times the
+    covering radii stays below tau; the certified bound is the grid minimum
+    minus tau.
+    """
+    if tau <= 0:
+        raise ZeroTauError("the grid oracle cannot certify tau = 0")
+    Lx = model.L1[i] + _grad_bound(x_basis, y)
+    Lz = model.L2[i] + _grad_bound(z_basis, w)
+    dx = tau / (2.0 * Lx) if Lx > 0 else np.inf
+    dz = tau / (2.0 * Lz) if Lz > 0 else np.inf
+    Xg = _grid_points(x_space, dx)
+    Zg = _grid_points(z_space, dz)
+    Gx = x_basis.eval_many(Xg) @ y
+    Hz = z_basis.eval_many(Zg) @ w
+    best = np.inf
+    bi = bj = 0
+    pool_vals = []
+    chunk = max(1, int(2e6 // max(len(Zg), 1)))
+    for s0 in range(0, len(Xg), chunk):
+        xs = Xg[s0:s0 + chunk]
+        nz = len(Zg)
+        vals = model.eval_grid(i, xs, Zg) - Gx[s0:s0 + chunk, None] \
+            - Hz[None, :]
+        k = int(vals.argmin())
+        if vals.ravel()[k] < best:
+            best = float(vals.ravel()[k])
+            bi, bj = s0 + k // nz, k % nz
+        flat = vals.ravel()
+        cut = np.flatnonzero(flat <= best + max(pool_margin, 0.0))
+        for kk in cut[np.argsort(flat[cut])][:pool_cap]:
+            pool_vals.append((float(flat[kk]), Xg[s0 + kk // nz], Zg[kk % nz]))
+    pool_vals.sort(key=lambda t: t[0])
+    pool = [(p[1], p[2]) for p in pool_vals
+            if p[0] <= best + max(pool_margin, 0.0)][:pool_cap]
+    res = _finalize(model, i, x_basis, z_basis, y, w, Xg[bi], Zg[bj], pool,
+                    beta_lower=best - tau)
+    res.beta_lower = res.beta_tilde - tau
+    return res
+
+
+def assignment_bruteforce_w1(atoms1, atoms2):
+    """Exhaustive uniform-weights assignment cost (reference for ot_discrete)."""
+    n = len(atoms1)
+    D = np.sqrt(((np.atleast_2d(atoms1)[:, None, :]
+                  - np.atleast_2d(atoms2)[None, :, :]) ** 2).sum(-1))
+    best = np.inf
+    for perm in itertools.permutations(range(n)):
+        best = min(best, sum(D[i, perm[i]] for i in range(n)) / n)
+    return float(best)
+
+
+def check_face_property(complex, tol=1e-9):
+    """Exhaustively verify that pairwise simplex intersections of a complex
+    are common faces.
+
+    For every pair of simplices this solves two small LPs asking for a
+    common point whose barycentric weight on the non-shared vertices is
+    maximal; the pair passes when no such point exists beyond tolerance.
+    Desk-scale only (quadratic in the number of simplices).
+    """
+    d = complex.dim
+    for a in range(complex.n_simplices):
+        for b in range(a + 1, complex.n_simplices):
+            ia, ib = complex.simplices[a], complex.simplices[b]
+            shared = set(ia) & set(ib)
+            Va, Vb = complex.vertices[ia], complex.vertices[ib]
+            # point x = Va' lam = Vb' mu, lam, mu >= 0, sums 1
+            A_eq = np.zeros((d + 2, 2 * (d + 1)))
+            A_eq[:d, :d + 1] = Va.T
+            A_eq[:d, d + 1:] = -Vb.T
+            A_eq[d, :d + 1] = 1.0
+            A_eq[d + 1, d + 1:] = 1.0
+            b_eq = np.concatenate([np.zeros(d), [1.0, 1.0]])
+            for side, idxs in ((0, ia), (1, ib)):
+                c = np.zeros(2 * (d + 1))
+                off = side * (d + 1)
+                for j, v in enumerate(idxs):
+                    if v not in shared:
+                        c[off + j] = -1.0
+                if not c.any():
+                    continue
+                res = scipy_linprog(c, A_eq=A_eq, b_eq=b_eq,
+                                    bounds=[(0, None)] * (2 * (d + 1)),
+                                    method="highs")
+                if res.status == 0 and -res.fun > tol:
+                    return False
+    return True
+
+
+def export_mps(problem: LpProblem, path, name="TEAMSOLVE"):
+    """Write an LP in fixed MPS format, the max objective written as min of
+    its negation (lets an external solver check an LP by hand)."""
+    A_ub = problem.A_ub
+    A_eq = problem.A_eq
+    ub = sparse.csc_matrix(A_ub) if A_ub is not None else None
+    eq = sparse.csc_matrix(A_eq) if A_eq is not None else None
+    with open(path, "w") as f:
+        f.write("NAME          %s\n" % name)
+        f.write("ROWS\n N  COST\n")
+        if ub is not None:
+            for r in range(ub.shape[0]):
+                f.write(" L  UB%06d\n" % r)
+        if eq is not None:
+            for r in range(eq.shape[0]):
+                f.write(" E  EQ%06d\n" % r)
+        f.write("COLUMNS\n")
+        for j in range(problem.n):
+            col = "X%07d" % j
+            if problem.c[j] != 0.0:
+                f.write("    %-10s%-10s%15.8e\n" % (col, "COST", -problem.c[j]))
+            for mat, tag in ((ub, "UB"), (eq, "EQ")):
+                if mat is None:
+                    continue
+                start, end = mat.indptr[j], mat.indptr[j + 1]
+                for p in range(start, end):
+                    f.write("    %-10s%-10s%15.8e\n"
+                            % (col, "%s%06d" % (tag, mat.indices[p]), mat.data[p]))
+        f.write("RHS\n")
+        if ub is not None:
+            for r, v in enumerate(np.asarray(problem.b_ub, dtype=float)):
+                f.write("    %-10s%-10s%15.8e\n" % ("RHS", "UB%06d" % r, v))
+        if eq is not None:
+            for r, v in enumerate(np.asarray(problem.b_eq, dtype=float)):
+                f.write("    %-10s%-10s%15.8e\n" % ("RHS", "EQ%06d" % r, v))
+        f.write("RANGES\nBOUNDS\n")
+        for j in range(problem.n):
+            f.write(" FR %-10sX%07d\n" % ("BND", j))
+        f.write("ENDATA\n")

@@ -6,8 +6,9 @@ import time
 
 import numpy as np
 
-from helpers import (brute_force_discrete_optimum, enumerate_vertices_max,
-                     random_bounded_lp, random_discrete_instance)
+from helpers import (assignment_bruteforce_w1, brute_force_discrete_optimum,
+                     enumerate_vertices_max, random_bounded_lp,
+                     random_discrete_instance)
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
                                 build_box_partition)
 from teamsolve.linprog import LpProblem, solve
@@ -17,8 +18,7 @@ from teamsolve.cutting_plane import run, sparsity_bound
 from teamsolve.equilibrium import construct, transfer_eval, z_opt
 from teamsolve.oracle import make_oracle
 from teamsolve.problems import barycenter_cost, capped_affine_cost
-from teamsolve.transport import (assignment_bruteforce_w1, ot_discrete,
-                                 ot_quantile_1d, ot_semidiscrete,
+from teamsolve.transport import (ot_discrete, ot_quantile_1d, ot_semidiscrete,
                                  w1_quantile_quadrature)
 from scipy import sparse as sp
 
@@ -44,8 +44,7 @@ def _record(res, rep=None):
 
 def _pipeline(model, mus, xs, bs, zc, bz, eps, seed, **kw):
     gbar = [moment_vector(mus[i], bs[i]) for i in range(model.N)]
-    oracle = make_oracle(model, xs, bs, zc, bz,
-                         pool_margin=10.0 * eps / model.N)
+    oracle = make_oracle(model, xs, bs, zc, bz)
     res = run(model, gbar, xs, bs, zc, bz, oracle, eps_lsip=eps)
     rep = construct(res, model, mus, xs, bs, zc, bz, seed=seed, **kw)
     _record(res, rep)

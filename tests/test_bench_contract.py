@@ -1,0 +1,48 @@
+"""The names and call shapes the benchmark in ``perfbench/`` relies on.
+
+The benchmark builds its instances through ``perfbench/workloads.py``, calls
+the pipeline stages the way ``perfbench/run.py`` does, and in its traced mode
+replaces library names where the calling modules look them up.  A library
+change that drops one of them would otherwise only show up as failed
+benchmark operations.
+"""
+
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+import teamsolve
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_instance_builds(name):
+    inst = workloads.build(name, 0)
+    assert inst.N == inst.model.N == len(inst.measures)
+    assert callable(inst.oracle)
+
+
+def test_stage_call_shapes():
+    # positional and keyword arguments as perfbench/run.py passes them
+    inspect.signature(teamsolve.cutting_plane.run).bind(*range(8))
+    inspect.signature(teamsolve.equilibrium.construct).bind(
+        *range(7), mc_n=1, mc_repetitions=1, seed=0, semidiscrete_params={})
+
+
+def test_tracer_installs_and_restores():
+    tracer = spans.Tracer("contract")
+    originals = (teamsolve.linprog.solve, teamsolve.equilibrium.z_opt,
+                 teamsolve.measures.CpwaDensityMeasure.sample)
+    tracer.install(teamsolve)
+    try:
+        assert tracer.installed
+        assert teamsolve.linprog.solve is not originals[0]
+    finally:
+        tracer.restore()
+    assert (teamsolve.linprog.solve, teamsolve.equilibrium.z_opt,
+            teamsolve.measures.CpwaDensityMeasure.sample) == originals

@@ -16,8 +16,7 @@ def _solve_discrete(model, measures, x_spaces, x_bases, z_space, z_basis,
                     eps=1e-6, **kw):
     gbar = [moment_vector(measures[i], x_bases[i])
             for i in range(model.N)]
-    oracle = make_oracle(model, x_spaces, x_bases, z_space, z_basis,
-                         pool_margin=10 * eps / model.N)
+    oracle = make_oracle(model, x_spaces, x_bases, z_space, z_basis)
     return run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
                eps_lsip=eps, **kw)
 

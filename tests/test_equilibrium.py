@@ -19,8 +19,7 @@ from teamsolve.problems import (barycenter_cost, capped_affine_cost,
 
 def _pipeline(model, mu, xs, xb, zs, zb, eps=1e-6, **kw):
     gbar = [moment_vector(mu[i], xb[i]) for i in range(model.N)]
-    oracle = make_oracle(model, xs, xb, zs, zb,
-                         pool_margin=10 * eps / model.N)
+    oracle = make_oracle(model, xs, xb, zs, zb)
     res = run(model, gbar, xs, xb, zs, zb, oracle, eps_lsip=eps)
     rep = construct(res, model, mu, xs, xb, zs, zb, **kw)
     return res, rep
@@ -255,3 +254,23 @@ def test_transfer_function_handles():
     z = X.vertices
     total = fns[0](z) + fns[1](z)
     assert np.abs(total).max() == 0.0
+
+
+def test_zopt_tabulated_box_picks_lexicographic_vertex_minimum():
+    # reference: the summed vertex costs of each sample, minimized over the
+    # quality vertices with the lexicographically smallest tied vertex
+    from teamsolve.problems import full_vertex_weights
+    rng = np.random.default_rng(71)
+    X = build_box_partition([(0, 1)], (2,))
+    Z = build_box_partition([(0, 1), (0, 1)], (2, 2))
+    # quarter-step tables make ties common at the type vertices
+    tables = [np.round(4 * rng.uniform(size=(3, 9))) / 4 for _ in range(2)]
+    mt = tabulated_cpwa_cost([X, X], Z, tables)
+    xs = [np.concatenate([X.vertices, rng.uniform(0, 1, (20, 1))])
+          for _ in range(2)]
+    vals = sum(full_vertex_weights(X, xs[i]) @ tables[i] for i in range(2))
+    ref = []
+    for row in vals:
+        tied = np.flatnonzero(row <= row.min() + 1e-12)
+        ref.append(min(tied, key=lambda j: tuple(Z.vertices[j])))
+    assert np.array_equal(z_opt(mt, xs, Z), Z.vertices[ref])

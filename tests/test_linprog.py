@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from helpers import enumerate_vertices_max, random_bounded_lp
+from helpers import enumerate_vertices_max, export_mps, random_bounded_lp
 from teamsolve.linprog import (BlockLp, LpInfeasibleError, LpProblem,
-                               LpUnboundedError, export_mps, solve)
+                               LpUnboundedError, solve)
 
 TOL = 1e-8
 

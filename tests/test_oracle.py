@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import rebased_y
+from helpers import ZeroTauError, oracle_lipschitz_grid, rebased_y
 from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
                                 IndicatorBasis, SimplicialComplex,
                                 build_box_partition)
-from teamsolve.oracle import (WrongCostModelError, ZeroTauError, make_oracle,
-                              oracle_cell_cpwa, oracle_lipschitz_grid,
-                              oracle_quadratic)
+from teamsolve.oracle import (WrongCostModelError, make_oracle,
+                              oracle_cell_cpwa, oracle_quadratic)
 from teamsolve.problems import (barycenter_cost, business_location_cost,
                                 capped_affine_cost, tabulated_cpwa_cost)
 
@@ -227,7 +226,7 @@ def test_pool_contains_optimum():
     m = barycenter_cost([1.0], [sq], sq)
     y = rng.normal(size=8)
     w = rng.normal(size=8)
-    r = oracle_quadratic(m, 0, sq, b, sq, b, y, w, pool_margin=0.05)
+    r = oracle_quadratic(m, 0, sq, b, sq, b, y, w)
     assert any(np.allclose(px, r.x) and np.allclose(pz, r.z)
                for px, pz in r.pool)
     assert len(r.pool) <= 32

@@ -113,3 +113,48 @@ def test_tabulated_interpolates_table():
 def test_station_validation():
     with pytest.raises(CostModelError):
         business_location_cost([[0.0, 0.0], [0.0, 0.0]])
+
+
+def _grid_case(family, space, rng):
+    """(model, X, Z) for one cost family with type and quality points drawn
+    from a FiniteSpace or from inside a box partition."""
+    box = [(-2, 2), (-2, 2)] if family == "business_location" \
+        else [(0, 1), (0, 1)]
+    xbox = [(0, 1)] if family == "capped_affine" else box
+    xs = build_box_partition(xbox, [3] * len(xbox))
+    zs = build_box_partition(box, (2, 3))
+    X, Z = uniform_points(xs, rng, 5), uniform_points(zs, rng, 6)
+    if space == "finite":
+        xs, zs = FiniteSpace(X), FiniteSpace(Z)
+    if family == "barycenter":
+        model = barycenter_cost([0.3, 0.7], [xs, xs], zs)
+    elif family == "business_location":
+        model = business_location_cost(STATIONS, n_categories=2)
+    elif family == "capped_affine":
+        model = capped_affine_cost([[0.6, 0.8], [1.0, 0.0]], [0.05, 0.1],
+                                   [0.4, 0.5])
+    else:
+        model = tabulated_cpwa_cost(
+            [xs, xs], zs,
+            [rng.uniform(size=(xs.n_vertices, zs.n_vertices))
+             for _ in range(2)])
+    return model, X, Z
+
+
+@pytest.mark.parametrize("space", ["finite", "box"])
+@pytest.mark.parametrize("family", ["barycenter", "business_location",
+                                    "capped_affine", "tabulated"])
+def test_eval_grid_matches_pairwise_eval(family, space):
+    model, X, Z = _grid_case(family, space, np.random.default_rng(61))
+    for i in range(2):
+        grid = model.eval_grid(i, X, Z)
+        ref = model.eval(i, np.repeat(X, len(Z), axis=0),
+                         np.tile(Z, (len(X), 1))).reshape(len(X), len(Z))
+        assert grid.shape == (len(X), len(Z))
+        # the GEMM form of the quadratic cost, and the bilinear table form
+        # between interior points, round differently from the pairwise sums
+        if family == "barycenter" or (family == "tabulated"
+                                      and space == "box"):
+            assert np.abs(grid - ref).max() <= 1e-12
+        else:
+            assert np.array_equal(grid, ref)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import assignment_bruteforce_w1
 from teamsolve.geometry import build_box_partition
 from teamsolve.measures import CpwaDensityMeasure, DiscreteMeasure, random_cpwa
 from teamsolve.transport import (CellMassMismatchError, SemidiscreteCoupling,
-                                 TransportError, assignment_bruteforce_w1,
-                                 ot_discrete, ot_quantile_1d, ot_semidiscrete,
-                                 w1_quantile_quadrature)
+                                 TransportError, ot_discrete, ot_quantile_1d,
+                                 ot_semidiscrete, w1_quantile_quadrature)
 
 
 def test_discrete_trivials():
