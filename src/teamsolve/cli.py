@@ -123,11 +123,6 @@ class ProblemSetup:
         self.eps_lsip = float(_need(config, "eps_lsip", "$"))
         if self.eps_lsip <= 0:
             raise ConfigError("$.eps_lsip", "must be positive")
-        self.tau = config.get("tau")
-        if self.tau is not None:
-            self.tau = float(self.tau)
-            if not 0 <= self.tau < self.eps_lsip / self.N:
-                raise ConfigError("$.tau", "need 0 <= tau < eps_lsip / N")
         mc = config.get("mc", {})
         self.mc_n = int(mc.get("n", 100000))
         self.mc_repetitions = int(mc.get("repetitions", 20))
@@ -214,7 +209,7 @@ def run_pipeline(setup, out_dir=None, seed=None):
                          setup.z_space, setup.z_basis)
     cp_res = cutting_plane.run(
         setup.model, gbar, setup.x_spaces, setup.x_bases, setup.z_space,
-        setup.z_basis, oracle, setup.eps_lsip, tau=setup.tau,
+        setup.z_basis, oracle, setup.eps_lsip,
         max_iterations=setup.max_iterations)
     t_solve = time.perf_counter() - t_total
     report = equilibrium.construct(

@@ -235,17 +235,15 @@ def _assemble_lp(store, gbar, k):
 
 
 def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
-        eps_lsip, tau=None, initial_cuts=None, max_iterations=10000):
+        eps_lsip, initial_cuts=None, max_iterations=10000):
     """Run the cutting-plane loop to an eps_lsip-certified solution.
 
     Parameters
     ----------
     model : cost model with ``N`` categories and vectorized ``eval``
     gbar : per-category exact moment vectors of the type test functions
-    oracle : callable ``oracle(i, y_i, w_i, tau) -> OracleResult``
+    oracle : callable ``oracle(i, y_i, w_i) -> OracleResult``
     eps_lsip : positive target for the certified upper-lower gap
-    tau : oracle tolerance, must satisfy ``0 <= tau < eps_lsip / N``;
-        default ``min(1e-10, eps_lsip / (2N))``
     initial_cuts : per-category list of (x, z) pairs; defaults to the
         vertex product of the type and quality spaces
 
@@ -256,10 +254,6 @@ def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
     N = model.N
     if eps_lsip <= 0:
         raise CuttingPlaneError("eps_lsip must be positive")
-    if tau is None:
-        tau = min(1e-10, eps_lsip / (2.0 * N))
-    if not 0 <= tau < eps_lsip / N:
-        raise CuttingPlaneError("need 0 <= tau < eps_lsip / N")
     k = z_basis.m
     store = _CutStore(model, x_bases, z_basis)
     if initial_cuts is None:
@@ -285,7 +279,7 @@ def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
                       for i in range(N)])
 
         t1 = time.perf_counter()
-        results = [oracle(i, y[i], w[i], tau) for i in range(N)]
+        results = [oracle(i, y[i], w[i]) for i in range(N)]
         oracle_time = time.perf_counter() - t1
 
         beta_lower = np.array([res.beta_lower for res in results])

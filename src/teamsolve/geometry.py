@@ -454,6 +454,8 @@ def epsilon_bar(complex, varsigma, ord=2):
     if varsigma < 0:
         raise GeometryError("varsigma must be >= 0")
     cd = float(np.max(complex.cell_diameters(ord))) if complex.n_vertices else 0.0
+    if varsigma == 0:     # skip the O(n^2) vertex diameter it would weigh
+        return 2.0 * cd
     return 2.0 * cd + 0.5 * varsigma * complex.vertex_diameter(ord)
 
 

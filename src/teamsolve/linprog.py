@@ -1,19 +1,23 @@
-"""Finite LP model and solver returning both primal and dual optimizers.
+"""Finite LP model and the one solver call behind every LP of the package.
 
-The solver wraps scipy's HiGHS dual simplex.  Simplex (rather than interior
-point) matters here: the cutting-plane loop needs *basic* dual solutions so
-that the recovered discrete dual measures stay sparse.  Problems are stated
-as maximization over free variables with an inequality block ``A x <= b``
-and an equality block ``E x = f``; the returned inequality multipliers are
-nonnegative and the equality multipliers are free.
+Every LP goes through one call of scipy's HiGHS dual simplex and comes back
+as an ``LpSolution``.  Simplex (rather than interior point) matters here:
+the cutting-plane loop needs *basic* dual solutions so that the recovered
+discrete dual measures stay sparse.  Two entry points share that call:
+
+* ``solve`` -- the cutting-plane relaxation, stated as maximization over
+  free variables with an inequality block ``A x <= b`` and an equality
+  block ``E x = f``; the returned inequality multipliers are nonnegative
+  and the equality multipliers are free.
+* ``solve_min`` -- minimization with variable bounds, for the transport
+  plans, the support reduction and the oracles' cell-pair LPs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog as _scipy_linprog
 
 _HIGHS_OPTIONS = {
@@ -74,49 +78,9 @@ class LpSolution:
     iterations: int = 0
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """Solve the maximization problem; duals follow the max-sense convention.
-
-    Raises ``LpInfeasibleError`` / ``LpUnboundedError`` on the respective
-    statuses.  An unbounded status typically signals a bad initial
-    constraint set in the cutting-plane driver.
-    """
-    res = _scipy_linprog(
-        -problem.c,
-        A_ub=problem.A_ub, b_ub=problem.b_ub,
-        A_eq=problem.A_eq, b_eq=problem.b_eq,
-        bounds=(None, None),
-        method="highs-ds",
-        options=dict(_HIGHS_OPTIONS),
-    )
-    if res.status == 2:
-        raise LpInfeasibleError(res.message)
-    if res.status == 3:
-        raise LpUnboundedError(res.message)
-    if res.status != 0:
-        raise LpError("solver failure: %s" % res.message)
-    # scipy reports marginals for the minimization of -c; negate for max sense
-    if problem.A_ub is not None:
-        duals_ineq = -np.asarray(res.ineqlin.marginals, dtype=float)
-        duals_ineq[(duals_ineq < 0) & (duals_ineq > -1e-10)] = 0.0
-    else:
-        duals_ineq = np.zeros(0)
-    if problem.A_eq is not None:
-        duals_eq = -np.asarray(res.eqlin.marginals, dtype=float)
-    else:
-        duals_eq = np.zeros(0)
-    return LpSolution(
-        x=np.asarray(res.x, dtype=float),
-        duals_ineq=duals_ineq,
-        duals_eq=duals_eq,
-        value=-float(res.fun),
-        iterations=int(getattr(res, "nit", 0)),
-    )
-
-
-def solve_min(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
-    """Convenience minimization with bounded variables (transport plans,
-    reference LPs); returns the scipy result unchanged."""
+def _highs(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    """Minimize ``c @ x`` with scipy's HiGHS dual simplex; the multipliers
+    are scipy's (minimization sense)."""
     res = _scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                          bounds=bounds, method="highs-ds",
                          options=dict(_HIGHS_OPTIONS))
@@ -126,67 +90,36 @@ def solve_min(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
         raise LpUnboundedError(res.message)
     if res.status != 0:
         raise LpError("solver failure: %s" % res.message)
-    return res
+    return LpSolution(
+        x=np.asarray(res.x, dtype=float),
+        duals_ineq=(np.asarray(res.ineqlin.marginals, dtype=float)
+                    if A_ub is not None else np.zeros(0)),
+        duals_eq=(np.asarray(res.eqlin.marginals, dtype=float)
+                  if A_eq is not None else np.zeros(0)),
+        value=float(res.fun),
+        iterations=int(getattr(res, "nit", 0)),
+    )
 
 
-@dataclass
-class BlockLp:
-    """Batch of independent small LPs solved as one block-diagonal problem.
+def solve(problem: LpProblem) -> LpSolution:
+    """Solve the maximization problem; duals follow the max-sense convention.
 
-    Each block minimizes its own affine objective over its own constraints;
-    because the blocks share no variables, the joint optimum solves every
-    block at once.  Used by the exact cell-enumeration oracles where
-    thousands of tiny LPs arise per call.
+    Raises ``LpInfeasibleError`` / ``LpUnboundedError`` on the respective
+    statuses.  An unbounded status typically signals a bad initial
+    constraint set in the cutting-plane driver.
     """
-    n_vars: list = field(default_factory=list)
-    c: list = field(default_factory=list)
-    rows_ub: list = field(default_factory=list)   # (col_offsets-local cols, coefs, rhs)
-    rows_eq: list = field(default_factory=list)
-    offsets: list = field(default_factory=list)
-    consts: list = field(default_factory=list)
+    sol = _highs(-problem.c, problem.A_ub, problem.b_ub, problem.A_eq,
+                 problem.b_eq, bounds=(None, None))
+    # the minimization of -c has negated value and multipliers
+    sol.value = -sol.value
+    sol.duals_ineq = -sol.duals_ineq
+    sol.duals_ineq[(sol.duals_ineq < 0) & (sol.duals_ineq > -1e-10)] = 0.0
+    sol.duals_eq = -sol.duals_eq
+    return sol
 
-    def add_block(self, c, ub_rows, eq_rows, const=0.0):
-        """Add one block: local objective c, rows as (cols, coefs, rhs)."""
-        off = sum(self.n_vars)
-        self.offsets.append(off)
-        self.n_vars.append(len(c))
-        self.c.append(np.asarray(c, dtype=float))
-        self.rows_ub.append(ub_rows)
-        self.rows_eq.append(eq_rows)
-        self.consts.append(const)
-        return len(self.n_vars) - 1
 
-    def solve(self):
-        """Returns (values, xs): per-block minima (with constants) and solutions."""
-        if not self.n_vars:
-            return np.zeros(0), []
-        ntot = sum(self.n_vars)
-        c = np.concatenate(self.c)
-
-        def assemble(kind):
-            data, ri, ci, rhs = [], [], [], []
-            r = 0
-            for b, rows in enumerate(kind):
-                off = self.offsets[b]
-                for cols, coefs, b_rhs in rows:
-                    for cc, vv in zip(cols, coefs):
-                        ri.append(r)
-                        ci.append(off + cc)
-                        data.append(vv)
-                    rhs.append(b_rhs)
-                    r += 1
-            if r == 0:
-                return None, None
-            A = sparse.csr_matrix((data, (ri, ci)), shape=(r, ntot))
-            return A, np.asarray(rhs, dtype=float)
-
-        A_ub, b_ub = assemble(self.rows_ub)
-        A_eq, b_eq = assemble(self.rows_eq)
-        res = solve_min(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                        bounds=(0, None))
-        xs, values = [], np.empty(len(self.n_vars))
-        for b, off in enumerate(self.offsets):
-            xb = res.x[off:off + self.n_vars[b]]
-            xs.append(xb)
-            values[b] = float(self.c[b] @ xb) + self.consts[b]
-        return values, xs
+def solve_min(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
+    """Minimization with bounded variables (transport plans, moment
+    systems, the oracles' cell-pair LPs); value and multipliers are in the
+    minimization sense."""
+    return _highs(c, A_ub, b_ub, A_eq, b_eq, bounds)

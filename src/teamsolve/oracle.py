@@ -1,13 +1,14 @@
 """Global minimization oracles.
 
-Given a category index i, multipliers (y, w) on the test functions and a
-tolerance tau, an oracle returns a tau-optimizer of
+Given a category index i and multipliers (y, w) on the test functions, an
+oracle returns a minimizer of
 
     min over (x, z) of  c_i(x, z) - <g_i(x), y> - <h(z), w>
 
 together with its objective value, the test-function vectors at the
-minimizer, and a certified lower bound on the true minimum.  Both oracles
-are exact: the certified bound equals the returned value.
+minimizer, a certified lower bound on the true minimum, and a pool of
+further low-value pairs to add as cuts.  Both oracles are exact: the
+certified bound equals the returned value.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
+from . import linprog
 from .geometry import FiniteSpace, point_key
-from .linprog import BlockLp
 from .problems import (DirectL1Term, QuadraticBarycenterCost, ScalarRampTerm,
                        SeparableL1Term, axis_arrangement_candidates,
                        unique_edges)
@@ -121,68 +123,72 @@ def _cell_vertex_arrays(space):
     return space._cell_pts, space.simplices
 
 
-def _coupled_term_blocks(term, x_space, z_space, Yv, Wv):
-    """Batched per-cell-pair LPs for a coupled convex term.
+def _coupled_term_candidates(term, x_space, z_space, Yv, Wv, keep):
+    """The ``keep`` lowest per-cell-pair minima of a coupled convex term.
 
-    Each block minimizes the term plus the per-cell affine multiplier parts
-    over one (x-cell, z-cell) pair in barycentric variables.  Returns the
-    block LP plus bookkeeping to map solutions back to points.
+    Each (x-cell, z-cell) pair minimizes the term plus the per-cell affine
+    multiplier parts in barycentric variables (lam, mu) and the term's
+    auxiliary variables.  The pairs share no variables, so one
+    block-diagonal LP solves them all.  Returns (value, x, z) triples.
     """
     xp, xi = _cell_vertex_arrays(x_space)
     zp, zi = _cell_vertex_arrays(z_space)
-    blk = BlockLp()
-    meta = []
-    for cx in range(len(xp)):
-        Vx = xp[cx]                     # (kx, d)
-        yv = Yv[xi[cx]]
-        kx = Vx.shape[0]
-        for cz in range(len(zp)):
-            Vz = zp[cz]
-            wv = Wv[zi[cz]]
-            kz = Vz.shape[0]
-            if isinstance(term, DirectL1Term):
-                d = Vx.shape[1]
-                nv = kx + kz + d
-                c = np.concatenate([-yv, -wv, np.full(d, term.weight)])
-                ub = []
-                for l in range(d):
-                    colsx = list(range(kx))
-                    colsz = list(range(kx, kx + kz))
-                    cola = [kx + kz + l]
-                    ub.append((colsx + colsz + cola,
-                               list(Vx[:, l]) + list(-Vz[:, l]) + [-1.0], 0.0))
-                    ub.append((colsx + colsz + cola,
-                               list(-Vx[:, l]) + list(Vz[:, l]) + [-1.0], 0.0))
-            elif isinstance(term, ScalarRampTerm):
-                nv = kx + kz + 1
-                c = np.concatenate([-yv, -wv, [term.slope]])
-                sz = Vz @ term.s
-                colsx = list(range(kx))
-                colsz = list(range(kx, kx + kz))
-                colr = [kx + kz]
-                ub = [
-                    (colsx + colsz + colr,
-                     list(Vx[:, 0]) + list(-sz) + [-1.0], term.kappa1),
-                    (colsx + colsz + colr,
-                     list(-Vx[:, 0]) + list(sz) + [-1.0], term.kappa1),
-                ]
-            else:
-                raise WrongCostModelError("unknown coupled term %r" % term)
-            eq = [(list(range(kx)), [1.0] * kx, 1.0),
-                  (list(range(kx, kx + kz)), [1.0] * kz, 1.0)]
-            blk.add_block(c, ub, eq, 0.0)
-            meta.append((cx, cz, kx, kz))
-    return blk, meta, xp, zp
+    nx, kx = xi.shape
+    nz, kz = zi.shape
+    P = nx * nz                              # pairs, x-cell major
+    Vx = np.repeat(xp, nz, axis=0)           # (P, kx, d)
+    Vz = np.tile(zp, (nx, 1, 1))             # (P, kz, d)
+    if isinstance(term, DirectL1Term):
+        # |x_l - z_l| <= a_l: one row pair per coordinate l
+        d = xp.shape[2]
+        aux = np.full(d, term.weight)
+        gx = Vx.transpose(0, 2, 1)
+        gz = -Vz.transpose(0, 2, 1)
+        rhs = 0.0
+    elif isinstance(term, ScalarRampTerm):
+        # |x - <s, z>| - kappa1 <= r
+        aux = np.array([term.slope])
+        gx = Vx[:, None, :, 0]
+        gz = -(Vz @ term.s)[:, None, :]
+        rhs = term.kappa1
+    else:
+        raise WrongCostModelError("unknown coupled term %r" % term)
+    na = len(aux)
+    nv = kx + kz + na
+    ga = np.broadcast_to(-np.eye(na), (P, na, na))
+    plus = np.concatenate([gx, gz, ga], axis=2)
+    minus = np.concatenate([-gx, -gz, ga], axis=2)
+    ub = np.stack([plus, minus], axis=2).reshape(P, 2 * na, nv)
+    eq = np.zeros((2, nv))
+    eq[0, :kx] = 1.0
+    eq[1, kx:kx + kz] = 1.0
+    C = np.concatenate([-np.repeat(Yv[xi], nz, axis=0),
+                        -np.tile(Wv[zi], (nx, 1)),
+                        np.broadcast_to(aux, (P, na))], axis=1)
+    sol = linprog.solve_min(
+        C.ravel(),
+        A_ub=sparse.block_diag(ub, format="csr"), b_ub=np.full(P * 2 * na, rhs),
+        A_eq=sparse.block_diag(np.broadcast_to(eq, (P, 2, nv)), format="csr"),
+        b_eq=np.ones(2 * P))
+    X = sol.x.reshape(P, nv)
+    # one dot product per block: a batched sum rounds differently and
+    # reorders near-tied pairs, and with them the offered cuts
+    vals = np.array([c @ x for c, x in zip(C, X)])
+    out = []
+    for b in np.argsort(vals)[:keep]:
+        cx, cz = divmod(int(b), nz)
+        out.append((vals[b], X[b, :kx] @ xp[cx], X[b, kx:kx + kz] @ zp[cz]))
+    return out
 
 
 def oracle_cell_cpwa(model, i, x_space, x_basis, z_space, z_basis, y, w,
-                     tau=0.0, pool_cap=32, _cache=None):
+                     pool_cap=32, _cache=None):
     """Exact oracle for costs that are minima of convex CPWA terms.
 
     Separable terms are minimized by direct evaluation on their kink
     arrangement candidate sets; coupled terms (direct city-block distance,
-    scalar ramps) by one batched LP over all cell pairs.  The certified
-    bound equals the returned value (tau plays no role).
+    scalar ramps) by one block-diagonal LP over all cell pairs.  The
+    certified bound equals the returned value.
     """
     if model.kind == "tabulated" or (isinstance(x_space, FiniteSpace)
                                      and isinstance(z_space, FiniteSpace)):
@@ -197,7 +203,7 @@ def oracle_cell_cpwa(model, i, x_space, x_basis, z_space, z_basis, y, w,
     def _anchor_key(side, anchor, space):
         return (side, None if anchor is None else point_key(anchor), id(space))
 
-    for t_idx, term in enumerate(terms):
+    for term in terms:
         if isinstance(term, SeparableL1Term):
             cx, vx = _side_minima(x_space, x_basis, y, term.anchor_x,
                                   term.weight_x, cache,
@@ -211,18 +217,9 @@ def oracle_cell_cpwa(model, i, x_space, x_basis, z_space, z_basis, y, w,
                 for b in kz:
                     candidates.append((vx[a] + vz[b] + term.const, cx[a], cz[b]))
         else:
-            blk, meta, xp, zp = _coupled_term_blocks(
-                term, x_space, z_space,
-                _vertex_multipliers(x_basis, y), _vertex_multipliers(z_basis, w))
-            vals, xs = blk.solve()
-            order = np.argsort(vals)[:max(pool_cap, 8)]
-            for b in order:
-                cx_, cz_, kx_, kz_ = meta[b]
-                lam = xs[b][:kx_]
-                mu = xs[b][kx_:kx_ + kz_]
-                xpt = lam @ xp[cx_]
-                zpt = mu @ zp[cz_]
-                candidates.append((vals[b], xpt, zpt))
+            candidates += _coupled_term_candidates(
+                term, x_space, z_space, _vertex_multipliers(x_basis, y),
+                _vertex_multipliers(z_basis, w), max(pool_cap, 8))
 
     candidates.sort(key=lambda t: t[0])
     best_val, bx, bz = candidates[0]
@@ -271,7 +268,7 @@ def _get_zfaces(z_space):
 
 
 def oracle_quadratic(model, i, x_space, x_basis, z_space, z_basis, y, w,
-                     tau=0.0, pool_cap=32):
+                     pool_cap=32):
     """Exact oracle for the squared-distance barycenter cost.
 
     The cost is affine in x for fixed z, so the x-minimum over each cell sits
@@ -343,19 +340,19 @@ def make_oracle(model, x_spaces, x_bases, z_space, z_basis,
                 pool_margin=0.0, pool_cap=32):
     """Dispatching oracle callable with per-instance candidate caches.
 
-    The returned function has the signature ``oracle(i, y, w, tau)``, picks
+    The returned function has the signature ``oracle(i, y, w)``, picks
     the exact oracle matching the cost model and offers at most ``pool_cap``
     cuts per call.  ``pool_margin`` has no effect and is accepted only for
     callers that still pass it.
     """
     cache = {}
 
-    def oracle(i, y, w, tau=0.0):
+    def oracle(i, y, w):
         if isinstance(model, QuadraticBarycenterCost):
             return oracle_quadratic(model, i, x_spaces[i], x_bases[i],
-                                    z_space, z_basis, y, w, tau, pool_cap)
+                                    z_space, z_basis, y, w, pool_cap)
         return oracle_cell_cpwa(model, i, x_spaces[i], x_bases[i],
-                                z_space, z_basis, y, w, tau, pool_cap,
+                                z_space, z_basis, y, w, pool_cap,
                                 _cache=cache)
 
     return oracle

@@ -20,6 +20,7 @@ numpy Generators.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from .linprog import solve_min
 from .measures import CpwaDensityMeasure, quantile_1d
@@ -35,10 +36,7 @@ class CellMassMismatchError(TransportError):
         self.achieved = achieved
 
 
-def _pairwise_dist(A, B, metric="euclidean"):
-    if metric != "euclidean":
-        raise TransportError("metric mismatch: only the euclidean metric "
-                             "is supported")
+def _pairwise_dist(A, B):
     A = np.atleast_2d(A)
     B = np.atleast_2d(B)
     return np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(-1))
@@ -70,34 +68,24 @@ class DiscreteCoupling:
         return self.source.atoms[src], tgt
 
 
-def ot_discrete(nu1, nu2, metric="euclidean"):
+def ot_discrete(nu1, nu2):
     """Optimal W1 coupling of two discrete measures.
 
     Returns ``(DiscreteCoupling, w1)``.  The plan solves the transport LP
     exactly; row and column sums reproduce the marginals.
     """
-    D = _pairwise_dist(nu1.atoms, nu2.atoms, metric)
+    D = _pairwise_dist(nu1.atoms, nu2.atoms)
     n1, n2 = D.shape
     if n1 == 1:
         plan = nu2.weights[None, :].copy()
     elif n2 == 1:
         plan = nu1.weights[:, None].copy()
     else:
-        # marginal equalities; one row is redundant and dropped
-        rows = []
-        data = []
-        cols = []
-        for i in range(n1):
-            rows += [i] * n2
-            cols += list(range(i * n2, (i + 1) * n2))
-            data += [1.0] * n2
-        for j in range(n2 - 1):
-            rows += [n1 + j] * n1
-            cols += list(range(j, n1 * n2, n2))
-            data += [1.0] * n1
-        from scipy import sparse
-        A_eq = sparse.csr_matrix((data, (rows, cols)),
-                                 shape=(n1 + n2 - 1, n1 * n2))
+        # row sums, then the column sums but the last, which is redundant
+        A_eq = sparse.vstack([
+            sparse.kron(sparse.eye(n1), np.ones((1, n2)), format="csr"),
+            sparse.kron(np.ones((1, n1)), sparse.eye(n2), format="csr")[:-1]],
+            format="csr")
         b_eq = np.concatenate([nu1.weights, nu2.weights[:-1]])
         res = solve_min(D.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None))
         plan = np.clip(res.x.reshape(n1, n2), 0.0, None)
@@ -218,7 +206,7 @@ class SemidiscreteCoupling:
         return float(self.potentials @ self.source.weights - inner.mean())
 
 
-def ot_semidiscrete(nu1, nu2, metric="euclidean", step0=None,
+def ot_semidiscrete(nu1, nu2, step0=None,
                     n_iterations=20000, batch=256, tol_mass=1e-2,
                     check_samples=100000, rng=None):
     """Approximately W1-optimal coupling of a discrete and a CPWA measure.
@@ -229,9 +217,6 @@ def ot_semidiscrete(nu1, nu2, metric="euclidean", step0=None,
     ``tol_mass`` (infinity norm).  Raises ``CellMassMismatchError`` with the
     achieved mismatch otherwise.
     """
-    if metric != "euclidean":
-        raise TransportError("metric mismatch: the semi-discrete dual needs "
-                             "a strictly convex unit ball; use euclidean")
     if not isinstance(nu2, CpwaDensityMeasure):
         raise TransportError("target must be a CPWA density measure")
     if rng is None:

@@ -11,6 +11,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import teamsolve
@@ -46,3 +47,19 @@ def test_tracer_installs_and_restores():
         tracer.restore()
     assert (teamsolve.linprog.solve, teamsolve.equilibrium.z_opt,
             teamsolve.measures.CpwaDensityMeasure.sample) == originals
+
+
+def test_tracer_counts_oracle_lps_as_solve_min():
+    # the oracle's cell-pair LPs are the traced ``linprog.solve_min`` calls
+    # outside the cutting plane, never ``linprog.solve``
+    inst = workloads.build("capped-affine", 0)
+    y = np.zeros(inst.x_bases[0].m)
+    w = np.zeros(inst.z_basis.m)
+    tracer = spans.Tracer("contract")
+    tracer.install(teamsolve)
+    try:
+        inst.oracle(0, y, w)
+    finally:
+        tracer.restore()
+    assert tracer.count("linprog.solve_min") >= 1
+    assert tracer.count("linprog.solve") == 0

@@ -128,17 +128,6 @@ def test_sparsity_bound_values():
     assert sparsity_bound([49] * 100, 560) == 611
 
 
-def test_tau_validation():
-    X = FiniteSpace([[0.0], [1.0]])
-    bx = IndicatorBasis(X)
-    model = tabulated_cpwa_cost([X], X, [np.zeros((2, 2))])
-    mu = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])]
-    gbar = [moment_vector(mu[0], bx)]
-    oracle = make_oracle(model, [X], [bx], X, bx)
-    with pytest.raises(Exception):
-        run(model, gbar, [X], [bx], X, bx, oracle, eps_lsip=1e-6, tau=1e-6)
-
-
 def test_iteration_log_csv(tmp_path):
     X = FiniteSpace([[0.0], [1.0]])
     bx = IndicatorBasis(X)

@@ -155,6 +155,18 @@ def test_epsilon_bar():
     assert abs(epsilon_bar(fs, 1.0) - 0.5) < 1e-12
 
 
+def test_epsilon_bar_zero_varsigma_skips_vertex_diameter(monkeypatch):
+    # the vertex diameter is O(n^2) in the vertex count and its weight is 0
+    def fail(self, ord=2):
+        raise AssertionError("vertex_diameter evaluated")
+
+    for cls in (SimplicialComplex, FiniteSpace):
+        monkeypatch.setattr(cls, "vertex_diameter", fail)
+    c = build_box_partition([(0, 1)], (2,))
+    assert abs(epsilon_bar(c, 0.0) - 1.0) < 1e-12
+    assert epsilon_bar(FiniteSpace([[0.0], [1.0], [3.0]]), 0.0) == 0.0
+
+
 def test_plan_partition():
     p = plan_partition(9, 0.5, 0.5, 1, [1.0], 1.0, [[(0, 1)]], [(0, 1)])
     assert p.type_counts == [(1,)]

@@ -5,8 +5,8 @@ import pytest
 from scipy import sparse
 
 from helpers import enumerate_vertices_max, export_mps, random_bounded_lp
-from teamsolve.linprog import (BlockLp, LpInfeasibleError, LpProblem,
-                               LpUnboundedError, solve)
+from teamsolve.linprog import (LpInfeasibleError, LpProblem,
+                               LpUnboundedError, solve, solve_min)
 
 TOL = 1e-8
 
@@ -54,15 +54,11 @@ def test_strong_duality_vs_vertex_enumeration():
         # complementary slackness
         slack = b_ub - A_ub @ s.x
         assert np.abs(s.duals_ineq * slack).max() < 1e-6
-
-
-def test_block_lp():
-    blk = BlockLp()
-    blk.add_block([1.0], [([0], [-1.0], -1.0)], [])
-    blk.add_block([2.0], [([0], [-1.0], -3.0)], [], const=0.5)
-    vals, xs = blk.solve()
-    assert np.allclose(vals, [1.0, 6.5])
-    assert np.allclose(xs[0], [1.0]) and np.allclose(xs[1], [3.0])
+        # the minimization form of the same LP: negated value and multipliers
+        m = solve_min(-c, A_ub, b_ub, A_eq, b_eq, bounds=(None, None))
+        assert abs(m.value + s.value) < 1e-8
+        assert np.allclose(m.duals_ineq, -s.duals_ineq, atol=1e-8)
+        assert np.allclose(m.duals_eq, -s.duals_eq, atol=1e-8)
 
 
 def test_mps_export(tmp_path):

@@ -42,12 +42,6 @@ def test_discrete_marginals_exact():
     assert np.abs(coup.plan.sum(0) - b.weights).max() < 1e-10
 
 
-def test_metric_mismatch():
-    d = DiscreteMeasure([[0.0]], [1.0])
-    with pytest.raises(TransportError):
-        ot_discrete(d, d, metric="manhattan")
-
-
 def test_quantile_coupling_halves():
     rng = np.random.default_rng(23)
     half = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
