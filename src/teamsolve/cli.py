@@ -51,6 +51,14 @@ def _need(doc, key, path):
     return doc[key]
 
 
+def _reject_unknown(doc, known, path):
+    if not isinstance(doc, dict):
+        raise ConfigError(path, "need an object")
+    for key in doc:
+        if key not in known:
+            raise ConfigError("%s.%s" % (path, key), "unknown field")
+
+
 def _build_space(doc, path):
     kind = _need(doc, "type", path)
     if kind == "box":
@@ -87,6 +95,9 @@ class ProblemSetup:
     """Everything the pipeline needs, assembled from a config dict."""
 
     def __init__(self, config):
+        _reject_unknown(config, ("problem", "categories", "quality",
+                                 "eps_lsip", "mc", "seed", "i_hat",
+                                 "max_iterations"), "$")
         cats = _need(config, "categories", "$")
         if not isinstance(cats, list) or not cats:
             raise ConfigError("$.categories", "need a non-empty list")
@@ -124,6 +135,7 @@ class ProblemSetup:
         if self.eps_lsip <= 0:
             raise ConfigError("$.eps_lsip", "must be positive")
         mc = config.get("mc", {})
+        _reject_unknown(mc, ("n", "repetitions"), "$.mc")
         self.mc_n = int(mc.get("n", 100000))
         self.mc_repetitions = int(mc.get("repetitions", 20))
         self.i_hat = config.get("i_hat", "auto")

@@ -48,20 +48,18 @@ class UnsupportedMeasureClassError(EquilibriumError):
 # ---------------------------------------------------------------------------
 # quality selector
 
-def _lex_argmin(points, values, valid):
-    """Per-sample argmin with lexicographic tie-break on the point coords."""
-    vals = np.where(valid, values, np.inf)
-    best = vals.min(axis=1, keepdims=True)
-    tied = vals <= best + TIE_TOL
-    # rank candidates lexicographically per sample and pick the smallest tied
-    n, p, d = points.shape
-    choice = np.empty(n, dtype=int)
-    for s in range(n):
-        idx = np.flatnonzero(tied[s])
-        pts = points[s, idx]
-        order = np.lexsort(pts.T[::-1])
-        choice[s] = idx[order[0]]
-    return choice
+def _lex_argmin(points, values):
+    """Per-sample argmin with lexicographic tie-break on the point coords.
+
+    ``values`` is (n, p) with +inf at invalid candidates.  Among candidates
+    within ``TIE_TOL`` of the sample's minimum, keep those with the smallest
+    first coordinate, then the smallest second, and so on; of exact
+    duplicates the lowest index wins."""
+    keep = values <= values.min(axis=1, keepdims=True) + TIE_TOL
+    for l in range(points.shape[2]):
+        c = np.where(keep, points[:, :, l], np.inf)
+        keep &= c == c.min(axis=1, keepdims=True)
+    return keep.argmax(axis=1)
 
 
 def z_opt(model, x_list, z_space, chunk=4096):
@@ -69,7 +67,9 @@ def z_opt(model, x_list, z_space, chunk=4096):
 
     Vectorized over samples; ``x_list`` holds one (n, d_i) array per
     category.  Exact for the shipped cost families; ties are broken by the
-    lexicographically smallest minimizer among the candidate points.
+    lexicographically smallest minimizer among the candidate points.  For
+    the min-of-convex-terms families the cost is evaluated only at the
+    candidates that ``z_opt_candidates`` marks valid.
     """
     x_list = [np.atleast_2d(np.asarray(X, dtype=float)) for X in x_list]
     n = x_list[0].shape[0]
@@ -81,7 +81,7 @@ def z_opt(model, x_list, z_space, chunk=4096):
         for i in range(model.N):
             vals += model.eval_grid(i, x_list[i], zs)
         pts = np.broadcast_to(zs[None], (n,) + zs.shape)
-        return zs[_lex_argmin(pts, vals, np.ones_like(vals, dtype=bool))]
+        return zs[_lex_argmin(pts, vals)]
     if isinstance(model, QuadraticBarycenterCost):
         return _z_opt_quadratic(model, x_list, z_space)
     # min-of-convex-terms families: exact candidate arrangements per sample
@@ -90,14 +90,14 @@ def z_opt(model, x_list, z_space, chunk=4096):
         sl = slice(s0, min(s0 + chunk, n))
         xs = [X[sl] for X in x_list]
         cand, valid = model.z_opt_candidates(xs, z_space)
-        k = cand.shape[1]
-        vals = np.zeros((sl.stop - s0, k))
+        r, c = np.nonzero(valid)
+        zc = cand[r, c]
+        tot = np.zeros(len(r))
         for i in range(model.N):
-            XX = np.repeat(xs[i], k, axis=0)
-            vals += model.eval(i, XX, cand.reshape(-1, z_space.dim)
-                               ).reshape(-1, k)
-        out[sl] = cand[np.arange(cand.shape[0])[:, None],
-                       _lex_argmin(cand, vals, valid)[:, None], :].squeeze(1)
+            tot += model.eval(i, xs[i][r], zc)
+        vals = np.full(valid.shape, np.inf)
+        vals[r, c] = tot
+        out[sl] = cand[np.arange(len(cand)), _lex_argmin(cand, vals)]
     return out
 
 
@@ -128,7 +128,7 @@ def _z_opt_quadratic(model, x_list, z_space):
             [np.broadcast_to(faces.vertices[None],
                              (len(xs),) + faces.vertices.shape), ze], axis=1)
         vals = np.concatenate([vv, ve], axis=1)
-        pick = _lex_argmin(pts, vals, np.ones_like(vals, dtype=bool))
+        pick = _lex_argmin(pts, vals)
         out[~inside] = pts[np.arange(len(xs)), pick]
     return out
 
@@ -527,7 +527,7 @@ def equilibrium_diagnostics(report, model, measures, x_spaces, x_bases,
     on a grid-approximated cost transform.
     """
     N = model.N
-    S = report.sample_streams(rng, n)
+    S = report._chain.sample(rng, n, with_zbar=False)
     transfers = make_transfer_functions(model, solution, x_spaces, x_bases)
     if z_grid is None:
         z_grid = z_space.vertices
@@ -571,7 +571,7 @@ def write_nu_hat_csv(report, path):
 
 def write_coupling_csv(report, rng, n, i, path):
     import csv
-    S = report.sample_streams(rng, n)
+    S = report._chain.sample(rng, n, with_zbar=False)
     X = S["X_bar"][i]
     Z = S["Z"]
     with open(path, "w", newline="") as f:

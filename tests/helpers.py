@@ -8,6 +8,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog as scipy_linprog
 
+from teamsolve.equilibrium import TIE_TOL
 from teamsolve.geometry import FiniteSpace, IndicatorBasis
 from teamsolve.linprog import LpProblem
 from teamsolve.measures import DiscreteMeasure
@@ -331,3 +332,32 @@ def export_mps(problem: LpProblem, path, name="TEAMSOLVE"):
         for j in range(problem.n):
             f.write(" FR %-10sX%07d\n" % ("BND", j))
         f.write("ENDATA\n")
+
+
+# ---------------------------------------------------------------------------
+# loop references for the vectorized quality selector
+
+def lex_argmin_loop(points, values, valid):
+    """Per-sample argmin with lexicographic tie-break: the tied candidates
+    of each sample ranked by a stable ``lexsort`` on their coordinates."""
+    vals = np.where(valid, values, np.inf)
+    tied = vals <= vals.min(axis=1, keepdims=True) + TIE_TOL
+    choice = np.empty(len(vals), dtype=int)
+    for s in range(len(vals)):
+        idx = np.flatnonzero(tied[s])
+        order = np.lexsort(points[s, idx].T[::-1])
+        choice[s] = idx[order[0]]
+    return choice
+
+
+def z_opt_dense(model, x_list, z_space):
+    """Quality selector of a min-of-convex-terms family, evaluating the cost
+    at every candidate (valid or not) of every sample."""
+    x_list = [np.atleast_2d(np.asarray(X, dtype=float)) for X in x_list]
+    cand, valid = model.z_opt_candidates(x_list, z_space)
+    k = cand.shape[1]
+    vals = np.zeros((len(cand), k))
+    for i in range(model.N):
+        XX = np.repeat(x_list[i], k, axis=0)
+        vals += model.eval(i, XX, cand.reshape(-1, z_space.dim)).reshape(-1, k)
+    return cand[np.arange(len(cand)), lex_argmin_loop(cand, vals, valid)]

@@ -100,3 +100,23 @@ def test_cli_verify_ok():
     rc = main(["verify", "--config",
                os.path.join(CONFIGS, "barycenter_two_points.json")])
     assert rc == 0
+
+
+def test_unknown_config_keys_are_rejected(tmp_path):
+    # removed options and misspelled keys must not be silently ignored
+    for key, value in (("tau", 5.0), ("threads", 8), ("eps_lsp", 1.0)):
+        cfg = _load("discrete_tiny.json")
+        cfg[key] = value
+        with pytest.raises(ConfigError) as e:
+            ProblemSetup(cfg)
+        assert e.value.path == "$." + key
+    cfg = _load("discrete_tiny.json")
+    cfg["mc"]["mcc"] = 10
+    with pytest.raises(ConfigError) as e:
+        ProblemSetup(cfg)
+    assert e.value.path == "$.mc.mcc"
+    cfg = _load("discrete_tiny.json")
+    cfg.update(tau=5.0, threads=8, eps_lsp=1.0)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(bad)]) == 2

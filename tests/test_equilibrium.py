@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
 
-from helpers import brute_force_discrete_optimum, random_discrete_instance
+from helpers import (brute_force_discrete_optimum, lex_argmin_loop,
+                     random_discrete_instance, z_opt_dense)
+from teamsolve import equilibrium
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
                                 build_box_partition, epsilon_bar)
 from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
                                 moment_vector, random_cpwa)
 from teamsolve.cutting_plane import ParametricSolution, run
-from teamsolve.equilibrium import (EquilibriumError, _reduce_support,
-                                   construct, eps_theo,
+from teamsolve.equilibrium import (TIE_TOL, EquilibriumError, _lex_argmin,
+                                   _reduce_support, construct, eps_theo,
                                    equilibrium_diagnostics,
                                    make_transfer_functions, transfer_eval,
-                                   z_opt)
+                                   write_coupling_csv, z_opt)
 from teamsolve.oracle import make_oracle
-from teamsolve.problems import (barycenter_cost, capped_affine_cost,
-                                tabulated_cpwa_cost)
+from teamsolve.problems import (barycenter_cost, business_location_cost,
+                                capped_affine_cost, tabulated_cpwa_cost)
 
 
 def _pipeline(model, mu, xs, xb, zs, zb, eps=1e-6, **kw):
@@ -227,10 +229,16 @@ def test_barycenter_shift_consistency():
     assert rep.alpha_tilde_ub + 3 * rep.alpha_tilde_se >= 0.0
 
 
-def test_diagnostics_discrete():
+def _no_z_opt(*args, **kwargs):
+    raise AssertionError("z_opt called")
+
+
+def test_diagnostics_discrete(monkeypatch):
     rng = np.random.default_rng(36)
     model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=2)
     res, rep = _pipeline(model, mu, xs, xb, zs, zb, seed=4)
+    # the diagnostics use the coupled (Z, X_bar) streams only
+    monkeypatch.setattr(equilibrium, "z_opt", _no_z_opt)
     diag = equilibrium_diagnostics(rep, model, mu, xs, xb, zs, zb,
                                    res.solution, np.random.default_rng(5),
                                    n=40000)
@@ -274,3 +282,72 @@ def test_zopt_tabulated_box_picks_lexicographic_vertex_minimum():
         tied = np.flatnonzero(row <= row.min() + 1e-12)
         ref.append(min(tied, key=lambda j: tuple(Z.vertices[j])))
     assert np.array_equal(z_opt(mt, xs, Z), Z.vertices[ref])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_lex_argmin_matches_lexsort_loop():
+    rng = np.random.default_rng(72)
+    n, p = 500, 12
+    for d in (1, 2, 3):
+        # half-step coordinates give exact duplicates and shared leading
+        # coordinates; random signs turn some zeros into -0.0
+        pts = rng.integers(-2, 3, size=(n, p, d)) / 2.0
+        pts *= rng.choice([-1.0, 1.0], size=pts.shape)
+        # values tied within TIE_TOL, some just outside it
+        vals = (rng.integers(0, 3, size=(n, p))
+                + rng.choice([0.0, 0.4, 0.9, 1.5], size=(n, p)) * TIE_TOL)
+        valid = rng.uniform(size=(n, p)) < 0.7
+        valid[:, 0] = True
+        got = _lex_argmin(pts, np.where(valid, vals, np.inf))
+        assert np.array_equal(got, lex_argmin_loop(pts, vals, valid))
+
+
+def test_zopt_matches_dense_reference():
+    rng = np.random.default_rng(73)
+    N = 5
+    k1 = rng.uniform(0.0, 0.15, N)
+    k2 = k1 + rng.uniform(0.2, 0.5, N)
+    s2 = rng.normal(size=(N, 2))
+    s2[0] = [1.0, 0.0]                 # kink lines along the grid lines
+    s2 /= np.linalg.norm(s2, axis=1, keepdims=True)
+    Z1 = build_box_partition([(0, 1)], (4,))
+    Z2 = build_box_partition([(0, 1), (0, 1)], (4, 4))
+    stations = np.array([[0.0, 2.0], [0.0, 0.75], [0.0, -0.75],
+                         [0.0, -1.5], [-1.5, -1.5]])
+    # (model, quality space, type box [lo, hi]^dim, type dim)
+    cases = [(capped_affine_cost(rng.choice([-1.0, 1.0], (N, 1)), k1, k2),
+              Z1, 0.0, 1.0, 1),
+             (capped_affine_cost(s2, k1, k2), Z2, 0.0, 1.0, 1),
+             (business_location_cost(stations, n_categories=3),
+              build_box_partition([(-2, 2), (-2, 2)], (4, 4)), -2.0, 2.0, 2)]
+    for model, Z, lo, hi, dim in cases:
+        # quarter-step types put kinks on vertices and make exact ties
+        xs = [np.concatenate([
+            lo + (hi - lo) * np.round(4 * rng.uniform(size=(150, dim))) / 4,
+            rng.uniform(lo, hi, size=(150, dim))]) for _ in range(model.N)]
+        got = z_opt(model, xs, Z, chunk=64)
+        assert np.array_equal(_bits(got), _bits(z_opt_dense(model, xs, Z)))
+
+
+def test_coupling_csv_draws_no_quality_selection(tmp_path, monkeypatch):
+    rng = np.random.default_rng(74)
+    cx = build_box_partition([(0, 1)], (2,))
+    bx = HatBasis(cx)
+    zc = build_box_partition([(0, 1), (0, 1)], (2, 2))
+    bz = HatBasis(zc)
+    model = capped_affine_cost([[0.6, 0.8], [1.0, 0.0]], [0.05, 0.1],
+                               [0.45, 0.5])
+    mu = [random_cpwa(cx, rng) for _ in range(2)]
+    _, rep = _pipeline(model, mu, [cx, cx], [bx, bx], zc, bz, eps=1e-3,
+                       mc_n=500, mc_repetitions=2, seed=9)
+    path = tmp_path / "coupling_samples_1.csv"
+    monkeypatch.setattr(equilibrium, "z_opt", _no_z_opt)
+    write_coupling_csv(rep, np.random.default_rng(3), 300, 1, path)
+    monkeypatch.undo()
+    S = rep.sample_streams(np.random.default_rng(3), 300)
+    assert path.read_text().splitlines()[0] == "x0,z0,z1"
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(rows, np.hstack([S["X_bar"][1], S["Z"]]))
