@@ -372,7 +372,12 @@ class CappedAffineCost(CostModel):
     def eval(self, i, X, Z):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        f = np.abs(X[:, 0] - Z @ self.s[i])
+        # <s_i, z> one column at a time: a GEMV rounds one row and a batch
+        # differently
+        sz = Z[:, 0] * self.s[i, 0]
+        for j in range(1, self.d0):
+            sz = sz + Z[:, j] * self.s[i, j]
+        f = np.abs(X[:, 0] - sz)
         return np.clip(np.minimum(f, self.kappa2[i]) - self.kappa1[i],
                        0.0, None) / self.N
 

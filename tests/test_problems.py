@@ -158,3 +158,28 @@ def test_eval_grid_matches_pairwise_eval(family, space):
             assert np.abs(grid - ref).max() <= 1e-12
         else:
             assert np.array_equal(grid, ref)
+
+
+@pytest.mark.parametrize("family", ["barycenter", "business_location",
+                                    "capped_affine", "tabulated"])
+def test_eval_is_batch_invariant(family):
+    # a cut's cost is evaluated in a batch of cuts: one row alone must give
+    # the same bits.  Tabulated costs are checked at vertex pairs, where the
+    # barycentric weights are one-hot; between vertices their GEMM is not
+    # batch-invariant.
+    rng = np.random.default_rng(62)
+    model, X, Z = _grid_case(family, "box", rng)
+    if family == "tabulated":
+        xv, zv = model.x_spaces[0].vertices, model.z_space.vertices
+        X = np.repeat(xv, len(zv), axis=0)
+        Z = np.tile(zv, (len(xv), 1))
+    else:
+        X = np.repeat(X, 40, axis=0)
+        Z = uniform_points(build_box_partition(
+            [(-2, 2), (-2, 2)] if family == "business_location"
+            else [(0, 1), (0, 1)], (2, 3)), rng, len(X))
+    for i in range(2):
+        batch = model.eval(i, X, Z)
+        rows = np.array([model.eval(i, X[q:q + 1], Z[q:q + 1])[0]
+                         for q in range(len(X))])
+        assert np.array_equal(batch, rows)
