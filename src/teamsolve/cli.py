@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from . import cutting_plane, equilibrium
-from .geometry import (FiniteSpace, HatBasis, IndicatorBasis,
+from .geometry import (FiniteSpace, HatBasis, PointOutsideComplexError,
                        build_box_partition, epsilon_bar)
 from .measures import (DiscreteMeasure, measure_from_json, moment_vector,
                        moments_all_vertices, random_cpwa, uniform_points)
@@ -120,12 +120,8 @@ class ProblemSetup:
         qdoc = _need(config, "quality", "$")
         self.z_space = _build_space(_need(qdoc, "space", "$.quality"),
                                     "$.quality.space")
-        self.x_bases = [
-            IndicatorBasis(sp) if isinstance(sp, FiniteSpace) else HatBasis(sp)
-            for sp in self.x_spaces]
-        self.z_basis = (IndicatorBasis(self.z_space)
-                        if isinstance(self.z_space, FiniteSpace)
-                        else HatBasis(self.z_space))
+        self.x_bases = [HatBasis(sp) for sp in self.x_spaces]
+        self.z_basis = HatBasis(self.z_space)
         self.model = self._build_model(_need(config, "problem", "$"))
         if self.model.N != self.N:
             raise ConfigError("$.problem",
@@ -275,10 +271,11 @@ def verify_setup(setup, out=sys.stdout):
         mu = setup.measures[i]
         sp = setup.x_spaces[i]
         if isinstance(mu, DiscreteMeasure):
-            for a in mu.atoms:
-                if not sp.contains(a):
-                    raise ConfigError("$.categories[%d].measure" % i,
-                                      "atom %s outside the partition" % a)
+            try:
+                sp.vertex_weights(mu.atoms)
+            except PointOutsideComplexError as e:
+                raise ConfigError("$.categories[%d].measure" % i,
+                                  "atom outside the partition: %s" % e) from e
         allm = moments_all_vertices(mu, sp)
         zero = np.flatnonzero(allm <= 1e-14)
         for v in zero:

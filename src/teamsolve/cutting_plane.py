@@ -115,6 +115,8 @@ class IterationRecord:
     lp_value: float
     gap: float
     cuts_added: int
+    lp_rows: int                # rows of the LP solved this round
+    simplex_iterations: int
     lp_time: float
     oracle_time: float
 
@@ -136,23 +138,23 @@ class CuttingPlaneResult:
     def write_iteration_log(self, path):
         with open(path, "w", newline="") as f:
             wr = csv.writer(f)
-            wr.writerow(["r", "lp_value", "gap", "cuts_added",
-                         "lp_time", "oracle_time"])
+            wr.writerow(["r", "lp_value", "gap", "cuts_added", "lp_rows",
+                         "simplex_iterations", "lp_time", "oracle_time"])
             for rec in self.iterations:
                 wr.writerow([rec.r, "%.17g" % rec.lp_value, "%.17g" % rec.gap,
-                             rec.cuts_added, "%.6f" % rec.lp_time,
+                             rec.cuts_added, rec.lp_rows,
+                             rec.simplex_iterations, "%.6f" % rec.lp_time,
                              "%.6f" % rec.oracle_time])
 
 
 def default_initial_cuts(x_spaces, z_space):
     """Vertex-product starting cuts: every (type vertex, quality vertex)
-    pair per category.  Keeps the first relaxation bounded provided every
-    vertex hat carries positive measure mass."""
-    K0 = []
-    for sp in x_spaces:
-        pairs = [(x, z) for x in sp.vertices for z in z_space.vertices]
-        K0.append(pairs)
-    return K0
+    pair per category, as ``(X, Z)`` row arrays in x-major order.  Keeps the
+    first relaxation bounded provided every vertex hat carries positive
+    measure mass."""
+    Zv = z_space.vertices
+    return [(np.repeat(sp.vertices, len(Zv), axis=0),
+             np.tile(Zv, (sp.n_vertices, 1))) for sp in x_spaces]
 
 
 def sparsity_bound(m, k):
@@ -162,7 +164,9 @@ def sparsity_bound(m, k):
 
 
 class _CutStore:
-    """Per-category cut rows with coordinate-keyed deduplication."""
+    """Per-category cut rows as arrays: points ``X``, ``Z``, test-function
+    values ``G = g(X)``, ``H = h(Z)`` and costs ``c``, deduplicated by point
+    key."""
 
     def __init__(self, model, x_bases, z_basis):
         self.model = model
@@ -170,68 +174,57 @@ class _CutStore:
         self.z_basis = z_basis
         N = model.N
         self.keys = [set() for _ in range(N)]
-        self.xs = [[] for _ in range(N)]
-        self.zs = [[] for _ in range(N)]
-        self.g = [[] for _ in range(N)]
-        self.h = [[] for _ in range(N)]
-        self.c = [[] for _ in range(N)]
+        self.X = [np.empty((0, b.complex.dim)) for b in x_bases]
+        self.Z = [np.empty((0, z_basis.complex.dim)) for _ in range(N)]
+        self.G = [np.empty((0, b.m)) for b in x_bases]
+        self.H = [np.empty((0, z_basis.m)) for _ in range(N)]
+        self.c = [np.empty(0) for _ in range(N)]
 
-    def add(self, i, x, z):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        key = (point_key(x), point_key(z))
-        if key in self.keys[i]:
+    def add(self, i, X, Z):
+        """Append the rows of (X, Z) whose keys are new, in order; returns
+        how many were added."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        new = []
+        for q in range(len(X)):
+            key = (point_key(X[q]), point_key(Z[q]))
+            if key not in self.keys[i]:
+                self.keys[i].add(key)
+                new.append(q)
+        if not new:
             return 0
-        self.keys[i].add(key)
-        self.xs[i].append(x)
-        self.zs[i].append(z)
-        self.g[i].append(self.x_bases[i].eval(x))
-        self.h[i].append(self.z_basis.eval(z))
-        self.c[i].append(float(self.model.eval(i, x[None], z[None])[0]))
-        return 1
+        X, Z = X[new], Z[new]
+        self.X[i] = np.vstack([self.X[i], X])
+        self.Z[i] = np.vstack([self.Z[i], Z])
+        self.G[i] = np.vstack([self.G[i], self.x_bases[i].eval_many(X)])
+        self.H[i] = np.vstack([self.H[i], self.z_basis.eval_many(Z)])
+        self.c[i] = np.concatenate([self.c[i], self.model.eval(i, X, Z)])
+        return len(new)
 
     def counts(self):
         return [len(c) for c in self.c]
 
 
 def _assemble_lp(store, gbar, k):
-    """Build the relaxed LP (max sense) from the cut store."""
+    """Build the relaxed LP (max sense) from the cut store: category i's
+    rows are ``[1 | G_i | H_i] <= c_i`` over its own variable block, and the
+    k equality rows sum the quality multipliers over the categories."""
     N = store.model.N
     m = [len(g) for g in gbar]
-    width = [1 + m[i] + k for i in range(N)]
-    offsets = np.concatenate([[0], np.cumsum(width)])
-    n = int(offsets[-1])
-    c = np.zeros(n)
-    for i in range(N):
-        c[offsets[i]] = 1.0
-        c[offsets[i] + 1:offsets[i] + 1 + m[i]] = gbar[i]
-    rows, cols, data, rhs = [], [], [], []
-    r = 0
-    for i in range(N):
-        base = offsets[i]
-        for q in range(len(store.c[i])):
-            rows.append(r); cols.append(base); data.append(1.0)
-            gq = store.g[i][q]
-            nzg = np.flatnonzero(gq)
-            for j in nzg:
-                rows.append(r); cols.append(base + 1 + j); data.append(gq[j])
-            hq = store.h[i][q]
-            nzh = np.flatnonzero(hq)
-            for l in nzh:
-                rows.append(r); cols.append(base + 1 + m[i] + l)
-                data.append(hq[l])
-            rhs.append(store.c[i][q])
-            r += 1
-    A_ub = sparse.csr_matrix((data, (rows, cols)), shape=(r, n))
-    b_ub = np.asarray(rhs)
-    erow, ecol, edata = [], [], []
-    for l in range(k):
-        for i in range(N):
-            erow.append(l); ecol.append(offsets[i] + 1 + m[i] + l)
-            edata.append(1.0)
-    A_eq = sparse.csr_matrix((edata, (erow, ecol)), shape=(k, n)) if k else None
+    offsets = np.concatenate([[0], np.cumsum([1 + mi + k for mi in m])])
+    c = np.concatenate([np.concatenate([[1.0], gbar[i], np.zeros(k)])
+                        for i in range(N)])
+    A_ub = sparse.block_diag(
+        [sparse.csr_matrix(np.hstack([np.ones((len(store.c[i]), 1)),
+                                      store.G[i], store.H[i]]))
+         for i in range(N)], format="csr")
+    A_eq = sparse.hstack(
+        [blk for i in range(N)
+         for blk in (sparse.csr_matrix((k, 1 + m[i])), sparse.identity(k))],
+        format="csr") if k else None
     b_eq = np.zeros(k) if k else None
-    return linprog.LpProblem(c, A_ub, b_ub, A_eq, b_eq), offsets, m
+    return (linprog.LpProblem(c, A_ub, np.concatenate(store.c), A_eq, b_eq),
+            offsets, m)
 
 
 def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
@@ -244,8 +237,9 @@ def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
     gbar : per-category exact moment vectors of the type test functions
     oracle : callable ``oracle(i, y_i, w_i) -> OracleResult``
     eps_lsip : positive target for the certified upper-lower gap
-    initial_cuts : per-category list of (x, z) pairs; defaults to the
-        vertex product of the type and quality spaces
+    initial_cuts : per-category ``(X, Z)`` pairs of row arrays, the cut
+        points ``(X[q], Z[q])``; defaults to the vertex product of the type
+        and quality spaces (``default_initial_cuts``)
 
     Returns a :class:`CuttingPlaneResult`. Raises
     ``UnboundedRelaxationError`` if the starting relaxation is unbounded and
@@ -258,9 +252,8 @@ def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
     store = _CutStore(model, x_bases, z_basis)
     if initial_cuts is None:
         initial_cuts = default_initial_cuts(x_spaces, z_space)
-    for i in range(N):
-        for x, z in initial_cuts[i]:
-            store.add(i, x, z)
+    for i, (X, Z) in enumerate(initial_cuts):
+        store.add(i, X, Z)
 
     records = []
     for r in range(max_iterations):
@@ -287,11 +280,11 @@ def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
         solved_counts = store.counts()      # rows present in this LP solve
         added = 0
         for i, res in enumerate(results):
-            added += store.add(i, res.x, res.z)
-            for (px, pz) in res.pool:
-                added += store.add(i, px, pz)
-        records.append(IterationRecord(r, sol.value, gap, added, lp_time,
-                                       oracle_time))
+            X, Z = zip((res.x, res.z), *res.pool)
+            added += store.add(i, np.vstack(X), np.vstack(Z))
+        records.append(IterationRecord(r, sol.value, gap, added,
+                                       problem.A_ub.shape[0], sol.iterations,
+                                       lp_time, oracle_time))
         log.info("iter %d: lp=%.9g gap=%.3g cuts+%d", r, sol.value, gap, added)
 
         if gap <= eps_lsip:
@@ -325,7 +318,7 @@ def _extract_duals(store, sol, N, row_counts):
             # numerically massless category; keep the largest row
             keep = np.array([int(np.argmax(ti))])
         wts = ti[keep] / ti[keep].sum()
-        xs.append(np.stack([store.xs[i][j] for j in keep]))
-        zs.append(np.stack([store.zs[i][j] for j in keep]))
+        xs.append(store.X[i][keep])
+        zs.append(store.Z[i][keep])
         ws.append(wts)
     return DualDiscreteMeasures(xs, zs, ws)

@@ -3,13 +3,16 @@
 The solver parametrizes continuous test functions by vertex-interpolation
 ("hat") functions on a simplicial complex.  This module provides:
 
-* ``SimplicialComplex`` -- a triangulated domain with point location and
-  barycentric coordinates,
+* ``SimplicialComplex`` -- a triangulated domain with batched point
+  location (``vertex_weights``: containing-simplex vertices and barycentric
+  weights),
 * ``build_box_partition`` -- regular grid over a box, each cell triangulated
   by the order-based (Kuhn) triangulation into ``d!`` simplices,
 * ``FiniteSpace`` -- a finite point set (degenerate complex of 0-simplices),
-* ``HatBasis`` / ``IndicatorBasis`` -- the test-function bases with one
-  designated vertex excluded,
+  whose ``vertex_weights`` picks the matching point,
+* ``HatBasis`` -- the test-function basis with one designated vertex
+  excluded; on a finite space it is the indicator basis (``IndicatorBasis``
+  names the same class),
 * ``point_key`` / ``has_duplicate_rows`` -- the rounding key that decides
   when two points are the same,
 * mesh statistics (``epsilon_bar``) and a-priori partition planning
@@ -52,6 +55,23 @@ def has_duplicate_rows(P):
     return np.unique(v.view([('', v.dtype)] * v.shape[1])).shape[0] != len(v)
 
 
+# point location works through row blocks of about this many elements
+LOCATE_BLOCK = 1 << 20
+
+
+def _row_chunks(n, per_row):
+    """Slices of range(n) whose row blocks hold about LOCATE_BLOCK elements
+    when each row takes ``per_row``."""
+    step = max(1, LOCATE_BLOCK // max(per_row, 1))
+    return [slice(a, a + step) for a in range(0, n, step)]
+
+
+def _raise_outside(X, bad, what):
+    if bad.any():
+        raise PointOutsideComplexError(
+            "point %s %s" % (X[int(np.argmax(bad))], what))
+
+
 def _norm(v, ord=2):
     """Vector norm along the last axis for norm tag 1, 2 or inf."""
     return np.linalg.norm(np.asarray(v, dtype=float), ord=ord, axis=-1)
@@ -77,7 +97,7 @@ class SimplicialComplex:
             raise GeometryError(
                 "simplices must have dim+1 = %d vertices, got %d"
                 % (self.dim + 1, self.simplices.shape[1]))
-        self._grid = _grid  # (lo, widths, counts, perm_index) for box partitions
+        self._grid = _grid  # (lo, widths, counts, perms, perm_index) for box grids
         self._validate()
         self._build_cell_data()
 
@@ -130,93 +150,70 @@ class SimplicialComplex:
         dets = np.abs(np.linalg.det(edges))
         return dets / math.factorial(self.dim)
 
-    def barycentric(self, s, x):
-        """Barycentric coordinates of x in simplex s (no membership check)."""
-        q = np.concatenate(([1.0], np.asarray(x, dtype=float)))
-        return self._minv[s] @ q
+    def vertex_weights(self, X, tol=TOL_GEOM):
+        """Locate the rows of an (n, d) array of points in the complex.
 
-    def locate(self, x, tol=TOL_GEOM):
-        """Locate x in the complex.
-
-        Returns ``(simplex_index, barycentric)`` where the coordinates are
-        clamped to be >= 0 and renormalized to sum to 1.  On shared faces any
-        containing simplex may be returned.
+        Returns ``(V, W)``, two (n, d+1) arrays: the vertex indices of a
+        simplex containing each point and the point's barycentric weights on
+        them, clamped to be >= 0 and renormalized to sum to 1.  A grid
+        complex uses the closed-form Kuhn location; otherwise the first
+        containing simplex wins, or the least-violated one if none contains
+        the point.
 
         Raises
         ------
         PointOutsideComplexError
-            If x is farther than ``tol`` from every simplex.
+            If a point is farther than ``tol`` from every simplex.
         """
-        x = np.asarray(x, dtype=float)
-        if self._grid is not None:
-            s, lam = self._grid_locate(x, tol)
-            if s is not None:
-                return s, lam
-            raise PointOutsideComplexError("point %s outside complex" % x)
-        best, best_lam, best_viol = None, None, np.inf
-        for s in range(self.n_simplices):
-            lam = self.barycentric(s, x)
-            viol = -lam.min()
-            if viol < best_viol:
-                best, best_lam, best_viol = s, lam, viol
-            if viol <= 0.0:
-                break
-        if best_viol > tol:
-            raise PointOutsideComplexError("point %s outside complex" % x)
-        lam = np.clip(best_lam, 0.0, None)
-        return best, lam / lam.sum()
+        s, lam = self._locate_many(X, tol)
+        return self.simplices[s], lam
 
-    def contains(self, x, tol=TOL_GEOM):
-        try:
-            self.locate(x, tol)
-            return True
-        except PointOutsideComplexError:
-            return False
+    def locate(self, x, tol=TOL_GEOM):
+        """Locate one point: ``(simplex_index, barycentric)``."""
+        s, lam = self._locate_many(np.atleast_1d(x)[None], tol)
+        return int(s[0]), lam[0]
 
-    # -- regular-grid fast path ------------------------------------------
-
-    def _grid_locate(self, x, tol):
-        lo, widths, counts, perms, perm_lookup = self._grid
-        f = (x - lo) / widths
-        if np.any(f < -tol / widths.min()) or np.any(f > counts + tol / widths.min()):
-            return None, None
-        f = np.clip(f, 0.0, counts)
-        cell = np.minimum(f.astype(int), counts - 1)
-        frac = f - cell
-        order = tuple(np.argsort(-frac, kind="stable"))
-        cell_flat = int(np.ravel_multi_index(cell, counts))
-        s = cell_flat * len(perms) + perm_lookup[order]
-        fs = frac[list(order)]
-        lam = np.empty(self.dim + 1)
-        lam[0] = 1.0 - fs[0]
-        lam[1:-1] = fs[:-1] - fs[1:]
-        lam[-1] = fs[-1]
-        lam = np.clip(lam, 0.0, None)
-        return s, lam / lam.sum()
-
-    def grid_locate_many(self, X):
-        """Vectorized locate for box partitions: (simplex idx, bary) arrays."""
-        if self._grid is None:
-            raise GeometryError("not a grid complex")
-        lo, widths, counts, perms, perm_lookup = self._grid
+    def _locate_many(self, X, tol):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        f = np.clip((X - lo) / widths, 0.0, counts.astype(float))
+        if self._grid is not None:
+            s, lam, bad = self._kuhn_locate(X, tol)
+        else:
+            n, m = len(X), self.n_simplices
+            s = np.empty(n, dtype=int)
+            lam = np.empty((n, self.dim + 1))
+            viol = np.empty(n)
+            q = np.hstack([np.ones((n, 1)), X])
+            for sl in _row_chunks(n, m * (self.dim + 1)):
+                L = (self._minv @ q[sl, None, :, None])[..., 0]
+                v = -L.min(axis=2)
+                inside = v <= 0.0
+                pick = np.where(inside.any(axis=1), inside.argmax(axis=1),
+                                v.argmin(axis=1))
+                rows = np.arange(len(pick))
+                s[sl], lam[sl], viol[sl] = pick, L[rows, pick], v[rows, pick]
+            bad = viol > tol
+        _raise_outside(X, bad, "outside complex")
+        np.clip(lam, 0.0, None, out=lam)
+        lam /= lam.sum(axis=1, keepdims=True)
+        return s, lam
+
+    def _kuhn_locate(self, X, tol):
+        lo, widths, counts, perms, perm_index = self._grid
+        f = (X - lo) / widths
+        t = tol / widths.min()
+        bad = np.any(f < -t, axis=1) | np.any(f > counts + t, axis=1)
+        f = np.clip(f, 0.0, counts)
         cell = np.minimum(f.astype(int), counts - 1)
         frac = f - cell
         order = np.argsort(-frac, axis=1, kind="stable")
         fs = np.take_along_axis(frac, order, axis=1)
-        n, d = X.shape
-        lam = np.empty((n, d + 1))
+        lam = np.empty((len(X), self.dim + 1))
         lam[:, 0] = 1.0 - fs[:, 0]
-        if d > 1:
-            lam[:, 1:-1] = fs[:, :-1] - fs[:, 1:]
+        lam[:, 1:-1] = fs[:, :-1] - fs[:, 1:]
         lam[:, -1] = fs[:, -1]
-        np.clip(lam, 0.0, None, out=lam)
-        lam /= lam.sum(axis=1, keepdims=True)
-        cell_flat = np.ravel_multi_index(tuple(cell.T), tuple(counts))
-        pidx = np.fromiter(
-            (perm_lookup[tuple(o)] for o in order), dtype=int, count=n)
-        return cell_flat * len(perms) + pidx, lam
+        s = (np.ravel_multi_index(tuple(cell.T), tuple(counts)) * len(perms)
+             + perm_index[tuple(order.T)])
+        return s, lam, bad
 
     # -- serialization ---------------------------------------------------
 
@@ -262,7 +259,9 @@ def build_box_partition(box, counts):
     vshape = tuple(counts + 1)
 
     perms = list(itertools.permutations(range(d)))
-    perm_lookup = {p: i for i, p in enumerate(perms)}
+    perm_index = np.zeros((d,) * d, dtype=int)
+    for i, p in enumerate(perms):
+        perm_index[p] = i
     simplices = []
     for cell in itertools.product(*[range(c) for c in counts]):
         base = np.asarray(cell, dtype=int)
@@ -273,7 +272,7 @@ def build_box_partition(box, counts):
                 k[j] += 1
                 idx.append(np.ravel_multi_index(tuple(k), vshape))
             simplices.append(idx)
-    grid = (lo, widths, counts, perms, perm_lookup)
+    grid = (lo, widths, counts, perms, perm_index)
     return SimplicialComplex(vertices, np.asarray(simplices), _grid=grid)
 
 
@@ -292,20 +291,26 @@ class FiniteSpace:
     def n_vertices(self):
         return self.vertices.shape[0]
 
+    def vertex_weights(self, X, tol=TOL_GEOM):
+        """Nearest point of each row of an (n, d) array, as (n, 1) arrays of
+        point indices and unit weights.
+
+        Raises ``PointOutsideComplexError`` if a row is farther than ``tol``
+        from every point.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        j = np.empty(len(X), dtype=int)
+        dist = np.empty(len(X))
+        for sl in _row_chunks(len(X), self.vertices.size):
+            D = _norm(X[sl, None, :] - self.vertices[None], 2)
+            j[sl] = D.argmin(axis=1)
+            dist[sl] = D.min(axis=1)
+        _raise_outside(X, dist > tol, "not in finite space")
+        return j[:, None], np.ones((len(X), 1))
+
     def locate(self, x, tol=TOL_GEOM):
         """Index of the point matching x within tolerance."""
-        d = _norm(self.vertices - np.asarray(x, dtype=float), 2)
-        j = int(np.argmin(d))
-        if d[j] > tol:
-            raise PointOutsideComplexError("point %s not in finite space" % x)
-        return j
-
-    def contains(self, x, tol=TOL_GEOM):
-        try:
-            self.locate(x, tol)
-            return True
-        except PointOutsideComplexError:
-            return False
+        return int(self.vertex_weights(np.atleast_1d(x)[None], tol)[0][0, 0])
 
     def cell_diameters(self, ord=2):
         return np.zeros(self.n_vertices)
@@ -334,7 +339,8 @@ class HatBasis:
 
     The basis value at x is the vector of barycentric weights of the
     non-excluded vertices in a simplex containing x; the excluded vertex's
-    weight is implicit (one minus the sum).
+    weight is implicit (one minus the sum).  On a finite space the weights
+    are one-hot, so this is the indicator basis.
     """
 
     def __init__(self, complex, excluded_vertex=None):
@@ -345,10 +351,11 @@ class HatBasis:
         if not 0 <= self.excluded < complex.n_vertices:
             raise GeometryError("excluded vertex index out of range")
         self.m = complex.n_vertices - 1
-        cols = np.full(complex.n_vertices, -1, dtype=int)
         keep = [v for v in range(complex.n_vertices) if v != self.excluded]
-        cols[keep] = np.arange(self.m)
-        self._col = cols                      # vertex index -> component (-1 = excluded)
+        # vertex index -> component; the excluded vertex gets the spare last
+        # column, which eval_many drops
+        self._col = np.full(complex.n_vertices, self.m, dtype=int)
+        self._col[keep] = np.arange(self.m)
         self._keep = np.asarray(keep, dtype=int)
 
     @property
@@ -357,81 +364,22 @@ class HatBasis:
 
     def eval(self, x, tol=TOL_GEOM):
         """Basis vector at a single point."""
-        s, lam = self.complex.locate(x, tol)
-        out = np.zeros(self.m)
-        for v, l in zip(self.complex.simplices[s], lam):
-            c = self._col[v]
-            if c >= 0:
-                out[c] = l
-        return out
+        return self.eval_many(np.atleast_1d(x)[None], tol)[0]
 
     def eval_many(self, X, tol=TOL_GEOM):
         """Basis vectors for an (n, d) array of points, (n, m) output."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = X.shape[0]
-        out = np.zeros((n, self.m))
-        if getattr(self.complex, "_grid", None) is not None:
-            # bounds check, then fully vectorized grid location
-            lo, widths, counts, _, _ = self.complex._grid
-            hi = lo + widths * counts
-            bad = np.any(X < lo - TOL_GEOM, axis=1) | np.any(X > hi + TOL_GEOM, axis=1)
-            if bad.any():
-                raise PointOutsideComplexError(
-                    "%d points outside complex" % int(bad.sum()))
-            sidx, lam = self.complex.grid_locate_many(X)
-            verts = self.complex.simplices[sidx]              # (n, d+1)
-            cols = self._col[verts]                           # (n, d+1)
-            rows = np.repeat(np.arange(n), verts.shape[1])
-            cc = cols.ravel()
-            keep = cc >= 0
-            out[rows[keep], cc[keep]] = lam.ravel()[keep]
-            return out
-        for i in range(n):
-            out[i] = self.eval(X[i], tol)
-        return out
+        V, W = self.complex.vertex_weights(X, tol)
+        out = np.zeros((len(V), self.m + 1))
+        out[np.arange(len(V))[:, None], self._col[V]] = W
+        return out[:, :self.m]
 
     def component_of(self, vertex_index):
         c = self._col[vertex_index]
-        return None if c < 0 else int(c)
+        return None if c == self.m else int(c)
 
 
-class IndicatorBasis:
-    """One-hot test functions on a finite space, one point dropped."""
-
-    def __init__(self, space, excluded_vertex=None):
-        self.complex = space
-        if excluded_vertex is None:
-            excluded_vertex = _default_excluded(space.vertices)
-        self.excluded = int(excluded_vertex)
-        self.m = space.n_vertices - 1
-        cols = np.full(space.n_vertices, -1, dtype=int)
-        keep = [v for v in range(space.n_vertices) if v != self.excluded]
-        cols[keep] = np.arange(self.m)
-        self._col = cols
-        self._keep = np.asarray(keep, dtype=int)
-
-    @property
-    def vertices(self):
-        return self.complex.vertices
-
-    def eval(self, x, tol=TOL_GEOM):
-        j = self.complex.locate(x, tol)
-        out = np.zeros(self.m)
-        c = self._col[j]
-        if c >= 0:
-            out[c] = 1.0
-        return out
-
-    def eval_many(self, X, tol=TOL_GEOM):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.zeros((X.shape[0], self.m))
-        for i in range(X.shape[0]):
-            out[i] = self.eval(X[i], tol)
-        return out
-
-    def component_of(self, vertex_index):
-        c = self._col[vertex_index]
-        return None if c < 0 else int(c)
+# a HatBasis on a FiniteSpace is the indicator basis
+IndicatorBasis = HatBasis
 
 
 def locate(complex, x, tol=TOL_GEOM):

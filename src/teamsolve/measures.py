@@ -108,16 +108,8 @@ class CpwaDensityMeasure:
 
     def density(self, X):
         """Density values at an (n, d) array of covered points."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty(X.shape[0])
-        if getattr(self.complex, "_grid", None) is not None:
-            sidx, lam = self.complex.grid_locate_many(X)
-            fv = self.vertex_density[self.complex.simplices[sidx]]
-            return (fv * lam).sum(axis=1)
-        for i, x in enumerate(X):
-            s, lam = self.complex.locate(x)
-            out[i] = float(self.vertex_density[self.complex.simplices[s]] @ lam)
-        return out
+        V, W = self.complex.vertex_weights(X)
+        return (self.vertex_density[V] * W).sum(axis=1)
 
     def sample(self, rng, n):
         cells = rng.choice(self.complex.n_simplices, size=n, p=self._cell_mass)
@@ -244,17 +236,12 @@ def moments_all_vertices(measure, space):
         if measure.complex is not space and not _same_complex(measure.complex, space):
             raise SupportOutsideBasisError("measure lives on a different complex")
         return _moments_all_vertices_cpwa(measure)
+    try:
+        V, W = space.vertex_weights(measure.atoms)
+    except PointOutsideComplexError as e:
+        raise SupportOutsideBasisError(str(e)) from e
     out = np.zeros(space.n_vertices)
-    if isinstance(space, FiniteSpace):
-        for a, w in zip(measure.atoms, measure.weights):
-            out[space.locate(a)] += w
-        return out
-    for a, w in zip(measure.atoms, measure.weights):
-        try:
-            s, lam = space.locate(a)
-        except PointOutsideComplexError as e:
-            raise SupportOutsideBasisError(str(e)) from e
-        out[space.simplices[s]] += w * lam
+    np.add.at(out, V, measure.weights[:, None] * W)
     return out
 
 

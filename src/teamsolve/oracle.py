@@ -20,9 +20,10 @@ from scipy import sparse
 
 from . import linprog
 from .geometry import FiniteSpace, point_key
-from .problems import (DirectL1Term, QuadraticBarycenterCost, ScalarRampTerm,
-                       SeparableL1Term, axis_arrangement_candidates,
-                       unique_edges)
+from .problems import (BusinessLocationCost, CappedAffineCost, DirectL1Term,
+                       QuadraticBarycenterCost, ScalarRampTerm,
+                       SeparableL1Term, TabulatedCpwaCost,
+                       axis_arrangement_candidates, unique_edges)
 
 
 class OracleError(RuntimeError):
@@ -190,11 +191,12 @@ def oracle_cell_cpwa(model, i, x_space, x_basis, z_space, z_basis, y, w,
     scalar ramps) by one block-diagonal LP over all cell pairs.  The
     certified bound equals the returned value.
     """
-    if model.kind == "tabulated" or (isinstance(x_space, FiniteSpace)
-                                     and isinstance(z_space, FiniteSpace)):
+    if isinstance(model, TabulatedCpwaCost) or (
+            isinstance(x_space, FiniteSpace)
+            and isinstance(z_space, FiniteSpace)):
         return _enumeration_oracle(model, i, x_space, x_basis, z_space,
                                    z_basis, y, w, pool_cap)
-    if model.kind != "cpwa-pieces":
+    if not isinstance(model, (BusinessLocationCost, CappedAffineCost)):
         raise WrongCostModelError("cost model lacks a cpwa piece decomposition")
     cache = _cache if _cache is not None else {}
     terms = model.oracle_terms(i)

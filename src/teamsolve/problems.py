@@ -36,23 +36,10 @@ class CostModelError(ValueError):
 
 def full_vertex_weights(space, X):
     """(n, n_vertices) barycentric weight rows of points in a space."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    W = np.zeros((n, space.n_vertices))
-    if isinstance(space, FiniteSpace):
-        for i, x in enumerate(X):
-            W[i, space.locate(x)] = 1.0
-        return W
-    if getattr(space, "_grid", None) is not None:
-        sidx, lam = space.grid_locate_many(X)
-        verts = space.simplices[sidx]
-        rows = np.repeat(np.arange(n), verts.shape[1])
-        W[rows, verts.ravel()] = lam.ravel()
-        return W
-    for i, x in enumerate(X):
-        s, lam = space.locate(x)
-        W[i, space.simplices[s]] = lam
-    return W
+    V, W = space.vertex_weights(X)
+    out = np.zeros((len(V), space.n_vertices))
+    np.put_along_axis(out, V, W, axis=1)
+    return out
 
 
 def contains_many(space, P, tol=1e-9):
@@ -183,7 +170,6 @@ class ScalarRampTerm:
 class CostModel:
     """Base class: N categories, eval, Lipschitz constants, objective shift."""
 
-    kind = None
     shift = 0.0
 
     def eval(self, i, X, Z):
@@ -223,8 +209,6 @@ class CostModel:
 class BusinessLocationCost(CostModel):
     """Commuting/restocking costs on a city with a railway line (2d)."""
 
-    kind = "cpwa-pieces"
-
     def __init__(self, stations, c_walk=0.15, c_train=0.015, c_restock=0.4,
                  n_categories=5):
         self.stations = np.atleast_2d(np.asarray(stations, dtype=float))
@@ -251,11 +235,17 @@ class BusinessLocationCost(CostModel):
         if i == self.N - 1:
             return direct
         U = self.stations
-        dxu = self.c_walk * np.abs(X[:, None, :] - U[None]).sum(2)   # (n, S)
-        dzu = self.c_walk * np.abs(Z[:, None, :] - U[None]).sum(2)
-        S = len(U)
-        fare = self.c_train * np.abs(np.arange(S)[:, None] - np.arange(S)[None])
-        station = (dxu[:, :, None] + dzu[:, None, :] + fare[None]).min(axis=(1, 2))
+        # (S, n) walking costs to each station, then one (n,) route per
+        # station pair: no (n, S, S) temporary
+        dxu = self.c_walk * (np.abs(X[:, 0] - U[:, :1])
+                             + np.abs(X[:, 1] - U[:, 1:]))
+        dzu = self.c_walk * (np.abs(Z[:, 0] - U[:, :1])
+                             + np.abs(Z[:, 1] - U[:, 1:]))
+        station = np.full(len(X), np.inf)
+        for j in range(len(U)):
+            for jp in range(len(U)):
+                route = dxu[j] + dzu[jp] + self.c_train * abs(j - jp)
+                np.minimum(station, route, out=station)
         return np.minimum(station, direct)
 
     def oracle_terms(self, i):
@@ -319,8 +309,6 @@ class QuadraticBarycenterCost(CostModel):
     second moments) is kept in ``shift`` so that shifted bounds estimate the
     weighted sum of squared W2 distances."""
 
-    kind = "quadratic"
-
     def __init__(self, weights, x_spaces, z_space, shift=0.0):
         w = np.atleast_1d(np.asarray(weights, dtype=float))
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
@@ -353,8 +341,6 @@ class CappedAffineCost(CostModel):
 
     ``kappa1 = 0`` and ``kappa2 = inf`` are accepted (degenerate instances
     such as a plain |x - <s, z>| cost for cross-checks)."""
-
-    kind = "cpwa-pieces"
 
     def __init__(self, s_list, kappa1, kappa2):
         self.s = np.atleast_2d(np.asarray(s_list, dtype=float))
@@ -460,8 +446,6 @@ class CappedAffineCost(CostModel):
 class TabulatedCpwaCost(CostModel):
     """Cost tabulated on vertex pairs of the type/quality complexes and
     interpolated barycentrically in both arguments."""
-
-    kind = "tabulated"
 
     def __init__(self, x_spaces, z_space, tables):
         self.N = len(tables)

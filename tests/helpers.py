@@ -9,7 +9,8 @@ from scipy import sparse
 from scipy.optimize import linprog as scipy_linprog
 
 from teamsolve.equilibrium import TIE_TOL
-from teamsolve.geometry import FiniteSpace, IndicatorBasis
+from teamsolve.geometry import (FiniteSpace, IndicatorBasis,
+                                PointOutsideComplexError, point_key)
 from teamsolve.linprog import LpProblem
 from teamsolve.measures import DiscreteMeasure
 from teamsolve.oracle import OracleError, _finalize, _vertex_multipliers
@@ -361,3 +362,143 @@ def z_opt_dense(model, x_list, z_space):
         XX = np.repeat(x_list[i], k, axis=0)
         vals += model.eval(i, XX, cand.reshape(-1, z_space.dim)).reshape(-1, k)
     return cand[np.arange(len(cand)), lex_argmin_loop(cand, vals, valid)]
+
+
+# ---------------------------------------------------------------------------
+# one-point-at-a-time references for batched point location, cut storage and
+# LP assembly
+
+def barycentric(complex, s, x):
+    """Barycentric coordinates of x in simplex s (no membership check)."""
+    q = np.concatenate(([1.0], np.asarray(x, dtype=float)))
+    return complex._minv[s] @ q
+
+
+def _grid_locate_scalar(complex, x, tol):
+    lo, widths, counts, perms, _ = complex._grid
+    f = (x - lo) / widths
+    if np.any(f < -tol / widths.min()) or np.any(f > counts + tol / widths.min()):
+        return None, None
+    f = np.clip(f, 0.0, counts)
+    cell = np.minimum(f.astype(int), counts - 1)
+    frac = f - cell
+    order = tuple(np.argsort(-frac, kind="stable"))
+    s = int(np.ravel_multi_index(cell, counts)) * len(perms) + perms.index(order)
+    fs = frac[list(order)]
+    lam = np.empty(complex.dim + 1)
+    lam[0] = 1.0 - fs[0]
+    lam[1:-1] = fs[:-1] - fs[1:]
+    lam[-1] = fs[-1]
+    lam = np.clip(lam, 0.0, None)
+    return s, lam / lam.sum()
+
+
+def locate_scalar(space, x, tol=1e-9):
+    """(vertex indices, weights) of one point: the nearest point of a finite
+    space, the Kuhn closed form on a grid, else the first containing simplex
+    or the least-violated one.  Raises PointOutsideComplexError beyond tol."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(space, FiniteSpace):
+        d = np.linalg.norm(space.vertices - x, axis=-1)
+        j = int(np.argmin(d))
+        if d[j] > tol:
+            raise PointOutsideComplexError("point %s not in finite space" % x)
+        return np.array([j]), np.array([1.0])
+    if space._grid is not None:
+        s, lam = _grid_locate_scalar(space, x, tol)
+        if s is None:
+            raise PointOutsideComplexError("point %s outside complex" % x)
+        return space.simplices[s], lam
+    best, best_lam, best_viol = None, None, np.inf
+    for s in range(space.n_simplices):
+        lam = barycentric(space, s, x)
+        viol = -lam.min()
+        if viol < best_viol:
+            best, best_lam, best_viol = s, lam, viol
+        if viol <= 0.0:
+            break
+    if best_viol > tol:
+        raise PointOutsideComplexError("point %s outside complex" % x)
+    lam = np.clip(best_lam, 0.0, None)
+    return space.simplices[best], lam / lam.sum()
+
+
+class CutStoreLoop:
+    """Per-cut store: one point location and one cost evaluation per cut."""
+
+    def __init__(self, model, x_bases, z_basis):
+        self.model, self.x_bases, self.z_basis = model, x_bases, z_basis
+        N = model.N
+        self.keys = [set() for _ in range(N)]
+        self.X, self.Z, self.G, self.H, self.c = (
+            [[] for _ in range(N)] for _ in range(5))
+
+    def add(self, i, x, z):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        key = (point_key(x), point_key(z))
+        if key in self.keys[i]:
+            return 0
+        self.keys[i].add(key)
+        self.X[i].append(x)
+        self.Z[i].append(z)
+        self.G[i].append(self.x_bases[i].eval(x))
+        self.H[i].append(self.z_basis.eval(z))
+        self.c[i].append(float(self.model.eval(i, x[None], z[None])[0]))
+        return 1
+
+
+def assemble_lp_loop(store, gbar, k):
+    """The relaxed cutting-plane LP built one nonzero at a time from the
+    rows of a cut store."""
+    N = store.model.N
+    m = [len(g) for g in gbar]
+    width = [1 + m[i] + k for i in range(N)]
+    offsets = np.concatenate([[0], np.cumsum(width)])
+    n = int(offsets[-1])
+    c = np.zeros(n)
+    for i in range(N):
+        c[offsets[i]] = 1.0
+        c[offsets[i] + 1:offsets[i] + 1 + m[i]] = gbar[i]
+    rows, cols, data, rhs = [], [], [], []
+    r = 0
+    for i in range(N):
+        base = offsets[i]
+        for q in range(len(store.c[i])):
+            rows.append(r); cols.append(base); data.append(1.0)
+            gq = store.G[i][q]
+            for j in np.flatnonzero(gq):
+                rows.append(r); cols.append(base + 1 + j); data.append(gq[j])
+            hq = store.H[i][q]
+            for l in np.flatnonzero(hq):
+                rows.append(r); cols.append(base + 1 + m[i] + l)
+                data.append(hq[l])
+            rhs.append(store.c[i][q])
+            r += 1
+    A_ub = sparse.csr_matrix((data, (rows, cols)), shape=(r, n))
+    erow, ecol, edata = [], [], []
+    for l in range(k):
+        for i in range(N):
+            erow.append(l); ecol.append(offsets[i] + 1 + m[i] + l)
+            edata.append(1.0)
+    A_eq = sparse.csr_matrix((edata, (erow, ecol)), shape=(k, n)) if k else None
+    b_eq = np.zeros(k) if k else None
+    return LpProblem(c, A_ub, np.asarray(rhs), A_eq, b_eq)
+
+
+def business_eval_pair_tensor(model, i, X, Z):
+    """Business-location cost with the station route minimum taken over one
+    (n, S, S) tensor of station pairs."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    direct_w = model.c_restock if i == model.N - 1 else model.c_walk
+    direct = direct_w * np.abs(X - Z).sum(1)
+    if i == model.N - 1:
+        return direct
+    U = model.stations
+    dxu = model.c_walk * np.abs(X[:, None, :] - U[None]).sum(2)
+    dzu = model.c_walk * np.abs(Z[:, None, :] - U[None]).sum(2)
+    S = len(U)
+    fare = model.c_train * np.abs(np.arange(S)[:, None] - np.arange(S)[None])
+    station = (dxu[:, :, None] + dzu[:, None, :] + fare[None]).min(axis=(1, 2))
+    return np.minimum(station, direct)

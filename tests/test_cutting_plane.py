@@ -1,15 +1,24 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from helpers import brute_force_discrete_optimum, random_discrete_instance
+from helpers import (CutStoreLoop, assemble_lp_loop,
+                     brute_force_discrete_optimum, random_discrete_instance)
+from teamsolve import linprog
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
                                 build_box_partition)
 from teamsolve.measures import DiscreteMeasure, moment_vector
 from teamsolve.cutting_plane import (MaxIterationsExceededError,
-                                     UnboundedRelaxationError, run,
+                                     UnboundedRelaxationError, _assemble_lp,
+                                     _CutStore, default_initial_cuts, run,
                                      sparsity_bound)
 from teamsolve.oracle import make_oracle
 from teamsolve.problems import barycenter_cost, tabulated_cpwa_cost
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _solve_discrete(model, measures, x_spaces, x_bases, z_space, z_basis,
@@ -102,7 +111,7 @@ def test_unbounded_initial_relaxation():
     gbar = [moment_vector(mu[i], bx) for i in range(2)]
     oracle = make_oracle(model, [X, X], [bx, bx], Z, bz)
     # a single starting pair per category leaves w unpinned
-    K0 = [[(X.vertices[0], Z.vertices[0])] for _ in range(2)]
+    K0 = [(X.vertices[:1], Z.vertices[:1]) for _ in range(2)]
     with pytest.raises(UnboundedRelaxationError):
         run(model, gbar, [X, X], [bx, bx], Z, bz, oracle, eps_lsip=1e-6,
             initial_cuts=K0)
@@ -137,5 +146,68 @@ def test_iteration_log_csv(tmp_path):
     path = tmp_path / "iters.csv"
     res.write_iteration_log(path)
     lines = open(path).read().strip().splitlines()
-    assert lines[0] == "r,lp_value,gap,cuts_added,lp_time,oracle_time"
+    assert lines[0] == ("r,lp_value,gap,cuts_added,lp_rows,"
+                        "simplex_iterations,lp_time,oracle_time")
     assert len(lines) == 2
+
+
+def _assert_same_lp(p, ref):
+    assert np.array_equal(p.c, ref.c) and np.array_equal(p.b_ub, ref.b_ub)
+    for A, B in ((p.A_ub, ref.A_ub), (p.A_eq, ref.A_eq)):
+        assert A.shape == B.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, part), getattr(B, part)), part
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_block_lp_matches_per_nonzero_assembly(name):
+    # instance 0's vertex-product cuts, then one round of oracle cuts
+    inst = workloads.build(name, 0)
+    gbar = [moment_vector(mu, b) for mu, b in zip(inst.measures, inst.x_bases)]
+    k = inst.z_basis.m
+    store = _CutStore(inst.model, inst.x_bases, inst.z_basis)
+    for i, (X, Z) in enumerate(default_initial_cuts(inst.x_spaces,
+                                                    inst.z_space)):
+        store.add(i, X, Z)
+    problem, offsets, m = _assemble_lp(store, gbar, k)
+    _assert_same_lp(problem, assemble_lp_loop(store, gbar, k))
+    sol = linprog.solve(problem)
+    for i in range(inst.N):
+        y = sol.x[offsets[i] + 1:offsets[i] + 1 + m[i]]
+        res = inst.oracle(i, y, sol.x[offsets[i] + 1 + m[i]:offsets[i + 1]])
+        store.add(i, np.vstack([res.x] + [p[0] for p in res.pool]),
+                  np.vstack([res.z] + [p[1] for p in res.pool]))
+    assert sum(store.counts()) > problem.A_ub.shape[0]
+    _assert_same_lp(_assemble_lp(store, gbar, k)[0],
+                    assemble_lp_loop(store, gbar, k))
+
+
+def test_batched_add_matches_single_adds():
+    rng = np.random.default_rng(8)
+    box = [(-1, 1), (-1, 1)]
+    xs = [build_box_partition(box, (2, 2)), FiniteSpace(rng.uniform(-1, 1, (6, 2)))]
+    zs = build_box_partition(box, (3, 2))
+    xb, zb = [HatBasis(sp) for sp in xs], HatBasis(zs)
+    model = barycenter_cost([0.4, 0.6], xs, zs)
+    batched = _CutStore(model, xb, zb)
+    single = CutStoreLoop(model, xb, zb)
+    for i, sp in enumerate(xs):
+        X = sp.vertices[rng.integers(0, sp.n_vertices, 40)]
+        Z = np.vstack([zs.vertices[rng.integers(0, zs.n_vertices, 30)],
+                       rng.uniform(-1, 1, (10, 2))])
+        Z[:2, 1] = 0.0
+        # repeats within the batch, -0.0 against 0.0, and offsets that the
+        # 12-decimal key rounds away
+        X[5:10], Z[5:10] = X[:5], Z[:5]
+        Z[10:15] = np.where(Z[:5] == 0.0, -0.0, Z[:5])
+        X[10:15] = X[:5]
+        Z[15:20] = np.clip(Z[:5] + 3e-14, -1, 1)
+        X[15:20] = X[:5]
+        for lo, hi in ((0, 25), (25, 40), (0, 40)):
+            added = batched.add(i, X[lo:hi], Z[lo:hi])
+            assert added == sum(single.add(i, x, z)
+                                for x, z in zip(X[lo:hi], Z[lo:hi]))
+        assert batched.counts()[i] == len(single.c[i]) < 40
+        for part in ("X", "Z", "G", "H", "c"):
+            assert np.array_equal(getattr(batched, part)[i],
+                                  np.asarray(getattr(single, part)[i])), part

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from helpers import check_face_property
+from helpers import barycentric, check_face_property, locate_scalar
+from teamsolve import geometry
+from teamsolve.problems import unique_edges
 from teamsolve.geometry import (BudgetError, FiniteSpace, GeometryError,
                                 HatBasis, IndicatorBasis,
                                 PointOutsideComplexError, SimplicialComplex,
@@ -120,7 +122,7 @@ def test_face_consistency():
         x = (1 - t) * c.vertices[e[0]] + t * c.vertices[e[1]]
         vals = []
         for s in owners:
-            lam = np.clip(c.barycentric(s, x), 0, None)
+            lam = np.clip(barycentric(c, s, x), 0, None)
             full = np.zeros(c.n_vertices)
             full[c.simplices[s]] = lam / lam.sum()
             vals.append(full)
@@ -187,6 +189,62 @@ def test_indicator_basis():
     assert np.allclose(eval_hat(b, [0.0]), [0.0])
     with pytest.raises(PointOutsideComplexError):
         b.eval([0.5])
+
+
+def _location_cases():
+    """(space, points): points on shared faces and vertices, inside, and
+    within tol outside the boundary, for grids, a grid-free complex and
+    finite spaces."""
+    rng = np.random.default_rng(3)
+    line = build_box_partition([(0, 1)], (4,))
+    sq = build_box_partition([(-2, 2), (-1, 3)], (3, 4))
+    free = space_from_json(space_to_json(
+        build_box_partition([(0, 1), (0, 2)], (2, 3))))
+    assert free._grid is None
+    cases = []
+    for c, lo, hi in ((line, [0.0], [1.0]), (sq, [-2.0, -1.0], [2.0, 3.0]),
+                      (free, [0.0, 0.0], [1.0, 2.0])):
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        edges = unique_edges(c)
+        t = rng.uniform(size=(len(edges), 1))
+        P = np.vstack([
+            rng.uniform(lo, hi, size=(300, len(lo))),
+            c.vertices,
+            c.vertices[edges[:, 0]] * (1 - t) + c.vertices[edges[:, 1]] * t,
+            lo - 0.5e-9, hi + 0.5e-9, lo + 0.0, np.where(lo == 0, -0.0, lo)])
+        cases.append((c, P))
+    pts = rng.uniform(size=(30, 2))
+    near = pts[rng.integers(0, 30, size=60)] + rng.uniform(-4e-10, 4e-10, (60, 2))
+    cases.append((FiniteSpace(pts), np.vstack([pts, near])))
+    cases.append((FiniteSpace([[0.0], [1.0], [0.5]]),
+                  np.array([[1.0], [-0.0], [0.5 + 1e-10], [0.0]])))
+    return cases
+
+
+def test_vertex_weights_matches_scalar_location(monkeypatch):
+    for space, P in _location_cases():
+        V, W = space.vertex_weights(P)
+        for q, x in enumerate(P):
+            v_ref, w_ref = locate_scalar(space, x)
+            assert np.array_equal(V[q], v_ref)
+            assert np.array_equal(W[q], w_ref)
+        with monkeypatch.context() as mp:       # blocks of one or a few rows
+            mp.setattr(geometry, "LOCATE_BLOCK", 40)
+            Vb, Wb = space.vertex_weights(P)
+        assert np.array_equal(Vb, V) and np.array_equal(Wb, W)
+        b = HatBasis(space)
+        G = b.eval_many(P)
+        for q in range(0, len(P), 7):
+            assert np.array_equal(b.eval(P[q]), G[q])
+        # beyond tol: both refuse, in a batch as for one point
+        far = P[:1] + 3e-9 if isinstance(space, FiniteSpace) \
+            else space.vertices.max(axis=0)[None] + 2e-9
+        with pytest.raises(PointOutsideComplexError):
+            locate_scalar(space, far[0])
+        with pytest.raises(PointOutsideComplexError):
+            space.vertex_weights(np.vstack([P, far]))
+        with pytest.raises(PointOutsideComplexError):
+            b.eval(far[0])
 
 
 def test_json_roundtrip():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import business_eval_pair_tensor
 from teamsolve.geometry import FiniteSpace, build_box_partition
 from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
                                 random_cpwa, uniform_points)
@@ -183,3 +184,13 @@ def test_eval_is_batch_invariant(family):
         rows = np.array([model.eval(i, X[q:q + 1], Z[q:q + 1])[0]
                          for q in range(len(X))])
         assert np.array_equal(batch, rows)
+
+
+def test_business_eval_matches_station_pair_tensor():
+    m = business_location_cost(STATIONS)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-2, 2, size=(3000, 2))
+    Z = np.vstack([rng.uniform(-2, 2, size=(2000, 2)), X[:1000]])
+    for i in range(m.N):
+        assert np.array_equal(m.eval(i, X, Z),
+                              business_eval_pair_tensor(m, i, X, Z))
