@@ -36,9 +36,7 @@ print("cutting plane: %d iterations, certified gap %.2e"
       % (len(result.iterations), result.gap))
 
 report = construct(result, model, measures, spaces, bases, z_space, z_basis,
-                   mc_n=20000, mc_repetitions=8, seed=7,
-                   semidiscrete_params={"n_iterations": 6000, "batch": 256,
-                                        "tol_mass": 5e-2})
+                   mc_n=20000, mc_repetitions=8, seed=7)
 print("barycenter objective bounds (squared-W2 scale):")
 print("  lower bound      %.6f" % report.alpha_lb)
 print("  pushforward UB   %.6f  (+- %.1e)" % (report.alpha_tilde_ub,

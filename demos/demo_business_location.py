@@ -42,9 +42,7 @@ print("cutting plane: %d iterations, %d rows, certified gap %.2e"
       % (len(result.iterations), result.n_lp_rows, result.gap))
 
 report = construct(result, model, measures, spaces, bases, z_space, z_basis,
-                   mc_n=3000, mc_repetitions=4, seed=3,
-                   semidiscrete_params={"n_iterations": 5000, "batch": 256,
-                                        "tol_mass": 5e-2})
+                   mc_n=3000, mc_repetitions=4, seed=3)
 print("total commuting + restocking cost bounds:")
 print("  lower %.5f   pushforward UB %.5f   discrete UB %.5f"
       % (report.alpha_lb, report.alpha_tilde_ub, report.alpha_hat_ub))

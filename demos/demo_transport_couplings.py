@@ -1,6 +1,6 @@
 """The three W1-optimal coupling constructions used by the equilibrium
 assembly: discrete-discrete (LP plan), one-dimensional (comonotone
-quantile), and discrete-continuous (semi-discrete dual ascent).
+quantile), and discrete-continuous (an exact plan onto refined cells).
 
 Run:  python3 demos/demo_transport_couplings.py
 """
@@ -30,16 +30,18 @@ q = ot_quantile_1d(half, uniform)
 print("quantile coupling: quadrature W1 = %.6f, sampled = %.6f"
       % (w1_quantile_quadrature(half, uniform), q.cost_estimate(rng, 200000)))
 
-# discrete-to-continuous: ascend the concave semi-discrete dual, then the
-# potentials carve the target into assignment cells
+# discrete-to-continuous: the exact plan from the atoms onto the cells of
+# the refined grid, each at its density centroid with its exact mass, then
+# exact sampling inside the drawn cell
 two = DiscreteMeasure([[0.25, 0.5], [0.75, 0.5]], [0.5, 0.5])
 square = CpwaDensityMeasure(build_box_partition([(0, 1), (0, 1)], (2, 2)),
                             np.ones(9))
-sd = ot_semidiscrete(two, square, rng=rng, n_iterations=8000)
-print("semi-discrete: cell masses %s vs weights %s"
-      % (np.round(sd.est_masses, 3), two.weights))
-print("  coupling cost %.4f, dual value %.4f"
-      % (sd.cost_estimate(rng, 200000), sd.dual_value(rng, 200000)))
+sd = ot_semidiscrete(two, square)
+print("semi-discrete: %d cells (refinement %d) of masses %s"
+      % (len(sd.cell_simplex), sd.refinement,
+         np.unique(sd.plan.target.weights)))
+print("  cell mass coupled to each atom %s vs weights %s, plan cost %.4f"
+      % (sd.est_masses, two.weights, sd.plan.cost))
 cond = sd.sample_given_source(rng, np.zeros(5000, dtype=int))
-print("  conditional cell of the left atom spans x in [%.3f, %.3f]"
+print("  conditional cells of the left atom span x in [%.3f, %.3f]"
       % (cond[:, 0].min(), cond[:, 0].max()))

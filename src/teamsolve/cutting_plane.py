@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from . import linprog
-from .geometry import point_key
+from .geometry import point_key, point_keys
 
 log = logging.getLogger("teamsolve.cutting_plane")
 
@@ -186,8 +186,7 @@ class _CutStore:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         new = []
-        for q in range(len(X)):
-            key = (point_key(X[q]), point_key(Z[q]))
+        for q, key in enumerate(point_keys(np.hstack([X, Z]))):
             if key not in self.keys[i]:
                 self.keys[i].add(key)
                 new.append(q)

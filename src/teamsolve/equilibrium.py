@@ -30,7 +30,8 @@ from .measures import (CpwaDensityMeasure, DiscreteMeasure, moment_vector,
                        spawn_rngs)
 from .oracle import _get_zfaces, _vertex_multipliers
 from .problems import QuadraticBarycenterCost, TabulatedCpwaCost
-from .transport import ot_discrete, ot_quantile_1d, ot_semidiscrete
+from .transport import (draw_columns, ot_discrete, ot_quantile_1d,
+                        ot_semidiscrete)
 
 log = logging.getLogger("teamsolve.equilibrium")
 
@@ -215,6 +216,7 @@ class EquilibriumReport:
     seed: int
     sparsity_bound: int
     support_reduced: bool = False
+    agent_couplings: list = field(default_factory=list)
     transfer: list = field(default_factory=list, repr=False)
     _chain: object = field(default=None, repr=False)
 
@@ -243,6 +245,7 @@ class EquilibriumReport:
                        "weights": self.nu_hat.weights.tolist()},
             "sparsity_bound": int(self.sparsity_bound),
             "support_reduced": bool(self.support_reduced),
+            "agent_couplings": self.agent_couplings,
         }
 
 
@@ -255,7 +258,7 @@ class _SamplerChain:
         self.nu_hat = nu_hat
         self.z_couplings = z_couplings          # per i: DiscreteCoupling
         self.cond_x = cond_x                    # per i: rows aligned to nu_i
-        self.xbar_couplings = xbar_couplings    # per i: coupling or None
+        self.xbar_couplings = xbar_couplings    # per i: coupling onto mu_i
         self.mu_hat_atoms = mu_hat_atoms        # per i
         self.z_space = z_space
 
@@ -265,23 +268,9 @@ class _SamplerChain:
         Xbars = []
         for i in range(self.model.N):
             _, b = self.z_couplings[i].sample_given_source(rng, a)
-            atoms_rows, cum_rows = self.cond_x[i]
-            u = rng.uniform(size=n)
-            xi_idx = np.empty(n, dtype=int)
-            for zb in np.unique(b):
-                mask = b == zb
-                cum = cum_rows[zb]
-                cols = np.minimum((u[mask, None] > cum[None, :]).sum(1),
-                                  len(cum) - 1)
-                xi_idx[mask] = atoms_rows[zb][cols]
-            coup = self.xbar_couplings[i]
-            if coup is None:
-                Xb = self.mu_hat_atoms[i][xi_idx]
-            else:
-                Xb = coup.sample_given_source(rng, xi_idx)
-                if isinstance(Xb, tuple):
-                    Xb = Xb[0]
-            Xbars.append(Xb)
+            xi_idx = draw_columns(rng, self.cond_x[i], b)
+            Xb = self.xbar_couplings[i].sample_given_source(rng, xi_idx)
+            Xbars.append(Xb[0] if isinstance(Xb, tuple) else Xb)
         out = {"Z": Z, "X_bar": Xbars}
         if with_zbar:
             out["Z_bar"] = z_opt(self.model, Xbars, self.z_space)
@@ -318,6 +307,9 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
     others; an integer pins it.  ``exact`` switches exact finite-support
     expectation evaluation (``"auto"``: on when every agent measure is
     discrete and the enumeration stays below ``exact_combo_cap``).
+    ``semidiscrete_params`` is accepted for existing callers and has no
+    effect: the coupling onto a continuous agent measure of dimension 2 or
+    more is exact and has no settings.
     """
     N = model.N
     duals = cp_result.duals
@@ -353,42 +345,42 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
     cond_x = []
     mu_hat_atoms = []
     for i in range(N):
-        rows = duals.conditional_x_given_z(i)
         zatoms = nu_parts[i][0]
         zkey = {point_key(z): q for q, z in enumerate(zatoms)}
-        atoms_rows = [None] * len(zatoms)
-        cum_rows = [None] * len(zatoms)
+        rows = [None] * len(zatoms)
         mh_atoms, mh_w = duals.x_marginal(i)
         mu_hat_atoms.append(mh_atoms)
         xkey = {point_key(x): q for q, x in enumerate(mh_atoms)}
-        for z, xs, probs in rows:
-            q = zkey[point_key(z)]
-            atoms_rows[q] = np.asarray([xkey[point_key(x)] for x in xs],
-                                       dtype=int)
-            cum_rows[q] = np.cumsum(probs)
-        cond_x.append((atoms_rows, cum_rows))
+        for z, xs, probs in duals.conditional_x_given_z(i):
+            rows[zkey[point_key(z)]] = (
+                np.asarray([xkey[point_key(x)] for x in xs], dtype=int),
+                np.cumsum(probs))
+        cond_x.append(rows)
 
-    # couplings onto the true agent measures
-    sd_params = dict(semidiscrete_params or {})
-    setup_rngs = spawn_rngs(seed ^ 0x5EED, N)
+    # couplings onto the true agent measures, each with its kind,
+    # refinement and marginal residual
     xbar_couplings = []
-    all_discrete = True
+    records = []
     for i in range(N):
         mu_hat = DiscreteMeasure(mu_hat_atoms[i],
                                  duals.x_marginal(i)[1])
         mu = measures[i]
         if isinstance(mu, DiscreteMeasure):
-            xbar_couplings.append(ot_discrete(mu_hat, mu)[0])
+            coup = ot_discrete(mu_hat, mu)[0]
+            rec = ("discrete", None, coup.marginal_residual())
         elif isinstance(mu, CpwaDensityMeasure) and mu.dim == 1:
-            xbar_couplings.append(ot_quantile_1d(mu_hat, mu))
-            all_discrete = False
+            coup = ot_quantile_1d(mu_hat, mu)
+            rec = ("quantile", None, 0.0)
         elif isinstance(mu, CpwaDensityMeasure):
-            xbar_couplings.append(ot_semidiscrete(
-                mu_hat, mu, rng=setup_rngs[i], **sd_params))
-            all_discrete = False
+            coup = ot_semidiscrete(mu_hat, mu)
+            rec = ("cells", coup.refinement, coup.plan.marginal_residual())
         else:
             raise UnsupportedMeasureClassError(
                 "measure %d of type %r" % (i, type(mu)))
+        xbar_couplings.append(coup)
+        records.append(dict(zip(("kind", "refinement", "marginal_residual"),
+                                rec)))
+    all_discrete = all(r["kind"] == "discrete" for r in records)
 
     chain = _SamplerChain(model, nu_hat, z_couplings, cond_x, xbar_couplings,
                           mu_hat_atoms, z_space)
@@ -453,6 +445,7 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
         seed=seed,
         sparsity_bound=bound,
         support_reduced=reduced,
+        agent_couplings=records,
         _chain=chain,
     )
 
@@ -468,13 +461,9 @@ def _exact_bounds(model, chain, measures, z_space, compute_tilde, combo_cap):
     for i in range(N):
         plan = chain.z_couplings[i].plan            # (na, nb)
         K1 = plan / plan.sum(axis=1, keepdims=True)
-        atoms_rows, cum_rows = chain.cond_x[i]
-        nb = len(atoms_rows)
-        nx = len(chain.mu_hat_atoms[i])
-        K2 = np.zeros((nb, nx))
-        for b in range(nb):
-            probs = np.diff(np.concatenate([[0.0], cum_rows[b]]))
-            K2[b, atoms_rows[b]] += probs
+        K2 = np.zeros((len(chain.cond_x[i]), len(chain.mu_hat_atoms[i])))
+        for b, (cols, cum) in enumerate(chain.cond_x[i]):
+            K2[b, cols] += np.diff(np.concatenate([[0.0], cum]))
         coup = chain.xbar_couplings[i]
         mu = measures[i]
         K3 = coup.plan / coup.plan.sum(axis=1, keepdims=True)

@@ -13,8 +13,8 @@ The solver parametrizes continuous test functions by vertex-interpolation
 * ``HatBasis`` -- the test-function basis with one designated vertex
   excluded; on a finite space it is the indicator basis (``IndicatorBasis``
   names the same class),
-* ``point_key`` / ``has_duplicate_rows`` -- the rounding key that decides
-  when two points are the same,
+* ``point_keys`` / ``point_key`` / ``has_duplicate_rows`` -- the rounding
+  key that decides when two points are the same,
 * mesh statistics (``epsilon_bar``) and a-priori partition planning
   (``plan_partition``).
 """
@@ -44,9 +44,16 @@ class BudgetError(GeometryError):
     """Raised when the partition-planning error budget is non-positive."""
 
 
+def point_keys(P):
+    """Hashable key of each row of an (n, d) array: its coordinates rounded
+    to DEDUP_DECIMALS, all rows in one call."""
+    return list(map(tuple, np.round(np.atleast_2d(P), DEDUP_DECIMALS)
+                    .tolist()))
+
+
 def point_key(p):
-    """Hashable key of a point: its coordinates rounded to DEDUP_DECIMALS."""
-    return tuple(np.round(np.atleast_1d(p), DEDUP_DECIMALS))
+    """Hashable key of one point."""
+    return point_keys(p)[0]
 
 
 def has_duplicate_rows(P):

@@ -112,7 +112,13 @@ class CpwaDensityMeasure:
         return (self.vertex_density[V] * W).sum(axis=1)
 
     def sample(self, rng, n):
-        cells = rng.choice(self.complex.n_simplices, size=n, p=self._cell_mass)
+        return self.sample_cells(
+            rng, rng.choice(self.complex.n_simplices, size=n,
+                            p=self._cell_mass))
+
+    def sample_cells(self, rng, cells):
+        """One point per entry of ``cells``, drawn from the density
+        restricted to that simplex."""
         if self.dim == 1:
             return self._sample_1d(rng, cells)
         return self._sample_reject(rng, cells)

@@ -1,5 +1,5 @@
-"""W1-optimal coupling constructions between a discrete source and a
-discrete, continuous (CPWA), or one-dimensional target.
+"""W1 coupling constructions between a discrete source and a discrete,
+continuous (CPWA), or one-dimensional target.
 
 Three constructions are provided, matching the measure classes the
 equilibrium assembly encounters:
@@ -9,9 +9,9 @@ equilibrium assembly encounters:
 * ``ot_quantile_1d`` -- the comonotone construction on the line: the source
   atom of rank j is spread over the target quantile range between the
   cumulative levels F(j-1) and F(j) using an independent uniform.
-* ``ot_semidiscrete`` -- stochastic supergradient ascent on the concave
-  semi-discrete dual; the optimal potentials induce assignment cells whose
-  conditional laws are sampled by rejection.
+* ``ot_semidiscrete`` -- the exact plan onto the cells of a refined CPWA
+  target, each at its density centroid with its exact mass; the target is
+  then sampled exactly inside the drawn cell, so both marginals are exact.
 
 All samplers are read-only after construction and draw from caller-owned
 numpy Generators.
@@ -22,24 +22,34 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from .geometry import build_box_partition
 from .linprog import solve_min
-from .measures import CpwaDensityMeasure, quantile_1d
+from .measures import CpwaDensityMeasure, DiscreteMeasure, quantile_1d
+
+# cells per axis of the nested grid that semi-discrete plans couple onto
+REFINEMENT = 2
 
 
 class TransportError(RuntimeError):
     pass
 
 
-class CellMassMismatchError(TransportError):
-    def __init__(self, message, achieved):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 def _pairwise_dist(A, B):
     A = np.atleast_2d(A)
     B = np.atleast_2d(B)
     return np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(-1))
+
+
+def draw_columns(rng, rows, idx):
+    """One column per entry r of ``idx``, drawn from row ``rows[r]``, a pair
+    (column indices, cumulative probabilities), with one uniform each."""
+    u = rng.uniform(size=len(idx))
+    out = np.empty(len(idx), dtype=int)
+    for r in np.unique(idx):
+        at = idx == r
+        cols, cum = rows[r]
+        out[at] = cols[np.minimum(np.searchsorted(cum, u[at]), len(cum) - 1)]
+    return out
 
 
 class DiscreteCoupling:
@@ -50,16 +60,19 @@ class DiscreteCoupling:
         self.target = target
         self.plan = plan                      # (n1, n2), row sums = source w
         self.cost = float(cost)
-        rows = plan.sum(axis=1)
-        self._cond = plan / rows[:, None]
-        self._cond_cum = np.cumsum(self._cond, axis=1)
+        cond = plan / plan.sum(axis=1)[:, None]
+        self._rows = [(np.flatnonzero(c > 0), np.cumsum(c[c > 0]))
+                      for c in cond]
+
+    def marginal_residual(self):
+        """Largest absolute error of the plan's row and column sums."""
+        return float(max(
+            np.abs(self.plan.sum(1) - self.source.weights).max(),
+            np.abs(self.plan.sum(0) - self.target.weights).max()))
 
     def sample_given_source(self, rng, src_idx):
         """Target points conditionally on source atom indices."""
-        u = rng.uniform(size=len(src_idx))
-        cum = self._cond_cum[src_idx]
-        cols = (u[:, None] > cum).sum(axis=1)
-        cols = np.minimum(cols, self.plan.shape[1] - 1)
+        cols = draw_columns(rng, self._rows, src_idx)
         return self.target.atoms[cols], cols
 
     def sample_pairs(self, rng, n):
@@ -91,12 +104,11 @@ def ot_discrete(nu1, nu2):
         plan = np.clip(res.x.reshape(n1, n2), 0.0, None)
     # repair solver-tolerance drift so the conditionals are exact
     plan *= (nu1.weights / np.maximum(plan.sum(axis=1), 1e-300))[:, None]
-    cost = float((plan * D).sum())
-    err = max(np.abs(plan.sum(0) - nu2.weights).max(),
-              np.abs(plan.sum(1) - nu1.weights).max())
+    coupling = DiscreteCoupling(nu1, nu2, plan, (plan * D).sum())
+    err = coupling.marginal_residual()
     if err > 1e-8:
         raise TransportError("transport plan marginals off by %.3g" % err)
-    return DiscreteCoupling(nu1, nu2, plan, cost), cost
+    return coupling, coupling.cost
 
 
 class QuantileCoupling:
@@ -150,105 +162,45 @@ def w1_quantile_quadrature(nu1, nu2, n=200001):
 
 
 class SemidiscreteCoupling:
-    """Coupling of a discrete source with a continuous target from optimal
-    (approximately) semi-discrete dual potentials."""
+    """Coupling of a discrete source with a CPWA target through ``plan``, a
+    ``DiscreteCoupling`` onto the target's positive-mass cells."""
 
-    def __init__(self, nu1, nu2, potentials, est_masses):
-        self.source = nu1
-        self.target = nu2
-        self.potentials = potentials
-        self.est_masses = est_masses
+    def __init__(self, plan, target, cell_simplex, refinement):
+        self.source = plan.source
+        self.target = target
+        self.plan = plan
+        self.cell_simplex = cell_simplex      # target simplex of each column
+        self.refinement = refinement
+        self.est_masses = plan.plan.sum(axis=1)
 
-    def assign(self, Y):
-        """Cell index of each target point (ties to the lowest atom index)."""
-        d = _pairwise_dist(Y, self.source.atoms)
-        return np.argmax(self.potentials[None, :] - d, axis=1)
-
-    def sample_pairs(self, rng, n):
-        Y = self.target.sample(rng, n)
-        idx = self.assign(Y)
-        return self.source.atoms[idx], Y
-
-    def sample_given_source(self, rng, src_idx, max_trials=100000):
-        """Rejection sampling of the conditional target law per source atom."""
-        n = len(src_idx)
-        out = np.empty((n, self.target.dim))
-        pending = np.arange(n)
-        trials = 0
-        while pending.size:
-            k = max(pending.size * 4, 256)
-            Y = self.target.sample(rng, k)
-            cells = self.assign(Y)
-            for i in np.unique(src_idx[pending]):
-                want = pending[src_idx[pending] == i]
-                got = np.flatnonzero(cells == i)[:len(want)]
-                take = min(len(want), len(got))
-                if take:
-                    out[want[:take]] = Y[got[:take]]
-                    pending = np.setdiff1d(pending, want[:take],
-                                           assume_unique=True)
-            trials += k
-            if trials > max_trials * max(n, 1):
-                raise TransportError(
-                    "rejection sampling stalled; a transport cell has "
-                    "near-zero mass")
-        return out
-
-    def cost_estimate(self, rng, n):
-        s, t = self.sample_pairs(rng, n)
-        return float(np.sqrt(((s - t) ** 2).sum(1)).mean())
-
-    def dual_value(self, rng, n):
-        """Monte Carlo value of the concave dual at the stored potentials."""
-        Y = self.target.sample(rng, n)
-        d = _pairwise_dist(Y, self.source.atoms)
-        inner = (self.potentials[None, :] - d).max(axis=1)
-        return float(self.potentials @ self.source.weights - inner.mean())
+    def sample_given_source(self, rng, src_idx):
+        """Target points conditionally on source atom indices: a cell from
+        the atom's plan row, then a point inside that cell."""
+        _, cols = self.plan.sample_given_source(rng, src_idx)
+        return self.target.sample_cells(rng, self.cell_simplex[cols])
 
 
-def ot_semidiscrete(nu1, nu2, step0=None,
-                    n_iterations=20000, batch=256, tol_mass=1e-2,
-                    check_samples=100000, rng=None):
-    """Approximately W1-optimal coupling of a discrete and a CPWA measure.
+def ot_semidiscrete(nu1, nu2):
+    """W1 coupling of a discrete and a CPWA measure with exact marginals.
 
-    Maximizes the concave semi-discrete dual by averaged stochastic
-    supergradient ascent with step ``step0 / sqrt(t)``, then verifies that
-    the induced cell masses reproduce the source weights within
-    ``tol_mass`` (infinity norm).  Raises ``CellMassMismatchError`` with the
-    achieved mismatch otherwise.
-    """
+    A grid target is carried over unchanged to the nested grid with
+    ``REFINEMENT`` times the cells per axis; other complexes keep their
+    cells.  The cost of a cell is the distance to its density centroid."""
     if not isinstance(nu2, CpwaDensityMeasure):
         raise TransportError("target must be a CPWA density measure")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n1 = nu1.n_atoms
-    alpha = nu1.weights
-    phi = np.zeros(n1)
-    if n1 > 1:
-        if step0 is None:
-            spread = nu2.complex.vertex_diameter()
-            step0 = 0.5 * max(spread, 1e-6)
-        avg = np.zeros(n1)
-        n_avg = 0
-        half = n_iterations // 2
-        for t in range(1, n_iterations + 1):
-            Y = nu2.sample(rng, batch)
-            d = _pairwise_dist(Y, nu1.atoms)
-            cells = np.argmax(phi[None, :] - d, axis=1)
-            freq = np.bincount(cells, minlength=n1) / batch
-            phi += (step0 / np.sqrt(t)) * (alpha - freq)
-            phi -= phi.mean()
-            if t > half:
-                avg += phi
-                n_avg += 1
-        phi = avg / max(n_avg, 1)
-    coupling = SemidiscreteCoupling(nu1, nu2, phi, None)
-    Y = nu2.sample(rng, check_samples)
-    masses = np.bincount(coupling.assign(Y), minlength=n1) / check_samples
-    coupling.est_masses = masses
-    mismatch = float(np.abs(masses - alpha).max())
-    if mismatch > tol_mass:
-        raise CellMassMismatchError(
-            "cell masses off by %.4g (> %.4g) after %d iterations"
-            % (mismatch, tol_mass, n_iterations), mismatch)
-    return coupling
+    cx = nu2.complex
+    refinement = 1
+    if cx._grid is not None:
+        lo, widths, counts, _, _ = cx._grid
+        refinement = REFINEMENT
+        cx = build_box_partition(np.stack([lo, lo + widths * counts], axis=1),
+                                 refinement * counts)
+        nu2 = CpwaDensityMeasure(cx, nu2.density(cx.vertices))
+    keep = np.flatnonzero(nu2._cell_mass > 0)
+    f = nu2.vertex_density[cx.simplices[keep]]            # (m, d+1)
+    S = f.sum(axis=1, keepdims=True)
+    lam = (S + f) / ((cx.dim + 2) * S)    # centroid of a linear density
+    centroids = (lam[:, :, None] * cx._cell_pts[keep]).sum(axis=1)
+    cells = DiscreteMeasure(centroids, nu2._cell_mass[keep])
+    plan, _ = ot_discrete(nu1, cells)
+    return SemidiscreteCoupling(plan, nu2, keep, refinement)

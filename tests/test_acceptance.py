@@ -139,10 +139,10 @@ def test_criterion_6_transport_oracles():
     sq = build_box_partition([(0, 1), (0, 1)], (1, 1))
     usq = CpwaDensityMeasure(sq, np.ones(4))
     da = DiscreteMeasure([[0.5, 0.5]], [1.0])
-    sd = ot_semidiscrete(da, usq, rng=rng, n_iterations=10)
+    sd = ot_semidiscrete(da, usq)
     total, m = 0.0, 10 ** 7
     for _ in range(10):
-        _, y = sd.sample_pairs(rng, m // 10)
+        y = sd.sample_given_source(rng, np.zeros(m // 10, dtype=int))
         total += np.sqrt(((y - 0.5) ** 2).sum(1)).sum()
     est = total / m
     ref_center = 0.3825978582
@@ -174,9 +174,7 @@ def test_criterion_7_refinement_monotonicity():
         model = barycenter_cost([1.0 / N] * N, xs, zc, mus)
         res, rep = _pipeline(
             model, mus, xs, bs, zc, bz, eps=2e-4, seed=100 + lv,
-            mc_n=20000, mc_repetitions=8,
-            semidiscrete_params={"n_iterations": 6000, "batch": 256,
-                                 "tol_mass": 5e-2})
+            mc_n=20000, mc_repetitions=8)
         reports.append(rep)
     for a, b in zip(reports, reports[1:]):
         slack = 3.0 * (a.alpha_hat_se + b.alpha_hat_se)

@@ -63,3 +63,21 @@ def test_tracer_counts_oracle_lps_as_solve_min():
         tracer.restore()
     assert tracer.count("linprog.solve_min") >= 1
     assert tracer.count("linprog.solve") == 0
+
+
+def test_business_location_seed_10_constructs():
+    # one dual type atom of this instance has weight 0.0015; its coupling
+    # onto the continuous agent measure still has exact marginals
+    inst = workloads.build("business-location", 10)
+    gbar = [teamsolve.moment_vector(mu, b)
+            for mu, b in zip(inst.measures, inst.x_bases)]
+    cp = teamsolve.cutting_plane.run(inst.model, gbar, inst.x_spaces,
+                                     inst.x_bases, inst.z_space, inst.z_basis,
+                                     inst.oracle, inst.eps_lsip)
+    report = teamsolve.equilibrium.construct(
+        cp, inst.model, inst.measures, inst.x_spaces, inst.x_bases,
+        inst.z_space, inst.z_basis, mc_n=inst.mc_n,
+        mc_repetitions=inst.mc_repetitions, seed=inst.seed)
+    recs = report.to_json()["agent_couplings"]
+    assert [r["kind"] for r in recs] == ["cells"] * inst.N
+    assert max(r["marginal_residual"] for r in recs) <= 1e-12

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from helpers import (brute_force_discrete_optimum, lex_argmin_loop,
                      random_discrete_instance, z_opt_dense)
 from teamsolve import equilibrium
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
-                                build_box_partition, epsilon_bar)
+                                SimplicialComplex, build_box_partition,
+                                epsilon_bar)
 from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
                                 moment_vector, random_cpwa)
 from teamsolve.cutting_plane import ParametricSolution, run
@@ -222,9 +225,7 @@ def test_barycenter_shift_consistency():
     model = barycenter_cost([0.5, 0.5], [sq, sq], sq, mus)
     assert model.shift >= 0
     _, rep = _pipeline(model, mus, [sq, sq], [bx, bx], sq, bx, eps=2e-4,
-                       mc_n=4000, mc_repetitions=4, seed=12,
-                       semidiscrete_params={"n_iterations": 4000,
-                                            "tol_mass": 5e-2})
+                       mc_n=4000, mc_repetitions=4, seed=12)
     assert rep.alpha_hat_ub + 3 * rep.alpha_hat_se >= 0.0
     assert rep.alpha_tilde_ub + 3 * rep.alpha_tilde_se >= 0.0
 
@@ -351,3 +352,29 @@ def test_coupling_csv_draws_no_quality_selection(tmp_path, monkeypatch):
     assert path.read_text().splitlines()[0] == "x0,z0,z1"
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(rows, np.hstack([S["X_bar"][1], S["Z"]]))
+
+
+def test_agent_couplings_recorded():
+    # one agent of each coupling kind: discrete, 1-D quantile, cells on a
+    # refined grid, and cells of a complex without a grid
+    rng = np.random.default_rng(41)
+    fin = FiniteSpace([[0.0], [0.5], [1.0]])
+    line = build_box_partition([(0, 1)], (2,))
+    sq = build_box_partition([(0, 1), (0, 1)], (1, 1))
+    free = SimplicialComplex.from_json(sq.to_json())
+    xs = [fin, line, sq, free]
+    mus = [DiscreteMeasure(fin.vertices, [0.2, 0.5, 0.3])] \
+        + [random_cpwa(sp, rng) for sp in xs[1:]]
+    zs = build_box_partition([(0, 1)], (2,))
+    tables = [rng.uniform(0, 1, (sp.n_vertices, zs.n_vertices)) for sp in xs]
+    model = tabulated_cpwa_cost(xs, zs, tables)
+    bs = [HatBasis(sp) for sp in xs]
+    _, rep = _pipeline(model, mus, xs, bs, zs, HatBasis(zs), eps=1e-6,
+                       mc_n=500, mc_repetitions=2, seed=5)
+    doc = json.loads(json.dumps(rep.to_json()))
+    recs = doc["agent_couplings"]
+    assert [r["kind"] for r in recs] == ["discrete", "quantile", "cells",
+                                         "cells"]
+    assert [r["refinement"] for r in recs] == [None, None, 2, 1]
+    assert recs[1]["marginal_residual"] == 0.0
+    assert max(r["marginal_residual"] for r in recs) <= 1e-12

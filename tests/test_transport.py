@@ -4,8 +4,7 @@ import pytest
 from helpers import assignment_bruteforce_w1
 from teamsolve.geometry import build_box_partition
 from teamsolve.measures import CpwaDensityMeasure, DiscreteMeasure, random_cpwa
-from teamsolve.transport import (CellMassMismatchError, SemidiscreteCoupling,
-                                 TransportError, ot_discrete, ot_quantile_1d,
+from teamsolve.transport import (TransportError, ot_discrete, ot_quantile_1d,
                                  ot_semidiscrete, w1_quantile_quadrature)
 
 
@@ -92,55 +91,64 @@ def test_semidiscrete_single_atom():
     sq = build_box_partition([(0, 1), (0, 1)], (1, 1))
     usq = CpwaDensityMeasure(sq, np.ones(4))
     da = DiscreteMeasure([[0.5, 0.5]], [1.0])
-    coup = ot_semidiscrete(da, usq, rng=rng, n_iterations=10)
-    est = coup.cost_estimate(rng, 400000)
+    coup = ot_semidiscrete(da, usq)
+    y = coup.sample_given_source(rng, np.zeros(400000, dtype=int))
+    est = np.sqrt(((y - 0.5) ** 2).sum(1)).mean()
     assert abs(est - 0.3825978582) < 0.005
 
 
 def test_semidiscrete_matches_1d_quantile():
+    # two cells refined to four: each atom's plan row is exactly its
+    # quantile half, so the coupling is the comonotone one
     rng = np.random.default_rng(27)
     two = DiscreteMeasure([[0.25], [0.75]], [0.5, 0.5])
     U1 = CpwaDensityMeasure(build_box_partition([(0, 1)], (2,)), np.ones(3))
-    coup = ot_semidiscrete(two, U1, rng=rng, n_iterations=20000)
+    coup = ot_semidiscrete(two, U1)
+    assert coup.refinement == 2 and coup.target.complex.n_simplices == 4
+    cond0 = coup.sample_given_source(rng, np.zeros(200000, dtype=int))
+    cond1 = coup.sample_given_source(rng, np.ones(200000, dtype=int))
+    assert cond0.max() <= 0.5 and cond1.min() >= 0.5
+    est = 0.5 * (np.abs(cond0 - 0.25).mean() + np.abs(cond1 - 0.75).mean())
     ref = w1_quantile_quadrature(two, U1)
-    assert abs(coup.cost_estimate(rng, 400000) - ref) < 1e-3
-    # assignment cells are the two quantile halves
-    cond0 = coup.sample_given_source(rng, np.zeros(2000, dtype=int))
-    cond1 = coup.sample_given_source(rng, np.ones(2000, dtype=int))
-    assert cond0.max() <= 0.5 + 0.02
-    assert cond1.min() >= 0.5 - 0.02
+    assert abs(ref - 0.125) < 1e-9
+    assert abs(est - ref) < 1e-3
 
 
-def test_semidiscrete_dual_nondecreasing():
+def _tiny_atom_coupling():
     rng = np.random.default_rng(28)
-    sq = build_box_partition([(0, 1), (0, 1)], (2, 2))
-    tgt = random_cpwa(sq, rng)
-    src = DiscreteMeasure(rng.uniform(0.2, 0.8, (3, 2)),
-                          rng.dirichlet(np.ones(3)))
-    final = ot_semidiscrete(src, tgt, rng=rng, n_iterations=8000,
-                            tol_mass=5e-2)
-    start = SemidiscreteCoupling(src, tgt, np.zeros(3), None)
-    n = 200000
-    d_final = final.dual_value(np.random.default_rng(1), n)
-    d_start = start.dual_value(np.random.default_rng(1), n)
-    assert d_final >= d_start - 3e-3
+    coarse = random_cpwa(build_box_partition([(0, 1), (0, 1)], (2, 2)), rng)
+    w = np.concatenate([[1e-4], (1 - 1e-4) * rng.dirichlet(np.ones(4))])
+    src = DiscreteMeasure(rng.uniform(0, 1, (5, 2)), w)
+    return coarse, src, ot_semidiscrete(src, coarse)
 
 
-def test_semidiscrete_mass_mismatch_reported():
+def test_semidiscrete_marginals_exact():
     rng = np.random.default_rng(29)
-    sq = build_box_partition([(0, 1), (0, 1)], (1, 1))
-    usq = CpwaDensityMeasure(sq, np.ones(4))
-    src = DiscreteMeasure([[0.1, 0.1], [0.9, 0.9]], [0.5, 0.5])
-    with pytest.raises(CellMassMismatchError) as exc:
-        ot_semidiscrete(src, usq, rng=rng, n_iterations=1, tol_mass=1e-4)
-    assert exc.value.achieved > 1e-4
+    coarse, src, coup = _tiny_atom_coupling()
+    plan = coup.plan.plan
+    masses = coup.target._cell_mass[coup.cell_simplex]
+    assert np.abs(plan.sum(1) - src.weights).max() <= 1e-12
+    assert np.abs(plan.sum(0) - masses).max() <= 1e-12
+    assert np.abs(masses.sum() - 1.0) <= 1e-12
+    assert np.abs(coup.est_masses - src.weights).max() <= 1e-12
+    # the tiny atom's draws land in the cells of its plan row
+    cells = coup.cell_simplex[plan[0] > 0]
+    Y = coup.sample_given_source(rng, np.zeros(500, dtype=int))
+    q = np.hstack([np.ones((len(Y), 1)), Y])
+    lam = np.einsum("sij,nj->nsi", coup.target.complex._minv[cells], q)
+    assert np.all(lam.min(axis=2).max(axis=1) >= -1e-12)
 
 
-def test_semidiscrete_degenerate_cell_rejection():
+def test_semidiscrete_refinement_is_nested():
     rng = np.random.default_rng(30)
-    sq = build_box_partition([(0, 1), (0, 1)], (1, 1))
-    usq = CpwaDensityMeasure(sq, np.ones(4))
-    src = DiscreteMeasure([[0.5, 0.5], [0.6, 0.5]], [0.5, 0.5])
-    coup = SemidiscreteCoupling(src, usq, np.array([0.0, -1e9]), None)
+    coarse, _, coup = _tiny_atom_coupling()
+    assert coup.target.complex.n_simplices == 4 * coarse.complex.n_simplices
+    X = rng.uniform(0, 1, (2000, 2))
+    assert np.allclose(coup.target.density(X), coarse.density(X),
+                       rtol=1e-12, atol=1e-12)
+
+
+def test_semidiscrete_needs_cpwa_target():
+    src = DiscreteMeasure([[0.5, 0.5]], [1.0])
     with pytest.raises(TransportError):
-        coup.sample_given_source(rng, np.ones(10, dtype=int), max_trials=200)
+        ot_semidiscrete(src, src)
