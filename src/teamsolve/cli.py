@@ -245,6 +245,7 @@ def run_pipeline(setup, out_dir=None, seed=None):
         equilibrium.write_nu_tilde_hist_csv(
             report, rng, min(setup.mc_n, 20000),
             os.path.join(out_dir, "nu_tilde_hist.csv"))
+        add_time = sum(r.add_time for r in cp_res.iterations)
         lp_time = sum(r.lp_time for r in cp_res.iterations)
         oracle_time = sum(r.oracle_time for r in cp_res.iterations)
         equilibrium.write_report_json(
@@ -258,7 +259,8 @@ def run_pipeline(setup, out_dir=None, seed=None):
                 "lp_width": setup.lp_width(),
                 "config_echo": setup.config,
                 "provenance": _provenance(setup.config),
-                "timing": {"lp_time": lp_time, "oracle_time": oracle_time,
+                "timing": {"add_time": add_time, "lp_time": lp_time,
+                           "oracle_time": oracle_time,
                            "solve_time": t_solve, "total_time": t_total},
             })
     return cp_res, report

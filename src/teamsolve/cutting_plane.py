@@ -115,9 +115,11 @@ class IterationRecord:
     lp_value: float
     gap: float
     cuts_added: int
-    lp_rows: int                # rows of the LP solved this round
-    simplex_iterations: int
-    lp_time: float
+    cuts_per_category: list     # cuts_added split by category
+    lp_rows: int                # inequality rows of the LP solved this round
+    simplex_iterations: int     # warm-started from the previous round
+    add_time: float             # appending this round's new rows
+    lp_time: float              # HiGHS
     oracle_time: float
 
 
@@ -138,12 +140,15 @@ class CuttingPlaneResult:
     def write_iteration_log(self, path):
         with open(path, "w", newline="") as f:
             wr = csv.writer(f)
-            wr.writerow(["r", "lp_value", "gap", "cuts_added", "lp_rows",
-                         "simplex_iterations", "lp_time", "oracle_time"])
+            wr.writerow(["r", "lp_value", "gap", "cuts_added",
+                         "cuts_per_category", "lp_rows", "simplex_iterations",
+                         "add_time", "lp_time", "oracle_time"])
             for rec in self.iterations:
                 wr.writerow([rec.r, "%.17g" % rec.lp_value, "%.17g" % rec.gap,
-                             rec.cuts_added, rec.lp_rows,
-                             rec.simplex_iterations, "%.6f" % rec.lp_time,
+                             rec.cuts_added,
+                             ";".join(map(str, rec.cuts_per_category)),
+                             rec.lp_rows, rec.simplex_iterations,
+                             "%.6f" % rec.add_time, "%.6f" % rec.lp_time,
                              "%.6f" % rec.oracle_time])
 
 
@@ -200,30 +205,41 @@ class _CutStore:
         self.c[i] = np.concatenate([self.c[i], self.model.eval(i, X, Z)])
         return len(new)
 
-    def counts(self):
-        return [len(c) for c in self.c]
 
-
-def _assemble_lp(store, gbar, k):
-    """Build the relaxed LP (max sense) from the cut store: category i's
-    rows are ``[1 | G_i | H_i] <= c_i`` over its own variable block, and the
-    k equality rows sum the quality multipliers over the categories."""
-    N = store.model.N
+def _relaxation(gbar, k):
+    """The relaxed LP (max sense) before any cut: category i's variables are
+    its intercept, type multipliers and quality multipliers, and the k
+    equality rows sum the quality multipliers over the categories.  Returns
+    the model and the column offset of each category's block."""
+    N = len(gbar)
     m = [len(g) for g in gbar]
     offsets = np.concatenate([[0], np.cumsum([1 + mi + k for mi in m])])
     c = np.concatenate([np.concatenate([[1.0], gbar[i], np.zeros(k)])
                         for i in range(N)])
-    A_ub = sparse.block_diag(
-        [sparse.csr_matrix(np.hstack([np.ones((len(store.c[i]), 1)),
-                                      store.G[i], store.H[i]]))
-         for i in range(N)], format="csr")
     A_eq = sparse.hstack(
         [blk for i in range(N)
          for blk in (sparse.csr_matrix((k, 1 + m[i])), sparse.identity(k))],
         format="csr") if k else None
-    b_eq = np.zeros(k) if k else None
-    return (linprog.LpProblem(c, A_ub, np.concatenate(store.c), A_eq, b_eq),
-            offsets, m)
+    return (linprog.LpProblem(c, A_eq=A_eq, b_eq=np.zeros(k) if k else None),
+            offsets)
+
+
+def _add_new_cuts(problem, store, offsets, rows):
+    """Append the store's cuts that are not in the model yet: category i's
+    rows ``[1 | G_i | H_i] <= c_i`` shifted to its column block.  ``rows[i]``
+    gains their inequality row indices, so it stays in store order."""
+    for i in range(len(rows)):
+        new = slice(len(rows[i]), len(store.c[i]))
+        if new.start == new.stop:
+            continue
+        block = sparse.csr_matrix(np.hstack([
+            np.ones((new.stop - new.start, 1)), store.G[i][new],
+            store.H[i][new]]))
+        block = sparse.csr_matrix(
+            (block.data, block.indices + offsets[i], block.indptr),
+            shape=(block.shape[0], problem.n))
+        rows[i] = np.concatenate([rows[i],
+                                  problem.add_rows(block, store.c[i][new])])
 
 
 def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
@@ -254,20 +270,23 @@ def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
     for i, (X, Z) in enumerate(initial_cuts):
         store.add(i, X, Z)
 
+    problem, offsets = _relaxation(gbar, k)
+    rows = [np.empty(0, dtype=int) for _ in range(N)]
     records = []
     for r in range(max_iterations):
         t0 = time.perf_counter()
-        problem, offsets, m = _assemble_lp(store, gbar, k)
+        _add_new_cuts(problem, store, offsets, rows)
+        t_add = time.perf_counter()
         try:
             sol = linprog.solve(problem)
         except linprog.LpUnboundedError as e:
             raise UnboundedRelaxationError(
                 "relaxed problem unbounded at iteration %d: %s" % (r, e)) from e
-        lp_time = time.perf_counter() - t0
+        lp_time = time.perf_counter() - t_add
 
         y0 = np.array([sol.x[offsets[i]] for i in range(N)])
-        y = [sol.x[offsets[i] + 1:offsets[i] + 1 + m[i]] for i in range(N)]
-        w = np.stack([sol.x[offsets[i] + 1 + m[i]:offsets[i + 1]]
+        y = [sol.x[offsets[i] + 1:offsets[i + 1] - k] for i in range(N)]
+        w = np.stack([sol.x[offsets[i + 1] - k:offsets[i + 1]]
                       for i in range(N)])
 
         t1 = time.perf_counter()
@@ -276,42 +295,37 @@ def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
 
         beta_lower = np.array([res.beta_lower for res in results])
         gap = float((y0 - beta_lower).sum())
-        solved_counts = store.counts()      # rows present in this LP solve
-        added = 0
+        added = []
         for i, res in enumerate(results):
             X, Z = zip((res.x, res.z), *res.pool)
-            added += store.add(i, np.vstack(X), np.vstack(Z))
-        records.append(IterationRecord(r, sol.value, gap, added,
-                                       problem.A_ub.shape[0], sol.iterations,
-                                       lp_time, oracle_time))
-        log.info("iter %d: lp=%.9g gap=%.3g cuts+%d", r, sol.value, gap, added)
+            added.append(store.add(i, np.vstack(X), np.vstack(Z)))
+        records.append(IterationRecord(
+            r, sol.value, gap, sum(added), added, problem.n_ineq,
+            sol.iterations, t_add - t0, lp_time, oracle_time))
+        log.info("iter %d: lp=%.9g gap=%.3g cuts+%d", r, sol.value, gap,
+                 sum(added))
 
         if gap <= eps_lsip:
             alpha_ub = sol.value
             alpha_lb = sol.value - gap
             solution = ParametricSolution(beta_lower.copy(), y, w)
-            duals = _extract_duals(store, sol, N, solved_counts)
+            duals = _extract_duals(store, [sol.duals_ineq[ri] for ri in rows])
             return CuttingPlaneResult(alpha_ub, alpha_lb, solution, duals,
-                                      records, problem.A_ub.shape[0],
-                                      eps_lsip)
+                                      records, problem.n_ineq, eps_lsip)
     raise MaxIterationsExceededError(
         "no convergence in %d iterations (gap %.3g > %.3g)"
         % (max_iterations, records[-1].gap, eps_lsip), records[-1].gap)
 
 
-def _extract_duals(store, sol, N, row_counts):
+def _extract_duals(store, thetas):
     """Dual measures from the LP row multipliers, pruned and renormalized.
 
-    ``row_counts`` are the per-category cut counts at solve time; the store
-    may have grown since (the terminating iteration still appends its cuts).
+    ``thetas[i]`` are the multipliers of category i's cuts in store order, as
+    many as were in the solved LP; the store may have grown since (the
+    terminating iteration still appends its cuts).
     """
-    theta = sol.duals_ineq
     xs, zs, ws = [], [], []
-    pos = 0
-    for i in range(N):
-        q = row_counts[i]
-        ti = theta[pos:pos + q]
-        pos += q
+    for i, ti in enumerate(thetas):
         keep = np.flatnonzero(ti > WEIGHT_PRUNE)
         if keep.size == 0:
             # numerically massless category; keep the largest row

@@ -1,16 +1,28 @@
-"""Finite LP model and the one solver call behind every LP of the package.
+"""Finite LP model and the one HiGHS binding behind every LP of the package.
 
-Every LP goes through one call of scipy's HiGHS dual simplex and comes back
-as an ``LpSolution``.  Simplex (rather than interior point) matters here:
-the cutting-plane loop needs *basic* dual solutions so that the recovered
-discrete dual measures stay sparse.  Two entry points share that call:
+Every LP is solved by HiGHS's dual simplex through scipy's binding
+``scipy.optimize._highspy._core._Highs`` and comes back as an
+``LpSolution``.  Simplex (rather than interior point) matters here: the
+cutting-plane loop needs *basic* dual solutions so that the recovered
+discrete dual measures stay sparse.  Two entry points share the binding and
+its options (dual simplex, both feasibility tolerances at 1e-10, no output),
+the options scipy's ``linprog(method="highs-ds")`` passes:
 
-* ``solve`` -- the cutting-plane relaxation, stated as maximization over
-  free variables with an inequality block ``A x <= b`` and an equality
-  block ``E x = f``; the returned inequality multipliers are nonnegative
-  and the equality multipliers are free.
+* ``solve`` -- the cutting-plane relaxation.  ``LpProblem`` is a live model:
+  maximization over free variables with an equality block ``E x = f`` and an
+  inequality block ``A x <= b`` that grows by ``add_rows``.  Each ``solve``
+  restarts the dual simplex from the model's previous basis, which stays
+  dual feasible when rows are added.  The returned inequality multipliers
+  are nonnegative and the equality multipliers are free (max sense).
 * ``solve_min`` -- minimization with variable bounds, for the transport
-  plans, the support reduction and the oracles' cell-pair LPs.
+  plans, the support reduction and the oracles' cell-pair LPs.  It passes
+  one fresh model per call and returns what scipy's ``linprog`` returns for
+  the same LP, bit for bit.
+
+The binding is private to scipy.  ``pyproject.toml`` asks for scipy 1.17,
+the tested version whose ``_Highs`` has ``addRows``, ``passModel`` and
+``getSolution().row_dual``; a scipy without the binding raises
+``LpBackendError`` at import.
 """
 
 from __future__ import annotations
@@ -18,12 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog as _scipy_linprog
-
-_HIGHS_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+import scipy
+from scipy import sparse
 
 
 class LpError(RuntimeError):
@@ -38,35 +46,127 @@ class LpUnboundedError(LpError):
     """The maximization problem is unbounded above."""
 
 
-@dataclass
-class LpProblem:
-    """max <c, x> subject to A_ub x <= b_ub, A_eq x = b_eq, x free."""
-    c: np.ndarray
-    A_ub: object = None
-    b_ub: np.ndarray = None
-    A_eq: object = None
-    b_eq: np.ndarray = None
+class LpBackendError(LpError):
+    """scipy does not provide the HiGHS binding this module runs on."""
 
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        n = self.c.shape[0]
+
+def _backend():
+    """scipy's HiGHS binding module; ``LpBackendError`` names the installed
+    scipy when it is missing."""
+    try:
+        import scipy.optimize._highspy._core as core
+    except ImportError as e:
+        raise LpBackendError(
+            "scipy %s has no HiGHS binding scipy.optimize._highspy._core "
+            "(teamsolve needs scipy>=1.17): %s" % (scipy.__version__, e)) from e
+    return core
+
+
+_core = _backend()
+_Status = _core.HighsModelStatus
+
+# what scipy's linprog(method="highs-ds") sets; output_flag goes first so
+# that nothing is logged
+_OPTIONS = (
+    ("output_flag", False),
+    ("presolve", "on"),
+    ("solver", "simplex"),
+    ("simplex_strategy", 1),            # dual simplex
+    ("primal_feasibility_tolerance", 1e-10),
+    ("dual_feasibility_tolerance", 1e-10),
+)
+
+
+def _new_highs():
+    highs = _core._Highs()
+    for name, value in _OPTIONS:
+        highs.setOptionValue(name, value)
+    return highs
+
+
+def _pass_model(highs, c, A, row_lower, row_upper, col_lower, col_upper,
+                sense):
+    """Pass the LP with the column-wise matrix ``A`` to ``highs``."""
+    lp = _core.HighsLp()
+    lp.num_col_, lp.num_row_ = A.shape[1], A.shape[0]
+    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = A.shape[1], A.shape[0]
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = col_lower, col_upper
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    lp.sense_ = sense
+    if highs.passModel(lp) == _core.HighsStatus.kError:
+        # scipy's linprog reports a rejected model as infeasible
+        raise LpInfeasibleError(
+            highs.modelStatusToString(_Status.kModelError))
+
+
+def _run(highs):
+    """Run HiGHS; returns ``(x, row multipliers, value, simplex
+    iterations)``.  Statuses map to errors as scipy's linprog maps them."""
+    highs.run()
+    status = highs.getModelStatus()
+    if status == _Status.kOptimal:
+        sol, info = highs.getSolution(), highs.getInfo()
+        return (np.asarray(sol.col_value, dtype=float),
+                np.asarray(sol.row_dual, dtype=float),
+                float(info.objective_function_value),
+                int(info.simplex_iteration_count))
+    message = highs.modelStatusToString(status)
+    if status in (_Status.kInfeasible, _Status.kModelError):
+        raise LpInfeasibleError(message)
+    if status == _Status.kUnbounded:
+        raise LpUnboundedError(message)
+    raise LpError("solver failure: %s" % message)
+
+
+class LpProblem:
+    """max <c, x> subject to A_eq x = b_eq, A_ub x <= b_ub, x free, as a live
+    HiGHS model.  The equality rows come first in the model, so inequality
+    row j is model row ``n_eq + j``; ``add_rows`` appends inequality rows,
+    and the next ``solve`` starts from the basis of the last one."""
+
+    def __init__(self, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+        c = np.asarray(c, dtype=float)
+        n = c.shape[0]
         if n == 0:
             raise LpError("empty problem")
-        if not np.all(np.isfinite(self.c)):
+        if not np.all(np.isfinite(c)):
             raise LpError("non-finite objective coefficients")
-        for A, b, name in ((self.A_ub, self.b_ub, "ub"), (self.A_eq, self.b_eq, "eq")):
-            if A is None:
-                continue
-            if b is None:
-                raise LpError("missing b_%s" % name)
-            b = np.asarray(b, dtype=float)
-            if A.shape != (b.shape[0], n):
-                raise LpError("A_%s shape %s inconsistent with n=%d, rows=%d"
-                              % (name, A.shape, n, b.shape[0]))
+        self.highs = _new_highs()
+        free = np.full(n, np.inf)
+        _pass_model(self.highs, c, sparse.csc_array((0, n)), np.zeros(0),
+                    np.zeros(0), -free, free, _core.ObjSense.kMaximize)
+        self.n = n
+        self.n_eq = self.n_ineq = 0
+        if A_eq is not None:
+            self._add(A_eq, b_eq, "eq")
+            self.n_eq = len(b_eq)
+        if A_ub is not None:
+            self.add_rows(A_ub, b_ub)
 
-    @property
-    def n(self):
-        return self.c.shape[0]
+    def add_rows(self, A_ub, b_ub):
+        """Append the inequality rows ``A_ub x <= b_ub``; returns their
+        indices among the inequality rows, which index ``duals_ineq``."""
+        self._add(A_ub, b_ub, "ub")
+        start, self.n_ineq = self.n_ineq, self.highs.getNumRow() - self.n_eq
+        return np.arange(start, self.n_ineq)
+
+    def _add(self, A, b, name):
+        if b is None:
+            raise LpError("missing b_%s" % name)
+        b = np.asarray(b, dtype=float)
+        A = sparse.csr_array(A)
+        if A.shape != (b.shape[0], self.n):
+            raise LpError("A_%s shape %s inconsistent with n=%d, rows=%d"
+                          % (name, A.shape, self.n, b.shape[0]))
+        lower = b if name == "eq" else np.full(len(b), -np.inf)
+        if self.highs.addRows(len(b), lower, b, A.nnz, A.indptr[:-1],
+                              A.indices, A.data) == _core.HighsStatus.kError:
+            raise LpError("HiGHS rejected the %d added rows" % len(b))
 
 
 @dataclass
@@ -78,48 +178,38 @@ class LpSolution:
     iterations: int = 0
 
 
-def _highs(c, A_ub, b_ub, A_eq, b_eq, bounds):
-    """Minimize ``c @ x`` with scipy's HiGHS dual simplex; the multipliers
-    are scipy's (minimization sense)."""
-    res = _scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                         bounds=bounds, method="highs-ds",
-                         options=dict(_HIGHS_OPTIONS))
-    if res.status == 2:
-        raise LpInfeasibleError(res.message)
-    if res.status == 3:
-        raise LpUnboundedError(res.message)
-    if res.status != 0:
-        raise LpError("solver failure: %s" % res.message)
-    return LpSolution(
-        x=np.asarray(res.x, dtype=float),
-        duals_ineq=(np.asarray(res.ineqlin.marginals, dtype=float)
-                    if A_ub is not None else np.zeros(0)),
-        duals_eq=(np.asarray(res.eqlin.marginals, dtype=float)
-                  if A_eq is not None else np.zeros(0)),
-        value=float(res.fun),
-        iterations=int(getattr(res, "nit", 0)),
-    )
-
-
 def solve(problem: LpProblem) -> LpSolution:
-    """Solve the maximization problem; duals follow the max-sense convention.
+    """Solve the maximization problem from the model's current basis.
 
-    Raises ``LpInfeasibleError`` / ``LpUnboundedError`` on the respective
-    statuses.  An unbounded status typically signals a bad initial
-    constraint set in the cutting-plane driver.
+    The inequality multipliers come in row-add order and follow the max-sense
+    convention.  Raises ``LpInfeasibleError`` / ``LpUnboundedError`` on the
+    respective statuses.  An unbounded status typically signals a bad
+    initial constraint set in the cutting-plane driver.
     """
-    sol = _highs(-problem.c, problem.A_ub, problem.b_ub, problem.A_eq,
-                 problem.b_eq, bounds=(None, None))
-    # the minimization of -c has negated value and multipliers
-    sol.value = -sol.value
-    sol.duals_ineq = -sol.duals_ineq
-    sol.duals_ineq[(sol.duals_ineq < 0) & (sol.duals_ineq > -1e-10)] = 0.0
-    sol.duals_eq = -sol.duals_eq
-    return sol
+    x, row_dual, value, iterations = _run(problem.highs)
+    duals_ineq = row_dual[problem.n_eq:]
+    duals_ineq[(duals_ineq < 0) & (duals_ineq > -1e-10)] = 0.0
+    return LpSolution(x, duals_ineq, row_dual[:problem.n_eq], value,
+                      iterations)
 
 
 def solve_min(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
     """Minimization with bounded variables (transport plans, moment
     systems, the oracles' cell-pair LPs); value and multipliers are in the
     minimization sense."""
-    return _highs(c, A_ub, b_ub, A_eq, b_eq, bounds)
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    lo, hi = (-np.inf if bounds[0] is None else bounds[0],
+              np.inf if bounds[1] is None else bounds[1])
+    blocks = [sparse.csr_array(A) for A in (A_ub, A_eq) if A is not None]
+    A = sparse.csc_array(sparse.vstack(blocks) if blocks else (0, n))
+    b_ub = np.zeros(0) if A_ub is None else np.asarray(b_ub, dtype=float)
+    b_eq = np.zeros(0) if A_eq is None else np.asarray(b_eq, dtype=float)
+    highs = _new_highs()
+    _pass_model(highs, c, A,
+                np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
+                np.concatenate([b_ub, b_eq]), np.full(n, float(lo)),
+                np.full(n, float(hi)), _core.ObjSense.kMinimize)
+    x, row_dual, value, iterations = _run(highs)
+    return LpSolution(x, row_dual[:len(b_ub)], row_dual[len(b_ub):], value,
+                      iterations)

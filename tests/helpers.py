@@ -11,7 +11,8 @@ from scipy.optimize import linprog as scipy_linprog
 from teamsolve.equilibrium import TIE_TOL
 from teamsolve.geometry import (FiniteSpace, IndicatorBasis,
                                 PointOutsideComplexError, point_key)
-from teamsolve.linprog import LpProblem
+from teamsolve.linprog import (LpError, LpInfeasibleError, LpProblem,
+                               LpSolution, LpUnboundedError, _core)
 from teamsolve.measures import DiscreteMeasure
 from teamsolve.oracle import OracleError, _finalize, _vertex_multipliers
 from teamsolve.problems import tabulated_cpwa_cost
@@ -294,41 +295,89 @@ def check_face_property(complex, tol=1e-9):
     return True
 
 
+def linprog_reference(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+                      bounds=(0, None)):
+    """Minimize ``c @ x`` with scipy's ``linprog`` and the options of
+    ``teamsolve.linprog`` (dual simplex, feasibility tolerances 1e-10); an
+    ``LpSolution`` in the minimization sense, as ``solve_min`` returns it."""
+    res = scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                        bounds=bounds, method="highs-ds",
+                        options={"primal_feasibility_tolerance": 1e-10,
+                                 "dual_feasibility_tolerance": 1e-10})
+    if res.status == 2:
+        raise LpInfeasibleError(res.message)
+    if res.status == 3:
+        raise LpUnboundedError(res.message)
+    if res.status != 0:
+        raise LpError("solver failure: %s" % res.message)
+    return LpSolution(
+        x=np.asarray(res.x, dtype=float),
+        duals_ineq=(np.asarray(res.ineqlin.marginals, dtype=float)
+                    if A_ub is not None else np.zeros(0)),
+        duals_eq=(np.asarray(res.eqlin.marginals, dtype=float)
+                  if A_eq is not None else np.zeros(0)),
+        value=float(res.fun),
+        iterations=int(getattr(res, "nit", 0)),
+    )
+
+
+def model_lp(problem: LpProblem):
+    """The live model's LP read back through ``getLp()``: objective, the
+    constraint matrix as CSR in model row order, and the row bounds."""
+    lp = problem.highs.getLp()
+    mat = lp.a_matrix_
+    parts = (np.asarray(mat.value_), np.asarray(mat.index_),
+             np.asarray(mat.start_))
+    shape = (lp.num_row_, lp.num_col_)
+    A = (sparse.csc_matrix(parts, shape=shape)
+         if mat.format_ == _core.MatrixFormat.kColwise
+         else sparse.csr_matrix(parts, shape=shape))
+    return (np.asarray(lp.col_cost_), sparse.csr_matrix(A),
+            np.asarray(lp.row_lower_), np.asarray(lp.row_upper_))
+
+
+def solve_reference(problem: LpProblem):
+    """``linprog.solve`` as a cold solve of the model's current LP with
+    scipy's ``linprog``: max-sense value and multipliers, the inequality
+    multipliers in row-add order."""
+    c, A, _, b = model_lp(problem)
+    e = problem.n_eq
+    sol = linprog_reference(-c, A[e:], b[e:], A[:e] if e else None,
+                            b[:e] if e else None, bounds=(None, None))
+    sol.value = -sol.value
+    sol.duals_ineq = -sol.duals_ineq
+    sol.duals_ineq[(sol.duals_ineq < 0) & (sol.duals_ineq > -1e-10)] = 0.0
+    sol.duals_eq = -sol.duals_eq
+    return sol
+
+
 def export_mps(problem: LpProblem, path, name="TEAMSOLVE"):
-    """Write an LP in fixed MPS format, the max objective written as min of
-    its negation (lets an external solver check an LP by hand)."""
-    A_ub = problem.A_ub
-    A_eq = problem.A_eq
-    ub = sparse.csc_matrix(A_ub) if A_ub is not None else None
-    eq = sparse.csc_matrix(A_eq) if A_eq is not None else None
+    """Write the live model's LP in fixed MPS format, the max objective
+    written as min of its negation (lets an external solver check an LP by
+    hand)."""
+    c, A, _, b = model_lp(problem)
+    e = problem.n_eq
+    tags = ["EQ%06d" % r for r in range(e)] + [
+        "UB%06d" % r for r in range(A.shape[0] - e)]
+    cols = sparse.csc_matrix(A)
     with open(path, "w") as f:
         f.write("NAME          %s\n" % name)
         f.write("ROWS\n N  COST\n")
-        if ub is not None:
-            for r in range(ub.shape[0]):
-                f.write(" L  UB%06d\n" % r)
-        if eq is not None:
-            for r in range(eq.shape[0]):
-                f.write(" E  EQ%06d\n" % r)
+        for r in range(e, A.shape[0]):
+            f.write(" L  %s\n" % tags[r])
+        for r in range(e):
+            f.write(" E  %s\n" % tags[r])
         f.write("COLUMNS\n")
         for j in range(problem.n):
             col = "X%07d" % j
-            if problem.c[j] != 0.0:
-                f.write("    %-10s%-10s%15.8e\n" % (col, "COST", -problem.c[j]))
-            for mat, tag in ((ub, "UB"), (eq, "EQ")):
-                if mat is None:
-                    continue
-                start, end = mat.indptr[j], mat.indptr[j + 1]
-                for p in range(start, end):
-                    f.write("    %-10s%-10s%15.8e\n"
-                            % (col, "%s%06d" % (tag, mat.indices[p]), mat.data[p]))
+            if c[j] != 0.0:
+                f.write("    %-10s%-10s%15.8e\n" % (col, "COST", -c[j]))
+            for p in range(cols.indptr[j], cols.indptr[j + 1]):
+                f.write("    %-10s%-10s%15.8e\n"
+                        % (col, tags[cols.indices[p]], cols.data[p]))
         f.write("RHS\n")
-        if ub is not None:
-            for r, v in enumerate(np.asarray(problem.b_ub, dtype=float)):
-                f.write("    %-10s%-10s%15.8e\n" % ("RHS", "UB%06d" % r, v))
-        if eq is not None:
-            for r, v in enumerate(np.asarray(problem.b_eq, dtype=float)):
-                f.write("    %-10s%-10s%15.8e\n" % ("RHS", "EQ%06d" % r, v))
+        for r in list(range(e, A.shape[0])) + list(range(e)):
+            f.write("    %-10s%-10s%15.8e\n" % ("RHS", tags[r], b[r]))
         f.write("RANGES\nBOUNDS\n")
         for j in range(problem.n):
             f.write(" FR %-10sX%07d\n" % ("BND", j))
@@ -450,7 +499,8 @@ class CutStoreLoop:
 
 def assemble_lp_loop(store, gbar, k):
     """The relaxed cutting-plane LP built one nonzero at a time from the
-    rows of a cut store."""
+    rows of a cut store, grouped by category: ``(c, A_ub, b_ub, A_eq,
+    b_eq)``."""
     N = store.model.N
     m = [len(g) for g in gbar]
     width = [1 + m[i] + k for i in range(N)]
@@ -483,7 +533,7 @@ def assemble_lp_loop(store, gbar, k):
             edata.append(1.0)
     A_eq = sparse.csr_matrix((edata, (erow, ecol)), shape=(k, n)) if k else None
     b_eq = np.zeros(k) if k else None
-    return LpProblem(c, A_ub, np.asarray(rhs), A_eq, b_eq)
+    return c, A_ub, np.asarray(rhs), A_eq, b_eq
 
 
 def business_eval_pair_tensor(model, i, X, Z):

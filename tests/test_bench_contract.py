@@ -65,6 +65,24 @@ def test_tracer_counts_oracle_lps_as_solve_min():
     assert tracer.count("linprog.solve") == 0
 
 
+def test_traced_solve_counts_one_lp_solve_per_iteration():
+    # the persistent model is solved once per cutting-plane round, and the
+    # warm-started rounds still report their simplex iterations
+    inst = workloads.build("barycenter-discrete", 0)
+    gbar = [teamsolve.moment_vector(mu, b)
+            for mu, b in zip(inst.measures, inst.x_bases)]
+    tracer = spans.Tracer("contract")
+    tracer.install(teamsolve)
+    try:
+        cp = teamsolve.cutting_plane.run(
+            inst.model, gbar, inst.x_spaces, inst.x_bases, inst.z_space,
+            inst.z_basis, inst.oracle, inst.eps_lsip)
+    finally:
+        tracer.restore()
+    assert tracer.count("linprog.solve") == len(cp.iterations)
+    assert tracer.counters["linprog.simplex_iterations"] > 0
+
+
 def test_business_location_seed_10_constructs():
     # one dual type atom of this instance has weight 0.0015; its coupling
     # onto the continuous agent measure still has exact marginals

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from helpers import (CutStoreLoop, assemble_lp_loop,
-                     brute_force_discrete_optimum, random_discrete_instance)
-from teamsolve import linprog
+                     brute_force_discrete_optimum, model_lp,
+                     random_discrete_instance, solve_reference)
+from teamsolve import cutting_plane, linprog
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
                                 build_box_partition)
 from teamsolve.measures import DiscreteMeasure, moment_vector
 from teamsolve.cutting_plane import (MaxIterationsExceededError,
-                                     UnboundedRelaxationError, _assemble_lp,
-                                     _CutStore, default_initial_cuts, run,
+                                     UnboundedRelaxationError, _add_new_cuts,
+                                     _CutStore, _relaxation,
+                                     default_initial_cuts, run,
                                      sparsity_bound)
 from teamsolve.oracle import make_oracle
 from teamsolve.problems import barycenter_cost, tabulated_cpwa_cost
@@ -86,6 +88,88 @@ def test_dual_measure_invariants():
     assert abs(res.solution.objective(gbar) - res.alpha_lb) < 1e-9
 
 
+def _workload_run(name):
+    inst = workloads.build(name, 0)
+    gbar = [moment_vector(mu, b) for mu, b in zip(inst.measures, inst.x_bases)]
+    res = run(inst.model, gbar, inst.x_spaces, inst.x_bases, inst.z_space,
+              inst.z_basis, inst.oracle, inst.eps_lsip)
+    return res, gbar
+
+
+def _spy_thetas(monkeypatch):
+    """Record the store and the unnormalised per-category row multipliers
+    that ``run`` hands to ``_extract_duals``."""
+    seen = {}
+    extract = cutting_plane._extract_duals
+
+    def spy(store, thetas):
+        seen.update(store=store, thetas=thetas)
+        return extract(store, thetas)
+
+    monkeypatch.setattr(cutting_plane, "_extract_duals", spy)
+    return seen
+
+
+def _assert_theta_invariants(store, thetas, gbar, tol=1e-9):
+    # the dual constraints of y0_i, y_i and w_i: each category's multipliers
+    # are a probability vector with type moments gbar_i, and every category
+    # has the same quality moments
+    h = []
+    for i, t in enumerate(thetas):
+        q = len(t)
+        assert abs(t.sum() - 1.0) <= tol, i
+        assert np.abs(t @ store.G[i][:q] - gbar[i]).max() <= tol, i
+        h.append(t @ store.H[i][:q])
+    for i in range(1, len(h)):
+        assert np.abs(h[i] - h[0]).max() <= tol, i
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_row_multiplier_invariants_workloads(name, monkeypatch):
+    seen = _spy_thetas(monkeypatch)
+    _, gbar = _workload_run(name)
+    _assert_theta_invariants(seen["store"], seen["thetas"], gbar)
+
+
+def test_row_multiplier_invariants_random(monkeypatch):
+    seen = _spy_thetas(monkeypatch)
+    rng = np.random.default_rng(4711)
+    for _ in range(10):
+        model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=3)
+        _solve_discrete(model, mu, xs, xb, zs, zb)
+        gbar = [moment_vector(mu[i], xb[i]) for i in range(3)]
+        _assert_theta_invariants(seen["store"], seen["thetas"], gbar)
+
+
+def test_persistent_and_reference_backends_agree(monkeypatch):
+    # the discrete corpus: random instances and barycenter-discrete's first
+    rng = np.random.default_rng(2026)
+    cases = [random_discrete_instance(rng) for _ in range(6)]
+    inst = workloads.build("barycenter-discrete", 0)
+    cases.append((inst.model, inst.measures, inst.x_spaces, inst.x_bases,
+                  inst.z_space, inst.z_basis))
+    eps = [1e-6] * 6 + [inst.eps_lsip]
+    live = [_solve_discrete(*case, eps=e) for case, e in zip(cases, eps)]
+    monkeypatch.setattr(linprog, "solve", solve_reference)
+    cold = [_solve_discrete(*case, eps=e) for case, e in zip(cases, eps)]
+    for a, b, e in zip(live, cold, eps):
+        assert abs(a.alpha_lb - b.alpha_lb) <= e
+        assert abs(a.alpha_ub - b.alpha_ub) <= e
+        assert max(a.alpha_lb, b.alpha_lb) <= min(a.alpha_ub, b.alpha_ub)
+
+
+def test_repeat_runs_identical():
+    first, _ = _workload_run("barycenter-discrete")
+    again, _ = _workload_run("barycenter-discrete")
+    assert first.alpha_lb == again.alpha_lb
+    assert len(first.iterations) == len(again.iterations)
+    assert first.n_lp_rows == again.n_lp_rows
+    for part in ("xs", "zs", "weights"):
+        for a, b in zip(getattr(first.duals, part),
+                        getattr(again.duals, part)):
+            assert np.array_equal(a, b), part
+
+
 def test_barycenter_two_point_bracket():
     Xa, Xb = FiniteSpace([[0.0, 0.0]]), FiniteSpace([[2.0, 0.0]])
     ba, bb = IndicatorBasis(Xa), IndicatorBasis(Xb)
@@ -146,17 +230,51 @@ def test_iteration_log_csv(tmp_path):
     path = tmp_path / "iters.csv"
     res.write_iteration_log(path)
     lines = open(path).read().strip().splitlines()
-    assert lines[0] == ("r,lp_value,gap,cuts_added,lp_rows,"
-                        "simplex_iterations,lp_time,oracle_time")
+    assert lines[0] == ("r,lp_value,gap,cuts_added,cuts_per_category,"
+                        "lp_rows,simplex_iterations,add_time,lp_time,"
+                        "oracle_time")
     assert len(lines) == 2
+    rec = res.iterations[0]
+    assert lines[1].split(",")[3:7] == [
+        str(rec.cuts_added), ";".join(map(str, rec.cuts_per_category)),
+        str(rec.lp_rows), str(rec.simplex_iterations)]
+    assert sum(rec.cuts_per_category) == rec.cuts_added
 
 
-def _assert_same_lp(p, ref):
-    assert np.array_equal(p.c, ref.c) and np.array_equal(p.b_ub, ref.b_ub)
-    for A, B in ((p.A_ub, ref.A_ub), (p.A_eq, ref.A_eq)):
-        assert A.shape == B.shape
+def test_iteration_log_counts_per_category():
+    rng = np.random.default_rng(31)
+    model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=3)
+    res = _solve_discrete(model, mu, xs, xb, zs, zb)
+    rows = sum(len(sp.vertices) for sp in xs) * zs.n_vertices
+    for rec in res.iterations:
+        assert len(rec.cuts_per_category) == 3
+        assert sum(rec.cuts_per_category) == rec.cuts_added
+        # a round's LP holds every cut added before it
+        assert rec.lp_rows == rows
+        rows += rec.cuts_added
+        assert rec.add_time >= 0 and rec.lp_time >= 0
+
+
+def _assert_same_lp(problem, rows, ref):
+    """The model's rows permuted by ``rows`` (category by category, store
+    order) are the per-nonzero assembly's, less the entries HiGHS drops as
+    numerically zero (at most its ``small_matrix_value``)."""
+    c, A, lo, hi = model_lp(problem)
+    c_ref, A_ub, b_ub, A_eq, b_eq = ref
+    tiny = problem.highs.getOptionValue("small_matrix_value")[1]
+    A_ub = A_ub.copy()
+    A_ub.data[np.abs(A_ub.data) <= tiny] = 0.0
+    A_ub.eliminate_zeros()
+    k = problem.n_eq
+    perm = k + np.concatenate(rows)
+    assert np.array_equal(c, c_ref)
+    assert np.array_equal(np.sort(perm), np.arange(k, A.shape[0]))
+    assert np.array_equal(hi[perm], b_ub) and np.all(lo[perm] == -np.inf)
+    assert np.array_equal(lo[:k], b_eq) and np.array_equal(hi[:k], b_eq)
+    for M, B in ((A[perm], A_ub), (A[:k], A_eq)):
+        assert M.shape == B.shape
         for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(A, part), getattr(B, part)), part
+            assert np.array_equal(getattr(M, part), getattr(B, part)), part
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -165,21 +283,25 @@ def test_block_lp_matches_per_nonzero_assembly(name):
     inst = workloads.build(name, 0)
     gbar = [moment_vector(mu, b) for mu, b in zip(inst.measures, inst.x_bases)]
     k = inst.z_basis.m
+    m = [len(g) for g in gbar]
     store = _CutStore(inst.model, inst.x_bases, inst.z_basis)
     for i, (X, Z) in enumerate(default_initial_cuts(inst.x_spaces,
                                                     inst.z_space)):
         store.add(i, X, Z)
-    problem, offsets, m = _assemble_lp(store, gbar, k)
-    _assert_same_lp(problem, assemble_lp_loop(store, gbar, k))
+    problem, offsets = _relaxation(gbar, k)
+    rows = [np.empty(0, dtype=int) for _ in range(inst.N)]
+    _add_new_cuts(problem, store, offsets, rows)
+    _assert_same_lp(problem, rows, assemble_lp_loop(store, gbar, k))
     sol = linprog.solve(problem)
     for i in range(inst.N):
         y = sol.x[offsets[i] + 1:offsets[i] + 1 + m[i]]
         res = inst.oracle(i, y, sol.x[offsets[i] + 1 + m[i]:offsets[i + 1]])
         store.add(i, np.vstack([res.x] + [p[0] for p in res.pool]),
                   np.vstack([res.z] + [p[1] for p in res.pool]))
-    assert sum(store.counts()) > problem.A_ub.shape[0]
-    _assert_same_lp(_assemble_lp(store, gbar, k)[0],
-                    assemble_lp_loop(store, gbar, k))
+    solved = problem.n_ineq
+    _add_new_cuts(problem, store, offsets, rows)
+    assert problem.n_ineq > solved
+    _assert_same_lp(problem, rows, assemble_lp_loop(store, gbar, k))
 
 
 def test_batched_add_matches_single_adds():
@@ -207,7 +329,7 @@ def test_batched_add_matches_single_adds():
             added = batched.add(i, X[lo:hi], Z[lo:hi])
             assert added == sum(single.add(i, x, z)
                                 for x, z in zip(X[lo:hi], Z[lo:hi]))
-        assert batched.counts()[i] == len(single.c[i]) < 40
+        assert len(batched.c[i]) == len(single.c[i]) < 40
         for part in ("X", "Z", "G", "H", "c"):
             assert np.array_equal(getattr(batched, part)[i],
                                   np.asarray(getattr(single, part)[i])), part

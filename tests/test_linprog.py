@@ -1,12 +1,17 @@
 import os
+import re
+import sys
 
 import numpy as np
 import pytest
+import scipy
 from scipy import sparse
 
-from helpers import enumerate_vertices_max, export_mps, random_bounded_lp
-from teamsolve.linprog import (LpInfeasibleError, LpProblem,
-                               LpUnboundedError, solve, solve_min)
+from helpers import (enumerate_vertices_max, export_mps, linprog_reference,
+                     random_bounded_lp)
+from teamsolve import linprog
+from teamsolve.linprog import (LpBackendError, LpError, LpInfeasibleError,
+                               LpProblem, LpUnboundedError, solve, solve_min)
 
 TOL = 1e-8
 
@@ -69,3 +74,50 @@ def test_mps_export(tmp_path):
     text = open(path).read()
     assert text.startswith("NAME")
     assert "ENDATA" in text and "EQ000000" in text
+
+
+def test_add_rows_warm_start():
+    # box rows, then a cut that binds; the equality row stays first
+    prob = LpProblem([1.0, 1.0], sparse.csr_matrix(np.eye(2)), [2.0, 2.0],
+                     sparse.csr_matrix([[1.0, -1.0]]), [0.0])
+    first = solve(prob)
+    assert abs(first.value - 4.0) < TOL
+    rows = prob.add_rows(sparse.csr_matrix([[1.0, 2.0], [2.0, 1.0]]),
+                         [3.0, 6.0])
+    assert list(rows) == [2, 3] and prob.n_ineq == 4 and prob.n_eq == 1
+    s = solve(prob)
+    assert abs(s.value - 2.0) < TOL
+    assert np.allclose(s.x, [1.0, 1.0], atol=TOL)
+    # multipliers in row-add order: (1, 1) = 1/3 (1, -1) + 2/3 (1, 2)
+    assert np.allclose(s.duals_ineq, [0.0, 0.0, 2 / 3, 0.0], atol=TOL)
+    assert np.allclose(s.duals_eq, [1 / 3], atol=TOL)
+    cold = solve(LpProblem([1.0, 1.0],
+                           sparse.csr_matrix([[1, 0], [0, 1], [1, 2], [2, 1]]),
+                           [2.0, 2.0, 3.0, 6.0],
+                           sparse.csr_matrix([[1.0, -1.0]]), [0.0]))
+    assert abs(cold.value - s.value) < TOL
+
+
+def test_solve_min_matches_linprog_reference_bit_for_bit():
+    rng = np.random.default_rng(606)
+    for trial in range(100):
+        n = int(rng.integers(2, 7))
+        c, A_ub, b_ub, A_eq, b_eq = random_bounded_lp(rng, n)
+        bounds = ((None, None), (0, None))[trial % 2]
+        try:
+            ref = linprog_reference(-c, A_ub, b_ub, A_eq, b_eq, bounds)
+        except LpError as e:
+            with pytest.raises(type(e)):
+                solve_min(-c, A_ub, b_ub, A_eq, b_eq, bounds)
+            continue
+        got = solve_min(-c, A_ub, b_ub, A_eq, b_eq, bounds)
+        for part in ("x", "duals_ineq", "duals_eq"):
+            assert np.array_equal(getattr(got, part), getattr(ref, part)), \
+                (trial, part)
+        assert (got.value, got.iterations) == (ref.value, ref.iterations)
+
+
+def test_missing_binding_raises_backend_error(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    with pytest.raises(LpBackendError, match=re.escape(scipy.__version__)):
+        linprog._backend()
