@@ -28,7 +28,7 @@ from .geometry import FiniteSpace, epsilon_bar, point_key
 from .linprog import solve_min
 from .measures import (CpwaDensityMeasure, DiscreteMeasure, moment_vector,
                        spawn_rngs)
-from .oracle import _get_zfaces, _vertex_multipliers
+from .oracle import _vertex_multipliers
 from .problems import QuadraticBarycenterCost, TabulatedCpwaCost
 from .transport import (draw_columns, ot_discrete, ot_quantile_1d,
                         ot_semidiscrete)
@@ -36,6 +36,9 @@ from .transport import (draw_columns, ot_discrete, ot_quantile_1d,
 log = logging.getLogger("teamsolve.equilibrium")
 
 TIE_TOL = 1e-12
+# the exact expectations of fully discrete data enumerate at most this many
+# type combinations; beyond it the bounds are Monte Carlo estimates
+EXACT_COMBO_CAP = 200000
 
 
 class EquilibriumError(RuntimeError):
@@ -107,27 +110,26 @@ def _z_opt_quadratic(model, x_list, z_space):
     xbar = np.zeros_like(x_list[0])
     for i in range(model.N):
         xbar += model.lam[i] * x_list[i]
-    from .problems import contains_many
-    inside = contains_many(z_space, xbar)
+    inside = z_space.covers(xbar)
     out = xbar.copy()
     if not inside.all():
         if z_space.dim > 2:
             raise EquilibriumError(
                 "quality selector needs the quality space to contain the "
                 "weighted type means in dimension > 2")
-        faces = _get_zfaces(z_space)
+        V = z_space.vertices
+        e0 = V[z_space.edges[:, 0]]
+        de = V[z_space.edges[:, 1]] - e0
         xs = xbar[~inside]
         # closed edges plus vertices cover the boundary, where the projected
         # minimizer of the strictly convex quadratic must lie
-        vv = ((faces.vertices ** 2).sum(1)[None, :]
-              - 2.0 * xs @ faces.vertices.T)
-        num = ((xs[:, None, :] - faces.e0[None]) * faces.de[None]).sum(-1)
-        t = np.clip(num / faces.de2[None], 0.0, 1.0)
-        ze = faces.e0[None] + t[..., None] * faces.de[None]
+        vv = (V ** 2).sum(1)[None, :] - 2.0 * xs @ V.T
+        num = ((xs[:, None, :] - e0[None]) * de[None]).sum(-1)
+        t = np.clip(num / (de ** 2).sum(1)[None], 0.0, 1.0)
+        ze = e0[None] + t[..., None] * de[None]
         ve = (ze ** 2).sum(-1) - 2.0 * np.einsum("nd,ned->ne", xs, ze)
         pts = np.concatenate(
-            [np.broadcast_to(faces.vertices[None],
-                             (len(xs),) + faces.vertices.shape), ze], axis=1)
+            [np.broadcast_to(V[None], (len(xs),) + V.shape), ze], axis=1)
         vals = np.concatenate([vv, ve], axis=1)
         pick = _lex_argmin(pts, vals)
         out[~inside] = pts[np.arange(len(xs)), pick]
@@ -298,15 +300,14 @@ def _reduce_support(atoms, weights, z_basis, cap):
 
 def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
               z_basis, mc_n=100000, mc_repetitions=20, seed=0,
-              i_hat="auto", exact="auto", compute_tilde=True,
-              semidiscrete_params=None, exact_combo_cap=200000):
+              i_hat="auto", semidiscrete_params=None):
     """Build the equilibrium report from cutting-plane outputs.
 
     ``i_hat`` selects the reference dual measure: ``"auto"`` picks the
     category whose quality marginal minimizes the summed W1 distance to the
-    others; an integer pins it.  ``exact`` switches exact finite-support
-    expectation evaluation (``"auto"``: on when every agent measure is
-    discrete and the enumeration stays below ``exact_combo_cap``).
+    others; an integer pins it.  The upper bounds are exact expectations
+    when every agent measure is discrete and the enumeration stays within
+    ``EXACT_COMBO_CAP`` combinations, else Monte Carlo estimates.
     ``semidiscrete_params`` is accepted for existing callers and has no
     effect: the coupling onto a continuous agent measure of dimension 2 or
     more is exact and has no settings.
@@ -385,41 +386,30 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
     chain = _SamplerChain(model, nu_hat, z_couplings, cond_x, xbar_couplings,
                           mu_hat_atoms, z_space)
 
-    use_exact = (exact is True) or (exact == "auto" and all_discrete)
-    if use_exact:
-        ok, hat, tilde = _exact_bounds(model, chain, measures, z_space,
-                                       compute_tilde, exact_combo_cap)
-        if not ok and exact is True:
-            raise EquilibriumError("exact evaluation exceeds the enumeration cap")
-        use_exact = ok
-    if use_exact:
-        alpha_hat, alpha_hat_se = hat, 0.0
-        alpha_tilde, alpha_tilde_se = tilde, 0.0
+    exact = _exact_bounds(model, chain, measures, z_space) \
+        if all_discrete else None
+    if exact is not None:
+        alpha_hat, alpha_tilde = exact
+        alpha_hat_se = alpha_tilde_se = 0.0
     else:
         reps = spawn_rngs(seed, mc_repetitions)
         hats = np.empty(mc_repetitions)
-        tildes = np.full(mc_repetitions, np.nan)
+        tildes = np.empty(mc_repetitions)
         for r, rng in enumerate(reps):
-            S = chain.sample(rng, mc_n, with_zbar=compute_tilde)
+            S = chain.sample(rng, mc_n)
             hat_v = 0.0
             tilde_v = 0.0
             for i in range(N):
                 hat_v += model.eval(i, S["X_bar"][i], S["Z"]).mean()
-                if compute_tilde:
-                    tilde_v += model.eval(i, S["X_bar"][i], S["Z_bar"]).mean()
+                tilde_v += model.eval(i, S["X_bar"][i], S["Z_bar"]).mean()
             hats[r] = hat_v
-            if compute_tilde:
-                tildes[r] = tilde_v
-        alpha_hat = float(hats.mean())
-        alpha_hat_se = float(hats.std(ddof=1) / np.sqrt(mc_repetitions)) \
-            if mc_repetitions > 1 else 0.0
-        if compute_tilde:
-            alpha_tilde = float(np.nanmean(tildes))
-            alpha_tilde_se = float(np.nanstd(tildes, ddof=1)
-                                   / np.sqrt(mc_repetitions)) \
-                if mc_repetitions > 1 else 0.0
-        else:
-            alpha_tilde, alpha_tilde_se = np.nan, np.nan
+            tildes[r] = tilde_v
+        alpha_hat, alpha_tilde = float(hats.mean()), float(tildes.mean())
+        alpha_hat_se = alpha_tilde_se = 0.0
+        if mc_repetitions > 1:
+            alpha_hat_se = float(hats.std(ddof=1) / np.sqrt(mc_repetitions))
+            alpha_tilde_se = float(tildes.std(ddof=1)
+                                   / np.sqrt(mc_repetitions))
 
     alpha_lb = cp_result.alpha_lb
     theo = eps_theo(cp_result.eps_lsip or cp_result.gap, model.L1, model.L2,
@@ -433,13 +423,13 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
         alpha_lb=alpha_lb + shift,
         alpha_hat_ub=alpha_hat + shift,
         alpha_hat_se=alpha_hat_se,
-        alpha_tilde_ub=(alpha_tilde + shift) if compute_tilde else np.nan,
+        alpha_tilde_ub=alpha_tilde + shift,
         alpha_tilde_se=alpha_tilde_se,
         eps_hat_sub=alpha_hat - alpha_lb,
-        eps_tilde_sub=(alpha_tilde - alpha_lb) if compute_tilde else np.nan,
+        eps_tilde_sub=alpha_tilde - alpha_lb,
         eps_theo=theo,
         shift=shift,
-        exact=use_exact,
+        exact=exact is not None,
         mc_n=mc_n,
         mc_repetitions=mc_repetitions,
         seed=seed,
@@ -450,8 +440,10 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
     )
 
 
-def _exact_bounds(model, chain, measures, z_space, compute_tilde, combo_cap):
-    """Exact expectations for fully discrete data by kernel-chain products."""
+def _exact_bounds(model, chain, measures, z_space):
+    """Exact expectations ``(hat, tilde)`` for fully discrete data by
+    kernel-chain products, or None when the tilde enumeration would exceed
+    ``EXACT_COMBO_CAP`` type combinations."""
     N = model.N
     nu = chain.nu_hat
     na = nu.n_atoms
@@ -469,13 +461,6 @@ def _exact_bounds(model, chain, measures, z_space, compute_tilde, combo_cap):
         K3 = coup.plan / coup.plan.sum(axis=1, keepdims=True)
         kernels.append(K1 @ K2 @ K3)                # (na, n_mu_atoms)
         xbar_atoms.append(mu.atoms)
-    hat = 0.0
-    for i in range(N):
-        M = nu.weights[:, None] * kernels[i]        # joint (Z, X_bar_i)
-        C = model.eval_grid(i, xbar_atoms[i], nu.atoms).T
-        hat += float((M * C).sum())
-    if not compute_tilde:
-        return True, hat, np.nan
     total = 0
     for a in range(na):
         sizes = [int((kernels[i][a] > 1e-15).sum()) for i in range(N)]
@@ -483,8 +468,13 @@ def _exact_bounds(model, chain, measures, z_space, compute_tilde, combo_cap):
         for s in sizes:
             prod *= max(s, 1)
         total += prod
-    if total > combo_cap:
-        return False, hat, np.nan
+    if total > EXACT_COMBO_CAP:
+        return None
+    hat = 0.0
+    for i in range(N):
+        M = nu.weights[:, None] * kernels[i]        # joint (Z, X_bar_i)
+        C = model.eval_grid(i, xbar_atoms[i], nu.atoms).T
+        hat += float((M * C).sum())
     tilde = 0.0
     import itertools
     for a in range(na):
@@ -499,7 +489,7 @@ def _exact_bounds(model, chain, measures, z_space, compute_tilde, combo_cap):
             zb = z_opt(model, xs, z_space)
             val = sum(float(model.eval(i, xs[i], zb)[0]) for i in range(N))
             tilde += p * val
-    return True, hat, tilde
+    return hat, tilde
 
 
 # ---------------------------------------------------------------------------

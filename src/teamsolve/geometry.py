@@ -5,7 +5,9 @@ The solver parametrizes continuous test functions by vertex-interpolation
 
 * ``SimplicialComplex`` -- a triangulated domain with batched point
   location (``vertex_weights``: containing-simplex vertices and barycentric
-  weights),
+  weights), the membership test that location uses (``covers``), its edge
+  list (``edges``) and, for a box grid, its ``box`` and ``refined`` grids,
+* ``edge_crossings`` -- where hyperplanes cross the edges of a complex,
 * ``build_box_partition`` -- regular grid over a box, each cell triangulated
   by the order-based (Kuhn) triangulation into ``d!`` simplices,
 * ``FiniteSpace`` -- a finite point set (degenerate complex of 0-simplices),
@@ -24,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +108,11 @@ class SimplicialComplex:
                 "simplices must have dim+1 = %d vertices, got %d"
                 % (self.dim + 1, self.simplices.shape[1]))
         self._grid = _grid  # (lo, widths, counts, perms, perm_index) for box grids
+        # (d, 2) array of the (lo, hi) sides of a box grid, None otherwise
+        self.box = None
+        if _grid is not None:
+            lo, widths, counts = _grid[:3]
+            self.box = np.stack([lo, lo + widths * counts], axis=1)
         self._validate()
         self._build_cell_data()
 
@@ -139,6 +147,19 @@ class SimplicialComplex:
     @property
     def n_simplices(self):
         return self.simplices.shape[0]
+
+    @cached_property
+    def edges(self):
+        """(E, 2) vertex-index pairs of the simplex edges, each edge once
+        with its smaller index first, in lexicographic order."""
+        ends = list(itertools.combinations(range(self.dim + 1), 2))
+        pairs = np.sort(self.simplices[:, ends].reshape(-1, 2), axis=1)
+        return np.unique(pairs, axis=0)
+
+    def refined(self, factor):
+        """The box grid over the same box with ``factor`` times the cells
+        per axis."""
+        return build_box_partition(self.box, factor * self._grid[2])
 
     def cell_diameters(self, ord=2):
         """Max pairwise vertex distance per simplex in the given norm."""
@@ -180,36 +201,57 @@ class SimplicialComplex:
         s, lam = self._locate_many(np.atleast_1d(x)[None], tol)
         return int(s[0]), lam[0]
 
+    def covers(self, X, tol=TOL_GEOM):
+        """Mask of the rows of an (n, d) array of points that
+        ``vertex_weights`` locates, by the same test."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self._grid is not None:
+            return ~self._outside_box(X, tol)
+        return self._search(X)[2] <= tol
+
     def _locate_many(self, X, tol):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self._grid is not None:
-            s, lam, bad = self._kuhn_locate(X, tol)
+            s, lam = self._kuhn_locate(X)
+            bad = self._outside_box(X, tol)
         else:
-            n, m = len(X), self.n_simplices
-            s = np.empty(n, dtype=int)
-            lam = np.empty((n, self.dim + 1))
-            viol = np.empty(n)
-            q = np.hstack([np.ones((n, 1)), X])
-            for sl in _row_chunks(n, m * (self.dim + 1)):
-                L = (self._minv @ q[sl, None, :, None])[..., 0]
-                v = -L.min(axis=2)
-                inside = v <= 0.0
-                pick = np.where(inside.any(axis=1), inside.argmax(axis=1),
-                                v.argmin(axis=1))
-                rows = np.arange(len(pick))
-                s[sl], lam[sl], viol[sl] = pick, L[rows, pick], v[rows, pick]
+            s, lam, viol = self._search(X)
             bad = viol > tol
         _raise_outside(X, bad, "outside complex")
         np.clip(lam, 0.0, None, out=lam)
         lam /= lam.sum(axis=1, keepdims=True)
         return s, lam
 
-    def _kuhn_locate(self, X, tol):
+    def _outside_box(self, X, tol):
+        """Rows of X farther outside the grid's box than ``tol`` on the
+        narrowest axis, scaled by cell width on the others."""
+        widths = self._grid[1]
+        t = tol * (widths / widths.min())
+        return (np.any(X < self.box[:, 0] - t, axis=1)
+                | np.any(X > self.box[:, 1] + t, axis=1))
+
+    def _search(self, X):
+        """Per row of X: the first simplex containing it, else the least
+        violated one, the row's barycentric coordinates there, and their
+        violation (minus the smallest coordinate)."""
+        n, m = len(X), self.n_simplices
+        s = np.empty(n, dtype=int)
+        lam = np.empty((n, self.dim + 1))
+        viol = np.empty(n)
+        q = np.hstack([np.ones((n, 1)), X])
+        for sl in _row_chunks(n, m * (self.dim + 1)):
+            L = (self._minv @ q[sl, None, :, None])[..., 0]
+            v = -L.min(axis=2)
+            inside = v <= 0.0
+            pick = np.where(inside.any(axis=1), inside.argmax(axis=1),
+                            v.argmin(axis=1))
+            rows = np.arange(len(pick))
+            s[sl], lam[sl], viol[sl] = pick, L[rows, pick], v[rows, pick]
+        return s, lam, viol
+
+    def _kuhn_locate(self, X):
         lo, widths, counts, perms, perm_index = self._grid
-        f = (X - lo) / widths
-        t = tol / widths.min()
-        bad = np.any(f < -t, axis=1) | np.any(f > counts + t, axis=1)
-        f = np.clip(f, 0.0, counts)
+        f = np.clip((X - lo) / widths, 0.0, counts)
         cell = np.minimum(f.astype(int), counts - 1)
         frac = f - cell
         order = np.argsort(-frac, axis=1, kind="stable")
@@ -220,7 +262,7 @@ class SimplicialComplex:
         lam[:, -1] = fs[:, -1]
         s = (np.ravel_multi_index(tuple(cell.T), tuple(counts)) * len(perms)
              + perm_index[tuple(order.T)])
-        return s, lam, bad
+        return s, lam
 
     # -- serialization ---------------------------------------------------
 
@@ -281,6 +323,32 @@ def build_box_partition(box, counts):
             simplices.append(idx)
     grid = (lo, widths, counts, perms, perm_index)
     return SimplicialComplex(vertices, np.asarray(simplices), _grid=grid)
+
+
+def edge_crossings(complex, normals, offsets):
+    """Where the hyperplanes <normals[k], z> = offsets[..., k] cross the
+    edges of a complex.
+
+    ``normals`` is (K, d) and ``offsets`` (..., K).  Returns ``(points,
+    hit)``: (..., K, E, d) points on each edge, with the edge parameter
+    clipped to [0, 1], and the (..., K, E) mask of the edges each
+    hyperplane crosses.  An edge parallel to a hyperplane is never hit.
+    """
+    V = complex.vertices
+    e0 = V[complex.edges[:, 0]]
+    de = V[complex.edges[:, 1]] - e0
+    se0 = normals @ e0.T                # (K, E)
+    sde = normals @ de.T
+    ok = np.abs(sde) > 1e-14
+    t = (offsets[..., None] - se0) / np.where(ok, sde, 1.0)
+    hit = ok & (t >= -1e-12) & (t <= 1 + 1e-12)
+    # in place and C-ordered whatever the layout of ``offsets``: a batch of
+    # samples brings thousands of hyperplanes, and callers reshape the points
+    np.clip(t, 0, 1, out=t)
+    points = np.empty(t.shape + de.shape[1:])
+    np.multiply(t[..., None], de, out=points)
+    points += e0
+    return points, hit
 
 
 class FiniteSpace:

@@ -123,25 +123,21 @@ class CpwaDensityMeasure:
             return self._sample_1d(rng, cells)
         return self._sample_reject(rng, cells)
 
-    def _sample_1d(self, rng, cells):
+    def _cell_ends(self, cells):
+        """Left and right ends of the given 1d cells and the density at
+        each end."""
         pts = self.complex._cell_pts[cells, :, 0]   # (n, 2) endpoints
-        a = pts.min(axis=1)
-        b = pts.max(axis=1)
         idx = self.complex.simplices[cells]
         left_first = pts[:, 0] <= pts[:, 1]
-        fa = np.where(left_first, self.vertex_density[idx[:, 0]],
-                      self.vertex_density[idx[:, 1]])
-        fb = np.where(left_first, self.vertex_density[idx[:, 1]],
-                      self.vertex_density[idx[:, 0]])
-        L = b - a
-        M = L * (fa + fb) / 2.0
-        m = rng.uniform(size=len(cells)) * M
-        # invert the per-cell quadratic CDF; stable root for fa ~ 0
-        slope = (fb - fa) / L
-        disc = np.clip(fa * fa + 2.0 * slope * m, 0.0, None)
-        denom = fa + np.sqrt(disc)
-        s = np.where(denom > 0, 2.0 * m / np.where(denom > 0, denom, 1.0), 0.0)
-        return (a + s)[:, None]
+        f0 = self.vertex_density[idx[:, 0]]
+        f1 = self.vertex_density[idx[:, 1]]
+        return (pts.min(axis=1), pts.max(axis=1),
+                np.where(left_first, f0, f1), np.where(left_first, f1, f0))
+
+    def _sample_1d(self, rng, cells):
+        a, b, fa, fb = self._cell_ends(cells)
+        m = rng.uniform(size=len(cells)) * ((b - a) * (fa + fb) / 2.0)
+        return (a + _linear_cdf_inverse(a, b, fa, fb, m))[:, None]
 
     def _sample_reject(self, rng, cells):
         n = len(cells)
@@ -152,12 +148,7 @@ class CpwaDensityMeasure:
         fmax = fv.max(axis=1)
         while pending.size:
             k = pending.size
-            u = rng.uniform(size=(k, d))
-            u.sort(axis=1)
-            lam = np.empty((k, d + 1))
-            lam[:, 0] = u[:, 0]
-            lam[:, 1:-1] = u[:, 1:] - u[:, :-1]
-            lam[:, -1] = 1.0 - u[:, -1]
+            lam = _uniform_barycentric(rng, k, d)
             cp = self.complex._cell_pts[cells[pending]]      # (k, d+1, d)
             x = (lam[:, :, None] * cp).sum(axis=1)
             fx = (lam * fv[cells[pending]]).sum(axis=1)
@@ -173,34 +164,43 @@ class CpwaDensityMeasure:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0) or np.any(t > 1):
             raise MeasureError("quantile level outside [0, 1]")
-        pts = self.complex._cell_pts[:, :, 0]
-        a, b = pts.min(axis=1), pts.max(axis=1)
-        order = np.argsort(a)
-        a, b = a[order], b[order]
-        idx = self.complex.simplices[order]
-        left_first = pts[order, 0] <= pts[order, 1]
-        fa = np.where(left_first, self.vertex_density[idx[:, 0]],
-                      self.vertex_density[idx[:, 1]])
-        fb = np.where(left_first, self.vertex_density[idx[:, 1]],
-                      self.vertex_density[idx[:, 0]])
-        masses = self._cell_mass[order]
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
+        order = np.argsort(self.complex._cell_pts[:, :, 0].min(axis=1))
+        cum = np.concatenate([[0.0], np.cumsum(self._cell_mass[order])])
         cum[-1] = 1.0
-        cell = np.clip(np.searchsorted(cum, t, side="left") - 1, 0, len(a) - 1)
+        last = len(order) - 1
+        cell = np.clip(np.searchsorted(cum, t, side="left") - 1, 0, last)
         # points with t exactly at a cumulative boundary belong to the cell to
         # the right under the inf convention, except at t = 1
-        right = (t > cum[cell + 1]) & (cell < len(a) - 1)
+        right = (t > cum[cell + 1]) & (cell < last)
         cell = cell + right.astype(int)
-        m = t - cum[cell]
-        L = b[cell] - a[cell]
-        slope = (fb[cell] - fa[cell]) / L
-        disc = np.clip(fa[cell] ** 2 + 2.0 * slope * m, 0.0, None)
-        denom = fa[cell] + np.sqrt(disc)
-        s = np.where(denom > 0, 2.0 * m / np.where(denom > 0, denom, 1.0), 0.0)
-        return np.minimum(a[cell] + s, b[cell])
+        a, b, fa, fb = (e[cell] for e in self._cell_ends(order))
+        return np.minimum(a + _linear_cdf_inverse(a, b, fa, fb, t - cum[cell]),
+                          b)
 
     def to_json(self):
         return {"type": "cpwa", "vertex_density": self.vertex_density.tolist()}
+
+
+def _linear_cdf_inverse(a, b, fa, fb, m):
+    """Offset from ``a`` at which a density linear from ``fa`` at ``a`` to
+    ``fb`` at ``b`` has accumulated mass ``m``: the stable root of the
+    quadratic CDF, also for ``fa`` near 0."""
+    slope = (fb - fa) / (b - a)
+    disc = np.clip(fa * fa + 2.0 * slope * m, 0.0, None)
+    denom = fa + np.sqrt(disc)
+    return np.where(denom > 0, 2.0 * m / np.where(denom > 0, denom, 1.0), 0.0)
+
+
+def _uniform_barycentric(rng, n, d):
+    """(n, d+1) barycentric weights uniform on the d-simplex: the spacings
+    of d sorted uniforms."""
+    u = rng.uniform(size=(n, d))
+    u.sort(axis=1)
+    lam = np.empty((n, d + 1))
+    lam[:, 0] = u[:, 0]
+    lam[:, 1:-1] = u[:, 1:] - u[:, :-1]
+    lam[:, -1] = 1.0 - u[:, -1]
+    return lam
 
 
 def measure_from_json(doc, complex=None):
@@ -362,11 +362,5 @@ def uniform_points(space, rng, n):
         return space.vertices[rng.integers(0, space.n_vertices, size=n)]
     vols = space.volumes()
     cells = rng.choice(space.n_simplices, size=n, p=vols / vols.sum())
-    d = space.dim
-    u = rng.uniform(size=(n, d))
-    u.sort(axis=1)
-    lam = np.empty((n, d + 1))
-    lam[:, 0] = u[:, 0]
-    lam[:, 1:-1] = u[:, 1:] - u[:, :-1]
-    lam[:, -1] = 1.0 - u[:, -1]
+    lam = _uniform_barycentric(rng, n, space.dim)
     return (lam[:, :, None] * space._cell_pts[cells]).sum(axis=1)

@@ -23,7 +23,7 @@ from .geometry import FiniteSpace, point_key
 from .problems import (BusinessLocationCost, CappedAffineCost, DirectL1Term,
                        QuadraticBarycenterCost, ScalarRampTerm,
                        SeparableL1Term, TabulatedCpwaCost,
-                       axis_arrangement_candidates, unique_edges)
+                       axis_arrangement_candidates)
 
 
 class OracleError(RuntimeError):
@@ -238,37 +238,6 @@ def oracle_cell_cpwa(model, i, x_space, x_basis, z_space, z_basis, y, w,
                      beta_lower=float(best_val))
 
 
-class _ZFaces:
-    """Face data of a quality complex for closed-form quadratic minimization:
-    vertices, unique edges, and per-cell affine interpolation data."""
-
-    def __init__(self, complex):
-        self.vertices = complex.vertices
-        self.edges = unique_edges(complex)
-        self.e0 = self.vertices[self.edges[:, 0]]
-        self.de = self.vertices[self.edges[:, 1]] - self.e0
-        self.de2 = (self.de ** 2).sum(1)
-        self.cells = complex.simplices
-        self.minv = complex._minv
-
-    def affine_coeffs(self, Wv):
-        """Per-cell (a_C, b_C) with <h(z), w> = a_C + <b_C, z> on cell C."""
-        vals = Wv[self.cells]                        # (m, d+1)
-        a = np.einsum("mk,mk->m", vals, self.minv[:, :, 0])
-        b = np.einsum("mk,mkd->md", vals, self.minv[:, :, 1:])
-        return a, b
-
-
-def _get_zfaces(z_space):
-    # derived face data rides on the complex itself: id()-keyed module
-    # caches can alias recycled objects after garbage collection
-    faces = getattr(z_space, "_zfaces", None)
-    if faces is None:
-        faces = _ZFaces(z_space)
-        z_space._zfaces = faces
-    return faces
-
-
 def oracle_quadratic(model, i, x_space, x_basis, z_space, z_basis, y, w,
                      pool_cap=32):
     """Exact oracle for the squared-distance barycenter cost.
@@ -288,9 +257,15 @@ def oracle_quadratic(model, i, x_space, x_basis, z_space, z_basis, y, w,
     xs = x_space.vertices                              # (nx, d)
     Yx = _vertex_multipliers(x_basis, y)
     Wv = _vertex_multipliers(z_basis, w)
-    faces = _get_zfaces(z_space)
-    V0 = faces.vertices
-    aC, bC = faces.affine_coeffs(Wv)
+    V0 = z_space.vertices
+    edges = z_space.edges
+    e0 = V0[edges[:, 0]]
+    de = V0[edges[:, 1]] - e0
+    # per cell C: <h(z), w> = aC + <bC, z> on C
+    minv = z_space._minv
+    Wc = Wv[z_space.simplices]                         # (m, d+1)
+    aC = np.einsum("mk,mk->m", Wc, minv[:, :, 0])
+    bC = np.einsum("mk,mkd->md", Wc, minv[:, :, 1:])
 
     def q(X, Z):
         # lam (||z||^2 - 2 <x, z>) broadcast over matching leading shape
@@ -303,22 +278,22 @@ def oracle_quadratic(model, i, x_space, x_basis, z_space, z_basis, y, w,
     cand_vals.append(vv)
     cand_pts.append(np.broadcast_to(V0[None], (len(xs),) + V0.shape))
     # open edges: hat restricted to an edge is the 1d barycentric pair
-    w1 = Wv[faces.edges[:, 0]]
-    w2 = Wv[faces.edges[:, 1]]
-    num = ((xs[:, None, :] - faces.e0[None]) * faces.de[None]).sum(-1) \
+    w1 = Wv[edges[:, 0]]
+    w2 = Wv[edges[:, 1]]
+    num = ((xs[:, None, :] - e0[None]) * de[None]).sum(-1) \
         + (w2 - w1)[None] / (2.0 * lam)
-    t = num / faces.de2[None]
+    t = num / (de ** 2).sum(1)[None]
     interior = (t > 1e-12) & (t < 1 - 1e-12)
     tcl = np.clip(t, 0.0, 1.0)
-    zedge = faces.e0[None] + tcl[..., None] * faces.de[None]
+    zedge = e0[None] + tcl[..., None] * de[None]
     ve = q(xs[:, None, :], zedge) - (w1[None] + tcl * (w2 - w1)[None])
     ve = np.where(interior, ve, np.inf)
     cand_vals.append(ve)
     cand_pts.append(zedge)
     # open cells: unconstrained minimizer of the quadratic minus the affine part
     zcell = xs[:, None, :] + bC[None] / (2.0 * lam)
-    lamc = np.einsum("mkl,nml->nmk", faces.minv[:, :, 1:], zcell) \
-        + faces.minv[None, :, :, 0]
+    lamc = np.einsum("mkl,nml->nmk", minv[:, :, 1:], zcell) \
+        + minv[None, :, :, 0]
     inside = lamc.min(-1) > 1e-12
     vc = q(xs[:, None, :], zcell) - (aC[None] + (bC[None] * zcell).sum(-1))
     vc = np.where(inside, vc, np.inf)

@@ -18,7 +18,9 @@ Each model carries its Lipschitz constants w.r.t. the Euclidean metric and
 the structures that make the global-minimization oracle, the transfer
 function evaluation and the pushforward quality selector exact: a min-of-
 convex-terms decomposition whose per-term kink arrangements yield finite
-candidate sets, or LP-ready coupled pieces.
+candidate sets, or LP-ready coupled pieces.  The candidate sets are built
+from the region geometry that ``geometry`` provides: the membership test
+``covers``, a complex's ``edges`` and ``box``, and ``edge_crossings``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import math
 
 import numpy as np
 
-from .geometry import FiniteSpace, has_duplicate_rows, point_key
+from .geometry import (FiniteSpace, edge_crossings, has_duplicate_rows,
+                       point_keys)
+
 
 class CostModelError(ValueError):
     pass
@@ -42,39 +46,12 @@ def full_vertex_weights(space, X):
     return out
 
 
-def contains_many(space, P, tol=1e-9):
-    """Vectorized membership mask for an (n, d) array of points."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    if isinstance(space, FiniteSpace):
-        d = np.linalg.norm(P[:, None, :] - space.vertices[None], axis=2)
-        return d.min(axis=1) <= tol
-    if getattr(space, "_grid", None) is not None:
-        lo, widths, counts, _, _ = space._grid
-        hi = lo + widths * counts
-        return np.all(P >= lo - tol, axis=1) & np.all(P <= hi + tol, axis=1)
-    mask = np.zeros(P.shape[0], dtype=bool)
-    q = np.concatenate([np.ones((P.shape[0], 1)), P], axis=1)
-    for s in range(space.n_simplices):
-        lam = q @ space._minv[s].T
-        mask |= lam.min(axis=1) >= -tol
-    return mask
-
-
-def unique_edges(complex):
-    """(E, 2) vertex-index pairs of all simplex edges, deduplicated."""
-    pairs = set()
-    for simplex in complex.simplices:
-        for a, b in itertools.combinations(simplex, 2):
-            pairs.add((min(a, b), max(a, b)))
-    return np.asarray(sorted(pairs), dtype=int)
-
-
 def _dedup_points(P):
     """Rows of the (n, d) array P in order, keeping the first of each point
     key."""
     first = {}
-    for q, p in enumerate(P):
-        first.setdefault(point_key(p), q)
+    for q, key in enumerate(point_keys(P)):
+        first.setdefault(key, q)
     return P[sorted(first.values())]
 
 
@@ -91,27 +68,14 @@ def axis_arrangement_candidates(space, anchors):
         return space.vertices.copy()
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     d = space.dim
-    pts = [space.vertices]
-    edges = unique_edges(space)
-    e0 = space.vertices[edges[:, 0]]
-    e1 = space.vertices[edges[:, 1]]
-    de = e1 - e0
     levels = [np.unique(anchors[:, l]) for l in range(d)]
-    for l in range(d):
-        for a in levels[l]:
-            denom = de[:, l]
-            ok = np.abs(denom) > 1e-14
-            t = np.where(ok, (a - e0[:, l]) / np.where(ok, denom, 1.0), -1.0)
-            hit = ok & (t >= -1e-12) & (t <= 1 + 1e-12)
-            if hit.any():
-                pts.append(e0[hit] + np.clip(t[hit], 0, 1)[:, None] * de[hit])
+    axes = np.concatenate([np.full(len(v), l) for l, v in enumerate(levels)])
+    on_edges, hit = edge_crossings(space, np.eye(d)[axes],
+                                   np.concatenate(levels))
+    pts = [space.vertices, on_edges[hit]]
     if d >= 2:
-        crossings = np.array(list(itertools.product(*levels)))
-        if crossings.size:
-            crossings = crossings.reshape(-1, d)
-            inside = contains_many(space, crossings)
-            if inside.any():
-                pts.append(crossings[inside])
+        crossings = np.array(list(itertools.product(*levels))).reshape(-1, d)
+        pts.append(crossings[space.covers(crossings)])
     return _dedup_points(np.vstack(pts))
 
 
@@ -281,11 +245,10 @@ class BusinessLocationCost(CostModel):
         cross product of the vertical/horizontal kink lines (station and
         per-sample type coordinates) clipped into the box.
         """
-        if getattr(z_space, "_grid", None) is None:
+        if getattr(z_space, "box", None) is None:
             raise CostModelError("business-location z_opt needs a box-grid "
                                  "quality space")
-        lo, widths, counts, _, _ = z_space._grid
-        hi = lo + widths * counts
+        lo, hi = z_space.box.T
         n = np.atleast_2d(X_list[0]).shape[0]
         static_v = np.concatenate([self.stations[:, 0], [lo[0], hi[0]]])
         static_h = np.concatenate([self.stations[:, 1], [lo[1], hi[1]]])
@@ -382,7 +345,7 @@ class CappedAffineCost(CostModel):
         pts = [x_space.vertices]
         for x in (t - self.kappa1[i], t + self.kappa1[i]):
             p = np.array([[x]])
-            if contains_many(x_space, p)[0]:
+            if x_space.covers(p)[0]:
                 pts.append(p)
         return _dedup_points(np.vstack(pts))
 
@@ -405,21 +368,12 @@ class CappedAffineCost(CostModel):
             s0 = self.s[:, 0]
             pts = (rhs / s0[None, :, None]).reshape(n, -1, 1)
             cand.append(pts)
-            masks.append(contains_many(z_space, pts.reshape(-1, 1)).reshape(n, -1))
+            masks.append(z_space.covers(pts.reshape(-1, 1)).reshape(n, -1))
         else:
-            edges = unique_edges(z_space)
-            e0 = verts[edges[:, 0]]
-            de = verts[edges[:, 1]] - e0
-            # line x edge intersections
-            se0 = self.s @ e0.T                # (N, E)
-            sde = self.s @ de.T
-            ok = np.abs(sde) > 1e-14
-            for sgn in (0, 1):
-                t = (rhs[:, :, sgn, None] - se0[None]) / np.where(ok, sde, 1.0)[None]
-                hit = ok[None] & (t >= -1e-12) & (t <= 1 + 1e-12)
-                pts = e0[None, None] + np.clip(t, 0, 1)[..., None] * de[None, None]
-                cand.append(pts.reshape(n, -1, 2))
-                masks.append(hit.reshape(n, -1))
+            # line x edge intersections, lower lines first
+            pts, hit = edge_crossings(z_space, self.s, rhs.transpose(0, 2, 1))
+            cand.append(pts.reshape(n, -1, 2))
+            masks.append(hit.reshape(n, -1))
             # line x line intersections across categories
             pair_rows = []
             for a, b in itertools.combinations(range(self.N), 2):
@@ -437,8 +391,8 @@ class CappedAffineCost(CostModel):
                             pts_ab.append(r @ Minv.T)
                 pts_ab = np.stack(pts_ab, axis=1)      # (n, P, 2)
                 cand.append(pts_ab)
-                masks.append(contains_many(
-                    z_space, pts_ab.reshape(-1, 2)).reshape(n, -1))
+                masks.append(z_space.covers(pts_ab.reshape(-1, 2))
+                             .reshape(n, -1))
         return (np.concatenate([np.ascontiguousarray(c) for c in cand], axis=1),
                 np.concatenate(masks, axis=1))
 

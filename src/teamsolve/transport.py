@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .geometry import build_box_partition
 from .linprog import solve_min
 from .measures import CpwaDensityMeasure, DiscreteMeasure, quantile_1d
 
@@ -190,11 +189,9 @@ def ot_semidiscrete(nu1, nu2):
         raise TransportError("target must be a CPWA density measure")
     cx = nu2.complex
     refinement = 1
-    if cx._grid is not None:
-        lo, widths, counts, _, _ = cx._grid
+    if cx.box is not None:
         refinement = REFINEMENT
-        cx = build_box_partition(np.stack([lo, lo + widths * counts], axis=1),
-                                 refinement * counts)
+        cx = cx.refined(refinement)
         nu2 = CpwaDensityMeasure(cx, nu2.density(cx.vertices))
     keep = np.flatnonzero(nu2._cell_mass > 0)
     f = nu2.vertex_density[cx.simplices[keep]]            # (m, d+1)

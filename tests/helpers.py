@@ -417,6 +417,16 @@ def z_opt_dense(model, x_list, z_space):
 # one-point-at-a-time references for batched point location, cut storage and
 # LP assembly
 
+def unique_edges(complex):
+    """(E, 2) vertex-index pairs of all simplex edges, deduplicated through
+    a set of pairs and sorted: the reference for ``complex.edges``."""
+    pairs = set()
+    for simplex in complex.simplices:
+        for a, b in itertools.combinations(simplex, 2):
+            pairs.add((min(a, b), max(a, b)))
+    return np.asarray(sorted(pairs), dtype=int)
+
+
 def barycentric(complex, s, x):
     """Barycentric coordinates of x in simplex s (no membership check)."""
     q = np.concatenate(([1.0], np.asarray(x, dtype=float)))

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from helpers import barycentric, check_face_property, locate_scalar
+from helpers import (barycentric, check_face_property, locate_scalar,
+                     unique_edges)
 from teamsolve import geometry
-from teamsolve.problems import unique_edges
 from teamsolve.geometry import (BudgetError, FiniteSpace, GeometryError,
                                 HatBasis, IndicatorBasis,
                                 PointOutsideComplexError, SimplicialComplex,
@@ -111,8 +111,7 @@ def test_face_consistency():
     c = build_box_partition([(0, 1), (0, 1)], (2, 2))
     rng = np.random.default_rng(1)
     # points on shared faces: edges common to two simplices
-    from teamsolve.problems import unique_edges
-    edges = unique_edges(c)
+    edges = c.edges
     for e in edges:
         owners = [s for s in range(c.n_simplices)
                   if e[0] in c.simplices[s] and e[1] in c.simplices[s]]
@@ -205,7 +204,7 @@ def _location_cases():
     for c, lo, hi in ((line, [0.0], [1.0]), (sq, [-2.0, -1.0], [2.0, 3.0]),
                       (free, [0.0, 0.0], [1.0, 2.0])):
         lo, hi = np.asarray(lo), np.asarray(hi)
-        edges = unique_edges(c)
+        edges = c.edges
         t = rng.uniform(size=(len(edges), 1))
         P = np.vstack([
             rng.uniform(lo, hi, size=(300, len(lo))),
@@ -256,3 +255,81 @@ def test_json_roundtrip():
     fs = FiniteSpace([[0.0, 1.0]])
     fs2 = space_from_json(json.loads(json.dumps(space_to_json(fs))))
     assert np.array_equal(fs.vertices, fs2.vertices)
+
+
+def _located(space, x):
+    try:
+        space.vertex_weights(x[None])
+    except PointOutsideComplexError:
+        return False
+    return True
+
+
+def test_covers_matches_vertex_weights():
+    rng = np.random.default_rng(17)
+    # an unequal-width grid: x cells are 4/3 wide, y cells 1
+    sq = build_box_partition([(-2, 2), (-1, 3)], (3, 4))
+    found = np.array([[2 + 1.2e-9, 0.5]])
+    assert sq.covers(found)[0] and _located(sq, found[0])
+    for space, P in _location_cases()[:3]:
+        # shift every point by up to 1e-8 per axis, so that points near the
+        # boundary fall on both sides of tol
+        step = rng.choice([-1.0, 1.0], size=P.shape) \
+            * 10.0 ** rng.uniform(-10.5, -8, size=P.shape)
+        Q = np.vstack([P, P + step, found[:, :space.dim]])
+        mask = space.covers(Q)
+        assert mask.dtype == bool and mask.shape == (len(Q),)
+        assert mask.tolist() == [_located(space, q) for q in Q]
+        assert mask.any() and not mask.all()
+
+
+def test_edges_match_set_reference():
+    free = space_from_json(space_to_json(
+        build_box_partition([(0, 1), (0, 2)], (2, 3))))
+    for c in (build_box_partition([(0, 1)], (4,)),
+              build_box_partition([(-2, 2), (-1, 3)], (3, 4)),
+              build_box_partition([(0, 1)] * 3, (2, 1, 2)), free,
+              SimplicialComplex(free.vertices, free.simplices[:, ::-1])):
+        ref = unique_edges(c)
+        assert c.edges.dtype == ref.dtype
+        assert np.array_equal(c.edges, ref)
+        assert c.edges is c.edges           # built once
+
+
+def test_box_and_refined():
+    c = build_box_partition([(-2, 2), (-1, 3)], (3, 4))
+    assert np.array_equal(c.box, [[-2, 2], [-1, 3]])
+    f = c.refined(2)
+    assert np.array_equal(f.box, c.box)
+    assert f.n_simplices == 4 * c.n_simplices
+    assert np.allclose(f.volumes().sum(), c.volumes().sum())
+    assert space_from_json(space_to_json(c)).box is None
+
+
+def test_edge_crossings():
+    rng = np.random.default_rng(23)
+    for c in (build_box_partition([(0, 1), (0, 2)], (2, 3)),
+              space_from_json(space_to_json(
+                  build_box_partition([(0, 1)] * 3, (1, 2, 1))))):
+        normals = rng.normal(size=(6, c.dim))
+        normals[0] = np.eye(c.dim)[0]           # parallel to some edges
+        offsets = rng.uniform(-0.5, 2.0, size=(5, 6))
+        offsets[:, 0] = 0.5
+        pts, hit = geometry.edge_crossings(c, normals, offsets)
+        E = len(c.edges)
+        assert pts.shape == (5, 6, E, c.dim) and hit.shape == (5, 6, E)
+        a, b = c.vertices[c.edges[:, 0]], c.vertices[c.edges[:, 1]]
+        for r in range(5):
+            for k in range(6):
+                on = pts[r, k, hit[r, k]]
+                assert np.allclose(on @ normals[k], offsets[r, k])
+                assert c.covers(on).all()
+                if k:           # random planes miss the vertices
+                    side = (a @ normals[k] - offsets[r, k]) \
+                        * (b @ normals[k] - offsets[r, k])
+                    assert np.array_equal(hit[r, k], side < 0)
+        # x = 0.5 crosses the edges with an end on each side or on it,
+        # except the edges that lie in it
+        crossed = ((a[:, 0] - 0.5) * (b[:, 0] - 0.5) <= 0) \
+            & (a[:, 0] != b[:, 0])
+        assert np.array_equal(hit[0, 0], crossed)
