@@ -73,7 +73,13 @@ def z_opt(model, x_list, z_space, chunk=4096):
     category.  Exact for the shipped cost families; ties are broken by the
     lexicographically smallest minimizer among the candidate points.  For
     the min-of-convex-terms families the cost is evaluated only at the
-    candidates that ``z_opt_candidates`` marks valid.
+    candidates that ``z_opt_candidates`` marks valid.  Those candidates come
+    from the quality region's ``boundary``, not its mesh: the summed cost
+    does not depend on the mesh and is affine on each cell of its kink-line
+    arrangement, so its minimum and lexicographically smallest minimizer lie
+    at a line/line crossing inside the region, a line/boundary-segment
+    crossing or a boundary corner.  The quadratic family's projection of an
+    outside weighted mean lies on the boundary for the same reason.
     """
     x_list = [np.atleast_2d(np.asarray(X, dtype=float)) for X in x_list]
     n = x_list[0].shape[0]
@@ -106,7 +112,8 @@ def z_opt(model, x_list, z_space, chunk=4096):
 
 
 def _z_opt_quadratic(model, x_list, z_space):
-    """Weighted mean, projected onto the quality complex where needed."""
+    """Weighted mean, projected onto the quality complex's boundary where
+    it falls outside."""
     xbar = np.zeros_like(x_list[0])
     for i in range(model.N):
         xbar += model.lam[i] * x_list[i]
@@ -118,18 +125,20 @@ def _z_opt_quadratic(model, x_list, z_space):
                 "quality selector needs the quality space to contain the "
                 "weighted type means in dimension > 2")
         V = z_space.vertices
-        e0 = V[z_space.edges[:, 0]]
-        de = V[z_space.edges[:, 1]] - e0
+        corners, segments = z_space.boundary
+        C = V[corners]
+        e0 = V[segments[:, 0]]
+        de = V[segments[:, 1]] - e0
         xs = xbar[~inside]
-        # closed edges plus vertices cover the boundary, where the projected
-        # minimizer of the strictly convex quadratic must lie
-        vv = (V ** 2).sum(1)[None, :] - 2.0 * xs @ V.T
+        # the projection of an outside point onto the region lies on its
+        # boundary: the closed segments, with the corners taken exactly
+        vv = (C ** 2).sum(1)[None, :] - 2.0 * xs @ C.T
         num = ((xs[:, None, :] - e0[None]) * de[None]).sum(-1)
         t = np.clip(num / (de ** 2).sum(1)[None], 0.0, 1.0)
         ze = e0[None] + t[..., None] * de[None]
         ve = (ze ** 2).sum(-1) - 2.0 * np.einsum("nd,ned->ne", xs, ze)
         pts = np.concatenate(
-            [np.broadcast_to(V[None], (len(xs),) + V.shape), ze], axis=1)
+            [np.broadcast_to(C[None], (len(xs),) + C.shape), ze], axis=1)
         vals = np.concatenate([vv, ve], axis=1)
         pick = _lex_argmin(pts, vals)
         out[~inside] = pts[np.arange(len(xs)), pick]

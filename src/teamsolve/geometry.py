@@ -6,8 +6,9 @@ The solver parametrizes continuous test functions by vertex-interpolation
 * ``SimplicialComplex`` -- a triangulated domain with batched point
   location (``vertex_weights``: containing-simplex vertices and barycentric
   weights), the membership test that location uses (``covers``), its edge
-  list (``edges``) and, for a box grid, its ``box`` and ``refined`` grids,
-* ``edge_crossings`` -- where hyperplanes cross the edges of a complex,
+  list (``edges``), its ``boundary`` (corners and straight sides) and, for a
+  box grid, its ``box`` and ``refined`` grids,
+* ``edge_crossings`` -- where hyperplanes cross given edges of a complex,
 * ``build_box_partition`` -- regular grid over a box, each cell triangulated
   by the order-based (Kuhn) triangulation into ``d!`` simplices,
 * ``FiniteSpace`` -- a finite point set (degenerate complex of 0-simplices),
@@ -27,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +87,44 @@ def _raise_outside(X, bad, what):
 def _norm(v, ord=2):
     """Vector norm along the last axis for norm tag 1, 2 or inf."""
     return np.linalg.norm(np.asarray(v, dtype=float), ord=ord, axis=-1)
+
+
+class Boundary(NamedTuple):
+    """The boundary of a complex: its ``corners``, a (C,) array of vertex
+    indices, and its straight ``segments``, (S, 2) vertex-index pairs in the
+    format of ``SimplicialComplex.edges``."""
+    corners: np.ndarray
+    segments: np.ndarray
+
+
+def _straight_runs(V, edges):
+    """Corners and maximal straight runs of a polygonal boundary in the
+    plane given as (E, 2) vertex-index pairs.
+
+    A vertex is a corner unless exactly two boundary edges meet there and
+    they continue each other in a straight line."""
+    nb = [[] for _ in V]
+    for a, b in edges.tolist():
+        nb[a].append(b)
+        nb[b].append(a)
+
+    def turns(v):
+        if len(nb[v]) != 2:
+            return True
+        u, w = V[nb[v]] - V[v]
+        return (u @ w >= 0 or abs(u[0] * w[1] - u[1] * w[0])
+                > TOL_GEOM * np.linalg.norm(u) * np.linalg.norm(w))
+
+    corners = [v for v in range(len(V)) if nb[v] and turns(v)]
+    runs = []
+    for c in corners:
+        for v in nb[c]:
+            prev = c
+            while not turns(v):             # on to v's other neighbour
+                prev, v = v, sum(nb[v]) - prev
+            runs.append(sorted((c, v)))
+    return (np.asarray(corners, dtype=int),
+            np.unique(np.asarray(runs, dtype=int).reshape(-1, 2), axis=0))
 
 
 class SimplicialComplex:
@@ -155,6 +195,30 @@ class SimplicialComplex:
         ends = list(itertools.combinations(range(self.dim + 1), 2))
         pairs = np.sort(self.simplices[:, ends].reshape(-1, 2), axis=1)
         return np.unique(pairs, axis=0)
+
+    @cached_property
+    def boundary(self):
+        """The complex's :class:`Boundary`, from its simplices alone.
+
+        The boundary facets are the facets (edges in 2-D, vertices in 1-D)
+        that lie in exactly one simplex.  In 2-D each straight run of
+        boundary edges is merged into one segment, and the corners are the
+        boundary vertices where the boundary turns, so a box grid has its
+        4 sides and 4 corners and an L-shape keeps its reflex corner.  In
+        1-D the corners are the interval ends and there are no segments.
+        """
+        d = self.dim
+        if d > 2:
+            raise GeometryError("the boundary is described in dimension 1 "
+                                "and 2 only, not %d" % d)
+        faces = list(itertools.combinations(range(d + 1), d))
+        facets, count = np.unique(
+            np.sort(self.simplices[:, faces].reshape(-1, d), axis=1),
+            axis=0, return_counts=True)
+        facets = facets[count == 1]
+        if d == 1:
+            return Boundary(facets[:, 0], np.empty((0, 2), dtype=int))
+        return Boundary(*_straight_runs(self.vertices, facets))
 
     def refined(self, factor):
         """The box grid over the same box with ``factor`` times the cells
@@ -325,18 +389,20 @@ def build_box_partition(box, counts):
     return SimplicialComplex(vertices, np.asarray(simplices), _grid=grid)
 
 
-def edge_crossings(complex, normals, offsets):
+def edge_crossings(complex, edges, normals, offsets):
     """Where the hyperplanes <normals[k], z> = offsets[..., k] cross the
-    edges of a complex.
+    given edges of a complex.
 
-    ``normals`` is (K, d) and ``offsets`` (..., K).  Returns ``(points,
-    hit)``: (..., K, E, d) points on each edge, with the edge parameter
-    clipped to [0, 1], and the (..., K, E) mask of the edges each
-    hyperplane crosses.  An edge parallel to a hyperplane is never hit.
+    ``edges`` is (E, 2) vertex-index pairs, such as ``complex.edges`` or
+    ``complex.boundary.segments``; ``normals`` is (K, d) and ``offsets``
+    (..., K).  Returns ``(points, hit)``: (..., K, E, d) points on each
+    edge, with the edge parameter clipped to [0, 1], and the (..., K, E)
+    mask of the edges each hyperplane crosses.  An edge parallel to a
+    hyperplane is never hit.
     """
     V = complex.vertices
-    e0 = V[complex.edges[:, 0]]
-    de = V[complex.edges[:, 1]] - e0
+    e0 = V[edges[:, 0]]
+    de = V[edges[:, 1]] - e0
     se0 = normals @ e0.T                # (K, E)
     sde = normals @ de.T
     ok = np.abs(sde) > 1e-14

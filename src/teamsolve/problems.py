@@ -20,7 +20,8 @@ function evaluation and the pushforward quality selector exact: a min-of-
 convex-terms decomposition whose per-term kink arrangements yield finite
 candidate sets, or LP-ready coupled pieces.  The candidate sets are built
 from the region geometry that ``geometry`` provides: the membership test
-``covers``, a complex's ``edges`` and ``box``, and ``edge_crossings``.
+``covers``, a complex's ``edges``, ``boundary`` and ``box``, and
+``edge_crossings``.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def axis_arrangement_candidates(space, anchors):
     d = space.dim
     levels = [np.unique(anchors[:, l]) for l in range(d)]
     axes = np.concatenate([np.full(len(v), l) for l, v in enumerate(levels)])
-    on_edges, hit = edge_crossings(space, np.eye(d)[axes],
+    on_edges, hit = edge_crossings(space, space.edges, np.eye(d)[axes],
                                    np.concatenate(levels))
     pts = [space.vertices, on_edges[hit]]
     if d >= 2:
@@ -243,22 +244,23 @@ class BusinessLocationCost(CostModel):
 
         The quality space must be a box grid; the candidate pool is the
         cross product of the vertical/horizontal kink lines (station and
-        per-sample type coordinates) clipped into the box.
+        per-sample type coordinates) clipped into the box.  The static lines
+        (stations and box sides) are taken once each: an exact duplicate
+        cannot change the lexicographic pick.
         """
         if getattr(z_space, "box", None) is None:
             raise CostModelError("business-location z_opt needs a box-grid "
                                  "quality space")
-        lo, hi = z_space.box.T
         n = np.atleast_2d(X_list[0]).shape[0]
-        static_v = np.concatenate([self.stations[:, 0], [lo[0], hi[0]]])
-        static_h = np.concatenate([self.stations[:, 1], [lo[1], hi[1]]])
         xs = np.stack([np.atleast_2d(X)[:, :2] for X in X_list], axis=1)  # (n, N, 2)
-        vpool = np.concatenate(
-            [np.broadcast_to(static_v, (n, len(static_v))), xs[:, :, 0]], axis=1)
-        hpool = np.concatenate(
-            [np.broadcast_to(static_h, (n, len(static_h))), xs[:, :, 1]], axis=1)
-        vpool = np.clip(vpool, lo[0], hi[0])
-        hpool = np.clip(hpool, lo[1], hi[1])
+        pools = []
+        for l, side in enumerate(z_space.box):
+            static = np.unique(np.clip(np.append(self.stations[:, l], side),
+                                       *side))
+            pools.append(np.concatenate(
+                [np.broadcast_to(static, (n, len(static))),
+                 np.clip(xs[:, :, l], *side)], axis=1))
+        vpool, hpool = pools
         V, H = vpool.shape[1], hpool.shape[1]
         cand = np.empty((n, V * H, 2))
         cand[:, :, 0] = np.repeat(vpool, H, axis=1)
@@ -350,28 +352,36 @@ class CappedAffineCost(CostModel):
         return _dedup_points(np.vstack(pts))
 
     def z_opt_candidates(self, X_list, z_space):
-        """Kink-line arrangement candidates for the summed cost.
+        """Kink-line arrangement candidates for the summed cost, from the
+        quality region's boundary.
 
         Writing each category cost as min{(|f_i| - kappa1)^+, const}, every
         selection of branches gives a convex function whose only kinks lie
-        on the 2N lines <s_i, z> = x_i +- kappa1_i, so the candidate set of
-        line/line, line/edge and vertex points is exact."""
+        on the 2N lines <s_i, z> = x_i +- kappa1_i.  It is affine on each
+        cell of that line arrangement, and the summed cost does not depend
+        on the quality mesh, so its minimum over the region and the
+        lexicographically smallest minimizer lie at a vertex of the
+        arrangement clipped to the region: a line/line crossing inside the
+        region, a line/boundary-segment crossing or a boundary corner (the
+        two interval ends in 1-D).  That candidate set is exact."""
         n = np.atleast_2d(X_list[0]).shape[0]
         xs = np.concatenate([np.atleast_2d(X)[:, :1] for X in X_list], axis=1)
         # rhs of the 2N lines per sample: (n, N, 2)
         rhs = np.stack([xs - self.kappa1[None, :], xs + self.kappa1[None, :]],
                        axis=2)
-        verts = z_space.vertices
-        cand = [np.broadcast_to(verts, (n,) + verts.shape)]
-        masks = [np.ones((n, verts.shape[0]), dtype=bool)]
+        corners, segments = z_space.boundary
+        ends = z_space.vertices[corners]
+        cand = [np.broadcast_to(ends, (n,) + ends.shape)]
+        masks = [np.ones((n, len(ends)), dtype=bool)]
         if self.d0 == 1:
             s0 = self.s[:, 0]
             pts = (rhs / s0[None, :, None]).reshape(n, -1, 1)
             cand.append(pts)
             masks.append(z_space.covers(pts.reshape(-1, 1)).reshape(n, -1))
         else:
-            # line x edge intersections, lower lines first
-            pts, hit = edge_crossings(z_space, self.s, rhs.transpose(0, 2, 1))
+            # line x boundary-segment intersections, lower lines first
+            pts, hit = edge_crossings(z_space, segments, self.s,
+                                      rhs.transpose(0, 2, 1))
             cand.append(pts.reshape(n, -1, 2))
             masks.append(hit.reshape(n, -1))
             # line x line intersections across categories

@@ -10,7 +10,9 @@ from scipy.optimize import linprog as scipy_linprog
 
 from teamsolve.equilibrium import TIE_TOL
 from teamsolve.geometry import (FiniteSpace, IndicatorBasis,
-                                PointOutsideComplexError, point_key)
+                                PointOutsideComplexError, SimplicialComplex,
+                                build_box_partition, edge_crossings,
+                                point_key)
 from teamsolve.linprog import (LpError, LpInfeasibleError, LpProblem,
                                LpSolution, LpUnboundedError, _core)
 from teamsolve.measures import DiscreteMeasure
@@ -400,17 +402,75 @@ def lex_argmin_loop(points, values, valid):
     return choice
 
 
-def z_opt_dense(model, x_list, z_space):
+def z_opt_dense(model, x_list, z_space, candidates=None):
     """Quality selector of a min-of-convex-terms family, evaluating the cost
-    at every candidate (valid or not) of every sample."""
+    at every candidate (valid or not) of every sample.  ``candidates(x_list,
+    z_space)`` gives the candidates, by default ``model.z_opt_candidates``."""
     x_list = [np.atleast_2d(np.asarray(X, dtype=float)) for X in x_list]
-    cand, valid = model.z_opt_candidates(x_list, z_space)
+    cand, valid = (candidates or model.z_opt_candidates)(x_list, z_space)
     k = cand.shape[1]
     vals = np.zeros((len(cand), k))
     for i in range(model.N):
         XX = np.repeat(x_list[i], k, axis=0)
         vals += model.eval(i, XX, cand.reshape(-1, z_space.dim)).reshape(-1, k)
     return cand[np.arange(len(cand)), lex_argmin_loop(cand, vals, valid)]
+
+
+def l_shape():
+    """The unit square's 4x4 Kuhn grid without its top-right quarter: a
+    grid-free complex whose boundary turns inward at (0.5, 0.5)."""
+    g = build_box_partition([(0, 1), (0, 1)], (4, 4))
+    centroids = g.vertices[g.simplices].mean(axis=1)
+    keep = g.simplices[~np.all(centroids > 0.5, axis=1)]
+    used, simplices = np.unique(keep, return_inverse=True)
+    return SimplicialComplex(g.vertices[used], simplices.reshape(keep.shape))
+
+
+def mesh_z_opt_candidates(model, X_list, z_space):
+    """The capped-affine quality-selector candidates built from the quality
+    mesh: every kink line crossed with every edge, every line/line crossing
+    inside the region, and every vertex.  The reference for the boundary
+    candidates of ``CappedAffineCost.z_opt_candidates``."""
+    n = np.atleast_2d(X_list[0]).shape[0]
+    xs = np.concatenate([np.atleast_2d(X)[:, :1] for X in X_list], axis=1)
+    # rhs of the 2N lines per sample: (n, N, 2)
+    rhs = np.stack([xs - model.kappa1[None, :], xs + model.kappa1[None, :]],
+                   axis=2)
+    verts = z_space.vertices
+    cand = [np.broadcast_to(verts, (n,) + verts.shape)]
+    masks = [np.ones((n, verts.shape[0]), dtype=bool)]
+    if model.d0 == 1:
+        s0 = model.s[:, 0]
+        pts = (rhs / s0[None, :, None]).reshape(n, -1, 1)
+        cand.append(pts)
+        masks.append(z_space.covers(pts.reshape(-1, 1)).reshape(n, -1))
+    else:
+        # line x edge intersections, lower lines first
+        pts, hit = edge_crossings(z_space, z_space.edges, model.s,
+                                  rhs.transpose(0, 2, 1))
+        cand.append(pts.reshape(n, -1, 2))
+        masks.append(hit.reshape(n, -1))
+        # line x line intersections across categories
+        pair_rows = []
+        for a, b in itertools.combinations(range(model.N), 2):
+            M = np.stack([model.s[a], model.s[b]])
+            if abs(np.linalg.det(M)) < 1e-12:
+                continue
+            Minv = np.linalg.inv(M)
+            pair_rows.append((a, b, Minv))
+        if pair_rows:
+            pts_ab = []
+            for a, b, Minv in pair_rows:
+                for sa in (0, 1):
+                    for sb in (0, 1):
+                        r = np.stack([rhs[:, a, sa], rhs[:, b, sb]], axis=1)
+                        pts_ab.append(r @ Minv.T)
+            pts_ab = np.stack(pts_ab, axis=1)      # (n, P, 2)
+            cand.append(pts_ab)
+            masks.append(z_space.covers(pts_ab.reshape(-1, 2))
+                         .reshape(n, -1))
+    return (np.concatenate([np.ascontiguousarray(c) for c in cand], axis=1),
+            np.concatenate(masks, axis=1))
 
 
 # ---------------------------------------------------------------------------

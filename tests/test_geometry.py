@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import (barycentric, check_face_property, locate_scalar,
-                     unique_edges)
+from helpers import (barycentric, check_face_property, l_shape,
+                     locate_scalar, unique_edges)
 from teamsolve import geometry
 from teamsolve.geometry import (BudgetError, FiniteSpace, GeometryError,
                                 HatBasis, IndicatorBasis,
@@ -315,7 +315,7 @@ def test_edge_crossings():
         normals[0] = np.eye(c.dim)[0]           # parallel to some edges
         offsets = rng.uniform(-0.5, 2.0, size=(5, 6))
         offsets[:, 0] = 0.5
-        pts, hit = geometry.edge_crossings(c, normals, offsets)
+        pts, hit = geometry.edge_crossings(c, c.edges, normals, offsets)
         E = len(c.edges)
         assert pts.shape == (5, 6, E, c.dim) and hit.shape == (5, 6, E)
         a, b = c.vertices[c.edges[:, 0]], c.vertices[c.edges[:, 1]]
@@ -333,3 +333,52 @@ def test_edge_crossings():
         crossed = ((a[:, 0] - 0.5) * (b[:, 0] - 0.5) <= 0) \
             & (a[:, 0] != b[:, 0])
         assert np.array_equal(hit[0, 0], crossed)
+
+
+def _boundary_points(c):
+    """The boundary's corners and segment ends as sorted coordinate
+    tuples."""
+    corners, segments = c.boundary
+    P = [tuple(p) for p in c.vertices.tolist()]
+    return (sorted(P[v] for v in corners),
+            sorted(tuple(sorted((P[a], P[b]))) for a, b in segments))
+
+
+def test_boundary_corners_and_sides():
+    line = build_box_partition([(0, 1)], (4,))
+    assert _boundary_points(line) == ([(0.0,), (1.0,)], [])
+    assert line.boundary.segments.shape == (0, 2)
+    for box, counts in (([(0, 1), (0, 1)], (4, 4)),
+                        ([(-2, 2), (-1, 3)], (3, 4))):
+        c = build_box_partition(box, counts)
+        (x0, x1), (y0, y1) = box
+        sw, nw, se, ne = (x0, y0), (x0, y1), (x1, y0), (x1, y1)
+        assert _boundary_points(c) == (
+            [sw, nw, se, ne], [(sw, nw), (sw, se), (nw, ne), (se, ne)])
+        # from the simplices alone: a grid-free copy has the same arrays
+        free = space_from_json(space_to_json(c))
+        for a, b in zip(free.boundary, c.boundary):
+            assert np.array_equal(a, b)
+    # the L-shape keeps its reflex corner (0.5, 0.5); its straight sides run
+    # over 2 or 4 boundary edges each
+    corners, sides = _boundary_points(l_shape())
+    assert corners == [(0.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.5, 1.0),
+                       (1.0, 0.0), (1.0, 0.5)]
+    assert sides == [((0.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (1.0, 0.0)),
+                     ((0.0, 1.0), (0.5, 1.0)), ((0.5, 0.5), (0.5, 1.0)),
+                     ((0.5, 0.5), (1.0, 0.5)), ((1.0, 0.0), (1.0, 0.5))]
+
+
+def test_boundary_format():
+    for c in (build_box_partition([(0, 1)], (3,)),
+              build_box_partition([(-2, 2), (-1, 3)], (3, 4)), l_shape()):
+        corners, segments = c.boundary
+        assert c.boundary is c.boundary          # built once
+        assert corners.dtype == segments.dtype == c.edges.dtype
+        assert np.array_equal(corners, np.unique(corners))
+        # the format of ``edges``: smaller index first, lexicographic order
+        assert np.array_equal(segments, np.unique(np.sort(segments, axis=1),
+                                                  axis=0))
+        assert np.isin(segments, corners).all()
+    with pytest.raises(GeometryError):
+        build_box_partition([(0, 1)] * 3, (1, 1, 1)).boundary

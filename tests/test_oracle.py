@@ -11,19 +11,25 @@ from teamsolve.problems import (barycenter_cost, business_location_cost,
                                 capped_affine_cost, tabulated_cpwa_cost)
 
 
-def _grid_reference(model, i, bx, bz, y, w, n=2001, lo=0.0, hi=1.0):
+def _grid_reference(model, i, bx, bz, pairs, n=2001, lo=0.0, hi=1.0):
+    """Per multiplier pair (y, w), the least of c_i(x, z) - <g(x), y> -
+    <h(z), w> over the n x n grid of [lo, hi]^2.  The cost is evaluated once
+    per chunk of the grid and shared by all the pairs."""
     g = np.linspace(lo, hi, n)
-    GX = bx.eval_many(g[:, None]) @ y
-    GZ = bz.eval_many(g[:, None]) @ w
-    best = np.inf
+    Bx, Bz = bx.eval_many(g[:, None]), bz.eval_many(g[:, None])
+    GX = [Bx @ y for y, _ in pairs]
+    GZ = [Bz @ w for _, w in pairs]
+    best = np.full(len(pairs), np.inf)
     chunk = max(1, 2_000_000 // n)
     Ztile = np.tile(g, chunk)[:, None]
     for s0 in range(0, n, chunk):
         xs = g[s0:s0 + chunk]
         k = len(xs)
         V = model.eval(i, np.repeat(xs, n)[:, None], Ztile[:k * n])
-        vals = V.reshape(k, n) - GX[s0:s0 + chunk, None] - GZ[None, :]
-        best = min(best, float(vals.min()))
+        V = V.reshape(k, n)
+        for p in range(len(pairs)):
+            vals = V - GX[p][s0:s0 + chunk, None] - GZ[p][None, :]
+            best[p] = min(best[p], float(vals.min()))
     return best
 
 
@@ -51,11 +57,12 @@ def test_cell_oracle_vs_grid_search():
     cx = build_box_partition([(0, 1)], (2,))
     bx = HatBasis(cx)
     m = capped_affine_cost([[1.0]], [0.1], [0.6])
-    for _ in range(14):
-        y = rng.normal(size=2)
-        w = rng.normal(size=2)
+    # the oracle draws no random numbers, so drawing the pairs first keeps
+    # them as they were drawn one per check
+    pairs = [(rng.normal(size=2), rng.normal(size=2)) for _ in range(14)]
+    refs = _grid_reference(m, 0, bx, bx, pairs, n=10001)
+    for (y, w), ref in zip(pairs, refs):
         r = oracle_cell_cpwa(m, 0, cx, bx, cx, bx, y, w)
-        ref = _grid_reference(m, 0, bx, bx, y, w, n=10001)
         assert abs(r.beta_tilde - ref) < 1e-3
         assert r.beta_tilde <= ref + 1e-12
 
