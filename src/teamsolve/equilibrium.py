@@ -66,20 +66,22 @@ def _lex_argmin(points, values):
     return keep.argmax(axis=1)
 
 
-def z_opt(model, x_list, z_space, chunk=4096):
+def z_opt(model, x_list, z_space, chunk=1024):
     """Global minimizer of z -> sum_i c_i(x_i, z) over the quality space.
 
     Vectorized over samples; ``x_list`` holds one (n, d_i) array per
     category.  Exact for the shipped cost families; ties are broken by the
     lexicographically smallest minimizer among the candidate points.  For
-    the min-of-convex-terms families the cost is evaluated only at the
-    candidates that ``z_opt_candidates`` marks valid.  Those candidates come
-    from the quality region's ``boundary``, not its mesh: the summed cost
-    does not depend on the mesh and is affine on each cell of its kink-line
-    arrangement, so its minimum and lexicographically smallest minimizer lie
-    at a line/line crossing inside the region, a line/boundary-segment
-    crossing or a boundary corner.  The quadratic family's projection of an
-    outside weighted mean lies on the boundary for the same reason.
+    the min-of-convex-terms families the model's ``z_opt_values`` gives the
+    candidates of each sample and the summed cost at them, +inf at invalid
+    ones.  The capped-affine candidates come from the quality region's
+    ``boundary``, not its mesh: the summed cost does not depend on the mesh
+    and is affine on each cell of its kink-line arrangement, so its minimum
+    and lexicographically smallest minimizer lie at a line/line crossing
+    inside the region, a line/boundary-segment crossing or a boundary
+    corner.  The business-location candidates are the grid of vertical and
+    horizontal kink lines in the box.  The quadratic family's projection of
+    an outside weighted mean lies on the boundary for the same reason.
     """
     x_list = [np.atleast_2d(np.asarray(X, dtype=float)) for X in x_list]
     n = x_list[0].shape[0]
@@ -99,14 +101,7 @@ def z_opt(model, x_list, z_space, chunk=4096):
     for s0 in range(0, n, chunk):
         sl = slice(s0, min(s0 + chunk, n))
         xs = [X[sl] for X in x_list]
-        cand, valid = model.z_opt_candidates(xs, z_space)
-        r, c = np.nonzero(valid)
-        zc = cand[r, c]
-        tot = np.zeros(len(r))
-        for i in range(model.N):
-            tot += model.eval(i, xs[i][r], zc)
-        vals = np.full(valid.shape, np.inf)
-        vals[r, c] = tot
+        cand, vals = model.z_opt_values(xs, z_space)
         out[sl] = cand[np.arange(len(cand)), _lex_argmin(cand, vals)]
     return out
 

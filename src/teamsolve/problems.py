@@ -170,6 +170,21 @@ class CostModel:
     def oracle_terms(self, i):
         raise CostModelError("cost model lacks a term decomposition")
 
+    def z_opt_values(self, X_list, z_space):
+        """Candidate minimizers of z -> sum_i c_i(x_i, z) per sample and the
+        summed cost at each: (n, k, d) points and (n, k) values, +inf at
+        the candidates that ``z_opt_candidates`` marks invalid.  Only the
+        valid candidates are evaluated."""
+        cand, valid = self.z_opt_candidates(X_list, z_space)
+        r, c = np.nonzero(valid)
+        zc = cand[r, c]
+        tot = np.zeros(len(r))
+        for i in range(self.N):
+            tot += self.eval(i, np.atleast_2d(X_list[i])[r], zc)
+        vals = np.full(valid.shape, np.inf)
+        vals[r, c] = tot
+        return cand, vals
+
 
 class BusinessLocationCost(CostModel):
     """Commuting/restocking costs on a city with a railway line (2d)."""
@@ -239,14 +254,18 @@ class BusinessLocationCost(CostModel):
         dyn = axis_arrangement_candidates(x_space, np.atleast_2d(z))
         return _dedup_points(np.vstack([static, dyn]))
 
-    def z_opt_candidates(self, X_list, z_space):
-        """Per-sample candidate minimizer points of z -> sum_i c_i(x_i, z).
+    def z_opt_values(self, X_list, z_space):
+        """The summed cost on each sample's kink-line grid.
 
-        The quality space must be a box grid; the candidate pool is the
-        cross product of the vertical/horizontal kink lines (station and
-        per-sample type coordinates) clipped into the box.  The static lines
+        The quality space must be a box grid.  The candidates are the cross
+        product of the vertical/horizontal kink lines (station and
+        per-sample type coordinates) clipped into the box, with
+        ``cand[:, v*H + h] = (vpool[v], hpool[h])``; the static lines
         (stations and box sides) are taken once each: an exact duplicate
-        cannot change the lexicographic pick.
+        cannot change the lexicographic pick.  The (n, V, H) table is built
+        from per-axis walking costs, with the additions and minimums that
+        ``eval`` does on each row, so every entry equals ``eval`` on its
+        pair bit for bit.
         """
         if getattr(z_space, "box", None) is None:
             raise CostModelError("business-location z_opt needs a box-grid "
@@ -265,7 +284,32 @@ class BusinessLocationCost(CostModel):
         cand = np.empty((n, V * H, 2))
         cand[:, :, 0] = np.repeat(vpool, H, axis=1)
         cand[:, :, 1] = np.tile(hpool, (1, V))
-        return cand, np.ones((n, V * H), dtype=bool)
+        v, h = vpool[:, :, None], hpool[:, None, :]
+        U = self.stations
+        # (S, n, V, H) quality-side walking costs, shared by the categories
+        dzu = self.c_walk * (np.abs(v - U[:, :1, None, None])
+                             + np.abs(h - U[:, 1:, None, None]))
+        tot = np.zeros((n, V, H))
+        station = np.empty((n, V, H))
+        route = np.empty((n, V, H))
+        for i in range(self.N):
+            x0, x1 = xs[:, i, :1, None], xs[:, i, 1:, None]
+            direct_w = self.c_restock if i == self.N - 1 else self.c_walk
+            direct = direct_w * (np.abs(x0 - v) + np.abs(x1 - h))
+            if i == self.N - 1:
+                tot += direct
+                continue
+            dxu = self.c_walk * (np.abs(xs[:, i, 0] - U[:, :1])
+                                 + np.abs(xs[:, i, 1] - U[:, 1:]))
+            station.fill(np.inf)
+            for j in range(len(U)):
+                for jp in range(len(U)):
+                    np.add(dxu[j, :, None, None], dzu[jp], out=route)
+                    np.add(route, self.c_train * abs(j - jp), out=route)
+                    np.minimum(station, route, out=station)
+            np.minimum(station, direct, out=station)
+            tot += station
+        return cand, tot.reshape(n, V * H)
 
 
 class QuadraticBarycenterCost(CostModel):
@@ -397,8 +441,10 @@ class CappedAffineCost(CostModel):
                 for a, b, Minv in pair_rows:
                     for sa in (0, 1):
                         for sb in (0, 1):
-                            r = np.stack([rhs[:, a, sa], rhs[:, b, sb]], axis=1)
-                            pts_ab.append(r @ Minv.T)
+                            # one column at a time, as in eval: a BLAS
+                            # product rounds one row and a batch differently
+                            pts_ab.append(rhs[:, a, sa, None] * Minv[:, 0]
+                                          + rhs[:, b, sb, None] * Minv[:, 1])
                 pts_ab = np.stack(pts_ab, axis=1)      # (n, P, 2)
                 cand.append(pts_ab)
                 masks.append(z_space.covers(pts_ab.reshape(-1, 2))

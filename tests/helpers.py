@@ -17,7 +17,7 @@ from teamsolve.linprog import (LpError, LpInfeasibleError, LpProblem,
                                LpSolution, LpUnboundedError, _core)
 from teamsolve.measures import DiscreteMeasure
 from teamsolve.oracle import OracleError, _finalize, _vertex_multipliers
-from teamsolve.problems import tabulated_cpwa_cost
+from teamsolve.problems import CostModelError, tabulated_cpwa_cost
 
 
 def brute_force_discrete_optimum(model, measures, x_spaces, z_space):
@@ -404,10 +404,15 @@ def lex_argmin_loop(points, values, valid):
 
 def z_opt_dense(model, x_list, z_space, candidates=None):
     """Quality selector of a min-of-convex-terms family, evaluating the cost
-    at every candidate (valid or not) of every sample.  ``candidates(x_list,
-    z_space)`` gives the candidates, by default ``model.z_opt_candidates``."""
+    with ``eval`` at every candidate (valid or not) of every sample.
+    ``candidates(x_list, z_space)`` gives the candidates and their validity,
+    by default those of ``model.z_opt_values`` with valid = finite value."""
     x_list = [np.atleast_2d(np.asarray(X, dtype=float)) for X in x_list]
-    cand, valid = (candidates or model.z_opt_candidates)(x_list, z_space)
+    if candidates is None:
+        cand, vals = model.z_opt_values(x_list, z_space)
+        valid = np.isfinite(vals)
+    else:
+        cand, valid = candidates(x_list, z_space)
     k = cand.shape[1]
     vals = np.zeros((len(cand), k))
     for i in range(model.N):
@@ -463,14 +468,45 @@ def mesh_z_opt_candidates(model, X_list, z_space):
             for a, b, Minv in pair_rows:
                 for sa in (0, 1):
                     for sb in (0, 1):
-                        r = np.stack([rhs[:, a, sa], rhs[:, b, sb]], axis=1)
-                        pts_ab.append(r @ Minv.T)
+                        # rounded as in CappedAffineCost.z_opt_candidates
+                        pts_ab.append(rhs[:, a, sa, None] * Minv[:, 0]
+                                      + rhs[:, b, sb, None] * Minv[:, 1])
             pts_ab = np.stack(pts_ab, axis=1)      # (n, P, 2)
             cand.append(pts_ab)
             masks.append(z_space.covers(pts_ab.reshape(-1, 2))
                          .reshape(n, -1))
     return (np.concatenate([np.ascontiguousarray(c) for c in cand], axis=1),
             np.concatenate(masks, axis=1))
+
+
+def business_z_opt_candidates(model, X_list, z_space):
+    """Per-sample candidate minimizer points of z -> sum_i c_i(x_i, z).
+
+    The quality space must be a box grid; the candidate pool is the
+    cross product of the vertical/horizontal kink lines (station and
+    per-sample type coordinates) clipped into the box.  The static lines
+    (stations and box sides) are taken once each: an exact duplicate
+    cannot change the lexicographic pick.  The reference for the candidates
+    of ``BusinessLocationCost.z_opt_values``.
+    """
+    if getattr(z_space, "box", None) is None:
+        raise CostModelError("business-location z_opt needs a box-grid "
+                             "quality space")
+    n = np.atleast_2d(X_list[0]).shape[0]
+    xs = np.stack([np.atleast_2d(X)[:, :2] for X in X_list], axis=1)  # (n, N, 2)
+    pools = []
+    for l, side in enumerate(z_space.box):
+        static = np.unique(np.clip(np.append(model.stations[:, l], side),
+                                   *side))
+        pools.append(np.concatenate(
+            [np.broadcast_to(static, (n, len(static))),
+             np.clip(xs[:, :, l], *side)], axis=1))
+    vpool, hpool = pools
+    V, H = vpool.shape[1], hpool.shape[1]
+    cand = np.empty((n, V * H, 2))
+    cand[:, :, 0] = np.repeat(vpool, H, axis=1)
+    cand[:, :, 1] = np.tile(hpool, (1, V))
+    return cand, np.ones((n, V * H), dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -143,3 +143,25 @@ def test_boundary_candidates_property(lines, seed):
                   - _min_cost(model, xs, SQUARE,
                               partial(mesh_z_opt_candidates, model))).max() \
         <= 1e-15
+
+
+def test_one_sample_picks_as_in_a_batch():
+    # kink lines through mesh vertices: unless a line/line crossing rounds
+    # the same for one sample as in a batch, this sample picks
+    # (0.2499999999999999, 0.75) alone and (0.25, 0.25) in a batch
+    model = capped_affine_cost([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8],
+                                [-0.6, 0.8]], [0.0, 0.25, 0.25, 0.0],
+                               [0.5, 0.6, 0.5, 0.45])
+    t = [0.25, 0.5, 0.5, 1.0]
+    alone = z_opt(model, [np.array([[v]]) for v in t], SQUARE)
+    pair = z_opt(model, [np.array([[v], [v]]) for v in t], SQUARE)
+    assert np.array_equal(alone[0], pair[0])
+    assert np.array_equal(pair[0], pair[1])
+
+
+def test_picks_do_not_depend_on_the_chunk():
+    model = workloads.build("capped-affine", 3).model
+    xs = _types(np.random.default_rng(84), model.N, 600, quarter=True)
+    ref = z_opt(model, xs, SQUARE, chunk=1024)
+    for chunk in (1, 64):
+        assert np.array_equal(z_opt(model, xs, SQUARE, chunk=chunk), ref)
