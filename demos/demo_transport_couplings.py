@@ -37,11 +37,13 @@ two = DiscreteMeasure([[0.25, 0.5], [0.75, 0.5]], [0.5, 0.5])
 square = CpwaDensityMeasure(build_box_partition([(0, 1), (0, 1)], (2, 2)),
                             np.ones(9))
 sd = ot_semidiscrete(two, square)
+# the plan's cost is the W1 distance from the atoms to the cell centroids
+_, cell_cost = ot_discrete(two, sd.plan.target)
 print("semi-discrete: %d cells (refinement %d) of masses %s"
       % (len(sd.cell_simplex), sd.refinement,
          np.unique(sd.plan.target.weights)))
 print("  cell mass coupled to each atom %s vs weights %s, plan cost %.4f"
-      % (sd.est_masses, two.weights, sd.plan.cost))
+      % (sd.est_masses, two.weights, cell_cost))
 cond = sd.sample_given_source(rng, np.zeros(5000, dtype=int))
 print("  conditional cells of the left atom span x in [%.3f, %.3f]"
       % (cond[:, 0].min(), cond[:, 0].max()))

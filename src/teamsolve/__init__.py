@@ -13,9 +13,8 @@ couplings (``transport``, ``equilibrium``).  Concrete cost families live in
 from .cutting_plane import (CuttingPlaneResult, DualDiscreteMeasures,
                             MaxIterationsExceededError, ParametricSolution,
                             UnboundedRelaxationError, run, sparsity_bound)
-from .equilibrium import (EquilibriumReport, construct,
-                          equilibrium_diagnostics, eps_theo, transfer_eval,
-                          z_opt)
+from .equilibrium import (EquilibriumReport, construct, eps_theo,
+                          transfer_eval, z_opt)
 from .geometry import (FiniteSpace, HatBasis, IndicatorBasis,
                        SimplicialComplex, build_box_partition, epsilon_bar,
                        eval_hat, locate, plan_partition)

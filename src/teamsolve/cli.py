@@ -128,7 +128,7 @@ class ProblemSetup:
                               "cost model has %d categories, config has %d"
                               % (self.model.N, self.N))
         self.eps_lsip = float(_need(config, "eps_lsip", "$"))
-        if self.eps_lsip <= 0:
+        if not self.eps_lsip > 0:
             raise ConfigError("$.eps_lsip", "must be positive")
         mc = config.get("mc", {})
         _reject_unknown(mc, ("n", "repetitions"), "$.mc")
@@ -181,9 +181,16 @@ class ProblemSetup:
 
 
 def load_config(path):
+    def finite(text):
+        # also sees the NaN and Infinity literals Python's json accepts
+        value = float(text)
+        if not np.isfinite(value):
+            raise ConfigError(path, "non-finite number %s" % text)
+        return value
+
     try:
         with open(path) as f:
-            return json.load(f)
+            return json.load(f, parse_float=finite, parse_constant=finite)
     except OSError as e:
         raise ConfigError(path, "cannot read config: %s" % e) from e
     except json.JSONDecodeError as e:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from . import linprog
-from .geometry import point_key, point_keys
+from .geometry import point_keys
 
 log = logging.getLogger("teamsolve.cutting_plane")
 
@@ -72,41 +72,24 @@ class DualDiscreteMeasures:
             (model.eval(i, self.xs[i], self.zs[i]) * self.weights[i]).sum()
             for i in range(len(self.weights))))
 
-    def z_marginal(self, i):
-        """Quality marginal of category i as (atoms, weights), deduplicated."""
-        return _group_atoms(self.zs[i], self.weights[i])
-
-    def x_marginal(self, i):
-        return _group_atoms(self.xs[i], self.weights[i])
-
-    def conditional_x_given_z(self, i):
-        """List of (z_atom, x_atoms, probs) rows of the disintegration."""
-        rows = {}
-        for q in range(len(self.weights[i])):
-            rows.setdefault(point_key(self.zs[i][q]), []).append(q)
-        out = []
-        for key in sorted(rows):
-            qs = rows[key]
-            wsum = self.weights[i][qs].sum()
-            out.append((self.zs[i][qs[0]], self.xs[i][qs],
-                        self.weights[i][qs] / wsum))
-        return out
+    def plan(self, i):
+        """Category i's dual measure as a transport plan ``(zs, xs, P)``:
+        the distinct quality atoms (rows) and type atoms (columns), each in
+        first-seen order, and the (rows, columns) weights, summing to one."""
+        zs, zi = _first_seen(self.zs[i])
+        xs, xi = _first_seen(self.xs[i])
+        P = np.zeros((len(zs), len(xs)))
+        np.add.at(P, (zi, xi), self.weights[i])
+        return zs, xs, P / P.sum()
 
 
-def _group_atoms(pts, wts):
-    seen = {}
-    atoms, weights = [], []
-    for q in range(len(wts)):
-        k = point_key(pts[q])
-        if k in seen:
-            weights[seen[k]] += wts[q]
-        else:
-            seen[k] = len(atoms)
-            atoms.append(pts[q])
-            weights.append(wts[q])
-    atoms = np.asarray(atoms)
-    weights = np.asarray(weights)
-    return atoms, weights / weights.sum()
+def _first_seen(pts):
+    """The distinct rows of ``pts`` by point key in first-seen order, and
+    the index of each row's atom among them."""
+    index = {}
+    inv = np.array([index.setdefault(k, len(index))
+                    for k in point_keys(pts)], dtype=int)
+    return pts[np.unique(inv, return_index=True)[1]], inv
 
 
 @dataclass
@@ -261,7 +244,7 @@ def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
     ``MaxIterationsExceededError`` (with the current gap) at the iteration cap.
     """
     N = model.N
-    if eps_lsip <= 0:
+    if not eps_lsip > 0:
         raise CuttingPlaneError("eps_lsip must be positive")
     k = z_basis.m
     store = _CutStore(model, x_bases, z_basis)

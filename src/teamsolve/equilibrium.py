@@ -4,9 +4,10 @@ Given the solver's feasible parametric solution and discrete dual measures,
 this module builds the two candidate equilibria and their certificates:
 
 * the discrete quality measure (the quality marginal of one dual measure),
-  with coupled agent samples generated by a chain of conditional samplers --
-  quality-to-quality W1 coupling, the dual disintegration, then a W1
-  coupling onto the true agent measure;
+  with coupled agent samples drawn through a chain of glued transport
+  plans -- quality-to-quality W1 coupling, the dual measure as a plan from
+  its quality to its type marginal, then a W1 coupling onto the true agent
+  measure;
 * the pushforward quality measure obtained by mapping coupled agent types
   through the cost-minimizing quality selector;
 * Monte Carlo (or exact, for fully discrete data) upper bounds, the lower
@@ -20,17 +21,17 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .cutting_plane import sparsity_bound
-from .geometry import FiniteSpace, epsilon_bar, point_key
+from .geometry import FiniteSpace, epsilon_bar
 from .linprog import solve_min
-from .measures import (CpwaDensityMeasure, DiscreteMeasure, moment_vector,
-                       spawn_rngs)
+from .measures import CpwaDensityMeasure, DiscreteMeasure, spawn_rngs
 from .oracle import _vertex_multipliers
 from .problems import QuadraticBarycenterCost, TabulatedCpwaCost
-from .transport import (draw_columns, ot_discrete, ot_quantile_1d,
+from .transport import (DiscreteCoupling, ot_discrete, ot_quantile_1d,
                         ot_semidiscrete)
 
 log = logging.getLogger("teamsolve.equilibrium")
@@ -69,10 +70,11 @@ def _lex_argmin(points, values):
 def z_opt(model, x_list, z_space, chunk=1024):
     """Global minimizer of z -> sum_i c_i(x_i, z) over the quality space.
 
-    Vectorized over samples; ``x_list`` holds one (n, d_i) array per
-    category.  Exact for the shipped cost families; ties are broken by the
-    lexicographically smallest minimizer among the candidate points.  For
-    the min-of-convex-terms families the model's ``z_opt_values`` gives the
+    Vectorized over samples, ``chunk`` rows at a time in every branch;
+    ``x_list`` holds one (n, d_i) array per category.  Exact for the
+    shipped cost families; ties are broken by the lexicographically
+    smallest minimizer among the candidate points.  For the
+    min-of-convex-terms families the model's ``z_opt_values`` gives the
     candidates of each sample and the summed cost at them, +inf at invalid
     ones.  The capped-affine candidates come from the quality region's
     ``boundary``, not its mesh: the summed cost does not depend on the mesh
@@ -86,22 +88,22 @@ def z_opt(model, x_list, z_space, chunk=1024):
     x_list = [np.atleast_2d(np.asarray(X, dtype=float)) for X in x_list]
     n = x_list[0].shape[0]
     # a tabulated cost is biaffine on each cell pair, so a vertex minimizes
-    if isinstance(z_space, FiniteSpace) \
-            or isinstance(model, TabulatedCpwaCost):
-        zs = z_space.vertices
-        vals = np.zeros((n, len(zs)))
-        for i in range(model.N):
-            vals += model.eval_grid(i, x_list[i], zs)
-        pts = np.broadcast_to(zs[None], (n,) + zs.shape)
-        return zs[_lex_argmin(pts, vals)]
-    if isinstance(model, QuadraticBarycenterCost):
-        return _z_opt_quadratic(model, x_list, z_space)
-    # min-of-convex-terms families: exact candidate arrangements per sample
+    vertices = isinstance(z_space, FiniteSpace) \
+        or isinstance(model, TabulatedCpwaCost)
     out = np.empty((n, z_space.dim))
     for s0 in range(0, n, chunk):
         sl = slice(s0, min(s0 + chunk, n))
         xs = [X[sl] for X in x_list]
-        cand, vals = model.z_opt_values(xs, z_space)
+        if vertices:
+            zs = z_space.vertices
+            cand = np.broadcast_to(zs[None], (len(xs[0]),) + zs.shape)
+            vals = sum(model.eval_grid(i, xs[i], zs) for i in range(model.N))
+        elif isinstance(model, QuadraticBarycenterCost):
+            out[sl] = _z_opt_quadratic(model, xs, z_space)
+            continue
+        else:
+            # min-of-convex-terms families: exact candidate arrangements
+            cand, vals = model.z_opt_values(xs, z_space)
         out[sl] = cand[np.arange(len(cand)), _lex_argmin(cand, vals)]
     return out
 
@@ -179,14 +181,6 @@ def transfer_eval(model, i, Z, solution, x_spaces, x_bases):
     return out
 
 
-def make_transfer_functions(model, solution, x_spaces, x_bases):
-    """List of per-category callables evaluating the transfer functions."""
-    def make(i):
-        return lambda Z: transfer_eval(model, i, Z, solution, x_spaces,
-                                       x_bases)
-    return [make(i) for i in range(model.N)]
-
-
 # ---------------------------------------------------------------------------
 # a-priori certificate
 
@@ -223,7 +217,6 @@ class EquilibriumReport:
     sparsity_bound: int
     support_reduced: bool = False
     agent_couplings: list = field(default_factory=list)
-    transfer: list = field(default_factory=list, repr=False)
     _chain: object = field(default=None, repr=False)
 
     def sample_streams(self, rng, n):
@@ -256,28 +249,23 @@ class EquilibriumReport:
 
 
 class _SamplerChain:
-    """Vectorized conditional sampler chain behind the coupled streams."""
+    """Vectorized sampler of the glued couplings: per category the triple
+    ``(to_nu, dual, to_mu)`` of couplings nu_hat -> nu_i (quality),
+    nu_i -> mu_hat_i (the dual measure) and mu_hat_i -> mu_i (the agent)."""
 
-    def __init__(self, model, nu_hat, z_couplings, cond_x, xbar_couplings,
-                 mu_hat_atoms, z_space):
+    def __init__(self, model, nu_hat, links, z_space):
         self.model = model
         self.nu_hat = nu_hat
-        self.z_couplings = z_couplings          # per i: DiscreteCoupling
-        self.cond_x = cond_x                    # per i: rows aligned to nu_i
-        self.xbar_couplings = xbar_couplings    # per i: coupling onto mu_i
-        self.mu_hat_atoms = mu_hat_atoms        # per i
+        self.links = links
         self.z_space = z_space
 
     def sample(self, rng, n, with_zbar=True):
         a = rng.choice(self.nu_hat.n_atoms, size=n, p=self.nu_hat.weights)
-        Z = self.nu_hat.atoms[a]
         Xbars = []
-        for i in range(self.model.N):
-            _, b = self.z_couplings[i].sample_given_source(rng, a)
-            xi_idx = draw_columns(rng, self.cond_x[i], b)
-            Xb = self.xbar_couplings[i].sample_given_source(rng, xi_idx)
-            Xbars.append(Xb[0] if isinstance(Xb, tuple) else Xb)
-        out = {"Z": Z, "X_bar": Xbars}
+        for to_nu, dual, to_mu in self.links:
+            b = to_nu.columns(rng, a)
+            Xbars.append(to_mu.sample_given_source(rng, dual.columns(rng, b)))
+        out = {"Z": self.nu_hat.atoms[a], "X_bar": Xbars}
         if with_zbar:
             out["Z_bar"] = z_opt(self.model, Xbars, self.z_space)
         return out
@@ -317,9 +305,14 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
     more is exact and has no settings.
     """
     N = model.N
-    duals = cp_result.duals
-    nu_parts = [duals.z_marginal(i) for i in range(N)]
-    nu_measures = [DiscreteMeasure(a, w) for a, w in nu_parts]
+    # each category's dual measure as a plan from its quality marginal nu_i
+    # onto its type marginal mu_hat_i
+    duals = []
+    for i in range(N):
+        zs, xs, P = cp_result.duals.plan(i)
+        duals.append(DiscreteCoupling(DiscreteMeasure(zs, P.sum(1)),
+                                      DiscreteMeasure(xs, P.sum(0)), P))
+    nu_measures = [d.source for d in duals]
 
     if i_hat == "auto":
         if N == 1:
@@ -335,41 +328,20 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
     i_hat = int(i_hat)
 
     bound = sparsity_bound([b.m for b in x_bases], z_basis.m)
-    nu_atoms, nu_w = nu_parts[i_hat]
-    reduced = False
-    if len(nu_w) > bound:
-        nu_atoms, nu_w = _reduce_support(nu_atoms, nu_w, z_basis, bound)
-        reduced = True
-        log.info("quality support reduced to %d atoms", len(nu_w))
-    nu_hat = DiscreteMeasure(nu_atoms, nu_w)
+    nu_hat = nu_measures[i_hat]
+    reduced = nu_hat.n_atoms > bound
+    if reduced:
+        nu_hat = DiscreteMeasure(*_reduce_support(
+            nu_hat.atoms, nu_hat.weights, z_basis, bound))
+        log.info("quality support reduced to %d atoms", nu_hat.n_atoms)
 
-    # quality-to-quality couplings
-    z_couplings = [ot_discrete(nu_hat, nu_measures[i])[0] for i in range(N)]
-
-    # dual disintegration, aligned with each nu_i's atom order
-    cond_x = []
-    mu_hat_atoms = []
-    for i in range(N):
-        zatoms = nu_parts[i][0]
-        zkey = {point_key(z): q for q, z in enumerate(zatoms)}
-        rows = [None] * len(zatoms)
-        mh_atoms, mh_w = duals.x_marginal(i)
-        mu_hat_atoms.append(mh_atoms)
-        xkey = {point_key(x): q for q, x in enumerate(mh_atoms)}
-        for z, xs, probs in duals.conditional_x_given_z(i):
-            rows[zkey[point_key(z)]] = (
-                np.asarray([xkey[point_key(x)] for x in xs], dtype=int),
-                np.cumsum(probs))
-        cond_x.append(rows)
-
-    # couplings onto the true agent measures, each with its kind,
-    # refinement and marginal residual
-    xbar_couplings = []
+    # per category: nu_hat -> nu_i, the dual plan, then mu_hat_i onto the
+    # true agent measure, recorded with its kind, refinement and marginal
+    # residual
+    links = []
     records = []
-    for i in range(N):
-        mu_hat = DiscreteMeasure(mu_hat_atoms[i],
-                                 duals.x_marginal(i)[1])
-        mu = measures[i]
+    for i, dual in enumerate(duals):
+        mu_hat, mu = dual.target, measures[i]
         if isinstance(mu, DiscreteMeasure):
             coup = ot_discrete(mu_hat, mu)[0]
             rec = ("discrete", None, coup.marginal_residual())
@@ -382,16 +354,14 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
         else:
             raise UnsupportedMeasureClassError(
                 "measure %d of type %r" % (i, type(mu)))
-        xbar_couplings.append(coup)
+        links.append((ot_discrete(nu_hat, dual.source)[0], dual, coup))
         records.append(dict(zip(("kind", "refinement", "marginal_residual"),
                                 rec)))
     all_discrete = all(r["kind"] == "discrete" for r in records)
 
-    chain = _SamplerChain(model, nu_hat, z_couplings, cond_x, xbar_couplings,
-                          mu_hat_atoms, z_space)
+    chain = _SamplerChain(model, nu_hat, links, z_space)
 
-    exact = _exact_bounds(model, chain, measures, z_space) \
-        if all_discrete else None
+    exact = _exact_bounds(model, chain, z_space) if all_discrete else None
     if exact is not None:
         alpha_hat, alpha_tilde = exact
         alpha_hat_se = alpha_tilde_se = 0.0
@@ -444,99 +414,43 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
     )
 
 
-def _exact_bounds(model, chain, measures, z_space):
-    """Exact expectations ``(hat, tilde)`` for fully discrete data by
-    kernel-chain products, or None when the tilde enumeration would exceed
-    ``EXACT_COMBO_CAP`` type combinations."""
-    N = model.N
+def _exact_bounds(model, chain, z_space):
+    """Exact expectations ``(hat, tilde)`` for fully discrete data, or None
+    when the tilde enumeration would exceed ``EXACT_COMBO_CAP`` type
+    combinations.  Category i's law of X_bar given the root quality atom is
+    the product of its chain's row-normalised plans (Villani, *Optimal
+    Transport: Old and New*, 2009, ch. 1, the gluing lemma)."""
     nu = chain.nu_hat
-    na = nu.n_atoms
-    # per category: conditional law of X_bar given the root quality atom
-    kernels = []
-    xbar_atoms = []
-    for i in range(N):
-        plan = chain.z_couplings[i].plan            # (na, nb)
-        K1 = plan / plan.sum(axis=1, keepdims=True)
-        K2 = np.zeros((len(chain.cond_x[i]), len(chain.mu_hat_atoms[i])))
-        for b, (cols, cum) in enumerate(chain.cond_x[i]):
-            K2[b, cols] += np.diff(np.concatenate([[0.0], cum]))
-        coup = chain.xbar_couplings[i]
-        mu = measures[i]
-        K3 = coup.plan / coup.plan.sum(axis=1, keepdims=True)
-        kernels.append(K1 @ K2 @ K3)                # (na, n_mu_atoms)
-        xbar_atoms.append(mu.atoms)
-    total = 0
-    for a in range(na):
-        sizes = [int((kernels[i][a] > 1e-15).sum()) for i in range(N)]
-        prod = 1
-        for s in sizes:
-            prod *= max(s, 1)
-        total += prod
-    if total > EXACT_COMBO_CAP:
+    kernels = [reduce(np.matmul, [c.plan / c.plan.sum(axis=1, keepdims=True)
+                                  for c in link])   # (na, atoms of mu_i)
+               for link in chain.links]
+    supports = [[np.flatnonzero(K[a] > 1e-15) for K in kernels]
+                for a in range(nu.n_atoms)]
+    if sum(np.prod([max(len(s), 1) for s in sup]) for sup in supports) \
+            > EXACT_COMBO_CAP:
         return None
+    atoms = [link[-1].target.atoms for link in chain.links]
     hat = 0.0
-    for i in range(N):
-        M = nu.weights[:, None] * kernels[i]        # joint (Z, X_bar_i)
-        C = model.eval_grid(i, xbar_atoms[i], nu.atoms).T
+    for i, K in enumerate(kernels):
+        M = nu.weights[:, None] * K                 # joint (Z, X_bar_i)
+        C = model.eval_grid(i, atoms[i], nu.atoms).T
         hat += float((M * C).sum())
-    tilde = 0.0
-    import itertools
-    for a in range(na):
-        supports = [np.flatnonzero(kernels[i][a] > 1e-15) for i in range(N)]
-        for combo in itertools.product(*supports):
-            p = nu.weights[a]
-            for i in range(N):
-                p *= kernels[i][a, combo[i]]
-            if p <= 1e-300:
-                continue
-            xs = [xbar_atoms[i][combo[i]][None, :] for i in range(N)]
-            zb = z_opt(model, xs, z_space)
-            val = sum(float(model.eval(i, xs[i], zb)[0]) for i in range(N))
-            tilde += p * val
-    return hat, tilde
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-def equilibrium_diagnostics(report, model, measures, x_spaces, x_bases,
-                            z_space, z_basis, solution, rng, n=20000,
-                            z_grid=None):
-    """Empirical residuals of the equilibrium conditions.
-
-    Returns a dict with the marginal moment mismatches of the coupled
-    samples, the worst-case absolute sum of the transfer functions on a
-    test grid (zero by construction), and the complementarity proxy based
-    on a grid-approximated cost transform.
-    """
-    N = model.N
-    S = report._chain.sample(rng, n, with_zbar=False)
-    transfers = make_transfer_functions(model, solution, x_spaces, x_bases)
-    if z_grid is None:
-        z_grid = z_space.vertices
-    out = {"marginal_x": [], "marginal_z": [], "zero_sum": 0.0,
-           "complementarity": []}
-    phi_grid = np.stack([transfers[i](z_grid) for i in range(N)])
-    out["zero_sum"] = float(np.abs(phi_grid.sum(axis=0)).max())
-    Hz_exact = report.nu_hat.weights @ z_basis.eval_many(report.nu_hat.atoms)
-    Hz_emp = z_basis.eval_many(S["Z"]).mean(axis=0)
-    for i in range(N):
-        g_exact = moment_vector(measures[i], x_bases[i])
-        g_emp = x_bases[i].eval_many(S["X_bar"][i]).mean(axis=0)
-        out["marginal_x"].append(
-            float(np.abs(g_emp - g_exact).max()) if g_exact.size else 0.0)
-        out["marginal_z"].append(float(np.abs(Hz_emp - Hz_exact).max()))
-        phi_z = transfers[i](S["Z"])
-        cost = model.eval(i, S["X_bar"][i], S["Z"])
-        # grid-approximated cost transform at the sampled types
-        C = np.empty((n, len(z_grid)))
-        for q0 in range(0, n, 4096):
-            sl = slice(q0, min(q0 + 4096, n))
-            C[sl] = model.eval_grid(i, S["X_bar"][i][sl], z_grid)
-        phic = (C - phi_grid[i][None, :]).min(axis=1)
-        out["complementarity"].append(
-            float((cost - phi_z - phic).mean()))
-    return out
+    # every (root atom, type combination) with its probability, in one batch
+    roots, combos = [], []
+    for a, sup in enumerate(supports):
+        grid = np.stack(np.meshgrid(*sup, indexing="ij"), axis=-1)
+        combos.append(grid.reshape(-1, len(sup)))
+        roots.append(np.full(len(combos[-1]), a))
+    roots = np.concatenate(roots)
+    combos = np.concatenate(combos)
+    p = nu.weights[roots]
+    for i, K in enumerate(kernels):
+        p = p * K[roots, combos[:, i]]
+    keep = p > 1e-300
+    xs = [atoms[i][combos[keep, i]] for i in range(model.N)]
+    zb = z_opt(model, xs, z_space)
+    vals = sum(model.eval(i, xs[i], zb) for i in range(model.N))
+    return hat, float(p[keep] @ vals)
 
 
 # ---------------------------------------------------------------------------

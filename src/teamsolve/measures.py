@@ -36,6 +36,9 @@ class DiscreteMeasure:
         self.weights = np.atleast_1d(np.asarray(weights, dtype=float))
         if self.atoms.shape[0] != self.weights.shape[0]:
             raise MeasureError("atoms/weights length mismatch")
+        if not (np.isfinite(self.atoms).all()
+                and np.isfinite(self.weights).all()):
+            raise MeasureError("atoms and weights must be finite")
         if np.any(self.weights <= 0):
             raise MeasureError("weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:
@@ -89,8 +92,9 @@ class CpwaDensityMeasure:
         f = np.atleast_1d(np.asarray(vertex_density, dtype=float))
         if f.shape[0] != complex.n_vertices:
             raise MeasureError("need one density value per vertex")
-        if np.any(f < 0):
-            raise MeasureError("density must be nonnegative at every vertex")
+        if not np.isfinite(f).all() or np.any(f < 0):
+            raise MeasureError("density must be finite and nonnegative at "
+                               "every vertex")
         vols = complex.volumes()
         cell_mean = f[complex.simplices].mean(axis=1)
         mass = float(np.dot(vols, cell_mean))

@@ -39,26 +39,14 @@ def _pairwise_dist(A, B):
     return np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(-1))
 
 
-def draw_columns(rng, rows, idx):
-    """One column per entry r of ``idx``, drawn from row ``rows[r]``, a pair
-    (column indices, cumulative probabilities), with one uniform each."""
-    u = rng.uniform(size=len(idx))
-    out = np.empty(len(idx), dtype=int)
-    for r in np.unique(idx):
-        at = idx == r
-        cols, cum = rows[r]
-        out[at] = cols[np.minimum(np.searchsorted(cum, u[at]), len(cum) - 1)]
-    return out
-
-
 class DiscreteCoupling:
-    """Exact coupling matrix between two discrete measures."""
+    """Transport plan between two discrete measures: ``plan[a, b]`` is the
+    mass moved from source atom a to target atom b."""
 
-    def __init__(self, source, target, plan, cost):
+    def __init__(self, source, target, plan):
         self.source = source
         self.target = target
         self.plan = plan                      # (n1, n2), row sums = source w
-        self.cost = float(cost)
         cond = plan / plan.sum(axis=1)[:, None]
         self._rows = [(np.flatnonzero(c > 0), np.cumsum(c[c > 0]))
                       for c in cond]
@@ -69,15 +57,25 @@ class DiscreteCoupling:
             np.abs(self.plan.sum(1) - self.source.weights).max(),
             np.abs(self.plan.sum(0) - self.target.weights).max()))
 
+    def columns(self, rng, src_idx):
+        """Target atom indices conditionally on source atom indices, one
+        uniform per draw."""
+        u = rng.uniform(size=len(src_idx))
+        out = np.empty(len(src_idx), dtype=int)
+        for r in np.unique(src_idx):
+            at = src_idx == r
+            cols, cum = self._rows[r]
+            out[at] = cols[np.minimum(np.searchsorted(cum, u[at]),
+                                      len(cum) - 1)]
+        return out
+
     def sample_given_source(self, rng, src_idx):
         """Target points conditionally on source atom indices."""
-        cols = draw_columns(rng, self._rows, src_idx)
-        return self.target.atoms[cols], cols
+        return self.target.atoms[self.columns(rng, src_idx)]
 
     def sample_pairs(self, rng, n):
         src = rng.choice(self.source.n_atoms, size=n, p=self.source.weights)
-        tgt, _ = self.sample_given_source(rng, src)
-        return self.source.atoms[src], tgt
+        return self.source.atoms[src], self.sample_given_source(rng, src)
 
 
 def ot_discrete(nu1, nu2):
@@ -103,11 +101,11 @@ def ot_discrete(nu1, nu2):
         plan = np.clip(res.x.reshape(n1, n2), 0.0, None)
     # repair solver-tolerance drift so the conditionals are exact
     plan *= (nu1.weights / np.maximum(plan.sum(axis=1), 1e-300))[:, None]
-    coupling = DiscreteCoupling(nu1, nu2, plan, (plan * D).sum())
+    coupling = DiscreteCoupling(nu1, nu2, plan)
     err = coupling.marginal_residual()
     if err > 1e-8:
         raise TransportError("transport plan marginals off by %.3g" % err)
-    return coupling, coupling.cost
+    return coupling, float((plan * D).sum())
 
 
 class QuantileCoupling:
@@ -175,7 +173,7 @@ class SemidiscreteCoupling:
     def sample_given_source(self, rng, src_idx):
         """Target points conditionally on source atom indices: a cell from
         the atom's plan row, then a point inside that cell."""
-        _, cols = self.plan.sample_given_source(rng, src_idx)
+        cols = self.plan.columns(rng, src_idx)
         return self.target.sample_cells(rng, self.cell_simplex[cols])
 
 

@@ -658,3 +658,44 @@ def business_eval_pair_tensor(model, i, X, Z):
     fare = model.c_train * np.abs(np.arange(S)[:, None] - np.arange(S)[None])
     station = (dxu[:, :, None] + dzu[:, None, :] + fare[None]).min(axis=(1, 2))
     return np.minimum(station, direct)
+
+
+def dual_plan_reference(xs, zs, weights):
+    """A dual measure's support pairs summed by point key, with its quality
+    and type marginals, each as a dict in first-seen key order and scaled
+    to total weight one."""
+    pairs, z_marg, x_marg = {}, {}, {}
+    total = float(np.sum(weights))
+    for x, z, w in zip(xs, zs, weights):
+        kz, kx = point_key(z), point_key(x)
+        for d, k in ((pairs, (kz, kx)), (z_marg, kz), (x_marg, kx)):
+            d[k] = d.get(k, 0.0) + w / total
+    return pairs, z_marg, x_marg
+
+
+def exact_tilde_loop(model, chain, z_space):
+    """The exact tilde bound of fully discrete data with one ``z_opt`` call
+    and one running sum per (root atom, type combination)."""
+    from teamsolve.equilibrium import z_opt
+    nu = chain.nu_hat
+    kernels = []
+    for link in chain.links:
+        K = np.eye(nu.n_atoms)
+        for coup in link:
+            K = K @ (coup.plan / coup.plan.sum(axis=1, keepdims=True))
+        kernels.append(K)
+    atoms = [link[-1].target.atoms for link in chain.links]
+    tilde = 0.0
+    for a in range(nu.n_atoms):
+        supports = [np.flatnonzero(K[a] > 1e-15) for K in kernels]
+        for combo in itertools.product(*supports):
+            p = nu.weights[a]
+            for K, c in zip(kernels, combo):
+                p *= K[a, c]
+            if p <= 1e-300:
+                continue
+            xs = [A[c][None, :] for A, c in zip(atoms, combo)]
+            zb = z_opt(model, xs, z_space)
+            tilde += p * sum(float(model.eval(i, xs[i], zb)[0])
+                             for i in range(model.N))
+    return tilde

@@ -120,3 +120,38 @@ def test_unknown_config_keys_are_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     assert main(["verify", "--config", str(bad)]) == 2
+
+
+def test_non_finite_numbers_are_rejected(tmp_path, capsys):
+    # Python's json reads NaN and Infinity literals: a NaN tolerance or
+    # weight must stop at the config, not inside the solver
+    cases = []
+    cfg = _load("discrete_tiny.json")
+    cfg["eps_lsip"] = float("nan")
+    cases.append(cfg)
+    cfg = _load("barycenter_two_points.json")
+    cfg["problem"]["weights"] = [float("nan"), 1.0]
+    cases.append(cfg)
+    cfg = _load("discrete_tiny.json")
+    cfg["categories"][0]["measure"]["weights"][0] = float("inf")
+    cases.append(cfg)
+    for k, cfg in enumerate(cases):
+        path = tmp_path / ("bad%d.json" % k)
+        path.write_text(json.dumps(cfg))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+    # a literal beyond the float range reads as infinity
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_load("discrete_tiny.json"))
+                    .replace('"eps_lsip": 1e-06', '"eps_lsip": 1e999'))
+    assert "1e999" in path.read_text()
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    cfg = _load("discrete_tiny.json")
+    cfg["eps_lsip"] = float("nan")
+    with pytest.raises(ConfigError) as e:
+        ProblemSetup(cfg)
+    assert e.value.path == "$.eps_lsip"

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from helpers import (CutStoreLoop, assemble_lp_loop,
-                     brute_force_discrete_optimum, model_lp,
-                     random_discrete_instance, solve_reference)
+                     brute_force_discrete_optimum, dual_plan_reference,
+                     model_lp, random_discrete_instance, solve_reference)
 from teamsolve import cutting_plane, linprog
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
-                                build_box_partition)
+                                build_box_partition, point_key)
 from teamsolve.measures import DiscreteMeasure, moment_vector
 from teamsolve.cutting_plane import (MaxIterationsExceededError,
                                      UnboundedRelaxationError, _add_new_cuts,
@@ -333,3 +333,46 @@ def test_batched_add_matches_single_adds():
         for part in ("X", "Z", "G", "H", "c"):
             assert np.array_equal(getattr(batched, part)[i],
                                   np.asarray(getattr(single, part)[i])), part
+
+
+def test_non_finite_tolerance_is_rejected():
+    X = FiniteSpace([[0.0], [1.0]])
+    bx = IndicatorBasis(X)
+    model = tabulated_cpwa_cost([X, X], X, [np.zeros((2, 2))] * 2)
+    mu = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2
+    for eps in (np.nan, 0.0, -1.0):
+        # a NaN gap test never passes, so the loop would run to its cap
+        with pytest.raises(cutting_plane.CuttingPlaneError,
+                           match="must be positive"):
+            _solve_discrete(model, mu, [X, X], [bx, bx], X, bx, eps=eps,
+                            max_iterations=3)
+
+
+def _check_plan(duals, i):
+    zs, xs, P = duals.plan(i)
+    pairs, z_marg, x_marg = dual_plan_reference(
+        duals.xs[i], duals.zs[i], duals.weights[i])
+    zk = [point_key(z) for z in zs]
+    xk = [point_key(x) for x in xs]
+    # distinct atoms in first-seen order
+    assert zk == list(z_marg) and xk == list(x_marg)
+    ref = np.array([[pairs.get((a, b), 0.0) for b in xk] for a in zk])
+    assert np.abs(P - ref).max() <= 1e-15
+    assert np.abs(P.sum(1) - list(z_marg.values())).max() <= 1e-15
+    assert np.abs(P.sum(0) - list(x_marg.values())).max() <= 1e-15
+
+
+def test_dual_plan_matches_set_reference():
+    # shared atoms on both sides, a pair listed twice and unnormalised
+    # weights
+    rng = np.random.default_rng(78)
+    zpool, xpool = rng.uniform(size=(4, 2)), rng.uniform(size=(5, 1))
+    zi, xi = rng.integers(0, 4, 30), rng.integers(0, 5, 30)
+    zi[-1], xi[-1] = zi[0], xi[0]
+    duals = cutting_plane.DualDiscreteMeasures(
+        [xpool[xi]], [zpool[zi]], [rng.uniform(0.5, 1.5, 30)])
+    _check_plan(duals, 0)
+    model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=3)
+    res = _solve_discrete(model, mu, xs, xb, zs, zb)
+    for i in range(3):
+        _check_plan(res.duals, i)

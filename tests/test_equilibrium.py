@@ -1,10 +1,11 @@
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from helpers import (brute_force_discrete_optimum, lex_argmin_loop,
-                     random_discrete_instance, z_opt_dense)
+from helpers import (brute_force_discrete_optimum, exact_tilde_loop,
+                     lex_argmin_loop, random_discrete_instance, z_opt_dense)
 from teamsolve import equilibrium
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
                                 SimplicialComplex, build_box_partition,
@@ -14,9 +15,7 @@ from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
 from teamsolve.cutting_plane import ParametricSolution, run
 from teamsolve.equilibrium import (TIE_TOL, EquilibriumError, _lex_argmin,
                                    _reduce_support, construct, eps_theo,
-                                   equilibrium_diagnostics,
-                                   make_transfer_functions, transfer_eval,
-                                   write_coupling_csv, z_opt)
+                                   transfer_eval, write_coupling_csv, z_opt)
 from teamsolve.oracle import make_oracle
 from teamsolve.problems import (barycenter_cost, business_location_cost,
                                 capped_affine_cost, tabulated_cpwa_cost)
@@ -234,37 +233,6 @@ def _no_z_opt(*args, **kwargs):
     raise AssertionError("z_opt called")
 
 
-def test_diagnostics_discrete(monkeypatch):
-    rng = np.random.default_rng(36)
-    model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=2)
-    res, rep = _pipeline(model, mu, xs, xb, zs, zb, seed=4)
-    # the diagnostics use the coupled (Z, X_bar) streams only
-    monkeypatch.setattr(equilibrium, "z_opt", _no_z_opt)
-    diag = equilibrium_diagnostics(rep, model, mu, xs, xb, zs, zb,
-                                   res.solution, np.random.default_rng(5),
-                                   n=40000)
-    assert diag["zero_sum"] <= 1e-9
-    assert max(diag["marginal_x"]) < 0.02
-    assert max(diag["marginal_z"]) < 0.02
-    # complementarity residual within the certificate plus sampling noise
-    for resid in diag["complementarity"]:
-        assert resid <= rep.eps_hat_sub + 0.02
-        assert resid >= -0.02
-
-
-def test_transfer_function_handles():
-    X = FiniteSpace([[0.0], [1.0]])
-    T = np.abs(X.vertices[:, 0:1] - X.vertices[:, 0][None, :])
-    model = tabulated_cpwa_cost([X, X], X, [T, T])
-    sol = ParametricSolution(np.zeros(2), [np.zeros(1), np.zeros(1)],
-                             np.zeros((2, 1)))
-    fns = make_transfer_functions(model, sol, [X, X],
-                                  [IndicatorBasis(X), IndicatorBasis(X)])
-    z = X.vertices
-    total = fns[0](z) + fns[1](z)
-    assert np.abs(total).max() == 0.0
-
-
 def test_zopt_tabulated_box_picks_lexicographic_vertex_minimum():
     # reference: the summed vertex costs of each sample, minimized over the
     # quality vertices with the lexicographically smallest tied vertex
@@ -378,3 +346,42 @@ def test_agent_couplings_recorded():
     assert [r["refinement"] for r in recs] == [None, None, 2, 1]
     assert recs[1]["marginal_residual"] == 0.0
     assert max(r["marginal_residual"] for r in recs) <= 1e-12
+
+
+def test_chain_kernels_carry_nu_hat_onto_the_agents():
+    # exact versions of a Monte Carlo marginal check: every plan of the
+    # chain has exact marginals, the links glue, and nu_hat times the
+    # product of the row-normalised plans is the agent measure
+    rng = np.random.default_rng(36)
+    model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=3)
+    _, rep = _pipeline(model, mu, xs, xb, zs, zb, seed=4)
+    chain = rep._chain
+    for i, link in enumerate(chain.links):
+        to_nu, dual, to_mu = link
+        assert to_nu.source is chain.nu_hat
+        assert dual.source is to_nu.target and to_mu.source is dual.target
+        assert to_mu.target is mu[i]
+        for coup in link:
+            assert coup.marginal_residual() <= 1e-12
+        K = reduce(np.matmul, [c.plan / c.plan.sum(1, keepdims=True)
+                               for c in link])
+        assert np.abs(chain.nu_hat.weights @ K - mu[i].weights).max() \
+            <= 1e-12
+
+
+def test_batched_tilde_bound_matches_the_loop():
+    # the vertex branch (a tabulated cost) and the quadratic branch (a
+    # barycenter of atoms on a box grid) of the quality selector
+    rng = np.random.default_rng(37)
+    cases = [random_discrete_instance(rng, N=3)]
+    pts = [rng.uniform(0, 1, (5, 2)) for _ in range(2)]
+    xs = [FiniteSpace(p) for p in pts]
+    mu = [DiscreteMeasure(p, rng.dirichlet(np.ones(5))) for p in pts]
+    zs = build_box_partition([(0, 1), (0, 1)], (3, 3))
+    cases.append((barycenter_cost([0.3, 0.7], xs, zs, mu), mu, xs,
+                  [IndicatorBasis(sp) for sp in xs], zs, HatBasis(zs)))
+    for model, mu, xs, xb, zs, zb in cases:
+        _, rep = _pipeline(model, mu, xs, xb, zs, zb, seed=4)
+        assert rep.exact
+        ref = exact_tilde_loop(model, rep._chain, zs) + rep.shift
+        assert abs(rep.alpha_tilde_ub - ref) <= 1e-12

@@ -132,3 +132,16 @@ def test_spawned_streams_are_independent():
     assert not np.allclose(a, b)
     r1b, _ = spawn_rngs(123, 2)
     assert np.allclose(a, r1b.uniform(size=5))
+
+
+def test_non_finite_inputs_are_rejected():
+    for atoms, weights in (([[0.0], [1.0]], [np.nan, 1.0]),
+                           ([[0.0], [1.0]], [np.inf, 0.5]),
+                           ([[np.inf], [1.0]], [0.5, 0.5]),
+                           ([[np.nan]], [1.0])):
+        with pytest.raises(MeasureError):
+            DiscreteMeasure(atoms, weights)
+    c = build_box_partition([(0, 1)], (2,))
+    for f in ([1.0, np.nan, 1.0], [1.0, np.inf, 1.0]):
+        with pytest.raises(MeasureError):
+            CpwaDensityMeasure(c, f)

@@ -34,9 +34,9 @@ from hypothesis import strategies as st
 
 from helpers import l_shape, mesh_z_opt_candidates, z_opt_dense
 from teamsolve.equilibrium import TIE_TOL, z_opt
-from teamsolve.geometry import (build_box_partition, space_from_json,
-                                space_to_json)
-from teamsolve.problems import capped_affine_cost
+from teamsolve.geometry import (FiniteSpace, build_box_partition,
+                                space_from_json, space_to_json)
+from teamsolve.problems import capped_affine_cost, tabulated_cpwa_cost
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -159,9 +159,41 @@ def test_one_sample_picks_as_in_a_batch():
     assert np.array_equal(pair[0], pair[1])
 
 
+def _chunk_cases():
+    """One model per branch of ``z_opt``: the capped-affine candidates, and
+    the vertex minimum of a tabulated cost and of a finite quality space."""
+    rng = np.random.default_rng(85)
+    bench = workloads.build("capped-affine", 3).model
+    line = build_box_partition([(0, 1)], (2,))
+    # quarter-step tables make ties common at the type vertices
+    tables = [np.round(4 * rng.uniform(size=(3, SQUARE.n_vertices))) / 4
+              for _ in range(3)]
+    return [(bench, SQUARE),
+            (tabulated_cpwa_cost([line] * 3, SQUARE, tables), SQUARE),
+            (bench, FiniteSpace(rng.uniform(size=(40, 2))))]
+
+
 def test_picks_do_not_depend_on_the_chunk():
-    model = workloads.build("capped-affine", 3).model
-    xs = _types(np.random.default_rng(84), model.N, 600, quarter=True)
-    ref = z_opt(model, xs, SQUARE, chunk=1024)
-    for chunk in (1, 64):
-        assert np.array_equal(z_opt(model, xs, SQUARE, chunk=chunk), ref)
+    for seed, (model, Z) in zip((84, 86, 87), _chunk_cases()):
+        xs = _types(np.random.default_rng(seed), model.N, 600, quarter=True)
+        ref = z_opt(model, xs, Z, chunk=1024)
+        for chunk in (1, 64):
+            assert np.array_equal(z_opt(model, xs, Z, chunk=chunk), ref)
+
+
+def test_vertex_branch_evaluates_one_chunk_at_a_time(monkeypatch):
+    # the vertex branch builds (n, V) tables, so it must not see all n
+    # samples at once either
+    for model, Z in _chunk_cases()[1:]:
+        rows = []
+        grid = model.eval_grid
+
+        def spy(i, X, Zv):
+            rows.append(len(X))
+            return grid(i, X, Zv)
+
+        monkeypatch.setattr(model, "eval_grid", spy)
+        xs = _types(np.random.default_rng(88), model.N, 300)
+        z_opt(model, xs, Z, chunk=64)
+        assert rows and max(rows) == 64
+        monkeypatch.undo()

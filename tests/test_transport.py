@@ -152,3 +152,20 @@ def test_semidiscrete_needs_cpwa_target():
     src = DiscreteMeasure([[0.5, 0.5]], [1.0])
     with pytest.raises(TransportError):
         ot_semidiscrete(src, src)
+
+
+def test_every_coupling_samples_points():
+    # discrete, one-dimensional quantile and cell couplings all return an
+    # (n, d) array of target points
+    rng = np.random.default_rng(31)
+    src1 = DiscreteMeasure([[0.2], [0.7]], [0.4, 0.6])
+    src2 = DiscreteMeasure([[0.2, 0.3], [0.7, 0.6]], [0.4, 0.6])
+    line = random_cpwa(build_box_partition([(0, 1)], (2,)), rng)
+    sq = random_cpwa(build_box_partition([(0, 1), (0, 1)], (1, 1)), rng)
+    tgt2 = DiscreteMeasure(rng.uniform(size=(3, 2)), [0.2, 0.3, 0.5])
+    src_idx = np.array([0, 1, 1, 0, 1])
+    for coup, d in ((ot_discrete(src2, tgt2)[0], 2),
+                    (ot_quantile_1d(src1, line), 1),
+                    (ot_semidiscrete(src2, sq), 2)):
+        Y = coup.sample_given_source(rng, src_idx)
+        assert isinstance(Y, np.ndarray) and Y.shape == (5, d)
