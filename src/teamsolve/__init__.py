@@ -17,7 +17,7 @@ from .equilibrium import (EquilibriumReport, construct, eps_theo,
                           transfer_eval, z_opt)
 from .geometry import (FiniteSpace, HatBasis, IndicatorBasis,
                        SimplicialComplex, build_box_partition, epsilon_bar,
-                       eval_hat, locate, plan_partition)
+                       plan_partition)
 from .measures import (CpwaDensityMeasure, DiscreteMeasure, moment_vector,
                        quantile_1d, random_cpwa, sample, second_moment)
 from .oracle import (OracleResult, make_oracle, oracle_cell_cpwa,

@@ -59,6 +59,23 @@ def _reject_unknown(doc, known, path):
             raise ConfigError("%s.%s" % (path, key), "unknown field")
 
 
+def _number(value, path, integer=False):
+    """A JSON number from the config, an integer where ``integer``; a
+    boolean is neither."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(path, "need %s, got %r"
+                          % ("an integer" if integer else "a number", value))
+    return value
+
+
+def _count(value, path):
+    """A positive integer from the config."""
+    if _number(value, path, integer=True) < 1:
+        raise ConfigError(path, "must be at least 1")
+    return value
+
+
 def _build_space(doc, path):
     kind = _need(doc, "type", path)
     if kind == "box":
@@ -102,7 +119,7 @@ class ProblemSetup:
         if not isinstance(cats, list) or not cats:
             raise ConfigError("$.categories", "need a non-empty list")
         self.N = len(cats)
-        seed = int(config.get("seed", 0))
+        seed = _number(config.get("seed", 0), "$.seed", integer=True)
         self.seed = seed
         self.x_spaces = []
         self.measures = []
@@ -127,19 +144,22 @@ class ProblemSetup:
             raise ConfigError("$.problem",
                               "cost model has %d categories, config has %d"
                               % (self.model.N, self.N))
-        self.eps_lsip = float(_need(config, "eps_lsip", "$"))
+        self.eps_lsip = float(_number(_need(config, "eps_lsip", "$"),
+                                      "$.eps_lsip"))
         if not self.eps_lsip > 0:
             raise ConfigError("$.eps_lsip", "must be positive")
         mc = config.get("mc", {})
         _reject_unknown(mc, ("n", "repetitions"), "$.mc")
-        self.mc_n = int(mc.get("n", 100000))
-        self.mc_repetitions = int(mc.get("repetitions", 20))
+        self.mc_n = _count(mc.get("n", 100000), "$.mc.n")
+        self.mc_repetitions = _count(mc.get("repetitions", 20),
+                                     "$.mc.repetitions")
         self.i_hat = config.get("i_hat", "auto")
         if self.i_hat != "auto":
-            self.i_hat = int(self.i_hat)
+            _number(self.i_hat, "$.i_hat", integer=True)
             if not 0 <= self.i_hat < self.N:
                 raise ConfigError("$.i_hat", "index out of range")
-        self.max_iterations = int(config.get("max_iterations", 10000))
+        self.max_iterations = _count(config.get("max_iterations", 10000),
+                                     "$.max_iterations")
         self.config = config
 
     def _build_model(self, doc):

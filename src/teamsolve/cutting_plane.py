@@ -246,6 +246,8 @@ def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
     N = model.N
     if not eps_lsip > 0:
         raise CuttingPlaneError("eps_lsip must be positive")
+    if max_iterations < 1:
+        raise CuttingPlaneError("max_iterations must be at least 1")
     k = z_basis.m
     store = _CutStore(model, x_bases, z_basis)
     if initial_cuts is None:

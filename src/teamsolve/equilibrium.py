@@ -29,8 +29,7 @@ from .cutting_plane import sparsity_bound
 from .geometry import FiniteSpace, epsilon_bar
 from .linprog import solve_min
 from .measures import CpwaDensityMeasure, DiscreteMeasure, spawn_rngs
-from .oracle import _vertex_multipliers
-from .problems import QuadraticBarycenterCost, TabulatedCpwaCost
+from .oracle import type_minima
 from .transport import (DiscreteCoupling, ot_discrete, ot_quantile_1d,
                         ot_semidiscrete)
 
@@ -70,75 +69,23 @@ def _lex_argmin(points, values):
 def z_opt(model, x_list, z_space, chunk=1024):
     """Global minimizer of z -> sum_i c_i(x_i, z) over the quality space.
 
-    Vectorized over samples, ``chunk`` rows at a time in every branch;
-    ``x_list`` holds one (n, d_i) array per category.  Exact for the
-    shipped cost families; ties are broken by the lexicographically
-    smallest minimizer among the candidate points.  For the
-    min-of-convex-terms families the model's ``z_opt_values`` gives the
-    candidates of each sample and the summed cost at them, +inf at invalid
-    ones.  The capped-affine candidates come from the quality region's
-    ``boundary``, not its mesh: the summed cost does not depend on the mesh
-    and is affine on each cell of its kink-line arrangement, so its minimum
-    and lexicographically smallest minimizer lie at a line/line crossing
-    inside the region, a line/boundary-segment crossing or a boundary
-    corner.  The business-location candidates are the grid of vertical and
-    horizontal kink lines in the box.  The quadratic family's projection of
-    an outside weighted mean lies on the boundary for the same reason.
+    Vectorized over samples, ``chunk`` rows at a time; ``x_list`` holds
+    one (n, d_i) array per category.  Each chunk's candidates and the
+    summed cost at them, +inf at invalid ones, come from the model's
+    ``z_opt_values``, or from its ``z_vertex_values`` over a finite
+    quality space, where a point minimizes whatever the cost.  Exact for
+    the shipped cost families; ties are broken by the lexicographically
+    smallest minimizer among the candidate points.
     """
     x_list = [np.atleast_2d(np.asarray(X, dtype=float)) for X in x_list]
     n = x_list[0].shape[0]
-    # a tabulated cost is biaffine on each cell pair, so a vertex minimizes
-    vertices = isinstance(z_space, FiniteSpace) \
-        or isinstance(model, TabulatedCpwaCost)
+    values = model.z_vertex_values if isinstance(z_space, FiniteSpace) \
+        else model.z_opt_values
     out = np.empty((n, z_space.dim))
     for s0 in range(0, n, chunk):
         sl = slice(s0, min(s0 + chunk, n))
-        xs = [X[sl] for X in x_list]
-        if vertices:
-            zs = z_space.vertices
-            cand = np.broadcast_to(zs[None], (len(xs[0]),) + zs.shape)
-            vals = sum(model.eval_grid(i, xs[i], zs) for i in range(model.N))
-        elif isinstance(model, QuadraticBarycenterCost):
-            out[sl] = _z_opt_quadratic(model, xs, z_space)
-            continue
-        else:
-            # min-of-convex-terms families: exact candidate arrangements
-            cand, vals = model.z_opt_values(xs, z_space)
+        cand, vals = values([X[sl] for X in x_list], z_space)
         out[sl] = cand[np.arange(len(cand)), _lex_argmin(cand, vals)]
-    return out
-
-
-def _z_opt_quadratic(model, x_list, z_space):
-    """Weighted mean, projected onto the quality complex's boundary where
-    it falls outside."""
-    xbar = np.zeros_like(x_list[0])
-    for i in range(model.N):
-        xbar += model.lam[i] * x_list[i]
-    inside = z_space.covers(xbar)
-    out = xbar.copy()
-    if not inside.all():
-        if z_space.dim > 2:
-            raise EquilibriumError(
-                "quality selector needs the quality space to contain the "
-                "weighted type means in dimension > 2")
-        V = z_space.vertices
-        corners, segments = z_space.boundary
-        C = V[corners]
-        e0 = V[segments[:, 0]]
-        de = V[segments[:, 1]] - e0
-        xs = xbar[~inside]
-        # the projection of an outside point onto the region lies on its
-        # boundary: the closed segments, with the corners taken exactly
-        vv = (C ** 2).sum(1)[None, :] - 2.0 * xs @ C.T
-        num = ((xs[:, None, :] - e0[None]) * de[None]).sum(-1)
-        t = np.clip(num / (de ** 2).sum(1)[None], 0.0, 1.0)
-        ze = e0[None] + t[..., None] * de[None]
-        ve = (ze ** 2).sum(-1) - 2.0 * np.einsum("nd,ned->ne", xs, ze)
-        pts = np.concatenate(
-            [np.broadcast_to(C[None], (len(xs),) + C.shape), ze], axis=1)
-        vals = np.concatenate([vv, ve], axis=1)
-        pick = _lex_argmin(pts, vals)
-        out[~inside] = pts[np.arange(len(xs)), pick]
     return out
 
 
@@ -149,8 +96,9 @@ def transfer_eval(model, i, Z, solution, x_spaces, x_bases):
     """Transfer function of category i on a batch of quality points.
 
     For i < N-1 this is the exact infimum over the type space of the cost
-    minus the parametrized potential; the last category is the negative sum
-    of the others, making the family sum to zero identically.
+    minus the parametrized potential (``oracle.type_minima``); the last
+    category is the negative sum of the others, making the family sum to
+    zero identically.
     """
     N = model.N
     if not 0 <= i < N:
@@ -161,24 +109,8 @@ def transfer_eval(model, i, Z, solution, x_spaces, x_bases):
         for j in range(N - 1):
             tot += transfer_eval(model, j, Z, solution, x_spaces, x_bases)
         return -tot
-    y0 = solution.y0[i]
-    y = solution.y[i]
-    basis = x_bases[i]
-    space = x_spaces[i]
-    if isinstance(model, (QuadraticBarycenterCost, TabulatedCpwaCost)) \
-            or isinstance(space, FiniteSpace):
-        cand = space.vertices
-        Yc = _vertex_multipliers(basis, y)
-        C = model.eval_grid(i, cand, Z)
-        return (C - Yc[:, None]).min(axis=0) - y0
-    out = np.empty(Z.shape[0])
-    for s, z in enumerate(Z):
-        cand = model.transfer_x_candidates(i, z, space)
-        g = basis.eval_many(cand)
-        vals = model.eval(i, cand, np.broadcast_to(z, (len(cand), len(z)))) \
-            - g @ y
-        out[s] = vals.min() - y0
-    return out
+    return type_minima(model, i, x_spaces[i], x_bases[i], solution.y[i],
+                       Z) - solution.y0[i]
 
 
 # ---------------------------------------------------------------------------

@@ -328,21 +328,6 @@ class SimplicialComplex:
              + perm_index[tuple(order.T)])
         return s, lam
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self):
-        return {"dim": int(self.dim),
-                "vertices": self.vertices.tolist(),
-                "simplices": self.simplices.tolist()}
-
-    @classmethod
-    def from_json(cls, doc):
-        c = cls(np.asarray(doc["vertices"], dtype=float),
-                np.asarray(doc["simplices"], dtype=int))
-        if c.dim != int(doc["dim"]):
-            raise GeometryError("dim mismatch in complex document")
-        return c
-
 
 def build_box_partition(box, counts):
     """Triangulate a d-dimensional box into a regular simplicial grid.
@@ -462,13 +447,6 @@ class FiniteSpace:
         diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
         return float(_norm(diffs, ord).max())
 
-    def to_json(self):
-        return {"points": self.vertices.tolist()}
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(np.asarray(doc["points"], dtype=float))
-
 
 def _default_excluded(vertices):
     """Index of the lexicographically smallest vertex."""
@@ -521,16 +499,6 @@ class HatBasis:
 
 # a HatBasis on a FiniteSpace is the indicator basis
 IndicatorBasis = HatBasis
-
-
-def locate(complex, x, tol=TOL_GEOM):
-    """Point location: (simplex index, barycentric coordinates)."""
-    return complex.locate(x, tol)
-
-
-def eval_hat(basis, x, tol=TOL_GEOM):
-    """Evaluate a hat/indicator basis at a point."""
-    return basis.eval(x, tol)
 
 
 def epsilon_bar(complex, varsigma, ord=2):
@@ -604,15 +572,3 @@ def plan_partition(eps, eps_par, eps_star, N, L1, L2_bar, type_boxes,
     dmax = max(denoms)
     varsigma_bar = math.inf if dmax <= 0 else 0.5 * budget / dmax
     return PartitionPlan(type_counts, quality_counts, varsigma_bar)
-
-
-def space_to_json(space):
-    if isinstance(space, FiniteSpace):
-        return {"type": "finite", **space.to_json()}
-    return {"type": "complex", **space.to_json()}
-
-
-def space_from_json(doc):
-    if doc.get("type") == "finite":
-        return FiniteSpace.from_json(doc)
-    return SimplicialComplex.from_json(doc)

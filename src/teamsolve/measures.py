@@ -74,10 +74,6 @@ class DiscreteMeasure:
         idx = np.minimum(np.searchsorted(cum, t, side="left"), len(pts) - 1)
         return pts[idx]
 
-    def to_json(self):
-        return {"type": "discrete", "atoms": self.atoms.tolist(),
-                "weights": self.weights.tolist()}
-
 
 class CpwaDensityMeasure:
     """Absolutely continuous measure whose density is affine on each simplex.
@@ -180,9 +176,6 @@ class CpwaDensityMeasure:
         a, b, fa, fb = (e[cell] for e in self._cell_ends(order))
         return np.minimum(a + _linear_cdf_inverse(a, b, fa, fb, t - cum[cell]),
                           b)
-
-    def to_json(self):
-        return {"type": "cpwa", "vertex_density": self.vertex_density.tolist()}
 
 
 def _linear_cdf_inverse(a, b, fa, fb, m):

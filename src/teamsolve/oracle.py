@@ -8,7 +8,9 @@ oracle returns a minimizer of
 together with its objective value, the test-function vectors at the
 minimizer, a certified lower bound on the true minimum, and a pool of
 further low-value pairs to add as cuts.  Both oracles are exact: the
-certified bound equals the returned value.
+certified bound equals the returned value.  ``type_minima`` answers the
+same minimization over the type space alone at fixed quality points, which
+the transfer functions need.
 """
 
 from __future__ import annotations
@@ -124,16 +126,17 @@ def _cell_vertex_arrays(space):
     return space._cell_pts, space.simplices
 
 
-def _coupled_term_candidates(term, x_space, z_space, Yv, Wv, keep):
-    """The ``keep`` lowest per-cell-pair minima of a coupled convex term.
+def _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv):
+    """Per-(x-cell, z-cell) minima of a coupled convex term plus the
+    per-cell affine multiplier parts.
 
-    Each (x-cell, z-cell) pair minimizes the term plus the per-cell affine
-    multiplier parts in barycentric variables (lam, mu) and the term's
-    auxiliary variables.  The pairs share no variables, so one
-    block-diagonal LP solves them all.  Returns (value, x, z) triples.
+    The cells are given by their vertex coordinates and vertex indices
+    (``_cell_vertex_arrays``).  Each pair minimizes in barycentric
+    variables (lam, mu) and the term's auxiliary variables.  The pairs
+    share no variables, so one block-diagonal LP solves them all.  Returns
+    the (nx, nz) value table and the (nx * nz, nv) block solutions,
+    x-cell major.
     """
-    xp, xi = _cell_vertex_arrays(x_space)
-    zp, zi = _cell_vertex_arrays(z_space)
     nx, kx = xi.shape
     nz, kz = zi.shape
     P = nx * nz                              # pairs, x-cell major
@@ -175,10 +178,65 @@ def _coupled_term_candidates(term, x_space, z_space, Yv, Wv, keep):
     # one dot product per block: a batched sum rounds differently and
     # reorders near-tied pairs, and with them the offered cuts
     vals = np.array([c @ x for c, x in zip(C, X)])
+    return vals.reshape(nx, nz), X
+
+
+def _coupled_term_candidates(term, x_space, z_space, Yv, Wv, keep):
+    """The ``keep`` lowest per-cell-pair minima of a coupled convex term as
+    (value, x, z) triples."""
+    xp, xi = _cell_vertex_arrays(x_space)
+    zp, zi = _cell_vertex_arrays(z_space)
+    vals, X = _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv)
+    vals = vals.ravel()
+    kx, nz, kz = xi.shape[1], zi.shape[0], zi.shape[1]
     out = []
     for b in np.argsort(vals)[:keep]:
         cx, cz = divmod(int(b), nz)
         out.append((vals[b], X[b, :kx] @ xp[cx], X[b, kx:kx + kz] @ zp[cz]))
+    return out
+
+
+def _anchor_key(side, anchor, space):
+    """Cache key of a ``_side_minima`` candidate set."""
+    return (side, None if anchor is None else point_key(anchor), id(space))
+
+
+def type_minima(model, i, x_space, x_basis, y, Z):
+    """min over x of c_i(x, z) - <g_i(x), y> at every row z of Z.
+
+    The oracle's global minimization with the quality point held fixed
+    and no quality multipliers.  Vertex families (tabulated and quadratic
+    costs, affine in x on each cell for fixed z) and finite type spaces
+    take the minimum over the type vertices.  Min-of-convex-terms families
+    take the minimum over their oracle terms: a separable term minimizes
+    its type side over its exact candidate set and adds its quality side;
+    a coupled term solves the oracle's block LP with each quality point
+    as a one-point cell.
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    Yv = _vertex_multipliers(x_basis, y)
+    if isinstance(model, (QuadraticBarycenterCost, TabulatedCpwaCost)) \
+            or isinstance(x_space, FiniteSpace):
+        return (model.eval_grid(i, x_space.vertices, Z)
+                - Yv[:, None]).min(axis=0)
+    if not isinstance(model, (BusinessLocationCost, CappedAffineCost)):
+        raise WrongCostModelError("cost model lacks a cpwa piece decomposition")
+    xp, xi = _cell_vertex_arrays(x_space)
+    cache = {}
+    out = np.full(len(Z), np.inf)
+    for term in model.oracle_terms(i):
+        if isinstance(term, SeparableL1Term):
+            vx = _side_minima(x_space, x_basis, y, term.anchor_x,
+                              term.weight_x, cache,
+                              _anchor_key("x", term.anchor_x, x_space))[1]
+            v = vx.min() + term.const
+            if term.anchor_z is not None:
+                v = v + term.weight_z * np.abs(Z - term.anchor_z).sum(1)
+        else:
+            v = _coupled_term_values(term, xp, xi, Z[:, None, :],
+                                     np.arange(len(Z))[:, None], Yv,
+                                     np.zeros(len(Z)))[0].min(axis=0)
+        np.minimum(out, v, out=out)
     return out
 
 
@@ -201,10 +259,6 @@ def oracle_cell_cpwa(model, i, x_space, x_basis, z_space, z_basis, y, w,
     cache = _cache if _cache is not None else {}
     terms = model.oracle_terms(i)
     candidates = []     # (value, x, z)
-
-    def _anchor_key(side, anchor, space):
-        return (side, None if anchor is None else point_key(anchor), id(space))
-
     for term in terms:
         if isinstance(term, SeparableL1Term):
             cx, vx = _side_minima(x_space, x_basis, y, term.anchor_x,

@@ -161,12 +161,6 @@ class CostModel:
             worst = max(worst, float((lhs - rhs).max()))
         return worst <= slack, worst
 
-    # hooks with safe defaults; families override where exactness needs more
-    def transfer_x_candidates(self, i, z, x_space):
-        """Finite x-set containing a minimizer of x -> c_i(x, z) - affine(x)
-        for any per-cell-affine perturbation."""
-        return x_space.vertices
-
     def oracle_terms(self, i):
         raise CostModelError("cost model lacks a term decomposition")
 
@@ -184,6 +178,16 @@ class CostModel:
         vals = np.full(valid.shape, np.inf)
         vals[r, c] = tot
         return cand, vals
+
+    def z_vertex_values(self, X_list, z_space):
+        """The quality vertices as every sample's candidates and the summed
+        cost at each: (n, V, d) points and (n, V) values.  Exact where a
+        vertex minimizes z -> sum_i c_i(x_i, z): over a finite quality
+        space, or for a cost biaffine on each cell pair."""
+        zs = z_space.vertices
+        n = np.atleast_2d(X_list[0]).shape[0]
+        vals = sum(self.eval_grid(i, X_list[i], zs) for i in range(self.N))
+        return np.broadcast_to(zs[None], (n,) + zs.shape), vals
 
 
 class BusinessLocationCost(CostModel):
@@ -205,7 +209,6 @@ class BusinessLocationCost(CostModel):
         self.L2 = np.full(self.N, self.c_walk * sqrt2)
         self.L1[self.N - 1] = self.c_restock * sqrt2
         self.L2[self.N - 1] = self.c_restock * sqrt2
-        self._cand_cache = {}
 
     def eval(self, i, X, Z):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -240,19 +243,6 @@ class BusinessLocationCost(CostModel):
                     self.stations[jp], self.c_walk,
                     self.c_train * abs(j - jp)))
         return terms
-
-    def transfer_x_candidates(self, i, z, x_space):
-        # cache holds the space itself so a recycled id cannot alias
-        entry = self._cand_cache.get(id(x_space))
-        if entry is None or entry[0] is not x_space:
-            entry = (x_space,
-                     axis_arrangement_candidates(x_space, self.stations))
-            self._cand_cache[id(x_space)] = entry
-        static = entry[1]
-        if isinstance(x_space, FiniteSpace):
-            return static
-        dyn = axis_arrangement_candidates(x_space, np.atleast_2d(z))
-        return _dedup_points(np.vstack([static, dyn]))
 
     def z_opt_values(self, X_list, z_space):
         """The summed cost on each sample's kink-line grid.
@@ -342,6 +332,49 @@ class QuadraticBarycenterCost(CostModel):
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         return self.lam[i] * ((Z ** 2).sum(1)[None, :] - 2.0 * X @ Z.T)
 
+    def z_opt_values(self, X_list, z_space):
+        """Each sample's weighted type mean, then its projection candidates
+        onto the quality region's boundary.
+
+        The summed cost is ||z||^2 - 2 <xbar, z> for the weighted mean xbar,
+        so its minimizer is xbar where the region covers it and else the
+        projection of xbar onto the region, which lies on its boundary: the
+        closed straight segments, with the corners taken exactly.  The
+        first candidate is xbar, +inf where it lies outside; the corners
+        and the segment projections follow, +inf where xbar lies inside.
+        """
+        xbar = np.zeros_like(X_list[0])
+        for i in range(self.N):
+            xbar += self.lam[i] * X_list[i]
+        inside = z_space.covers(xbar)
+        cand = [xbar[:, None, :]]
+        vals = [np.where(inside, -(xbar ** 2).sum(1), np.inf)[:, None]]
+        if not inside.all():
+            if z_space.dim > 2:
+                raise CostModelError(
+                    "quality selector needs the quality space to contain "
+                    "the weighted type means in dimension > 2")
+            V = z_space.vertices
+            corners, segments = z_space.boundary
+            C = V[corners]
+            e0 = V[segments[:, 0]]
+            de = V[segments[:, 1]] - e0
+            xs = xbar[~inside]
+            vv = (C ** 2).sum(1)[None, :] - 2.0 * xs @ C.T
+            num = ((xs[:, None, :] - e0[None]) * de[None]).sum(-1)
+            t = np.clip(num / (de ** 2).sum(1)[None], 0.0, 1.0)
+            ze = e0[None] + t[..., None] * de[None]
+            ve = (ze ** 2).sum(-1) - 2.0 * np.einsum("nd,ned->ne", xs, ze)
+            k = len(C) + len(segments)
+            pts = np.zeros((len(xbar), k, xbar.shape[1]))
+            pts[~inside] = np.concatenate(
+                [np.broadcast_to(C[None], (len(xs),) + C.shape), ze], axis=1)
+            pv = np.full((len(xbar), k), np.inf)
+            pv[~inside] = np.concatenate([vv, ve], axis=1)
+            cand.append(pts)
+            vals.append(pv)
+        return np.concatenate(cand, axis=1), np.concatenate(vals, axis=1)
+
 
 class CappedAffineCost(CostModel):
     """c_i(x, z) = (1/N) ((|x - <s_i, z>| ^ kappa2) - kappa1)^+ for scalar
@@ -383,17 +416,6 @@ class CappedAffineCost(CostModel):
                 None, 0.0, None, 0.0,
                 (self.kappa2[i] - self.kappa1[i]) / self.N))
         return terms
-
-    def transfer_x_candidates(self, i, z, x_space):
-        if isinstance(x_space, FiniteSpace):
-            return x_space.vertices
-        t = float(np.atleast_1d(z) @ self.s[i])
-        pts = [x_space.vertices]
-        for x in (t - self.kappa1[i], t + self.kappa1[i]):
-            p = np.array([[x]])
-            if x_space.covers(p)[0]:
-                pts.append(p)
-        return _dedup_points(np.vstack(pts))
 
     def z_opt_candidates(self, X_list, z_space):
         """Kink-line arrangement candidates for the summed cost, from the
@@ -506,6 +528,10 @@ class TabulatedCpwaCost(CostModel):
         Wx = full_vertex_weights(self.x_spaces[i], X)
         Wz = full_vertex_weights(self.z_space, Z)
         return Wx @ self.tables[i] @ Wz.T
+
+    def z_opt_values(self, X_list, z_space):
+        # biaffine on each cell pair, so a vertex minimizes the summed cost
+        return self.z_vertex_values(X_list, z_space)
 
 
 def business_location_cost(stations, c_walk=0.15, c_train=0.015,

@@ -17,7 +17,10 @@ from teamsolve.linprog import (LpError, LpInfeasibleError, LpProblem,
                                LpSolution, LpUnboundedError, _core)
 from teamsolve.measures import DiscreteMeasure
 from teamsolve.oracle import OracleError, _finalize, _vertex_multipliers
-from teamsolve.problems import CostModelError, tabulated_cpwa_cost
+from teamsolve.problems import (BusinessLocationCost, CappedAffineCost,
+                                CostModelError, _dedup_points,
+                                axis_arrangement_candidates,
+                                tabulated_cpwa_cost)
 
 
 def brute_force_discrete_optimum(model, measures, x_spaces, z_space):
@@ -421,6 +424,36 @@ def z_opt_dense(model, x_list, z_space, candidates=None):
     return cand[np.arange(len(cand)), lex_argmin_loop(cand, vals, valid)]
 
 
+def z_opt_quadratic(model, x_list, z_space):
+    """The barycenter quality selector as a separate pass: the weighted
+    mean, projected onto the quality complex's boundary where it falls
+    outside.  The reference for ``QuadraticBarycenterCost.z_opt_values``."""
+    xbar = np.zeros_like(x_list[0])
+    for i in range(model.N):
+        xbar += model.lam[i] * x_list[i]
+    inside = z_space.covers(xbar)
+    out = xbar.copy()
+    if not inside.all():
+        V = z_space.vertices
+        corners, segments = z_space.boundary
+        C = V[corners]
+        e0 = V[segments[:, 0]]
+        de = V[segments[:, 1]] - e0
+        xs = xbar[~inside]
+        vv = (C ** 2).sum(1)[None, :] - 2.0 * xs @ C.T
+        num = ((xs[:, None, :] - e0[None]) * de[None]).sum(-1)
+        t = np.clip(num / (de ** 2).sum(1)[None], 0.0, 1.0)
+        ze = e0[None] + t[..., None] * de[None]
+        ve = (ze ** 2).sum(-1) - 2.0 * np.einsum("nd,ned->ne", xs, ze)
+        pts = np.concatenate(
+            [np.broadcast_to(C[None], (len(xs),) + C.shape), ze], axis=1)
+        vals = np.concatenate([vv, ve], axis=1)
+        valid = np.ones(vals.shape, dtype=bool)
+        pick = lex_argmin_loop(pts, vals, valid)
+        out[~inside] = pts[np.arange(len(xs)), pick]
+    return out
+
+
 def l_shape():
     """The unit square's 4x4 Kuhn grid without its top-right quarter: a
     grid-free complex whose boundary turns inward at (0.5, 0.5)."""
@@ -699,3 +732,48 @@ def exact_tilde_loop(model, chain, z_space):
             tilde += p * sum(float(model.eval(i, xs[i], zb)[0])
                              for i in range(model.N))
     return tilde
+
+
+# ---------------------------------------------------------------------------
+# per-point reference for the transfer functions
+
+def transfer_x_candidates(model, i, z, x_space):
+    """A finite type set holding a minimizer of x -> c_i(x, z) minus any
+    per-cell affine function: the vertices, with the kink arrangement of
+    the stations and of z (business location) or the ramp kinks
+    <s_i, z> +- kappa1 inside the type interval (capped affine)."""
+    if isinstance(x_space, FiniteSpace):
+        return x_space.vertices
+    if isinstance(model, BusinessLocationCost):
+        return _dedup_points(np.vstack([
+            axis_arrangement_candidates(x_space, model.stations),
+            axis_arrangement_candidates(x_space, np.atleast_2d(z))]))
+    if isinstance(model, CappedAffineCost):
+        t = float(np.atleast_1d(z) @ model.s[i])
+        pts = [x_space.vertices]
+        for x in (t - model.kappa1[i], t + model.kappa1[i]):
+            p = np.array([[x]])
+            if x_space.covers(p)[0]:
+                pts.append(p)
+        return _dedup_points(np.vstack(pts))
+    return x_space.vertices
+
+
+def transfer_eval_loop(model, i, Z, solution, x_spaces, x_bases):
+    """Transfer function of category i, one quality point at a time: the
+    cost minus the potential evaluated on ``transfer_x_candidates``; the
+    last category is the negative sum of the others."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    if i == model.N - 1:
+        tot = np.zeros(len(Z))
+        for j in range(model.N - 1):
+            tot += transfer_eval_loop(model, j, Z, solution, x_spaces,
+                                      x_bases)
+        return -tot
+    out = np.empty(len(Z))
+    for s, z in enumerate(Z):
+        cand = transfer_x_candidates(model, i, z, x_spaces[i])
+        vals = model.eval(i, cand, np.broadcast_to(z, (len(cand), len(z)))) \
+            - x_bases[i].eval_many(cand) @ solution.y[i]
+        out[s] = vals.min() - solution.y0[i]
+    return out

@@ -16,8 +16,7 @@ import pytest
 
 from helpers import business_z_opt_candidates
 from teamsolve.equilibrium import z_opt
-from teamsolve.geometry import (build_box_partition, space_from_json,
-                                space_to_json)
+from teamsolve.geometry import SimplicialComplex, build_box_partition
 from teamsolve.problems import CostModelError, business_location_cost
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -84,6 +83,6 @@ def test_one_sample_picks_as_in_a_batch():
 
 def test_grid_free_quality_space_raises():
     model, xs = _cases()["bench-uniform"]
-    free = space_from_json(space_to_json(CITY))
+    free = SimplicialComplex(CITY.vertices, CITY.simplices)
     with pytest.raises(CostModelError, match="needs a box-grid quality space"):
         z_opt(model, xs, free)

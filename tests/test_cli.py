@@ -155,3 +155,40 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
     with pytest.raises(ConfigError) as e:
         ProblemSetup(cfg)
     assert e.value.path == "$.eps_lsip"
+
+
+def _set(cfg, path, value):
+    *parents, key = path.split(".")
+    for p in parents:
+        cfg = cfg.setdefault(p, {})
+    cfg[key] = value
+
+
+def _rejected(tmp_path, capsys, cfg, path):
+    with pytest.raises(ConfigError) as e:
+        ProblemSetup(cfg)
+    assert e.value.path == "$." + path
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(bad)]) == 2
+    assert "config error at $.%s:" % path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path,value", [
+    ("eps_lsip", "abc"), ("seed", True), ("mc.n", 100.0),
+    ("mc.repetitions", "2"), ("i_hat", "x"), ("max_iterations", [10])])
+def test_config_numbers_must_be_json_numbers(tmp_path, capsys, path, value):
+    # integers for the counts and i_hat; a string, a boolean or a list is
+    # not read as a number
+    cfg = _load("discrete_tiny.json")
+    _set(cfg, path, value)
+    _rejected(tmp_path, capsys, cfg, path)
+
+
+@pytest.mark.parametrize("path,value", [
+    ("mc.n", -5), ("mc.repetitions", 0), ("max_iterations", 0)])
+def test_counts_below_one_are_rejected(tmp_path, capsys, path, value):
+    # found by verify, not after the whole solve
+    cfg = _load("discrete_tiny.json")
+    _set(cfg, path, value)
+    _rejected(tmp_path, capsys, cfg, path)

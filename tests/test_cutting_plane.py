@@ -348,6 +348,19 @@ def test_non_finite_tolerance_is_rejected():
                             max_iterations=3)
 
 
+def test_iteration_cap_below_one_is_rejected():
+    # with no iteration there is no gap to report
+    X = FiniteSpace([[0.0], [1.0]])
+    bx = IndicatorBasis(X)
+    model = tabulated_cpwa_cost([X, X], X, [np.zeros((2, 2))] * 2)
+    mu = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2
+    for cap in (0, -1):
+        with pytest.raises(cutting_plane.CuttingPlaneError,
+                           match="max_iterations must be at least 1"):
+            _solve_discrete(model, mu, [X, X], [bx, bx], X, bx,
+                            max_iterations=cap)
+
+
 def _check_plan(duals, i):
     zs, xs, P = duals.plan(i)
     pairs, z_marg, x_marg = dual_plan_reference(

@@ -329,7 +329,7 @@ def test_agent_couplings_recorded():
     fin = FiniteSpace([[0.0], [0.5], [1.0]])
     line = build_box_partition([(0, 1)], (2,))
     sq = build_box_partition([(0, 1), (0, 1)], (1, 1))
-    free = SimplicialComplex.from_json(sq.to_json())
+    free = SimplicialComplex(sq.vertices, sq.simplices)
     xs = [fin, line, sq, free]
     mus = [DiscreteMeasure(fin.vertices, [0.2, 0.5, 0.3])] \
         + [random_cpwa(sp, rng) for sp in xs[1:]]

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,9 +7,8 @@ from teamsolve import geometry
 from teamsolve.geometry import (BudgetError, FiniteSpace, GeometryError,
                                 HatBasis, IndicatorBasis,
                                 PointOutsideComplexError, SimplicialComplex,
-                                build_box_partition, epsilon_bar, eval_hat,
-                                locate, plan_partition, space_from_json,
-                                space_to_json)
+                                build_box_partition, epsilon_bar,
+                                plan_partition)
 
 
 def test_interval_split():
@@ -38,13 +35,13 @@ def test_box_partition_errors():
 
 def test_locate():
     c = build_box_partition([(0, 1)], (2,))
-    s, lam = locate(c, [0.25])
+    s, lam = c.locate([0.25])
     assert s == 0 and np.allclose(lam, [0.5, 0.5])
     sq = build_box_partition([(0, 1), (0, 1)], (1, 1))
-    s, lam = locate(sq, [0.0, 0.0])
+    s, lam = sq.locate([0.0, 0.0])
     assert lam.max() == 1.0 and abs(lam.sum() - 1) < 1e-12
     with pytest.raises(PointOutsideComplexError):
-        locate(c, [1.5])
+        c.locate([1.5])
 
 
 def test_locate_reconstruct():
@@ -184,8 +181,8 @@ def test_indicator_basis():
     fs = FiniteSpace([[0.0], [1.0]])
     b = IndicatorBasis(fs)
     assert b.m == 1
-    assert np.allclose(eval_hat(b, [1.0]), [1.0])
-    assert np.allclose(eval_hat(b, [0.0]), [0.0])
+    assert np.allclose(b.eval([1.0]), [1.0])
+    assert np.allclose(b.eval([0.0]), [0.0])
     with pytest.raises(PointOutsideComplexError):
         b.eval([0.5])
 
@@ -197,8 +194,8 @@ def _location_cases():
     rng = np.random.default_rng(3)
     line = build_box_partition([(0, 1)], (4,))
     sq = build_box_partition([(-2, 2), (-1, 3)], (3, 4))
-    free = space_from_json(space_to_json(
-        build_box_partition([(0, 1), (0, 2)], (2, 3))))
+    grid = build_box_partition([(0, 1), (0, 2)], (2, 3))
+    free = SimplicialComplex(grid.vertices, grid.simplices)
     assert free._grid is None
     cases = []
     for c, lo, hi in ((line, [0.0], [1.0]), (sq, [-2.0, -1.0], [2.0, 3.0]),
@@ -246,17 +243,6 @@ def test_vertex_weights_matches_scalar_location(monkeypatch):
             b.eval(far[0])
 
 
-def test_json_roundtrip():
-    c = build_box_partition([(0, 2), (0, 1)], (2, 1))
-    doc = json.loads(json.dumps(space_to_json(c)))
-    c2 = space_from_json(doc)
-    assert np.array_equal(c.vertices, c2.vertices)
-    assert np.array_equal(c.simplices, c2.simplices)
-    fs = FiniteSpace([[0.0, 1.0]])
-    fs2 = space_from_json(json.loads(json.dumps(space_to_json(fs))))
-    assert np.array_equal(fs.vertices, fs2.vertices)
-
-
 def _located(space, x):
     try:
         space.vertex_weights(x[None])
@@ -284,8 +270,8 @@ def test_covers_matches_vertex_weights():
 
 
 def test_edges_match_set_reference():
-    free = space_from_json(space_to_json(
-        build_box_partition([(0, 1), (0, 2)], (2, 3))))
+    grid = build_box_partition([(0, 1), (0, 2)], (2, 3))
+    free = SimplicialComplex(grid.vertices, grid.simplices)
     for c in (build_box_partition([(0, 1)], (4,)),
               build_box_partition([(-2, 2), (-1, 3)], (3, 4)),
               build_box_partition([(0, 1)] * 3, (2, 1, 2)), free,
@@ -303,14 +289,14 @@ def test_box_and_refined():
     assert np.array_equal(f.box, c.box)
     assert f.n_simplices == 4 * c.n_simplices
     assert np.allclose(f.volumes().sum(), c.volumes().sum())
-    assert space_from_json(space_to_json(c)).box is None
+    assert SimplicialComplex(c.vertices, c.simplices).box is None
 
 
 def test_edge_crossings():
     rng = np.random.default_rng(23)
+    cube = build_box_partition([(0, 1)] * 3, (1, 2, 1))
     for c in (build_box_partition([(0, 1), (0, 2)], (2, 3)),
-              space_from_json(space_to_json(
-                  build_box_partition([(0, 1)] * 3, (1, 2, 1))))):
+              SimplicialComplex(cube.vertices, cube.simplices)):
         normals = rng.normal(size=(6, c.dim))
         normals[0] = np.eye(c.dim)[0]           # parallel to some edges
         offsets = rng.uniform(-0.5, 2.0, size=(5, 6))
@@ -356,7 +342,7 @@ def test_boundary_corners_and_sides():
         assert _boundary_points(c) == (
             [sw, nw, se, ne], [(sw, nw), (sw, se), (nw, ne), (se, ne)])
         # from the simplices alone: a grid-free copy has the same arrays
-        free = space_from_json(space_to_json(c))
+        free = SimplicialComplex(c.vertices, c.simplices)
         for a, b in zip(free.boundary, c.boundary):
             assert np.array_equal(a, b)
     # the L-shape keeps its reflex corner (0.5, 0.5); its straight sides run

@@ -32,11 +32,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import l_shape, mesh_z_opt_candidates, z_opt_dense
+from helpers import (l_shape, mesh_z_opt_candidates, z_opt_dense,
+                     z_opt_quadratic)
 from teamsolve.equilibrium import TIE_TOL, z_opt
-from teamsolve.geometry import (FiniteSpace, build_box_partition,
-                                space_from_json, space_to_json)
-from teamsolve.problems import capped_affine_cost, tabulated_cpwa_cost
+from teamsolve.geometry import (FiniteSpace, SimplicialComplex,
+                                build_box_partition)
+from teamsolve.problems import (barycenter_cost, capped_affine_cost,
+                                tabulated_cpwa_cost)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -86,7 +88,7 @@ def _cases():
                               [0.1, 0.05, 0.12], [0.4, 0.5, 0.3])
     line = capped_affine_cost([[1.0], [-1.0], [1.0]], [0.1, 0.25, 0.0],
                               [0.4, 0.5, 0.3])
-    free = space_from_json(space_to_json(SQUARE))
+    free = SimplicialComplex(SQUARE.vertices, SQUARE.simplices)
     return {
         "bench": (bench, SQUARE, _types(rng, 8, 1000, quarter=True)),
         "side-parallel": (side, SQUARE, _types(rng, 3)),
@@ -197,3 +199,23 @@ def test_vertex_branch_evaluates_one_chunk_at_a_time(monkeypatch):
         z_opt(model, xs, Z, chunk=64)
         assert rows and max(rows) == 64
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dim,Z", [
+    (2, SQUARE),
+    (1, build_box_partition([(0, 1)], (4,))),
+    (2, SimplicialComplex(SQUARE.vertices, SQUARE.simplices)),
+    (2, l_shape())])
+def test_barycenter_selector_matches_the_projection_pass(dim, Z):
+    # the weighted mean where the region covers it, else its projection
+    # onto the boundary: the same point bit for bit as the separate pass
+    rng = np.random.default_rng(89)
+    lam = [0.5, 0.3, 0.2]
+    model = barycenter_cost(lam, [Z] * 3, Z)
+    xs = [rng.uniform(-0.5, 1.5, size=(500, dim)) for _ in lam]
+    for X in xs:
+        X[:200] = np.round(4 * X[:200]) / 4
+    xbar = sum(w * X for w, X in zip(lam, xs))
+    inside = Z.covers(xbar)
+    assert inside.any() and not inside.all()
+    assert np.array_equal(z_opt(model, xs, Z), z_opt_quadratic(model, xs, Z))
