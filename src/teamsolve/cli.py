@@ -69,10 +69,10 @@ def _number(value, path, integer=False):
     return value
 
 
-def _count(value, path):
-    """A positive integer from the config."""
-    if _number(value, path, integer=True) < 1:
-        raise ConfigError(path, "must be at least 1")
+def _count(value, path, least=1):
+    """An integer from the config, at least ``least``."""
+    if _number(value, path, integer=True) < least:
+        raise ConfigError(path, "must be at least %d" % least)
     return value
 
 
@@ -97,7 +97,8 @@ def _build_measure(doc, space, seed, path):
     kind = _need(doc, "type", path)
     try:
         if kind == "random_cpwa":
-            rng = np.random.default_rng(doc.get("seed", seed))
+            rng = np.random.default_rng(
+                _count(doc.get("seed", seed), path + ".seed", least=0))
             return random_cpwa(space, rng)
         if kind in ("discrete", "cpwa"):
             return measure_from_json(doc, complex=space)
@@ -119,7 +120,7 @@ class ProblemSetup:
         if not isinstance(cats, list) or not cats:
             raise ConfigError("$.categories", "need a non-empty list")
         self.N = len(cats)
-        seed = _number(config.get("seed", 0), "$.seed", integer=True)
+        seed = _count(config.get("seed", 0), "$.seed", least=0)
         self.seed = seed
         self.x_spaces = []
         self.measures = []
@@ -345,6 +346,8 @@ def main(argv=None):
     p_ver = sub.add_parser("verify", help="validate a config without solving")
     p_ver.add_argument("--config", required=True)
     args = parser.parse_args(argv)
+    if args.command == "run" and args.seed is not None and args.seed < 0:
+        parser.error("--seed must be at least 0")
 
     level = os.environ.get("TEAMSOLVE_LOG", "error").upper()
     logging.basicConfig(level=getattr(logging, level, logging.ERROR),

@@ -54,10 +54,6 @@ class ParametricSolution:
     y: list                 # per category, (m_i,)
     w: np.ndarray           # (N, k)
 
-    def objective(self, gbar):
-        return float(self.y0.sum()
-                     + sum(g @ yi for g, yi in zip(gbar, self.y)))
-
 
 @dataclass
 class DualDiscreteMeasures:
@@ -66,11 +62,6 @@ class DualDiscreteMeasures:
     xs: list                # per category, (q_i, d_i)
     zs: list                # per category, (q_i, d_0)
     weights: list           # per category, (q_i,)
-
-    def objective(self, model):
-        return float(sum(
-            (model.eval(i, self.xs[i], self.zs[i]) * self.weights[i]).sum()
-            for i in range(len(self.weights))))
 
     def plan(self, i):
         """Category i's dual measure as a transport plan ``(zs, xs, P)``:

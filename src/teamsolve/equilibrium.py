@@ -26,10 +26,10 @@ from functools import reduce
 import numpy as np
 
 from .cutting_plane import sparsity_bound
-from .geometry import FiniteSpace, epsilon_bar
+from .geometry import epsilon_bar
 from .linprog import solve_min
 from .measures import CpwaDensityMeasure, DiscreteMeasure, spawn_rngs
-from .oracle import type_minima
+from .oracle import type_minima, vertex_exact
 from .transport import (DiscreteCoupling, ot_discrete, ot_quantile_1d,
                         ot_semidiscrete)
 
@@ -72,15 +72,15 @@ def z_opt(model, x_list, z_space, chunk=1024):
     Vectorized over samples, ``chunk`` rows at a time; ``x_list`` holds
     one (n, d_i) array per category.  Each chunk's candidates and the
     summed cost at them, +inf at invalid ones, come from the model's
-    ``z_opt_values``, or from its ``z_vertex_values`` over a finite
-    quality space, where a point minimizes whatever the cost.  Exact for
+    ``z_vertex_values`` where the quality side is vertex-exact
+    (``oracle.vertex_exact``), else from its ``z_opt_values``.  Exact for
     the shipped cost families; ties are broken by the lexicographically
     smallest minimizer among the candidate points.
     """
     x_list = [np.atleast_2d(np.asarray(X, dtype=float)) for X in x_list]
     n = x_list[0].shape[0]
-    values = model.z_vertex_values if isinstance(z_space, FiniteSpace) \
-        else model.z_opt_values
+    values = model.z_vertex_values \
+        if vertex_exact(model.affine_in_z, z_space) else model.z_opt_values
     out = np.empty((n, z_space.dim))
     for s0 in range(0, n, chunk):
         sl = slice(s0, min(s0 + chunk, n))

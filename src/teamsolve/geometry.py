@@ -257,23 +257,6 @@ class SimplicialComplex:
         PointOutsideComplexError
             If a point is farther than ``tol`` from every simplex.
         """
-        s, lam = self._locate_many(X, tol)
-        return self.simplices[s], lam
-
-    def locate(self, x, tol=TOL_GEOM):
-        """Locate one point: ``(simplex_index, barycentric)``."""
-        s, lam = self._locate_many(np.atleast_1d(x)[None], tol)
-        return int(s[0]), lam[0]
-
-    def covers(self, X, tol=TOL_GEOM):
-        """Mask of the rows of an (n, d) array of points that
-        ``vertex_weights`` locates, by the same test."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._grid is not None:
-            return ~self._outside_box(X, tol)
-        return self._search(X)[2] <= tol
-
-    def _locate_many(self, X, tol):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self._grid is not None:
             s, lam = self._kuhn_locate(X)
@@ -284,7 +267,15 @@ class SimplicialComplex:
         _raise_outside(X, bad, "outside complex")
         np.clip(lam, 0.0, None, out=lam)
         lam /= lam.sum(axis=1, keepdims=True)
-        return s, lam
+        return self.simplices[s], lam
+
+    def covers(self, X, tol=TOL_GEOM):
+        """Mask of the rows of an (n, d) array of points that
+        ``vertex_weights`` locates, by the same test."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self._grid is not None:
+            return ~self._outside_box(X, tol)
+        return self._search(X)[2] <= tol
 
     def _outside_box(self, X, tol):
         """Rows of X farther outside the grid's box than ``tol`` on the
@@ -434,10 +425,6 @@ class FiniteSpace:
         _raise_outside(X, dist > tol, "not in finite space")
         return j[:, None], np.ones((len(X), 1))
 
-    def locate(self, x, tol=TOL_GEOM):
-        """Index of the point matching x within tolerance."""
-        return int(self.vertex_weights(np.atleast_1d(x)[None], tol)[0][0, 0])
-
     def cell_diameters(self, ord=2):
         return np.zeros(self.n_vertices)
 
@@ -491,10 +478,6 @@ class HatBasis:
         out = np.zeros((len(V), self.m + 1))
         out[np.arange(len(V))[:, None], self._col[V]] = W
         return out[:, :self.m]
-
-    def component_of(self, vertex_index):
-        c = self._col[vertex_index]
-        return None if c == self.m else int(c)
 
 
 # a HatBasis on a FiniteSpace is the indicator basis

@@ -1,16 +1,24 @@
-"""Global minimization oracles.
+"""The exact global minimization oracle.
 
-Given a category index i and multipliers (y, w) on the test functions, an
+Given a category index i and multipliers (y, w) on the test functions, the
 oracle returns a minimizer of
 
     min over (x, z) of  c_i(x, z) - <g_i(x), y> - <h(z), w>
 
 together with its objective value, the test-function vectors at the
 minimizer, a certified lower bound on the true minimum, and a pool of
-further low-value pairs to add as cuts.  Both oracles are exact: the
-certified bound equals the returned value.  ``type_minima`` answers the
-same minimization over the type space alone at fixed quality points, which
-the transfer functions need.
+further low-value pairs to add as cuts.  The oracle is exact: the certified
+bound equals the returned value.
+
+``_exact_oracle`` picks one of three candidate generators, each returning
+flat ``(vals, X, Z)`` arrays: every type-vertex x quality-vertex pair where
+both arguments are vertex-exact (``vertex_exact``: the cost family's
+``affine_in_x`` / ``affine_in_z``, or a finite space), the closed-form faces
+of the quality complex for the quadratic barycenter cost, and otherwise the
+family's oracle terms.  ``_best_and_pool`` turns any generator's candidates
+into the optimum and the cut pool.  ``type_minima`` answers the same
+minimization over the type space alone at fixed quality points, which the
+transfer functions need.
 """
 
 from __future__ import annotations
@@ -21,11 +29,9 @@ import numpy as np
 from scipy import sparse
 
 from . import linprog
-from .geometry import FiniteSpace, point_key
-from .problems import (BusinessLocationCost, CappedAffineCost, DirectL1Term,
-                       QuadraticBarycenterCost, ScalarRampTerm,
-                       SeparableL1Term, TabulatedCpwaCost,
-                       axis_arrangement_candidates)
+from .geometry import FiniteSpace, point_key, point_keys
+from .problems import (DirectL1Term, QuadraticBarycenterCost, ScalarRampTerm,
+                       SeparableL1Term, axis_arrangement_candidates)
 
 
 class OracleError(RuntimeError):
@@ -47,6 +53,14 @@ class OracleResult:
     pool: list = field(default_factory=list)   # (x, z) pairs incl. the optimum
 
 
+def vertex_exact(affine, space):
+    """Whether the vertices of ``space`` minimize the cost minus any hat
+    combination in that argument: the cost family is affine in it on each
+    cell (``CostModel.affine_in_x`` / ``affine_in_z``), or the space is
+    finite."""
+    return affine or isinstance(space, FiniteSpace)
+
+
 def _vertex_multipliers(basis, coeffs):
     """Per-vertex values of <g(.), coeffs>, zero at the excluded vertex."""
     out = np.zeros(basis.complex.n_vertices)
@@ -54,46 +68,14 @@ def _vertex_multipliers(basis, coeffs):
     return out
 
 
-def _finalize(model, i, x_basis, z_basis, y, w, x, z, pool_pairs, beta_lower=None):
+def _finalize(model, i, x_basis, z_basis, y, w, x, z, pool, beta_lower):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     g = x_basis.eval(x)
     h = z_basis.eval(z)
     beta = float(model.eval(i, x[None, :], z[None, :])[0] - g @ y - h @ w)
-    return OracleResult(
-        x=x, z=z, beta_tilde=beta, g_at_x=g, h_at_z=h,
-        beta_lower=beta if beta_lower is None else min(beta_lower, beta),
-        pool=pool_pairs)
-
-
-def _pool_from_matrix(xs, zs, vals, cap):
-    # the pool holds the best ``cap`` candidates: extra cuts are harmless
-    # (grow-only LP) and markedly reduce the number of outer iterations
-    flat = vals.ravel()
-    best = flat.min()
-    idx = np.argsort(flat, kind="stable")[:cap]
-    nz = vals.shape[1]
-    return [(xs[k // nz], zs[k % nz]) for k in idx], best, np.unravel_index(
-        int(flat.argmin()), vals.shape)
-
-
-def _enumeration_oracle(model, i, x_space, x_basis, z_space, z_basis, y, w,
-                        cap):
-    """Exact oracle by enumeration over vertex/point pairs.
-
-    Valid whenever the objective restricted to every cell pair attains its
-    minimum at a vertex pair: finite spaces, tabulated costs (biaffine on
-    each cell pair), and the quadratic cost (affine in x) over a finite
-    quality space.
-    """
-    xs = x_space.vertices
-    zs = z_space.vertices
-    Yv = _vertex_multipliers(x_basis, y)
-    Wv = _vertex_multipliers(z_basis, w)
-    vals = model.eval_grid(i, xs, zs) - Yv[:, None] - Wv[None, :]
-    pool, best, (bi, bj) = _pool_from_matrix(xs, zs, vals, cap)
-    return _finalize(model, i, x_basis, z_basis, y, w, xs[bi], zs[bj], pool,
-                     beta_lower=float(best))
+    return OracleResult(x=x, z=z, beta_tilde=beta, g_at_x=g, h_at_z=h,
+                        beta_lower=min(beta_lower, beta), pool=pool)
 
 
 def _side_minima(space, basis, coeffs, anchor, weight, cache, cache_key):
@@ -181,21 +163,6 @@ def _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv):
     return vals.reshape(nx, nz), X
 
 
-def _coupled_term_candidates(term, x_space, z_space, Yv, Wv, keep):
-    """The ``keep`` lowest per-cell-pair minima of a coupled convex term as
-    (value, x, z) triples."""
-    xp, xi = _cell_vertex_arrays(x_space)
-    zp, zi = _cell_vertex_arrays(z_space)
-    vals, X = _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv)
-    vals = vals.ravel()
-    kx, nz, kz = xi.shape[1], zi.shape[0], zi.shape[1]
-    out = []
-    for b in np.argsort(vals)[:keep]:
-        cx, cz = divmod(int(b), nz)
-        out.append((vals[b], X[b, :kx] @ xp[cx], X[b, kx:kx + kz] @ zp[cz]))
-    return out
-
-
 def _anchor_key(side, anchor, space):
     """Cache key of a ``_side_minima`` candidate set."""
     return (side, None if anchor is None else point_key(anchor), id(space))
@@ -205,22 +172,18 @@ def type_minima(model, i, x_space, x_basis, y, Z):
     """min over x of c_i(x, z) - <g_i(x), y> at every row z of Z.
 
     The oracle's global minimization with the quality point held fixed
-    and no quality multipliers.  Vertex families (tabulated and quadratic
-    costs, affine in x on each cell for fixed z) and finite type spaces
-    take the minimum over the type vertices.  Min-of-convex-terms families
-    take the minimum over their oracle terms: a separable term minimizes
-    its type side over its exact candidate set and adds its quality side;
-    a coupled term solves the oracle's block LP with each quality point
-    as a one-point cell.
+    and no quality multipliers.  Where the type side is vertex-exact
+    (``vertex_exact``) this is the minimum over the type vertices.
+    Otherwise it is the minimum over the family's oracle terms: a
+    separable term minimizes its type side over its exact candidate set
+    and adds its quality side; a coupled term solves the oracle's block LP
+    with each quality point as a one-point cell.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Yv = _vertex_multipliers(x_basis, y)
-    if isinstance(model, (QuadraticBarycenterCost, TabulatedCpwaCost)) \
-            or isinstance(x_space, FiniteSpace):
+    if vertex_exact(model.affine_in_x, x_space):
         return (model.eval_grid(i, x_space.vertices, Z)
                 - Yv[:, None]).min(axis=0)
-    if not isinstance(model, (BusinessLocationCost, CappedAffineCost)):
-        raise WrongCostModelError("cost model lacks a cpwa piece decomposition")
     xp, xi = _cell_vertex_arrays(x_space)
     cache = {}
     out = np.full(len(Z), np.inf)
@@ -240,77 +203,28 @@ def type_minima(model, i, x_space, x_basis, y, Z):
     return out
 
 
-def oracle_cell_cpwa(model, i, x_space, x_basis, z_space, z_basis, y, w,
-                     pool_cap=32, _cache=None):
-    """Exact oracle for costs that are minima of convex CPWA terms.
+# ---------------------------------------------------------------------------
+# candidate generators: flat (vals, X, Z) arrays
 
-    Separable terms are minimized by direct evaluation on their kink
-    arrangement candidate sets; coupled terms (direct city-block distance,
-    scalar ramps) by one block-diagonal LP over all cell pairs.  The
-    certified bound equals the returned value.
+def _vertex_candidates(model, i, x_space, z_space, Yv, Wv):
+    """Every type-vertex x quality-vertex pair, x-major."""
+    xs, zs = x_space.vertices, z_space.vertices
+    vals = model.eval_grid(i, xs, zs) - Yv[:, None] - Wv[None, :]
+    return (vals.ravel(), np.repeat(xs, len(zs), axis=0),
+            np.tile(zs, (len(xs), 1)))
+
+
+def _quadratic_candidates(lam, x_space, z_space, Yv, Wv):
+    """Closed-form candidates of the squared-distance barycenter cost.
+
+    The cost is affine in x for fixed z, so the x-minimum over each cell
+    sits at a vertex; for each x-vertex the strictly convex quadratic in z
+    is minimized in closed form over every face (vertices, open edges, open
+    cells) of the quality complex.  Faces whose minimizer is not interior
+    get +inf.  x-vertex major, and per x-vertex the vertices, edges and
+    cells in that order.
     """
-    if isinstance(model, TabulatedCpwaCost) or (
-            isinstance(x_space, FiniteSpace)
-            and isinstance(z_space, FiniteSpace)):
-        return _enumeration_oracle(model, i, x_space, x_basis, z_space,
-                                   z_basis, y, w, pool_cap)
-    if not isinstance(model, (BusinessLocationCost, CappedAffineCost)):
-        raise WrongCostModelError("cost model lacks a cpwa piece decomposition")
-    cache = _cache if _cache is not None else {}
-    terms = model.oracle_terms(i)
-    candidates = []     # (value, x, z)
-    for term in terms:
-        if isinstance(term, SeparableL1Term):
-            cx, vx = _side_minima(x_space, x_basis, y, term.anchor_x,
-                                  term.weight_x, cache,
-                                  _anchor_key("x", term.anchor_x, x_space))
-            cz, vz = _side_minima(z_space, z_basis, w, term.anchor_z,
-                                  term.weight_z, cache,
-                                  _anchor_key("z", term.anchor_z, z_space))
-            kx = np.argsort(vx)[:8]
-            kz = np.argsort(vz)[:8]
-            for a in kx:
-                for b in kz:
-                    candidates.append((vx[a] + vz[b] + term.const, cx[a], cz[b]))
-        else:
-            candidates += _coupled_term_candidates(
-                term, x_space, z_space, _vertex_multipliers(x_basis, y),
-                _vertex_multipliers(z_basis, w), max(pool_cap, 8))
-
-    candidates.sort(key=lambda t: t[0])
-    best_val, bx, bz = candidates[0]
-    pool, seen = [], set()
-    for v, px, pz in candidates:
-        if len(pool) >= pool_cap:
-            break
-        key = (point_key(px), point_key(pz))
-        if key in seen:
-            continue
-        seen.add(key)
-        pool.append((np.atleast_1d(px), np.atleast_1d(pz)))
-    return _finalize(model, i, x_basis, z_basis, y, w, bx, bz, pool,
-                     beta_lower=float(best_val))
-
-
-def oracle_quadratic(model, i, x_space, x_basis, z_space, z_basis, y, w,
-                     pool_cap=32):
-    """Exact oracle for the squared-distance barycenter cost.
-
-    The cost is affine in x for fixed z, so the x-minimum over each cell sits
-    at a vertex; for each x-vertex the strictly convex quadratic in z is
-    minimized in closed form over every face (vertices, open edges, open
-    cells) of the quality complex.
-    """
-    if not isinstance(model, QuadraticBarycenterCost):
-        raise WrongCostModelError("oracle_quadratic needs the quadratic "
-                                  "barycenter cost model")
-    if isinstance(z_space, FiniteSpace):
-        return _enumeration_oracle(model, i, x_space, x_basis, z_space,
-                                   z_basis, y, w, pool_cap)
-    lam = model.lam[i]
     xs = x_space.vertices                              # (nx, d)
-    Yx = _vertex_multipliers(x_basis, y)
-    Wv = _vertex_multipliers(z_basis, w)
     V0 = z_space.vertices
     edges = z_space.edges
     e0 = V0[edges[:, 0]]
@@ -325,12 +239,9 @@ def oracle_quadratic(model, i, x_space, x_basis, z_space, z_basis, y, w,
         # lam (||z||^2 - 2 <x, z>) broadcast over matching leading shape
         return lam * ((Z ** 2).sum(-1) - 2.0 * (X * Z).sum(-1))
 
-    cand_vals = []
-    cand_pts = []
     # vertices
     vv = q(xs[:, None, :], V0[None]) - Wv[None, :]
-    cand_vals.append(vv)
-    cand_pts.append(np.broadcast_to(V0[None], (len(xs),) + V0.shape))
+    zv = np.broadcast_to(V0[None], (len(xs),) + V0.shape)
     # open edges: hat restricted to an edge is the 1d barycentric pair
     w1 = Wv[edges[:, 0]]
     w2 = Wv[edges[:, 1]]
@@ -342,8 +253,6 @@ def oracle_quadratic(model, i, x_space, x_basis, z_space, z_basis, y, w,
     zedge = e0[None] + tcl[..., None] * de[None]
     ve = q(xs[:, None, :], zedge) - (w1[None] + tcl * (w2 - w1)[None])
     ve = np.where(interior, ve, np.inf)
-    cand_vals.append(ve)
-    cand_pts.append(zedge)
     # open cells: unconstrained minimizer of the quadratic minus the affine part
     zcell = xs[:, None, :] + bC[None] / (2.0 * lam)
     lamc = np.einsum("mkl,nml->nmk", minv[:, :, 1:], zcell) \
@@ -351,39 +260,114 @@ def oracle_quadratic(model, i, x_space, x_basis, z_space, z_basis, y, w,
     inside = lamc.min(-1) > 1e-12
     vc = q(xs[:, None, :], zcell) - (aC[None] + (bC[None] * zcell).sum(-1))
     vc = np.where(inside, vc, np.inf)
-    cand_vals.append(vc)
-    cand_pts.append(zcell)
 
-    allv = np.concatenate([v for v in cand_vals], axis=1) - Yx[:, None]
-    allp = np.concatenate([p for p in cand_pts], axis=1)
-    flat = allv.ravel()
-    best = int(flat.argmin())
-    nz = allv.shape[1]
-    bx, bz = xs[best // nz], allp[best // nz, best % nz]
-    idx = np.argsort(flat, kind="stable")
-    idx = idx[np.isfinite(flat[idx])][:pool_cap]
-    pool = [(xs[k // nz], allp[k // nz, k % nz]) for k in idx]
-    return _finalize(model, i, x_basis, z_basis, y, w, bx, bz, pool,
-                     beta_lower=float(flat[best]))
+    vals = np.concatenate([vv, ve, vc], axis=1) - Yv[:, None]
+    Z = np.concatenate([zv, zedge, zcell], axis=1)
+    return (vals.ravel(), np.repeat(xs, vals.shape[1], axis=0),
+            Z.reshape(-1, xs.shape[1]))
+
+
+def _term_candidates(model, i, x_space, x_basis, z_space, z_basis, y, w,
+                     Yv, Wv, cap, cache):
+    """Candidates of a cost that is a minimum of convex CPWA terms.
+
+    A separable term pairs the 8 lowest points of each side's exact
+    candidate set (``_side_minima``), x-major.  A coupled term (direct
+    city-block distance, scalar ramp) keeps the ``max(cap, 8)`` lowest
+    per-cell-pair minima of one block-diagonal LP over all cell pairs.
+    """
+    vals, X, Z = [], [], []
+    for term in model.oracle_terms(i):
+        if isinstance(term, SeparableL1Term):
+            cx, vx = _side_minima(x_space, x_basis, y, term.anchor_x,
+                                  term.weight_x, cache,
+                                  _anchor_key("x", term.anchor_x, x_space))
+            cz, vz = _side_minima(z_space, z_basis, w, term.anchor_z,
+                                  term.weight_z, cache,
+                                  _anchor_key("z", term.anchor_z, z_space))
+            kx = np.argsort(vx)[:8]
+            kz = np.argsort(vz)[:8]
+            vals.append((vx[kx][:, None] + vz[kz][None, :]
+                         + term.const).ravel())
+            X.append(np.repeat(cx[kx], len(kz), axis=0))
+            Z.append(np.tile(cz[kz], (len(kx), 1)))
+        else:
+            xp, xi = _cell_vertex_arrays(x_space)
+            zp, zi = _cell_vertex_arrays(z_space)
+            v, sol = _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv)
+            v = v.ravel()
+            low = np.argsort(v)[:max(cap, 8)]
+            kx, kz = xi.shape[1], zi.shape[1]
+            vals.append(v[low])
+            # one product per pair: a batched one rounds differently
+            X.append(np.array([sol[b, :kx] @ xp[b // len(zi)]
+                               for b in low]))
+            Z.append(np.array([sol[b, kx:kx + kz] @ zp[b % len(zi)]
+                               for b in low]))
+    return np.concatenate(vals), np.vstack(X), np.vstack(Z)
+
+
+def _best_and_pool(vals, X, Z, cap):
+    """The optimum's index and the cut pool of flat candidates.
+
+    The finite candidates are ranked by value, stably; the first lowest is
+    the optimum.  The pool takes the ranked candidates of distinct point
+    keys until it holds ``cap``, keying them ``cap`` at a time, so a call
+    keys about as many candidates as it keeps.
+    """
+    order = np.argsort(vals, kind="stable")
+    order = order[np.isfinite(vals[order])]
+    if not len(order):
+        raise OracleError("no candidate has a finite value")
+    pool, seen, step = [], set(), max(cap, 1)
+    for s in range(0, len(order), step):
+        block = order[s:s + step]
+        for q, key in zip(block, point_keys(np.hstack([X[block],
+                                                       Z[block]]))):
+            if key not in seen:
+                seen.add(key)
+                pool.append((X[q], Z[q]))
+        if len(pool) >= cap:
+            break
+    return order[0], pool[:cap]
+
+
+def _exact_oracle(model, i, x_space, x_basis, z_space, z_basis, y, w, cap,
+                  cache):
+    """One exact oracle call: the candidates of the generator that fits the
+    cost family and the spaces, then the optimum and the pool."""
+    Yv = _vertex_multipliers(x_basis, y)
+    Wv = _vertex_multipliers(z_basis, w)
+    if vertex_exact(model.affine_in_x, x_space) \
+            and vertex_exact(model.affine_in_z, z_space):
+        vals, X, Z = _vertex_candidates(model, i, x_space, z_space, Yv, Wv)
+    elif isinstance(model, QuadraticBarycenterCost):
+        vals, X, Z = _quadratic_candidates(model.lam[i], x_space, z_space,
+                                           Yv, Wv)
+    else:
+        vals, X, Z = _term_candidates(model, i, x_space, x_basis, z_space,
+                                      z_basis, y, w, Yv, Wv, cap, cache)
+    b, pool = _best_and_pool(vals, X, Z, cap)
+    return _finalize(model, i, x_basis, z_basis, y, w, X[b], Z[b], pool,
+                     beta_lower=float(vals[b]))
 
 
 def make_oracle(model, x_spaces, x_bases, z_space, z_basis,
                 pool_margin=0.0, pool_cap=32):
-    """Dispatching oracle callable with per-instance candidate caches.
+    """The exact oracle of a problem as a callable ``oracle(i, y, w)``.
 
-    The returned function has the signature ``oracle(i, y, w)``, picks
-    the exact oracle matching the cost model and offers at most ``pool_cap``
-    cuts per call.  ``pool_margin`` has no effect and is accepted only for
-    callers that still pass it.
+    Each call enumerates vertex pairs where both arguments are
+    vertex-exact, takes the closed-form faces for the quadratic barycenter
+    cost, and else the cost family's oracle terms, whose candidate sets
+    are cached across calls; it offers at most ``pool_cap`` cuts of
+    distinct point keys, the optimum first.  A family with none of these
+    raises ``CostModelError`` from ``oracle_terms``.  ``pool_margin`` has
+    no effect and is accepted only for callers that still pass it.
     """
     cache = {}
 
     def oracle(i, y, w):
-        if isinstance(model, QuadraticBarycenterCost):
-            return oracle_quadratic(model, i, x_spaces[i], x_bases[i],
-                                    z_space, z_basis, y, w, pool_cap)
-        return oracle_cell_cpwa(model, i, x_spaces[i], x_bases[i],
-                                z_space, z_basis, y, w, pool_cap,
-                                _cache=cache)
+        return _exact_oracle(model, i, x_spaces[i], x_bases[i], z_space,
+                             z_basis, y, w, pool_cap, cache)
 
     return oracle

@@ -133,9 +133,17 @@ class ScalarRampTerm:
 # ---------------------------------------------------------------------------
 
 class CostModel:
-    """Base class: N categories, eval, Lipschitz constants, objective shift."""
+    """Base class: N categories, eval, Lipschitz constants, objective shift.
+
+    ``affine_in_x`` and ``affine_in_z`` state, per family, that a cell's
+    vertices minimize the cost minus any hat combination in that argument
+    (the cost is affine in it on each cell); the oracle, ``type_minima``
+    and the quality selector then enumerate the vertices on that side.
+    """
 
     shift = 0.0
+    affine_in_x = False
+    affine_in_z = False
 
     def eval(self, i, X, Z):
         raise NotImplementedError
@@ -162,28 +170,21 @@ class CostModel:
         return worst <= slack, worst
 
     def oracle_terms(self, i):
-        raise CostModelError("cost model lacks a term decomposition")
+        raise CostModelError("%s has no exact oracle: it is not vertex-exact "
+                             "in both arguments and lacks a term "
+                             "decomposition" % type(self).__name__)
 
     def z_opt_values(self, X_list, z_space):
         """Candidate minimizers of z -> sum_i c_i(x_i, z) per sample and the
         summed cost at each: (n, k, d) points and (n, k) values, +inf at
-        the candidates that ``z_opt_candidates`` marks invalid.  Only the
-        valid candidates are evaluated."""
-        cand, valid = self.z_opt_candidates(X_list, z_space)
-        r, c = np.nonzero(valid)
-        zc = cand[r, c]
-        tot = np.zeros(len(r))
-        for i in range(self.N):
-            tot += self.eval(i, np.atleast_2d(X_list[i])[r], zc)
-        vals = np.full(valid.shape, np.inf)
-        vals[r, c] = tot
-        return cand, vals
+        invalid candidates."""
+        raise CostModelError("cost model lacks a quality selector")
 
     def z_vertex_values(self, X_list, z_space):
         """The quality vertices as every sample's candidates and the summed
         cost at each: (n, V, d) points and (n, V) values.  Exact where a
         vertex minimizes z -> sum_i c_i(x_i, z): over a finite quality
-        space, or for a cost biaffine on each cell pair."""
+        space, or for a family with ``affine_in_z``."""
         zs = z_space.vertices
         n = np.atleast_2d(X_list[0]).shape[0]
         vals = sum(self.eval_grid(i, X_list[i], zs) for i in range(self.N))
@@ -308,6 +309,8 @@ class QuadraticBarycenterCost(CostModel):
     second moments) is kept in ``shift`` so that shifted bounds estimate the
     weighted sum of squared W2 distances."""
 
+    affine_in_x = True
+
     def __init__(self, weights, x_spaces, z_space, shift=0.0):
         w = np.atleast_1d(np.asarray(weights, dtype=float))
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
@@ -417,9 +420,25 @@ class CappedAffineCost(CostModel):
                 (self.kappa2[i] - self.kappa1[i]) / self.N))
         return terms
 
-    def z_opt_candidates(self, X_list, z_space):
+    def z_opt_values(self, X_list, z_space):
         """Kink-line arrangement candidates for the summed cost, from the
-        quality region's boundary.
+        quality region's boundary (``_kink_candidates``), and the summed
+        cost at each: +inf at the candidates outside the region, and only
+        the others evaluated."""
+        cand, valid = self._kink_candidates(X_list, z_space)
+        r, c = np.nonzero(valid)
+        zc = cand[r, c]
+        tot = np.zeros(len(r))
+        for i in range(self.N):
+            tot += self.eval(i, np.atleast_2d(X_list[i])[r], zc)
+        vals = np.full(valid.shape, np.inf)
+        vals[r, c] = tot
+        return cand, vals
+
+    def _kink_candidates(self, X_list, z_space):
+        """The candidates and the mask of those inside the region.  A method
+        of its own, so that its temporaries are freed before the summed cost
+        is evaluated.
 
         Writing each category cost as min{(|f_i| - kappa1)^+, const}, every
         selection of branches gives a convex function whose only kinks lie
@@ -479,6 +498,9 @@ class TabulatedCpwaCost(CostModel):
     """Cost tabulated on vertex pairs of the type/quality complexes and
     interpolated barycentrically in both arguments."""
 
+    affine_in_x = True
+    affine_in_z = True
+
     def __init__(self, x_spaces, z_space, tables):
         self.N = len(tables)
         self.x_spaces = list(x_spaces)
@@ -528,10 +550,6 @@ class TabulatedCpwaCost(CostModel):
         Wx = full_vertex_weights(self.x_spaces[i], X)
         Wz = full_vertex_weights(self.z_space, Z)
         return Wx @ self.tables[i] @ Wz.T
-
-    def z_opt_values(self, X_list, z_space):
-        # biaffine on each cell pair, so a vertex minimizes the summed cost
-        return self.z_vertex_values(X_list, z_space)
 
 
 def business_location_cost(stations, c_walk=0.15, c_train=0.015,

@@ -48,7 +48,7 @@ def brute_force_discrete_optimum(model, measures, x_spaces, z_space):
         xs = x_spaces[i].vertices
         mu_w = np.zeros(sizes[i])
         for a, w in zip(measures[i].atoms, measures[i].weights):
-            mu_w[x_spaces[i].locate(a)] += w
+            mu_w[locate_scalar(x_spaces[i], a)[0][0]] += w
         for v in range(sizes[i]):
             row = np.zeros(n)
             row[offsets[i] + v * nz: offsets[i] + (v + 1) * nz] = 1.0
@@ -135,6 +135,36 @@ def random_discrete_instance(rng, N=None):
     return model, measures, x_spaces, x_bases, z_space, z_basis
 
 
+def locate(complex, x, tol=1e-9):
+    """Locate one point of a simplicial complex: ``(simplex_index,
+    barycentric)``, the simplex that ``vertex_weights`` picks."""
+    V, W = complex.vertex_weights(np.atleast_1d(x)[None], tol)
+    return int(np.flatnonzero((complex.simplices == V[0]).all(1))[0]), W[0]
+
+
+def component_of(basis, v):
+    """Index of vertex v's test function in a hat basis, None for the
+    excluded vertex."""
+    if v == basis.excluded:
+        return None
+    return int(v) - int(v > basis.excluded)
+
+
+def parametric_objective(solution, gbar):
+    """The dual objective of a parametric solution: its intercepts plus the
+    type multipliers against the moments."""
+    return float(solution.y0.sum()
+                 + sum(g @ yi for g, yi in zip(gbar, solution.y)))
+
+
+def dual_objective(duals, model):
+    """The cost of the dual measures: each category's cost integrated
+    against its measure, summed."""
+    return float(sum(
+        (model.eval(i, duals.xs[i], duals.zs[i]) * duals.weights[i]).sum()
+        for i in range(len(duals.weights))))
+
+
 def rebased_y(basis_from, basis_to, y):
     """Multipliers for a hat basis with a different excluded vertex giving
     the same potential up to an additive constant; returns (y', const) with
@@ -143,16 +173,16 @@ def rebased_y(basis_from, basis_to, y):
     v1 = basis_to.excluded
     if v0 == v1:
         return y.copy(), 0.0
-    cshift = y[basis_from.component_of(v1)]
+    cshift = y[component_of(basis_from, v1)]
     yp = np.zeros(basis_to.m)
     for v in range(basis_from.complex.n_vertices):
-        comp = basis_to.component_of(v)
+        comp = component_of(basis_to, v)
         if comp is None:
             continue
         if v == v0:
             yp[comp] = -cshift
         else:
-            yp[comp] = y[basis_from.component_of(v)] - cshift
+            yp[comp] = y[component_of(basis_from, v)] - cshift
     return yp, cshift
 
 
@@ -468,7 +498,7 @@ def mesh_z_opt_candidates(model, X_list, z_space):
     """The capped-affine quality-selector candidates built from the quality
     mesh: every kink line crossed with every edge, every line/line crossing
     inside the region, and every vertex.  The reference for the boundary
-    candidates of ``CappedAffineCost.z_opt_candidates``."""
+    candidates of ``CappedAffineCost._kink_candidates``."""
     n = np.atleast_2d(X_list[0]).shape[0]
     xs = np.concatenate([np.atleast_2d(X)[:, :1] for X in X_list], axis=1)
     # rhs of the 2N lines per sample: (n, N, 2)
@@ -501,7 +531,7 @@ def mesh_z_opt_candidates(model, X_list, z_space):
             for a, b, Minv in pair_rows:
                 for sa in (0, 1):
                     for sb in (0, 1):
-                        # rounded as in CappedAffineCost.z_opt_candidates
+                        # rounded as in CappedAffineCost._kink_candidates
                         pts_ab.append(rhs[:, a, sa, None] * Minv[:, 0]
                                       + rhs[:, b, sb, None] * Minv[:, 1])
             pts_ab = np.stack(pts_ab, axis=1)      # (n, P, 2)

@@ -7,8 +7,8 @@ import time
 import numpy as np
 
 from helpers import (assignment_bruteforce_w1, brute_force_discrete_optimum,
-                     enumerate_vertices_max, random_bounded_lp,
-                     random_discrete_instance)
+                     component_of, enumerate_vertices_max, locate,
+                     random_bounded_lp, random_discrete_instance)
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
                                 build_box_partition)
 from teamsolve.linprog import LpProblem, solve
@@ -197,7 +197,7 @@ def test_criterion_8_property_suites():
     G = b.eval_many(X)
     assert G.min() >= 0 and G.sum(1).max() <= 1 + 1e-12
     for x in X[:250]:
-        s, lam = c.locate(x)
+        s, lam = locate(c, x)
         dropped = sum(l for v, l in zip(c.simplices[s], lam)
                       if v == b.excluded)
         assert abs(b.eval(x).sum() + dropped - 1.0) < 1e-12
@@ -205,7 +205,7 @@ def test_criterion_8_property_suites():
     for v in range(c.n_vertices):
         g = b.eval(c.vertices[v])
         if v != b.excluded:
-            assert g[b.component_of(v)] == 1.0 and abs(g.sum() - 1) < 1e-12
+            assert g[component_of(b, v)] == 1.0 and abs(g.sum() - 1) < 1e-12
         else:
             assert np.all(g == 0)
     # measure moments vs Monte Carlo at 1e6 samples, 4 standard errors

@@ -192,3 +192,26 @@ def test_counts_below_one_are_rejected(tmp_path, capsys, path, value):
     cfg = _load("discrete_tiny.json")
     _set(cfg, path, value)
     _rejected(tmp_path, capsys, cfg, path)
+
+
+def test_negative_seed_is_rejected(tmp_path, capsys):
+    # numpy takes no negative seed: verify used to die in default_rng
+    cfg = _load("discrete_tiny.json")
+    cfg["seed"] = 0
+    assert ProblemSetup(cfg).seed == 0
+    cfg["seed"] = -1
+    _rejected(tmp_path, capsys, cfg, "seed")
+    # a random measure's own seed too, and a boolean is no integer there
+    for value in (-1, True):
+        cfg = _load("discrete_tiny.json")
+        cfg["categories"][0]["space"] = {"type": "box", "box": [[0, 1]],
+                                         "counts": [1]}
+        cfg["categories"][0]["measure"] = {"type": "random_cpwa",
+                                           "seed": value}
+        _rejected(tmp_path, capsys, cfg, "categories[0].measure.seed")
+    with pytest.raises(SystemExit) as e:
+        main(["run", "--config", os.path.join(CONFIGS, "discrete_tiny.json"),
+              "--out", str(tmp_path / "o"), "--seed", "-1"])
+    assert e.value.code == 2
+    assert "--seed must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -1,14 +1,33 @@
+"""The exact oracle through ``make_oracle``: its values against dense
+references, the candidate generator each cost family and pair of spaces
+takes, and the cut pool it offers."""
+
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import ZeroTauError, oracle_lipschitz_grid, rebased_y
+from teamsolve import cutting_plane, oracle as oracle_module
+from teamsolve.equilibrium import z_opt
 from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
-                                IndicatorBasis, SimplicialComplex,
-                                build_box_partition)
-from teamsolve.oracle import (WrongCostModelError, make_oracle,
-                              oracle_cell_cpwa, oracle_quadratic)
-from teamsolve.problems import (barycenter_cost, business_location_cost,
-                                capped_affine_cost, tabulated_cpwa_cost)
+                                SimplicialComplex, build_box_partition,
+                                point_keys)
+from teamsolve.measures import moment_vector
+from teamsolve.oracle import make_oracle
+from teamsolve.problems import (CostModel, CostModelError, barycenter_cost,
+                                business_location_cost, capped_affine_cost,
+                                tabulated_cpwa_cost)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+
+def _oracle(model, x_space, x_basis, z_space, z_basis, pool_cap=32):
+    """``make_oracle`` with every category on the same type space."""
+    return make_oracle(model, [x_space] * model.N, [x_basis] * model.N,
+                       z_space, z_basis, pool_cap=pool_cap)
 
 
 def _grid_reference(model, i, bx, bz, pairs, n=2001, lo=0.0, hi=1.0):
@@ -37,7 +56,7 @@ def test_abs_cost_zero_multipliers():
     cx = build_box_partition([(0, 1)], (1,))
     bx = HatBasis(cx)
     m = capped_affine_cost([[1.0]], [0.0], [np.inf])
-    r = oracle_cell_cpwa(m, 0, cx, bx, cx, bx, np.zeros(1), np.zeros(1))
+    r = _oracle(m, cx, bx, cx, bx)(0, np.zeros(1), np.zeros(1))
     assert abs(r.beta_tilde) < 1e-12
     assert r.beta_lower == r.beta_tilde
     assert abs(r.x[0] - r.z[0]) < 1e-12
@@ -47,7 +66,7 @@ def test_hat_weight_maximized():
     cx = build_box_partition([(0, 1)], (1,))
     bx = HatBasis(cx)
     m = tabulated_cpwa_cost([cx], cx, [np.zeros((2, 2))])
-    r = oracle_cell_cpwa(m, 0, cx, bx, cx, bx, np.array([10.0]), np.zeros(1))
+    r = _oracle(m, cx, bx, cx, bx)(0, np.array([10.0]), np.zeros(1))
     assert abs(r.beta_tilde + 10.0) < 1e-12
     assert abs(r.x[0] - 1.0) < 1e-12
 
@@ -62,7 +81,7 @@ def test_cell_oracle_vs_grid_search():
     pairs = [(rng.normal(size=2), rng.normal(size=2)) for _ in range(14)]
     refs = _grid_reference(m, 0, bx, bx, pairs, n=10001)
     for (y, w), ref in zip(pairs, refs):
-        r = oracle_cell_cpwa(m, 0, cx, bx, cx, bx, y, w)
+        r = _oracle(m, cx, bx, cx, bx)(0, y, w)
         assert abs(r.beta_tilde - ref) < 1e-3
         assert r.beta_tilde <= ref + 1e-12
 
@@ -74,7 +93,7 @@ def test_oracle_result_consistency():
     m = capped_affine_cost([[1.0]], [0.05], [0.7])
     y = rng.normal(size=3)
     w = rng.normal(size=3)
-    r = oracle_cell_cpwa(m, 0, cx, bx, cx, bx, y, w)
+    r = _oracle(m, cx, bx, cx, bx)(0, y, w)
     recomputed = (m.eval(0, r.x[None], r.z[None])[0]
                   - r.g_at_x @ y - r.h_at_z @ w)
     assert abs(recomputed - r.beta_tilde) < 1e-10
@@ -84,12 +103,12 @@ def test_quadratic_oracle_unit_square():
     sq = build_box_partition([(0, 1), (0, 1)], (2, 2))
     b = HatBasis(sq)
     m = barycenter_cost([1.0], [sq], sq)
-    r = oracle_quadratic(m, 0, sq, b, sq, b, np.zeros(8), np.zeros(8))
+    r = _oracle(m, sq, b, sq, b)(0, np.zeros(8), np.zeros(8))
     # brute force grid at step 0.01 gives -2 at x = z = (1, 1)
     assert abs(r.beta_tilde + 2.0) < 1e-9
     assert np.allclose(r.x, [1, 1]) and np.allclose(r.z, [1, 1])
     # uniform weight on all h components shifts the optimum by -W
-    r2 = oracle_quadratic(m, 0, sq, b, sq, b, np.zeros(8), 0.7 * np.ones(8))
+    r2 = _oracle(m, sq, b, sq, b)(0, np.zeros(8), 0.7 * np.ones(8))
     assert abs(r2.beta_tilde + 2.7) < 1e-9
 
 
@@ -105,7 +124,7 @@ def test_quadratic_oracle_vs_dense_grid():
         i = trial % 2
         y = rng.normal(size=8)
         w = rng.normal(size=8)
-        r = oracle_quadratic(m, i, sq, b, sq, b, y, w)
+        r = _oracle(m, sq, b, sq, b)(i, y, w)
         best = np.inf
         for v in sq.vertices:
             vals = m.eval(i, np.broadcast_to(v, GZ.shape), GZ) \
@@ -116,15 +135,126 @@ def test_quadratic_oracle_vs_dense_grid():
         assert best <= r.beta_tilde + 2e-3   # grid resolution slack
 
 
-def test_wrong_model_errors():
-    sq = build_box_partition([(0, 1), (0, 1)], (1, 1))
-    b = HatBasis(sq)
-    ca = capped_affine_cost([[1.0, 0.0]], [0.1], [0.5])
-    with pytest.raises(WrongCostModelError):
-        oracle_quadratic(ca, 0, sq, b, sq, b, np.zeros(3), np.zeros(3))
-    m = barycenter_cost([1.0], [sq], sq)
-    with pytest.raises(WrongCostModelError):
-        oracle_cell_cpwa(m, 0, sq, b, sq, b, np.zeros(3), np.zeros(3))
+class _SquaredGap(CostModel):
+    """(x - z)^2 on the line: affine in neither argument, no oracle terms."""
+
+    N = 1
+
+    def eval(self, i, X, Z):
+        return ((np.atleast_2d(X) - np.atleast_2d(Z)) ** 2).sum(1)
+
+
+def test_no_exact_oracle_is_a_typed_error():
+    cx = build_box_partition([(0, 1)], (2,))
+    bx = HatBasis(cx)
+    with pytest.raises(CostModelError, match="_SquaredGap has no exact "
+                                             "oracle"):
+        _oracle(_SquaredGap(), cx, bx, cx, bx)(0, np.zeros(2), np.zeros(2))
+    with pytest.raises(CostModelError, match="no exact oracle"):
+        oracle_module.type_minima(_SquaredGap(), 0, cx, bx, np.zeros(2),
+                                  [[0.5]])
+    with pytest.raises(CostModelError, match="lacks a quality selector"):
+        z_opt(_SquaredGap(), [[[0.5]]], cx)
+    # finite spaces need no decomposition: their points are the candidates
+    pts = FiniteSpace([[0.0], [0.4], [1.0]])
+    bp = HatBasis(pts)
+    r = _oracle(_SquaredGap(), pts, bp, pts, bp)(0, np.zeros(2), np.zeros(2))
+    assert r.beta_tilde == 0.0 and r.x[0] == r.z[0] == 0.0
+
+
+GENERATORS = ("_vertex_candidates", "_quadratic_candidates",
+              "_term_candidates")
+
+
+def _branch_cases():
+    """Per branch: the model, the type and quality spaces, the generator it
+    must take and the slack of the dense reference grid, which holds the
+    vertices, so the vertex branches must match it exactly."""
+    rng = np.random.default_rng(15)
+    line = build_box_partition([(0, 1)], (2,))
+    sq = build_box_partition([(0, 1), (0, 1)], (2, 2))
+    pts1 = FiniteSpace(rng.uniform(size=(7, 1)))
+    pts2 = FiniteSpace(rng.uniform(size=(6, 2)))
+    return {
+        "tabulated": (tabulated_cpwa_cost([line], line,
+                                          [rng.normal(size=(3, 3))]),
+                      line, line, "_vertex_candidates", 1e-12),
+        "finite-finite": (capped_affine_cost([[1.0]], [0.1], [0.6]),
+                          pts1, FiniteSpace(rng.uniform(size=(5, 1))),
+                          "_vertex_candidates", 1e-12),
+        "quadratic-finite-quality": (barycenter_cost([1.0], [sq], pts2), sq,
+                                     pts2, "_vertex_candidates", 1e-12),
+        "quadratic-faces": (barycenter_cost([1.0], [sq], sq), sq, sq,
+                            "_quadratic_candidates", 0.1),
+        "terms": (capped_affine_cost([[1.0]], [0.1], [0.6]), line, line,
+                  "_term_candidates", 1e-2),
+    }
+
+
+def _dense(space, n):
+    """The points of a finite space, else an n-per-axis grid of its box."""
+    if isinstance(space, FiniteSpace):
+        return space.vertices
+    axes = [np.linspace(lo, hi, n) for lo, hi in space.box]
+    return np.stack(np.meshgrid(*axes, indexing="ij"),
+                    axis=-1).reshape(-1, space.dim)
+
+
+@pytest.mark.parametrize("name", sorted(_branch_cases()))
+def test_each_branch_is_exact(name, monkeypatch):
+    model, xs, zs, generator, slack = _branch_cases()[name]
+    taken = []
+    for g in GENERATORS:
+        def spy(*args, _g=g, _f=getattr(oracle_module, g)):
+            taken.append(_g)
+            return _f(*args)
+        monkeypatch.setattr(oracle_module, g, spy)
+    bx, bz = HatBasis(xs), HatBasis(zs)
+    n = 401 if xs.dim == 1 else 21
+    X, Z = _dense(xs, n), _dense(zs, n)
+    GX, HZ = bx.eval_many(X), bz.eval_many(Z)
+    C = model.eval_grid(0, X, Z)
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        y = rng.normal(scale=0.5, size=bx.m)
+        w = rng.normal(scale=0.5, size=bz.m)
+        r = _oracle(model, xs, bx, zs, bz)(0, y, w)
+        ref = float((C - (GX @ y)[:, None] - (HZ @ w)[None, :]).min())
+        assert r.beta_lower <= r.beta_tilde <= r.beta_lower + 1e-12
+        assert r.beta_tilde <= ref + 1e-10
+        assert ref <= r.beta_tilde + slack
+        assert np.array_equal(r.pool[0][0], r.x)
+        assert np.array_equal(r.pool[0][1], r.z)
+        keys = point_keys(np.hstack([np.vstack([p for p, _ in r.pool]),
+                                     np.vstack([q for _, q in r.pool])]))
+        assert len(set(keys)) == len(keys) <= 32
+    assert taken == [generator] * 5
+
+
+def test_pools_hold_distinct_cuts_in_value_order():
+    # the closed-form quadratic faces offer near-coincident candidates: one
+    # per face that meets a point, which keys the same
+    inst = workloads.build("barycenter-discrete", 1, 2)
+    calls = []
+
+    def oracle(i, y, w):
+        r = inst.oracle(i, y, w)
+        calls.append((i, y, w, r.pool))
+        return r
+
+    gbar = [moment_vector(mu, b) for mu, b in zip(inst.measures,
+                                                  inst.x_bases)]
+    cutting_plane.run(inst.model, gbar, inst.x_spaces, inst.x_bases,
+                      inst.z_space, inst.z_basis, oracle, inst.eps_lsip)
+    assert len(calls) > 30
+    for i, y, w, pool in calls:
+        X = np.vstack([p for p, _ in pool])
+        Z = np.vstack([q for _, q in pool])
+        keys = point_keys(np.hstack([X, Z]))
+        assert len(set(keys)) == len(keys) <= 32    # the workload's pool_cap
+        vals = (inst.model.eval(i, X, Z) - inst.x_bases[i].eval_many(X) @ y
+                - inst.z_basis.eval_many(Z) @ w)
+        assert np.all(np.diff(vals) >= -1e-12)
 
 
 def test_degenerate_space_rejected():
@@ -138,7 +268,7 @@ def test_grid_oracle_contract():
     m = capped_affine_cost([[1.0]], [0.1], [0.6])
     y = np.array([0.3, -0.2])
     w = np.array([0.1, 0.4])
-    exact = oracle_cell_cpwa(m, 0, cx, bx, cx, bx, y, w)
+    exact = _oracle(m, cx, bx, cx, bx)(0, y, w)
     for tau in (0.1, 0.01):
         r = oracle_lipschitz_grid(m, 0, cx, bx, cx, bx, y, w, tau=tau)
         assert r.beta_lower <= exact.beta_tilde + 1e-12
@@ -159,7 +289,7 @@ def test_grid_oracle_constant_cost():
 
 
 def _assert_grid_agrees(m, i, xs, bx, zs, bz, y, w, tau):
-    r_exact = oracle_cell_cpwa(m, i, xs, bx, zs, bz, y, w)
+    r_exact = _oracle(m, xs, bx, zs, bz)(i, y, w)
     r_grid = oracle_lipschitz_grid(m, i, xs, bx, zs, bz, y, w, tau=tau)
     assert r_grid.beta_tilde >= r_exact.beta_tilde - 1e-10
     assert r_grid.beta_tilde <= r_exact.beta_tilde + tau + 1e-10
@@ -212,7 +342,7 @@ def test_bracketing_invariant_business():
         y = rng.normal(scale=0.3, size=bx.m)
         w = rng.normal(scale=0.3, size=bz.m)
         i = int(rng.integers(0, 2))
-        r = oracle_cell_cpwa(m, i, xsq, bx, zsq, bz, y, w)
+        r = _oracle(m, xsq, bx, zsq, bz)(i, y, w)
         # dense validation grid never undercuts the certified bound
         sub = GZ[:: 7]
         gx = HXv[::7] @ y
@@ -242,8 +372,8 @@ def test_affine_rebasing_invariance():
         yp, const = rebased_y(b0, b1, y)
         # <g'(x), y'> = <g(x), y> - const pointwise, so the minimum shifts
         # by +const; undoing the shift must recover the original value
-        r0 = oracle_cell_cpwa(m, 0, cx, b0, zc, bz, y, w)
-        r1 = oracle_cell_cpwa(m, 0, cx, b1, zc, bz, yp, w)
+        r0 = _oracle(m, cx, b0, zc, bz)(0, y, w)
+        r1 = _oracle(m, cx, b1, zc, bz)(0, yp, w)
         assert abs((r1.beta_tilde - const) - r0.beta_tilde) < 1e-8
 
 
@@ -254,7 +384,8 @@ def test_pool_contains_optimum():
     m = barycenter_cost([1.0], [sq], sq)
     y = rng.normal(size=8)
     w = rng.normal(size=8)
-    r = oracle_quadratic(m, 0, sq, b, sq, b, y, w)
+    r = _oracle(m, sq, b, sq, b)(0, y, w)
     assert any(np.allclose(px, r.x) and np.allclose(pz, r.z)
                for px, pz in r.pool)
     assert len(r.pool) <= 32
+    assert _oracle(m, sq, b, sq, b, pool_cap=0)(0, y, w).pool == []

@@ -69,6 +69,12 @@ def _min_cost(model, xs, Z, candidates):
     return np.where(valid, vals, np.inf).min(axis=1)
 
 
+def _selector_candidates(model, xs, Z):
+    """``z_opt_values``' candidates, valid where their value is finite."""
+    cand, vals = model.z_opt_values(xs, Z)
+    return cand, np.isfinite(vals)
+
+
 def _types(rng, N, n=400, quarter=False):
     """n uniform scalar types per category on [0, 1]; with ``quarter`` the
     first half is rounded to quarter steps."""
@@ -109,7 +115,7 @@ def test_boundary_candidates_pick_the_mesh_point(name):
 def test_boundary_candidates_count():
     model = workloads.build("capped-affine", 3).model
     xs = _types(np.random.default_rng(82), model.N, 10)
-    cand, valid = model.z_opt_candidates(xs, SQUARE)
+    cand, valid = _selector_candidates(model, xs, SQUARE)
     # 2N lines x 4 sides + 4 C(N, 2) line pairs + 4 corners, at N = 8
     assert cand.shape == (10, 180, 2) and valid.shape == (10, 180)
     assert mesh_z_opt_candidates(model, xs, SQUARE)[0].shape[1] == 1033
@@ -141,7 +147,8 @@ def test_boundary_candidates_property(lines, seed):
     model = capped_affine_cost(s, kappa1, kappa1 + band)
     xs = _types(np.random.default_rng(seed), len(s), 200)
     _picks(model, xs, SQUARE)
-    assert np.abs(_min_cost(model, xs, SQUARE, model.z_opt_candidates)
+    assert np.abs(_min_cost(model, xs, SQUARE,
+                            partial(_selector_candidates, model))
                   - _min_cost(model, xs, SQUARE,
                               partial(mesh_z_opt_candidates, model))).max() \
         <= 1e-15

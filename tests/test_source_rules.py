@@ -7,6 +7,9 @@ or attaches attributes to a complex; they ask the complex (``covers``,
 ``edges``, ``box``, ``refined``) instead.  No other module imports a cost
 model class or tests a model's class with ``isinstance``; they call the
 model's hooks (``z_opt_values``) or the oracle (``type_minima``) instead.
+``oracle.py`` itself names only ``QuadraticBarycenterCost``, for its
+closed-form faces; every other family states where its vertices are exact
+(``affine_in_x``, ``affine_in_z``) or gives oracle terms.
 """
 
 import ast
@@ -113,3 +116,9 @@ def test_cost_family_rule_catches_the_old_patterns(tmp_path):
                  "isinstance(m, QuadraticBarycenterCost)\n"
                  "isinstance(z_space, FiniteSpace)\n")
     assert len(_cost_class_uses(p, _cost_model_classes())) == 3
+
+
+def test_oracle_names_only_the_quadratic_family():
+    classes = _cost_model_classes() - {"QuadraticBarycenterCost"}
+    found = _cost_class_uses(SRC / "oracle.py", classes)
+    assert not found, found
