@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from . import linprog
-from .geometry import point_keys
+from .geometry import first_seen, point_keys
 
 log = logging.getLogger("teamsolve.cutting_plane")
 
@@ -67,20 +67,11 @@ class DualDiscreteMeasures:
         """Category i's dual measure as a transport plan ``(zs, xs, P)``:
         the distinct quality atoms (rows) and type atoms (columns), each in
         first-seen order, and the (rows, columns) weights, summing to one."""
-        zs, zi = _first_seen(self.zs[i])
-        xs, xi = _first_seen(self.xs[i])
+        zs, zi = first_seen(self.zs[i])
+        xs, xi = first_seen(self.xs[i])
         P = np.zeros((len(zs), len(xs)))
         np.add.at(P, (zi, xi), self.weights[i])
         return zs, xs, P / P.sum()
-
-
-def _first_seen(pts):
-    """The distinct rows of ``pts`` by point key in first-seen order, and
-    the index of each row's atom among them."""
-    index = {}
-    inv = np.array([index.setdefault(k, len(index))
-                    for k in point_keys(pts)], dtype=int)
-    return pts[np.unique(inv, return_index=True)[1]], inv
 
 
 @dataclass

@@ -229,8 +229,9 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
 
     ``i_hat`` selects the reference dual measure: ``"auto"`` picks the
     category whose quality marginal minimizes the summed W1 distance to the
-    others; an integer pins it.  The upper bounds are exact expectations
-    when every agent measure is discrete and the enumeration stays within
+    others, solving each unordered pair once (W1 is symmetric); an integer
+    pins it.  The upper bounds are exact expectations when every agent
+    measure is discrete and the enumeration stays within
     ``EXACT_COMBO_CAP`` combinations, else Monte Carlo estimates.
     ``semidiscrete_params`` is accepted for existing callers and has no
     effect: the coupling onto a continuous agent measure of dimension 2 or
@@ -247,16 +248,10 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
     nu_measures = [d.source for d in duals]
 
     if i_hat == "auto":
-        if N == 1:
-            i_hat = 0
-        else:
-            dsum = np.zeros(N)
-            for i in range(N):
-                for j in range(N):
-                    if i != j:
-                        dsum[i] += ot_discrete(nu_measures[i],
-                                               nu_measures[j])[1]
-            i_hat = int(np.argmin(dsum))
+        W = np.zeros((N, N))
+        for i, j in zip(*np.triu_indices(N, 1)):
+            W[i, j] = W[j, i] = ot_discrete(nu_measures[i], nu_measures[j])[1]
+        i_hat = np.argmin(W.sum(axis=1))
     i_hat = int(i_hat)
 
     bound = sparsity_bound([b.m for b in x_bases], z_basis.m)
@@ -388,60 +383,48 @@ def _exact_bounds(model, chain, z_space):
 # ---------------------------------------------------------------------------
 # exports
 
-def write_nu_hat_csv(report, path):
-    import csv
+def _write_csv(path, header, table, fmt=None):
+    """Write the header and one line per row of the 2-D ``table``, each
+    row formatted by ``fmt`` (default: every value as ``%.17g``), with the
+    comma separators and CRLF line ends of the csv module."""
+    if fmt is None:
+        fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [fmt % tuple(row) for row in table.tolist()]
     with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        d = report.nu_hat.atoms.shape[1]
-        wr.writerow(["z%d" % j for j in range(d)] + ["weight"])
-        for a, w in zip(report.nu_hat.atoms, report.nu_hat.weights):
-            wr.writerow(["%.17g" % v for v in a] + ["%.17g" % w])
+        f.write("\r\n".join(lines) + "\r\n")
+
+
+def write_nu_hat_csv(report, path):
+    nu = report.nu_hat
+    _write_csv(path, ["z%d" % j for j in range(nu.dim)] + ["weight"],
+               np.column_stack([nu.atoms, nu.weights]))
 
 
 def write_coupling_csv(report, rng, n, i, path):
-    import csv
     S = report._chain.sample(rng, n, with_zbar=False)
-    X = S["X_bar"][i]
-    Z = S["Z"]
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(["x%d" % j for j in range(X.shape[1])]
-                    + ["z%d" % j for j in range(Z.shape[1])])
-        for xr, zr in zip(X, Z):
-            wr.writerow(["%.17g" % v for v in xr] + ["%.17g" % v for v in zr])
+    X, Z = S["X_bar"][i], S["Z"]
+    _write_csv(path, ["x%d" % j for j in range(X.shape[1])]
+               + ["z%d" % j for j in range(Z.shape[1])], np.hstack([X, Z]))
 
 
 def write_transfer_csv(model, solution, x_spaces, x_bases, z_points, i, path):
-    import csv
+    z_points = np.atleast_2d(z_points)
     phi = transfer_eval(model, i, z_points, solution, x_spaces, x_bases)
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        d = np.atleast_2d(z_points).shape[1]
-        wr.writerow(["z%d" % j for j in range(d)] + ["phi"])
-        for z, v in zip(np.atleast_2d(z_points), phi):
-            wr.writerow(["%.17g" % u for u in z] + ["%.17g" % v])
+    _write_csv(path, ["z%d" % j for j in range(z_points.shape[1])] + ["phi"],
+               np.column_stack([z_points, phi]))
 
 
 def write_nu_tilde_hist_csv(report, rng, n, path, bins=40):
-    import csv
-    S = report.sample_streams(rng, n)
-    Zb = S["Z_bar"]
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        if Zb.shape[1] == 1:
-            h, edges = np.histogram(Zb[:, 0], bins=bins)
-            wr.writerow(["lo", "hi", "count"])
-            for j in range(len(h)):
-                wr.writerow(["%.17g" % edges[j], "%.17g" % edges[j + 1],
-                             int(h[j])])
-        else:
-            h, ex, ey = np.histogram2d(Zb[:, 0], Zb[:, 1], bins=bins)
-            wr.writerow(["x_lo", "x_hi", "y_lo", "y_hi", "count"])
-            for a in range(h.shape[0]):
-                for b in range(h.shape[1]):
-                    wr.writerow(["%.17g" % ex[a], "%.17g" % ex[a + 1],
-                                 "%.17g" % ey[b], "%.17g" % ey[b + 1],
-                                 int(h[a, b])])
+    """Histogram of the pushforward quality samples: ``bins`` bins per axis
+    over the first one or two coordinates, one line per bin in C order."""
+    Zb = report.sample_streams(rng, n)["Z_bar"][:, :2]
+    h, edges = np.histogramdd(Zb, bins=bins)
+    cell = np.indices(h.shape).reshape(h.ndim, -1)
+    names = [""] if h.ndim == 1 else ["x_", "y_"]
+    cols = [e[c + k] for e, c in zip(edges, cell) for k in (0, 1)]
+    _write_csv(path, [p + s for p in names for s in ("lo", "hi")] + ["count"],
+               np.column_stack(cols + [h.ravel()]),
+               "%.17g," * len(cols) + "%d")
 
 
 def write_report_json(report, path, extra=None):

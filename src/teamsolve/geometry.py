@@ -16,8 +16,8 @@ The solver parametrizes continuous test functions by vertex-interpolation
 * ``HatBasis`` -- the test-function basis with one designated vertex
   excluded; on a finite space it is the indicator basis (``IndicatorBasis``
   names the same class),
-* ``point_keys`` / ``point_key`` / ``has_duplicate_rows`` -- the rounding
-  key that decides when two points are the same,
+* ``point_keys`` / ``point_key`` / ``has_duplicate_rows`` / ``first_seen``
+  -- the rounding key that decides when two points are the same,
 * mesh statistics (``epsilon_bar``) and a-priori partition planning
   (``plan_partition``).
 """
@@ -63,8 +63,16 @@ def point_key(p):
 
 def has_duplicate_rows(P):
     """True when two rows of the (n, d) array P have the same point key."""
-    v = np.ascontiguousarray(np.round(P, DEDUP_DECIMALS))
-    return np.unique(v.view([('', v.dtype)] * v.shape[1])).shape[0] != len(v)
+    return len(set(point_keys(P))) != len(P)
+
+
+def first_seen(P):
+    """The distinct rows of the (n, d) array P by point key in first-seen
+    order, and the index of each row's point among them."""
+    index = {}
+    inv = np.array([index.setdefault(k, len(index)) for k in point_keys(P)],
+                   dtype=int)
+    return P[np.unique(inv, return_index=True)[1]], inv
 
 
 # point location works through row blocks of about this many elements
@@ -82,11 +90,6 @@ def _raise_outside(X, bad, what):
     if bad.any():
         raise PointOutsideComplexError(
             "point %s %s" % (X[int(np.argmax(bad))], what))
-
-
-def _norm(v, ord=2):
-    """Vector norm along the last axis for norm tag 1, 2 or inf."""
-    return np.linalg.norm(np.asarray(v, dtype=float), ord=ord, axis=-1)
 
 
 class Boundary(NamedTuple):
@@ -225,16 +228,13 @@ class SimplicialComplex:
         per axis."""
         return build_box_partition(self.box, factor * self._grid[2])
 
-    def cell_diameters(self, ord=2):
-        """Max pairwise vertex distance per simplex in the given norm."""
-        if ord == 2:
-            return self._cell_diam2.copy()
-        diffs = self._cell_pts[:, :, None, :] - self._cell_pts[:, None, :, :]
-        return _norm(diffs, ord).max(axis=(1, 2))
+    def cell_diameters(self):
+        """Max pairwise vertex distance per simplex."""
+        return self._cell_diam2.copy()
 
-    def vertex_diameter(self, ord=2):
+    def vertex_diameter(self):
         diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(_norm(diffs, ord).max())
+        return float(np.linalg.norm(diffs, axis=-1).max())
 
     def volumes(self):
         """Lebesgue volume of each simplex."""
@@ -419,20 +419,20 @@ class FiniteSpace:
         j = np.empty(len(X), dtype=int)
         dist = np.empty(len(X))
         for sl in _row_chunks(len(X), self.vertices.size):
-            D = _norm(X[sl, None, :] - self.vertices[None], 2)
+            D = np.linalg.norm(X[sl, None, :] - self.vertices[None], axis=-1)
             j[sl] = D.argmin(axis=1)
             dist[sl] = D.min(axis=1)
         _raise_outside(X, dist > tol, "not in finite space")
         return j[:, None], np.ones((len(X), 1))
 
-    def cell_diameters(self, ord=2):
+    def cell_diameters(self):
         return np.zeros(self.n_vertices)
 
-    def vertex_diameter(self, ord=2):
+    def vertex_diameter(self):
         if self.n_vertices == 1:
             return 0.0
         diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(_norm(diffs, ord).max())
+        return float(np.linalg.norm(diffs, axis=-1).max())
 
 
 def _default_excluded(vertices):
@@ -484,19 +484,18 @@ class HatBasis:
 IndicatorBasis = HatBasis
 
 
-def epsilon_bar(complex, varsigma, ord=2):
+def epsilon_bar(complex, varsigma):
     """Mesh-based upper bound on the W1 radius of a moment class.
 
     ``2 * (max cell diameter) + (varsigma / 2) * (overall vertex diameter)``
-    with distances taken in the given norm.  For a finite space the cell
-    diameters are zero.
+    in the Euclidean norm.  For a finite space the cell diameters are zero.
     """
     if varsigma < 0:
         raise GeometryError("varsigma must be >= 0")
-    cd = float(np.max(complex.cell_diameters(ord))) if complex.n_vertices else 0.0
+    cd = float(np.max(complex.cell_diameters())) if complex.n_vertices else 0.0
     if varsigma == 0:     # skip the O(n^2) vertex diameter it would weigh
         return 2.0 * cd
-    return 2.0 * cd + 0.5 * varsigma * complex.vertex_diameter(ord)
+    return 2.0 * cd + 0.5 * varsigma * complex.vertex_diameter()
 
 
 @dataclass
@@ -508,7 +507,7 @@ class PartitionPlan:
 
 
 def plan_partition(eps, eps_par, eps_star, N, L1, L2_bar, type_boxes,
-                   quality_box, C_type=None, C_quality=1.0, ord=2):
+                   quality_box, C_type=None, C_quality=1.0):
     """Per-dimension cell counts guaranteeing a target equilibrium accuracy.
 
     Parameters
@@ -521,7 +520,6 @@ def plan_partition(eps, eps_par, eps_star, N, L1, L2_bar, type_boxes,
     type_boxes : per-category list of (lo, hi) pairs
     quality_box : list of (lo, hi) pairs
     C_type, C_quality : norm-equivalence constants (>= 1), default 1
-    ord : norm tag used for the side-length vector in the varsigma threshold
 
     Returns a :class:`PartitionPlan`.  Counts of zero (possible for the
     quality space when N == 1) are clamped to one cell.
@@ -534,6 +532,7 @@ def plan_partition(eps, eps_par, eps_star, N, L1, L2_bar, type_boxes,
         C_type = np.ones(N)
     C_type = np.atleast_1d(np.asarray(C_type, dtype=float))
     type_counts = []
+    denoms = []         # side-length norm times Lipschitz weight, per space
     for i in range(N):
         box = np.atleast_2d(np.asarray(type_boxes[i], dtype=float))
         d_i = box.shape[0]
@@ -541,6 +540,7 @@ def plan_partition(eps, eps_par, eps_star, N, L1, L2_bar, type_boxes,
         cnt = np.ceil(8.0 * N * L1[i] * sides * C_type[i] * math.sqrt(d_i)
                       / budget).astype(int)
         type_counts.append(tuple(int(c) for c in np.maximum(cnt, 1)))
+        denoms.append(float(np.linalg.norm(sides, axis=-1)) * N * L1[i])
     qbox = np.atleast_2d(np.asarray(quality_box, dtype=float))
     d_0 = qbox.shape[0]
     qsides = qbox[:, 1] - qbox[:, 0]
@@ -548,10 +548,7 @@ def plan_partition(eps, eps_par, eps_star, N, L1, L2_bar, type_boxes,
                    / budget).astype(int)
     quality_counts = tuple(int(c) for c in np.maximum(qcnt, 1))
 
-    denoms = [float(_norm(box[:, 1] - box[:, 0], ord)) * N * L1[i]
-              for i, box in enumerate(np.atleast_2d(np.asarray(b, dtype=float))
-                                      for b in type_boxes)]
-    denoms.append(float(_norm(qsides, ord)) * (N - 1) * L2_bar)
+    denoms.append(float(np.linalg.norm(qsides, axis=-1)) * (N - 1) * L2_bar)
     dmax = max(denoms)
     varsigma_bar = math.inf if dmax <= 0 else 0.5 * budget / dmax
     return PartitionPlan(type_counts, quality_counts, varsigma_bar)

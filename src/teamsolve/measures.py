@@ -213,70 +213,44 @@ def measure_from_json(doc, complex=None):
     raise MeasureError("unknown measure type %r" % doc.get("type"))
 
 
-def _moments_all_vertices_cpwa(measure):
-    """Exact integral of every vertex hat function against a CPWA measure."""
-    cx = measure.complex
-    d = cx.dim
-    f = measure.vertex_density
-    scale = 1.0 / ((d + 1) * (d + 2))
-    out = np.zeros(cx.n_vertices)
-    vols = measure._vols
-    for s, idx in enumerate(cx.simplices):
-        fs = f[idx]
-        tot = fs.sum()
-        # integral over the cell of lam_u * density = vol*(tot + f_u)*scale
-        out[idx] += vols[s] * (tot + fs) * scale
-    return out
-
-
 def moments_all_vertices(measure, space):
-    """Integral of every vertex hat (or indicator) against the measure.
+    """Integral of every vertex hat (or indicator) of a space against the
+    measure, in closed form.
 
-    Used to check the positivity precondition for the default initial
-    constraint set of the cutting-plane solver.
+    Discrete measures: the atoms' barycentric weights, summed per vertex.
+    CPWA measures, which must live on ``space``: per simplex, the integral
+    of lam_u times the affine density is vol * (sum of f + f_u) / ((d+1)(d+2)).
     """
+    out = np.zeros(space.n_vertices)
     if isinstance(measure, CpwaDensityMeasure):
-        if measure.complex is not space and not _same_complex(measure.complex, space):
-            raise SupportOutsideBasisError("measure lives on a different complex")
-        return _moments_all_vertices_cpwa(measure)
+        cx = measure.complex
+        if cx is not space and not (
+                np.array_equal(cx.vertices, space.vertices)
+                and np.array_equal(cx.simplices,
+                                   getattr(space, "simplices", None))):
+            raise SupportOutsideBasisError(
+                "cpwa measure must live on the basis complex")
+        f = measure.vertex_density[cx.simplices]            # (m, d+1)
+        d = cx.dim
+        np.add.at(out, cx.simplices,
+                  measure._vols[:, None] * (f.sum(axis=1, keepdims=True) + f)
+                  * (1.0 / ((d + 1) * (d + 2))))
+        return out
+    if not isinstance(measure, DiscreteMeasure):
+        raise MeasureError("unsupported measure type %r" % type(measure))
     try:
         V, W = space.vertex_weights(measure.atoms)
     except PointOutsideComplexError as e:
         raise SupportOutsideBasisError(str(e)) from e
-    out = np.zeros(space.n_vertices)
     np.add.at(out, V, measure.weights[:, None] * W)
     return out
 
 
-def _same_complex(c1, c2):
-    return (c1.vertices.shape == c2.vertices.shape
-            and np.array_equal(c1.vertices, c2.vertices)
-            and np.array_equal(c1.simplices, c2.simplices))
-
-
 def moment_vector(measure, basis):
-    """Exact moments of the basis functions against the measure.
-
-    Discrete measures: weighted sum of basis values at the atoms.  CPWA
-    measures: closed-form per-simplex integrals of (affine density) times
-    (affine hat), exact for the degree-2 integrand; the measure must live on
-    the basis complex.
-    """
-    if isinstance(measure, DiscreteMeasure):
-        try:
-            G = basis.eval_many(measure.atoms)
-        except PointOutsideComplexError as e:
-            raise SupportOutsideBasisError(str(e)) from e
-        vals = measure.weights @ G
-    elif isinstance(measure, CpwaDensityMeasure):
-        if measure.complex is not basis.complex and not _same_complex(
-                measure.complex, basis.complex):
-            raise SupportOutsideBasisError(
-                "cpwa measure must live on the basis complex")
-        allm = _moments_all_vertices_cpwa(measure)
-        vals = allm[basis._keep]
-    else:
-        raise MeasureError("unsupported measure type %r" % type(measure))
+    """Exact moments of the basis functions against the measure: the
+    vertex moments (``moments_all_vertices``) of the basis's kept
+    vertices."""
+    vals = moments_all_vertices(measure, basis.complex)[basis._keep]
     if vals.size and (vals.min() < -1e-12 or vals.sum() > 1.0 + 1e-10):
         raise MeasureError("moment vector outside the probability simplex")
     return np.clip(vals, 0.0, None)
@@ -313,31 +287,16 @@ def second_moment(measure):
         raise MeasureError("unsupported measure type %r" % type(measure))
     cx = measure.complex
     d = cx.dim
-    f = measure.vertex_density
-    vols = measure._vols
-    dfac = math.factorial(d)
-    denom3 = math.factorial(d + 3)
-    total = 0.0
-    for s, idx in enumerate(cx.simplices):
-        V = cx.vertices[idx]                # (d+1, d)
-        fs = f[idx]
-        G = V @ V.T                         # <v_p, v_q>
-        k = d + 1
-        # integral of lam_p lam_q lam_r over the simplex
-        base = vols[s] * dfac / denom3
-        for p in range(k):
-            for q in range(k):
-                gpq = G[p, q]
-                if gpq == 0.0:
-                    continue
-                for r in range(k):
-                    mult = 1.0
-                    if p == q == r:
-                        mult = 6.0
-                    elif p == q or q == r or p == r:
-                        mult = 2.0
-                    total += gpq * fs[r] * base * mult
-    return float(total)
+    k = range(d + 1)
+    # integral of lam_p lam_q lam_r over a simplex, per unit of
+    # vol * d! / (d+3)!
+    mono = np.array([[[(1 + (p == q)) * (1 + (p == r) + (q == r))
+                       for r in k] for q in k] for p in k], dtype=float)
+    P = cx._cell_pts                                # (m, d+1, d)
+    total = np.einsum("spi,sqi,sr,pqr,s->", P, P,
+                      measure.vertex_density[cx.simplices], mono,
+                      measure._vols, optimize=True)
+    return float(total * math.factorial(d) / math.factorial(d + 3))
 
 
 def random_cpwa(complex, rng):

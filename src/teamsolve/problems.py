@@ -31,8 +31,8 @@ import math
 
 import numpy as np
 
-from .geometry import (FiniteSpace, edge_crossings, has_duplicate_rows,
-                       point_keys)
+from .geometry import (FiniteSpace, edge_crossings, first_seen,
+                       has_duplicate_rows)
 
 
 class CostModelError(ValueError):
@@ -45,15 +45,6 @@ def full_vertex_weights(space, X):
     out = np.zeros((len(V), space.n_vertices))
     np.put_along_axis(out, V, W, axis=1)
     return out
-
-
-def _dedup_points(P):
-    """Rows of the (n, d) array P in order, keeping the first of each point
-    key."""
-    first = {}
-    for q, key in enumerate(point_keys(P)):
-        first.setdefault(key, q)
-    return P[sorted(first.values())]
 
 
 def axis_arrangement_candidates(space, anchors):
@@ -77,7 +68,7 @@ def axis_arrangement_candidates(space, anchors):
     if d >= 2:
         crossings = np.array(list(itertools.product(*levels))).reshape(-1, d)
         pts.append(crossings[space.covers(crossings)])
-    return _dedup_points(np.vstack(pts))
+    return first_seen(np.vstack(pts))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -98,23 +89,12 @@ class SeparableL1Term:
         self.weight_z = float(weight_z)
         self.const = float(const)
 
-    def eval(self, X, Z):
-        v = np.full(np.atleast_2d(X).shape[0], self.const)
-        if self.anchor_x is not None:
-            v = v + self.weight_x * np.abs(np.atleast_2d(X) - self.anchor_x).sum(1)
-        if self.anchor_z is not None:
-            v = v + self.weight_z * np.abs(np.atleast_2d(Z) - self.anchor_z).sum(1)
-        return v
-
 
 class DirectL1Term:
     """weight * ||x - z||_1 with matching dimensions (coupled; needs an LP)."""
 
     def __init__(self, weight):
         self.weight = float(weight)
-
-    def eval(self, X, Z):
-        return self.weight * np.abs(np.atleast_2d(X) - np.atleast_2d(Z)).sum(1)
 
 
 class ScalarRampTerm:
@@ -124,10 +104,6 @@ class ScalarRampTerm:
         self.s = np.atleast_1d(np.asarray(s, dtype=float))
         self.kappa1 = float(kappa1)
         self.slope = float(slope)
-
-    def eval(self, X, Z):
-        f = np.atleast_2d(X)[:, 0] - np.atleast_2d(Z) @ self.s
-        return self.slope * np.clip(np.abs(f) - self.kappa1, 0.0, None)
 
 
 # ---------------------------------------------------------------------------

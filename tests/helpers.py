@@ -3,6 +3,7 @@ generators.  These stay deliberately separate from the library paths they
 check (dense brute force where the library is structured/sparse)."""
 
 import itertools
+import math
 
 import numpy as np
 from scipy import sparse
@@ -12,14 +13,13 @@ from teamsolve.equilibrium import TIE_TOL
 from teamsolve.geometry import (FiniteSpace, IndicatorBasis,
                                 PointOutsideComplexError, SimplicialComplex,
                                 build_box_partition, edge_crossings,
-                                point_key)
+                                first_seen, point_key)
 from teamsolve.linprog import (LpError, LpInfeasibleError, LpProblem,
                                LpSolution, LpUnboundedError, _core)
 from teamsolve.measures import DiscreteMeasure
 from teamsolve.oracle import OracleError, _finalize, _vertex_multipliers
 from teamsolve.problems import (BusinessLocationCost, CappedAffineCost,
-                                CostModelError, _dedup_points,
-                                axis_arrangement_candidates,
+                                CostModelError, axis_arrangement_candidates,
                                 tabulated_cpwa_cost)
 
 
@@ -775,9 +775,9 @@ def transfer_x_candidates(model, i, z, x_space):
     if isinstance(x_space, FiniteSpace):
         return x_space.vertices
     if isinstance(model, BusinessLocationCost):
-        return _dedup_points(np.vstack([
+        return first_seen(np.vstack([
             axis_arrangement_candidates(x_space, model.stations),
-            axis_arrangement_candidates(x_space, np.atleast_2d(z))]))
+            axis_arrangement_candidates(x_space, np.atleast_2d(z))]))[0]
     if isinstance(model, CappedAffineCost):
         t = float(np.atleast_1d(z) @ model.s[i])
         pts = [x_space.vertices]
@@ -785,7 +785,7 @@ def transfer_x_candidates(model, i, z, x_space):
             p = np.array([[x]])
             if x_space.covers(p)[0]:
                 pts.append(p)
-        return _dedup_points(np.vstack(pts))
+        return first_seen(np.vstack(pts))[0]
     return x_space.vertices
 
 
@@ -807,3 +807,44 @@ def transfer_eval_loop(model, i, Z, solution, x_spaces, x_bases):
             - x_bases[i].eval_many(cand) @ solution.y[i]
         out[s] = vals.min() - solution.y0[i]
     return out
+
+
+def discrete_moment_vector_dense(measure, basis):
+    """Hat moments of a discrete measure as the weighted sum of the dense
+    basis rows at its atoms."""
+    return measure.weights @ basis.eval_many(measure.atoms)
+
+
+def cpwa_vertex_moments_loop(measure):
+    """Every vertex hat's integral against a CPWA measure, one simplex at a
+    time: vol * (sum of f + f_u) / ((d+1)(d+2)) per simplex vertex u."""
+    cx = measure.complex
+    d = cx.dim
+    f = measure.vertex_density
+    scale = 1.0 / ((d + 1) * (d + 2))
+    out = np.zeros(cx.n_vertices)
+    for s, idx in enumerate(cx.simplices):
+        fs = f[idx]
+        out[idx] += measure._vols[s] * (fs.sum() + fs) * scale
+    return out
+
+
+def cpwa_second_moment_loop(measure):
+    """Integral of ||x||^2 against a CPWA measure by the barycentric
+    monomial formula, one (simplex, p, q, r) term at a time."""
+    cx = measure.complex
+    d = cx.dim
+    f = measure.vertex_density
+    total = 0.0
+    for s, idx in enumerate(cx.simplices):
+        V = cx.vertices[idx]
+        G = V @ V.T
+        base = measure._vols[s] * math.factorial(d) / math.factorial(d + 3)
+        for p, q, r in itertools.product(range(d + 1), repeat=3):
+            mult = 1.0
+            if p == q == r:
+                mult = 6.0
+            elif p == q or q == r or p == r:
+                mult = 2.0
+            total += G[p, q] * f[idx][r] * base * mult
+    return total

@@ -1,3 +1,4 @@
+import csv
 import json
 from functools import reduce
 
@@ -6,7 +7,7 @@ import pytest
 
 from helpers import (brute_force_discrete_optimum, exact_tilde_loop,
                      lex_argmin_loop, random_discrete_instance, z_opt_dense)
-from teamsolve import equilibrium
+from teamsolve import equilibrium, transport
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
                                 SimplicialComplex, build_box_partition,
                                 epsilon_bar)
@@ -14,8 +15,9 @@ from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
                                 moment_vector, random_cpwa)
 from teamsolve.cutting_plane import ParametricSolution, run
 from teamsolve.equilibrium import (TIE_TOL, EquilibriumError, _lex_argmin,
-                                   _reduce_support, construct, eps_theo,
-                                   transfer_eval, write_coupling_csv, z_opt)
+                                   _reduce_support, _write_csv, construct,
+                                   eps_theo, transfer_eval,
+                                   write_coupling_csv, z_opt)
 from teamsolve.oracle import make_oracle
 from teamsolve.problems import (barycenter_cost, business_location_cost,
                                 capped_affine_cost, tabulated_cpwa_cost)
@@ -320,6 +322,45 @@ def test_coupling_csv_draws_no_quality_selection(tmp_path, monkeypatch):
     assert path.read_text().splitlines()[0] == "x0,z0,z1"
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(rows, np.hstack([S["X_bar"][1], S["Z"]]))
+
+
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
+    vals = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 0.1, -2.5])
+    table = np.column_stack([vals, vals[::-1], np.arange(len(vals)) * 1e6])
+    ref_path = tmp_path / "ref.csv"
+    with open(ref_path, "w", newline="") as f:
+        wr = csv.writer(f)
+        wr.writerow(["a", "b", "count"])
+        for u, v, k in table:
+            wr.writerow(["%.17g" % u, "%.17g" % v, int(k)])
+    _write_csv(tmp_path / "fmt.csv", ["a", "b", "count"], table,
+               "%.17g,%.17g,%d")
+    assert (tmp_path / "fmt.csv").read_bytes() == ref_path.read_bytes()
+    # the default format writes every value as %.17g
+    with open(ref_path, "w", newline="") as f:
+        wr = csv.writer(f)
+        wr.writerow(["a", "b"])
+        wr.writerows([["%.17g" % v for v in row] for row in table[:, :2]])
+    _write_csv(tmp_path / "all.csv", ["a", "b"], table[:, :2])
+    assert (tmp_path / "all.csv").read_bytes() == ref_path.read_bytes()
+
+
+def test_auto_i_hat_solves_each_pair_once(monkeypatch):
+    rng = np.random.default_rng(52)
+    model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=4)
+    res, _ = _pipeline(model, mu, xs, xb, zs, zb)
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return transport.ot_discrete(*args, **kw)
+
+    monkeypatch.setattr(equilibrium, "ot_discrete", counting)
+    auto = construct(res, model, mu, xs, xb, zs, zb, i_hat="auto")
+    n_auto = len(calls)
+    pinned = construct(res, model, mu, xs, xb, zs, zb, i_hat=auto.i_hat)
+    assert pinned.alpha_hat_ub == auto.alpha_hat_ub
+    assert n_auto - (len(calls) - n_auto) == 4 * 3 // 2
 
 
 def test_agent_couplings_recorded():

@@ -155,7 +155,7 @@ def test_epsilon_bar():
 
 def test_epsilon_bar_zero_varsigma_skips_vertex_diameter(monkeypatch):
     # the vertex diameter is O(n^2) in the vertex count and its weight is 0
-    def fail(self, ord=2):
+    def fail(self):
         raise AssertionError("vertex_diameter evaluated")
 
     for cls in (SimplicialComplex, FiniteSpace):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import (cpwa_second_moment_loop, cpwa_vertex_moments_loop,
+                     discrete_moment_vector_dense)
 from teamsolve.geometry import FiniteSpace, HatBasis, build_box_partition
 from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
                                 MeasureError, SupportOutsideBasisError,
                                 moment_vector, moments_all_vertices,
                                 quantile_1d, random_cpwa, sample,
-                                second_moment, spawn_rngs)
+                                second_moment, spawn_rngs, uniform_points)
 
 
 def test_moment_examples():
@@ -115,6 +119,50 @@ def test_moments_all_vertices_sums_to_one():
     fs = FiniteSpace([[0.0], [1.0]])
     d = DiscreteMeasure([[0.0], [1.0]], [0.25, 0.75])
     assert np.allclose(moments_all_vertices(d, fs), [0.25, 0.75])
+
+
+# a random box grid of dimension 1 to 3, from a seed
+grids = st.builds(
+    lambda d, seed: _random_grid(d, np.random.default_rng(seed)),
+    st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+
+
+def _random_grid(d, rng):
+    lo = rng.uniform(-2.0, 2.0, size=d)
+    box = np.stack([lo, lo + rng.uniform(0.5, 3.0, size=d)], axis=1)
+    return build_box_partition(box, rng.integers(1, 4, size=d)), rng
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=grids)
+def test_cpwa_vertex_moments_equal_the_loop(grid):
+    c, rng = grid
+    m = random_cpwa(c, rng)
+    assert np.array_equal(moments_all_vertices(m, c),
+                          cpwa_vertex_moments_loop(m))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=grids, finite=st.booleans())
+def test_discrete_moments_match_the_dense_basis_rows(grid, finite):
+    c, rng = grid
+    space = FiniteSpace(c.vertices) if finite else c
+    n = int(rng.integers(1, space.n_vertices + 1))
+    atoms = (space.vertices[rng.choice(space.n_vertices, n, replace=False)]
+             if finite else uniform_points(space, rng, n))
+    mu = DiscreteMeasure(atoms, rng.dirichlet(np.ones(n)))
+    b = HatBasis(space)
+    ref = np.clip(discrete_moment_vector_dense(mu, b), 0.0, None)
+    assert np.abs(moment_vector(mu, b) - ref).max(initial=0.0) <= 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=grids)
+def test_second_moment_matches_the_loop(grid):
+    c, rng = grid
+    m = random_cpwa(c, rng)
+    ref = cpwa_second_moment_loop(m)
+    assert abs(second_moment(m) - ref) <= 1e-13 * abs(ref)
 
 
 def test_second_moment():
