@@ -262,13 +262,15 @@ def run_pipeline(setup, out_dir=None, seed=None):
                                      os.path.join(out_dir, "nu_hat.csv"))
         rng = np.random.default_rng(setup.seed + 77)
         n_export = min(setup.mc_n, 2000)
+        transfers = equilibrium.transfer_table(
+            setup.model, cp_res.solution, setup.x_spaces, setup.x_bases,
+            setup.z_space.vertices)
         for i in range(setup.N):
             equilibrium.write_coupling_csv(
                 report, np.random.default_rng(setup.seed + 100 + i), n_export,
                 i, os.path.join(out_dir, "coupling_samples_%d.csv" % i))
-            equilibrium.write_transfer_csv(
-                setup.model, cp_res.solution, setup.x_spaces, setup.x_bases,
-                setup.z_space.vertices, i,
+            equilibrium.write_transfer_values_csv(
+                setup.z_space.vertices, transfers[i],
                 os.path.join(out_dir, "transfer_%d.csv" % i))
         equilibrium.write_nu_tilde_hist_csv(
             report, rng, min(setup.mc_n, 20000),

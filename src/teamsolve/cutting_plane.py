@@ -4,7 +4,10 @@ The semi-infinite constraint system (one inequality per point of every
 type-quality product space) is relaxed to finitely many cuts; each round
 solves the relaxed LP together with its dual, asks the global minimization
 oracle of every category for the most violated constraints, and adds them
-until the certified gap falls below the requested tolerance.
+until the certified gap falls below the requested tolerance.  Between
+rounds the live LP keeps at most ``ROW_BUDGET`` inequality rows per column:
+past that, the rows with the largest slacks go (exchange method), and the
+oracle may offer their cuts again.
 
 Outputs: an upper bound (the LP value), a lower bound (the LP value minus
 the certified violation), a globally feasible parametric solution obtained
@@ -28,6 +31,9 @@ from .geometry import first_seen, point_keys
 log = logging.getLogger("teamsolve.cutting_plane")
 
 WEIGHT_PRUNE = 1e-12
+# inequality rows per LP column kept between rounds; 2 made capped-affine
+# take more rounds, 8 solved barycenter-discrete slower than 4
+ROW_BUDGET = 4
 
 
 class CuttingPlaneError(RuntimeError):
@@ -86,6 +92,7 @@ class IterationRecord:
     add_time: float             # appending this round's new rows
     lp_time: float              # HiGHS
     oracle_time: float
+    rows_dropped: int           # deleted after this round's solve
 
 
 @dataclass
@@ -107,14 +114,15 @@ class CuttingPlaneResult:
             wr = csv.writer(f)
             wr.writerow(["r", "lp_value", "gap", "cuts_added",
                          "cuts_per_category", "lp_rows", "simplex_iterations",
-                         "add_time", "lp_time", "oracle_time"])
+                         "add_time", "lp_time", "oracle_time",
+                         "rows_dropped"])
             for rec in self.iterations:
                 wr.writerow([rec.r, "%.17g" % rec.lp_value, "%.17g" % rec.gap,
                              rec.cuts_added,
                              ";".join(map(str, rec.cuts_per_category)),
                              rec.lp_rows, rec.simplex_iterations,
                              "%.6f" % rec.add_time, "%.6f" % rec.lp_time,
-                             "%.6f" % rec.oracle_time])
+                             "%.6f" % rec.oracle_time, rec.rows_dropped])
 
 
 def default_initial_cuts(x_spaces, z_space):
@@ -170,6 +178,16 @@ class _CutStore:
         self.c[i] = np.concatenate([self.c[i], self.model.eval(i, X, Z)])
         return len(new)
 
+    def delete(self, i, idx):
+        """Drop category i's rows ``idx`` and forget their keys, so that
+        ``add`` takes those points again."""
+        if len(idx) == 0:
+            return
+        self.keys[i].difference_update(
+            point_keys(np.hstack([self.X[i][idx], self.Z[i][idx]])))
+        for part in (self.X, self.Z, self.G, self.H, self.c):
+            part[i] = np.delete(part[i], idx, axis=0)
+
 
 def _relaxation(gbar, k):
     """The relaxed LP (max sense) before any cut: category i's variables are
@@ -205,6 +223,32 @@ def _add_new_cuts(problem, store, offsets, rows):
             shape=(block.shape[0], problem.n))
         rows[i] = np.concatenate([rows[i],
                                   problem.add_rows(block, store.c[i][new])])
+
+
+def _drop_slack_rows(problem, store, rows, sol):
+    """Delete rows of the solved model until at most ``ROW_BUDGET`` per
+    column remain or no candidate is left; returns how many went.
+
+    Only rows with positive slack (hence a basic slack and a zero
+    multiplier) qualify, the largest slack first and ties in row order, so
+    the basis stays optimal and the next solve starts warm.  Their cuts
+    leave the store, and ``rows[i]`` follows HiGHS's renumbering.
+    """
+    excess = problem.n_ineq - ROW_BUDGET * problem.n
+    if excess <= 0:
+        return 0
+    slack = sol.slack_ineq
+    cand = np.flatnonzero((slack > 0) & (sol.duals_ineq == 0))
+    drop = np.sort(cand[np.argsort(-slack[cand], kind="stable")[:excess]])
+    if drop.size == 0:
+        return 0
+    problem.delete_rows(drop)
+    for i, ri in enumerate(rows):
+        pos = np.searchsorted(drop, ri)
+        gone = drop[np.minimum(pos, len(drop) - 1)] == ri
+        store.delete(i, np.flatnonzero(gone))
+        rows[i] = ri[~gone] - pos[~gone]
+    return len(drop)
 
 
 def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
@@ -266,13 +310,16 @@ def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
         for i, res in enumerate(results):
             X, Z = zip((res.x, res.z), *res.pool)
             added.append(store.add(i, np.vstack(X), np.vstack(Z)))
+        done = gap <= eps_lsip
+        lp_rows = problem.n_ineq
+        dropped = 0 if done else _drop_slack_rows(problem, store, rows, sol)
         records.append(IterationRecord(
-            r, sol.value, gap, sum(added), added, problem.n_ineq,
-            sol.iterations, t_add - t0, lp_time, oracle_time))
-        log.info("iter %d: lp=%.9g gap=%.3g cuts+%d", r, sol.value, gap,
-                 sum(added))
+            r, sol.value, gap, sum(added), added, lp_rows, sol.iterations,
+            t_add - t0, lp_time, oracle_time, dropped))
+        log.info("iter %d: lp=%.9g gap=%.3g cuts+%d rows-%d", r, sol.value,
+                 gap, sum(added), dropped)
 
-        if gap <= eps_lsip:
+        if done:
             alpha_ub = sol.value
             alpha_lb = sol.value - gap
             solution = ParametricSolution(beta_lower.copy(), y, w)

@@ -105,12 +105,24 @@ def transfer_eval(model, i, Z, solution, x_spaces, x_bases):
         raise EquilibriumError("category index out of range")
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if i == N - 1:
-        tot = np.zeros(Z.shape[0])
-        for j in range(N - 1):
-            tot += transfer_eval(model, j, Z, solution, x_spaces, x_bases)
-        return -tot
+        return transfer_table(model, solution, x_spaces, x_bases, Z)[i]
     return type_minima(model, i, x_spaces[i], x_bases[i], solution.y[i],
                        Z) - solution.y0[i]
+
+
+def transfer_table(model, solution, x_spaces, x_bases, Z):
+    """Every category's transfer function on the quality points ``Z``, as
+    an (N, n) array from N-1 type minimizations: row i is
+    ``transfer_eval(model, i, Z, ...)``, the last row summed in category
+    order as it sums them."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    T = np.zeros((model.N, len(Z)))
+    for i in range(model.N - 1):
+        T[i] = type_minima(model, i, x_spaces[i], x_bases[i], solution.y[i],
+                           Z) - solution.y0[i]
+        T[-1] += T[i]
+    T[-1] = -T[-1]
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +265,8 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
             W[i, j] = W[j, i] = ot_discrete(nu_measures[i], nu_measures[j])[1]
         i_hat = np.argmin(W.sum(axis=1))
     i_hat = int(i_hat)
+    if not 0 <= i_hat < N:
+        raise EquilibriumError("i_hat %d outside [0, %d)" % (i_hat, N))
 
     bound = sparsity_bound([b.m for b in x_bases], z_basis.m)
     nu_hat = nu_measures[i_hat]
@@ -408,8 +422,15 @@ def write_coupling_csv(report, rng, n, i, path):
 
 
 def write_transfer_csv(model, solution, x_spaces, x_bases, z_points, i, path):
+    write_transfer_values_csv(
+        z_points, transfer_eval(model, i, z_points, solution, x_spaces,
+                                x_bases), path)
+
+
+def write_transfer_values_csv(z_points, phi, path):
+    """One transfer function's file: each quality point and its value
+    (one row of ``transfer_table``)."""
     z_points = np.atleast_2d(z_points)
-    phi = transfer_eval(model, i, z_points, solution, x_spaces, x_bases)
     _write_csv(path, ["z%d" % j for j in range(z_points.shape[1])] + ["phi"],
                np.column_stack([z_points, phi]))
 

@@ -10,19 +10,25 @@ the options scipy's ``linprog(method="highs-ds")`` passes:
 
 * ``solve`` -- the cutting-plane relaxation.  ``LpProblem`` is a live model:
   maximization over free variables with an equality block ``E x = f`` and an
-  inequality block ``A x <= b`` that grows by ``add_rows``.  Each ``solve``
-  restarts the dual simplex from the model's previous basis, which stays
-  dual feasible when rows are added.  The returned inequality multipliers
-  are nonnegative and the equality multipliers are free (max sense).
+  inequality block ``A x <= b`` that grows by ``add_rows`` and shrinks by
+  ``delete_rows``.  Each ``solve`` restarts the dual simplex from the
+  model's previous basis.  Added rows enter with basic slacks, so the basis
+  stays dual feasible.  Deleting rows whose slacks are basic takes one
+  basic variable per deleted row, and those slacks carry zero multipliers,
+  so the basis stays primal and dual feasible: the next ``solve`` takes no
+  simplex iteration.  A positive slack ``b - A x`` marks a basic slack,
+  because HiGHS reports a nonbasic row exactly at its bound (its scale
+  factors are powers of two).  The returned inequality multipliers are
+  nonnegative and the equality multipliers are free (max sense).
 * ``solve_min`` -- minimization with variable bounds, for the transport
   plans, the support reduction and the oracles' cell-pair LPs.  It passes
   one fresh model per call and returns what scipy's ``linprog`` returns for
   the same LP, bit for bit.
 
 The binding is private to scipy.  ``pyproject.toml`` asks for scipy 1.17,
-the tested version whose ``_Highs`` has ``addRows``, ``passModel`` and
-``getSolution().row_dual``; a scipy without the binding raises
-``LpBackendError`` at import.
+the tested version whose ``_Highs`` has ``addRows``, ``deleteRows``,
+``passModel`` and ``getSolution().row_dual``; a scipy without the binding
+raises ``LpBackendError`` at import.
 """
 
 from __future__ import annotations
@@ -105,13 +111,14 @@ def _pass_model(highs, c, A, row_lower, row_upper, col_lower, col_upper,
 
 
 def _run(highs):
-    """Run HiGHS; returns ``(x, row multipliers, value, simplex
+    """Run HiGHS; returns ``(x, row values, row multipliers, value, simplex
     iterations)``.  Statuses map to errors as scipy's linprog maps them."""
     highs.run()
     status = highs.getModelStatus()
     if status == _Status.kOptimal:
         sol, info = highs.getSolution(), highs.getInfo()
         return (np.asarray(sol.col_value, dtype=float),
+                np.asarray(sol.row_value, dtype=float),
                 np.asarray(sol.row_dual, dtype=float),
                 float(info.objective_function_value),
                 int(info.simplex_iteration_count))
@@ -127,7 +134,8 @@ class LpProblem:
     """max <c, x> subject to A_eq x = b_eq, A_ub x <= b_ub, x free, as a live
     HiGHS model.  The equality rows come first in the model, so inequality
     row j is model row ``n_eq + j``; ``add_rows`` appends inequality rows,
-    and the next ``solve`` starts from the basis of the last one."""
+    ``delete_rows`` removes some, and the next ``solve`` starts from the
+    basis of the last one."""
 
     def __init__(self, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
         c = np.asarray(c, dtype=float)
@@ -142,6 +150,7 @@ class LpProblem:
                     np.zeros(0), -free, free, _core.ObjSense.kMaximize)
         self.n = n
         self.n_eq = self.n_ineq = 0
+        self.b_ub = np.zeros(0)
         if A_eq is not None:
             self._add(A_eq, b_eq, "eq")
             self.n_eq = len(b_eq)
@@ -152,8 +161,23 @@ class LpProblem:
         """Append the inequality rows ``A_ub x <= b_ub``; returns their
         indices among the inequality rows, which index ``duals_ineq``."""
         self._add(A_ub, b_ub, "ub")
+        self.b_ub = np.concatenate([self.b_ub, np.asarray(b_ub, dtype=float)])
         start, self.n_ineq = self.n_ineq, self.highs.getNumRow() - self.n_eq
         return np.arange(start, self.n_ineq)
+
+    def delete_rows(self, ineq_rows):
+        """Delete the inequality rows ``ineq_rows`` (indices among the
+        inequality rows).  HiGHS renumbers the rest in order: row j becomes
+        j minus the number of deleted rows below it.  Deleting only rows
+        whose slacks are basic keeps the basis optimal (module docstring)."""
+        idx = np.unique(np.asarray(ineq_rows, dtype=np.int64))
+        if idx.size and not 0 <= idx[0] <= idx[-1] < self.n_ineq:
+            raise LpError("inequality rows outside [0, %d)" % self.n_ineq)
+        if self.highs.deleteRows(len(idx), (self.n_eq + idx).astype(
+                np.int32)) == _core.HighsStatus.kError:
+            raise LpError("HiGHS rejected deleting %d rows" % len(idx))
+        self.b_ub = np.delete(self.b_ub, idx)
+        self.n_ineq -= len(idx)
 
     def _add(self, A, b, name):
         if b is None:
@@ -174,6 +198,7 @@ class LpSolution:
     x: np.ndarray
     duals_ineq: np.ndarray
     duals_eq: np.ndarray
+    slack_ineq: np.ndarray      # b_ub - A_ub x
     value: float
     iterations: int = 0
 
@@ -181,16 +206,18 @@ class LpSolution:
 def solve(problem: LpProblem) -> LpSolution:
     """Solve the maximization problem from the model's current basis.
 
-    The inequality multipliers come in row-add order and follow the max-sense
-    convention.  Raises ``LpInfeasibleError`` / ``LpUnboundedError`` on the
-    respective statuses.  An unbounded status typically signals a bad
-    initial constraint set in the cutting-plane driver.
+    The inequality multipliers and slacks come in row-add order (less the
+    deleted rows); the multipliers follow the max-sense convention.  Raises
+    ``LpInfeasibleError`` / ``LpUnboundedError`` on the respective
+    statuses.  An unbounded status typically signals a bad initial
+    constraint set in the cutting-plane loop.
     """
-    x, row_dual, value, iterations = _run(problem.highs)
-    duals_ineq = row_dual[problem.n_eq:]
+    x, row_value, row_dual, value, iterations = _run(problem.highs)
+    e = problem.n_eq
+    duals_ineq = row_dual[e:]
     duals_ineq[(duals_ineq < 0) & (duals_ineq > -1e-10)] = 0.0
-    return LpSolution(x, duals_ineq, row_dual[:problem.n_eq], value,
-                      iterations)
+    slack = problem.b_ub - row_value[e:]
+    return LpSolution(x, duals_ineq, row_dual[:e], slack, value, iterations)
 
 
 def solve_min(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
@@ -210,6 +237,7 @@ def solve_min(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
                 np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
                 np.concatenate([b_ub, b_eq]), np.full(n, float(lo)),
                 np.full(n, float(hi)), _core.ObjSense.kMinimize)
-    x, row_dual, value, iterations = _run(highs)
-    return LpSolution(x, row_dual[:len(b_ub)], row_dual[len(b_ub):], value,
-                      iterations)
+    x, row_value, row_dual, value, iterations = _run(highs)
+    m = len(b_ub)
+    return LpSolution(x, row_dual[:m], row_dual[m:], b_ub - row_value[:m],
+                      value, iterations)

@@ -351,6 +351,8 @@ def linprog_reference(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                     if A_ub is not None else np.zeros(0)),
         duals_eq=(np.asarray(res.eqlin.marginals, dtype=float)
                   if A_eq is not None else np.zeros(0)),
+        slack_ineq=(np.asarray(res.ineqlin.residual, dtype=float)
+                    if A_ub is not None else np.zeros(0)),
         value=float(res.fun),
         iterations=int(getattr(res, "nit", 0)),
     )
@@ -374,7 +376,7 @@ def model_lp(problem: LpProblem):
 def solve_reference(problem: LpProblem):
     """``linprog.solve`` as a cold solve of the model's current LP with
     scipy's ``linprog``: max-sense value and multipliers, the inequality
-    multipliers in row-add order."""
+    multipliers and slacks in row-add order."""
     c, A, _, b = model_lp(problem)
     e = problem.n_eq
     sol = linprog_reference(-c, A[e:], b[e:], A[:e] if e else None,

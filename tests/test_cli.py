@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_discrete_optimum
+from teamsolve import equilibrium
 from teamsolve.cli import (ConfigError, ProblemSetup, load_config, main,
                            run_pipeline, verify_setup)
 
@@ -42,6 +43,31 @@ def test_determinism(tmp_path):
         doc.pop("timing")
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]
+
+
+def test_run_pipeline_minimizes_each_type_once(tmp_path, monkeypatch):
+    config = _load("discrete_tiny.json")
+    config["categories"] *= 2
+    config["problem"]["tables"] += [[[0.5, 0.0], [0.25, 1.0]]] * 2
+    calls = []
+    minima = equilibrium.type_minima
+
+    def counting(model, i, *args):
+        calls.append(i)
+        return minima(model, i, *args)
+
+    monkeypatch.setattr(equilibrium, "type_minima", counting)
+    setup = ProblemSetup(config)
+    cp_res, _ = run_pipeline(setup, out_dir=str(tmp_path / "out"))
+    # N-1 minimizations for the N transfer files
+    assert sorted(calls) == [0, 1, 2]
+    for i in range(setup.N):
+        ref = tmp_path / ("ref_%d.csv" % i)
+        equilibrium.write_transfer_csv(
+            setup.model, cp_res.solution, setup.x_spaces, setup.x_bases,
+            setup.z_space.vertices, i, ref)
+        got = tmp_path / "out" / ("transfer_%d.csv" % i)
+        assert got.read_bytes() == ref.read_bytes(), i
 
 
 def test_malformed_config_exit_code(tmp_path):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from helpers import (CutStoreLoop, assemble_lp_loop,
                      brute_force_discrete_optimum, dual_objective,
@@ -10,11 +11,11 @@ from helpers import (CutStoreLoop, assemble_lp_loop,
                      random_discrete_instance, solve_reference)
 from teamsolve import cutting_plane, linprog
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
-                                build_box_partition, point_key)
+                                build_box_partition, point_key, point_keys)
 from teamsolve.measures import DiscreteMeasure, moment_vector
 from teamsolve.cutting_plane import (MaxIterationsExceededError,
                                      UnboundedRelaxationError, _add_new_cuts,
-                                     _CutStore, _relaxation,
+                                     _CutStore, _drop_slack_rows, _relaxation,
                                      default_initial_cuts, run,
                                      sparsity_bound)
 from teamsolve.oracle import make_oracle
@@ -233,12 +234,14 @@ def test_iteration_log_csv(tmp_path):
     lines = open(path).read().strip().splitlines()
     assert lines[0] == ("r,lp_value,gap,cuts_added,cuts_per_category,"
                         "lp_rows,simplex_iterations,add_time,lp_time,"
-                        "oracle_time")
+                        "oracle_time,rows_dropped")
     assert len(lines) == 2
     rec = res.iterations[0]
-    assert lines[1].split(",")[3:7] == [
+    fields = lines[1].split(",")
+    assert fields[3:7] == [
         str(rec.cuts_added), ";".join(map(str, rec.cuts_per_category)),
         str(rec.lp_rows), str(rec.simplex_iterations)]
+    assert fields[10] == str(rec.rows_dropped) == "0"
     assert sum(rec.cuts_per_category) == rec.cuts_added
 
 
@@ -246,14 +249,21 @@ def test_iteration_log_counts_per_category():
     rng = np.random.default_rng(31)
     model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=3)
     res = _solve_discrete(model, mu, xs, xb, zs, zb)
-    rows = sum(len(sp.vertices) for sp in xs) * zs.n_vertices
+    assert res.iterations[0].lp_rows == (sum(len(sp.vertices) for sp in xs)
+                                         * zs.n_vertices)
     for rec in res.iterations:
         assert len(rec.cuts_per_category) == 3
         assert sum(rec.cuts_per_category) == rec.cuts_added
-        # a round's LP holds every cut added before it
-        assert rec.lp_rows == rows
-        rows += rec.cuts_added
         assert rec.add_time >= 0 and rec.lp_time >= 0
+    _assert_row_accounting(res.iterations)
+
+
+def _assert_row_accounting(records):
+    # the next round's LP: this round's rows, less the dropped ones, plus
+    # the new cuts; the final round drops nothing
+    for rec, nxt in zip(records, records[1:]):
+        assert nxt.lp_rows == rec.lp_rows - rec.rows_dropped + rec.cuts_added
+    assert records[-1].rows_dropped == 0
 
 
 def _assert_same_lp(problem, rows, ref):
@@ -278,31 +288,186 @@ def _assert_same_lp(problem, rows, ref):
             assert np.array_equal(getattr(M, part), getattr(B, part)), part
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_block_lp_matches_per_nonzero_assembly(name):
-    # instance 0's vertex-product cuts, then one round of oracle cuts
+def _first_relaxation(name):
+    """Workload instance 0's model holding its vertex-product cuts."""
     inst = workloads.build(name, 0)
     gbar = [moment_vector(mu, b) for mu, b in zip(inst.measures, inst.x_bases)]
-    k = inst.z_basis.m
-    m = [len(g) for g in gbar]
     store = _CutStore(inst.model, inst.x_bases, inst.z_basis)
     for i, (X, Z) in enumerate(default_initial_cuts(inst.x_spaces,
                                                     inst.z_space)):
         store.add(i, X, Z)
-    problem, offsets = _relaxation(gbar, k)
+    problem, offsets = _relaxation(gbar, inst.z_basis.m)
     rows = [np.empty(0, dtype=int) for _ in range(inst.N)]
     _add_new_cuts(problem, store, offsets, rows)
-    _assert_same_lp(problem, rows, assemble_lp_loop(store, gbar, k))
-    sol = linprog.solve(problem)
+    return inst, gbar, store, problem, offsets, rows
+
+
+def _add_oracle_cuts(inst, store, offsets, sol):
+    k = inst.z_basis.m
     for i in range(inst.N):
-        y = sol.x[offsets[i] + 1:offsets[i] + 1 + m[i]]
-        res = inst.oracle(i, y, sol.x[offsets[i] + 1 + m[i]:offsets[i + 1]])
+        y = sol.x[offsets[i] + 1:offsets[i + 1] - k]
+        res = inst.oracle(i, y, sol.x[offsets[i + 1] - k:offsets[i + 1]])
         store.add(i, np.vstack([res.x] + [p[0] for p in res.pool]),
                   np.vstack([res.z] + [p[1] for p in res.pool]))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_block_lp_matches_per_nonzero_assembly(name):
+    # instance 0's vertex-product cuts, then one round of oracle cuts
+    inst, gbar, store, problem, offsets, rows = _first_relaxation(name)
+    k = inst.z_basis.m
+    _assert_same_lp(problem, rows, assemble_lp_loop(store, gbar, k))
+    sol = linprog.solve(problem)
+    _add_oracle_cuts(inst, store, offsets, sol)
     solved = problem.n_ineq
     _add_new_cuts(problem, store, offsets, rows)
     assert problem.n_ineq > solved
     _assert_same_lp(problem, rows, assemble_lp_loop(store, gbar, k))
+
+
+def test_drop_keeps_the_warm_basis_and_the_row_index():
+    inst, gbar, store, problem, offsets, rows = _first_relaxation(
+        "barycenter-discrete")
+    k = inst.z_basis.m
+    budget = cutting_plane.ROW_BUDGET * problem.n
+    sol = linprog.solve(problem)
+    assert problem.n_ineq > budget
+    dropped = _drop_slack_rows(problem, store, rows, sol)
+    assert dropped == len(sol.slack_ineq) - budget == 4824
+    # the model is the store's cuts, row for row
+    _assert_same_lp(problem, rows, assemble_lp_loop(store, gbar, k))
+    # the basis stayed optimal: no simplex iteration, the same point
+    again = linprog.solve(problem)
+    assert again.iterations == 0
+    assert abs(again.value - sol.value) <= 1e-12
+    assert np.abs(again.x - sol.x).max() <= 1e-12
+    # and the new cuts of the next round land behind the renumbered rows
+    _add_oracle_cuts(inst, store, offsets, again)
+    _add_new_cuts(problem, store, offsets, rows)
+    assert problem.n_ineq > budget
+    _assert_same_lp(problem, rows, assemble_lp_loop(store, gbar, k))
+
+
+class _DeleteLog:
+    """Stands in for the cut store: records what ``_drop_slack_rows``
+    asks it to delete."""
+
+    def __init__(self):
+        self.deleted = []
+
+    def delete(self, i, idx):
+        self.deleted.append((i, list(idx)))
+
+
+def test_drop_leaves_tight_rows_when_candidates_run_out():
+    # max x + y: twelve rows through the optimum (1, 1), two of them
+    # priced and ten tight with zero multipliers, and three slack rows;
+    # the budget of 4 rows per column asks for seven deletions
+    tight = [(1, k) for k in range(1, 7)] + [(k, 1) for k in range(1, 7)]
+    slack = [(1, 0), (0, 1), (1, 1)]
+    A = np.array(tight + slack, dtype=float)
+    b = np.concatenate([A[:12].sum(1), [2.0, 3.0, 5.0]])
+    problem = linprog.LpProblem([1.0, 1.0], sparse.csr_matrix(A), b)
+    sol = linprog.solve(problem)
+    assert np.array_equal(sol.slack_ineq[:12], np.zeros(12))
+    assert np.count_nonzero(sol.duals_ineq) == 2
+    store, rows = _DeleteLog(), [np.arange(15)]
+    assert _drop_slack_rows(problem, store, rows, sol) == 3
+    # only the slack rows went; the tight ones stay over the budget
+    assert store.deleted == [(0, [12, 13, 14])]
+    assert problem.n_ineq == 12 > cutting_plane.ROW_BUDGET * problem.n
+    assert np.array_equal(rows[0], np.arange(12))
+    assert linprog.solve(problem).iterations == 0
+
+
+def _spy_drops(monkeypatch):
+    """Record every drop of ``run``: the solution it read, the rows it
+    deleted and the model's row and column counts after it."""
+    drops = []
+    delete_rows = linprog.LpProblem.delete_rows
+    drop = cutting_plane._drop_slack_rows
+
+    def spy_delete(problem, ineq_rows):
+        drops[-1]["deleted"] = np.array(ineq_rows)
+        return delete_rows(problem, ineq_rows)
+
+    def spy_drop(problem, store, rows, sol):
+        drops.append({"sol": sol, "deleted": np.zeros(0, dtype=int)})
+        n = drop(problem, store, rows, sol)
+        drops[-1].update(count=n, rows=problem.n_ineq, cols=problem.n)
+        return n
+
+    monkeypatch.setattr(linprog.LpProblem, "delete_rows", spy_delete)
+    monkeypatch.setattr(cutting_plane, "_drop_slack_rows", spy_drop)
+    return drops
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_drops_take_basic_slacks_down_to_the_budget(name, monkeypatch):
+    drops = _spy_drops(monkeypatch)
+    res, _ = _workload_run(name)
+    # every round but the last one drops
+    assert len(drops) == len(res.iterations) - 1
+    assert sum(d["count"] for d in drops) > 0
+    for d, rec in zip(drops, res.iterations):
+        slack, theta, gone = d["sol"].slack_ineq, d["sol"].duals_ineq, \
+            d["deleted"]
+        assert len(gone) == d["count"] == rec.rows_dropped
+        # never a row with zero slack or a positive multiplier
+        assert np.all(slack[gone] > 0) and np.all(theta[gone] == 0)
+        kept = np.delete(np.arange(len(slack)), gone)
+        assert d["rows"] == len(kept) == rec.lp_rows - rec.rows_dropped
+        left = (slack[kept] > 0) & (theta[kept] == 0)
+        # down to the budget unless no droppable row is left, the largest
+        # slacks first
+        assert d["rows"] <= cutting_plane.ROW_BUDGET * d["cols"] \
+            or not left.any()
+        if left.any() and len(gone):
+            assert slack[kept][left].max() <= slack[gone].min()
+    _assert_row_accounting(res.iterations)
+
+
+def test_dropped_cut_offered_again_is_readded(monkeypatch):
+    forgotten, readded = {}, []
+    delete, add = _CutStore.delete, _CutStore.add
+
+    def spy_delete(store, i, idx):
+        forgotten.setdefault(i, set()).update(
+            point_keys(np.hstack([store.X[i][idx], store.Z[i][idx]])))
+        delete(store, i, idx)
+
+    def spy_add(store, i, X, Z):
+        start = len(store.c[i])
+        n = add(store, i, X, Z)
+        readded.extend(
+            key for key in point_keys(np.hstack([store.X[i][start:],
+                                                 store.Z[i][start:]]))
+            if key in forgotten.get(i, ()))
+        return n
+
+    monkeypatch.setattr(_CutStore, "delete", spy_delete)
+    monkeypatch.setattr(_CutStore, "add", spy_add)
+    res, _ = _workload_run("capped-affine")
+    assert readded
+    assert res.gap <= workloads.build("capped-affine", 0).eps_lsip
+
+
+def test_store_delete_forgets_keys():
+    X = FiniteSpace([[0.0], [1.0], [2.0]])
+    bx = IndicatorBasis(X)
+    model = tabulated_cpwa_cost([X], X, [np.arange(9.0).reshape(3, 3)])
+    store = _CutStore(model, [bx], bx)
+    P = X.vertices
+    assert store.add(0, P, P[::-1]) == 3
+    before = {part: getattr(store, part)[0].copy()
+              for part in ("X", "Z", "G", "H", "c")}
+    store.delete(0, np.array([0, 2]))
+    for part, arr in before.items():
+        assert np.array_equal(getattr(store, part)[0], arr[[1]]), part
+    assert store.keys[0] == {point_key(np.hstack([P[1], P[1]]))}
+    # the forgotten cuts come back, behind the kept one
+    assert store.add(0, P, P[::-1]) == 2
+    assert np.array_equal(store.c[0], before["c"][[1, 0, 2]])
 
 
 def test_batched_add_matches_single_adds():

@@ -363,6 +363,16 @@ def test_auto_i_hat_solves_each_pair_once(monkeypatch):
     assert n_auto - (len(calls) - n_auto) == 4 * 3 // 2
 
 
+def test_out_of_range_i_hat_is_a_typed_error():
+    rng = np.random.default_rng(53)
+    model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=3)
+    res, _ = _pipeline(model, mu, xs, xb, zs, zb)
+    # -1 would index the last category, 3 the end of the list
+    for i_hat in (-1, 3):
+        with pytest.raises(EquilibriumError, match="i_hat %d" % i_hat):
+            construct(res, model, mu, xs, xb, zs, zb, i_hat=i_hat)
+
+
 def test_agent_couplings_recorded():
     # one agent of each coupling kind: discrete, 1-D quantile, cells on a
     # refined grid, and cells of a complex without a grid

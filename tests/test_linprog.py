@@ -98,6 +98,26 @@ def test_add_rows_warm_start():
     assert abs(cold.value - s.value) < TOL
 
 
+def test_delete_rows_renumbers_and_checks_indices():
+    # box rows and two slack rows behind the equality row
+    prob = LpProblem([1.0, 1.0],
+                     sparse.csr_matrix([[1, 0], [0, 1], [1, 1], [2, 1]]),
+                     [2.0, 2.0, 5.0, 7.0], sparse.csr_matrix([[1.0, -1.0]]),
+                     [0.0])
+    first = solve(prob)
+    assert np.array_equal(first.slack_ineq, [0.0, 0.0, 1.0, 1.0])
+    prob.delete_rows([2])
+    assert prob.n_ineq == 3 and np.array_equal(prob.b_ub, [2.0, 2.0, 7.0])
+    s = solve(prob)
+    assert s.iterations == 0 and abs(s.value - 4.0) < TOL
+    assert np.array_equal(s.slack_ineq, [0.0, 0.0, 1.0])
+    # -1 would name the equality row, 3 is past the last row
+    for bad in ([-1], [3]):
+        with pytest.raises(LpError, match="outside"):
+            prob.delete_rows(bad)
+    assert prob.n_ineq == 3 and prob.highs.getNumRow() == 4
+
+
 def test_solve_min_matches_linprog_reference_bit_for_bit():
     rng = np.random.default_rng(606)
     for trial in range(100):

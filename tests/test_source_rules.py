@@ -10,6 +10,11 @@ model's hooks (``z_opt_values``) or the oracle (``type_minima``) instead.
 ``oracle.py`` itself names only ``QuadraticBarycenterCost``, for its
 closed-form faces; every other family states where its vertices are exact
 (``affine_in_x``, ``affine_in_z``) or gives oracle terms.
+
+The HiGHS binding lives in ``linprog.py``: no other module reads a model's
+``highs`` attribute, calls HiGHS's row methods or imports scipy's
+``_highspy``, so the cutting plane adds and deletes rows only through
+``LpProblem.add_rows`` and ``LpProblem.delete_rows``.
 """
 
 import ast
@@ -122,3 +127,43 @@ def test_oracle_names_only_the_quadratic_family():
     classes = _cost_model_classes() - {"QuadraticBarycenterCost"}
     found = _cost_class_uses(SRC / "oracle.py", classes)
     assert not found, found
+
+
+HIGHS_ATTRS = {"highs", "addRows", "deleteRows"}
+
+
+def _highs_uses(path):
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+        if isinstance(node, ast.Attribute) and node.attr in HIGHS_ATTRS:
+            out.append(where + " reads ." + node.attr)
+        elif isinstance(node, ast.Import):
+            out += [where + " imports " + a.name for a in node.names
+                    if "_highspy" in a.name]
+        elif isinstance(node, ast.ImportFrom) \
+                and "_highspy" in (node.module or ""):
+            out.append(where + " imports from " + node.module)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and ("_highspy" in node.value or node.value in HIGHS_ATTRS):
+            out.append(where + " names " + node.value)
+    return out
+
+
+def test_only_linprog_touches_highs():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "linprog.py")
+    assert len(modules) >= 8
+    found = [v for p in modules for v in _highs_uses(p)]
+    assert not found, found
+    assert _highs_uses(SRC / "linprog.py")
+
+
+def test_highs_rule_catches_the_patterns(tmp_path):
+    p = tmp_path / "cutting_plane.py"
+    p.write_text("problem.highs.deleteRows(2, idx)\n"
+                 "import scipy.optimize._highspy._core as core\n"
+                 "from scipy.optimize._highspy import _core\n"
+                 "h = getattr(problem, 'highs')\n"
+                 "problem.delete_rows(idx)\n"
+                 "self.n_ineq = 3\n")
+    assert len(_highs_uses(p)) == 5

@@ -16,7 +16,7 @@ import pytest
 
 from helpers import transfer_eval_loop
 from teamsolve.cutting_plane import run
-from teamsolve.equilibrium import transfer_eval
+from teamsolve.equilibrium import transfer_eval, transfer_table
 from teamsolve.measures import moment_vector
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -78,3 +78,21 @@ def test_transfers_match_the_per_point_reference(name, points):
         ref = transfer_eval_loop(inst.model, i, Z, sol, inst.x_spaces,
                                  inst.x_bases)
         assert np.abs(got - ref).max() <= 1e-12, (i, np.abs(got - ref).max())
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_transfer_table_rows_are_transfer_eval(name):
+    inst, sol = _solved(name)
+    Z = inst.z_space.vertices
+    T = transfer_table(inst.model, sol, inst.x_spaces, inst.x_bases, Z)
+    assert T.shape == (inst.N, len(Z))
+    total = np.zeros(len(Z))
+    for i in range(inst.N - 1):
+        row = transfer_eval(inst.model, i, Z, sol, inst.x_spaces,
+                            inst.x_bases)
+        assert np.array_equal(T[i], row), i
+        total += row
+    # the last row: minus the others' sum, added in category order
+    assert np.array_equal(T[-1], -total)
+    assert np.array_equal(T[-1], transfer_eval(
+        inst.model, inst.N - 1, Z, sol, inst.x_spaces, inst.x_bases))
