@@ -242,14 +242,20 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
     ``i_hat`` selects the reference dual measure: ``"auto"`` picks the
     category whose quality marginal minimizes the summed W1 distance to the
     others, solving each unordered pair once (W1 is symmetric); an integer
-    pins it.  The upper bounds are exact expectations when every agent
-    measure is discrete and the enumeration stays within
+    (Python or numpy, not a ``bool``) pins it, and anything else is an
+    ``EquilibriumError``.  The upper bounds are exact expectations when
+    every agent measure is discrete and the enumeration stays within
     ``EXACT_COMBO_CAP`` combinations, else Monte Carlo estimates.
     ``semidiscrete_params`` is accepted for existing callers and has no
     effect: the coupling onto a continuous agent measure of dimension 2 or
     more is exact and has no settings.
     """
     N = model.N
+    auto = isinstance(i_hat, str) and i_hat == "auto"
+    if not auto and (isinstance(i_hat, bool)
+                     or not isinstance(i_hat, (int, np.integer))):
+        raise EquilibriumError('i_hat must be "auto" or an integer, not %r'
+                               % (i_hat,))
     # each category's dual measure as a plan from its quality marginal nu_i
     # onto its type marginal mu_hat_i
     duals = []
@@ -259,7 +265,7 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
                                       DiscreteMeasure(xs, P.sum(0)), P))
     nu_measures = [d.source for d in duals]
 
-    if i_hat == "auto":
+    if auto:
         W = np.zeros((N, N))
         for i, j in zip(*np.triu_indices(N, 1)):
             W[i, j] = W[j, i] = ot_discrete(nu_measures[i], nu_measures[j])[1]

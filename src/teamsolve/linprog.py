@@ -21,7 +21,7 @@ the options scipy's ``linprog(method="highs-ds")`` passes:
   factors are powers of two).  The returned inequality multipliers are
   nonnegative and the equality multipliers are free (max sense).
 * ``solve_min`` -- minimization with variable bounds, for the transport
-  plans, the support reduction and the oracles' cell-pair LPs.  It passes
+  plans and the support reduction.  It passes
   one fresh model per call and returns what scipy's ``linprog`` returns for
   the same LP, bit for bit.
 
@@ -222,8 +222,7 @@ def solve(problem: LpProblem) -> LpSolution:
 
 def solve_min(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
     """Minimization with bounded variables (transport plans, moment
-    systems, the oracles' cell-pair LPs); value and multipliers are in the
-    minimization sense."""
+    systems); value and multipliers are in the minimization sense."""
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     lo, hi = (-np.inf if bounds[0] is None else bounds[0],

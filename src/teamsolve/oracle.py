@@ -19,26 +19,30 @@ family's oracle terms.  ``_best_and_pool`` turns any generator's candidates
 into the optimum and the cut pool.  ``type_minima`` answers the same
 minimization over the type space alone at fixed quality points, which the
 transfer functions need.
+
+No LP is solved.  A coupled oracle term is convex and affine between its
+kink hyperplanes, so on each (type cell, quality cell) pair its minimum
+sits at a vertex of the pair cut by them.  Those vertices depend on the
+geometry and the kinks only, not on the multipliers, so they are computed
+once in closed form and cached; a call contracts them with the
+multipliers and takes the least per pair.  The values the oracle returns
+are the objective at points it names, so the certified bound rests on no
+solver's tolerances.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
-from . import linprog
 from .geometry import FiniteSpace, point_key, point_keys
-from .problems import (DirectL1Term, QuadraticBarycenterCost, ScalarRampTerm,
-                       SeparableL1Term, axis_arrangement_candidates)
+from .problems import (QuadraticBarycenterCost, SeparableL1Term,
+                       axis_arrangement_candidates)
 
 
 class OracleError(RuntimeError):
-    pass
-
-
-class WrongCostModelError(OracleError):
     pass
 
 
@@ -108,59 +112,139 @@ def _cell_vertex_arrays(space):
     return space._cell_pts, space.simplices
 
 
-def _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv):
+# A kink system whose scaled determinant is at most this is singular: its
+# kinks are within this relative angle of parallel to its face, so the
+# objective's slope changes along the face by at most this fraction and
+# the face's own vertices attain its minimum to within it.
+SINGULAR_TOL = 1e-14
+# Barycentric weights down to minus this count as nonnegative.  A kept
+# vertex is clipped onto its cell pair and valued there, so a generous
+# tolerance only adds feasible candidates, while a tight one could drop a
+# vertex whose zero weight rounds negative.
+WEIGHT_TOL = 1e-9
+
+
+def _kink_systems(kx, kz, q):
+    """The square systems of a (kx-vertex, kz-vertex) cell pair cut by q
+    kink hyperplanes, grouped by their number r of kinks.
+
+    A system is a face J of the type cell, a face K of the quality cell
+    and r = |J| + |K| - 2 of the kinks.  Per r: the base vertices (j0, k0)
+    = (J[0], K[0]), the (ns, r) kink indices, and the (ns, r, kx) and
+    (ns, r, kz) coefficients of the face's edge directions: the weights
+    are e_j0 + sum_t t_t Dx[t] and e_k0 + sum_t t_t Dz[t].
+    """
+    def faces(k):
+        return [J for n in range(1, k + 1)
+                for J in itertools.combinations(range(k), n)]
+
+    groups = {}
+    for J in faces(kx):
+        for K in faces(kz):
+            r = len(J) + len(K) - 2
+            for S in itertools.combinations(range(q), r):
+                Dx, Dz = np.zeros((r, kx)), np.zeros((r, kz))
+                for t, j in enumerate(J[1:]):
+                    Dx[t, [j, J[0]]] = 1.0, -1.0
+                for t, k in enumerate(K[1:], len(J) - 1):
+                    Dz[t, [k, K[0]]] = 1.0, -1.0
+                groups.setdefault(r, []).append((J[0], K[0], S, Dx, Dz))
+    out = []
+    for r in sorted(groups):
+        j0, k0, S, Dx, Dz = zip(*groups[r])
+        out.append((np.array(j0), np.array(k0),
+                    np.array(S, dtype=int).reshape(len(S), r), np.array(Dx),
+                    np.array(Dz)))
+    return out
+
+
+def _pair_vertices(term, xp, zp):
+    """Every vertex of each cell pair's product polytope cut by the term's
+    kink hyperplanes, as barycentric weights and points, and the term's
+    value there.
+
+    Each pair (x-cell a, z-cell b) solves every ``_kink_systems`` system
+    in the face's edge parameters t: the r chosen kinks, n . p = c, at
+    the base vertex pair plus the edge steps.  A system is singular when
+    its determinant is at most ``SINGULAR_TOL`` times the product of its
+    kink normals' and edge directions' norms, a bound it cannot exceed;
+    its solution, and one with a weight below ``-WEIGHT_TOL``, is no
+    vertex.  Returns (nx, nz, M, .) weights ``lx``, ``lz``, points ``X``,
+    ``Z`` and values ``T``, +inf at a non-vertex.
+    """
+    A, B, c = term.kinks(zp.shape[2])
+    nx, kx, _ = xp.shape
+    nz, kz, _ = zp.shape
+    ax = xp @ A.T                                   # (nx, kx, q)
+    bz = zp @ B.T                                   # (nz, kz, q)
+    norms = np.sqrt((A ** 2).sum(1) + (B ** 2).sum(1))
+    lx, lz, ok = [], [], []
+    for j0, k0, S, Dx, Dz in _kink_systems(kx, kz, len(c)):
+        ns = len(j0)
+        axS = ax[:, :, S]                           # (nx, kx, ns, r)
+        bzS = bz[:, :, S]
+        M = (np.einsum("ntk,aknr->anrt", Dx, axS)[:, None]
+             + np.einsum("ntk,bknr->bnrt", Dz, bzS)[None])
+        rhs = (c[S] - axS[:, j0, np.arange(ns)][:, None]
+               - bzS[:, k0, np.arange(ns)][None])
+        ex = (np.einsum("ntk,akd->antd", Dx, xp) ** 2).sum(-1)
+        ez = (np.einsum("ntk,bkd->bntd", Dz, zp) ** 2).sum(-1)
+        scale = (np.sqrt(ex[:, None] + ez[None]).prod(-1)
+                 * norms[S].prod(-1))
+        singular = np.abs(np.linalg.det(M)) <= SINGULAR_TOL * scale
+        M[singular] = np.eye(M.shape[-1])
+        t = np.linalg.solve(M, rhs[..., None])[..., 0]
+        lx.append(np.eye(kx)[j0] + np.einsum("abnt,ntk->abnk", t, Dx))
+        lz.append(np.eye(kz)[k0] + np.einsum("abnt,ntk->abnk", t, Dz))
+        ok.append(~singular & (lx[-1].min(-1) >= -WEIGHT_TOL)
+                  & (lz[-1].min(-1) >= -WEIGHT_TOL))
+    ok = np.concatenate(ok, axis=2)
+
+    def clipped(w):
+        # a vertex's weights clipped onto its simplex, zeros at a non-vertex
+        w = np.where(ok[..., None],
+                     np.clip(np.concatenate(w, axis=2), 0.0, None), 0.0)
+        return w / np.where(ok[..., None], w.sum(-1, keepdims=True), 1.0)
+
+    lx, lz = clipped(lx), clipped(lz)
+    X = np.einsum("abmk,akd->abmd", lx, xp)
+    Z = np.einsum("abmk,bkd->abmd", lz, zp)
+    T = np.where(ok, term.eval(X, Z), np.inf)
+    return lx, lz, X, Z, T
+
+
+def _pair_key(term, xp, zp):
+    """Cache key of ``_pair_vertices``: the term's class and parameters and
+    the cells' vertex coordinates, so that equal terms on equal cells share
+    one entry."""
+    return ((type(term).__name__,)
+            + tuple(np.asarray(v).tobytes() for _, v in
+                    sorted(vars(term).items()))
+            + (xp.shape, xp.tobytes(), zp.shape, zp.tobytes()))
+
+
+def _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv, cache):
     """Per-(x-cell, z-cell) minima of a coupled convex term plus the
-    per-cell affine multiplier parts.
+    per-cell affine multiplier parts, and the points that attain them.
 
     The cells are given by their vertex coordinates and vertex indices
-    (``_cell_vertex_arrays``).  Each pair minimizes in barycentric
-    variables (lam, mu) and the term's auxiliary variables.  The pairs
-    share no variables, so one block-diagonal LP solves them all.  Returns
-    the (nx, nz) value table and the (nx * nz, nv) block solutions,
-    x-cell major.
+    (``_cell_vertex_arrays``).  On a cell pair the objective is convex and
+    affine between the term's kink hyperplanes, so its minimum sits at a
+    vertex of the pair cut by them (``_pair_vertices``, cached across
+    calls).  Each call contracts the cached weights with the vertex
+    multipliers and takes the least vertex per pair.  Returns the (nx, nz)
+    value table and the (nx * nz, d) points, x-cell major.
     """
-    nx, kx = xi.shape
-    nz, kz = zi.shape
-    P = nx * nz                              # pairs, x-cell major
-    Vx = np.repeat(xp, nz, axis=0)           # (P, kx, d)
-    Vz = np.tile(zp, (nx, 1, 1))             # (P, kz, d)
-    if isinstance(term, DirectL1Term):
-        # |x_l - z_l| <= a_l: one row pair per coordinate l
-        d = xp.shape[2]
-        aux = np.full(d, term.weight)
-        gx = Vx.transpose(0, 2, 1)
-        gz = -Vz.transpose(0, 2, 1)
-        rhs = 0.0
-    elif isinstance(term, ScalarRampTerm):
-        # |x - <s, z>| - kappa1 <= r
-        aux = np.array([term.slope])
-        gx = Vx[:, None, :, 0]
-        gz = -(Vz @ term.s)[:, None, :]
-        rhs = term.kappa1
-    else:
-        raise WrongCostModelError("unknown coupled term %r" % term)
-    na = len(aux)
-    nv = kx + kz + na
-    ga = np.broadcast_to(-np.eye(na), (P, na, na))
-    plus = np.concatenate([gx, gz, ga], axis=2)
-    minus = np.concatenate([-gx, -gz, ga], axis=2)
-    ub = np.stack([plus, minus], axis=2).reshape(P, 2 * na, nv)
-    eq = np.zeros((2, nv))
-    eq[0, :kx] = 1.0
-    eq[1, kx:kx + kz] = 1.0
-    C = np.concatenate([-np.repeat(Yv[xi], nz, axis=0),
-                        -np.tile(Wv[zi], (nx, 1)),
-                        np.broadcast_to(aux, (P, na))], axis=1)
-    sol = linprog.solve_min(
-        C.ravel(),
-        A_ub=sparse.block_diag(ub, format="csr"), b_ub=np.full(P * 2 * na, rhs),
-        A_eq=sparse.block_diag(np.broadcast_to(eq, (P, 2, nv)), format="csr"),
-        b_eq=np.ones(2 * P))
-    X = sol.x.reshape(P, nv)
-    # one dot product per block: a batched sum rounds differently and
-    # reorders near-tied pairs, and with them the offered cuts
-    vals = np.array([c @ x for c, x in zip(C, X)])
-    return vals.reshape(nx, nz), X
+    key = _pair_key(term, xp, zp)
+    if key not in cache:
+        cache[key] = _pair_vertices(term, xp, zp)
+    lx, lz, X, Z, T = cache[key]
+    vals = (T - np.einsum("abmk,ak->abm", lx, Yv[xi])
+            - np.einsum("abmk,bk->abm", lz, Wv[zi]))
+    a, b = np.indices(vals.shape[:2])
+    m = vals.argmin(axis=2)
+    return (vals[a, b, m], X[a, b, m].reshape(-1, X.shape[-1]),
+            Z[a, b, m].reshape(-1, Z.shape[-1]))
 
 
 def _anchor_key(side, anchor, space):
@@ -176,8 +260,9 @@ def type_minima(model, i, x_space, x_basis, y, Z):
     (``vertex_exact``) this is the minimum over the type vertices.
     Otherwise it is the minimum over the family's oracle terms: a
     separable term minimizes its type side over its exact candidate set
-    and adds its quality side; a coupled term solves the oracle's block LP
-    with each quality point as a one-point cell.
+    and adds its quality side; a coupled term takes the least vertex of
+    each (type cell, quality point) pair cut by its kinks, with each
+    quality point as a one-point cell, as the oracle does.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     Yv = _vertex_multipliers(x_basis, y)
@@ -198,7 +283,7 @@ def type_minima(model, i, x_space, x_basis, y, Z):
         else:
             v = _coupled_term_values(term, xp, xi, Z[:, None, :],
                                      np.arange(len(Z))[:, None], Yv,
-                                     np.zeros(len(Z)))[0].min(axis=0)
+                                     np.zeros(len(Z)), cache)[0].min(axis=0)
         np.minimum(out, v, out=out)
     return out
 
@@ -274,7 +359,9 @@ def _term_candidates(model, i, x_space, x_basis, z_space, z_basis, y, w,
     A separable term pairs the 8 lowest points of each side's exact
     candidate set (``_side_minima``), x-major.  A coupled term (direct
     city-block distance, scalar ramp) keeps the ``max(cap, 8)`` lowest
-    per-cell-pair minima of one block-diagonal LP over all cell pairs.
+    per-cell-pair minima, each the least of the pair's arrangement
+    vertices (``_coupled_term_values``), which are cached across calls;
+    no LP is solved.
     """
     vals, X, Z = [], [], []
     for term in model.oracle_terms(i):
@@ -294,16 +381,13 @@ def _term_candidates(model, i, x_space, x_basis, z_space, z_basis, y, w,
         else:
             xp, xi = _cell_vertex_arrays(x_space)
             zp, zi = _cell_vertex_arrays(z_space)
-            v, sol = _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv)
+            v, px, pz = _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv,
+                                             cache)
             v = v.ravel()
             low = np.argsort(v)[:max(cap, 8)]
-            kx, kz = xi.shape[1], zi.shape[1]
             vals.append(v[low])
-            # one product per pair: a batched one rounds differently
-            X.append(np.array([sol[b, :kx] @ xp[b // len(zi)]
-                               for b in low]))
-            Z.append(np.array([sol[b, kx:kx + kz] @ zp[b % len(zi)]
-                               for b in low]))
+            X.append(px[low])
+            Z.append(pz[low])
     return np.concatenate(vals), np.vstack(X), np.vstack(Z)
 
 

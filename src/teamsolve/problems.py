@@ -18,10 +18,11 @@ Each model carries its Lipschitz constants w.r.t. the Euclidean metric and
 the structures that make the global-minimization oracle, the transfer
 function evaluation and the pushforward quality selector exact: a min-of-
 convex-terms decomposition whose per-term kink arrangements yield finite
-candidate sets, or LP-ready coupled pieces.  The candidate sets are built
-from the region geometry that ``geometry`` provides: the membership test
-``covers``, a complex's ``edges``, ``boundary`` and ``box``, and
-``edge_crossings``.
+candidate sets: a separable term's per-argument kinks, or a coupled term's
+kink hyperplanes in the joint (type, quality) space.  The candidate sets
+are built from the region geometry that ``geometry`` provides: the
+membership test ``covers``, a complex's ``edges``, ``boundary`` and
+``box``, and ``edge_crossings``.
 """
 
 from __future__ import annotations
@@ -91,19 +92,43 @@ class SeparableL1Term:
 
 
 class DirectL1Term:
-    """weight * ||x - z||_1 with matching dimensions (coupled; needs an LP)."""
+    """weight * ||x - z||_1 with matching dimensions.
+
+    Coupled: convex, and affine between its kink hyperplanes x_l = z_l.
+    """
 
     def __init__(self, weight):
         self.weight = float(weight)
 
+    def kinks(self, dim):
+        """(A, B, c) of the kink hyperplanes A x + B z = c, one per row."""
+        return np.eye(dim), -np.eye(dim), np.zeros(dim)
+
+    def eval(self, X, Z):
+        return self.weight * np.abs(X - Z).sum(-1)
+
 
 class ScalarRampTerm:
-    """slope * (|x - <s, z>| - kappa1)^+ for scalar x (coupled; needs an LP)."""
+    """slope * (|x - <s, z>| - kappa1)^+ for scalar x.
+
+    Coupled: convex, and affine between its kink hyperplanes
+    x - <s, z> = +-kappa1.
+    """
 
     def __init__(self, s, kappa1, slope):
         self.s = np.atleast_1d(np.asarray(s, dtype=float))
         self.kappa1 = float(kappa1)
         self.slope = float(slope)
+
+    def kinks(self, dim):
+        """(A, B, c) of the kink hyperplanes A x + B z = c, one per row;
+        ``dim`` is the quality dimension, ``len(s)``."""
+        return (np.ones((2, 1)), -np.vstack([self.s, self.s]),
+                np.array([self.kappa1, -self.kappa1]))
+
+    def eval(self, X, Z):
+        return self.slope * np.maximum(
+            np.abs(X[..., 0] - Z @ self.s) - self.kappa1, 0.0)
 
 
 # ---------------------------------------------------------------------------

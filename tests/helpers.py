@@ -15,11 +15,12 @@ from teamsolve.geometry import (FiniteSpace, IndicatorBasis,
                                 build_box_partition, edge_crossings,
                                 first_seen, point_key)
 from teamsolve.linprog import (LpError, LpInfeasibleError, LpProblem,
-                               LpSolution, LpUnboundedError, _core)
+                               LpSolution, LpUnboundedError, _core, solve_min)
 from teamsolve.measures import DiscreteMeasure
 from teamsolve.oracle import OracleError, _finalize, _vertex_multipliers
 from teamsolve.problems import (BusinessLocationCost, CappedAffineCost,
-                                CostModelError, axis_arrangement_candidates,
+                                CostModelError, DirectL1Term, ScalarRampTerm,
+                                axis_arrangement_candidates,
                                 tabulated_cpwa_cost)
 
 
@@ -356,6 +357,65 @@ def linprog_reference(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
         value=float(res.fun),
         iterations=int(getattr(res, "nit", 0)),
     )
+
+
+def coupled_term_values_lp(term, xp, xi, zp, zi, Yv, Wv):
+    """``oracle._coupled_term_values`` as one block-diagonal LP over all
+    cell pairs: each pair minimizes in barycentric variables (lam, mu) and
+    the term's auxiliary variables, and the pairs share no variables.
+    Returns the (nx, nz) value table and the (nx * nz, d) type and quality
+    points of the block solutions, x-cell major.  Each value is the
+    objective at its block's solution, with the barycentric weights clipped
+    to be >= 0 and renormalized: the LP's own objective may sit up to its
+    feasibility tolerance (1e-10) below every attainable value, as it does
+    on a ramp whose two kinks are 2e-12 apart."""
+    nx, kx = xi.shape
+    nz, kz = zi.shape
+    P = nx * nz
+    Vx = np.repeat(xp, nz, axis=0)           # (P, kx, d)
+    Vz = np.tile(zp, (nx, 1, 1))             # (P, kz, d)
+    if isinstance(term, DirectL1Term):
+        # |x_l - z_l| <= a_l: one row pair per coordinate l
+        aux = np.full(xp.shape[2], term.weight)
+        gx = Vx.transpose(0, 2, 1)
+        gz = -Vz.transpose(0, 2, 1)
+        rhs = 0.0
+    elif isinstance(term, ScalarRampTerm):
+        # |x - <s, z>| - kappa1 <= r
+        aux = np.array([term.slope])
+        gx = Vx[:, None, :, 0]
+        gz = -(Vz @ term.s)[:, None, :]
+        rhs = term.kappa1
+    else:
+        raise TypeError("unknown coupled term %r" % term)
+    na = len(aux)
+    nv = kx + kz + na
+    ga = np.broadcast_to(-np.eye(na), (P, na, na))
+    plus = np.concatenate([gx, gz, ga], axis=2)
+    minus = np.concatenate([-gx, -gz, ga], axis=2)
+    ub = np.stack([plus, minus], axis=2).reshape(P, 2 * na, nv)
+    eq = np.zeros((2, nv))
+    eq[0, :kx] = 1.0
+    eq[1, kx:kx + kz] = 1.0
+    C = np.concatenate([-np.repeat(Yv[xi], nz, axis=0),
+                        -np.tile(Wv[zi], (nx, 1)),
+                        np.broadcast_to(aux, (P, na))], axis=1)
+    sol = solve_min(
+        C.ravel(),
+        A_ub=sparse.block_diag(ub, format="csr"),
+        b_ub=np.full(P * 2 * na, rhs),
+        A_eq=sparse.block_diag(np.broadcast_to(eq, (P, 2, nv)), format="csr"),
+        b_eq=np.ones(2 * P))
+    S = sol.x.reshape(P, nv)
+    lam = np.clip(S[:, :kx], 0.0, None)
+    mu = np.clip(S[:, kx:kx + kz], 0.0, None)
+    lam /= lam.sum(1, keepdims=True)
+    mu /= mu.sum(1, keepdims=True)
+    X = np.einsum("pk,pkd->pd", lam, Vx)
+    Z = np.einsum("pk,pkd->pd", mu, Vz)
+    vals = (term.eval(X, Z) - (lam * np.repeat(Yv[xi], nz, axis=0)).sum(1)
+            - (mu * np.tile(Wv[zi], (nx, 1))).sum(1))
+    return vals.reshape(nx, nz), X, Z
 
 
 def model_lp(problem: LpProblem):

@@ -49,19 +49,24 @@ def test_tracer_installs_and_restores():
             teamsolve.measures.CpwaDensityMeasure.sample) == originals
 
 
-def test_tracer_counts_oracle_lps_as_solve_min():
-    # the oracle's cell-pair LPs are the traced ``linprog.solve_min`` calls
-    # outside the cutting plane, never ``linprog.solve``
-    inst = workloads.build("capped-affine", 0)
-    y = np.zeros(inst.x_bases[0].m)
-    w = np.zeros(inst.z_basis.m)
+def test_oracle_solves_no_lp():
+    # the oracle's coupled terms take the least of cached arrangement
+    # vertices, so neither the oracle nor ``type_minima`` makes a traced
+    # ``linprog`` call: its bound rests on no solver's tolerances
+    ca = workloads.build("capped-affine", 0)
+    bl = workloads.build("business-location", 0)
     tracer = spans.Tracer("contract")
     tracer.install(teamsolve)
     try:
-        inst.oracle(0, y, w)
+        for inst in (ca, bl):
+            inst.oracle(0, np.zeros(inst.x_bases[0].m),
+                        np.zeros(inst.z_basis.m))
+        teamsolve.oracle.type_minima(ca.model, 0, ca.x_spaces[0],
+                                     ca.x_bases[0], np.zeros(ca.x_bases[0].m),
+                                     ca.z_space.vertices)
     finally:
         tracer.restore()
-    assert tracer.count("linprog.solve_min") >= 1
+    assert tracer.count("linprog.solve_min") == 0
     assert tracer.count("linprog.solve") == 0
 
 

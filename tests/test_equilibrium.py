@@ -373,6 +373,24 @@ def test_out_of_range_i_hat_is_a_typed_error():
             construct(res, model, mu, xs, xb, zs, zb, i_hat=i_hat)
 
 
+@pytest.mark.parametrize("i_hat", [1.5, True, "2"])
+def test_non_integer_i_hat_is_a_typed_error(i_hat):
+    # int() would take each of these: 1.5 and True as category 1, "2" as 2
+    rng = np.random.default_rng(53)
+    model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=3)
+    res, _ = _pipeline(model, mu, xs, xb, zs, zb)
+    with pytest.raises(EquilibriumError, match="i_hat must be"):
+        construct(res, model, mu, xs, xb, zs, zb, i_hat=i_hat)
+
+
+def test_numpy_integer_i_hat_pins_the_category():
+    rng = np.random.default_rng(53)
+    model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=3)
+    res, _ = _pipeline(model, mu, xs, xb, zs, zb)
+    assert construct(res, model, mu, xs, xb, zs, zb,
+                     i_hat=np.int64(2)).i_hat == 2
+
+
 def test_agent_couplings_recorded():
     # one agent of each coupling kind: discrete, 1-D quantile, cells on a
     # refined grid, and cells of a complex without a grid

@@ -1,14 +1,18 @@
 """The exact oracle through ``make_oracle``: its values against dense
 references, the candidate generator each cost family and pair of spaces
-takes, and the cut pool it offers."""
+takes, and the cut pool it offers; the coupled terms' closed-form cell-pair
+minima against the block LP they replace."""
 
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import ZeroTauError, oracle_lipschitz_grid, rebased_y
+from helpers import (ZeroTauError, coupled_term_values_lp,
+                     oracle_lipschitz_grid, rebased_y)
 from teamsolve import cutting_plane, oracle as oracle_module
 from teamsolve.equilibrium import z_opt
 from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
@@ -16,7 +20,8 @@ from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
                                 point_keys)
 from teamsolve.measures import moment_vector
 from teamsolve.oracle import make_oracle
-from teamsolve.problems import (CostModel, CostModelError, barycenter_cost,
+from teamsolve.problems import (CostModel, CostModelError, DirectL1Term,
+                                ScalarRampTerm, barycenter_cost,
                                 business_location_cost, capped_affine_cost,
                                 tabulated_cpwa_cost)
 
@@ -389,3 +394,125 @@ def test_pool_contains_optimum():
                for px, pz in r.pool)
     assert len(r.pool) <= 32
     assert _oracle(m, sq, b, sq, b, pool_cap=0)(0, y, w).pool == []
+
+
+# ---------------------------------------------------------------------------
+# coupled terms: closed-form cell-pair minima against the block LP
+
+# unit directions of a scalar ramp: parallel to the grid's axis edges and
+# Kuhn diagonals, where kink systems are singular, or any angle
+DIRECTIONS = st.one_of(
+    st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.6, 0.8),
+                     (np.sqrt(0.5), np.sqrt(0.5)),
+                     (np.sqrt(0.5), -np.sqrt(0.5))]),
+    st.floats(0.0, 2 * np.pi).map(lambda a: (np.cos(a), np.sin(a))))
+
+
+def _barycentric(P, X):
+    """Weights of each row of X on the vertices of its cell, rows of the
+    (n, d+1, d) array P (a one-point cell gives weight 1)."""
+    if P.shape[1] == 1:
+        assert np.array_equal(P[:, 0], X)
+        return np.ones((len(X), 1))
+    M = np.concatenate([np.ones(P.shape[:2])[:, None], P.transpose(0, 2, 1)],
+                       axis=1)
+    rhs = np.concatenate([np.ones((len(X), 1)), X], axis=1)
+    return np.linalg.solve(M, rhs[..., None])[..., 0]
+
+
+def _assert_matches_lp(term, xp, xi, zp, zi, Yv, Wv):
+    """Per-pair values at most 1e-12 above the block LP's, and each
+    returned point in its pair of cells, attaining its pair's value.
+
+    The LP may stop up to its tolerances above the minimum: on a ramp with
+    s = (1, 1e-10) and kappa1 = 0 its vertex x = 0, z = (0, 1) has the term
+    at 1.07e-10, which it takes for zero, while x = 1e-10 has it at zero;
+    so the other side holds to 1e-9 only."""
+    v, X, Z = oracle_module._coupled_term_values(term, xp, xi, zp, zi, Yv,
+                                                 Wv, {})
+    ref = coupled_term_values_lp(term, xp, xi, zp, zi, Yv, Wv)[0]
+    assert (v - ref).max() <= 1e-12
+    assert (ref - v).max() <= 1e-9
+    a, b = np.divmod(np.arange(v.size), len(zi))
+    lx, lz = _barycentric(xp[a], X), _barycentric(zp[b], Z)
+    assert lx.min() >= -1e-9 and lz.min() >= -1e-9
+    attained = (term.eval(X, Z) - (lx * Yv[xi[a]]).sum(1)
+                - (lz * Wv[zi[b]]).sum(1))
+    assert np.abs(attained - v.ravel()).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(1, 3), nz=st.tuples(st.integers(1, 3),
+                                          st.integers(1, 3)),
+       s=DIRECTIONS, kappa1=st.one_of(st.just(0.0), st.just(0.25),
+                                      st.floats(0.0, 0.5)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ramp_cell_pair_minima_match_the_lp(nx, nz, s, kappa1, seed):
+    rng = np.random.default_rng(seed)
+    x_space = build_box_partition([(0, 1)], (nx,))
+    z_space = build_box_partition([(0, 1), (0, 1)], nz)
+    term = ScalarRampTerm(s, kappa1, rng.uniform(0.1, 2.0))
+    xp, xi = oracle_module._cell_vertex_arrays(x_space)
+    zp, zi = oracle_module._cell_vertex_arrays(z_space)
+    _assert_matches_lp(term, xp, xi, zp, zi,
+                       rng.normal(size=x_space.n_vertices),
+                       rng.normal(size=z_space.n_vertices))
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+       nz=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+       shift=st.sampled_from([0.0, 0.5, 0.3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_direct_l1_cell_pair_minima_match_the_lp(nx, nz, shift, seed):
+    rng = np.random.default_rng(seed)
+    x_space = build_box_partition([(-1, 1), (-1, 1)], nx)
+    z_space = build_box_partition([(-1 + shift, 1 + shift), (-1, 1)], nz)
+    term = DirectL1Term(rng.uniform(0.1, 2.0))
+    xp, xi = oracle_module._cell_vertex_arrays(x_space)
+    zp, zi = oracle_module._cell_vertex_arrays(z_space)
+    _assert_matches_lp(term, xp, xi, zp, zi,
+                       rng.normal(size=x_space.n_vertices),
+                       rng.normal(size=z_space.n_vertices))
+
+
+@settings(max_examples=25, deadline=None)
+@given(direct=st.booleans(), s=DIRECTIONS, kappa1=st.sampled_from([0.0, 0.2]),
+       n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_point_quality_cells_match_the_lp(direct, s, kappa1, n, seed):
+    # the ``type_minima`` path: each quality point is a one-point cell,
+    # some of them on the grid lines where kinks meet cell vertices
+    rng = np.random.default_rng(seed)
+    if direct:
+        x_space = build_box_partition([(0, 1), (0, 1)], (2, 2))
+        term = DirectL1Term(rng.uniform(0.1, 2.0))
+    else:
+        x_space = build_box_partition([(0, 1)], (3,))
+        term = ScalarRampTerm(s, kappa1, rng.uniform(0.1, 2.0))
+    Z = np.where(rng.random((n, 2)) < 0.5, rng.integers(0, 3, (n, 2)) / 2,
+                 rng.uniform(size=(n, 2)))
+    xp, xi = oracle_module._cell_vertex_arrays(x_space)
+    _assert_matches_lp(term, xp, xi, Z[:, None, :], np.arange(n)[:, None],
+                       rng.normal(size=x_space.n_vertices), np.zeros(n))
+
+
+@settings(max_examples=10, deadline=None)
+@given(direct=st.booleans(), s=DIRECTIONS, seed=st.integers(0, 2 ** 32 - 1))
+def test_coupled_oracle_against_a_certified_grid(direct, s, seed):
+    # the whole oracle inside the bracket of the exhaustive Lipschitz grid,
+    # for random multipliers; the grid's size grows with the multipliers'
+    # gradients, so the 2-D type space takes smaller ones
+    rng = np.random.default_rng(seed)
+    sq = build_box_partition([(0, 1), (0, 1)], (2, 2))
+    bsq = HatBasis(sq)
+    if direct:
+        m = business_location_cost(rng.uniform(size=(2, 2)), n_categories=2)
+        i, xs, bx, tau, scale = int(rng.integers(0, 2)), sq, bsq, 0.2, 0.1
+    else:
+        k1 = rng.choice([0.0, rng.uniform(0.02, 0.2)])
+        m = capped_affine_cost([s], [k1], [k1 + rng.uniform(0.1, 0.6)])
+        xs = build_box_partition([(0, 1)], (3,))
+        i, bx, tau, scale = 0, HatBasis(xs), 0.1, 0.3
+    y = rng.normal(scale=scale, size=bx.m)
+    w = rng.normal(scale=scale, size=bsq.m)
+    _assert_grid_agrees(m, i, xs, bx, sq, bsq, y, w, tau)

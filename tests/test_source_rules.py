@@ -9,7 +9,9 @@ model class or tests a model's class with ``isinstance``; they call the
 model's hooks (``z_opt_values``) or the oracle (``type_minima``) instead.
 ``oracle.py`` itself names only ``QuadraticBarycenterCost``, for its
 closed-form faces; every other family states where its vertices are exact
-(``affine_in_x``, ``affine_in_z``) or gives oracle terms.
+(``affine_in_x``, ``affine_in_z``) or gives oracle terms.  ``oracle.py``
+imports neither ``linprog`` nor scipy, so the oracle's certified lower
+bound rests on no solver's tolerances.
 
 The HiGHS binding lives in ``linprog.py``: no other module reads a model's
 ``highs`` attribute, calls HiGHS's row methods or imports scipy's
@@ -127,6 +129,42 @@ def test_oracle_names_only_the_quadratic_family():
     classes = _cost_model_classes() - {"QuadraticBarycenterCost"}
     found = _cost_class_uses(SRC / "oracle.py", classes)
     assert not found, found
+
+
+def _solver_imports(path):
+    """Imports of the package's ``linprog`` or of anything from scipy."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+        if isinstance(node, ast.Import):
+            out += [where + " imports " + a.name for a in node.names
+                    if a.name.split(".")[0] == "scipy"
+                    or "linprog" in a.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if parts[0] == "scipy" or "linprog" in parts \
+                    or any(a.name == "linprog" for a in node.names):
+                out.append(where + " imports from "
+                           + "." * node.level + (node.module or ""))
+    return out
+
+
+def test_oracle_imports_no_lp_solver():
+    found = _solver_imports(SRC / "oracle.py")
+    assert not found, found
+    assert _solver_imports(SRC / "transport.py")
+
+
+def test_solver_rule_catches_the_patterns(tmp_path):
+    p = tmp_path / "oracle.py"
+    p.write_text("from . import linprog\n"
+                 "from .linprog import solve_min\n"
+                 "from scipy import sparse\n"
+                 "import scipy.optimize as so\n"
+                 "import teamsolve.linprog\n"
+                 "from .geometry import point_keys\n"
+                 "import numpy as np\n")
+    assert len(_solver_imports(p)) == 5
 
 
 HIGHS_ATTRS = {"highs", "addRows", "deleteRows"}
