@@ -1,5 +1,5 @@
 """Walkthrough of the geometric layer: box triangulations, hat test
-functions, exact moments, and the a-priori partition planner.
+functions, exact moments and the mesh radius.
 
 Run:  python3 demos/demo_geometry_and_measures.py
 """
@@ -7,7 +7,7 @@ Run:  python3 demos/demo_geometry_and_measures.py
 import numpy as np
 
 from teamsolve import (HatBasis, build_box_partition, epsilon_bar,
-                       moment_vector, plan_partition, random_cpwa)
+                       moment_vector, random_cpwa)
 from teamsolve.measures import sample, second_moment
 
 rng = np.random.default_rng(0)
@@ -16,6 +16,7 @@ rng = np.random.default_rng(0)
 complex = build_box_partition([(-2, 2), (-2, 2)], (4, 4))
 print("partition of [-2,2]^2 into a 4x4 grid:")
 print("  vertices:", complex.n_vertices, " triangles:", complex.n_simplices)
+print("  faces per dimension:", [len(F) for F in complex.faces])
 print("  max cell diameter:", complex.cell_diameters().max())
 
 # Hat basis: one piecewise-affine bump per vertex, one vertex dropped.
@@ -28,8 +29,7 @@ print("hat vector at", x, "has", (g > 0).sum(), "active components; sum =",
       round(g.sum(), 12))
 
 # The mesh radius bound that drives the a-priori certificates.
-print("epsilon_bar(0) =", epsilon_bar(complex, 0.0),
-      "  epsilon_bar(0.5) =", epsilon_bar(complex, 0.5))
+print("epsilon_bar =", epsilon_bar(complex))
 
 # A synthetic continuous piecewise-affine density and its exact moments.
 mu = random_cpwa(complex, rng)
@@ -39,12 +39,3 @@ print("moment vector: min %.4f max %.4f sum %.4f" %
 print("exact second moment:", round(second_moment(mu), 6))
 pts = sample(mu, rng, 200000)
 print("sampled second moment:", round(float((pts ** 2).sum(1).mean()), 6))
-
-# How fine do the partitions have to be for a target accuracy?
-plan = plan_partition(eps=0.5, eps_par=0.05, eps_star=0.05, N=3,
-                      L1=[0.2, 0.2, 0.2], L2_bar=0.2,
-                      type_boxes=[[(-2, 2), (-2, 2)]] * 3,
-                      quality_box=[(-2, 2), (-2, 2)])
-print("cells per dimension for eps = 0.5:", plan.type_counts[0],
-      "(types)", plan.quality_counts, "(quality)")
-print("moment-slack threshold varsigma_bar =", round(plan.varsigma_bar, 6))

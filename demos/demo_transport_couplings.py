@@ -8,7 +8,7 @@ Run:  python3 demos/demo_transport_couplings.py
 import numpy as np
 
 from teamsolve import (build_box_partition, ot_discrete, ot_quantile_1d,
-                       ot_semidiscrete, w1_quantile_quadrature)
+                       ot_semidiscrete)
 from teamsolve.measures import CpwaDensityMeasure, DiscreteMeasure
 
 rng = np.random.default_rng(1)
@@ -19,16 +19,21 @@ b = DiscreteMeasure(rng.uniform(0, 1, (6, 2)), rng.dirichlet(np.ones(6)))
 coupling, w1 = ot_discrete(a, b)
 print("discrete OT: W1 = %.6f, plan support = %d entries"
       % (w1, (coupling.plan > 1e-12).sum()))
-src, tgt = coupling.sample_pairs(rng, 100000)
+# draw source atoms by their weights, then targets given the source
+src = rng.choice(a.n_atoms, size=100000, p=a.weights)
+tgt = coupling.sample_given_source(rng, src)
 print("  sampled mean cost %.6f (matches W1)"
-      % np.linalg.norm(src - tgt, axis=1).mean())
+      % np.linalg.norm(a.atoms[src] - tgt, axis=1).mean())
 
 # one-dimensional: spread each atom over its quantile range
 half = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
 uniform = CpwaDensityMeasure(build_box_partition([(0, 1)], (1,)), [1, 1])
 q = ot_quantile_1d(half, uniform)
-print("quantile coupling: quadrature W1 = %.6f, sampled = %.6f"
-      % (w1_quantile_quadrature(half, uniform), q.cost_estimate(rng, 200000)))
+src = rng.choice(half.n_atoms, size=200000, p=half.weights)
+tgt = q.sample_given_source(rng, src)
+# each atom takes the half of [0, 1] next to it, at mean distance 1/4
+print("quantile coupling: W1 = 0.25, sampled = %.6f"
+      % np.abs(half.atoms[src] - tgt).mean())
 
 # discrete-to-continuous: the exact plan from the atoms onto the cells of
 # the refined grid, each at its density centroid with its exact mass, then

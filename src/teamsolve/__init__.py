@@ -16,14 +16,12 @@ from .cutting_plane import (CuttingPlaneResult, DualDiscreteMeasures,
 from .equilibrium import (EquilibriumReport, construct, eps_theo,
                           transfer_eval, z_opt)
 from .geometry import (FiniteSpace, HatBasis, IndicatorBasis,
-                       SimplicialComplex, build_box_partition, epsilon_bar,
-                       plan_partition)
+                       SimplicialComplex, build_box_partition, epsilon_bar)
 from .measures import (CpwaDensityMeasure, DiscreteMeasure, moment_vector,
-                       quantile_1d, random_cpwa, sample, second_moment)
+                       random_cpwa, sample, second_moment)
 from .oracle import OracleResult, make_oracle
 from .problems import (barycenter_cost, business_location_cost,
                        capped_affine_cost, tabulated_cpwa_cost)
-from .transport import (ot_discrete, ot_quantile_1d, ot_semidiscrete,
-                        w1_quantile_quadrature)
+from .transport import ot_discrete, ot_quantile_1d, ot_semidiscrete
 
 __version__ = "0.1.0"

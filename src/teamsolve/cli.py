@@ -327,8 +327,8 @@ def verify_setup(setup, out=sys.stdout):
     best_ih = int(np.argmax(setup.model.L2))
     theo = equilibrium.eps_theo(
         setup.eps_lsip, setup.model.L1, setup.model.L2,
-        [epsilon_bar(sp, 0.0) for sp in setup.x_spaces],
-        epsilon_bar(setup.z_space, 0.0), best_ih)
+        [epsilon_bar(sp) for sp in setup.x_spaces],
+        epsilon_bar(setup.z_space), best_ih)
     out.write("lp decision variables n = %d\n" % n_vars)
     out.write("predicted eps_theo (best reference category) = %.6g\n" % theo)
     out.write("verify ok: %d warning(s)\n" % warnings)

@@ -334,8 +334,8 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
 
     alpha_lb = cp_result.alpha_lb
     theo = eps_theo(cp_result.eps_lsip or cp_result.gap, model.L1, model.L2,
-                    [epsilon_bar(sp, 0.0) for sp in x_spaces],
-                    epsilon_bar(z_space, 0.0), i_hat)
+                    [epsilon_bar(sp) for sp in x_spaces],
+                    epsilon_bar(z_space), i_hat)
 
     shift = getattr(model, "shift", 0.0)
     return EquilibriumReport(

@@ -5,9 +5,10 @@ The solver parametrizes continuous test functions by vertex-interpolation
 
 * ``SimplicialComplex`` -- a triangulated domain with batched point
   location (``vertex_weights``: containing-simplex vertices and barycentric
-  weights), the membership test that location uses (``covers``), its edge
-  list (``edges``), its ``boundary`` (corners and straight sides) and, for a
-  box grid, its ``box`` and ``refined`` grids,
+  weights), the membership test that location uses (``covers``), its faces
+  of every dimension (``faces``, with ``edges`` the 1-faces), its
+  ``boundary`` (corners and straight sides) and, for a box grid, its ``box``
+  and ``refined`` grids,
 * ``edge_crossings`` -- where hyperplanes cross given edges of a complex,
 * ``build_box_partition`` -- regular grid over a box, each cell triangulated
   by the order-based (Kuhn) triangulation into ``d!`` simplices,
@@ -18,15 +19,13 @@ The solver parametrizes continuous test functions by vertex-interpolation
   names the same class),
 * ``point_keys`` / ``point_key`` / ``has_duplicate_rows`` / ``first_seen``
   -- the rounding key that decides when two points are the same,
-* mesh statistics (``epsilon_bar``) and a-priori partition planning
-  (``plan_partition``).
+* the mesh radius ``epsilon_bar``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -43,10 +42,6 @@ class GeometryError(ValueError):
 
 class PointOutsideComplexError(GeometryError):
     """Raised when a query point is not covered by any simplex."""
-
-
-class BudgetError(GeometryError):
-    """Raised when the partition-planning error budget is non-positive."""
 
 
 def point_keys(P):
@@ -192,12 +187,21 @@ class SimplicialComplex:
         return self.simplices.shape[0]
 
     @cached_property
+    def faces(self):
+        """The faces of every dimension j = 0..d: ``faces[j]`` is the
+        (F_j, j+1) array of the vertex indices of the j-faces, each face
+        once with its indices sorted, in lexicographic order."""
+        out = []
+        for j in range(self.dim + 1):
+            ends = list(itertools.combinations(range(self.dim + 1), j + 1))
+            out.append(np.unique(np.sort(
+                self.simplices[:, ends].reshape(-1, j + 1), axis=1), axis=0))
+        return out
+
+    @property
     def edges(self):
-        """(E, 2) vertex-index pairs of the simplex edges, each edge once
-        with its smaller index first, in lexicographic order."""
-        ends = list(itertools.combinations(range(self.dim + 1), 2))
-        pairs = np.sort(self.simplices[:, ends].reshape(-1, 2), axis=1)
-        return np.unique(pairs, axis=0)
+        """(E, 2) vertex-index pairs of the simplex edges, ``faces[1]``."""
+        return self.faces[1]
 
     @cached_property
     def boundary(self):
@@ -231,10 +235,6 @@ class SimplicialComplex:
     def cell_diameters(self):
         """Max pairwise vertex distance per simplex."""
         return self._cell_diam2.copy()
-
-    def vertex_diameter(self):
-        diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(np.linalg.norm(diffs, axis=-1).max())
 
     def volumes(self):
         """Lebesgue volume of each simplex."""
@@ -428,12 +428,6 @@ class FiniteSpace:
     def cell_diameters(self):
         return np.zeros(self.n_vertices)
 
-    def vertex_diameter(self):
-        if self.n_vertices == 1:
-            return 0.0
-        diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(np.linalg.norm(diffs, axis=-1).max())
-
 
 def _default_excluded(vertices):
     """Index of the lexicographically smallest vertex."""
@@ -484,71 +478,7 @@ class HatBasis:
 IndicatorBasis = HatBasis
 
 
-def epsilon_bar(complex, varsigma):
-    """Mesh-based upper bound on the W1 radius of a moment class.
-
-    ``2 * (max cell diameter) + (varsigma / 2) * (overall vertex diameter)``
-    in the Euclidean norm.  For a finite space the cell diameters are zero.
-    """
-    if varsigma < 0:
-        raise GeometryError("varsigma must be >= 0")
-    cd = float(np.max(complex.cell_diameters())) if complex.n_vertices else 0.0
-    if varsigma == 0:     # skip the O(n^2) vertex diameter it would weigh
-        return 2.0 * cd
-    return 2.0 * cd + 0.5 * varsigma * complex.vertex_diameter()
-
-
-@dataclass
-class PartitionPlan:
-    """Cell counts per dimension for each type space and the quality space."""
-    type_counts: list
-    quality_counts: tuple
-    varsigma_bar: float
-
-
-def plan_partition(eps, eps_par, eps_star, N, L1, L2_bar, type_boxes,
-                   quality_box, C_type=None, C_quality=1.0):
-    """Per-dimension cell counts guaranteeing a target equilibrium accuracy.
-
-    Parameters
-    ----------
-    eps, eps_par, eps_star : floats with eps > eps_par + eps_star > 0
-        Total accuracy target and the two solver budget components.
-    N : number of categories
-    L1 : per-category type-space Lipschitz constants
-    L2_bar : max quality-space Lipschitz constant
-    type_boxes : per-category list of (lo, hi) pairs
-    quality_box : list of (lo, hi) pairs
-    C_type, C_quality : norm-equivalence constants (>= 1), default 1
-
-    Returns a :class:`PartitionPlan`.  Counts of zero (possible for the
-    quality space when N == 1) are clamped to one cell.
-    """
-    budget = eps - eps_par - eps_star
-    if budget <= 0:
-        raise BudgetError("eps - eps_par - eps_star must be positive")
-    L1 = np.atleast_1d(np.asarray(L1, dtype=float))
-    if C_type is None:
-        C_type = np.ones(N)
-    C_type = np.atleast_1d(np.asarray(C_type, dtype=float))
-    type_counts = []
-    denoms = []         # side-length norm times Lipschitz weight, per space
-    for i in range(N):
-        box = np.atleast_2d(np.asarray(type_boxes[i], dtype=float))
-        d_i = box.shape[0]
-        sides = box[:, 1] - box[:, 0]
-        cnt = np.ceil(8.0 * N * L1[i] * sides * C_type[i] * math.sqrt(d_i)
-                      / budget).astype(int)
-        type_counts.append(tuple(int(c) for c in np.maximum(cnt, 1)))
-        denoms.append(float(np.linalg.norm(sides, axis=-1)) * N * L1[i])
-    qbox = np.atleast_2d(np.asarray(quality_box, dtype=float))
-    d_0 = qbox.shape[0]
-    qsides = qbox[:, 1] - qbox[:, 0]
-    qcnt = np.ceil(8.0 * (N - 1) * L2_bar * qsides * C_quality * math.sqrt(d_0)
-                   / budget).astype(int)
-    quality_counts = tuple(int(c) for c in np.maximum(qcnt, 1))
-
-    denoms.append(float(np.linalg.norm(qsides, axis=-1)) * (N - 1) * L2_bar)
-    dmax = max(denoms)
-    varsigma_bar = math.inf if dmax <= 0 else 0.5 * budget / dmax
-    return PartitionPlan(type_counts, quality_counts, varsigma_bar)
+def epsilon_bar(complex):
+    """Mesh-based upper bound on the W1 radius of a moment class: twice the
+    largest cell diameter in the Euclidean norm, zero for a finite space."""
+    return 2.0 * float(np.max(complex.cell_diameters()))

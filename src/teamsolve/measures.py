@@ -263,11 +263,6 @@ def sample(measure, rng, n):
     return measure.sample(rng, n)
 
 
-def quantile_1d(measure, t):
-    """Left-continuous generalized inverse CDF of a one-dimensional measure."""
-    return measure.quantile(t)
-
-
 def spawn_rngs(seed, n):
     """Independent child generators derived from a master seed."""
     ss = np.random.SeedSequence(seed)

@@ -13,12 +13,13 @@ bound equals the returned value.
 ``_exact_oracle`` picks one of three candidate generators, each returning
 flat ``(vals, X, Z)`` arrays: every type-vertex x quality-vertex pair where
 both arguments are vertex-exact (``vertex_exact``: the cost family's
-``affine_in_x`` / ``affine_in_z``, or a finite space), the closed-form faces
-of the quality complex for the quadratic barycenter cost, and otherwise the
-family's oracle terms.  ``_best_and_pool`` turns any generator's candidates
-into the optimum and the cut pool.  ``type_minima`` answers the same
-minimization over the type space alone at fixed quality points, which the
-transfer functions need.
+``affine_in_x`` / ``affine_in_z``, or a finite space), for the quadratic
+barycenter cost one closed-form critical point per face of the quality
+complex, of every dimension from its vertices to its cells, and otherwise
+the family's oracle terms.  ``_best_and_pool`` turns any generator's
+candidates into the optimum and the cut pool.  ``type_minima`` answers the
+same minimization over the type space alone at fixed quality points, which
+the transfer functions need.
 
 No LP is solved.  A coupled oracle term is convex and affine between its
 kink hyperplanes, so on each (type cell, quality cell) pair its minimum
@@ -299,57 +300,57 @@ def _vertex_candidates(model, i, x_space, z_space, Yv, Wv):
             np.tile(zs, (len(xs), 1)))
 
 
-def _quadratic_candidates(lam, x_space, z_space, Yv, Wv):
+def _face_frames(z_space):
+    """Per face dimension j = 0..d of the quality complex: the faces'
+    vertex indices (``faces[j]``), their base points p0, their (F, j, d)
+    edge rows D = p_k - p0, G = (D D^T)^-1 and G D, the map from a point to
+    the edge parameters of its projection onto the face's affine hull."""
+    out = []
+    for F in z_space.faces:
+        p0 = z_space.vertices[F[:, 0]]
+        D = z_space.vertices[F[:, 1:]] - p0[:, None]
+        G = np.linalg.inv(D @ D.transpose(0, 2, 1))
+        out.append((F, p0, D, G, G @ D))
+    return out
+
+
+def _quadratic_candidates(lam, x_space, z_space, Yv, Wv, cache):
     """Closed-form candidates of the squared-distance barycenter cost.
 
     The cost is affine in x for fixed z, so the x-minimum over each cell
-    sits at a vertex; for each x-vertex the strictly convex quadratic in z
-    is minimized in closed form over every face (vertices, open edges, open
-    cells) of the quality complex.  Faces whose minimizer is not interior
-    get +inf.  x-vertex major, and per x-vertex the vertices, edges and
-    cells in that order.
+    sits at a vertex.  For each x-vertex x and each face of the quality
+    complex, of every dimension, with base point p0 and edge rows D
+    (``_face_frames``, cached), the hat combination is affine on the face,
+    so the cost minus it is a strictly convex quadratic there.  Its
+    critical point z = p0 + D^T t has t = G (D (x - p0) + dW / (2 lam)),
+    where dW are the multiplier steps along the edges; it is evaluated as
+    G D x + G (dW / (2 lam) - D p0), so x enters one product.  The minimum over
+    the complex is the critical point of the face that holds it in its
+    relative interior, so a face whose t is not in the open simplex gets
+    +inf.  x-vertex major, and per x-vertex the faces by dimension.
     """
+    key = ("faces", id(z_space))
+    if key not in cache:
+        cache[key] = _face_frames(z_space)
     xs = x_space.vertices                              # (nx, d)
-    V0 = z_space.vertices
-    edges = z_space.edges
-    e0 = V0[edges[:, 0]]
-    de = V0[edges[:, 1]] - e0
-    # per cell C: <h(z), w> = aC + <bC, z> on C
-    minv = z_space._minv
-    Wc = Wv[z_space.simplices]                         # (m, d+1)
-    aC = np.einsum("mk,mk->m", Wc, minv[:, :, 0])
-    bC = np.einsum("mk,mkd->md", Wc, minv[:, :, 1:])
-
-    def q(X, Z):
-        # lam (||z||^2 - 2 <x, z>) broadcast over matching leading shape
-        return lam * ((Z ** 2).sum(-1) - 2.0 * (X * Z).sum(-1))
-
-    # vertices
-    vv = q(xs[:, None, :], V0[None]) - Wv[None, :]
-    zv = np.broadcast_to(V0[None], (len(xs),) + V0.shape)
-    # open edges: hat restricted to an edge is the 1d barycentric pair
-    w1 = Wv[edges[:, 0]]
-    w2 = Wv[edges[:, 1]]
-    num = ((xs[:, None, :] - e0[None]) * de[None]).sum(-1) \
-        + (w2 - w1)[None] / (2.0 * lam)
-    t = num / (de ** 2).sum(1)[None]
-    interior = (t > 1e-12) & (t < 1 - 1e-12)
-    tcl = np.clip(t, 0.0, 1.0)
-    zedge = e0[None] + tcl[..., None] * de[None]
-    ve = q(xs[:, None, :], zedge) - (w1[None] + tcl * (w2 - w1)[None])
-    ve = np.where(interior, ve, np.inf)
-    # open cells: unconstrained minimizer of the quadratic minus the affine part
-    zcell = xs[:, None, :] + bC[None] / (2.0 * lam)
-    lamc = np.einsum("mkl,nml->nmk", minv[:, :, 1:], zcell) \
-        + minv[None, :, :, 0]
-    inside = lamc.min(-1) > 1e-12
-    vc = q(xs[:, None, :], zcell) - (aC[None] + (bC[None] * zcell).sum(-1))
-    vc = np.where(inside, vc, np.inf)
-
-    vals = np.concatenate([vv, ve, vc], axis=1) - Yv[:, None]
-    Z = np.concatenate([zv, zedge, zcell], axis=1)
+    n, d = xs.shape
+    vals, Z = [], []
+    for F, p0, D, G, GD in cache[key]:
+        w0 = Wv[F[:, 0]]
+        dW = Wv[F[:, 1:]] - w0[:, None]                # (f, j)
+        shift = dW / (2.0 * lam) - (D @ p0[:, :, None])[..., 0]
+        t = ((xs @ GD.reshape(-1, d).T).reshape(n, len(F), -1)
+             + (G @ shift[:, :, None])[..., 0])        # (n, f, j)
+        inside = ((t.min(-1, initial=1.0) > 1e-12)
+                  & (t.sum(-1) < 1 - 1e-12))
+        z = p0 + (t[..., None] * D).sum(-2)
+        v = (lam * ((z ** 2).sum(-1) - 2.0 * (xs[:, None, :] * z).sum(-1))
+             - (w0 + (t * dW).sum(-1)))
+        vals.append(np.where(inside, v, np.inf))
+        Z.append(z)
+    vals = np.concatenate(vals, axis=1) - Yv[:, None]
     return (vals.ravel(), np.repeat(xs, vals.shape[1], axis=0),
-            Z.reshape(-1, xs.shape[1]))
+            np.concatenate(Z, axis=1).reshape(-1, d))
 
 
 def _term_candidates(model, i, x_space, x_basis, z_space, z_basis, y, w,
@@ -427,7 +428,7 @@ def _exact_oracle(model, i, x_space, x_basis, z_space, z_basis, y, w, cap,
         vals, X, Z = _vertex_candidates(model, i, x_space, z_space, Yv, Wv)
     elif isinstance(model, QuadraticBarycenterCost):
         vals, X, Z = _quadratic_candidates(model.lam[i], x_space, z_space,
-                                           Yv, Wv)
+                                           Yv, Wv, cache)
     else:
         vals, X, Z = _term_candidates(model, i, x_space, x_basis, z_space,
                                       z_basis, y, w, Yv, Wv, cap, cache)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from .linprog import solve_min
-from .measures import CpwaDensityMeasure, DiscreteMeasure, quantile_1d
+from .measures import CpwaDensityMeasure, DiscreteMeasure
 
 # cells per axis of the nested grid that semi-discrete plans couple onto
 REFINEMENT = 2
@@ -72,10 +72,6 @@ class DiscreteCoupling:
     def sample_given_source(self, rng, src_idx):
         """Target points conditionally on source atom indices."""
         return self.target.atoms[self.columns(rng, src_idx)]
-
-    def sample_pairs(self, rng, n):
-        src = rng.choice(self.source.n_atoms, size=n, p=self.source.weights)
-        return self.source.atoms[src], self.sample_given_source(rng, src)
 
 
 def ot_discrete(nu1, nu2):
@@ -131,31 +127,10 @@ class QuantileCoupling:
         t = u * self._cum[r + 1] + (1.0 - u) * self._cum[r]
         return np.asarray(self.target.quantile(t), dtype=float).reshape(-1, 1)
 
-    def sample_pairs(self, rng, n):
-        src = rng.choice(self.source.n_atoms, size=n, p=self.source.weights)
-        tgt = self.sample_given_source(rng, src)
-        return self.source.atoms[src], tgt
-
-    def cost_estimate(self, rng, n):
-        s, t = self.sample_pairs(rng, n)
-        return float(np.abs(s[:, 0] - t[:, 0]).mean())
-
 
 def ot_quantile_1d(nu1, nu2):
     """Comonotone W1-optimal coupling sampler between 1d measures."""
     return QuantileCoupling(nu1, nu2)
-
-
-def w1_quantile_quadrature(nu1, nu2, n=200001):
-    """Reference value of W1 between 1d measures via the quantile formula.
-
-    Midpoint-rule quadrature of |F1^{-1} - F2^{-1}| over the unit interval;
-    serves as the independent check of the sampled coupling cost.
-    """
-    t = (np.arange(n) + 0.5) / n
-    q1 = np.asarray(quantile_1d(nu1, t), dtype=float).reshape(-1)
-    q2 = np.asarray(quantile_1d(nu2, t), dtype=float).reshape(-1)
-    return float(np.abs(q1 - q2).mean())
 
 
 class SemidiscreteCoupling:

@@ -4,13 +4,14 @@ check (dense brute force where the library is structured/sparse)."""
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog as scipy_linprog
 
 from teamsolve.equilibrium import TIE_TOL
-from teamsolve.geometry import (FiniteSpace, IndicatorBasis,
+from teamsolve.geometry import (FiniteSpace, GeometryError, IndicatorBasis,
                                 PointOutsideComplexError, SimplicialComplex,
                                 build_box_partition, edge_crossings,
                                 first_seen, point_key)
@@ -638,14 +639,15 @@ def business_z_opt_candidates(model, X_list, z_space):
 # one-point-at-a-time references for batched point location, cut storage and
 # LP assembly
 
-def unique_edges(complex):
-    """(E, 2) vertex-index pairs of all simplex edges, deduplicated through
-    a set of pairs and sorted: the reference for ``complex.edges``."""
-    pairs = set()
+def unique_faces(complex, j):
+    """(F, j+1) vertex indices of all j-faces of the simplices, each sorted
+    and deduplicated through a set: the reference for ``complex.faces[j]``
+    (``complex.edges`` for j = 1)."""
+    faces = set()
     for simplex in complex.simplices:
-        for a, b in itertools.combinations(simplex, 2):
-            pairs.add((min(a, b), max(a, b)))
-    return np.asarray(sorted(pairs), dtype=int)
+        for face in itertools.combinations(sorted(simplex.tolist()), j + 1):
+            faces.add(face)
+    return np.asarray(sorted(faces), dtype=int).reshape(-1, j + 1)
 
 
 def barycentric(complex, s, x):
@@ -910,3 +912,145 @@ def cpwa_second_moment_loop(measure):
                 mult = 2.0
             total += G[p, q] * f[idx][r] * base * mult
     return total
+
+
+# ---------------------------------------------------------------------------
+# the d <= 2 quadratic barycenter candidates before the oracle looped over
+# the faces of every dimension, kept as the reference for 1-D and 2-D
+# quality complexes
+
+def quadratic_candidates_d2(lam, x_space, z_space, Yv, Wv):
+    """Closed-form candidates of the squared-distance barycenter cost.
+
+    The cost is affine in x for fixed z, so the x-minimum over each cell
+    sits at a vertex; for each x-vertex the strictly convex quadratic in z
+    is minimized in closed form over every face (vertices, open edges, open
+    cells) of the quality complex.  Faces whose minimizer is not interior
+    get +inf.  x-vertex major, and per x-vertex the vertices, edges and
+    cells in that order.
+    """
+    xs = x_space.vertices                              # (nx, d)
+    V0 = z_space.vertices
+    edges = z_space.edges
+    e0 = V0[edges[:, 0]]
+    de = V0[edges[:, 1]] - e0
+    # per cell C: <h(z), w> = aC + <bC, z> on C
+    minv = z_space._minv
+    Wc = Wv[z_space.simplices]                         # (m, d+1)
+    aC = np.einsum("mk,mk->m", Wc, minv[:, :, 0])
+    bC = np.einsum("mk,mkd->md", Wc, minv[:, :, 1:])
+
+    def q(X, Z):
+        # lam (||z||^2 - 2 <x, z>) broadcast over matching leading shape
+        return lam * ((Z ** 2).sum(-1) - 2.0 * (X * Z).sum(-1))
+
+    # vertices
+    vv = q(xs[:, None, :], V0[None]) - Wv[None, :]
+    zv = np.broadcast_to(V0[None], (len(xs),) + V0.shape)
+    # open edges: hat restricted to an edge is the 1d barycentric pair
+    w1 = Wv[edges[:, 0]]
+    w2 = Wv[edges[:, 1]]
+    num = ((xs[:, None, :] - e0[None]) * de[None]).sum(-1) \
+        + (w2 - w1)[None] / (2.0 * lam)
+    t = num / (de ** 2).sum(1)[None]
+    interior = (t > 1e-12) & (t < 1 - 1e-12)
+    tcl = np.clip(t, 0.0, 1.0)
+    zedge = e0[None] + tcl[..., None] * de[None]
+    ve = q(xs[:, None, :], zedge) - (w1[None] + tcl * (w2 - w1)[None])
+    ve = np.where(interior, ve, np.inf)
+    # open cells: unconstrained minimizer of the quadratic minus the affine part
+    zcell = xs[:, None, :] + bC[None] / (2.0 * lam)
+    lamc = np.einsum("mkl,nml->nmk", minv[:, :, 1:], zcell) \
+        + minv[None, :, :, 0]
+    inside = lamc.min(-1) > 1e-12
+    vc = q(xs[:, None, :], zcell) - (aC[None] + (bC[None] * zcell).sum(-1))
+    vc = np.where(inside, vc, np.inf)
+
+    vals = np.concatenate([vv, ve, vc], axis=1) - Yv[:, None]
+    Z = np.concatenate([zv, zedge, zcell], axis=1)
+    return (vals.ravel(), np.repeat(xs, vals.shape[1], axis=0),
+            Z.reshape(-1, xs.shape[1]))
+
+
+# ---------------------------------------------------------------------------
+# test- and demo-only API moved out of the package: a-priori partition
+# planning, the 1-D W1 quadrature and pair sampling from a coupling
+
+class BudgetError(GeometryError):
+    """Raised when the partition-planning error budget is non-positive."""
+
+
+@dataclass
+class PartitionPlan:
+    """Cell counts per dimension for each type space and the quality space."""
+    type_counts: list
+    quality_counts: tuple
+    varsigma_bar: float
+
+
+def plan_partition(eps, eps_par, eps_star, N, L1, L2_bar, type_boxes,
+                   quality_box, C_type=None, C_quality=1.0):
+    """Per-dimension cell counts guaranteeing a target equilibrium accuracy.
+
+    Parameters
+    ----------
+    eps, eps_par, eps_star : floats with eps > eps_par + eps_star > 0
+        Total accuracy target and the two solver budget components.
+    N : number of categories
+    L1 : per-category type-space Lipschitz constants
+    L2_bar : max quality-space Lipschitz constant
+    type_boxes : per-category list of (lo, hi) pairs
+    quality_box : list of (lo, hi) pairs
+    C_type, C_quality : norm-equivalence constants (>= 1), default 1
+
+    Returns a :class:`PartitionPlan`.  Counts of zero (possible for the
+    quality space when N == 1) are clamped to one cell.
+    """
+    budget = eps - eps_par - eps_star
+    if budget <= 0:
+        raise BudgetError("eps - eps_par - eps_star must be positive")
+    L1 = np.atleast_1d(np.asarray(L1, dtype=float))
+    if C_type is None:
+        C_type = np.ones(N)
+    C_type = np.atleast_1d(np.asarray(C_type, dtype=float))
+    type_counts = []
+    denoms = []         # side-length norm times Lipschitz weight, per space
+    for i in range(N):
+        box = np.atleast_2d(np.asarray(type_boxes[i], dtype=float))
+        d_i = box.shape[0]
+        sides = box[:, 1] - box[:, 0]
+        cnt = np.ceil(8.0 * N * L1[i] * sides * C_type[i] * math.sqrt(d_i)
+                      / budget).astype(int)
+        type_counts.append(tuple(int(c) for c in np.maximum(cnt, 1)))
+        denoms.append(float(np.linalg.norm(sides, axis=-1)) * N * L1[i])
+    qbox = np.atleast_2d(np.asarray(quality_box, dtype=float))
+    d_0 = qbox.shape[0]
+    qsides = qbox[:, 1] - qbox[:, 0]
+    qcnt = np.ceil(8.0 * (N - 1) * L2_bar * qsides * C_quality * math.sqrt(d_0)
+                   / budget).astype(int)
+    quality_counts = tuple(int(c) for c in np.maximum(qcnt, 1))
+
+    denoms.append(float(np.linalg.norm(qsides, axis=-1)) * (N - 1) * L2_bar)
+    dmax = max(denoms)
+    varsigma_bar = math.inf if dmax <= 0 else 0.5 * budget / dmax
+    return PartitionPlan(type_counts, quality_counts, varsigma_bar)
+
+
+def w1_quantile_quadrature(nu1, nu2, n=200001):
+    """Reference value of W1 between 1d measures via the quantile formula.
+
+    Midpoint-rule quadrature of |F1^{-1} - F2^{-1}| over the unit interval;
+    serves as the independent check of the sampled coupling cost.
+    """
+    t = (np.arange(n) + 0.5) / n
+    q1 = np.asarray(nu1.quantile(t), dtype=float).reshape(-1)
+    q2 = np.asarray(nu2.quantile(t), dtype=float).reshape(-1)
+    return float(np.abs(q1 - q2).mean())
+
+
+def sample_pairs(coupling, rng, n):
+    """n (source, target) pairs of a coupling: source atoms by their
+    weights, then targets by ``sample_given_source``."""
+    src = rng.choice(coupling.source.n_atoms, size=n,
+                     p=coupling.source.weights)
+    return coupling.source.atoms[src], coupling.sample_given_source(rng, src)

@@ -8,7 +8,8 @@ import numpy as np
 
 from helpers import (assignment_bruteforce_w1, brute_force_discrete_optimum,
                      component_of, enumerate_vertices_max, locate,
-                     random_bounded_lp, random_discrete_instance)
+                     random_bounded_lp, random_discrete_instance,
+                     sample_pairs, w1_quantile_quadrature)
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
                                 build_box_partition)
 from teamsolve.linprog import LpProblem, solve
@@ -18,8 +19,7 @@ from teamsolve.cutting_plane import run, sparsity_bound
 from teamsolve.equilibrium import construct, transfer_eval, z_opt
 from teamsolve.oracle import make_oracle
 from teamsolve.problems import barycenter_cost, capped_affine_cost
-from teamsolve.transport import (ot_discrete, ot_quantile_1d, ot_semidiscrete,
-                                 w1_quantile_quadrature)
+from teamsolve.transport import ot_discrete, ot_quantile_1d, ot_semidiscrete
 from scipy import sparse as sp
 
 SEEDS = {
@@ -131,7 +131,7 @@ def test_criterion_6_transport_oracles():
     src = DiscreteMeasure([[0.1], [0.45], [0.8]], [0.25, 0.4, 0.35])
     tgt = random_cpwa(build_box_partition([(0, 1)], (3,)), rng)
     coup = ot_quantile_1d(src, tgt)
-    s, t = coup.sample_pairs(rng, 10 ** 6)
+    s, t = sample_pairs(coup, rng, 10 ** 6)
     emp = float(np.abs(s[:, 0] - t[:, 0]).mean())
     ref = w1_quantile_quadrature(src, tgt)
     assert abs(emp - ref) < 1e-3, (emp, ref)

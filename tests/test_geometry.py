@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import (barycentric, check_face_property, component_of,
-                     l_shape, locate, locate_scalar, unique_edges)
+from helpers import (BudgetError, barycentric, check_face_property,
+                     component_of, l_shape, locate, locate_scalar,
+                     plan_partition, unique_faces)
 from teamsolve import geometry
-from teamsolve.geometry import (BudgetError, FiniteSpace, GeometryError,
-                                HatBasis, IndicatorBasis,
-                                PointOutsideComplexError, SimplicialComplex,
-                                build_box_partition, epsilon_bar,
-                                plan_partition)
+from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
+                                IndicatorBasis, PointOutsideComplexError,
+                                SimplicialComplex, build_box_partition,
+                                epsilon_bar)
 
 
 def test_interval_split():
@@ -144,25 +144,11 @@ def test_degenerate_simplex_rejected():
 
 def test_epsilon_bar():
     c = build_box_partition([(0, 1)], (2,))
-    assert abs(epsilon_bar(c, 0.0) - 1.0) < 1e-12
-    assert abs(epsilon_bar(c, 1.0) - 1.5) < 1e-12
+    assert abs(epsilon_bar(c) - 1.0) < 1e-12
     sq = build_box_partition([(0, 1), (0, 1)], (1, 1))
-    assert abs(epsilon_bar(sq, 0.0) - 2 * np.sqrt(2)) < 1e-12
+    assert abs(epsilon_bar(sq) - 2 * np.sqrt(2)) < 1e-12
     fs = FiniteSpace([[0.0], [1.0]])
-    assert epsilon_bar(fs, 0.0) == 0.0
-    assert abs(epsilon_bar(fs, 1.0) - 0.5) < 1e-12
-
-
-def test_epsilon_bar_zero_varsigma_skips_vertex_diameter(monkeypatch):
-    # the vertex diameter is O(n^2) in the vertex count and its weight is 0
-    def fail(self):
-        raise AssertionError("vertex_diameter evaluated")
-
-    for cls in (SimplicialComplex, FiniteSpace):
-        monkeypatch.setattr(cls, "vertex_diameter", fail)
-    c = build_box_partition([(0, 1)], (2,))
-    assert abs(epsilon_bar(c, 0.0) - 1.0) < 1e-12
-    assert epsilon_bar(FiniteSpace([[0.0], [1.0], [3.0]]), 0.0) == 0.0
+    assert epsilon_bar(fs) == 0.0
 
 
 def test_plan_partition():
@@ -276,10 +262,28 @@ def test_edges_match_set_reference():
               build_box_partition([(-2, 2), (-1, 3)], (3, 4)),
               build_box_partition([(0, 1)] * 3, (2, 1, 2)), free,
               SimplicialComplex(free.vertices, free.simplices[:, ::-1])):
-        ref = unique_edges(c)
+        ref = unique_faces(c, 1)
         assert c.edges.dtype == ref.dtype
         assert np.array_equal(c.edges, ref)
         assert c.edges is c.edges           # built once
+
+
+def test_faces_match_set_reference():
+    grid = build_box_partition([(0, 1), (0, 2)], (2, 3))
+    for c in (build_box_partition([(0, 1)], (4,)), grid, l_shape(),
+              SimplicialComplex(grid.vertices, grid.simplices[:, ::-1]),
+              build_box_partition([(0, 1)] * 3, (2, 1, 2))):
+        assert len(c.faces) == c.dim + 1
+        for j, F in enumerate(c.faces):
+            ref = unique_faces(c, j)
+            assert F.dtype == ref.dtype
+            assert np.array_equal(F, ref)
+        assert np.array_equal(c.faces[0][:, 0], np.arange(c.n_vertices))
+        assert len(c.faces[c.dim]) == c.n_simplices
+        assert c.faces is c.faces and c.edges is c.faces[1]
+    # the Kuhn cube: 27 vertices, 98 edges, 120 triangles, 48 tetrahedra
+    cube = build_box_partition([(0, 1)] * 3, (2, 2, 2))
+    assert [len(F) for F in cube.faces] == [27, 98, 120, 48]
 
 
 def test_box_and_refined():

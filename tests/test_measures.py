@@ -9,8 +9,8 @@ from teamsolve.geometry import FiniteSpace, HatBasis, build_box_partition
 from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
                                 MeasureError, SupportOutsideBasisError,
                                 moment_vector, moments_all_vertices,
-                                quantile_1d, random_cpwa, sample,
-                                second_moment, spawn_rngs, uniform_points)
+                                random_cpwa, sample, second_moment,
+                                spawn_rngs, uniform_points)
 
 
 def test_moment_examples():
@@ -77,13 +77,13 @@ def test_cpwa_sampling_matches_density():
 def test_quantile_conventions():
     c = build_box_partition([(0, 1)], (1,))
     u = CpwaDensityMeasure(c, [1.0, 1.0])
-    assert abs(quantile_1d(u, 0.25) - 0.25) < 1e-9
+    assert abs(u.quantile(0.25) - 0.25) < 1e-9
     half = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
-    assert quantile_1d(half, 0.5) == 0.0
-    assert quantile_1d(half, 0.75) == 1.0
-    assert quantile_1d(half, 0.0) == 0.0
+    assert half.quantile(0.5) == 0.0
+    assert half.quantile(0.75) == 1.0
+    assert half.quantile(0.0) == 0.0
     with pytest.raises(MeasureError):
-        quantile_1d(half, 1.5)
+        half.quantile(1.5)
 
 
 def test_quantile_monotone():

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ZeroTauError, coupled_term_values_lp,
-                     oracle_lipschitz_grid, rebased_y)
+from helpers import (ZeroTauError, coupled_term_values_lp, l_shape,
+                     oracle_lipschitz_grid, quadratic_candidates_d2,
+                     rebased_y)
 from teamsolve import cutting_plane, oracle as oracle_module
 from teamsolve.equilibrium import z_opt
 from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
                                 SimplicialComplex, build_box_partition,
                                 point_keys)
-from teamsolve.measures import moment_vector
+from teamsolve.measures import DiscreteMeasure, moment_vector
 from teamsolve.oracle import make_oracle
 from teamsolve.problems import (CostModel, CostModelError, DirectL1Term,
                                 ScalarRampTerm, barycenter_cost,
@@ -138,6 +139,100 @@ def test_quadratic_oracle_vs_dense_grid():
         assert r.beta_lower <= best + 1e-10
         assert r.beta_tilde <= best + 1e-10
         assert best <= r.beta_tilde + 2e-3   # grid resolution slack
+
+
+def test_quadratic_oracle_reaches_the_two_faces_of_a_cube():
+    # the minimizer (0.7, 0.4, 1.0) is the projection of x onto the cube's
+    # top side, in the relative interior of a triangle of the Kuhn grid; no
+    # vertex, edge or tetrahedron holds it in its relative interior
+    cube = build_box_partition([(0, 1)] * 3, (2, 2, 2))
+    xs = FiniteSpace([[0.7, 0.4, 2.0]])
+    m = barycenter_cost([0.5, 0.5], [xs, xs], cube)
+    r = _oracle(m, xs, HatBasis(xs), cube, HatBasis(cube))(
+        0, np.zeros(0), np.zeros(cube.n_vertices - 1))
+    assert abs(r.beta_lower + 1.825) < 1e-12
+    assert abs(r.beta_tilde + 1.825) < 1e-12
+    assert np.allclose(r.z, [0.7, 0.4, 1.0], atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), counts=st.lists(st.integers(1, 3), min_size=3,
+                                            max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_quadratic_oracle_projects_onto_the_box(d, counts, seed):
+    # with y = w = 0 the objective is lam (||z - x||^2 - ||x||^2), least at
+    # the projection p = clip(x, box): lam (||p||^2 - 2 <x, p>).  Each
+    # coordinate of x lies outside the box with probability 1/2, so in 3-D
+    # p often lies inside a side, in the relative interior of a 2-face.
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-1.0, 1.0, size=d)
+    box = np.stack([lo, lo + rng.uniform(0.25, 2.0, size=d)], axis=1)
+    x = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.uniform(-0.5, 1.5, size=d)
+    lam = rng.uniform(0.1, 0.9)
+    zs = build_box_partition(box, counts[:d])
+    xs = FiniteSpace(x[None])
+    m = barycenter_cost([lam, 1.0 - lam], [xs, xs], zs)
+    r = _oracle(m, xs, HatBasis(xs), zs, HatBasis(zs))(
+        0, np.zeros(0), np.zeros(zs.n_vertices - 1))
+    p = np.clip(x, box[:, 0], box[:, 1])
+    exact = lam * (p @ p - 2.0 * x @ p)
+    assert abs(r.beta_lower - exact) <= 1e-12 * max(1.0, abs(exact))
+    assert np.allclose(r.z, p, atol=1e-9)
+
+
+def _finite_rows(vals, X, Z):
+    ok = np.isfinite(vals)
+    return np.hstack([X[ok], Z[ok], vals[ok, None]])
+
+
+@pytest.mark.parametrize("space", ["line-1", "line-5", "grid-2x2",
+                                   "grid-3x2", "l-shape"])
+def test_quadratic_faces_match_the_d2_reference(space):
+    # every face's critical point against the former vertex / edge / cell
+    # blocks, as sets of (x, z, value) rows, and the same least value
+    z_space = {"line-1": lambda: build_box_partition([(0, 1)], (1,)),
+               "line-5": lambda: build_box_partition([(-1, 2)], (5,)),
+               "grid-2x2": lambda: build_box_partition([(0, 1)] * 2, (2, 2)),
+               "grid-3x2": lambda: build_box_partition([(-1, 1), (0, 2)],
+                                                       (3, 2)),
+               "l-shape": l_shape}[space]()
+    rng = np.random.default_rng(21)
+    d = z_space.dim
+    for _ in range(12):
+        x_space = FiniteSpace(rng.uniform(-1.5, 2.5, size=(5, d)))
+        lam = rng.uniform(0.1, 1.0)
+        Yv = rng.normal(scale=0.5, size=x_space.n_vertices)
+        Wv = rng.normal(scale=0.5, size=z_space.n_vertices)
+        new = oracle_module._quadratic_candidates(lam, x_space, z_space, Yv,
+                                                  Wv, {})
+        ref = quadratic_candidates_d2(lam, x_space, z_space, Yv, Wv)
+        A, B = _finite_rows(*new), _finite_rows(*ref)
+        gap = np.abs(A[:, None, :] - B[None, :, :]).max(-1)
+        assert gap.min(1).max() <= 1e-12 and gap.min(0).max() <= 1e-12
+        assert abs(new[0].min() - ref[0].min()) <= 1e-12
+
+
+def test_three_dimensional_barycenter_bound_holds():
+    # alpha_lb stays below 0.0564579, the final LP value when the oracle
+    # offers every face: an upper bound on the LSIP optimum.  An oracle
+    # that skips the cube's 2-faces reports 0.0588048.
+    rng = np.random.default_rng(0)
+    x_spaces, measures = [], []
+    for _ in range(3):
+        atoms = rng.uniform(0.0, 1.0, size=(6, 3))
+        w = rng.uniform(0.5, 1.5, size=6)
+        x_spaces.append(FiniteSpace(atoms))
+        measures.append(DiscreteMeasure(atoms, w / w.sum()))
+    x_bases = [HatBasis(sp) for sp in x_spaces]
+    cube = build_box_partition([(0, 1)] * 3, (2, 2, 2))
+    bz = HatBasis(cube)
+    m = barycenter_cost([0.5, 0.3, 0.2], x_spaces, cube, measures)
+    oracle = make_oracle(m, x_spaces, x_bases, cube, bz)
+    gbar = [moment_vector(mu, b) for mu, b in zip(measures, x_bases)]
+    res = cutting_plane.run(m, gbar, x_spaces, x_bases, cube, bz, oracle,
+                            1e-6)
+    assert res.gap <= 1e-6
+    assert res.alpha_lb + m.shift <= 0.0564579
 
 
 class _SquaredGap(CostModel):

@@ -167,6 +167,14 @@ def test_solver_rule_catches_the_patterns(tmp_path):
     assert len(_solver_imports(p)) == 5
 
 
+def test_oracle_reads_faces_not_cell_inverses():
+    # the barycenter faces come from ``faces``, not from the per-simplex
+    # interpolation matrices
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "_minv" not in attrs and "faces" in attrs
+
+
 HIGHS_ATTRS = {"highs", "addRows", "deleteRows"}
 
 
