@@ -20,6 +20,9 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -52,6 +55,11 @@ class UnsupportedMeasureClassError(EquilibriumError):
 # ---------------------------------------------------------------------------
 # quality selector
 
+# samples per chunk of the quality selector, from a measured table of 256,
+# 512 and 1024 (CHANGES.md)
+CHUNK = 256
+
+
 def _lex_argmin(points, values):
     """Per-sample argmin with lexicographic tie-break on the point coords.
 
@@ -66,7 +74,7 @@ def _lex_argmin(points, values):
     return keep.argmax(axis=1)
 
 
-def z_opt(model, x_list, z_space, chunk=1024):
+def z_opt(model, x_list, z_space, chunk=CHUNK):
     """Global minimizer of z -> sum_i c_i(x_i, z) over the quality space.
 
     Vectorized over samples, ``chunk`` rows at a time; ``x_list`` holds
@@ -76,16 +84,43 @@ def z_opt(model, x_list, z_space, chunk=1024):
     (``oracle.vertex_exact``), else from its ``z_opt_values``.  Exact for
     the shipped cost families; ties are broken by the lexicographically
     smallest minimizer among the candidate points.
+
+    The chunks run on one thread per CPU of the process's affinity mask
+    (at most one per chunk; a single chunk runs inline).  Each thread
+    fills its own buffers, made once (``z_opt_buffers``) and reused for
+    every chunk it takes, and writes its chunks' rows of the output, so
+    the picks do not depend on the number of threads.
     """
     x_list = [np.atleast_2d(np.asarray(X, dtype=float)) for X in x_list]
     n = x_list[0].shape[0]
-    values = model.z_vertex_values \
-        if vertex_exact(model.affine_in_z, z_space) else model.z_opt_values
+    if vertex_exact(model.affine_in_z, z_space):
+        values, buffers = model.z_vertex_values, None
+    else:
+        values, buffers = model.z_opt_values, model.z_opt_buffers(z_space)
     out = np.empty((n, z_space.dim))
-    for s0 in range(0, n, chunk):
-        sl = slice(s0, min(s0 + chunk, n))
-        cand, vals = values([X[sl] for X in x_list], z_space)
-        out[sl] = cand[np.arange(len(cand)), _lex_argmin(cand, vals)]
+    per_thread = {}     # thread id -> its buffers
+
+    def select(s0):
+        xs = [X[s0:s0 + chunk] for X in x_list]
+        if buffers is None:
+            cand, vals = values(xs, z_space)
+        else:
+            work = per_thread.get(threading.get_ident())
+            if work is None:
+                work = per_thread[threading.get_ident()] = buffers(chunk)
+            cand, vals = values(xs, z_space, work)
+        out[s0:s0 + chunk] = cand[np.arange(len(cand)),
+                                  _lex_argmin(cand, vals)]
+
+    starts = range(0, n, chunk)
+    workers = min(len(os.sched_getaffinity(0)), len(starts))
+    if workers <= 1:
+        for s0 in starts:
+            select(s0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(select, starts):
+                pass
     return out
 
 

@@ -151,6 +151,8 @@ class SimplicialComplex:
         if _grid is not None:
             lo, widths, counts = _grid[:3]
             self.box = np.stack([lo, lo + widths * counts], axis=1)
+            # per-axis scale of the membership tolerance (``_outside_box``)
+            self._box_slack = widths / widths.min()
         self._validate()
         self._build_cell_data()
 
@@ -270,20 +272,29 @@ class SimplicialComplex:
         return self.simplices[s], lam
 
     def covers(self, X, tol=TOL_GEOM):
-        """Mask of the rows of an (n, d) array of points that
-        ``vertex_weights`` locates, by the same test."""
+        """Mask of the points of an (..., d) array, the last axis holding
+        the coordinates, that ``vertex_weights`` locates, by the same
+        test."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self._grid is not None:
-            return ~self._outside_box(X, tol)
-        return self._search(X)[2] <= tol
+            outside = self._outside_box(X, tol)
+            return np.logical_not(outside, out=outside)
+        return self._search(X.reshape(-1, self.dim))[2].reshape(
+            X.shape[:-1]) <= tol
 
     def _outside_box(self, X, tol):
-        """Rows of X farther outside the grid's box than ``tol`` on the
-        narrowest axis, scaled by cell width on the others."""
-        widths = self._grid[1]
-        t = tol * (widths / widths.min())
-        return (np.any(X < self.box[:, 0] - t, axis=1)
-                | np.any(X > self.box[:, 1] + t, axis=1))
+        """Points of the (..., d) array X farther outside the grid's box
+        than ``tol`` on the narrowest axis, scaled by cell width on the
+        others: one comparison per axis and side, ORed into one mask."""
+        t = tol * self._box_slack
+        lo = self.box[:, 0] - t
+        hi = self.box[:, 1] + t
+        out = X[..., 0] < lo[0]
+        out |= X[..., 0] > hi[0]
+        for l in range(1, self.dim):
+            out |= X[..., l] < lo[l]
+            out |= X[..., l] > hi[l]
+        return out
 
     def _search(self, X):
         """Per row of X: the first simplex containing it, else the least
@@ -365,7 +376,7 @@ def build_box_partition(box, counts):
     return SimplicialComplex(vertices, np.asarray(simplices), _grid=grid)
 
 
-def edge_crossings(complex, edges, normals, offsets):
+def edge_crossings(complex, edges, normals, offsets, out=None):
     """Where the hyperplanes <normals[k], z> = offsets[..., k] cross the
     given edges of a complex.
 
@@ -374,7 +385,9 @@ def edge_crossings(complex, edges, normals, offsets):
     (..., K).  Returns ``(points, hit)``: (..., K, E, d) points on each
     edge, with the edge parameter clipped to [0, 1], and the (..., K, E)
     mask of the edges each hyperplane crosses.  An edge parallel to a
-    hyperplane is never hit.
+    hyperplane is never hit.  ``out``, a ``(points, hit, t)`` triple of
+    arrays of the result shapes and of the (..., K, E) edge parameters,
+    receives them instead of fresh arrays.
     """
     V = complex.vertices
     e0 = V[edges[:, 0]]
@@ -382,14 +395,22 @@ def edge_crossings(complex, edges, normals, offsets):
     se0 = normals @ e0.T                # (K, E)
     sde = normals @ de.T
     ok = np.abs(sde) > 1e-14
-    t = (offsets[..., None] - se0) / np.where(ok, sde, 1.0)
-    hit = ok & (t >= -1e-12) & (t <= 1 + 1e-12)
-    # in place and C-ordered whatever the layout of ``offsets``: a batch of
-    # samples brings thousands of hyperplanes, and callers reshape the points
+    points, hit, t = (None, None, None) if out is None else out
+    t = np.subtract(offsets[..., None], se0, out=t)
+    np.divide(t, np.where(ok, sde, 1.0), out=t)
+    hit = np.greater_equal(t, -1e-12, out=hit)
+    hit &= t <= 1 + 1e-12
+    hit &= ok
+    # in place: a batch of samples brings thousands of hyperplanes
     np.clip(t, 0, 1, out=t)
-    points = np.empty(t.shape + de.shape[1:])
-    np.multiply(t[..., None], de, out=points)
-    points += e0
+    if points is None:
+        points = np.empty(t.shape + de.shape[1:])
+    # one coordinate at a time against (K, E) tables, so that the inner
+    # loop runs over K * E values instead of the d coordinates
+    for l in range(de.shape[1]):
+        np.multiply(t, np.tile(de[:, l], (len(normals), 1)),
+                    out=points[..., l])
+        points[..., l] += np.tile(e0[:, l], (len(normals), 1))
     return points, hit
 
 

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -181,6 +183,14 @@ class CostModel:
         invalid candidates."""
         raise CostModelError("cost model lacks a quality selector")
 
+    def z_opt_buffers(self, z_space):
+        """None, or ``make(rows)``: one worker's fixed-shape buffers for
+        ``z_opt_values`` (its ``work`` argument) over up to ``rows``
+        samples.  What the selector needs that does not change between
+        chunks of samples is computed here, once per selector call; a
+        family that returns None takes no buffers."""
+        return None
+
     def z_vertex_values(self, X_list, z_space):
         """The quality vertices as every sample's candidates and the summed
         cost at each: (n, V, d) points and (n, V) values.  Exact where a
@@ -246,53 +256,84 @@ class BusinessLocationCost(CostModel):
                     self.c_train * abs(j - jp)))
         return terms
 
-    def z_opt_values(self, X_list, z_space):
-        """The summed cost on each sample's kink-line grid.
-
-        The quality space must be a box grid.  The candidates are the cross
-        product of the vertical/horizontal kink lines (station and
-        per-sample type coordinates) clipped into the box, with
-        ``cand[:, v*H + h] = (vpool[v], hpool[h])``; the static lines
-        (stations and box sides) are taken once each: an exact duplicate
-        cannot change the lexicographic pick.  The (n, V, H) table is built
-        from per-axis walking costs, with the additions and minimums that
-        ``eval`` does on each row, so every entry equals ``eval`` on its
-        pair bit for bit.
-        """
+    def z_opt_buffers(self, z_space):
+        """The static kink lines per axis (stations and box sides, clipped
+        into the box) and buffers for the (n, V, H) tables.  The quality
+        space must be a box grid."""
         if getattr(z_space, "box", None) is None:
             raise CostModelError("business-location z_opt needs a box-grid "
                                  "quality space")
-        n = np.atleast_2d(X_list[0]).shape[0]
-        xs = np.stack([np.atleast_2d(X)[:, :2] for X in X_list], axis=1)  # (n, N, 2)
-        pools = []
-        for l, side in enumerate(z_space.box):
-            static = np.unique(np.clip(np.append(self.stations[:, l], side),
-                                       *side))
-            pools.append(np.concatenate(
-                [np.broadcast_to(static, (n, len(static))),
-                 np.clip(xs[:, :, l], *side)], axis=1))
-        vpool, hpool = pools
+        static = [np.unique(np.clip(np.append(self.stations[:, l], side),
+                                    *side))
+                  for l, side in enumerate(z_space.box)]
+        V, H = (len(p) + self.N for p in static)
+        S = len(self.stations)
+
+        def make(rows):
+            w = SimpleNamespace(
+                static=[len(p) for p in static],
+                pools=[np.empty((rows, V)), np.empty((rows, H))],
+                cand=np.empty((rows, V * H, 2)),
+                dzu=np.empty((S, rows, V, H)), dzv=np.empty((S, rows, V, 1)),
+                dzh=np.empty((S, rows, 1, H)), dxu=np.empty((S, rows)),
+                dxh=np.empty((S, rows)), dv=np.empty((rows, V, 1)),
+                dh=np.empty((rows, 1, H)), direct=np.empty((rows, V, H)),
+                station=np.empty((rows, V, H)), route=np.empty((rows, V, H)),
+                tot=np.empty((rows, V, H)))
+            for pool, p in zip(w.pools, static):
+                pool[:, :len(p)] = p
+            return w
+        return make
+
+    def z_opt_values(self, X_list, z_space, work=None):
+        """The summed cost on each sample's kink-line grid.
+
+        The candidates are the cross product of the vertical/horizontal
+        kink lines (station and per-sample type coordinates) clipped into
+        the box, with ``cand[:, v*H + h] = (vpool[v], hpool[h])``; the
+        static lines (stations and box sides) are taken once each: an exact
+        duplicate cannot change the lexicographic pick.  The (n, V, H)
+        table is built from per-axis walking costs, with the additions and
+        minimums that ``eval`` does on each row, so every entry equals
+        ``eval`` on its pair bit for bit.  ``work`` is a buffer set of
+        ``z_opt_buffers`` for at least n samples, and the results are views
+        into it; without it the call makes its own.
+        """
+        X_list = [np.atleast_2d(X) for X in X_list]
+        n = len(X_list[0])
+        w = work if work is not None else self.z_opt_buffers(z_space)(n)
+        for l, (pool, k, side) in enumerate(zip(w.pools, w.static,
+                                                z_space.box)):
+            for i, X in enumerate(X_list):
+                np.clip(X[:, l], *side, out=pool[:n, k + i])
+        vpool, hpool = (pool[:n] for pool in w.pools)
         V, H = vpool.shape[1], hpool.shape[1]
-        cand = np.empty((n, V * H, 2))
-        cand[:, :, 0] = np.repeat(vpool, H, axis=1)
-        cand[:, :, 1] = np.tile(hpool, (1, V))
+        grid = w.cand[:n].reshape(n, V, H, 2)
+        grid[..., 0] = vpool[:, :, None]
+        grid[..., 1] = hpool[:, None, :]
         v, h = vpool[:, :, None], hpool[:, None, :]
         U = self.stations
         # (S, n, V, H) quality-side walking costs, shared by the categories
-        dzu = self.c_walk * (np.abs(v - U[:, :1, None, None])
-                             + np.abs(h - U[:, 1:, None, None]))
-        tot = np.zeros((n, V, H))
-        station = np.empty((n, V, H))
-        route = np.empty((n, V, H))
-        for i in range(self.N):
-            x0, x1 = xs[:, i, :1, None], xs[:, i, 1:, None]
+        dzv, dzh, dzu = w.dzv[:, :n], w.dzh[:, :n], w.dzu[:, :n]
+        np.abs(np.subtract(v, U[:, :1, None, None], out=dzv), out=dzv)
+        np.abs(np.subtract(h, U[:, 1:, None, None], out=dzh), out=dzh)
+        np.multiply(self.c_walk, np.add(dzv, dzh, out=dzu), out=dzu)
+        dv, dh, dxu, dxh = w.dv[:n], w.dh[:n], w.dxu[:, :n], w.dxh[:, :n]
+        direct, station, route, tot = (w.direct[:n], w.station[:n],
+                                       w.route[:n], w.tot[:n])
+        tot.fill(0.0)
+        for i, X in enumerate(X_list):
+            x0, x1 = X[:, :1, None], X[:, 1:2, None]
             direct_w = self.c_restock if i == self.N - 1 else self.c_walk
-            direct = direct_w * (np.abs(x0 - v) + np.abs(x1 - h))
+            np.abs(np.subtract(x0, v, out=dv), out=dv)
+            np.abs(np.subtract(x1, h, out=dh), out=dh)
+            np.multiply(direct_w, np.add(dv, dh, out=direct), out=direct)
             if i == self.N - 1:
                 tot += direct
                 continue
-            dxu = self.c_walk * (np.abs(xs[:, i, 0] - U[:, :1])
-                                 + np.abs(xs[:, i, 1] - U[:, 1:]))
+            np.abs(np.subtract(X[:, 0], U[:, :1], out=dxu), out=dxu)
+            np.abs(np.subtract(X[:, 1], U[:, 1:], out=dxh), out=dxh)
+            np.multiply(self.c_walk, np.add(dxu, dxh, out=dxu), out=dxu)
             station.fill(np.inf)
             for j in range(len(U)):
                 for jp in range(len(U)):
@@ -301,7 +342,7 @@ class BusinessLocationCost(CostModel):
                     np.minimum(station, route, out=station)
             np.minimum(station, direct, out=station)
             tot += station
-        return cand, tot.reshape(n, V * H)
+        return w.cand[:n], tot.reshape(n, V * H)
 
 
 class QuadraticBarycenterCost(CostModel):
@@ -404,14 +445,22 @@ class CappedAffineCost(CostModel):
     def eval(self, i, X, Z):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        # <s_i, z> one column at a time: a GEMV rounds one row and a batch
-        # differently
-        sz = Z[:, 0] * self.s[i, 0]
+        n = np.broadcast_shapes((len(X),), (len(Z),))
+        return self._cost(i, X[:, 0], Z, np.empty(n), np.empty(n))
+
+    def _cost(self, i, x, Z, out, tmp):
+        """c_i at the scalar types ``x`` and the quality points ``Z``,
+        written into ``out``; ``tmp`` is scratch of the same shape.
+        <s_i, z> is summed one column at a time: a GEMV rounds one row and
+        a batch differently."""
+        np.multiply(Z[:, 0], self.s[i, 0], out=out)
         for j in range(1, self.d0):
-            sz = sz + Z[:, j] * self.s[i, j]
-        f = np.abs(X[:, 0] - sz)
-        return np.clip(np.minimum(f, self.kappa2[i]) - self.kappa1[i],
-                       0.0, None) / self.N
+            out += np.multiply(Z[:, j], self.s[i, j], out=tmp)
+        np.abs(np.subtract(x, out, out=out), out=out)
+        np.minimum(out, self.kappa2[i], out=out)
+        np.subtract(out, self.kappa1[i], out=out)
+        np.clip(out, 0.0, None, out=out)
+        return np.divide(out, self.N, out=out)
 
     def oracle_terms(self, i):
         terms = [ScalarRampTerm(self.s[i], self.kappa1[i], 1.0 / self.N)]
@@ -421,25 +470,95 @@ class CappedAffineCost(CostModel):
                 (self.kappa2[i] - self.kappa1[i]) / self.N))
         return terms
 
-    def z_opt_values(self, X_list, z_space):
+    @cached_property
+    def _line_pairs(self):
+        """The crossings of the kink lines of two categories with
+        non-parallel directions, as ``(ia, ib, Ma, Mb)``: crossing p is
+        ``rhs[ia[p]] * Ma[p] + rhs[ib[p]] * Mb[p]``, with ``rhs[2a + 0]``
+        and ``rhs[2a + 1]`` the right-hand sides x_a -+ kappa1_a of
+        category a's lines and Ma, Mb the columns of inv([s_a; s_b]).
+        Pairs in ``itertools.combinations`` order, then the lower line of
+        a, then that of b, first."""
+        ia, ib, Ma, Mb = [], [], [], []
+        for a, b in itertools.combinations(range(self.N), 2):
+            M = np.stack([self.s[a], self.s[b]])
+            if abs(np.linalg.det(M)) < 1e-12:
+                continue
+            Minv = np.linalg.inv(M)
+            for sa in (0, 1):
+                for sb in (0, 1):
+                    ia.append(2 * a + sa)
+                    ib.append(2 * b + sb)
+                    Ma.append(Minv[:, 0])
+                    Mb.append(Minv[:, 1])
+        return (np.array(ia, dtype=int), np.array(ib, dtype=int),
+                np.reshape(Ma, (-1, self.d0)), np.reshape(Mb, (-1, self.d0)))
+
+    def z_opt_buffers(self, z_space):
+        """The boundary's ends and segments and, in 2-D, the line pairs,
+        and buffers for k candidates per sample: the C ends, then the 2N
+        lines' points (1-D) or their crossings with the E segments and
+        the P line pairs' crossings (2-D)."""
+        corners, segments = z_space.boundary
+        ends = z_space.vertices[corners]
+        N, d, C, E = self.N, self.d0, len(ends), len(segments)
+        pairs = self._line_pairs if d > 1 else None
+        P = 0 if pairs is None else len(pairs[0])
+        k = C + (2 * N if d == 1 else 2 * N * E + P)
+
+        def make(rows):
+            cand = np.empty((rows, k, d))
+            valid = np.empty((rows, k), dtype=bool)
+            cand[:, :C] = ends
+            valid[:, :C] = True
+            crossings = slice(C, C + 2 * N * E)
+            return SimpleNamespace(
+                segments=segments, pairs=pairs, rhs=np.empty((rows, N, 2)),
+                cand=cand, valid=valid, vals=np.empty((rows, k)),
+                lines_at=slice(C, k), pairs_at=slice(k - P, k),
+                # views: the 1-D line points, the 2-D segment crossings
+                lines=cand[:, C:, 0].reshape(rows, N, 2) if d == 1 else None,
+                edges=cand[:, crossings].reshape(rows, 2, N, E, d),
+                hit=valid[:, crossings].reshape(rows, 2, N, E),
+                t=np.empty((rows, 2, N, E)), ra=np.empty((rows, P)),
+                rb=np.empty((rows, P)), pb=np.empty((rows, P)),
+                rows_of=np.empty(rows * k, dtype=int),
+                zc=np.empty((rows * k, d)), x=np.empty(rows * k),
+                cost=np.empty(rows * k), tmp=np.empty(rows * k),
+                tot=np.empty(rows * k))
+        return make
+
+    def z_opt_values(self, X_list, z_space, work=None):
         """Kink-line arrangement candidates for the summed cost, from the
         quality region's boundary (``_kink_candidates``), and the summed
         cost at each: +inf at the candidates outside the region, and only
-        the others evaluated."""
-        cand, valid = self._kink_candidates(X_list, z_space)
-        r, c = np.nonzero(valid)
-        zc = cand[r, c]
-        tot = np.zeros(len(r))
+        the others evaluated.  ``work`` is a buffer set of
+        ``z_opt_buffers`` for at least n samples, and the results are views
+        into it; without it the call makes its own."""
+        x = [np.atleast_2d(X)[:, 0] for X in X_list]
+        n = len(x[0])
+        w = work if work is not None else self.z_opt_buffers(z_space)(n)
+        self._kink_candidates(x, z_space, w)
+        cand, valid = w.cand[:n], w.valid[:n]
+        flat = np.flatnonzero(valid)
+        m = len(flat)
+        rows = np.floor_divide(flat, valid.shape[1], out=w.rows_of[:m])
+        zc = np.take(cand.reshape(-1, self.d0), flat, axis=0, out=w.zc[:m],
+                     mode="clip")
+        tot = w.tot[:m]
+        tot.fill(0.0)
         for i in range(self.N):
-            tot += self.eval(i, np.atleast_2d(X_list[i])[r], zc)
-        vals = np.full(valid.shape, np.inf)
-        vals[r, c] = tot
+            xi = np.take(x[i], rows, out=w.x[:m], mode="clip")
+            tot += self._cost(i, xi, zc, w.cost[:m], w.tmp[:m])
+        vals = w.vals[:n]
+        vals.fill(np.inf)
+        np.put(vals, flat, tot)
         return cand, vals
 
-    def _kink_candidates(self, X_list, z_space):
-        """The candidates and the mask of those inside the region.  A method
-        of its own, so that its temporaries are freed before the summed cost
-        is evaluated.
+    def _kink_candidates(self, x, z_space, w):
+        """Fill ``w.cand`` and ``w.valid`` with the candidates of the
+        scalar types ``x`` (one (n,) array per category) and the mask of
+        those inside the region.
 
         Writing each category cost as min{(|f_i| - kappa1)^+, const}, every
         selection of branches gives a convex function whose only kinks lie
@@ -450,49 +569,29 @@ class CappedAffineCost(CostModel):
         arrangement clipped to the region: a line/line crossing inside the
         region, a line/boundary-segment crossing or a boundary corner (the
         two interval ends in 1-D).  That candidate set is exact."""
-        n = np.atleast_2d(X_list[0]).shape[0]
-        xs = np.concatenate([np.atleast_2d(X)[:, :1] for X in X_list], axis=1)
-        # rhs of the 2N lines per sample: (n, N, 2)
-        rhs = np.stack([xs - self.kappa1[None, :], xs + self.kappa1[None, :]],
-                       axis=2)
-        corners, segments = z_space.boundary
-        ends = z_space.vertices[corners]
-        cand = [np.broadcast_to(ends, (n,) + ends.shape)]
-        masks = [np.ones((n, len(ends)), dtype=bool)]
+        n = len(x[0])
+        rhs = w.rhs[:n]
+        for i, xi in enumerate(x):
+            np.subtract(xi, self.kappa1[i], out=rhs[:, i, 0])
+            np.add(xi, self.kappa1[i], out=rhs[:, i, 1])
         if self.d0 == 1:
-            s0 = self.s[:, 0]
-            pts = (rhs / s0[None, :, None]).reshape(n, -1, 1)
-            cand.append(pts)
-            masks.append(z_space.covers(pts.reshape(-1, 1)).reshape(n, -1))
-        else:
-            # line x boundary-segment intersections, lower lines first
-            pts, hit = edge_crossings(z_space, segments, self.s,
-                                      rhs.transpose(0, 2, 1))
-            cand.append(pts.reshape(n, -1, 2))
-            masks.append(hit.reshape(n, -1))
-            # line x line intersections across categories
-            pair_rows = []
-            for a, b in itertools.combinations(range(self.N), 2):
-                M = np.stack([self.s[a], self.s[b]])
-                if abs(np.linalg.det(M)) < 1e-12:
-                    continue
-                Minv = np.linalg.inv(M)
-                pair_rows.append((a, b, Minv))
-            if pair_rows:
-                pts_ab = []
-                for a, b, Minv in pair_rows:
-                    for sa in (0, 1):
-                        for sb in (0, 1):
-                            # one column at a time, as in eval: a BLAS
-                            # product rounds one row and a batch differently
-                            pts_ab.append(rhs[:, a, sa, None] * Minv[:, 0]
-                                          + rhs[:, b, sb, None] * Minv[:, 1])
-                pts_ab = np.stack(pts_ab, axis=1)      # (n, P, 2)
-                cand.append(pts_ab)
-                masks.append(z_space.covers(pts_ab.reshape(-1, 2))
-                             .reshape(n, -1))
-        return (np.concatenate([np.ascontiguousarray(c) for c in cand], axis=1),
-                np.concatenate(masks, axis=1))
+            np.divide(rhs, self.s[None, :, :1], out=w.lines[:n])
+            w.valid[:n, w.lines_at] = z_space.covers(w.cand[:n, w.lines_at])
+            return
+        # line x boundary-segment crossings, lower lines first
+        edge_crossings(z_space, w.segments, self.s, rhs.transpose(0, 2, 1),
+                       out=(w.edges[:n], w.hit[:n], w.t[:n]))
+        # line x line crossings across categories, one column at a time as
+        # in eval: a BLAS product rounds one row and a batch differently
+        ia, ib, Ma, Mb = w.pairs
+        lines = rhs.reshape(n, -1)
+        pts, ra, rb = w.cand[:n, w.pairs_at], w.ra[:n], w.rb[:n]
+        np.take(lines, ia, axis=1, out=ra, mode="clip")
+        np.take(lines, ib, axis=1, out=rb, mode="clip")
+        for l in range(self.d0):
+            np.multiply(ra, Ma[:, l], out=pts[:, :, l])
+            pts[:, :, l] += np.multiply(rb, Mb[:, l], out=w.pb[:n])
+        w.valid[:n, w.pairs_at] = z_space.covers(pts)
 
 
 class TabulatedCpwaCost(CostModel):

@@ -675,6 +675,16 @@ def _grid_locate_scalar(complex, x, tol):
     return s, lam / lam.sum()
 
 
+def outside_box_any(complex, X, tol):
+    """The box grid's membership test as one ``np.any`` reduction per side
+    over the (n, d) points X: the reference for
+    ``SimplicialComplex._outside_box``."""
+    widths = complex._grid[1]
+    t = tol * (widths / widths.min())
+    return (np.any(X < complex.box[:, 0] - t, axis=1)
+            | np.any(X > complex.box[:, 1] + t, axis=1))
+
+
 def locate_scalar(space, x, tol=1e-9):
     """(vertex indices, weights) of one point: the nearest point of a finite
     space, the Kuhn closed form on a grid, else the first containing simplex

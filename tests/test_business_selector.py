@@ -9,12 +9,14 @@ each row, so its candidates must equal the frozen reference
 """
 
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import business_z_opt_candidates
+from teamsolve import equilibrium
 from teamsolve.equilibrium import z_opt
 from teamsolve.geometry import SimplicialComplex, build_box_partition
 from teamsolve.problems import CostModelError, business_location_cost
@@ -86,3 +88,25 @@ def test_grid_free_quality_space_raises():
     free = SimplicialComplex(CITY.vertices, CITY.simplices)
     with pytest.raises(CostModelError, match="needs a box-grid quality space"):
         z_opt(model, xs, free)
+
+
+def test_error_in_a_worker_reaches_the_caller(monkeypatch):
+    # three workers over five chunks; the third chunk's selector call fails,
+    # and the caller gets that exception object, with no thread left over
+    model, xs = _cases()["bench-uniform"]
+    monkeypatch.setattr(equilibrium.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2})
+    planted = CostModelError("planted in the third chunk")
+    values = model.z_opt_values
+
+    def fail_on_third_chunk(X_list, z_space, work):
+        if np.array_equal(X_list[0][0], xs[0][128]):
+            raise planted
+        return values(X_list, z_space, work)
+
+    monkeypatch.setattr(model, "z_opt_values", fail_on_third_chunk)
+    before = threading.active_count()
+    with pytest.raises(CostModelError) as caught:
+        z_opt(model, xs, CITY, chunk=64)
+    assert caught.value is planted
+    assert threading.active_count() == before

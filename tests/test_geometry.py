@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (BudgetError, barycentric, check_face_property,
                      component_of, l_shape, locate, locate_scalar,
-                     plan_partition, unique_faces)
+                     outside_box_any, plan_partition, unique_faces)
 from teamsolve import geometry
 from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
                                 IndicatorBasis, PointOutsideComplexError,
@@ -372,3 +374,27 @@ def test_boundary_format():
         assert np.isin(segments, corners).all()
     with pytest.raises(GeometryError):
         build_box_partition([(0, 1)] * 3, (1, 1, 1)).boundary
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), tol=st.sampled_from([1e-9, 1e-6, 1e-2]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_outside_box_matches_the_any_reduction(dim, tol, seed):
+    # points within 2 tol (scaled per axis) of every face of the box, some
+    # exactly on the tolerance band's edge, and rows of 3-D batches
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-2, 1, size=dim)
+    box = np.stack([lo, lo + rng.uniform(0.1, 3, size=dim)], axis=1)
+    c = build_box_partition(box, rng.integers(1, 5, size=dim))
+    widths = (box[:, 1] - box[:, 0]) / c._grid[2]
+    t = tol * (widths / widths.min())
+    side = box[np.arange(dim), rng.integers(0, 2, size=(600, dim))]
+    u = rng.uniform(-2, 2, size=(600, dim))
+    u[:100] = rng.choice([-1.0, 0.0, 1.0], size=(100, dim))
+    X = side + u * t
+    ref = outside_box_any(c, X, tol)
+    assert ref.any() and not ref.all()
+    assert np.array_equal(c._outside_box(X, tol), ref)
+    assert np.array_equal(c.covers(X, tol), ~ref)
+    assert np.array_equal(c.covers(X.reshape(3, 200, dim), tol),
+                          ~ref.reshape(3, 200))

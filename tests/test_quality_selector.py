@@ -24,6 +24,7 @@ cost within 1e-15, and picks of equal cost within ``TIE_TOL``.
 """
 
 import sys
+import threading
 from functools import partial
 from pathlib import Path
 
@@ -34,11 +35,12 @@ from hypothesis import strategies as st
 
 from helpers import (l_shape, mesh_z_opt_candidates, z_opt_dense,
                      z_opt_quadratic)
+from teamsolve import equilibrium
 from teamsolve.equilibrium import TIE_TOL, z_opt
 from teamsolve.geometry import (FiniteSpace, SimplicialComplex,
                                 build_box_partition)
-from teamsolve.problems import (barycenter_cost, capped_affine_cost,
-                                tabulated_cpwa_cost)
+from teamsolve.problems import (barycenter_cost, business_location_cost,
+                                capped_affine_cost, tabulated_cpwa_cost)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -226,3 +228,106 @@ def test_barycenter_selector_matches_the_projection_pass(dim, Z):
     inside = Z.covers(xbar)
     assert inside.any() and not inside.all()
     assert np.array_equal(z_opt(model, xs, Z), z_opt_quadratic(model, xs, Z))
+
+
+def _family_cases():
+    """One model per quality selector, with a type sampler ``draw(rng, n)``:
+    capped-affine in 1-D and 2-D, business-location, the barycenter
+    projection, and a tabulated cost's quality vertices."""
+    rng = np.random.default_rng(90)
+    line = build_box_partition([(0, 1)], (4,))
+    city = build_box_partition([(-2, 2), (-2, 2)], (2, 2))
+    lam = [0.5, 0.3, 0.2]
+    tables = [np.round(4 * rng.uniform(size=(5, SQUARE.n_vertices))) / 4
+              for _ in range(3)]
+
+    def box_types(rng, n):
+        # on a quarter grid, so that kink lines coincide
+        return [np.round(4 * rng.uniform(-2, 2, size=(n, 2))) / 4
+                for _ in range(3)]
+
+    def means_partly_outside(rng, n):
+        return [np.round(4 * rng.uniform(-0.5, 1.5, size=(n, 2))) / 4
+                for _ in lam]
+
+    return {
+        "capped-affine-1d": (
+            capped_affine_cost([[1.0], [-1.0], [1.0]], [0.1, 0.25, 0.0],
+                               [0.4, 0.5, 0.3]), line,
+            lambda rng, n: _types(rng, 3, n, quarter=True)),
+        "capped-affine-2d": (
+            workloads.build("capped-affine", 3).model, SQUARE,
+            lambda rng, n: _types(rng, 8, n, quarter=True)),
+        "business-location": (
+            business_location_cost([[-2.0, 0.3], [1.0, -2.0], [0.5, 0.5]],
+                                   n_categories=3), city, box_types),
+        "quadratic": (barycenter_cost(lam, [SQUARE] * 3, SQUARE), SQUARE,
+                      means_partly_outside),
+        "tabulated": (
+            tabulated_cpwa_cost([build_box_partition([(0, 1)], (4,))] * 3,
+                                SQUARE, tables), SQUARE,
+            lambda rng, n: _types(rng, 3, n, quarter=True)),
+    }
+
+
+def _cpus(monkeypatch, k):
+    """Make ``z_opt`` see k CPUs in the process's affinity mask."""
+    monkeypatch.setattr(equilibrium.os, "sched_getaffinity",
+                        lambda pid: set(range(k)))
+
+
+@pytest.mark.parametrize("name", sorted(_family_cases()))
+def test_picks_do_not_depend_on_workers_or_chunk(name, monkeypatch):
+    # every CPU, then one worker and more workers than CPUs; chunks that
+    # hold 1 sample, fewer than a chunk and a last partial chunk
+    model, Z, draw = _family_cases()[name]
+    xs = draw(np.random.default_rng(91), 1500)
+    ref = z_opt(model, xs, Z)
+    for k in (1, 3):
+        _cpus(monkeypatch, k)
+        for chunk in (64, 256, 1024):
+            for n in (1, 200, 1500):
+                got = z_opt(model, [X[:n] for X in xs], Z, chunk=chunk)
+                assert np.array_equal(got, ref[:n]), (k, chunk, n)
+
+
+def test_z_opt_leaves_no_thread_running(monkeypatch):
+    model, Z, draw = _family_cases()["capped-affine-2d"]
+    xs = draw(np.random.default_rng(92), 700)
+    _cpus(monkeypatch, 3)
+    before = threading.active_count()
+    z_opt(model, xs, Z, chunk=64)
+    assert threading.active_count() == before
+
+
+def test_many_threads_with_short_switch_interval(monkeypatch):
+    # more threads than cores, switching every microsecond, on 2-sample
+    # chunks: a lost or crossed write of a chunk's rows or buffers would
+    # move a pick
+    for name in ("capped-affine-2d", "business-location"):
+        model, Z, draw = _family_cases()[name]
+        xs = draw(np.random.default_rng(94), 300)
+        _cpus(monkeypatch, 1)
+        ref = z_opt(model, xs, Z, chunk=2)
+        _cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = z_opt(model, xs, Z, chunk=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, ref)
+
+
+def test_direct_selector_call_matches_the_buffered_one():
+    # a direct ``z_opt_values`` call makes its own buffers; a buffer set
+    # reused for a smaller batch gives that batch's rows
+    for name in ("capped-affine-1d", "capped-affine-2d", "business-location"):
+        model, Z, draw = _family_cases()[name]
+        xs = draw(np.random.default_rng(93), 300)
+        cand, vals = model.z_opt_values(xs, Z)
+        work = model.z_opt_buffers(Z)(300)
+        model.z_opt_values(xs, Z, work)
+        got = model.z_opt_values([X[:120] for X in xs], Z, work)
+        assert np.array_equal(got[0], cand[:120])
+        assert np.array_equal(got[1], vals[:120])

@@ -17,6 +17,11 @@ The HiGHS binding lives in ``linprog.py``: no other module reads a model's
 ``highs`` attribute, calls HiGHS's row methods or imports scipy's
 ``_highspy``, so the cutting plane adds and deletes rows only through
 ``LpProblem.add_rows`` and ``LpProblem.delete_rows``.
+
+Threads live in ``equilibrium.py``, where ``z_opt`` spreads its chunks:
+no other module imports ``threading`` or ``concurrent.futures``.  No
+module reads the environment except ``cli.py``, for ``TEAMSOLVE_LOG``:
+the package has no knob outside its options and config keys.
 """
 
 import ast
@@ -213,3 +218,94 @@ def test_highs_rule_catches_the_patterns(tmp_path):
                  "problem.delete_rows(idx)\n"
                  "self.n_ineq = 3\n")
     assert len(_highs_uses(p)) == 5
+
+
+THREAD_MODULES = {"threading", "_thread", "concurrent"}
+
+
+def _thread_imports(path):
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+        if isinstance(node, ast.Import):
+            out += [where + " imports " + a.name for a in node.names
+                    if a.name.split(".")[0] in THREAD_MODULES]
+        elif isinstance(node, ast.ImportFrom) and not node.level \
+                and (node.module or "").split(".")[0] in THREAD_MODULES:
+            out.append(where + " imports from " + node.module)
+    return out
+
+
+def test_only_equilibrium_starts_threads():
+    modules = sorted(p for p in SRC.glob("*.py")
+                     if p.name != "equilibrium.py")
+    assert len(modules) >= 8
+    found = [v for p in modules for v in _thread_imports(p)]
+    assert not found, found
+    assert _thread_imports(SRC / "equilibrium.py")
+
+
+def test_thread_rule_catches_the_patterns(tmp_path):
+    p = tmp_path / "problems.py"
+    p.write_text("import threading\n"
+                 "from concurrent.futures import ThreadPoolExecutor\n"
+                 "import concurrent.futures as cf\n"
+                 "from threading import Lock\n"
+                 "from .equilibrium import z_opt\n"
+                 "import numpy as np\n")
+    assert len(_thread_imports(p)) == 4
+
+
+# environment variables a module may read, by module
+ENV_READS = {"cli.py": {"TEAMSOLVE_LOG"}}
+ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environ_reads(path):
+    """Reads of the process environment other than the module's
+    ``os.environ.get(NAME, ...)`` calls for a NAME in ``ENV_READS``."""
+    tree = ast.parse(path.read_text(), str(path))
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "get" \
+                and isinstance(node.func.value, ast.Attribute) \
+                and node.func.value.attr == "environ" and node.args \
+                and isinstance(node.args[0], ast.Constant) \
+                and node.args[0].value in ENV_READS.get(path.name, ()):
+            allowed.add(id(node.func.value))
+    out = []
+    for node in ast.walk(tree):
+        where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+        if isinstance(node, ast.Attribute) and node.attr in ENV_NAMES \
+                and id(node) not in allowed:
+            out.append(where + " reads ." + node.attr)
+        elif isinstance(node, ast.Name) and node.id in ENV_NAMES:
+            out.append(where + " reads " + node.id)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out += [where + " imports os." + a.name for a in node.names
+                    if a.name in ENV_NAMES]
+    return out
+
+
+def test_no_module_reads_the_environment():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9
+    found = [v for p in modules for v in _environ_reads(p)]
+    assert not found, found
+
+
+def test_environment_rule_catches_the_patterns(tmp_path):
+    text = ('level = os.environ.get("TEAMSOLVE_LOG", "error")\n'
+            'chunk = int(os.environ["TEAMSOLVE_CHUNK"])\n'
+            'threads = os.getenv("TEAMSOLVE_THREADS")\n'
+            'w = os.environ.get("TEAMSOLVE_WORKERS", 1)\n'
+            "from os import environ\n"
+            "import os\n")
+    cli = tmp_path / "cli.py"
+    cli.write_text(text)
+    assert len(_environ_reads(cli)) == 4
+    other = tmp_path / "equilibrium.py"
+    other.write_text(text)
+    assert len(_environ_reads(other)) == 5
