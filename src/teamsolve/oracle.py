@@ -83,23 +83,29 @@ def _finalize(model, i, x_basis, z_basis, y, w, x, z, pool, beta_lower):
                         beta_lower=min(beta_lower, beta), pool=pool)
 
 
-def _side_minima(space, basis, coeffs, anchor, weight, cache, cache_key):
+def _side_minima(space, basis, coeffs, anchor, weight, side, cache, memo):
     """Candidates and values of weight*||. - anchor||_1 - <g(.), coeffs>.
 
     Returns (points, values) over the exact candidate set for this anchor.
-    Basis values at the static candidate set are cached across oracle calls.
+    Basis values at the static candidate set are cached across oracle calls
+    in ``cache``; ``memo`` holds one call's results, so the terms that share
+    a side's anchor and weight value it once.
     """
-    if cache_key not in cache:
+    key = _anchor_key(side, anchor, space)
+    if (key, weight) in memo:
+        return memo[key, weight]
+    if key not in cache:
         if anchor is None or isinstance(space, FiniteSpace):
             cand = space.vertices
         else:
             cand = axis_arrangement_candidates(space, np.atleast_2d(anchor))
         G = basis.eval_many(cand)
-        cache[cache_key] = (cand, G)
-    cand, G = cache[cache_key]
+        cache[key] = (cand, G)
+    cand, G = cache[key]
     vals = -G @ coeffs
     if anchor is not None and weight != 0.0:
         vals = vals + weight * np.abs(cand - np.asarray(anchor)).sum(axis=1)
+    memo[key, weight] = cand, vals
     return cand, vals
 
 
@@ -271,13 +277,12 @@ def type_minima(model, i, x_space, x_basis, y, Z):
         return (model.eval_grid(i, x_space.vertices, Z)
                 - Yv[:, None]).min(axis=0)
     xp, xi = _cell_vertex_arrays(x_space)
-    cache = {}
+    cache, memo = {}, {}
     out = np.full(len(Z), np.inf)
     for term in model.oracle_terms(i):
         if isinstance(term, SeparableL1Term):
             vx = _side_minima(x_space, x_basis, y, term.anchor_x,
-                              term.weight_x, cache,
-                              _anchor_key("x", term.anchor_x, x_space))[1]
+                              term.weight_x, "x", cache, memo)[1]
             v = vx.min() + term.const
             if term.anchor_z is not None:
                 v = v + term.weight_z * np.abs(Z - term.anchor_z).sum(1)
@@ -358,21 +363,21 @@ def _term_candidates(model, i, x_space, x_basis, z_space, z_basis, y, w,
     """Candidates of a cost that is a minimum of convex CPWA terms.
 
     A separable term pairs the 8 lowest points of each side's exact
-    candidate set (``_side_minima``), x-major.  A coupled term (direct
+    candidate set (``_side_minima``, valued once per distinct anchor and
+    weight), x-major.  A coupled term (direct
     city-block distance, scalar ramp) keeps the ``max(cap, 8)`` lowest
     per-cell-pair minima, each the least of the pair's arrangement
     vertices (``_coupled_term_values``), which are cached across calls;
     no LP is solved.
     """
     vals, X, Z = [], [], []
+    memo = {}
     for term in model.oracle_terms(i):
         if isinstance(term, SeparableL1Term):
             cx, vx = _side_minima(x_space, x_basis, y, term.anchor_x,
-                                  term.weight_x, cache,
-                                  _anchor_key("x", term.anchor_x, x_space))
+                                  term.weight_x, "x", cache, memo)
             cz, vz = _side_minima(z_space, z_basis, w, term.anchor_z,
-                                  term.weight_z, cache,
-                                  _anchor_key("z", term.anchor_z, z_space))
+                                  term.weight_z, "z", cache, memo)
             kx = np.argsort(vx)[:8]
             kz = np.argsort(vz)[:8]
             vals.append((vx[kx][:, None] + vz[kz][None, :]

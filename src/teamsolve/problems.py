@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -212,6 +213,17 @@ class BusinessLocationCost(CostModel):
             raise CostModelError("stations must be 2d points")
         if has_duplicate_rows(self.stations):
             raise CostModelError("stations must be distinct")
+        for name, value in (("c_walk", c_walk), ("c_train", c_train),
+                            ("c_restock", c_restock)):
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                    and value >= 0):
+                raise CostModelError("%s must be a finite number >= 0, not %r"
+                                     % (name, value))
+        if (isinstance(n_categories, bool)
+                or not isinstance(n_categories, numbers.Integral)
+                or n_categories < 1):
+            raise CostModelError("n_categories must be an integer >= 1, "
+                                 "not %r" % (n_categories,))
         self.c_walk = float(c_walk)
         self.c_train = float(c_train)
         self.c_restock = float(c_restock)
@@ -223,6 +235,10 @@ class BusinessLocationCost(CostModel):
         self.L2[self.N - 1] = self.c_restock * sqrt2
 
     def eval(self, i, X, Z):
+        """Walking category: the least of the direct walk and the best
+        station route, min over stations j of dxu[j] + fare[j], where dxu
+        is the walk from x to j and fare the table of ``_fare_table`` at
+        z; the last category walks directly at the restocking rate."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         direct_w = self.c_restock if i == self.N - 1 else self.c_walk
@@ -230,18 +246,38 @@ class BusinessLocationCost(CostModel):
         if i == self.N - 1:
             return direct
         U = self.stations
-        # (S, n) walking costs to each station, then one (n,) route per
-        # station pair: no (n, S, S) temporary
+        # (S, n) walking costs to each station: no (n, S, S) temporary
         dxu = self.c_walk * (np.abs(X[:, 0] - U[:, :1])
                              + np.abs(X[:, 1] - U[:, 1:]))
         dzu = self.c_walk * (np.abs(Z[:, 0] - U[:, :1])
                              + np.abs(Z[:, 1] - U[:, 1:]))
-        station = np.full(len(X), np.inf)
-        for j in range(len(U)):
-            for jp in range(len(U)):
-                route = dxu[j] + dzu[jp] + self.c_train * abs(j - jp)
-                np.minimum(station, route, out=station)
+        tmp = np.empty(len(X))
+        fare = self._fare_table(dzu, np.empty_like(dzu), tmp)
+        station = self._route_minimum(dxu, fare, np.empty(len(X)), tmp)
         return np.minimum(station, direct)
+
+    def _fare_table(self, dzu, out, tmp):
+        """out[j] = min over stations jp of dzu[jp] + c_train * |j - jp|:
+        the cheapest ride from station j plus the walk from its exit
+        station to the quality point.  It depends on the quality side
+        only.  ``dzu`` and ``out`` are (S, ...) arrays and ``tmp`` is
+        scratch of one station's shape."""
+        S = len(dzu)
+        for j in range(S):
+            np.add(dzu[0], self.c_train * j, out=out[j])
+            for jp in range(1, S):
+                np.add(dzu[jp], self.c_train * abs(j - jp), out=tmp)
+                np.minimum(out[j], tmp, out=out[j])
+        return out
+
+    def _route_minimum(self, dxu, fare, out, tmp):
+        """out = min over stations j of dxu[j] + fare[j], the cheapest
+        station route; ``tmp`` is scratch of out's shape."""
+        np.add(dxu[0], fare[0], out=out)
+        for j in range(1, len(fare)):
+            np.add(dxu[j], fare[j], out=tmp)
+            np.minimum(out, tmp, out=out)
+        return out
 
     def oracle_terms(self, i):
         if i == self.N - 1:
@@ -258,8 +294,9 @@ class BusinessLocationCost(CostModel):
 
     def z_opt_buffers(self, z_space):
         """The static kink lines per axis (stations and box sides, clipped
-        into the box) and buffers for the (n, V, H) tables.  The quality
-        space must be a box grid."""
+        into the box) and buffers for the (n, V, H) tables and the
+        (S, n, V, H) quality-side walking costs and fare table.  The
+        quality space must be a box grid."""
         if getattr(z_space, "box", None) is None:
             raise CostModelError("business-location z_opt needs a box-grid "
                                  "quality space")
@@ -274,7 +311,8 @@ class BusinessLocationCost(CostModel):
                 static=[len(p) for p in static],
                 pools=[np.empty((rows, V)), np.empty((rows, H))],
                 cand=np.empty((rows, V * H, 2)),
-                dzu=np.empty((S, rows, V, H)), dzv=np.empty((S, rows, V, 1)),
+                dzu=np.empty((S, rows, V, H)), fare=np.empty((S, rows, V, H)),
+                dzv=np.empty((S, rows, V, 1)),
                 dzh=np.empty((S, rows, 1, H)), dxu=np.empty((S, rows)),
                 dxh=np.empty((S, rows)), dv=np.empty((rows, V, 1)),
                 dh=np.empty((rows, 1, H)), direct=np.empty((rows, V, H)),
@@ -293,9 +331,12 @@ class BusinessLocationCost(CostModel):
         the box, with ``cand[:, v*H + h] = (vpool[v], hpool[h])``; the
         static lines (stations and box sides) are taken once each: an exact
         duplicate cannot change the lexicographic pick.  The (n, V, H)
-        table is built from per-axis walking costs, with the additions and
-        minimums that ``eval`` does on each row, so every entry equals
-        ``eval`` on its pair bit for bit.  ``work`` is a buffer set of
+        table is built from per-axis walking costs with ``eval``'s
+        grouping: the fare table (``_fare_table``) depends on the quality
+        point only, so it is built once per call as an (S, n, V, H) array,
+        and each walking category then takes S additions and minimums over
+        the stations (``_route_minimum``).  Every entry equals ``eval`` on
+        its pair bit for bit.  ``work`` is a buffer set of
         ``z_opt_buffers`` for at least n samples, and the results are views
         into it; without it the call makes its own.
         """
@@ -313,14 +354,16 @@ class BusinessLocationCost(CostModel):
         grid[..., 1] = hpool[:, None, :]
         v, h = vpool[:, :, None], hpool[:, None, :]
         U = self.stations
-        # (S, n, V, H) quality-side walking costs, shared by the categories
+        # (S, n, V, H) quality-side walking costs and fare table, shared by
+        # the categories
         dzv, dzh, dzu = w.dzv[:, :n], w.dzh[:, :n], w.dzu[:, :n]
+        direct, station, route, tot = (w.direct[:n], w.station[:n],
+                                       w.route[:n], w.tot[:n])
         np.abs(np.subtract(v, U[:, :1, None, None], out=dzv), out=dzv)
         np.abs(np.subtract(h, U[:, 1:, None, None], out=dzh), out=dzh)
         np.multiply(self.c_walk, np.add(dzv, dzh, out=dzu), out=dzu)
+        fare = self._fare_table(dzu, w.fare[:, :n], route)
         dv, dh, dxu, dxh = w.dv[:n], w.dh[:n], w.dxu[:, :n], w.dxh[:, :n]
-        direct, station, route, tot = (w.direct[:n], w.station[:n],
-                                       w.route[:n], w.tot[:n])
         tot.fill(0.0)
         for i, X in enumerate(X_list):
             x0, x1 = X[:, :1, None], X[:, 1:2, None]
@@ -334,12 +377,7 @@ class BusinessLocationCost(CostModel):
             np.abs(np.subtract(X[:, 0], U[:, :1], out=dxu), out=dxu)
             np.abs(np.subtract(X[:, 1], U[:, 1:], out=dxh), out=dxh)
             np.multiply(self.c_walk, np.add(dxu, dxh, out=dxu), out=dxu)
-            station.fill(np.inf)
-            for j in range(len(U)):
-                for jp in range(len(U)):
-                    np.add(dxu[j, :, None, None], dzu[jp], out=route)
-                    np.add(route, self.c_train * abs(j - jp), out=route)
-                    np.minimum(station, route, out=station)
+            self._route_minimum(dxu[:, :, None, None], fare, station, route)
             np.minimum(station, direct, out=station)
             tot += station
         return w.cand[:n], tot.reshape(n, V * H)

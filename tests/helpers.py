@@ -779,21 +779,47 @@ def assemble_lp_loop(store, gbar, k):
     return c, A_ub, np.asarray(rhs), A_eq, b_eq
 
 
-def business_eval_pair_tensor(model, i, X, Z):
-    """Business-location cost with the station route minimum taken over one
-    (n, S, S) tensor of station pairs."""
+def _business_walks(model, i, X, Z):
+    """(direct, dxu, dzu, fare) of a walking category, with (n, S) walking
+    costs to the stations and the (S, S) station-pair fares; None for the
+    restocking category, whose cost is ``direct``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     direct_w = model.c_restock if i == model.N - 1 else model.c_walk
     direct = direct_w * np.abs(X - Z).sum(1)
     if i == model.N - 1:
-        return direct
+        return direct, None
     U = model.stations
     dxu = model.c_walk * np.abs(X[:, None, :] - U[None]).sum(2)
     dzu = model.c_walk * np.abs(Z[:, None, :] - U[None]).sum(2)
     S = len(U)
     fare = model.c_train * np.abs(np.arange(S)[:, None] - np.arange(S)[None])
-    station = (dxu[:, :, None] + dzu[:, None, :] + fare[None]).min(axis=(1, 2))
+    return direct, (dxu, dzu, fare)
+
+
+def business_eval_pair_tensor(model, i, X, Z):
+    """Business-location cost with the station route minimum taken over one
+    (n, S, S) tensor of station pairs, grouped as ``eval`` groups it:
+    dxu[j] + (dzu[jp] + fare[j, jp])."""
+    direct, walks = _business_walks(model, i, X, Z)
+    if walks is None:
+        return direct
+    dxu, dzu, fare = walks
+    station = (dxu[:, :, None] + (dzu[:, None, :] + fare[None])).min(
+        axis=(1, 2))
+    return np.minimum(station, direct)
+
+
+def business_eval_walks_first(model, i, X, Z):
+    """The same cost grouped as (dxu[j] + dzu[jp]) + fare[j, jp]: both walks
+    first, then the fare.  A second reference that agrees with ``eval`` to
+    rounding."""
+    direct, walks = _business_walks(model, i, X, Z)
+    if walks is None:
+        return direct
+    dxu, dzu, fare = walks
+    station = (dxu[:, :, None] + dzu[:, None, :] + fare[None]).min(
+        axis=(1, 2))
     return np.minimum(station, direct)
 
 

@@ -6,6 +6,12 @@ per-axis walking costs.  It does the additions and minimums of ``eval`` on
 each row, so its candidates must equal the frozen reference
 ``helpers.business_z_opt_candidates`` in order and every entry must equal
 ``eval`` on its (sample, candidate) pair bit for bit.
+
+``eval`` and the table group the station route as dxu[j] + (dzu[jp] +
+fare), so the quality side (the fare table) is built once per chunk.  A
+property test holds them against the former grouping (dxu[j] + dzu[jp]) +
+fare, ``helpers.business_eval_walks_first``: the values agree to rounding,
+and the picks agree wherever the minimum is not tied within ``TIE_TOL``.
 """
 
 import sys
@@ -14,10 +20,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import business_z_opt_candidates
+from helpers import (business_eval_walks_first, business_z_opt_candidates,
+                     lex_argmin_loop)
 from teamsolve import equilibrium
-from teamsolve.equilibrium import z_opt
+from teamsolve.equilibrium import TIE_TOL, z_opt
 from teamsolve.geometry import SimplicialComplex, build_box_partition
 from teamsolve.problems import CostModelError, business_location_cost
 
@@ -73,6 +82,83 @@ def test_table_equals_eval_bitwise(name):
     for i in range(model.N):
         tot += model.eval(i, np.repeat(xs[i], k, axis=0), cand.reshape(-1, 2))
     assert np.array_equal(vals, tot.reshape(n, k))
+
+
+@pytest.mark.parametrize("name", sorted(_cases()))
+def test_buffers_reused_across_chunk_lengths(name):
+    # one buffer set through a full chunk, then a shorter one: no row of
+    # the fare table (or any other buffer) may carry over from the first
+    model, xs = _cases()[name]
+    work = model.z_opt_buffers(CITY)(256)
+    for rows in (slice(0, 256), slice(256, 293)):
+        part = [X[rows] for X in xs]
+        cand, vals = model.z_opt_values(part, CITY, work)
+        ref_cand, ref_vals = model.z_opt_values(part, CITY)
+        assert np.array_equal(cand, ref_cand)
+        assert np.array_equal(vals, ref_vals)
+
+
+# the city box on a quarter lattice: its corners, the other points of its
+# sides, and the inner points
+LATTICE = np.stack(np.meshgrid(np.arange(-8, 9), np.arange(-8, 9),
+                               indexing="ij"), -1).reshape(-1, 2) * 0.25
+ON_SIDE = (np.abs(LATTICE) == 2.0).sum(1)
+WHERE = {"corner": ON_SIDE == 2, "side": ON_SIDE == 1, "inside": ON_SIDE == 0}
+
+
+def _some_on(rng, P, U, share=0.3):
+    """P with about ``share`` of its rows moved onto random stations."""
+    P = P.copy()
+    on = rng.random(len(P)) < share
+    P[on] = U[rng.integers(len(U), size=on.sum())]
+    return P
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=st.integers(1, 7), first=st.sampled_from(sorted(WHERE)),
+       on_lattice=st.booleans(), N=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_grouping_agrees_with_walks_first(S, first, on_lattice, N, seed):
+    rng = np.random.default_rng(seed)
+    # distinct stations; the first on a corner, a side or inside the box
+    pick = rng.choice(np.flatnonzero(WHERE[first]))
+    rest = np.delete(LATTICE, pick, axis=0)
+    if on_lattice:
+        rest = rest[rng.choice(len(rest), S - 1, replace=False)]
+    else:
+        rest = rng.uniform(-2, 2, size=(S - 1, 2))
+    U = np.vstack([LATTICE[pick], rest])
+    model = business_location_cost(
+        U, c_walk=rng.uniform(0.05, 0.3), c_train=rng.uniform(0.0, 0.1),
+        c_restock=rng.uniform(0.1, 0.6), n_categories=N)
+    xs = [_some_on(rng, rng.uniform(-2, 2, size=(60, 2)), U)
+          for _ in range(N)]
+    # every category's eval against the former grouping, with type and
+    # quality points on stations and quality points at the types
+    Z = _some_on(rng, rng.uniform(-2, 2, size=(60, 2)), U)
+    for i in range(N):
+        for Zi in (Z, xs[i][::-1], xs[i]):
+            got = model.eval(i, xs[i], Zi)
+            ref = business_eval_walks_first(model, i, xs[i], Zi)
+            assert (np.abs(got - ref)
+                    <= 4 * np.spacing(np.maximum(got, ref))).all()
+    # the picks of the former grouping on the same candidates
+    cand, valid = business_z_opt_candidates(model, xs, CITY)
+    n, k = valid.shape
+    old = sum(business_eval_walks_first(model, i, np.repeat(xs[i], k, axis=0),
+                                        cand.reshape(-1, 2))
+              for i in range(N)).reshape(n, k)
+    ref = cand[np.arange(n), lex_argmin_loop(cand, old, valid)]
+    got = z_opt(model, xs, CITY)
+    low = old.min(axis=1)
+    other = (cand != ref[:, None]).any(axis=2)
+    tied = (other & (old <= low[:, None] + 2 * TIE_TOL)).any(axis=1)
+    assert np.array_equal(got[~tied], ref[~tied])
+    # where tied, the pick costs at most TIE_TOL (plus rounding) over the
+    # least cost
+    at_pick = sum(business_eval_walks_first(model, i, xs[i][tied], got[tied])
+                  for i in range(N))
+    assert (at_pick <= low[tied] + TIE_TOL + 1e-14).all()
 
 
 def test_one_sample_picks_as_in_a_batch():

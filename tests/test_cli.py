@@ -241,3 +241,18 @@ def test_negative_seed_is_rejected(tmp_path, capsys):
     assert e.value.code == 2
     assert "--seed must be at least 0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_invalid_business_cost_is_rejected(tmp_path, capsys):
+    # the cost model's own checks reach the CLI as a config error
+    space = {"type": "box", "box": [[-2, 2], [-2, 2]], "counts": [2, 2]}
+    cat = {"space": space, "measure": {"type": "discrete",
+                                       "atoms": [[0.0, 0.0]],
+                                       "weights": [1.0]}}
+    cfg = {"problem": {"family": "business_location",
+                       "stations": [[0.0, 0.0], [1.0, 1.0]]},
+           "categories": [cat, cat], "quality": {"space": space},
+           "eps_lsip": 1e-6}
+    assert ProblemSetup(cfg).model.N == 2
+    cfg["problem"]["c_walk"] = -0.15
+    _rejected(tmp_path, capsys, cfg, "problem")

@@ -116,6 +116,26 @@ def test_station_validation():
         business_location_cost([[0.0, 0.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    # a negative walking rate gave L1 = -0.212 and a too small eps_theo
+    ({"c_walk": -0.15}, "c_walk"),
+    ({"c_train": -1.0}, "c_train"),
+    ({"c_restock": float("nan")}, "c_restock"),
+    ({"c_walk": float("inf")}, "c_walk"),
+    # zero categories raised a bare IndexError
+    ({"n_categories": 0}, "n_categories"),
+    ({"n_categories": 2.5}, "n_categories")])
+def test_business_cost_coefficients_are_validated(kwargs, match):
+    with pytest.raises(CostModelError, match=match):
+        business_location_cost(STATIONS, **kwargs)
+
+
+def test_business_cost_accepts_zero_coefficients():
+    m = business_location_cost(STATIONS, c_walk=0.0, c_train=0.0,
+                                c_restock=0.0, n_categories=np.int64(1))
+    assert m.N == 1 and np.array_equal(m.L1, [0.0])
+
+
 def _grid_case(family, space, rng):
     """(model, X, Z) for one cost family with type and quality points drawn
     from a FiniteSpace or from inside a box partition."""
