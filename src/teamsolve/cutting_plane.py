@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import linprog
 from .geometry import first_seen, point_keys
@@ -199,10 +198,11 @@ def _relaxation(gbar, k):
     offsets = np.concatenate([[0], np.cumsum([1 + mi + k for mi in m])])
     c = np.concatenate([np.concatenate([[1.0], gbar[i], np.zeros(k)])
                         for i in range(N)])
-    A_eq = sparse.hstack(
-        [blk for i in range(N)
-         for blk in (sparse.csr_matrix((k, 1 + m[i])), sparse.identity(k))],
-        format="csr") if k else None
+    # equality row l holds a 1 in quality column l of every block
+    A_eq = linprog.Csr(
+        np.arange(0, k * N + 1, N, dtype=np.int32),
+        (offsets[1:, None] - k + np.arange(k)).T.ravel().astype(np.int32),
+        np.ones(k * N), (k, offsets[-1])) if k else None
     return (linprog.LpProblem(c, A_eq=A_eq, b_eq=np.zeros(k) if k else None),
             offsets)
 
@@ -215,12 +215,9 @@ def _add_new_cuts(problem, store, offsets, rows):
         new = slice(len(rows[i]), len(store.c[i]))
         if new.start == new.stop:
             continue
-        block = sparse.csr_matrix(np.hstack([
+        block = linprog.csr_from_dense(np.hstack([
             np.ones((new.stop - new.start, 1)), store.G[i][new],
-            store.H[i][new]]))
-        block = sparse.csr_matrix(
-            (block.data, block.indices + offsets[i], block.indptr),
-            shape=(block.shape[0], problem.n))
+            store.H[i][new]]), offsets[i], problem.n)
         rows[i] = np.concatenate([rows[i],
                                   problem.add_rows(block, store.c[i][new])])
 

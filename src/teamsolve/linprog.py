@@ -25,19 +25,40 @@ the options scipy's ``linprog(method="highs-ds")`` passes:
   one fresh model per call and returns what scipy's ``linprog`` returns for
   the same LP, bit for bit.
 
+Both take their constraint matrices as ``Csr`` tuples, dense arrays or
+any object with a CSR form (scipy's sparse matrices); the package builds its
+own ``Csr`` tuples with numpy, entry for entry as scipy would.
+
 The binding is private to scipy.  ``pyproject.toml`` asks for scipy 1.17,
 the tested version whose ``_Highs`` has ``addRows``, ``deleteRows``,
 ``passModel`` and ``getSolution().row_dual``; a scipy without the binding
 raises ``LpBackendError`` at import.
+
+The binding is loaded alone, from its file in scipy's ``optimize/_highspy``
+folder, under its canonical name ``scipy.optimize._highspy._core``.  An
+ordinary import would first run ``scipy.optimize``'s package ``__init__``,
+which loads linprog's other methods, shgo, special, fft, spatial and more,
+and would more than double the time of ``import teamsolve``; the package
+imports neither ``scipy.optimize`` nor ``scipy.sparse``.  The loaded module
+is not entered in ``sys.modules``: a later ``import scipy.optimize`` then
+still imports the binding as a submodule of its package, and CPython's
+extension cache hands it this very module object.  (Had it been entered,
+that import would find it there and leave ``scipy.optimize._highspy``
+without its ``_core`` attribute.)  If scipy's own import came first, its
+module is reused.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import pathlib
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy import sparse
 
 
 class LpError(RuntimeError):
@@ -57,14 +78,31 @@ class LpBackendError(LpError):
 
 
 def _backend():
-    """scipy's HiGHS binding module; ``LpBackendError`` names the installed
-    scipy when it is missing."""
-    try:
-        import scipy.optimize._highspy._core as core
-    except ImportError as e:
+    """scipy's HiGHS binding module, loaded without ``scipy.optimize``
+    (module docstring); ``LpBackendError`` names the installed scipy when
+    it is missing."""
+    name = "scipy.optimize._highspy._core"
+    folder = pathlib.Path(scipy.__file__).parent / "optimize" / "_highspy"
+    if name in sys.modules:
+        core, error = sys.modules[name], "its import is blocked"
+    else:
+        core, error = None, "no extension file _core.* in %s" % folder
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = folder / ("_core" + suffix)
+            if path.is_file():
+                loader = importlib.machinery.ExtensionFileLoader(
+                    name, str(path))
+                try:
+                    core = importlib.util.module_from_spec(
+                        importlib.util.spec_from_loader(name, loader))
+                    loader.exec_module(core)
+                except ImportError as e:
+                    core, error = None, e
+                break
+    if core is None:
         raise LpBackendError(
-            "scipy %s has no HiGHS binding scipy.optimize._highspy._core "
-            "(teamsolve needs scipy>=1.17): %s" % (scipy.__version__, e)) from e
+            "scipy %s has no HiGHS binding %s (teamsolve needs scipy>=1.17): "
+            "%s" % (scipy.__version__, name, error))
     return core
 
 
@@ -90,16 +128,65 @@ def _new_highs():
     return highs
 
 
-def _pass_model(highs, c, A, row_lower, row_upper, col_lower, col_upper,
+class Csr(NamedTuple):
+    """A matrix in compressed sparse rows, as scipy stores one: row r holds
+    the entries ``data[indptr[r]:indptr[r + 1]]`` in the columns
+    ``indices[indptr[r]:indptr[r + 1]]``."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+
+def csr_from_dense(D, col_offset=0, n_cols=None):
+    """The nonzero entries of the dense matrix ``D`` in row-major order, as
+    scipy's ``csr_matrix(D)`` keeps them, moved ``col_offset`` columns to
+    the right in a matrix of ``n_cols`` columns (default: ``D``'s)."""
+    D = np.atleast_2d(np.asarray(D, dtype=float))
+    r, c = np.nonzero(D)
+    indptr = np.zeros(D.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(r, minlength=D.shape[0]), out=indptr[1:])
+    return Csr(indptr, (c + col_offset).astype(np.int32), D[r, c],
+               (D.shape[0], D.shape[1] if n_cols is None else n_cols))
+
+
+def _as_csr(A, n_rows, n, name):
+    """``A`` as a ``Csr`` of shape ``(n_rows, n)``: dense arrays keep their
+    nonzeros, anything else is read through its CSR form."""
+    if hasattr(A, "tocsr"):
+        A = A.tocsr()
+    A = (Csr(A.indptr, A.indices, np.asarray(A.data, dtype=float), A.shape)
+         if hasattr(A, "indptr") else csr_from_dense(A))
+    if tuple(A.shape) != (n_rows, n):
+        raise LpError("A_%s shape %s inconsistent with n=%d, rows=%d"
+                      % (name, tuple(A.shape), n, n_rows))
+    return A
+
+
+def _stacked_csc(blocks, n):
+    """The rows of the ``Csr`` blocks one under the other, column-wise as
+    ``(start, index, value)``: each column's entries in row order, the
+    arrays scipy's ``tocsc`` makes."""
+    blocks = blocks or [csr_from_dense(np.zeros((0, n)))]
+    counts = np.concatenate([np.diff(b.indptr) for b in blocks])
+    rows = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    cols = np.concatenate([b.indices for b in blocks])
+    order = np.argsort(cols, kind="stable")
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+    return start, rows[order], np.concatenate([b.data for b in blocks])[order]
+
+
+def _pass_model(highs, c, cols, row_lower, row_upper, col_lower, col_upper,
                 sense):
-    """Pass the LP with the column-wise matrix ``A`` to ``highs``."""
+    """Pass the LP whose matrix is ``cols = (start, index, value)`` in
+    column-wise form to ``highs``."""
+    n_col, n_row = len(c), len(row_lower)
     lp = _core.HighsLp()
-    lp.num_col_, lp.num_row_ = A.shape[1], A.shape[0]
-    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = A.shape[1], A.shape[0]
+    lp.num_col_, lp.num_row_ = n_col, n_row
+    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n_col, n_row
     lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = cols
     lp.col_cost_ = c
     lp.col_lower_, lp.col_upper_ = col_lower, col_upper
     lp.row_lower_, lp.row_upper_ = row_lower, row_upper
@@ -146,7 +233,7 @@ class LpProblem:
             raise LpError("non-finite objective coefficients")
         self.highs = _new_highs()
         free = np.full(n, np.inf)
-        _pass_model(self.highs, c, sparse.csc_array((0, n)), np.zeros(0),
+        _pass_model(self.highs, c, _stacked_csc([], n), np.zeros(0),
                     np.zeros(0), -free, free, _core.ObjSense.kMaximize)
         self.n = n
         self.n_eq = self.n_ineq = 0
@@ -183,12 +270,9 @@ class LpProblem:
         if b is None:
             raise LpError("missing b_%s" % name)
         b = np.asarray(b, dtype=float)
-        A = sparse.csr_array(A)
-        if A.shape != (b.shape[0], self.n):
-            raise LpError("A_%s shape %s inconsistent with n=%d, rows=%d"
-                          % (name, A.shape, self.n, b.shape[0]))
+        A = _as_csr(A, b.shape[0], self.n, name)
         lower = b if name == "eq" else np.full(len(b), -np.inf)
-        if self.highs.addRows(len(b), lower, b, A.nnz, A.indptr[:-1],
+        if self.highs.addRows(len(b), lower, b, len(A.data), A.indptr[:-1],
                               A.indices, A.data) == _core.HighsStatus.kError:
             raise LpError("HiGHS rejected the %d added rows" % len(b))
 
@@ -227,12 +311,12 @@ def solve_min(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
     n = c.shape[0]
     lo, hi = (-np.inf if bounds[0] is None else bounds[0],
               np.inf if bounds[1] is None else bounds[1])
-    blocks = [sparse.csr_array(A) for A in (A_ub, A_eq) if A is not None]
-    A = sparse.csc_array(sparse.vstack(blocks) if blocks else (0, n))
     b_ub = np.zeros(0) if A_ub is None else np.asarray(b_ub, dtype=float)
     b_eq = np.zeros(0) if A_eq is None else np.asarray(b_eq, dtype=float)
+    blocks = [_as_csr(A, len(b), n, name) for A, b, name in
+              ((A_ub, b_ub, "ub"), (A_eq, b_eq, "eq")) if A is not None]
     highs = _new_highs()
-    _pass_model(highs, c, A,
+    _pass_model(highs, c, _stacked_csc(blocks, n),
                 np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
                 np.concatenate([b_ub, b_eq]), np.full(n, float(lo)),
                 np.full(n, float(hi)), _core.ObjSense.kMinimize)

@@ -20,9 +20,8 @@ numpy Generators.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
-from .linprog import solve_min
+from .linprog import Csr, solve_min
 from .measures import CpwaDensityMeasure, DiscreteMeasure
 
 # cells per axis of the nested grid that semi-discrete plans couple onto
@@ -47,9 +46,17 @@ class DiscreteCoupling:
         self.source = source
         self.target = target
         self.plan = plan                      # (n1, n2), row sums = source w
+        # source row r's positive conditional masses are the flat entries
+        # start[r]..last[r]: their target atoms and cumulative sums; adding
+        # the zeros in between leaves each sum exactly as it is
         cond = plan / plan.sum(axis=1)[:, None]
-        self._rows = [(np.flatnonzero(c > 0), np.cumsum(c[c > 0]))
-                      for c in cond]
+        pos = cond > 0
+        self._cols = np.nonzero(pos)[1]
+        self._cum = np.cumsum(np.where(pos, cond, 0.0), axis=1)[pos]
+        counts = pos.sum(axis=1)
+        self._last = np.cumsum(counts) - 1
+        self._start = self._last - counts + 1
+        self._steps = int(counts.max() - 1).bit_length()
 
     def marginal_residual(self):
         """Largest absolute error of the plan's row and column sums."""
@@ -59,15 +66,17 @@ class DiscreteCoupling:
 
     def columns(self, rng, src_idx):
         """Target atom indices conditionally on source atom indices, one
-        uniform per draw."""
+        uniform per draw: the first entry of the source row whose cumulative
+        mass reaches the uniform, or the row's last entry if none does."""
         u = rng.uniform(size=len(src_idx))
-        out = np.empty(len(src_idx), dtype=int)
-        for r in np.unique(src_idx):
-            at = src_idx == r
-            cols, cum = self._rows[r]
-            out[at] = cols[np.minimum(np.searchsorted(cum, u[at]),
-                                      len(cum) - 1)]
-        return out
+        lo, hi = self._start[src_idx], self._last[src_idx]
+        # binary search within [lo, hi]; a settled draw (lo == hi) stays
+        for _ in range(self._steps):
+            mid = (lo + hi) >> 1
+            below = self._cum[mid] < u
+            lo = np.where(below, np.minimum(mid + 1, hi), lo)
+            hi = np.where(below, hi, mid)
+        return self._cols[lo]
 
     def sample_given_source(self, rng, src_idx):
         """Target points conditionally on source atom indices."""
@@ -87,11 +96,14 @@ def ot_discrete(nu1, nu2):
     elif n2 == 1:
         plan = nu1.weights[:, None].copy()
     else:
-        # row sums, then the column sums but the last, which is redundant
-        A_eq = sparse.vstack([
-            sparse.kron(sparse.eye(n1), np.ones((1, n2)), format="csr"),
-            sparse.kron(np.ones((1, n1)), sparse.eye(n2), format="csr")[:-1]],
-            format="csr")
+        # row sums, then the column sums but the last, which is
+        # redundant; plan entry (a, b) is LP column a * n2 + b
+        cols = np.arange(n1 * n2, dtype=np.int32).reshape(n1, n2)
+        A_eq = Csr(
+            np.concatenate([np.arange(0, n1 * n2, n2, dtype=np.int32),
+                            n1 * n2 + n1 * np.arange(n2, dtype=np.int32)]),
+            np.concatenate([cols.ravel(), cols[:, :-1].T.ravel()]),
+            np.ones(n1 * n2 + n1 * (n2 - 1)), (n1 + n2 - 1, n1 * n2))
         b_eq = np.concatenate([nu1.weights, nu2.weights[:-1]])
         res = solve_min(D.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None))
         plan = np.clip(res.x.reshape(n1, n2), 0.0, None)

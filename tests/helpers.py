@@ -1090,3 +1090,18 @@ def sample_pairs(coupling, rng, n):
     src = rng.choice(coupling.source.n_atoms, size=n,
                      p=coupling.source.weights)
     return coupling.source.atoms[src], coupling.sample_given_source(rng, src)
+
+
+def columns_loop(plan, rng, src_idx):
+    """``DiscreteCoupling.columns`` as a loop over the distinct source rows:
+    each row's positive conditional masses, their cumulative sums, and one
+    ``searchsorted`` per row, clamped to the row's last entry."""
+    cond = plan / plan.sum(axis=1)[:, None]
+    rows = [(np.flatnonzero(c > 0), np.cumsum(c[c > 0])) for c in cond]
+    u = rng.uniform(size=len(src_idx))
+    out = np.empty(len(src_idx), dtype=int)
+    for r in np.unique(src_idx):
+        at = src_idx == r
+        cols, cum = rows[r]
+        out[at] = cols[np.minimum(np.searchsorted(cum, u[at]), len(cum) - 1)]
+    return out

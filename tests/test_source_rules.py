@@ -18,6 +18,11 @@ The HiGHS binding lives in ``linprog.py``: no other module reads a model's
 ``_highspy``, so the cutting plane adds and deletes rows only through
 ``LpProblem.add_rows`` and ``LpProblem.delete_rows``.
 
+No module imports ``scipy.sparse`` or ``scipy.optimize``, not even inside
+a function: ``linprog.py`` loads the HiGHS binding alone and the package
+builds its LP matrices with numpy, so ``import teamsolve`` pays for
+neither package, and no solve pays for it later.
+
 Threads live in ``equilibrium.py``, where ``z_opt`` spreads its chunks:
 no other module imports ``threading`` or ``concurrent.futures``.  No
 module reads the environment except ``cli.py``, for ``TEAMSOLVE_LOG``:
@@ -218,6 +223,60 @@ def test_highs_rule_catches_the_patterns(tmp_path):
                  "problem.delete_rows(idx)\n"
                  "self.n_ineq = 3\n")
     assert len(_highs_uses(p)) == 5
+
+
+HEAVY_SCIPY = ("scipy.sparse", "scipy.optimize")
+
+
+def _heavy(name):
+    return any(name == h or name.startswith(h + ".") for h in HEAVY_SCIPY)
+
+
+def _heavy_scipy_imports(path):
+    """Imports of ``scipy.sparse`` or ``scipy.optimize`` (or their
+    submodules) anywhere in the module, also through ``import_module``."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+        if isinstance(node, ast.Import):
+            out += [where + " imports " + a.name for a in node.names
+                    if _heavy(a.name)]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""] + ["%s.%s" % (node.module, a.name)
+                                           for a in node.names]
+            if any(_heavy(n) for n in names):
+                out.append(where + " imports from " + node.module)
+        elif isinstance(node, ast.Call) and node.args \
+                and isinstance(node.args[0], ast.Constant) \
+                and isinstance(node.args[0].value, str) \
+                and _heavy(node.args[0].value) \
+                and ast.unparse(node.func).split(".")[-1] in (
+                    "import_module", "__import__"):
+            out.append(where + " imports " + node.args[0].value)
+    return out
+
+
+def test_no_module_imports_scipy_sparse_or_optimize():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9
+    found = [v for p in modules for v in _heavy_scipy_imports(p)]
+    assert not found, found
+
+
+def test_scipy_import_rule_catches_the_patterns(tmp_path):
+    p = tmp_path / "transport.py"
+    p.write_text("from scipy import sparse\n"
+                 "import scipy.optimize as so\n"
+                 "from scipy.sparse import csr_matrix\n"
+                 "def f():\n"
+                 "    from scipy import optimize\n"
+                 "    import scipy.sparse.linalg\n"
+                 "    return importlib.import_module('scipy.optimize')\n"
+                 "import scipy\n"
+                 "from scipy import special\n"
+                 "from .linprog import Csr\n"
+                 "name = 'scipy.optimize._highspy._core'\n")
+    assert len(_heavy_scipy_imports(p)) == 6
 
 
 THREAD_MODULES = {"threading", "_thread", "concurrent"}
