@@ -102,7 +102,7 @@ class CuttingPlaneResult:
     duals: DualDiscreteMeasures
     iterations: list
     n_lp_rows: int
-    eps_lsip: float = 0.0
+    eps_lsip: float
 
     @property
     def gap(self):
@@ -141,9 +141,9 @@ def sparsity_bound(m, k):
 
 
 class _CutStore:
-    """Per-category cut rows as arrays: points ``X``, ``Z``, test-function
-    values ``G = g(X)``, ``H = h(Z)`` and costs ``c``, deduplicated by point
-    key."""
+    """Per-category cuts as arrays: points ``X``, ``Z`` and costs ``c``,
+    deduplicated by point key.  ``_add_new_cuts`` evaluates the bases at a
+    cut's points once, when the cut enters the LP."""
 
     def __init__(self, model, x_bases, z_basis):
         self.model = model
@@ -153,8 +153,6 @@ class _CutStore:
         self.keys = [set() for _ in range(N)]
         self.X = [np.empty((0, b.complex.dim)) for b in x_bases]
         self.Z = [np.empty((0, z_basis.complex.dim)) for _ in range(N)]
-        self.G = [np.empty((0, b.m)) for b in x_bases]
-        self.H = [np.empty((0, z_basis.m)) for _ in range(N)]
         self.c = [np.empty(0) for _ in range(N)]
 
     def add(self, i, X, Z):
@@ -172,8 +170,6 @@ class _CutStore:
         X, Z = X[new], Z[new]
         self.X[i] = np.vstack([self.X[i], X])
         self.Z[i] = np.vstack([self.Z[i], Z])
-        self.G[i] = np.vstack([self.G[i], self.x_bases[i].eval_many(X)])
-        self.H[i] = np.vstack([self.H[i], self.z_basis.eval_many(Z)])
         self.c[i] = np.concatenate([self.c[i], self.model.eval(i, X, Z)])
         return len(new)
 
@@ -184,7 +180,7 @@ class _CutStore:
             return
         self.keys[i].difference_update(
             point_keys(np.hstack([self.X[i][idx], self.Z[i][idx]])))
-        for part in (self.X, self.Z, self.G, self.H, self.c):
+        for part in (self.X, self.Z, self.c):
             part[i] = np.delete(part[i], idx, axis=0)
 
 
@@ -209,15 +205,17 @@ def _relaxation(gbar, k):
 
 def _add_new_cuts(problem, store, offsets, rows):
     """Append the store's cuts that are not in the model yet: category i's
-    rows ``[1 | G_i | H_i] <= c_i`` shifted to its column block.  ``rows[i]``
-    gains their inequality row indices, so it stays in store order."""
+    rows ``[1 | g_i(X) | h(Z)] <= c_i`` shifted to its column block, the
+    bases evaluated on the new points only.  ``rows[i]`` gains their
+    inequality row indices, so it stays in store order."""
     for i in range(len(rows)):
         new = slice(len(rows[i]), len(store.c[i]))
         if new.start == new.stop:
             continue
         block = linprog.csr_from_dense(np.hstack([
-            np.ones((new.stop - new.start, 1)), store.G[i][new],
-            store.H[i][new]]), offsets[i], problem.n)
+            np.ones((new.stop - new.start, 1)),
+            store.x_bases[i].eval_many(store.X[i][new]),
+            store.z_basis.eval_many(store.Z[i][new])]), offsets[i], problem.n)
         rows[i] = np.concatenate([rows[i],
                                   problem.add_rows(block, store.c[i][new])])
 

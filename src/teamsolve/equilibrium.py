@@ -153,8 +153,7 @@ def transfer_table(model, solution, x_spaces, x_bases, Z):
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     T = np.zeros((model.N, len(Z)))
     for i in range(model.N - 1):
-        T[i] = type_minima(model, i, x_spaces[i], x_bases[i], solution.y[i],
-                           Z) - solution.y0[i]
+        T[i] = transfer_eval(model, i, Z, solution, x_spaces, x_bases)
         T[-1] += T[i]
     T[-1] = -T[-1]
     return T
@@ -368,7 +367,7 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
                                    / np.sqrt(mc_repetitions))
 
     alpha_lb = cp_result.alpha_lb
-    theo = eps_theo(cp_result.eps_lsip or cp_result.gap, model.L1, model.L2,
+    theo = eps_theo(cp_result.eps_lsip, model.L1, model.L2,
                     [epsilon_bar(sp) for sp in x_spaces],
                     epsilon_bar(z_space), i_hat)
 

@@ -5,10 +5,9 @@ oracle returns a minimizer of
 
     min over (x, z) of  c_i(x, z) - <g_i(x), y> - <h(z), w>
 
-together with its objective value, the test-function vectors at the
-minimizer, a certified lower bound on the true minimum, and a pool of
-further low-value pairs to add as cuts.  The oracle is exact: the certified
-bound equals the returned value.
+together with its objective value, a certified lower bound on the true
+minimum, and a pool of further low-value pairs to add as cuts.  The oracle
+is exact: the certified bound equals the returned value.
 
 ``_exact_oracle`` picks one of three candidate generators, each returning
 flat ``(vals, X, Z)`` arrays: every type-vertex x quality-vertex pair where
@@ -52,8 +51,6 @@ class OracleResult:
     x: np.ndarray
     z: np.ndarray
     beta_tilde: float
-    g_at_x: np.ndarray
-    h_at_z: np.ndarray
     beta_lower: float
     pool: list = field(default_factory=list)   # (x, z) pairs incl. the optimum
 
@@ -79,7 +76,7 @@ def _finalize(model, i, x_basis, z_basis, y, w, x, z, pool, beta_lower):
     g = x_basis.eval(x)
     h = z_basis.eval(z)
     beta = float(model.eval(i, x[None, :], z[None, :])[0] - g @ y - h @ w)
-    return OracleResult(x=x, z=z, beta_tilde=beta, g_at_x=g, h_at_z=h,
+    return OracleResult(x=x, z=z, beta_tilde=beta,
                         beta_lower=min(beta_lower, beta), pool=pool)
 
 

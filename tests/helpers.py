@@ -742,8 +742,8 @@ class CutStoreLoop:
 
 def assemble_lp_loop(store, gbar, k):
     """The relaxed cutting-plane LP built one nonzero at a time from the
-    rows of a cut store, grouped by category: ``(c, A_ub, b_ub, A_eq,
-    b_eq)``."""
+    cuts of a cut store, grouped by category, with the bases evaluated one
+    point at a time: ``(c, A_ub, b_ub, A_eq, b_eq)``."""
     N = store.model.N
     m = [len(g) for g in gbar]
     width = [1 + m[i] + k for i in range(N)]
@@ -759,10 +759,10 @@ def assemble_lp_loop(store, gbar, k):
         base = offsets[i]
         for q in range(len(store.c[i])):
             rows.append(r); cols.append(base); data.append(1.0)
-            gq = store.G[i][q]
+            gq = store.x_bases[i].eval(store.X[i][q])
             for j in np.flatnonzero(gq):
                 rows.append(r); cols.append(base + 1 + j); data.append(gq[j])
-            hq = store.H[i][q]
+            hq = store.z_basis.eval(store.Z[i][q])
             for l in np.flatnonzero(hq):
                 rows.append(r); cols.append(base + 1 + m[i] + l)
                 data.append(hq[l])

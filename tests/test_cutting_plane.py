@@ -119,9 +119,10 @@ def _assert_theta_invariants(store, thetas, gbar, tol=1e-9):
     h = []
     for i, t in enumerate(thetas):
         q = len(t)
+        G = store.x_bases[i].eval_many(store.X[i][:q])
         assert abs(t.sum() - 1.0) <= tol, i
-        assert np.abs(t @ store.G[i][:q] - gbar[i]).max() <= tol, i
-        h.append(t @ store.H[i][:q])
+        assert np.abs(t @ G - gbar[i]).max() <= tol, i
+        h.append(t @ store.z_basis.eval_many(store.Z[i][:q]))
     for i in range(1, len(h)):
         assert np.abs(h[i] - h[0]).max() <= tol, i
 
@@ -312,6 +313,20 @@ def _add_oracle_cuts(inst, store, offsets, sol):
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_store_keeps_points_not_basis_rows(name):
+    # one row per cut in every array the store holds, and no column per
+    # type or quality test function
+    inst, _, store, *_ = _first_relaxation(name)
+    held = [(i, a) for part in vars(store).values() if isinstance(part, list)
+            for i, a in enumerate(part) if isinstance(a, np.ndarray)]
+    for i, a in held:
+        assert a.shape[0] == len(store.c[i]) > 0
+        widths = {inst.x_bases[i].m, inst.z_basis.m}
+        assert not widths & set(a.shape[1:]), (i, a.shape)
+    assert len(held) == 3 * inst.N
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_block_lp_matches_per_nonzero_assembly(name):
     # instance 0's vertex-product cuts, then one round of oracle cuts
     inst, gbar, store, problem, offsets, rows = _first_relaxation(name)
@@ -460,7 +475,7 @@ def test_store_delete_forgets_keys():
     P = X.vertices
     assert store.add(0, P, P[::-1]) == 3
     before = {part: getattr(store, part)[0].copy()
-              for part in ("X", "Z", "G", "H", "c")}
+              for part in ("X", "Z", "c")}
     store.delete(0, np.array([0, 2]))
     for part, arr in before.items():
         assert np.array_equal(getattr(store, part)[0], arr[[1]]), part
@@ -496,9 +511,14 @@ def test_batched_add_matches_single_adds():
             assert added == sum(single.add(i, x, z)
                                 for x, z in zip(X[lo:hi], Z[lo:hi]))
         assert len(batched.c[i]) == len(single.c[i]) < 40
-        for part in ("X", "Z", "G", "H", "c"):
+        for part in ("X", "Z", "c"):
             assert np.array_equal(getattr(batched, part)[i],
                                   np.asarray(getattr(single, part)[i])), part
+        # the batched bases on the stored points equal the per-point ones
+        assert np.array_equal(xb[i].eval_many(batched.X[i]),
+                              np.asarray(single.G[i]))
+        assert np.array_equal(zb.eval_many(batched.Z[i]),
+                              np.asarray(single.H[i]))
 
 
 def test_non_finite_tolerance_is_rejected():

@@ -49,9 +49,19 @@ class _Recorder:
         return np.arange(self.n_ineq - len(b), self.n_ineq)
 
 
+class _Rows:
+    """A stand-in basis whose values at the given rows are the rows."""
+
+    def eval_many(self, P):
+        return P
+
+
 class _Store:
+    """A cut store whose points are the basis values to assemble."""
+
     def __init__(self, G, H):
-        self.G, self.H = G, H
+        self.X, self.Z = G, H
+        self.x_bases, self.z_basis = [_Rows() for _ in G], _Rows()
         self.c = [np.zeros(len(g)) for g in G]
 
 

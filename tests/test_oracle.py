@@ -101,7 +101,7 @@ def test_oracle_result_consistency():
     w = rng.normal(size=3)
     r = _oracle(m, cx, bx, cx, bx)(0, y, w)
     recomputed = (m.eval(0, r.x[None], r.z[None])[0]
-                  - r.g_at_x @ y - r.h_at_z @ w)
+                  - bx.eval(r.x) @ y - bx.eval(r.z) @ w)
     assert abs(recomputed - r.beta_tilde) < 1e-10
 
 
