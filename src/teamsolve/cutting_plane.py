@@ -30,8 +30,10 @@ from .geometry import first_seen, point_keys
 log = logging.getLogger("teamsolve.cutting_plane")
 
 WEIGHT_PRUNE = 1e-12
-# inequality rows per LP column kept between rounds; 2 made capped-affine
-# take more rounds, 8 solved barycenter-discrete slower than 4
+# inequality rows per LP column kept between rounds; on the dual-form LP
+# (linprog.py), 2 made six capped-affine instances take 46 rounds instead
+# of 33 and 49% longer, 8 solved barycenter-discrete 25% slower than 4
+# (CHANGES.md)
 ROW_BUDGET = 4
 
 
@@ -87,7 +89,8 @@ class IterationRecord:
     cuts_added: int
     cuts_per_category: list     # cuts_added split by category
     lp_rows: int                # inequality rows of the LP solved this round
-    simplex_iterations: int     # warm-started from the previous round
+    simplex_iterations: int     # dual simplex in round 0, then primal
+                                # simplex from the previous round's basis
     add_time: float             # appending this round's new rows
     lp_time: float              # HiGHS
     oracle_time: float

@@ -85,9 +85,10 @@ def z_opt(model, x_list, z_space, chunk=CHUNK):
     the shipped cost families; ties are broken by the lexicographically
     smallest minimizer among the candidate points.
 
-    The chunks run on one thread per CPU of the process's affinity mask
-    (at most one per chunk; a single chunk runs inline).  Each thread
-    fills its own buffers, made once (``z_opt_buffers``) and reused for
+    A family with per-thread buffers (``z_opt_buffers``) runs the chunks
+    on one thread per CPU of the process's affinity mask (at most one per
+    chunk); the others, whose chunks are mostly Python overhead, run them
+    inline.  Each thread fills its own buffers, made once and reused for
     every chunk it takes, and writes its chunks' rows of the output, so
     the picks do not depend on the number of threads.
     """
@@ -113,7 +114,8 @@ def z_opt(model, x_list, z_space, chunk=CHUNK):
                                   _lex_argmin(cand, vals)]
 
     starts = range(0, n, chunk)
-    workers = min(len(os.sched_getaffinity(0)), len(starts))
+    workers = 1 if buffers is None else min(len(os.sched_getaffinity(0)),
+                                            len(starts))
     if workers <= 1:
         for s0 in starts:
             select(s0)
@@ -299,10 +301,12 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
                                       DiscreteMeasure(xs, P.sum(0)), P))
     nu_measures = [d.source for d in duals]
 
+    pairs = {}      # (i, j) -> the W1 coupling nu_i -> nu_j, for i < j
     if auto:
         W = np.zeros((N, N))
         for i, j in zip(*np.triu_indices(N, 1)):
-            W[i, j] = W[j, i] = ot_discrete(nu_measures[i], nu_measures[j])[1]
+            pairs[i, j], W[i, j] = ot_discrete(nu_measures[i], nu_measures[j])
+            W[j, i] = W[i, j]
         i_hat = np.argmin(W.sum(axis=1))
     i_hat = int(i_hat)
     if not 0 <= i_hat < N:
@@ -335,7 +339,16 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
         else:
             raise UnsupportedMeasureClassError(
                 "measure %d of type %r" % (i, type(mu)))
-        links.append((ot_discrete(nu_hat, dual.source)[0], dual, coup))
+        # an unreduced nu_hat is nu_measures[i_hat]: its coupling with
+        # itself is the diagonal plan, the unique W1 optimum, and the pair
+        # loop solved its couplings with the later categories
+        if not reduced and i == i_hat:
+            to_nu = DiscreteCoupling(nu_hat, nu_hat, np.diag(nu_hat.weights))
+        elif not reduced and (i_hat, i) in pairs:
+            to_nu = pairs[i_hat, i]
+        else:
+            to_nu = ot_discrete(nu_hat, dual.source)[0]
+        links.append((to_nu, dual, coup))
         records.append(dict(zip(("kind", "refinement", "marginal_residual"),
                                 rec)))
     all_discrete = all(r["kind"] == "discrete" for r in records)

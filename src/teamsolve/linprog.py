@@ -1,6 +1,6 @@
 """Finite LP model and the one HiGHS binding behind every LP of the package.
 
-Every LP is solved by HiGHS's dual simplex through scipy's binding
+Every LP is solved by HiGHS's simplex through scipy's binding
 ``scipy.optimize._highspy._core._Highs`` and comes back as an
 ``LpSolution``.  Simplex (rather than interior point) matters here: the
 cutting-plane loop needs *basic* dual solutions so that the recovered
@@ -8,18 +8,28 @@ discrete dual measures stay sparse.  Two entry points share the binding and
 its options (dual simplex, both feasibility tolerances at 1e-10, no output),
 the options scipy's ``linprog(method="highs-ds")`` passes:
 
-* ``solve`` -- the cutting-plane relaxation.  ``LpProblem`` is a live model:
-  maximization over free variables with an equality block ``E x = f`` and an
-  inequality block ``A x <= b`` that grows by ``add_rows`` and shrinks by
-  ``delete_rows``.  Each ``solve`` restarts the dual simplex from the
-  model's previous basis.  Added rows enter with basic slacks, so the basis
-  stays dual feasible.  Deleting rows whose slacks are basic takes one
-  basic variable per deleted row, and those slacks carry zero multipliers,
-  so the basis stays primal and dual feasible: the next ``solve`` takes no
-  simplex iteration.  A positive slack ``b - A x`` marks a basic slack,
-  because HiGHS reports a nonbasic row exactly at its bound (its scale
-  factors are powers of two).  The returned inequality multipliers are
-  nonnegative and the equality multipliers are free (max sense).
+* ``solve`` -- the cutting-plane relaxation.  ``LpProblem`` is a live model
+  of the maximization over free variables x with an equality block
+  ``E x = f`` and an inequality block ``A x <= b`` that grows by
+  ``add_rows`` and shrinks by ``delete_rows``.  The relaxation has few
+  columns and many rows, so HiGHS holds its dual, whose basis is as wide
+  as the column count::
+
+      min f'u + b'v   subject to   E'u + A'v = c,   u free, v >= 0.
+
+  The model's rows are the primal columns, fixed at ``c``; its columns are
+  the primal rows in add order, so a CSR row of ``A`` goes in as a column
+  of the transpose, and deleting primal rows deletes model columns.  The
+  first ``solve`` runs the dual simplex; later ones start the primal
+  simplex from the model's previous basis, which added columns leave
+  primal feasible (they enter nonbasic at zero).  ``solve`` maps the
+  solution back: x is the row duals, the multipliers are the column
+  values (nonnegative for the inequality rows, free for the equality rows,
+  max sense), the slacks ``b - A x`` are the column reduced costs and the
+  value is ``c @ x``.  A basic column has a reduced cost of exactly zero,
+  so a positive slack marks a nonbasic column at zero; deleting such
+  columns leaves the basis primal and dual feasible, and the next
+  ``solve`` takes no simplex iteration.
 * ``solve_min`` -- minimization with variable bounds, for the transport
   plans and the support reduction.  It passes
   one fresh model per call and returns what scipy's ``linprog`` returns for
@@ -30,9 +40,9 @@ any object with a CSR form (scipy's sparse matrices); the package builds its
 own ``Csr`` tuples with numpy, entry for entry as scipy would.
 
 The binding is private to scipy.  ``pyproject.toml`` asks for scipy 1.17,
-the tested version whose ``_Highs`` has ``addRows``, ``deleteRows``,
-``passModel`` and ``getSolution().row_dual``; a scipy without the binding
-raises ``LpBackendError`` at import.
+the tested version whose ``_Highs`` has ``addCols``, ``deleteCols``,
+``getBasis``, ``passModel`` and ``getSolution().row_dual``; a scipy without
+the binding raises ``LpBackendError`` at import.
 
 The binding is loaded alone, from its file in scipy's ``optimize/_highspy``
 folder, under its canonical name ``scipy.optimize._highspy._core``.  An
@@ -109,13 +119,15 @@ def _backend():
 _core = _backend()
 _Status = _core.HighsModelStatus
 
+# HiGHS's simplex_strategy values
+_DUAL_SIMPLEX, _PRIMAL_SIMPLEX = 1, 4
 # what scipy's linprog(method="highs-ds") sets; output_flag goes first so
 # that nothing is logged
 _OPTIONS = (
     ("output_flag", False),
     ("presolve", "on"),
     ("solver", "simplex"),
-    ("simplex_strategy", 1),            # dual simplex
+    ("simplex_strategy", _DUAL_SIMPLEX),
     ("primal_feasibility_tolerance", 1e-10),
     ("dual_feasibility_tolerance", 1e-10),
 )
@@ -218,11 +230,12 @@ def _run(highs):
 
 
 class LpProblem:
-    """max <c, x> subject to A_eq x = b_eq, A_ub x <= b_ub, x free, as a live
-    HiGHS model.  The equality rows come first in the model, so inequality
-    row j is model row ``n_eq + j``; ``add_rows`` appends inequality rows,
-    ``delete_rows`` removes some, and the next ``solve`` starts from the
-    basis of the last one."""
+    """max <c, x> subject to A_eq x = b_eq, A_ub x <= b_ub, x free, held as
+    a live HiGHS model of its dual (module docstring).  Model row j is
+    primal column j, fixed at ``c[j]``; model column r is equality row r
+    and model column ``n_eq + j`` is inequality row j.  ``add_rows``
+    appends inequality rows, ``delete_rows`` removes some, and the next
+    ``solve`` starts from the basis of the last one."""
 
     def __init__(self, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
         c = np.asarray(c, dtype=float)
@@ -232,9 +245,9 @@ class LpProblem:
         if not np.all(np.isfinite(c)):
             raise LpError("non-finite objective coefficients")
         self.highs = _new_highs()
-        free = np.full(n, np.inf)
-        _pass_model(self.highs, c, _stacked_csc([], n), np.zeros(0),
-                    np.zeros(0), -free, free, _core.ObjSense.kMaximize)
+        _pass_model(self.highs, np.zeros(0), _stacked_csc([], 0), c, c,
+                    np.zeros(0), np.zeros(0), _core.ObjSense.kMinimize)
+        self.c = c
         self.n = n
         self.n_eq = self.n_ineq = 0
         self.b_ub = np.zeros(0)
@@ -249,31 +262,35 @@ class LpProblem:
         indices among the inequality rows, which index ``duals_ineq``."""
         self._add(A_ub, b_ub, "ub")
         self.b_ub = np.concatenate([self.b_ub, np.asarray(b_ub, dtype=float)])
-        start, self.n_ineq = self.n_ineq, self.highs.getNumRow() - self.n_eq
+        start, self.n_ineq = self.n_ineq, self.highs.getNumCol() - self.n_eq
         return np.arange(start, self.n_ineq)
 
     def delete_rows(self, ineq_rows):
         """Delete the inequality rows ``ineq_rows`` (indices among the
         inequality rows).  HiGHS renumbers the rest in order: row j becomes
         j minus the number of deleted rows below it.  Deleting only rows
-        whose slacks are basic keeps the basis optimal (module docstring)."""
+        whose model columns are nonbasic keeps the basis optimal (module
+        docstring)."""
         idx = np.unique(np.asarray(ineq_rows, dtype=np.int64))
         if idx.size and not 0 <= idx[0] <= idx[-1] < self.n_ineq:
             raise LpError("inequality rows outside [0, %d)" % self.n_ineq)
-        if self.highs.deleteRows(len(idx), (self.n_eq + idx).astype(
+        if self.highs.deleteCols(len(idx), (self.n_eq + idx).astype(
                 np.int32)) == _core.HighsStatus.kError:
             raise LpError("HiGHS rejected deleting %d rows" % len(idx))
         self.b_ub = np.delete(self.b_ub, idx)
         self.n_ineq -= len(idx)
 
     def _add(self, A, b, name):
+        """Append the rows ``A x (= or <=) b`` as model columns: a CSR row
+        of ``A`` is a column of its transpose, with cost ``b``."""
         if b is None:
             raise LpError("missing b_%s" % name)
         b = np.asarray(b, dtype=float)
         A = _as_csr(A, b.shape[0], self.n, name)
-        lower = b if name == "eq" else np.full(len(b), -np.inf)
-        if self.highs.addRows(len(b), lower, b, len(A.data), A.indptr[:-1],
-                              A.indices, A.data) == _core.HighsStatus.kError:
+        lower = np.full(len(b), -np.inf if name == "eq" else 0.0)
+        if self.highs.addCols(len(b), b, lower, np.full(len(b), np.inf),
+                              len(A.data), A.indptr[:-1], A.indices,
+                              A.data) == _core.HighsStatus.kError:
             raise LpError("HiGHS rejected the %d added rows" % len(b))
 
 
@@ -287,21 +304,45 @@ class LpSolution:
     iterations: int = 0
 
 
+# the model statuses of the dual form and the primal errors they mean
+_DUAL_FORM_ERRORS = {_Status.kInfeasible: LpUnboundedError,
+                     _Status.kUnbounded: LpInfeasibleError}
+
+
 def solve(problem: LpProblem) -> LpSolution:
-    """Solve the maximization problem from the model's current basis.
+    """Solve the maximization problem from the model's current basis: the
+    dual simplex when the model has no valid basis yet, else the primal
+    simplex, since columns added after the last solve enter nonbasic at
+    zero and leave its basis primal feasible.
 
     The inequality multipliers and slacks come in row-add order (less the
-    deleted rows); the multipliers follow the max-sense convention.  Raises
-    ``LpInfeasibleError`` / ``LpUnboundedError`` on the respective
-    statuses.  An unbounded status typically signals a bad initial
-    constraint set in the cutting-plane loop.
+    deleted rows); the multipliers follow the max-sense convention.  The
+    value is ``c @ x``.  Raises ``LpInfeasibleError`` /
+    ``LpUnboundedError`` when the primal problem is infeasible / unbounded,
+    that is when its dual form is unbounded / infeasible.  (When presolve
+    cannot tell the two apart, HiGHS itself solves again without it, since
+    its ``allow_unbounded_or_infeasible`` option is off.)  An unbounded
+    status typically signals a bad initial constraint set in the
+    cutting-plane loop.
     """
-    x, row_value, row_dual, value, iterations = _run(problem.highs)
+    highs = problem.highs
+    highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX
+                         if highs.getBasis().valid else _DUAL_SIMPLEX)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _Status.kOptimal:
+        message = "dual form: " + highs.modelStatusToString(status)
+        raise _DUAL_FORM_ERRORS.get(status, LpError)(message)
+    sol = highs.getSolution()
+    x = np.asarray(sol.row_dual, dtype=float)
+    multipliers = np.asarray(sol.col_value, dtype=float)
     e = problem.n_eq
-    duals_ineq = row_dual[e:]
+    duals_ineq = multipliers[e:]
     duals_ineq[(duals_ineq < 0) & (duals_ineq > -1e-10)] = 0.0
-    slack = problem.b_ub - row_value[e:]
-    return LpSolution(x, duals_ineq, row_dual[:e], slack, value, iterations)
+    slack = np.asarray(sol.col_dual, dtype=float)[e:]
+    return LpSolution(x, duals_ineq, multipliers[:e], slack,
+                      float(problem.c @ x),
+                      int(highs.getInfo().simplex_iteration_count))
 
 
 def solve_min(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):

@@ -173,8 +173,10 @@ def _pair_vertices(term, xp, zp):
     its determinant is at most ``SINGULAR_TOL`` times the product of its
     kink normals' and edge directions' norms, a bound it cannot exceed;
     its solution, and one with a weight below ``-WEIGHT_TOL``, is no
-    vertex.  Returns (nx, nz, M, .) weights ``lx``, ``lz``, points ``X``,
-    ``Z`` and values ``T``, +inf at a non-vertex.
+    vertex.  A system whose kinks have linearly dependent normals is
+    singular on every cell pair and is left out before solving.  Returns
+    (nx, nz, M, .) weights ``lx``, ``lz``, points ``X``, ``Z`` and values
+    ``T``, +inf at a non-vertex.
     """
     A, B, c = term.kinks(zp.shape[2])
     nx, kx, _ = xp.shape
@@ -182,8 +184,20 @@ def _pair_vertices(term, xp, zp):
     ax = xp @ A.T                                   # (nx, kx, q)
     bz = zp @ B.T                                   # (nz, kz, q)
     norms = np.sqrt((A ** 2).sum(1) + (B ** 2).sum(1))
+    normals = np.hstack([A, B])
     lx, lz, ok = [], [], []
-    for j0, k0, S, Dx, Dz in _kink_systems(kx, kz, len(c)):
+    for system in _kink_systems(kx, kz, len(c)):
+        # |det M| is at most the root of the kink normals' Gram determinant
+        # times the edge directions' norms: where that root is at most
+        # SINGULAR_TOL times the normals' norms, M is singular on every
+        # cell pair
+        S = system[2]
+        NS = normals[S]                             # (ns, r, dx + dz)
+        full = (np.linalg.det(NS @ NS.transpose(0, 2, 1))
+                > SINGULAR_TOL ** 2 * (norms[S] ** 2).prod(-1))
+        if not full.any():
+            continue
+        j0, k0, S, Dx, Dz = (part[full] for part in system)
         ns = len(j0)
         axS = ax[:, :, S]                           # (nx, kx, ns, r)
         bzS = bz[:, :, S]

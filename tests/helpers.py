@@ -420,29 +420,40 @@ def coupled_term_values_lp(term, xp, xi, zp, zi, Yv, Wv):
 
 
 def model_lp(problem: LpProblem):
-    """The live model's LP read back through ``getLp()``: objective, the
-    constraint matrix as CSR in model row order, and the row bounds."""
+    """The primal LP of the live model, read back through ``getLp()``:
+    objective, the constraint matrix as CSR in row order (equality rows
+    first), and the row bounds.  The model is the dual form: its rows are
+    the primal columns, fixed at the objective, and its columns are the
+    primal rows, the free ones equality rows and the nonnegative ones
+    inequality rows, with the right-hand sides as costs."""
     lp = problem.highs.getLp()
     mat = lp.a_matrix_
     parts = (np.asarray(mat.value_), np.asarray(mat.index_),
              np.asarray(mat.start_))
     shape = (lp.num_row_, lp.num_col_)
-    A = (sparse.csc_matrix(parts, shape=shape)
-         if mat.format_ == _core.MatrixFormat.kColwise
-         else sparse.csr_matrix(parts, shape=shape))
-    return (np.asarray(lp.col_cost_), sparse.csr_matrix(A),
-            np.asarray(lp.row_lower_), np.asarray(lp.row_upper_))
+    At = (sparse.csc_matrix(parts, shape=shape)
+          if mat.format_ == _core.MatrixFormat.kColwise
+          else sparse.csr_matrix(parts, shape=shape))
+    c = np.asarray(lp.row_lower_)
+    assert np.array_equal(c, np.asarray(lp.row_upper_))
+    col_lower = np.asarray(lp.col_lower_)
+    eq = col_lower == -np.inf
+    assert np.array_equal(np.flatnonzero(eq), np.arange(problem.n_eq))
+    assert np.all(col_lower[~eq] == 0.0)
+    assert np.all(np.asarray(lp.col_upper_) == np.inf)
+    b = np.asarray(lp.col_cost_)
+    return c, sparse.csr_matrix(At.T), np.where(eq, b, -np.inf), b
 
 
 def solve_reference(problem: LpProblem):
     """``linprog.solve`` as a cold solve of the model's current LP with
-    scipy's ``linprog``: max-sense value and multipliers, the inequality
-    multipliers and slacks in row-add order."""
+    scipy's ``linprog``: max-sense multipliers, the inequality multipliers
+    and slacks in row-add order, and the value ``c @ x``."""
     c, A, _, b = model_lp(problem)
     e = problem.n_eq
     sol = linprog_reference(-c, A[e:], b[e:], A[:e] if e else None,
                             b[:e] if e else None, bounds=(None, None))
-    sol.value = -sol.value
+    sol.value = float(c @ sol.x)
     sol.duals_ineq = -sol.duals_ineq
     sol.duals_ineq[(sol.duals_ineq < 0) & (sol.duals_ineq > -1e-10)] = 0.0
     sol.duals_eq = -sol.duals_eq

@@ -1,6 +1,8 @@
 import csv
 import json
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ from teamsolve.equilibrium import (TIE_TOL, EquilibriumError, _lex_argmin,
 from teamsolve.oracle import make_oracle
 from teamsolve.problems import (barycenter_cost, business_location_cost,
                                 capped_affine_cost, tabulated_cpwa_cost)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _pipeline(model, mu, xs, xb, zs, zb, eps=1e-6, **kw):
@@ -360,7 +365,47 @@ def test_auto_i_hat_solves_each_pair_once(monkeypatch):
     n_auto = len(calls)
     pinned = construct(res, model, mu, xs, xb, zs, zb, i_hat=auto.i_hat)
     assert pinned.alpha_hat_ub == auto.alpha_hat_ub
-    assert n_auto - (len(calls) - n_auto) == 4 * 3 // 2
+    # the 6 pairs, less the 3 - i_hat that stand in for links of nu_hat
+    # which the pinned run solves
+    assert n_auto - (len(calls) - n_auto) == 4 * 3 // 2 - (3 - auto.i_hat)
+
+
+def test_unreduced_links_reuse_the_solved_couplings(monkeypatch):
+    # nu_hat's coupling with itself is the diagonal plan and its couplings
+    # with the later categories are the pair loop's, plan for plan what
+    # a new solve gives; the earlier ones are solved anew.  Instance 0 of
+    # barycenter-discrete picks the middle category of three.
+    inst = workloads.build("barycenter-discrete", 0)
+    gbar = [moment_vector(m, b) for m, b in zip(inst.measures, inst.x_bases)]
+    res = run(inst.model, gbar, inst.x_spaces, inst.x_bases, inst.z_space,
+              inst.z_basis, inst.oracle, inst.eps_lsip)
+    args = (inst.model, inst.measures, inst.x_spaces, inst.x_bases,
+            inst.z_space, inst.z_basis)
+    calls = []
+
+    def counting(nu1, nu2):
+        calls.append((nu1, nu2))
+        return transport.ot_discrete(nu1, nu2)
+
+    monkeypatch.setattr(equilibrium, "ot_discrete", counting)
+    for i_hat in ("auto", 0, 1, 2):
+        del calls[:]
+        rep = construct(res, *args, mc_n=100, mc_repetitions=1, i_hat=i_hat)
+        assert not rep.support_reduced
+        links = [link[0] for link in rep._chain.links]
+        nu_hat = links[rep.i_hat].source
+        # the 3 agent couplings, and the 3 pairs and a link per earlier
+        # category, or, pinned, a link per other category
+        if i_hat == "auto":
+            assert rep.i_hat == 1 and len(calls) == 3 + 3 + 1
+        else:
+            assert len(calls) == 3 + 2
+        for i, to_nu in enumerate(links):
+            assert to_nu.source is nu_hat
+            ref = transport.ot_discrete(nu_hat, to_nu.target)[0].plan
+            assert np.array_equal(to_nu.plan, ref), (i_hat, i)
+        assert np.array_equal(links[rep.i_hat].plan,
+                              np.diag(nu_hat.weights))
 
 
 def test_out_of_range_i_hat_is_a_typed_error():

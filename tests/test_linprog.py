@@ -39,6 +39,52 @@ def test_unbounded_and_infeasible():
                         [1.0, -2.0]))
 
 
+def test_statuses_map_back_from_the_dual_form():
+    # the model is the dual form: an infeasible dual means an unbounded
+    # primal, an unbounded dual an infeasible primal, cold or warm
+    A_eq = sparse.csr_matrix([[1.0, -1.0]])
+    with pytest.raises(LpUnboundedError, match="Infeasible"):
+        solve(LpProblem([1.0, 1.0], sparse.csr_matrix([[-1.0, 0.0]]), [0.0],
+                        A_eq, [0.0]))
+    with pytest.raises(LpInfeasibleError, match="Unbounded"):
+        solve(LpProblem([1.0, 1.0], sparse.csr_matrix([[1.0, 0.0],
+                                                       [-1.0, 0.0]]),
+                        [1.0, -2.0], A_eq, [0.0]))
+    # warm: a cut that empties the feasible set, found by the primal
+    # simplex from the last basis
+    prob = LpProblem([1.0], sparse.csr_matrix([[1.0]]), [1.0])
+    assert solve(prob).value == 1.0
+    prob.add_rows(sparse.csr_matrix([[-1.0]]), [-2.0])
+    with pytest.raises(LpInfeasibleError, match="Unbounded"):
+        solve(prob)
+
+
+def test_undecided_presolve_gets_a_definite_status():
+    # 3x <= 0 and -2x <= -3 leave no x.  Presolve alone answers "unbounded
+    # or infeasible" for the dual form when it may; with the package's
+    # options HiGHS then solves again without presolve, and solve reports
+    # the infeasible primal
+    A, b = np.array([[3.0], [-2.0]]), [0.0, -3.0]
+    undecided = LpProblem([0.0], A, b)
+    undecided.highs.setOptionValue("allow_unbounded_or_infeasible", True)
+    undecided.highs.run()
+    assert undecided.highs.getModelStatus() == \
+        linprog._Status.kUnboundedOrInfeasible
+    with pytest.raises(LpInfeasibleError, match="Unbounded"):
+        solve(LpProblem([0.0], A, b))
+
+
+def test_value_is_c_dot_x():
+    # the value is recomputed from x, so that a lower bound built from
+    # x's parts adds up to it exactly
+    rng = np.random.default_rng(77)
+    for trial in range(50):
+        c, A_ub, b_ub, A_eq, b_eq = random_bounded_lp(rng, int(
+            rng.integers(2, 7)))
+        s = solve(LpProblem(c, A_ub, b_ub, A_eq, b_eq))
+        assert s.value == float(c @ s.x), trial
+
+
 def test_strong_duality_vs_vertex_enumeration():
     rng = np.random.default_rng(2024)
     for trial in range(100):
@@ -115,7 +161,7 @@ def test_delete_rows_renumbers_and_checks_indices():
     for bad in ([-1], [3]):
         with pytest.raises(LpError, match="outside"):
             prob.delete_rows(bad)
-    assert prob.n_ineq == 3 and prob.highs.getNumRow() == 4
+    assert prob.n_ineq == 3 and prob.highs.getNumCol() == 4
 
 
 def test_solve_min_matches_linprog_reference_bit_for_bit():

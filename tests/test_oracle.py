@@ -536,6 +536,24 @@ def _assert_matches_lp(term, xp, xi, zp, zi, Yv, Wv):
     assert np.abs(attained - v.ravel()).max() <= 1e-12
 
 
+def test_pair_vertices_leave_out_the_parallel_kink_systems():
+    # a ramp's two kinks are parallel: of the 29 systems of a (segment,
+    # triangle) pair, the 5 that take both are singular on every pair
+    term = ScalarRampTerm([0.6, 0.8], 0.1, 1.0)
+    xp, _ = oracle_module._cell_vertex_arrays(
+        build_box_partition([(0, 1)], (2,)))
+    zp, _ = oracle_module._cell_vertex_arrays(
+        build_box_partition([(0, 1), (0, 1)], (2, 2)))
+    systems = oracle_module._kink_systems(2, 3, 2)
+    both = sum(np.all(S == [0, 1], axis=1).sum() for _, _, S, _, _ in systems
+               if S.shape[1] == 2)
+    assert sum(len(S) for _, _, S, _, _ in systems) == 29 and both == 5
+    T = oracle_module._pair_vertices(term, xp, zp)[-1]
+    assert T.shape == (len(xp), len(zp), 24)
+    # every pair keeps its vertices: a finite least value
+    assert np.isfinite(T.min(axis=2)).all()
+
+
 @settings(max_examples=40, deadline=None)
 @given(nx=st.integers(1, 3), nz=st.tuples(st.integers(1, 3),
                                           st.integers(1, 3)),

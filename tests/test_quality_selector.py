@@ -300,6 +300,25 @@ def test_z_opt_leaves_no_thread_running(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("name", sorted(_family_cases()))
+def test_threads_only_for_families_with_buffers(name, monkeypatch):
+    # the barycenter projection and the quality vertices take no
+    # per-thread buffers, and their chunks run inline
+    model, Z, draw = _family_cases()[name]
+    xs = draw(np.random.default_rng(95), 700)
+    _cpus(monkeypatch, 3)
+    pools = []
+    pool = equilibrium.ThreadPoolExecutor
+
+    def counted(workers):
+        pools.append(workers)
+        return pool(workers)
+
+    monkeypatch.setattr(equilibrium, "ThreadPoolExecutor", counted)
+    z_opt(model, xs, Z, chunk=64)
+    assert pools == ([] if name in ("quadratic", "tabulated") else [3])
+
+
 def test_many_threads_with_short_switch_interval(monkeypatch):
     # more threads than cores, switching every microsecond, on 2-sample
     # chunks: a lost or crossed write of a chunk's rows or buffers would

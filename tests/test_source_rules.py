@@ -14,9 +14,9 @@ imports neither ``linprog`` nor scipy, so the oracle's certified lower
 bound rests on no solver's tolerances.
 
 The HiGHS binding lives in ``linprog.py``: no other module reads a model's
-``highs`` attribute, calls HiGHS's row methods or imports scipy's
-``_highspy``, so the cutting plane adds and deletes rows only through
-``LpProblem.add_rows`` and ``LpProblem.delete_rows``.
+``highs`` attribute, calls HiGHS's row or column methods or imports
+scipy's ``_highspy``, so the cutting plane adds and deletes rows only
+through ``LpProblem.add_rows`` and ``LpProblem.delete_rows``.
 
 No module imports ``scipy.sparse`` or ``scipy.optimize``, not even inside
 a function: ``linprog.py`` loads the HiGHS binding alone and the package
@@ -185,7 +185,7 @@ def test_oracle_reads_faces_not_cell_inverses():
     assert "_minv" not in attrs and "faces" in attrs
 
 
-HIGHS_ATTRS = {"highs", "addRows", "deleteRows"}
+HIGHS_ATTRS = {"highs", "addRows", "deleteRows", "addCols", "deleteCols"}
 
 
 def _highs_uses(path):
