@@ -261,7 +261,7 @@ def _reduce_support(atoms, weights, z_basis, cap):
     A_eq = np.vstack([np.ones((1, n)), H.T])
     b_eq = np.concatenate([[1.0], target])
     c = np.linalg.norm(atoms, axis=1)    # any objective; a vertex is enough
-    res = solve_min(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None))
+    res = solve_min(c, A_eq, b_eq)
     w = np.clip(res.x, 0.0, None)
     keep = np.flatnonzero(w > 1e-12)
     if len(keep) > cap:

@@ -30,18 +30,22 @@ the options scipy's ``linprog(method="highs-ds")`` passes:
   so a positive slack marks a nonbasic column at zero; deleting such
   columns leaves the basis primal and dual feasible, and the next
   ``solve`` takes no simplex iteration.
-* ``solve_min`` -- minimization with variable bounds, for the transport
-  plans and the support reduction.  It passes
-  one fresh model per call and returns what scipy's ``linprog`` returns for
-  the same LP, bit for bit.
+* ``solve_min`` -- min c'x subject to ``A_eq x = b_eq``, x >= 0, the one
+  form of the transport plans and the support reduction.  It builds one
+  fresh model per call and returns what scipy's ``linprog`` returns for the
+  same LP, bit for bit.
 
-Both take their constraint matrices as ``Csr`` tuples, dense arrays or
-any object with a CSR form (scipy's sparse matrices); the package builds its
-own ``Csr`` tuples with numpy, entry for entry as scipy would.
+Both build their models one way: an empty model, then ``addCols`` and
+``addRows``, which take a ``Csr`` block as it is -- its rows as model rows
+in ``solve_min``, as model columns of the dual form in ``LpProblem``.  No
+matrix is copied column-wise.  The matrices come as ``Csr`` tuples, which
+the package builds with numpy entry for entry as scipy would, as scipy CSR
+matrices or as dense arrays.  A block HiGHS rejects (an infinite or huge
+coefficient) raises ``LpError`` and leaves the model as it was.
 
 The binding is private to scipy.  ``pyproject.toml`` asks for scipy 1.17,
-the tested version whose ``_Highs`` has ``addCols``, ``deleteCols``,
-``getBasis``, ``passModel`` and ``getSolution().row_dual``; a scipy without
+the tested version whose ``_Highs`` has ``addRows``, ``addCols``,
+``deleteCols``, ``getBasis`` and ``getSolution().row_dual``; a scipy without
 the binding raises ``LpBackendError`` at import.
 
 The binding is loaded alone, from its file in scipy's ``optimize/_highspy``
@@ -163,10 +167,11 @@ def csr_from_dense(D, col_offset=0, n_cols=None):
 
 
 def _as_csr(A, n_rows, n, name):
-    """``A`` as a ``Csr`` of shape ``(n_rows, n)``: dense arrays keep their
-    nonzeros, anything else is read through its CSR form."""
-    if hasattr(A, "tocsr"):
-        A = A.tocsr()
+    """``A`` as a ``Csr`` of shape ``(n_rows, n)``: a ``Csr``, or anything
+    with its ``indptr``, ``indices`` and ``data`` (a scipy CSR matrix), is
+    read as it is, a dense array by its nonzeros."""
+    if getattr(A, "format", "csr") != "csr":
+        raise LpError("A_%s is a %s matrix, not CSR" % (name, A.format))
     A = (Csr(A.indptr, A.indices, np.asarray(A.data, dtype=float), A.shape)
          if hasattr(A, "indptr") else csr_from_dense(A))
     if tuple(A.shape) != (n_rows, n):
@@ -175,58 +180,42 @@ def _as_csr(A, n_rows, n, name):
     return A
 
 
-def _stacked_csc(blocks, n):
-    """The rows of the ``Csr`` blocks one under the other, column-wise as
-    ``(start, index, value)``: each column's entries in row order, the
-    arrays scipy's ``tocsc`` makes."""
-    blocks = blocks or [csr_from_dense(np.zeros((0, n)))]
-    counts = np.concatenate([np.diff(b.indptr) for b in blocks])
-    rows = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
-    cols = np.concatenate([b.indices for b in blocks])
-    order = np.argsort(cols, kind="stable")
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
-    return start, rows[order], np.concatenate([b.data for b in blocks])[order]
+def _no_entries(k):
+    """The ``(count, starts, indices, values)`` arguments of ``addRows`` or
+    ``addCols`` for ``k`` rows or columns without matrix entries."""
+    return 0, np.zeros(k, dtype=np.int32), np.zeros(0, dtype=np.int32), \
+        np.zeros(0)
 
 
-def _pass_model(highs, c, cols, row_lower, row_upper, col_lower, col_upper,
-                sense):
-    """Pass the LP whose matrix is ``cols = (start, index, value)`` in
-    column-wise form to ``highs``."""
-    n_col, n_row = len(c), len(row_lower)
-    lp = _core.HighsLp()
-    lp.num_col_, lp.num_row_ = n_col, n_row
-    lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n_col, n_row
-    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = cols
-    lp.col_cost_ = c
-    lp.col_lower_, lp.col_upper_ = col_lower, col_upper
-    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
-    lp.sense_ = sense
-    if highs.passModel(lp) == _core.HighsStatus.kError:
-        # scipy's linprog reports a rejected model as infeasible
-        raise LpInfeasibleError(
-            highs.modelStatusToString(_Status.kModelError))
+def _accepted(status, what):
+    """Raise ``LpError`` when HiGHS rejected ``what`` (a matrix with an
+    infinite or huge coefficient, say); it then leaves the model as it
+    was."""
+    if status == _core.HighsStatus.kError:
+        raise LpError("HiGHS rejected " + what)
 
 
-def _run(highs):
-    """Run HiGHS; returns ``(x, row values, row multipliers, value, simplex
-    iterations)``.  Statuses map to errors as scipy's linprog maps them."""
+# the model statuses other than optimal and the errors they mean: of the
+# LP itself (``solve_min``) and of the LP whose dual form the model is
+# (``solve``), with the prefix of their messages
+_PRIMAL_ERRORS = ("", {_Status.kInfeasible: LpInfeasibleError,
+                       _Status.kUnbounded: LpUnboundedError})
+_DUAL_FORM_ERRORS = ("dual form: ",
+                     {_Status.kInfeasible: LpUnboundedError,
+                      _Status.kUnbounded: LpInfeasibleError})
+
+
+def _run(highs, errors):
+    """Run HiGHS; returns its solution when the model is optimal, else
+    raises the error that ``errors`` maps the status to (``LpError`` when
+    it maps none)."""
     highs.run()
     status = highs.getModelStatus()
-    if status == _Status.kOptimal:
-        sol, info = highs.getSolution(), highs.getInfo()
-        return (np.asarray(sol.col_value, dtype=float),
-                np.asarray(sol.row_value, dtype=float),
-                np.asarray(sol.row_dual, dtype=float),
-                float(info.objective_function_value),
-                int(info.simplex_iteration_count))
-    message = highs.modelStatusToString(status)
-    if status in (_Status.kInfeasible, _Status.kModelError):
-        raise LpInfeasibleError(message)
-    if status == _Status.kUnbounded:
-        raise LpUnboundedError(message)
-    raise LpError("solver failure: %s" % message)
+    if status != _Status.kOptimal:
+        prefix, by_status = errors
+        raise by_status.get(status, LpError)(
+            prefix + highs.modelStatusToString(status))
+    return highs.getSolution()
 
 
 class LpProblem:
@@ -245,8 +234,8 @@ class LpProblem:
         if not np.all(np.isfinite(c)):
             raise LpError("non-finite objective coefficients")
         self.highs = _new_highs()
-        _pass_model(self.highs, np.zeros(0), _stacked_csc([], 0), c, c,
-                    np.zeros(0), np.zeros(0), _core.ObjSense.kMinimize)
+        _accepted(self.highs.addRows(n, c, c, *_no_entries(n)),
+                  "the objective c as row bounds")
         self.c = c
         self.n = n
         self.n_eq = self.n_ineq = 0
@@ -274,9 +263,9 @@ class LpProblem:
         idx = np.unique(np.asarray(ineq_rows, dtype=np.int64))
         if idx.size and not 0 <= idx[0] <= idx[-1] < self.n_ineq:
             raise LpError("inequality rows outside [0, %d)" % self.n_ineq)
-        if self.highs.deleteCols(len(idx), (self.n_eq + idx).astype(
-                np.int32)) == _core.HighsStatus.kError:
-            raise LpError("HiGHS rejected deleting %d rows" % len(idx))
+        _accepted(self.highs.deleteCols(
+            len(idx), (self.n_eq + idx).astype(np.int32)),
+            "deleting %d rows" % len(idx))
         self.b_ub = np.delete(self.b_ub, idx)
         self.n_ineq -= len(idx)
 
@@ -288,10 +277,10 @@ class LpProblem:
         b = np.asarray(b, dtype=float)
         A = _as_csr(A, b.shape[0], self.n, name)
         lower = np.full(len(b), -np.inf if name == "eq" else 0.0)
-        if self.highs.addCols(len(b), b, lower, np.full(len(b), np.inf),
-                              len(A.data), A.indptr[:-1], A.indices,
-                              A.data) == _core.HighsStatus.kError:
-            raise LpError("HiGHS rejected the %d added rows" % len(b))
+        _accepted(self.highs.addCols(len(b), b, lower,
+                                     np.full(len(b), np.inf), len(A.data),
+                                     A.indptr[:-1], A.indices, A.data),
+                  "the %d rows of A_%s, b_%s" % (len(b), name, name))
 
 
 @dataclass
@@ -302,11 +291,6 @@ class LpSolution:
     slack_ineq: np.ndarray      # b_ub - A_ub x
     value: float
     iterations: int = 0
-
-
-# the model statuses of the dual form and the primal errors they mean
-_DUAL_FORM_ERRORS = {_Status.kInfeasible: LpUnboundedError,
-                     _Status.kUnbounded: LpInfeasibleError}
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -328,12 +312,7 @@ def solve(problem: LpProblem) -> LpSolution:
     highs = problem.highs
     highs.setOptionValue("simplex_strategy", _PRIMAL_SIMPLEX
                          if highs.getBasis().valid else _DUAL_SIMPLEX)
-    highs.run()
-    status = highs.getModelStatus()
-    if status != _Status.kOptimal:
-        message = "dual form: " + highs.modelStatusToString(status)
-        raise _DUAL_FORM_ERRORS.get(status, LpError)(message)
-    sol = highs.getSolution()
+    sol = _run(highs, _DUAL_FORM_ERRORS)
     x = np.asarray(sol.row_dual, dtype=float)
     multipliers = np.asarray(sol.col_value, dtype=float)
     e = problem.n_eq
@@ -345,23 +324,24 @@ def solve(problem: LpProblem) -> LpSolution:
                       int(highs.getInfo().simplex_iteration_count))
 
 
-def solve_min(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
-    """Minimization with bounded variables (transport plans, moment
-    systems); value and multipliers are in the minimization sense."""
+def solve_min(c, A_eq, b_eq):
+    """min <c, x> subject to A_eq x = b_eq, x >= 0 (transport plans, the
+    support reduction) as one fresh model: the columns, then the rows as
+    CSR.  Value and multipliers are in the minimization sense, bit for bit
+    what scipy's ``linprog(method="highs-ds")`` returns for the same LP."""
     c = np.asarray(c, dtype=float)
+    b_eq = np.asarray(b_eq, dtype=float)
     n = c.shape[0]
-    lo, hi = (-np.inf if bounds[0] is None else bounds[0],
-              np.inf if bounds[1] is None else bounds[1])
-    b_ub = np.zeros(0) if A_ub is None else np.asarray(b_ub, dtype=float)
-    b_eq = np.zeros(0) if A_eq is None else np.asarray(b_eq, dtype=float)
-    blocks = [_as_csr(A, len(b), n, name) for A, b, name in
-              ((A_ub, b_ub, "ub"), (A_eq, b_eq, "eq")) if A is not None]
+    if not np.all(np.isfinite(c)):
+        raise LpError("non-finite objective coefficients")
+    A = _as_csr(A_eq, len(b_eq), n, "eq")
     highs = _new_highs()
-    _pass_model(highs, c, _stacked_csc(blocks, n),
-                np.concatenate([np.full(len(b_ub), -np.inf), b_eq]),
-                np.concatenate([b_ub, b_eq]), np.full(n, float(lo)),
-                np.full(n, float(hi)), _core.ObjSense.kMinimize)
-    x, row_value, row_dual, value, iterations = _run(highs)
-    m = len(b_ub)
-    return LpSolution(x, row_dual[:m], row_dual[m:], b_ub - row_value[:m],
-                      value, iterations)
+    highs.addCols(n, c, np.zeros(n), np.full(n, np.inf), *_no_entries(n))
+    _accepted(highs.addRows(len(b_eq), b_eq, b_eq, len(A.data),
+                            A.indptr[:-1], A.indices, A.data),
+              "the %d rows of A_eq, b_eq" % len(b_eq))
+    sol, info = _run(highs, _PRIMAL_ERRORS), highs.getInfo()
+    return LpSolution(np.asarray(sol.col_value, dtype=float), np.zeros(0),
+                      np.asarray(sol.row_dual, dtype=float), np.zeros(0),
+                      float(info.objective_function_value),
+                      int(info.simplex_iteration_count))

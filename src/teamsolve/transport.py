@@ -105,7 +105,7 @@ def ot_discrete(nu1, nu2):
             np.concatenate([cols.ravel(), cols[:, :-1].T.ravel()]),
             np.ones(n1 * n2 + n1 * (n2 - 1)), (n1 + n2 - 1, n1 * n2))
         b_eq = np.concatenate([nu1.weights, nu2.weights[:-1]])
-        res = solve_min(D.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None))
+        res = solve_min(D.ravel(), A_eq, b_eq)
         plan = np.clip(res.x.reshape(n1, n2), 0.0, None)
     # repair solver-tolerance drift so the conditionals are exact
     plan *= (nu1.weights / np.maximum(plan.sum(axis=1), 1e-300))[:, None]

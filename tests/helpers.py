@@ -16,7 +16,7 @@ from teamsolve.geometry import (FiniteSpace, GeometryError, IndicatorBasis,
                                 build_box_partition, edge_crossings,
                                 first_seen, point_key)
 from teamsolve.linprog import (LpError, LpInfeasibleError, LpProblem,
-                               LpSolution, LpUnboundedError, _core, solve_min)
+                               LpSolution, LpUnboundedError, _core)
 from teamsolve.measures import DiscreteMeasure
 from teamsolve.oracle import OracleError, _finalize, _vertex_multipliers
 from teamsolve.problems import (BusinessLocationCost, CappedAffineCost,
@@ -401,7 +401,7 @@ def coupled_term_values_lp(term, xp, xi, zp, zi, Yv, Wv):
     C = np.concatenate([-np.repeat(Yv[xi], nz, axis=0),
                         -np.tile(Wv[zi], (nx, 1)),
                         np.broadcast_to(aux, (P, na))], axis=1)
-    sol = solve_min(
+    sol = linprog_reference(
         C.ravel(),
         A_ub=sparse.block_diag(ub, format="csr"),
         b_ub=np.full(P * 2 * na, rhs),

@@ -42,10 +42,10 @@ CHECK = """
     from teamsolve import linprog
     print(linprog._core is scipy.optimize._highspy._core)
     print(linprog._core is sys.modules["scipy.optimize._highspy._core"])
-    res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0],
+    res = scipy.optimize.linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
                                  method="highs-ds")
     print(res.status, res.fun)
-    print(linprog.solve_min([1.0, 2.0], [[-1.0, -1.0]], [-1.0]).value)
+    print(linprog.solve_min([1.0, 2.0], [[1.0, 1.0]], [1.0]).value)
 """
 
 

@@ -106,7 +106,7 @@ def test_strong_duality_vs_vertex_enumeration():
         slack = b_ub - A_ub @ s.x
         assert np.abs(s.duals_ineq * slack).max() < 1e-6
         # the minimization form of the same LP: negated value and multipliers
-        m = solve_min(-c, A_ub, b_ub, A_eq, b_eq, bounds=(None, None))
+        m = linprog_reference(-c, A_ub, b_ub, A_eq, b_eq, bounds=(None, None))
         assert abs(m.value + s.value) < 1e-8
         assert np.allclose(m.duals_ineq, -s.duals_ineq, atol=1e-8)
         assert np.allclose(m.duals_eq, -s.duals_eq, atol=1e-8)
@@ -164,23 +164,65 @@ def test_delete_rows_renumbers_and_checks_indices():
     assert prob.n_ineq == 3 and prob.highs.getNumCol() == 4
 
 
+def _random_standard_form_lp(rng):
+    """min c'x subject to A x = b, x >= 0, with fewer rows than columns and
+    about a third of the entries zero.  b is A x0 for some x0 >= 0
+    (feasible) or random (often infeasible); c is positive (bounded) or
+    random (often unbounded)."""
+    n = int(rng.integers(2, 8))
+    A = rng.normal(size=(int(rng.integers(1, n)), n))
+    A[rng.uniform(size=A.shape) < 1 / 3] = 0.0
+    b = (A @ rng.uniform(0.0, 1.0, size=n) if rng.uniform() < 2 / 3
+         else rng.normal(size=len(A)))
+    c = (rng.uniform(0.1, 1.0, size=n) if rng.uniform() < 1 / 2
+         else rng.normal(size=n))
+    return c, A, b
+
+
 def test_solve_min_matches_linprog_reference_bit_for_bit():
     rng = np.random.default_rng(606)
-    for trial in range(100):
-        n = int(rng.integers(2, 7))
-        c, A_ub, b_ub, A_eq, b_eq = random_bounded_lp(rng, n)
-        bounds = ((None, None), (0, None))[trial % 2]
+    outcomes = []
+    for trial in range(200):
+        c, A, b = _random_standard_form_lp(rng)
         try:
-            ref = linprog_reference(-c, A_ub, b_ub, A_eq, b_eq, bounds)
+            ref = linprog_reference(c, A_eq=A, b_eq=b)
         except LpError as e:
-            with pytest.raises(type(e)):
-                solve_min(-c, A_ub, b_ub, A_eq, b_eq, bounds)
+            with pytest.raises(LpError) as got:
+                solve_min(c, A, b)
+            assert type(got.value) is type(e), trial
+            outcomes.append(type(e))
             continue
-        got = solve_min(-c, A_ub, b_ub, A_eq, b_eq, bounds)
-        for part in ("x", "duals_ineq", "duals_eq"):
+        got = solve_min(c, A, b)
+        for part in ("x", "duals_ineq", "duals_eq", "slack_ineq"):
             assert np.array_equal(getattr(got, part), getattr(ref, part)), \
                 (trial, part)
         assert (got.value, got.iterations) == (ref.value, ref.iterations)
+        outcomes.append(None)
+    # the draws reach each outcome
+    assert {None, LpInfeasibleError, LpUnboundedError} == set(outcomes)
+
+
+def test_rejected_models_raise_lp_error():
+    # HiGHS refuses an infinite or huge coefficient and leaves the model as
+    # it was; the error names the rows, and is no infeasibility
+    with pytest.raises(LpError, match="rejected the 1 rows of A_eq") as e:
+        solve_min([1.0, 2.0], [[1.0, np.inf]], [1.0])
+    assert type(e.value) is LpError
+    prob = LpProblem([1.0, 1.0], np.eye(2), [1.0, 1.0])
+    with pytest.raises(LpError, match="rejected the 2 rows of A_ub") as e:
+        prob.add_rows([[1.0, 0.0], [1.0, 1e300]], [1.0, 1.0])
+    assert type(e.value) is LpError
+    assert prob.n_ineq == 2 and prob.highs.getNumCol() == 2
+    assert np.array_equal(prob.b_ub, [1.0, 1.0])
+    assert solve(prob).value == 2.0
+    with pytest.raises(LpError, match="rejected the 1 rows of A_eq"):
+        LpProblem([1.0, 1.0], A_eq=[[-np.inf, 1.0]], b_eq=[0.0])
+    with pytest.raises(LpError, match="rejected the objective"):
+        LpProblem([1.0, 1e300], np.eye(2), [1.0, 1.0])
+    # HiGHS would take a NaN cost and report a NaN value
+    for bad in (np.nan, np.inf):
+        with pytest.raises(LpError, match="non-finite"):
+            solve_min([bad, 1.0], [[1.0, 1.0]], [1.0])
 
 
 def test_missing_binding_raises_backend_error(monkeypatch):

@@ -1,16 +1,19 @@
 """The LP matrices the package builds with numpy are, array for array, the
 ones scipy's sparse constructors made for the same LPs: the cut blocks, the
-relaxation's equality rows, the transport rows and ``solve_min``'s stacked
-column-wise matrix.  So every LP passed to HiGHS is the one it was."""
+relaxation's equality rows and the transport rows.  HiGHS takes them as
+they are, as CSR rows, so every LP passed to it is the one it was.  Dense
+arrays and scipy CSR matrices are read into the same ``Csr`` form; other
+scipy formats are refused rather than misread."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog as scipy_linprog
 
 from teamsolve import cutting_plane, linprog, transport
-from teamsolve.linprog import Csr, _as_csr, _stacked_csc, csr_from_dense
+from teamsolve.linprog import LpError, _as_csr, csr_from_dense
 from teamsolve.measures import DiscreteMeasure
 from teamsolve.transport import ot_discrete
 
@@ -107,9 +110,9 @@ def test_transport_rows_match_kron(monkeypatch):
     rng = np.random.default_rng(3)
     got = []
 
-    def record(c, A_eq=None, **kw):
+    def record(c, A_eq, b_eq):
         got.append(A_eq)
-        return linprog.solve_min(c, A_eq=A_eq, **kw)
+        return linprog.solve_min(c, A_eq, b_eq)
 
     monkeypatch.setattr(transport, "solve_min", record)
     for n1 in range(2, 8):
@@ -126,26 +129,15 @@ def test_transport_rows_match_kron(monkeypatch):
             assert_same(got[-1], ref)
 
 
-def test_stacked_csc_matches_vstack_tocsc():
-    rng = np.random.default_rng(4)
-    for n, r_ub, r_eq in ((5, 3, 2), (1, 4, 0), (6, 0, 3), (7, 1, 1)):
-        A_ub, A_eq = (_sparse_dense(rng, (r, n)) for r in (r_ub, r_eq))
-        blocks = [A for A in (A_ub, A_eq) if len(A)]
-        ref = sparse.csc_array(sparse.vstack(
-            [sparse.csr_array(A) for A in blocks]))
-        start, index, value = _stacked_csc(
-            [_as_csr(A, len(A), n, "ub") for A in blocks], n)
-        assert_same(Csr(start, index, value, (r_ub + r_eq, n)), ref)
-    # no rows at all, as ``LpProblem`` starts its model
-    start, index, value = _stacked_csc([], 3)
-    assert_same(Csr(start, index, value, (0, 3)), sparse.csc_array((0, 3)))
-
-
 def test_scipy_matrices_are_read_in_their_csr_form():
     rng = np.random.default_rng(5)
     D = _sparse_dense(rng, (4, 6))
-    for A in (sparse.csr_matrix(D), sparse.csc_array(D), sparse.coo_array(D)):
+    for A in (sparse.csr_matrix(D), sparse.csr_array(D)):
         assert_same(_as_csr(A, 4, 6, "ub"), sparse.csr_array(D))
+    # a column-wise matrix also has an ``indptr``, over its columns
+    for A in (sparse.csc_array(D), sparse.coo_array(D)):
+        with pytest.raises(LpError, match="not CSR"):
+            _as_csr(A, 4, 6, "ub")
 
 
 _WEIGHTS = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6)

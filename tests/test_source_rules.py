@@ -16,7 +16,9 @@ bound rests on no solver's tolerances.
 The HiGHS binding lives in ``linprog.py``: no other module reads a model's
 ``highs`` attribute, calls HiGHS's row or column methods or imports
 scipy's ``_highspy``, so the cutting plane adds and deletes rows only
-through ``LpProblem.add_rows`` and ``LpProblem.delete_rows``.
+through ``LpProblem.add_rows`` and ``LpProblem.delete_rows``.  No module,
+``linprog.py`` included, names ``passModel`` or ``HighsLp``: every model is
+built one way, by ``addCols`` and ``addRows``.
 
 No module imports ``scipy.sparse`` or ``scipy.optimize``, not even inside
 a function: ``linprog.py`` loads the HiGHS binding alone and the package
@@ -35,9 +37,8 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "teamsolve"
 
 # objects other than ``self`` whose attributes (and their attributes' ones)
-# a module may set: none of them is a complex (the CLI's setup record,
-# HiGHS's LP struct)
-NOT_COMPLEXES = {("cli.py", "setup"), ("linprog.py", "lp")}
+# a module may set: none of them is a complex (the CLI's setup record)
+NOT_COMPLEXES = {("cli.py", "setup")}
 
 
 def _violations(path):
@@ -71,7 +72,7 @@ def test_only_geometry_touches_complex_internals():
 
 
 def test_rule_catches_the_old_patterns(tmp_path):
-    p = tmp_path / "linprog.py"       # where ``lp`` is allowed
+    p = tmp_path / "linprog.py"
     p.write_text("lo = z_space._grid[0]\n"
                  "g = getattr(space, '_grid', None)\n"
                  "z_space._faces = 1\n"
@@ -79,7 +80,7 @@ def test_rule_catches_the_old_patterns(tmp_path):
                  "lp.a_matrix_.format_ = 0\n"
                  "setattr(space, 'x', 3)\n"
                  "self.ok = 4\n")
-    assert len(_violations(p)) == 5
+    assert len(_violations(p)) == 6
 
 
 def _cost_model_classes():
@@ -212,6 +213,41 @@ def test_only_linprog_touches_highs():
     found = [v for p in modules for v in _highs_uses(p)]
     assert not found, found
     assert _highs_uses(SRC / "linprog.py")
+
+
+WHOLE_MODEL_NAMES = {"passModel", "HighsLp"}
+
+
+def _whole_model_uses(path):
+    """Names of HiGHS's whole-model entry: ``passModel`` and its ``HighsLp``
+    struct, as attributes, names, imported names or strings."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias)
+                else node.value if isinstance(node, ast.Constant) else None)
+        if name in WHOLE_MODEL_NAMES:
+            out.append("%s:%d names %s" % (path.name, node.lineno, name))
+    return out
+
+
+def test_no_module_passes_a_whole_model():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9
+    found = [v for p in modules for v in _whole_model_uses(p)]
+    assert not found, found
+
+
+def test_whole_model_rule_catches_the_patterns(tmp_path):
+    p = tmp_path / "linprog.py"
+    p.write_text("lp = _core.HighsLp()\n"
+                 "highs.passModel(lp)\n"
+                 "from scipy.optimize._highspy._core import HighsLp\n"
+                 "getattr(highs, 'passModel')(lp)\n"
+                 "highs.addRows(n, c, c, 0, starts, [], [])\n"
+                 "passModel = 1\n")
+    assert len(_whole_model_uses(p)) == 5
 
 
 def test_highs_rule_catches_the_patterns(tmp_path):
