@@ -45,7 +45,21 @@ class ConfigError(ValueError):
         self.path = path
 
 
+# the fields of each family of problem and type of space and measure,
+# besides the field that names it
+PROBLEM_FIELDS = {"barycenter": ("weights", "shift_accounting"),
+                  "business_location": ("stations", "c_walk", "c_train",
+                                        "c_restock"),
+                  "capped_affine": ("s", "kappa1", "kappa2"),
+                  "tabulated": ("tables",)}
+SPACE_FIELDS = {"box": ("box", "counts"), "finite": ("points",)}
+MEASURE_FIELDS = {"random_cpwa": ("seed",), "discrete": ("atoms", "weights"),
+                  "cpwa": ("vertex_density",)}
+
+
 def _need(doc, key, path):
+    if not isinstance(doc, dict):
+        raise ConfigError(path, "need an object")
     if key not in doc:
         raise ConfigError("%s.%s" % (path, key), "missing required field")
     return doc[key]
@@ -57,6 +71,17 @@ def _reject_unknown(doc, known, path):
     for key in doc:
         if key not in known:
             raise ConfigError("%s.%s" % (path, key), "unknown field")
+
+
+def _kind(doc, key, fields, what, path):
+    """``doc[key]``, one of the kinds in ``fields``, after rejecting the
+    fields that kind does not have."""
+    kind = _need(doc, key, path)
+    if kind not in list(fields):
+        raise ConfigError("%s.%s" % (path, key), "unknown %s %r"
+                          % (what, kind))
+    _reject_unknown(doc, (key,) + fields[kind], path)
+    return kind
 
 
 def _number(value, path, integer=False):
@@ -77,36 +102,29 @@ def _count(value, path, least=1):
 
 
 def _build_space(doc, path):
-    kind = _need(doc, "type", path)
-    if kind == "box":
-        box = _need(doc, "box", path)
-        counts = _need(doc, "counts", path)
-        try:
-            return build_box_partition(box, counts)
-        except Exception as e:
-            raise ConfigError(path, str(e)) from e
-    if kind == "finite":
-        try:
-            return FiniteSpace(_need(doc, "points", path))
-        except Exception as e:
-            raise ConfigError(path, str(e)) from e
-    raise ConfigError(path + ".type", "unknown space type %r" % kind)
+    if _kind(doc, "type", SPACE_FIELDS, "space type", path) == "box":
+        build, args = build_box_partition, (_need(doc, "box", path),
+                                            _need(doc, "counts", path))
+    else:
+        build, args = FiniteSpace, (_need(doc, "points", path),)
+    try:
+        return build(*args)
+    except Exception as e:
+        raise ConfigError(path, str(e)) from e
 
 
 def _build_measure(doc, space, seed, path):
-    kind = _need(doc, "type", path)
+    kind = _kind(doc, "type", MEASURE_FIELDS, "measure type", path)
     try:
         if kind == "random_cpwa":
             rng = np.random.default_rng(
                 _count(doc.get("seed", seed), path + ".seed", least=0))
             return random_cpwa(space, rng)
-        if kind in ("discrete", "cpwa"):
-            return measure_from_json(doc, complex=space)
+        return measure_from_json(doc, complex=space)
     except ConfigError:
         raise
     except Exception as e:
         raise ConfigError(path, str(e)) from e
-    raise ConfigError(path + ".type", "unknown measure type %r" % kind)
 
 
 class ProblemSetup:
@@ -126,6 +144,7 @@ class ProblemSetup:
         self.measures = []
         for i, cat in enumerate(cats):
             base = "$.categories[%d]" % i
+            _reject_unknown(cat, ("space", "measure"), base)
             sp = _build_space(_need(cat, "space", base), base + ".space")
             self.x_spaces.append(sp)
             mu = _build_measure(_need(cat, "measure", base), sp,
@@ -136,6 +155,7 @@ class ProblemSetup:
                                   "space dimension %d" % (mu.dim, sp.dim))
             self.measures.append(mu)
         qdoc = _need(config, "quality", "$")
+        _reject_unknown(qdoc, ("space",), "$.quality")
         self.z_space = _build_space(_need(qdoc, "space", "$.quality"),
                                     "$.quality.space")
         self.x_bases = [HatBasis(sp) for sp in self.x_spaces]
@@ -164,7 +184,7 @@ class ProblemSetup:
         self.config = config
 
     def _build_model(self, doc):
-        fam = _need(doc, "family", "$.problem")
+        fam = _kind(doc, "family", PROBLEM_FIELDS, "family", "$.problem")
         try:
             if fam == "barycenter":
                 w = doc.get("weights", [1.0 / self.N] * self.N)
@@ -181,16 +201,14 @@ class ProblemSetup:
                     _need(doc, "s", "$.problem"),
                     _need(doc, "kappa1", "$.problem"),
                     _need(doc, "kappa2", "$.problem"))
-            if fam == "tabulated":
-                return tabulated_cpwa_cost(
-                    self.x_spaces, self.z_space,
-                    [np.asarray(T, dtype=float)
-                     for T in _need(doc, "tables", "$.problem")])
+            return tabulated_cpwa_cost(
+                self.x_spaces, self.z_space,
+                [np.asarray(T, dtype=float)
+                 for T in _need(doc, "tables", "$.problem")])
         except ConfigError:
             raise
         except Exception as e:
             raise ConfigError("$.problem", str(e)) from e
-        raise ConfigError("$.problem.family", "unknown family %r" % fam)
 
     def moments(self):
         return [moment_vector(self.measures[i], self.x_bases[i])

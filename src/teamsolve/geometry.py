@@ -7,8 +7,8 @@ The solver parametrizes continuous test functions by vertex-interpolation
   location (``vertex_weights``: containing-simplex vertices and barycentric
   weights), the membership test that location uses (``covers``), its faces
   of every dimension (``faces``, with ``edges`` the 1-faces), its
-  ``boundary`` (corners and straight sides) and, for a box grid, its ``box``
-  and ``refined`` grids,
+  ``boundary`` (corners and straight sides), the ``face_frames`` of both
+  and, for a box grid, its ``box`` and ``refined`` grids,
 * ``edge_crossings`` -- where hyperplanes cross given edges of a complex,
 * ``build_box_partition`` -- regular grid over a box, each cell triangulated
   by the order-based (Kuhn) triangulation into ``d!`` simplices,
@@ -125,6 +125,20 @@ def _straight_runs(V, edges):
             np.unique(np.asarray(runs, dtype=int).reshape(-1, 2), axis=0))
 
 
+def face_frames(V, groups):
+    """Per non-empty group of faces, each an (F, j+1) array of vertex
+    indices into V: the faces, their base points p0, their (F, j, d) edge
+    rows D = p_k - p0, G = (D D^T)^-1 and G D, the map from a point to the
+    edge parameters of its projection onto the face's affine hull."""
+    out = []
+    for F in filter(len, groups):
+        p0 = V[F[:, 0]]
+        D = V[F[:, 1:]] - p0[:, None]
+        G = np.linalg.inv(D @ D.transpose(0, 2, 1))
+        out.append((F, p0, D, G, G @ D))
+    return out
+
+
 class SimplicialComplex:
     """A finite collection of d-simplices in R^d sharing vertices along faces.
 
@@ -206,6 +220,11 @@ class SimplicialComplex:
         return self.faces[1]
 
     @cached_property
+    def face_frames(self):
+        """The ``face_frames`` of ``faces``."""
+        return face_frames(self.vertices, self.faces)
+
+    @cached_property
     def boundary(self):
         """The complex's :class:`Boundary`, from its simplices alone.
 
@@ -228,6 +247,12 @@ class SimplicialComplex:
         if d == 1:
             return Boundary(facets[:, 0], np.empty((0, 2), dtype=int))
         return Boundary(*_straight_runs(self.vertices, facets))
+
+    @cached_property
+    def boundary_frames(self):
+        """The ``face_frames`` of the corners, as 0-faces, and segments."""
+        corners, segments = self.boundary
+        return face_frames(self.vertices, [corners[:, None], segments])
 
     def refined(self, factor):
         """The box grid over the same box with ``factor`` times the cells

@@ -9,16 +9,16 @@ together with its objective value, a certified lower bound on the true
 minimum, and a pool of further low-value pairs to add as cuts.  The oracle
 is exact: the certified bound equals the returned value.
 
-``_exact_oracle`` picks one of three candidate generators, each returning
-flat ``(vals, X, Z)`` arrays: every type-vertex x quality-vertex pair where
-both arguments are vertex-exact (``vertex_exact``: the cost family's
-``affine_in_x`` / ``affine_in_z``, or a finite space), for the quadratic
-barycenter cost one closed-form critical point per face of the quality
-complex, of every dimension from its vertices to its cells, and otherwise
-the family's oracle terms.  ``_best_and_pool`` turns any generator's
-candidates into the optimum and the cut pool.  ``type_minima`` answers the
-same minimization over the type space alone at fixed quality points, which
-the transfer functions need.
+``_exact_oracle`` asks the model, never its class, which of three
+candidate generators fits, each returning flat ``(vals, X, Z)`` arrays:
+every type-vertex x quality-vertex pair where both arguments are
+vertex-exact (``vertex_exact``), the family's closed-form minima on every
+face of the quality complex at each type vertex (``face_minima``), or
+else its oracle terms, a separable term's side taking the
+``axis_arrangement_candidates`` of its anchor.  ``_best_and_pool`` turns
+the candidates into the optimum and the cut pool.  ``type_minima``
+answers the minimization over the type space alone at fixed quality
+points, which the transfer functions need.
 
 No LP is solved.  A coupled oracle term is convex and affine between its
 kink hyperplanes, so on each (type cell, quality cell) pair its minimum
@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FiniteSpace, point_key, point_keys
-from .problems import (QuadraticBarycenterCost, SeparableL1Term,
-                       axis_arrangement_candidates)
+from .geometry import (FiniteSpace, edge_crossings, first_seen, point_key,
+                       point_keys)
+from .problems import SeparableL1Term
 
 
 class OracleError(RuntimeError):
@@ -78,6 +78,28 @@ def _finalize(model, i, x_basis, z_basis, y, w, x, z, pool, beta_lower):
     beta = float(model.eval(i, x[None, :], z[None, :])[0] - g @ y - h @ w)
     return OracleResult(x=x, z=z, beta_tilde=beta,
                         beta_lower=min(beta_lower, beta), pool=pool)
+
+
+def axis_arrangement_candidates(space, anchors):
+    """Candidate minimizer points of a convex PWA function whose kinks lie on
+    the axis-aligned hyperplanes through the given anchor points.
+
+    Returns the union over the complex of: cell vertices, intersections of
+    the anchor hyperplanes with cell edges, and pairwise hyperplane crossing
+    points that land inside the complex.  Minimizing any function that is
+    affine between these hyperplanes within each cell is exact on this set.
+    """
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    d = space.dim
+    levels = [np.unique(anchors[:, l]) for l in range(d)]
+    axes = np.concatenate([np.full(len(v), l) for l, v in enumerate(levels)])
+    on_edges, hit = edge_crossings(space, space.edges, np.eye(d)[axes],
+                                   np.concatenate(levels))
+    pts = [space.vertices, on_edges[hit]]
+    if d >= 2:
+        crossings = np.array(list(itertools.product(*levels))).reshape(-1, d)
+        pts.append(crossings[space.covers(crossings)])
+    return first_seen(np.vstack(pts))[0]
 
 
 def _side_minima(space, basis, coeffs, anchor, weight, side, cache, memo):
@@ -316,57 +338,14 @@ def _vertex_candidates(model, i, x_space, z_space, Yv, Wv):
             np.tile(zs, (len(xs), 1)))
 
 
-def _face_frames(z_space):
-    """Per face dimension j = 0..d of the quality complex: the faces'
-    vertex indices (``faces[j]``), their base points p0, their (F, j, d)
-    edge rows D = p_k - p0, G = (D D^T)^-1 and G D, the map from a point to
-    the edge parameters of its projection onto the face's affine hull."""
-    out = []
-    for F in z_space.faces:
-        p0 = z_space.vertices[F[:, 0]]
-        D = z_space.vertices[F[:, 1:]] - p0[:, None]
-        G = np.linalg.inv(D @ D.transpose(0, 2, 1))
-        out.append((F, p0, D, G, G @ D))
-    return out
-
-
-def _quadratic_candidates(lam, x_space, z_space, Yv, Wv, cache):
-    """Closed-form candidates of the squared-distance barycenter cost.
-
-    The cost is affine in x for fixed z, so the x-minimum over each cell
-    sits at a vertex.  For each x-vertex x and each face of the quality
-    complex, of every dimension, with base point p0 and edge rows D
-    (``_face_frames``, cached), the hat combination is affine on the face,
-    so the cost minus it is a strictly convex quadratic there.  Its
-    critical point z = p0 + D^T t has t = G (D (x - p0) + dW / (2 lam)),
-    where dW are the multiplier steps along the edges; it is evaluated as
-    G D x + G (dW / (2 lam) - D p0), so x enters one product.  The minimum over
-    the complex is the critical point of the face that holds it in its
-    relative interior, so a face whose t is not in the open simplex gets
-    +inf.  x-vertex major, and per x-vertex the faces by dimension.
-    """
-    key = ("faces", id(z_space))
-    if key not in cache:
-        cache[key] = _face_frames(z_space)
-    xs = x_space.vertices                              # (nx, d)
-    n, d = xs.shape
-    vals, Z = [], []
-    for F, p0, D, G, GD in cache[key]:
-        w0 = Wv[F[:, 0]]
-        dW = Wv[F[:, 1:]] - w0[:, None]                # (f, j)
-        shift = dW / (2.0 * lam) - (D @ p0[:, :, None])[..., 0]
-        t = ((xs @ GD.reshape(-1, d).T).reshape(n, len(F), -1)
-             + (G @ shift[:, :, None])[..., 0])        # (n, f, j)
-        inside = ((t.min(-1, initial=1.0) > 1e-12)
-                  & (t.sum(-1) < 1 - 1e-12))
-        z = p0 + (t[..., None] * D).sum(-2)
-        v = (lam * ((z ** 2).sum(-1) - 2.0 * (xs[:, None, :] * z).sum(-1))
-             - (w0 + (t * dW).sum(-1)))
-        vals.append(np.where(inside, v, np.inf))
-        Z.append(z)
-    vals = np.concatenate(vals, axis=1) - Yv[:, None]
+def _face_candidates(model, i, x_space, z_space, Yv, Wv):
+    """The family's closed-form face minima (``CostModel.face_minima``) at
+    every type vertex, x-vertex major."""
+    xs = x_space.vertices
+    vals, Z = model.face_minima(i, xs, z_space, Wv)
+    vals = vals - Yv[:, None]
     return (vals.ravel(), np.repeat(xs, vals.shape[1], axis=0),
-            np.concatenate(Z, axis=1).reshape(-1, d))
+            Z.reshape(-1, xs.shape[1]))
 
 
 def _term_candidates(model, i, x_space, x_basis, z_space, z_basis, y, w,
@@ -442,9 +421,8 @@ def _exact_oracle(model, i, x_space, x_basis, z_space, z_basis, y, w, cap,
     if vertex_exact(model.affine_in_x, x_space) \
             and vertex_exact(model.affine_in_z, z_space):
         vals, X, Z = _vertex_candidates(model, i, x_space, z_space, Yv, Wv)
-    elif isinstance(model, QuadraticBarycenterCost):
-        vals, X, Z = _quadratic_candidates(model.lam[i], x_space, z_space,
-                                           Yv, Wv, cache)
+    elif model.face_minima is not None:
+        vals, X, Z = _face_candidates(model, i, x_space, z_space, Yv, Wv)
     else:
         vals, X, Z = _term_candidates(model, i, x_space, x_basis, z_space,
                                       z_basis, y, w, Yv, Wv, cap, cache)
@@ -458,8 +436,8 @@ def make_oracle(model, x_spaces, x_bases, z_space, z_basis,
     """The exact oracle of a problem as a callable ``oracle(i, y, w)``.
 
     Each call enumerates vertex pairs where both arguments are
-    vertex-exact, takes the closed-form faces for the quadratic barycenter
-    cost, and else the cost family's oracle terms, whose candidate sets
+    vertex-exact, takes the family's closed-form face minima where it has
+    them, and else the cost family's oracle terms, whose candidate sets
     are cached across calls; it offers at most ``pool_cap`` cuts of
     distinct point keys, the optimum first.  A family with none of these
     raises ``CostModelError`` from ``oracle_terms``.  ``pool_margin`` has

@@ -7,22 +7,22 @@ Four families are shipped:
   taking the cheaper of the direct walk and the best station pair; the last
   category pays a pure restocking cost.
 * ``barycenter_cost`` -- the 2-Wasserstein barycenter cost written without
-  its measure-dependent constant; the constant is tracked separately so
-  reported bounds refer to the sum of squared W2 distances.
+  its measure-dependent constant, tracked separately so reported bounds
+  refer to the sum of squared W2 distances; one closed-form minimization on
+  the faces of the quality complex (``_face_minima``) serves its oracle
+  (``face_minima``) and its quality selector (the boundary's faces).
 * ``capped_affine_cost`` -- one-dimensional preference matching with a dead
   zone, a linear ramp and a saturation cap.
 * ``tabulated_cpwa_cost`` -- cost given by a value table on vertex pairs,
   extended by barycentric interpolation in both arguments.
 
 Each model carries its Lipschitz constants w.r.t. the Euclidean metric and
-the structures that make the global-minimization oracle, the transfer
-function evaluation and the pushforward quality selector exact: a min-of-
-convex-terms decomposition whose per-term kink arrangements yield finite
-candidate sets: a separable term's per-argument kinks, or a coupled term's
-kink hyperplanes in the joint (type, quality) space.  The candidate sets
-are built from the region geometry that ``geometry`` provides: the
-membership test ``covers``, a complex's ``edges``, ``boundary`` and
-``box``, and ``edge_crossings``.
+what makes the oracle, the transfer functions and the quality selector
+exact: vertex exactness (``affine_in_x``, ``affine_in_z``), closed-form
+face minima, or a min-of-convex-terms decomposition whose kinks (a
+separable term's per-argument kinks, a coupled term's hyperplanes in the
+joint space) yield finite candidate sets, built on ``geometry``'s
+``covers``, ``boundary``, ``box``, ``edge_crossings`` and face frames.
 """
 
 from __future__ import annotations
@@ -35,12 +35,20 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import (FiniteSpace, edge_crossings, first_seen,
-                       has_duplicate_rows)
+from .geometry import FiniteSpace, edge_crossings, has_duplicate_rows
 
 
 class CostModelError(ValueError):
     pass
+
+
+def _dot(a, b):
+    """``(a * b).sum(-1)`` one column at a time, in numpy's order for an
+    axis of fewer than 8 entries (the same bits on the short coordinate and
+    edge axes here) without a reduction's per-row cost."""
+    cols = [a[..., l] * b[..., l] for l in range(a.shape[-1])]
+    return (sum(cols[1:], cols[0]) if cols
+            else np.zeros(np.broadcast(a, b).shape[:-1]))
 
 
 def full_vertex_weights(space, X):
@@ -49,30 +57,6 @@ def full_vertex_weights(space, X):
     out = np.zeros((len(V), space.n_vertices))
     np.put_along_axis(out, V, W, axis=1)
     return out
-
-
-def axis_arrangement_candidates(space, anchors):
-    """Candidate minimizer points of a convex PWA function whose kinks lie on
-    the axis-aligned hyperplanes through the given anchor points.
-
-    Returns the union over the complex of: cell vertices, intersections of
-    the anchor hyperplanes with cell edges, and pairwise hyperplane crossing
-    points that land inside the complex.  Minimizing any function that is
-    affine between these hyperplanes within each cell is exact on this set.
-    """
-    if isinstance(space, FiniteSpace):
-        return space.vertices.copy()
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    d = space.dim
-    levels = [np.unique(anchors[:, l]) for l in range(d)]
-    axes = np.concatenate([np.full(len(v), l) for l, v in enumerate(levels)])
-    on_edges, hit = edge_crossings(space, space.edges, np.eye(d)[axes],
-                                   np.concatenate(levels))
-    pts = [space.vertices, on_edges[hit]]
-    if d >= 2:
-        crossings = np.array(list(itertools.product(*levels))).reshape(-1, d)
-        pts.append(crossings[space.covers(crossings)])
-    return first_seen(np.vstack(pts))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +161,12 @@ class CostModel:
         raise CostModelError("%s has no exact oracle: it is not vertex-exact "
                              "in both arguments and lacks a term "
                              "decomposition" % type(self).__name__)
+
+    # None, or ``face_minima(i, X, z_space, Wv)`` of a family affine in x:
+    # per row x of X, c_i(x, .) minus the hat combination of the vertex
+    # values Wv minimized on each face of the quality complex, as (n, K)
+    # values (+inf off the face) and (n, K, d) points
+    face_minima = None
 
     def z_opt_values(self, X_list, z_space):
         """Candidate minimizers of z -> sum_i c_i(x_i, z) per sample and the
@@ -393,8 +383,14 @@ class QuadraticBarycenterCost(CostModel):
 
     def __init__(self, weights, x_spaces, z_space, shift=0.0):
         w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
+        if w.ndim != 1 or not (np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-9):
             raise CostModelError("weights must be positive and sum to 1")
+        if len(x_spaces) != len(w):
+            raise CostModelError("%d weights but %d type spaces"
+                                 % (len(w), len(x_spaces)))
+        if any(sp.dim != z_space.dim for sp in x_spaces):
+            raise CostModelError("every type space needs the quality "
+                                 "dimension %d" % z_space.dim)
         self.lam = w
         self.N = len(w)
         self.shift = float(shift)
@@ -415,47 +411,73 @@ class QuadraticBarycenterCost(CostModel):
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         return self.lam[i] * ((Z ** 2).sum(1)[None, :] - 2.0 * X @ Z.T)
 
+    def face_minima(self, i, X, z_space, Wv):
+        """``CostModel.face_minima``: ``_face_minima`` over every face."""
+        return self._face_minima(self.lam[i], X, z_space.face_frames, Wv)
+
+    @staticmethod
+    def _face_minima(lam, X, frames, Wv):
+        """Per row x of X, lam (||z||^2 - 2 <x, z>) minus the hat
+        combination of the vertex values Wv, minimized on each face of
+        ``frames`` (``geometry.face_frames``): (n, K) values and (n, K, d)
+        points, the faces in their order.
+
+        The hat combination is affine on a face with base point p0 and edge
+        rows D, so the objective is a strictly convex quadratic there, least
+        at z = p0 + D^T t with t = G (D (x - p0) + dW / (2 lam)), dW the
+        steps of Wv along the edges; it is evaluated as G D x + G (dW /
+        (2 lam) - D p0), so x enters one product.  The minimum over a union
+        of faces is the critical point of the face that holds it in its
+        relative interior, so a face whose t is not in the open simplex
+        gets +inf.
+        """
+        n, d = X.shape
+        vals, Z = [], []
+        for F, p0, D, G, GD in frames:
+            w0 = Wv[F[:, 0]]
+            dW = Wv[F[:, 1:]] - w0[:, None]                # (f, j)
+            shift = dW / (2.0 * lam) - (D @ p0[:, :, None])[..., 0]
+            t = ((X @ GD.reshape(-1, d).T).reshape(n, len(F), -1)
+                 + (G @ shift[:, :, None])[..., 0])        # (n, f, j)
+            inside = ((t.min(-1, initial=1.0) > 1e-12)
+                      & (t.sum(-1) < 1 - 1e-12))
+            z = p0 + _dot(t[..., None, :], D.swapaxes(-1, -2))
+            v = (lam * (_dot(z, z) - 2.0 * _dot(X[:, None, :], z))
+                 - (w0 + _dot(t, dW)))
+            vals.append(np.where(inside, v, np.inf))
+            Z.append(z)
+        return np.concatenate(vals, axis=1), np.concatenate(Z, axis=1)
+
     def z_opt_values(self, X_list, z_space):
         """Each sample's weighted type mean, then its projection candidates
         onto the quality region's boundary.
 
         The summed cost is ||z||^2 - 2 <xbar, z> for the weighted mean xbar,
-        so its minimizer is xbar where the region covers it and else the
-        projection of xbar onto the region, which lies on its boundary: the
-        closed straight segments, with the corners taken exactly.  The
-        first candidate is xbar, +inf where it lies outside; the corners
-        and the segment projections follow, +inf where xbar lies inside.
+        so its minimizer is xbar where the region covers it and else its
+        projection onto the boundary, the ``_face_minima`` of lam = 1 and no
+        multipliers on the corners and segments (``boundary_frames``).  The
+        first candidate is xbar, +inf where it lies outside; the boundary
+        faces follow, +inf where xbar lies inside.
         """
         xbar = np.zeros_like(X_list[0])
         for i in range(self.N):
             xbar += self.lam[i] * X_list[i]
         inside = z_space.covers(xbar)
         cand = [xbar[:, None, :]]
-        vals = [np.where(inside, -(xbar ** 2).sum(1), np.inf)[:, None]]
+        vals = [np.where(inside, -_dot(xbar, xbar), np.inf)[:, None]]
         if not inside.all():
             if z_space.dim > 2:
                 raise CostModelError(
                     "quality selector needs the quality space to contain "
                     "the weighted type means in dimension > 2")
-            V = z_space.vertices
-            corners, segments = z_space.boundary
-            C = V[corners]
-            e0 = V[segments[:, 0]]
-            de = V[segments[:, 1]] - e0
-            xs = xbar[~inside]
-            vv = (C ** 2).sum(1)[None, :] - 2.0 * xs @ C.T
-            num = ((xs[:, None, :] - e0[None]) * de[None]).sum(-1)
-            t = np.clip(num / (de ** 2).sum(1)[None], 0.0, 1.0)
-            ze = e0[None] + t[..., None] * de[None]
-            ve = (ze ** 2).sum(-1) - 2.0 * np.einsum("nd,ned->ne", xs, ze)
-            k = len(C) + len(segments)
-            pts = np.zeros((len(xbar), k, xbar.shape[1]))
-            pts[~inside] = np.concatenate(
-                [np.broadcast_to(C[None], (len(xs),) + C.shape), ze], axis=1)
-            pv = np.full((len(xbar), k), np.inf)
-            pv[~inside] = np.concatenate([vv, ve], axis=1)
-            cand.append(pts)
-            vals.append(pv)
+            out = np.flatnonzero(~inside)
+            pv, pts = self._face_minima(1.0, xbar[out],
+                                        z_space.boundary_frames,
+                                        np.zeros(z_space.n_vertices))
+            cand.append(np.zeros((len(xbar),) + pts.shape[1:]))
+            cand[-1][out] = pts
+            vals.append(np.full((len(xbar), pv.shape[1]), np.inf))
+            vals[-1][out] = pv
         return np.concatenate(cand, axis=1), np.concatenate(vals, axis=1)
 
 
@@ -464,21 +486,33 @@ class CappedAffineCost(CostModel):
     types; equals min{ramp, saturation constant}, which keeps the oracle and
     the quality selector exact on small candidate sets.
 
-    ``kappa1 = 0`` and ``kappa2 = inf`` are accepted (degenerate instances
-    such as a plain |x - <s, z>| cost for cross-checks)."""
+    ``kappa1`` and ``kappa2`` are one number for every category or one per
+    category.  ``kappa1 = 0`` and ``kappa2 = inf`` are accepted (degenerate
+    instances such as a plain |x - <s, z>| cost for cross-checks)."""
 
     def __init__(self, s_list, kappa1, kappa2):
         self.s = np.atleast_2d(np.asarray(s_list, dtype=float))
-        self.N = self.s.shape[0]
-        self.d0 = self.s.shape[1]
-        if np.any(np.abs(np.linalg.norm(self.s, axis=1) - 1.0) > 1e-9):
-            raise CostModelError("direction vectors must be unit length")
-        self.kappa1 = np.atleast_1d(np.asarray(kappa1, dtype=float))
-        self.kappa2 = np.atleast_1d(np.asarray(kappa2, dtype=float))
-        if np.any(self.kappa1 < 0) or np.any(self.kappa2 <= self.kappa1):
-            raise CostModelError("need 0 <= kappa1 < kappa2")
+        # written so that a NaN fails each test
+        if self.s.ndim != 2 or not np.all(
+                np.abs(np.linalg.norm(self.s, axis=1) - 1.0) <= 1e-9):
+            raise CostModelError("directions must be finite unit vectors")
+        self.N, self.d0 = self.s.shape
+        self.kappa1 = self._per_category(kappa1, "kappa1")
+        self.kappa2 = self._per_category(kappa2, "kappa2")
+        if not (np.all(np.isfinite(self.kappa1) & (self.kappa1 >= 0))
+                and np.all(self.kappa2 > self.kappa1)):
+            raise CostModelError("need finite kappa1 >= 0 and kappa2 > "
+                                 "kappa1")
         self.L1 = np.full(self.N, 1.0 / self.N)
         self.L2 = np.full(self.N, 1.0 / self.N)
+
+    def _per_category(self, k, name):
+        """One value per category from one number or N of them."""
+        k = np.asarray(k, dtype=float)
+        if k.ndim > 1 or k.ndim == 1 and len(k) != self.N:
+            raise CostModelError("%s must be one number or %d, one per "
+                                 "category" % (name, self.N))
+        return np.full(self.N, k)
 
     def eval(self, i, X, Z):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -710,6 +744,9 @@ def barycenter_cost(weights, x_spaces, z_space, measures=None,
     if shift_accounting and measures is not None:
         from .measures import second_moment
         w = np.atleast_1d(np.asarray(weights, dtype=float))
+        if len(measures) != len(w):
+            raise CostModelError("%d weights but %d measures"
+                                 % (len(w), len(measures)))
         shift = float(sum(w[i] * second_moment(m) for i, m in enumerate(measures)))
     return QuadraticBarycenterCost(weights, x_spaces, z_space, shift)
 

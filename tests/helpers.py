@@ -18,10 +18,10 @@ from teamsolve.geometry import (FiniteSpace, GeometryError, IndicatorBasis,
 from teamsolve.linprog import (LpError, LpInfeasibleError, LpProblem,
                                LpSolution, LpUnboundedError, _core)
 from teamsolve.measures import DiscreteMeasure
-from teamsolve.oracle import OracleError, _finalize, _vertex_multipliers
+from teamsolve.oracle import (OracleError, _finalize, _vertex_multipliers,
+                              axis_arrangement_candidates)
 from teamsolve.problems import (BusinessLocationCost, CappedAffineCost,
                                 CostModelError, DirectL1Term, ScalarRampTerm,
-                                axis_arrangement_candidates,
                                 tabulated_cpwa_cost)
 
 
@@ -360,16 +360,18 @@ def linprog_reference(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     )
 
 
-def coupled_term_values_lp(term, xp, xi, zp, zi, Yv, Wv):
-    """``oracle._coupled_term_values`` as one block-diagonal LP over all
-    cell pairs: each pair minimizes in barycentric variables (lam, mu) and
-    the term's auxiliary variables, and the pairs share no variables.
-    Returns the (nx, nz) value table and the (nx * nz, d) type and quality
-    points of the block solutions, x-cell major.  Each value is the
-    objective at its block's solution, with the barycentric weights clipped
-    to be >= 0 and renormalized: the LP's own objective may sit up to its
-    feasibility tolerance (1e-10) below every attainable value, as it does
-    on a ramp whose two kinks are 2e-12 apart."""
+def coupled_term_values_vertices(term, xp, xi, zp, zi, Yv, Wv):
+    """``oracle._coupled_term_values``' (nx, nz) value table, x-cell major,
+    with each cell pair's LP solved by enumerating its vertices.
+
+    A pair minimizes over barycentric variables (lam, mu) and the term's
+    auxiliary variables, all >= 0, with lam and mu summing to 1 and the
+    term's rows bounding the auxiliaries below.  Every choice of as many
+    active inequality rows as that leaves free gives a square system; a
+    nonsingular one whose solution meets every row to 1e-9 is a vertex.
+    Each vertex is valued by the objective at its point, with the weights
+    clipped to be >= 0 and renormalized, so the table holds attained
+    values and its error rests on no solver's tolerances."""
     nx, kx = xi.shape
     nz, kz = zi.shape
     P = nx * nz
@@ -377,46 +379,49 @@ def coupled_term_values_lp(term, xp, xi, zp, zi, Yv, Wv):
     Vz = np.tile(zp, (nx, 1, 1))             # (P, kz, d)
     if isinstance(term, DirectL1Term):
         # |x_l - z_l| <= a_l: one row pair per coordinate l
-        aux = np.full(xp.shape[2], term.weight)
-        gx = Vx.transpose(0, 2, 1)
-        gz = -Vz.transpose(0, 2, 1)
-        rhs = 0.0
+        gx, gz, rhs = Vx.transpose(0, 2, 1), -Vz.transpose(0, 2, 1), 0.0
     elif isinstance(term, ScalarRampTerm):
         # |x - <s, z>| - kappa1 <= r
-        aux = np.array([term.slope])
-        gx = Vx[:, None, :, 0]
-        gz = -(Vz @ term.s)[:, None, :]
-        rhs = term.kappa1
+        gx, gz, rhs = Vx[:, None, :, 0], -(Vz @ term.s)[:, None, :], \
+            term.kappa1
     else:
         raise TypeError("unknown coupled term %r" % term)
-    na = len(aux)
+    na = gx.shape[1]
     nv = kx + kz + na
     ga = np.broadcast_to(-np.eye(na), (P, na, na))
-    plus = np.concatenate([gx, gz, ga], axis=2)
-    minus = np.concatenate([-gx, -gz, ga], axis=2)
-    ub = np.stack([plus, minus], axis=2).reshape(P, 2 * na, nv)
+    # inequality rows G v <= h: v >= 0, then the term's row pairs
+    G = np.concatenate([np.broadcast_to(-np.eye(nv), (P, nv, nv)),
+                        np.concatenate([gx, gz, ga], axis=2),
+                        np.concatenate([-gx, -gz, ga], axis=2)], axis=1)
+    h = np.concatenate([np.zeros(nv), np.full(2 * na, rhs)])
     eq = np.zeros((2, nv))
     eq[0, :kx] = 1.0
     eq[1, kx:kx + kz] = 1.0
-    C = np.concatenate([-np.repeat(Yv[xi], nz, axis=0),
-                        -np.tile(Wv[zi], (nx, 1)),
-                        np.broadcast_to(aux, (P, na))], axis=1)
-    sol = linprog_reference(
-        C.ravel(),
-        A_ub=sparse.block_diag(ub, format="csr"),
-        b_ub=np.full(P * 2 * na, rhs),
-        A_eq=sparse.block_diag(np.broadcast_to(eq, (P, 2, nv)), format="csr"),
-        b_eq=np.ones(2 * P))
-    S = sol.x.reshape(P, nv)
-    lam = np.clip(S[:, :kx], 0.0, None)
-    mu = np.clip(S[:, kx:kx + kz], 0.0, None)
+    S = np.array(list(itertools.combinations(range(len(h)), nv - 2)))
+    M = np.concatenate([np.broadcast_to(eq, (len(S), P, 2, nv)),
+                        G[:, S].transpose(1, 0, 2, 3)], axis=2)
+    r = np.concatenate([np.ones((len(S), 2)), h[S]], axis=1)
+    scale = np.linalg.norm(M, axis=-1).prod(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the LU of an exactly singular system divides by zero
+        ok = np.abs(np.linalg.det(M)) > 1e-12 * scale
+    M[~ok] = np.eye(nv)
+    v = np.linalg.solve(M, np.broadcast_to(r[:, None, :, None],
+                                           M.shape[:-1] + (1,)))[..., 0]
+    ok &= (np.einsum("pmv,spv->spm", G, v) <= h + 1e-9).all(-1)
+    pair = np.nonzero(ok)[1]
+    lam = np.clip(v[ok][:, :kx], 0.0, None)
+    mu = np.clip(v[ok][:, kx:kx + kz], 0.0, None)
     lam /= lam.sum(1, keepdims=True)
     mu /= mu.sum(1, keepdims=True)
-    X = np.einsum("pk,pkd->pd", lam, Vx)
-    Z = np.einsum("pk,pkd->pd", mu, Vz)
-    vals = (term.eval(X, Z) - (lam * np.repeat(Yv[xi], nz, axis=0)).sum(1)
-            - (mu * np.tile(Wv[zi], (nx, 1))).sum(1))
-    return vals.reshape(nx, nz), X, Z
+    X = np.einsum("nk,nkd->nd", lam, Vx[pair])
+    Z = np.einsum("nk,nkd->nd", mu, Vz[pair])
+    vals = (term.eval(X, Z)
+            - (lam * np.repeat(Yv[xi], nz, axis=0)[pair]).sum(1)
+            - (mu * np.tile(Wv[zi], (nx, 1))[pair]).sum(1))
+    best = np.full(P, np.inf)
+    np.minimum.at(best, pair, vals)
+    return best.reshape(nx, nz)
 
 
 def model_lp(problem: LpProblem):

@@ -256,3 +256,77 @@ def test_invalid_business_cost_is_rejected(tmp_path, capsys):
     assert ProblemSetup(cfg).model.N == 2
     cfg["problem"]["c_walk"] = -0.15
     _rejected(tmp_path, capsys, cfg, "problem")
+
+
+def _at(cfg, where):
+    """The object at a dotted config path such as ``categories[0].space``."""
+    for part in where.split("."):
+        name, _, index = part.partition("[")
+        cfg = cfg[name] if not index else cfg[name][int(index[:-1])]
+    return cfg
+
+
+@pytest.mark.parametrize("where,key", [
+    ("problem", "shift_acounting"),
+    ("problem", "stations"),                    # a business-location field
+    ("categories[1]", "measures"),
+    ("categories[0].space", "pionts"),
+    ("categories[0].measure", "wieghts"),
+    ("quality", "spaces"),
+    ("quality.space", "cuonts"),
+])
+def test_unknown_keys_are_rejected_at_every_level(tmp_path, capsys, where,
+                                                  key):
+    # a misspelled optional field would otherwise take its default silently
+    cfg = _load("barycenter_two_points.json")
+    _at(cfg, where)[key] = 1
+    _rejected(tmp_path, capsys, cfg, "%s.%s" % (where, key))
+
+
+def test_unknown_keys_depend_on_the_kind(tmp_path, capsys):
+    # each family, space type and measure type has its own fields
+    cfg = _load("discrete_tiny.json")
+    cfg["categories"][0]["space"] = {"type": "box", "box": [[0, 1]],
+                                     "counts": [1], "points": [[0.0]]}
+    _rejected(tmp_path, capsys, cfg, "categories[0].space.points")
+    cfg = _load("discrete_tiny.json")
+    cfg["categories"][0]["measure"] = {"type": "random_cpwa", "seed": 1,
+                                       "atoms": [[0.0]]}
+    _rejected(tmp_path, capsys, cfg, "categories[0].measure.atoms")
+    space = {"type": "box", "box": [[-2, 2], [-2, 2]], "counts": [2, 2]}
+    cat = {"space": space, "measure": {"type": "discrete",
+                                       "atoms": [[0.0, 0.0]],
+                                       "weights": [1.0]}}
+    cfg = {"problem": {"family": "business_location", "c_wlak": 0.3,
+                       "stations": [[0.0, 0.0], [1.0, 1.0]]},
+           "categories": [cat, cat], "quality": {"space": space},
+           "eps_lsip": 1e-6}
+    _rejected(tmp_path, capsys, cfg, "problem.c_wlak")
+    # the three typos together stop verify, which used to report "verify ok"
+    cfg = _load("barycenter_two_points.json")
+    cfg["problem"]["shift_acounting"] = False
+    cfg["quality"]["space"]["cuonts"] = [2, 2]
+    cfg["categories"][0]["measure"]["wieghts"] = [1.0]
+    bad = tmp_path / "typos.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(bad)]) == 2
+    assert "unknown field" in capsys.readouterr().err
+
+
+def test_invalid_capped_affine_cost_is_rejected(tmp_path, capsys):
+    # one band for every category is read as such; a band per category
+    # more than the directions is a config error, not an IndexError later
+    line = {"type": "box", "box": [[0, 1]], "counts": [2]}
+    cat = {"space": line, "measure": {"type": "discrete", "atoms": [[0.5]],
+                                      "weights": [1.0]}}
+    cfg = {"problem": {"family": "capped_affine",
+                       "s": [[1.0], [-1.0], [1.0]], "kappa1": 0.1,
+                       "kappa2": 0.5},
+           "categories": [cat] * 3, "quality": {"space": line},
+           "eps_lsip": 1e-4}
+    assert ProblemSetup(cfg).model.kappa1.tolist() == [0.1] * 3
+    cfg["problem"]["kappa1"] = [0.1] * 4
+    _rejected(tmp_path, capsys, cfg, "problem")
+    cfg["problem"]["kappa1"] = 0.1
+    cfg["problem"]["s"] = [[1.0], [-1.0], [0.5]]
+    _rejected(tmp_path, capsys, cfg, "problem")

@@ -5,7 +5,7 @@ from helpers import business_eval_pair_tensor
 from teamsolve.geometry import FiniteSpace, build_box_partition
 from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
                                 random_cpwa, uniform_points)
-from teamsolve.problems import (CostModelError, barycenter_cost,
+from teamsolve.problems import (CostModelError, _dot, barycenter_cost,
                                 business_location_cost, capped_affine_cost,
                                 tabulated_cpwa_cost)
 
@@ -53,6 +53,66 @@ def test_capped_affine_regimes():
         capped_affine_cost([[1.0, 0.0]], [0.9], [0.8])
     with pytest.raises(CostModelError):
         capped_affine_cost([[2.0, 0.0]], [0.1], [0.8])
+
+
+THREE = [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]
+
+
+def test_capped_affine_broadcasts_a_scalar_band():
+    # one number serves every category, as the same number per category
+    m = capped_affine_cost(THREE, 0.1, 0.5)
+    ref = capped_affine_cost(THREE, [0.1] * 3, [0.5] * 3)
+    X, Z = [[0.3], [0.9]], [[0.2, 0.1], [0.4, 0.4]]
+    for i in range(3):
+        assert np.array_equal(m.eval(i, X, Z), ref.eval(i, X, Z))
+    assert len(m.oracle_terms(2)) == 2
+
+
+@pytest.mark.parametrize("s,kappa1,kappa2", [
+    (THREE, [0.1, 0.1, 0.1, 0.1], 0.5),        # more bands than directions
+    (THREE, [0.1], 0.5),                        # one listed band for three
+    (THREE, 0.1, [0.5, 0.6]),
+    ([[1.0, 0.0]], [[0.1]], 0.5),
+    ([[1.0, 0.0]], float("nan"), 0.5),
+    ([[1.0, 0.0]], 0.1, float("nan")),
+    ([[1.0, 0.0]], float("inf"), float("inf")),
+    ([[1.0, 0.0]], -0.1, 0.5),
+    ([[1.0, 0.0]], 0.5, 0.5),
+    ([[float("nan"), 0.0]], 0.1, 0.5),
+    ([[float("inf"), 0.0]], 0.1, 0.5),
+    ([[[1.0, 0.0]]], 0.1, 0.5),
+])
+def test_capped_affine_rejects_what_it_cannot_evaluate(s, kappa1, kappa2):
+    with pytest.raises(CostModelError):
+        capped_affine_cost(s, kappa1, kappa2)
+
+
+def test_barycenter_checks_its_type_spaces():
+    # one per weight, each of the quality dimension: a 1-D type space used
+    # to pass verify and fail inside the solve
+    sq = build_box_partition([(0, 1), (0, 1)], (1, 1))
+    for spaces in ([sq], [sq] * 3):
+        with pytest.raises(CostModelError, match="2 weights but"):
+            barycenter_cost([0.5, 0.5], spaces, sq)
+    with pytest.raises(CostModelError, match="quality dimension 2"):
+        barycenter_cost([0.5, 0.5], [sq, FiniteSpace([[0.0]])], sq)
+    u = CpwaDensityMeasure(sq, np.ones(4))
+    with pytest.raises(CostModelError, match="2 weights but 1 measures"):
+        barycenter_cost([0.5, 0.5], [sq] * 2, sq, [u])
+    with pytest.raises(CostModelError, match="positive"):
+        barycenter_cost([float("nan"), 1.0], [sq] * 2, sq)
+
+
+def test_column_dot_has_the_bits_of_numpys_sum():
+    # the barycenter face routine sums its short coordinate and edge axes
+    # column by column; on axes of up to 7 entries the bits are numpy's
+    rng = np.random.default_rng(3)
+    for k in range(8):
+        a, b = (rng.normal(size=(200, 3, k))
+                * 10.0 ** rng.integers(-8, 8, size=(200, 3, k))
+                for _ in range(2))
+        assert np.array_equal(_dot(a, b), (a * b).sum(-1))
+        assert np.array_equal(_dot(a[:, :1], b), (a[:, :1] * b).sum(-1))
 
 
 def test_barycenter_shift_and_lipschitz():

@@ -1,17 +1,18 @@
 """Source rules: the region geometry of a complex lives in ``geometry.py``,
-and the choice of an exact minimization per cost family in ``problems.py``
-and ``oracle.py``.
+and the choice of an exact minimization per cost family in ``problems.py``.
 
 No other module of the package reads a complex's private ``_grid`` tuple
 or attaches attributes to a complex; they ask the complex (``covers``,
-``edges``, ``box``, ``refined``) instead.  No other module imports a cost
-model class or tests a model's class with ``isinstance``; they call the
-model's hooks (``z_opt_values``) or the oracle (``type_minima``) instead.
-``oracle.py`` itself names only ``QuadraticBarycenterCost``, for its
-closed-form faces; every other family states where its vertices are exact
-(``affine_in_x``, ``affine_in_z``) or gives oracle terms.  ``oracle.py``
-imports neither ``linprog`` nor scipy, so the oracle's certified lower
-bound rests on no solver's tolerances.
+``edges``, ``box``, ``refined``) instead.  No other module, ``oracle.py``
+included, imports a cost model class or tests a model's class with
+``isinstance``; they call the model's hooks (``z_opt_values``,
+``face_minima``, ``oracle_terms``), read where its vertices are exact
+(``affine_in_x``, ``affine_in_z``) or call the oracle (``type_minima``)
+instead.  The barycenter family's closed-form face minima take their
+frames from a complex's ``faces`` and ``boundary``, never from the
+per-simplex interpolation matrices.  ``oracle.py`` imports neither
+``linprog`` nor scipy, so the oracle's certified lower bound rests on no
+solver's tolerances.
 
 The HiGHS binding lives in ``linprog.py``: no other module reads a model's
 ``highs`` attribute, calls HiGHS's row or column methods or imports
@@ -116,13 +117,12 @@ def _cost_class_uses(path, classes):
     return out
 
 
-def test_only_problems_and_oracle_name_cost_families():
+def test_only_problems_names_cost_families():
     classes = _cost_model_classes()
     assert {"BusinessLocationCost", "CappedAffineCost",
             "QuadraticBarycenterCost", "TabulatedCpwaCost"} <= classes
-    modules = sorted(p for p in SRC.glob("*.py")
-                     if p.name not in ("problems.py", "oracle.py"))
-    assert len(modules) >= 7
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "problems.py")
+    assert len(modules) >= 8
     found = [v for p in modules for v in _cost_class_uses(p, classes)]
     assert not found, found
 
@@ -134,12 +134,14 @@ def test_cost_family_rule_catches_the_old_patterns(tmp_path):
                  "isinstance(m, QuadraticBarycenterCost)\n"
                  "isinstance(z_space, FiniteSpace)\n")
     assert len(_cost_class_uses(p, _cost_model_classes())) == 3
-
-
-def test_oracle_names_only_the_quadratic_family():
-    classes = _cost_model_classes() - {"QuadraticBarycenterCost"}
-    found = _cost_class_uses(SRC / "oracle.py", classes)
-    assert not found, found
+    # the oracle's former generator choice
+    p = tmp_path / "oracle.py"
+    p.write_text("from .problems import (QuadraticBarycenterCost,\n"
+                 "                       SeparableL1Term)\n"
+                 "isinstance(model, QuadraticBarycenterCost)\n"
+                 "isinstance(term, SeparableL1Term)\n"
+                 "model.face_minima is not None\n")
+    assert len(_cost_class_uses(p, _cost_model_classes())) == 2
 
 
 def _solver_imports(path):
@@ -178,12 +180,42 @@ def test_solver_rule_catches_the_patterns(tmp_path):
     assert len(_solver_imports(p)) == 5
 
 
+def _functions(path):
+    """A module's function definitions by name, methods as
+    ``Class.method``."""
+    out = {}
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update(("%s.%s" % (node.name, f.name), f) for f in node.body
+                       if isinstance(f, ast.FunctionDef))
+    return out
+
+
+def _attrs(nodes):
+    return {n.attr for f in nodes for n in ast.walk(f)
+            if isinstance(n, ast.Attribute)}
+
+
 def test_oracle_reads_faces_not_cell_inverses():
-    # the barycenter faces come from ``faces``, not from the per-simplex
-    # interpolation matrices
-    tree = ast.parse((SRC / "oracle.py").read_text())
-    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-    assert "_minv" not in attrs and "faces" in attrs
+    # the barycenter faces come from ``faces`` and ``boundary``, not from
+    # the per-simplex interpolation matrices: in the frame builder and in
+    # the family routine that the oracle and the quality selector share
+    # (``TabulatedCpwaCost._grad_bound`` reads ``_minv`` for its Lipschitz
+    # bound)
+    geometry, problems = _functions(SRC / "geometry.py"), \
+        _functions(SRC / "problems.py")
+    frames = [geometry[name] for name in (
+        "face_frames", "SimplicialComplex.face_frames",
+        "SimplicialComplex.boundary_frames")]
+    routine = [problems["QuadraticBarycenterCost." + name] for name in (
+        "face_minima", "_face_minima", "z_opt_values")]
+    assert "_minv" not in _attrs(frames + routine)
+    assert {"faces", "boundary"} <= _attrs(frames)
+    assert {"face_frames", "boundary_frames"} <= _attrs(routine)
+    oracle = ast.parse((SRC / "oracle.py").read_text())
+    assert "_minv" not in _attrs([oracle])
 
 
 HIGHS_ATTRS = {"highs", "addRows", "deleteRows", "addCols", "deleteCols"}
