@@ -120,6 +120,8 @@ def _build_measure(doc, space, seed, path):
             rng = np.random.default_rng(
                 _count(doc.get("seed", seed), path + ".seed", least=0))
             return random_cpwa(space, rng)
+        for key in MEASURE_FIELDS[kind]:
+            _need(doc, key, path)
         return measure_from_json(doc, complex=space)
     except ConfigError:
         raise
@@ -197,10 +199,18 @@ class ProblemSetup:
                     doc.get("c_walk", 0.15), doc.get("c_train", 0.015),
                     doc.get("c_restock", 0.4), n_categories=self.N)
             if fam == "capped_affine":
-                return capped_affine_cost(
+                model = capped_affine_cost(
                     _need(doc, "s", "$.problem"),
                     _need(doc, "kappa1", "$.problem"),
                     _need(doc, "kappa2", "$.problem"))
+                wide = [i for i, sp in enumerate(self.x_spaces) if sp.dim > 1]
+                if wide:
+                    raise ConfigError("$.categories[%d].space" % wide[0],
+                                      "capped_affine needs 1-D type spaces")
+                if model.d0 != self.z_space.dim:
+                    raise ConfigError("$.problem.s", "directions must have "
+                                      "the quality dimension")
+                return model
             return tabulated_cpwa_cost(
                 self.x_spaces, self.z_space,
                 [np.asarray(T, dtype=float)

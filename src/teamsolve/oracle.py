@@ -28,17 +28,25 @@ once in closed form and cached; a call contracts them with the
 multipliers and takes the least per pair.  The values the oracle returns
 are the objective at points it names, so the certified bound rests on no
 solver's tolerances.
+
+Static geometry is cached by content, never by object identity, so equal
+meshes share it: a side's candidate set by the side, the anchor's bytes,
+the space's vertex and cell arrays and the basis's excluded vertex
+(``_side_table``), a coupled term's arrangement vertices by ``_pair_key``.
+Each oracle keeps the entries it used; all of them also go into one
+module-level LRU bounded by the summed ``nbytes`` of their arrays
+(``SHARED_CACHE_BYTES``), which later oracles and ``type_minima`` read.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (FiniteSpace, edge_crossings, first_seen, point_key,
-                       point_keys)
+from .geometry import FiniteSpace, edge_crossings, first_seen, point_keys
 from .problems import SeparableL1Term
 
 
@@ -102,30 +110,72 @@ def axis_arrangement_candidates(space, anchors):
     return first_seen(np.vstack(pts))[0]
 
 
-def _side_minima(space, basis, coeffs, anchor, weight, side, cache, memo):
-    """Candidates and values of weight*||. - anchor||_1 - <g(.), coeffs>.
+# The shared cache of static geometry, least recently used first, and the
+# bound on the summed nbytes of its entries' arrays.  It takes no lock: the
+# package's only threads are ``z_opt``'s, which call no oracle.
+SHARED_CACHE_BYTES = 64 << 20
+_shared = OrderedDict()
 
-    Returns (points, values) over the exact candidate set for this anchor.
-    Basis values at the static candidate set are cached across oracle calls
-    in ``cache``; ``memo`` holds one call's results, so the terms that share
-    a side's anchor and weight value it once.
-    """
-    key = _anchor_key(side, anchor, space)
-    if (key, weight) in memo:
-        return memo[key, weight]
+
+def _cached(cache, key, build):
+    """``cache[key]``; on a miss the shared cache's entry, or else
+    ``build()``, is entered in both, and the shared cache drops its least
+    recently used entries until it is within ``SHARED_CACHE_BYTES``."""
     if key not in cache:
-        if anchor is None or isinstance(space, FiniteSpace):
-            cand = space.vertices
-        else:
-            cand = axis_arrangement_candidates(space, np.atleast_2d(anchor))
-        G = basis.eval_many(cand)
-        cache[key] = (cand, G)
-    cand, G = cache[key]
-    vals = -G @ coeffs
-    if anchor is not None and weight != 0.0:
-        vals = vals + weight * np.abs(cand - np.asarray(anchor)).sum(axis=1)
-    memo[key, weight] = cand, vals
-    return cand, vals
+        entry = _shared.pop(key, None)
+        if entry is None:
+            entry = build()
+        _shared[key] = cache[key] = entry
+        total = sum(a.nbytes for e in _shared.values() for a in e)
+        while total > SHARED_CACHE_BYTES:
+            total -= sum(a.nbytes for a in _shared.popitem(last=False)[1])
+    return cache[key]
+
+
+def _side_candidates(space, basis, anchor):
+    """A side's exact candidate set for its anchor and the basis values
+    there."""
+    if anchor is None or isinstance(space, FiniteSpace):
+        cand = space.vertices
+    else:
+        cand = axis_arrangement_candidates(space, np.atleast_2d(anchor))
+    return cand, basis.eval_many(cand)
+
+
+def _side_table(side, space, basis, coeffs, terms, cache):
+    """The 8 lowest points of weight*||. - anchor||_1 - <g(.), coeffs> on
+    the exact candidate set of each separable term's ``side``, "x" or "z".
+
+    Each distinct (anchor, weight) is valued and sorted once.  A candidate
+    set's cache key is the side, the basis's excluded vertex, the space's
+    vertex and cell arrays with their shapes, and the anchor's bytes.
+    Returns per term the (n_terms, k) values, lowest first, and the
+    (n_terms, k, d) points, k the most points a side has up to 8; a side
+    with fewer has +inf values after its own.
+    """
+    key = (side, basis.excluded) + tuple(
+        (a.shape, a.tobytes())
+        for a in (space.vertices, _cell_vertex_arrays(space)[1]))
+    rows = {}
+    index = [rows.setdefault((None if a is None else a.tobytes(), wt),
+                             (len(rows), a, wt))[0]
+             for a, wt in ((getattr(t, "anchor_" + side),
+                            getattr(t, "weight_" + side)) for t in terms)]
+    lows = []
+    for (anchor_key, _), (_, anchor, weight) in rows.items():
+        cand, G = _cached(cache, key + (anchor_key,),
+                          lambda: _side_candidates(space, basis, anchor))
+        vals = -G @ coeffs
+        if anchor is not None and weight != 0.0:
+            vals = vals + weight * np.abs(cand - anchor).sum(axis=1)
+        low = np.argsort(vals)[:8]
+        lows.append((cand[low], vals[low]))
+    k = max(len(v) for _, v in lows)
+    V = np.full((len(lows), k), np.inf)
+    P = np.zeros((len(lows), k, space.dim))
+    for r, (p, v) in enumerate(lows):
+        V[r, :len(v)], P[r, :len(p)] = v, p
+    return V[index], P[index]
 
 
 def _cell_vertex_arrays(space):
@@ -271,25 +321,19 @@ def _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv, cache):
     (``_cell_vertex_arrays``).  On a cell pair the objective is convex and
     affine between the term's kink hyperplanes, so its minimum sits at a
     vertex of the pair cut by them (``_pair_vertices``, cached across
-    calls).  Each call contracts the cached weights with the vertex
-    multipliers and takes the least vertex per pair.  Returns the (nx, nz)
-    value table and the (nx * nz, d) points, x-cell major.
+    calls and oracles by ``_cached``).  Each call contracts the cached
+    weights with the vertex multipliers and takes the least vertex per
+    pair.  Returns the (nx, nz) value table and the (nx * nz, d) points,
+    x-cell major.
     """
-    key = _pair_key(term, xp, zp)
-    if key not in cache:
-        cache[key] = _pair_vertices(term, xp, zp)
-    lx, lz, X, Z, T = cache[key]
+    lx, lz, X, Z, T = _cached(cache, _pair_key(term, xp, zp),
+                              lambda: _pair_vertices(term, xp, zp))
     vals = (T - np.einsum("abmk,ak->abm", lx, Yv[xi])
             - np.einsum("abmk,bk->abm", lz, Wv[zi]))
     a, b = np.indices(vals.shape[:2])
     m = vals.argmin(axis=2)
     return (vals[a, b, m], X[a, b, m].reshape(-1, X.shape[-1]),
             Z[a, b, m].reshape(-1, Z.shape[-1]))
-
-
-def _anchor_key(side, anchor, space):
-    """Cache key of a ``_side_minima`` candidate set."""
-    return (side, None if anchor is None else point_key(anchor), id(space))
 
 
 def type_minima(model, i, x_space, x_basis, y, Z):
@@ -310,13 +354,15 @@ def type_minima(model, i, x_space, x_basis, y, Z):
         return (model.eval_grid(i, x_space.vertices, Z)
                 - Yv[:, None]).min(axis=0)
     xp, xi = _cell_vertex_arrays(x_space)
-    cache, memo = {}, {}
+    terms, cache = model.oracle_terms(i), {}
+    sep = [t for t in terms if isinstance(t, SeparableL1Term)]
+    # each separable term's least type side, in term order
+    lowest = iter(_side_table("x", x_space, x_basis, y, sep, cache)[0][:, 0]
+                  if sep else ())
     out = np.full(len(Z), np.inf)
-    for term in model.oracle_terms(i):
+    for term in terms:
         if isinstance(term, SeparableL1Term):
-            vx = _side_minima(x_space, x_basis, y, term.anchor_x,
-                              term.weight_x, "x", cache, memo)[1]
-            v = vx.min() + term.const
+            v = next(lowest) + term.const
             if term.anchor_z is not None:
                 v = v + term.weight_z * np.abs(Z - term.anchor_z).sum(1)
         else:
@@ -352,28 +398,19 @@ def _term_candidates(model, i, x_space, x_basis, z_space, z_basis, y, w,
                      Yv, Wv, cap, cache):
     """Candidates of a cost that is a minimum of convex CPWA terms.
 
-    A separable term pairs the 8 lowest points of each side's exact
-    candidate set (``_side_minima``, valued once per distinct anchor and
-    weight), x-major.  A coupled term (direct
-    city-block distance, scalar ramp) keeps the ``max(cap, 8)`` lowest
-    per-cell-pair minima, each the least of the pair's arrangement
-    vertices (``_coupled_term_values``), which are cached across calls;
-    no LP is solved.
+    The separable terms form one block where the first of them stands:
+    each distinct side is valued once (``_side_table``), and each term
+    pairs the 8 lowest points of its two sides, x-major, in term order.  A
+    coupled term (direct city-block distance, scalar ramp) keeps the
+    ``max(cap, 8)`` lowest per-cell-pair minima, each the least of the
+    pair's arrangement vertices (``_coupled_term_values``).  The static
+    geometry of both is cached (``_cached``); no LP is solved.
     """
-    vals, X, Z = [], [], []
-    memo = {}
+    parts, sep, at = [], [], 0
     for term in model.oracle_terms(i):
         if isinstance(term, SeparableL1Term):
-            cx, vx = _side_minima(x_space, x_basis, y, term.anchor_x,
-                                  term.weight_x, "x", cache, memo)
-            cz, vz = _side_minima(z_space, z_basis, w, term.anchor_z,
-                                  term.weight_z, "z", cache, memo)
-            kx = np.argsort(vx)[:8]
-            kz = np.argsort(vz)[:8]
-            vals.append((vx[kx][:, None] + vz[kz][None, :]
-                         + term.const).ravel())
-            X.append(np.repeat(cx[kx], len(kz), axis=0))
-            Z.append(np.tile(cz[kz], (len(kx), 1)))
+            at = at if sep else len(parts)
+            sep.append(term)
         else:
             xp, xi = _cell_vertex_arrays(x_space)
             zp, zi = _cell_vertex_arrays(z_space)
@@ -381,9 +418,17 @@ def _term_candidates(model, i, x_space, x_basis, z_space, z_basis, y, w,
                                              cache)
             v = v.ravel()
             low = np.argsort(v)[:max(cap, 8)]
-            vals.append(v[low])
-            X.append(px[low])
-            Z.append(pz[low])
+            parts.append((v[low], px[low], pz[low]))
+    if sep:
+        VX, PX = _side_table("x", x_space, x_basis, y, sep, cache)
+        VZ, PZ = _side_table("z", z_space, z_basis, w, sep, cache)
+        const = np.array([t.const for t in sep])
+        kx, kz = VX.shape[1], VZ.shape[1]
+        parts.insert(at, (
+            (VX[:, :, None] + VZ[:, None, :] + const[:, None, None]).ravel(),
+            np.repeat(PX, kz, axis=1).reshape(-1, x_space.dim),
+            np.tile(PZ, (1, kx, 1)).reshape(-1, z_space.dim)))
+    vals, X, Z = zip(*parts)
     return np.concatenate(vals), np.vstack(X), np.vstack(Z)
 
 
@@ -437,8 +482,8 @@ def make_oracle(model, x_spaces, x_bases, z_space, z_basis,
 
     Each call enumerates vertex pairs where both arguments are
     vertex-exact, takes the family's closed-form face minima where it has
-    them, and else the cost family's oracle terms, whose candidate sets
-    are cached across calls; it offers at most ``pool_cap`` cuts of
+    them, and else the cost family's oracle terms, whose static geometry
+    is cached across calls and oracles (``_cached``); it offers at most ``pool_cap`` cuts of
     distinct point keys, the optimum first.  A family with none of these
     raises ``CostModelError`` from ``oracle_terms``.  ``pool_margin`` has
     no effect and is accepted only for callers that still pass it.

@@ -18,11 +18,13 @@ from teamsolve.geometry import (FiniteSpace, GeometryError, IndicatorBasis,
 from teamsolve.linprog import (LpError, LpInfeasibleError, LpProblem,
                                LpSolution, LpUnboundedError, _core)
 from teamsolve.measures import DiscreteMeasure
-from teamsolve.oracle import (OracleError, _finalize, _vertex_multipliers,
+from teamsolve.oracle import (OracleError, _cell_vertex_arrays,
+                              _coupled_term_values, _finalize,
+                              _vertex_multipliers,
                               axis_arrangement_candidates)
 from teamsolve.problems import (BusinessLocationCost, CappedAffineCost,
                                 CostModelError, DirectL1Term, ScalarRampTerm,
-                                tabulated_cpwa_cost)
+                                SeparableL1Term, tabulated_cpwa_cost)
 
 
 def brute_force_discrete_optimum(model, measures, x_spaces, z_space):
@@ -1022,6 +1024,52 @@ def quadratic_candidates_d2(lam, x_space, z_space, Yv, Wv):
     Z = np.concatenate([zv, zedge, zcell], axis=1)
     return (vals.ravel(), np.repeat(xs, vals.shape[1], axis=0),
             Z.reshape(-1, xs.shape[1]))
+
+
+# ---------------------------------------------------------------------------
+# the oracle's term candidates as it built them one term at a time, each
+# separable term valuing and sorting both of its sides itself
+
+def term_candidates_per_term(model, i, x_space, x_basis, z_space, z_basis,
+                             y, w, cap):
+    """Flat (vals, X, Z) candidates of ``oracle._term_candidates``: per
+    term in order, a separable term's 8 lowest points of each side paired
+    x-major, a coupled term's ``max(cap, 8)`` lowest cell-pair minima."""
+    Yv = _vertex_multipliers(x_basis, y)
+    Wv = _vertex_multipliers(z_basis, w)
+
+    def side(space, basis, coeffs, anchor, weight):
+        if anchor is None or isinstance(space, FiniteSpace):
+            cand = space.vertices
+        else:
+            cand = axis_arrangement_candidates(space, np.atleast_2d(anchor))
+        vals = -basis.eval_many(cand) @ coeffs
+        if anchor is not None and weight != 0.0:
+            vals = vals + weight * np.abs(cand - anchor).sum(axis=1)
+        return cand, vals
+
+    vals, X, Z = [], [], []
+    for term in model.oracle_terms(i):
+        if isinstance(term, SeparableL1Term):
+            cx, vx = side(x_space, x_basis, y, term.anchor_x, term.weight_x)
+            cz, vz = side(z_space, z_basis, w, term.anchor_z, term.weight_z)
+            kx = np.argsort(vx)[:8]
+            kz = np.argsort(vz)[:8]
+            vals.append((vx[kx][:, None] + vz[kz][None, :]
+                         + term.const).ravel())
+            X.append(np.repeat(cx[kx], len(kz), axis=0))
+            Z.append(np.tile(cz[kz], (len(kx), 1)))
+        else:
+            xp, xi = _cell_vertex_arrays(x_space)
+            zp, zi = _cell_vertex_arrays(z_space)
+            v, px, pz = _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv,
+                                             {})
+            v = v.ravel()
+            low = np.argsort(v)[:max(cap, 8)]
+            vals.append(v[low])
+            X.append(px[low])
+            Z.append(pz[low])
+    return np.concatenate(vals), np.vstack(X), np.vstack(Z)
 
 
 # ---------------------------------------------------------------------------

@@ -330,3 +330,45 @@ def test_invalid_capped_affine_cost_is_rejected(tmp_path, capsys):
     cfg["problem"]["kappa1"] = 0.1
     cfg["problem"]["s"] = [[1.0], [-1.0], [0.5]]
     _rejected(tmp_path, capsys, cfg, "problem")
+
+
+def test_capped_affine_spaces_must_fit_the_directions(tmp_path, capsys):
+    # a 2-D type space, or directions of another dimension than the quality
+    # space, used to pass verify and end run on a numpy ValueError
+    cfg = _load("barycenter_two_points.json")
+    cfg["problem"] = {"family": "capped_affine",
+                      "s": [[1.0, 0.0], [0.0, 1.0]], "kappa1": 0.1,
+                      "kappa2": 0.5}
+    _rejected(tmp_path, capsys, cfg, "categories[0].space")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(tmp_path / "bad.json"),
+                 "--out", out]) == 2
+    assert "config error at $.categories[0].space:" in capsys.readouterr().err
+    line = {"type": "box", "box": [[0, 1]], "counts": [2]}
+    cat = {"space": line, "measure": {"type": "discrete", "atoms": [[0.5]],
+                                      "weights": [1.0]}}
+    cfg = {"problem": {"family": "capped_affine", "s": [[1.0], [-1.0]],
+                       "kappa1": 0.1, "kappa2": 0.5},
+           "categories": [cat] * 2,
+           "quality": {"space": {"type": "box", "box": [[0, 1], [0, 1]],
+                                 "counts": [2, 2]}},
+           "eps_lsip": 1e-4}
+    _rejected(tmp_path, capsys, cfg, "problem.s")
+    assert main(["run", "--config", str(tmp_path / "bad.json"),
+                 "--out", out]) == 2
+    assert "config error at $.problem.s:" in capsys.readouterr().err
+    cfg["quality"]["space"] = line
+    assert ProblemSetup(cfg).model.d0 == 1
+
+
+@pytest.mark.parametrize("measure,key", [
+    ({"type": "discrete", "atoms": [[0.0]]}, "weights"),
+    ({"type": "discrete", "weights": [1.0]}, "atoms"),
+    ({"type": "cpwa"}, "vertex_density")])
+def test_missing_measure_fields_are_named(tmp_path, capsys, measure, key):
+    # the missing field used to come out as the bare KeyError text
+    cfg = _load("discrete_tiny.json")
+    cfg["categories"][0]["measure"] = measure
+    with pytest.raises(ConfigError, match="missing required field"):
+        ProblemSetup(cfg)
+    _rejected(tmp_path, capsys, cfg, "categories[0].measure." + key)

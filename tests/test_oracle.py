@@ -1,9 +1,12 @@
 """The exact oracle through ``make_oracle``: its values against dense
 references, the candidate generator each cost family and pair of spaces
 takes, and the cut pool it offers; the coupled terms' closed-form cell-pair
-minima against each cell pair's LP, solved by vertex enumeration."""
+minima against each cell pair's LP, solved by vertex enumeration; the
+static geometry shared between oracles by content, and the separable terms'
+one block against the former loop over terms."""
 
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import (ZeroTauError, coupled_term_values_vertices, l_shape,
                      oracle_lipschitz_grid, quadratic_candidates_d2,
-                     rebased_y)
+                     rebased_y, term_candidates_per_term)
 from teamsolve import cutting_plane, oracle as oracle_module
 from teamsolve.equilibrium import z_opt
 from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
@@ -631,3 +634,175 @@ def test_coupled_oracle_against_a_certified_grid(direct, s, seed):
     y = rng.normal(scale=scale, size=bx.m)
     w = rng.normal(scale=scale, size=bsq.m)
     _assert_grid_agrees(m, i, xs, bx, sq, bsq, y, w, tau)
+
+
+# ---------------------------------------------------------------------------
+# static geometry shared by content; the separable terms in one block
+
+@pytest.fixture
+def shared(monkeypatch):
+    """An empty shared cache of static geometry for this test alone."""
+    monkeypatch.setattr(oracle_module, "_shared", OrderedDict())
+    return oracle_module._shared
+
+
+def _count_builds(monkeypatch):
+    """Count the calls of the two builders of static geometry."""
+    builds = {}
+    for name in ("axis_arrangement_candidates", "_pair_vertices"):
+        builds[name] = 0
+
+        def spy(*args, _name=name, _f=getattr(oracle_module, name)):
+            builds[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(oracle_module, name, spy)
+    return builds
+
+
+def _business(stations=workloads.BUSINESS_STATIONS, counts=(2, 2),
+              excluded=None, c_walk=0.15):
+    """A business-location model on new spaces and bases of the city, two
+    categories: the walking one holds both kinds of terms."""
+    city = [(-2, 2), (-2, 2)]
+    xs = build_box_partition(city, counts)
+    zs = build_box_partition(city, (2, 2))
+    m = business_location_cost(np.array(stations), c_walk=c_walk,
+                               n_categories=2)
+    return m, xs, HatBasis(xs, excluded), zs, HatBasis(zs)
+
+
+def _results(model, xs, bx, zs, bz):
+    """A new oracle's results for six seeded multiplier pairs."""
+    oracle = _oracle(model, xs, bx, zs, bz)
+    rng = np.random.default_rng(23)
+    return [oracle(k % 2, rng.normal(scale=0.3, size=bx.m),
+                   rng.normal(scale=0.3, size=bz.m)) for k in range(6)]
+
+
+def _assert_same(a, b):
+    for r, q in zip(a, b, strict=True):
+        assert np.array_equal(r.x, q.x) and np.array_equal(r.z, q.z)
+        assert r.beta_tilde == q.beta_tilde
+        assert r.beta_lower == q.beta_lower
+        assert len(r.pool) == len(q.pool)
+        for (px, pz), (qx, qz) in zip(r.pool, q.pool):
+            assert np.array_equal(px, qx) and np.array_equal(pz, qz)
+
+
+def test_equal_geometry_shares_the_static_candidates(shared, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    first = _results(*_business())
+    assert builds["axis_arrangement_candidates"] > 0
+    assert builds["_pair_vertices"] > 0
+    built = dict(builds)
+    # equal content in new objects: the second oracle builds nothing
+    second = _results(*_business())
+    assert builds == built
+    _assert_same(first, second)
+    # ``type_minima`` takes the side candidate sets from the shared cache
+    m, xs, bx, _, _ = _business()
+    oracle_module.type_minima(m, 0, xs, bx, np.ones(bx.m), [[0.5, 0.5]])
+    assert builds["axis_arrangement_candidates"] == \
+        built["axis_arrangement_candidates"]
+
+
+@pytest.mark.parametrize("change,sides,pairs", [
+    ({"stations": [[0.0, 2.0], [0.0, 0.75], [0.5, -0.75], [0.0, -1.5],
+                   [-1.5, -1.5]]}, True, False),
+    ({"excluded": 4}, True, False),
+    ({"counts": (3, 2)}, True, True),
+    ({"c_walk": 0.2}, False, True),
+])
+def test_changed_geometry_gets_its_own_entry(shared, monkeypatch, change,
+                                             sides, pairs):
+    # a moved anchor, another excluded vertex, another mesh or another
+    # kink parameter: its own entries, and the results of an empty cache
+    _results(*_business())
+    entries = len(shared)
+    builds = _count_builds(monkeypatch)
+    changed = _results(*_business(**change))
+    assert (builds["axis_arrangement_candidates"] > 0) == sides
+    assert (builds["_pair_vertices"] > 0) == pairs
+    assert len(shared) > entries
+    monkeypatch.setattr(oracle_module, "_shared", OrderedDict())
+    _assert_same(changed, _results(*_business(**change)))
+
+
+def _shared_bytes(shared):
+    return sum(a.nbytes for entry in shared.values() for a in entry)
+
+
+@pytest.mark.parametrize("half", [True, False])
+def test_a_small_bound_evicts_without_changing_results(shared, monkeypatch,
+                                                       half):
+    default = _results(*_business())
+    bound = _shared_bytes(shared) // 2 if half else 1
+    shared.clear()
+    monkeypatch.setattr(oracle_module, "SHARED_CACHE_BYTES", bound)
+    builds = _count_builds(monkeypatch)
+    _assert_same(default, _results(*_business()))
+    # an oracle keeps what it used: one build per entry over its six
+    # calls, the walking category's 10 sides and each category's pairs
+    assert builds == {"axis_arrangement_candidates": 10, "_pair_vertices": 2}
+    if half:
+        assert 0 < _shared_bytes(shared) <= bound
+    else:
+        assert not shared
+    _assert_same(default, _results(*_business()))
+    if not half:
+        assert builds == {"axis_arrangement_candidates": 20,
+                          "_pair_vertices": 4}
+
+
+def _block_cases():
+    """Per case: the model, its type spaces and bases, and the quality
+    space and basis."""
+    inst = workloads.build("business-location", 0)
+    rng = np.random.default_rng(31)
+    five = FiniteSpace(rng.uniform(-2.0, 2.0, size=(5, 2)))
+    city = build_box_partition([(-2, 2), (-2, 2)], (2, 2))
+    square = build_box_partition([(-2, 2), (-2, 2)], (1, 1))
+    # a station at a corner of the one-square mesh has 4 candidates, the
+    # others more than 8: the block pads the short sides
+    uneven = business_location_cost([[-2.0, -2.0], [0.3, 0.6], [1.0, -1.0]],
+                                    n_categories=2)
+    return {
+        "business-location": (inst.model, inst.x_spaces, inst.x_bases,
+                              inst.z_space, inst.z_basis),
+        "five-point-types": (
+            business_location_cost(workloads.BUSINESS_STATIONS,
+                                   n_categories=2),
+            [five] * 2, [HatBasis(five)] * 2, city, HatBasis(city)),
+        "uneven-sides": (uneven, [square] * 2, [HatBasis(square)] * 2,
+                         square, HatBasis(square)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_block_cases()))
+def test_separable_block_matches_the_per_term_loop(case):
+    model, xs, bxs, zs, bz = _block_cases()[case]
+    rng = np.random.default_rng(32)
+    for k in range(4 * model.N):
+        i = k % model.N
+        y = rng.normal(scale=0.3, size=bxs[i].m)
+        w = rng.normal(scale=0.3, size=bz.m)
+        block = oracle_module._term_candidates(
+            model, i, xs[i], bxs[i], zs, bz, y, w,
+            oracle_module._vertex_multipliers(bxs[i], y),
+            oracle_module._vertex_multipliers(bz, w), 32, {})
+        loop = term_candidates_per_term(model, i, xs[i], bxs[i], zs, bz, y,
+                                        w, 32)
+        if case == "uneven-sides":
+            # the walking category's block pads; the restocking one has no
+            # separable term
+            assert np.isinf(block[0]).any() == (i == 0)
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(block, loop))
+        b, pool = oracle_module._best_and_pool(*block, 32)
+        c, ref = oracle_module._best_and_pool(*loop, 32)
+        assert block[0][b] == loop[0][c]
+        assert np.array_equal(block[1][b], loop[1][c])
+        assert np.array_equal(block[2][b], loop[2][c])
+        assert len(pool) == len(ref)
+        for (px, pz), (qx, qz) in zip(pool, ref):
+            assert np.array_equal(px, qx) and np.array_equal(pz, qz)

@@ -12,7 +12,9 @@ instead.  The barycenter family's closed-form face minima take their
 frames from a complex's ``faces`` and ``boundary``, never from the
 per-simplex interpolation matrices.  ``oracle.py`` imports neither
 ``linprog`` nor scipy, so the oracle's certified lower bound rests on no
-solver's tolerances.
+solver's tolerances.  ``oracle.py`` calls no ``id``: its caches are keyed
+by content, so that equal geometry in new objects shares an entry and a
+freed object's address reused by another cannot match a stale one.
 
 The HiGHS binding lives in ``linprog.py``: no other module reads a model's
 ``highs`` attribute, calls HiGHS's row or column methods or imports
@@ -178,6 +180,28 @@ def test_solver_rule_catches_the_patterns(tmp_path):
                  "from .geometry import point_keys\n"
                  "import numpy as np\n")
     assert len(_solver_imports(p)) == 5
+
+
+def _id_calls(path):
+    """Where a module calls ``id``, as a cache key by identity would."""
+    return ["%s:%d calls id" % (path.name, node.lineno)
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "id"]
+
+
+def test_oracle_keys_no_cache_by_identity():
+    found = _id_calls(SRC / "oracle.py")
+    assert not found, found
+
+
+def test_identity_rule_catches_the_old_key(tmp_path):
+    p = tmp_path / "oracle.py"
+    p.write_text("def _anchor_key(side, anchor, space):\n"
+                 "    return (side, None if anchor is None\n"
+                 "            else point_key(anchor), id(space))\n"
+                 "ident = identity(space)\n")
+    assert _id_calls(p) == ["oracle.py:3 calls id"]
 
 
 def _functions(path):
