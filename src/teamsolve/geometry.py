@@ -51,11 +51,6 @@ def point_keys(P):
                     .tolist()))
 
 
-def point_key(p):
-    """Hashable key of one point."""
-    return point_keys(p)[0]
-
-
 def has_duplicate_rows(P):
     """True when two rows of the (n, d) array P have the same point key."""
     return len(set(point_keys(P))) != len(P)

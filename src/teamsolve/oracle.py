@@ -24,10 +24,10 @@ No LP is solved.  A coupled oracle term is convex and affine between its
 kink hyperplanes, so on each (type cell, quality cell) pair its minimum
 sits at a vertex of the pair cut by them.  Those vertices depend on the
 geometry and the kinks only, not on the multipliers, so they are computed
-once in closed form and cached; a call contracts them with the
-multipliers and takes the least per pair.  The values the oracle returns
-are the objective at points it names, so the certified bound rests on no
-solver's tolerances.
+once in closed form and cached, one row per vertex; a call values the
+rows with the multipliers and takes the least per pair.  The values the
+oracle returns are the objective at points it names, so the certified
+bound rests on no solver's tolerances.
 
 Static geometry is cached by content, never by object identity, so equal
 meshes share it: a side's candidate set by the side, the anchor's bytes,
@@ -234,10 +234,9 @@ def _kink_systems(kx, kz, q):
     return out
 
 
-def _pair_vertices(term, xp, zp):
+def _pair_vertices(term, xp, xi, zp, zi):
     """Every vertex of each cell pair's product polytope cut by the term's
-    kink hyperplanes, as barycentric weights and points, and the term's
-    value there.
+    kink hyperplanes, one row per vertex, and the term's value there.
 
     Each pair (x-cell a, z-cell b) solves every ``_kink_systems`` system
     in the face's edge parameters t: the r chosen kinks, n . p = c, at
@@ -247,8 +246,10 @@ def _pair_vertices(term, xp, zp):
     its solution, and one with a weight below ``-WEIGHT_TOL``, is no
     vertex.  A system whose kinks have linearly dependent normals is
     singular on every cell pair and is left out before solving.  Returns
-    (nx, nz, M, .) weights ``lx``, ``lz``, points ``X``, ``Z`` and values
-    ``T``, +inf at a non-vertex.
+    per row, in (x-cell, z-cell, system) order, its cells' global vertex
+    indices ``ix``, ``iz``, its weights ``lx``, ``lz`` clipped onto them
+    and its value ``T``; and each pair's first row ``start``, as r = 0 is
+    never singular and gives every pair rows.
     """
     A, B, c = term.kinks(zp.shape[2])
     nx, kx, _ = xp.shape
@@ -257,7 +258,7 @@ def _pair_vertices(term, xp, zp):
     bz = zp @ B.T                                   # (nz, kz, q)
     norms = np.sqrt((A ** 2).sum(1) + (B ** 2).sum(1))
     normals = np.hstack([A, B])
-    lx, lz, ok = [], [], []
+    rows = []
     for system in _kink_systems(kx, kz, len(c)):
         # |det M| is at most the root of the kink normals' Gram determinant
         # times the edge directions' norms: where that root is at most
@@ -284,33 +285,29 @@ def _pair_vertices(term, xp, zp):
         singular = np.abs(np.linalg.det(M)) <= SINGULAR_TOL * scale
         M[singular] = np.eye(M.shape[-1])
         t = np.linalg.solve(M, rhs[..., None])[..., 0]
-        lx.append(np.eye(kx)[j0] + np.einsum("abnt,ntk->abnk", t, Dx))
-        lz.append(np.eye(kz)[k0] + np.einsum("abnt,ntk->abnk", t, Dz))
-        ok.append(~singular & (lx[-1].min(-1) >= -WEIGHT_TOL)
-                  & (lz[-1].min(-1) >= -WEIGHT_TOL))
-    ok = np.concatenate(ok, axis=2)
-
-    def clipped(w):
-        # a vertex's weights clipped onto its simplex, zeros at a non-vertex
-        w = np.where(ok[..., None],
-                     np.clip(np.concatenate(w, axis=2), 0.0, None), 0.0)
-        return w / np.where(ok[..., None], w.sum(-1, keepdims=True), 1.0)
-
-    lx, lz = clipped(lx), clipped(lz)
-    X = np.einsum("abmk,akd->abmd", lx, xp)
-    Z = np.einsum("abmk,bkd->abmd", lz, zp)
-    T = np.where(ok, term.eval(X, Z), np.inf)
-    return lx, lz, X, Z, T
+        wx = np.eye(kx)[j0] + np.einsum("abnt,ntk->abnk", t, Dx)
+        wz = np.eye(kz)[k0] + np.einsum("abnt,ntk->abnk", t, Dz)
+        ok = ~singular & (np.minimum(wx.min(-1), wz.min(-1)) >= -WEIGHT_TOL)
+        rows.append((np.nonzero(ok.reshape(nx * nz, ns))[0], wx[ok], wz[ok]))
+    pair, lx, lz = (np.concatenate(part) for part in zip(*rows))
+    order = np.argsort(pair, kind="stable")   # keeps each pair's systems
+    pair = pair[order]
+    a, b = np.divmod(pair, nz)
+    lx, lz = (np.clip(w[order], 0.0, None) for w in (lx, lz))
+    lx, lz = lx / lx.sum(-1, keepdims=True), lz / lz.sum(-1, keepdims=True)
+    T = term.eval(np.einsum("nk,nkd->nd", lx, xp[a]),
+                  np.einsum("nk,nkd->nd", lz, zp[b]))
+    return xi[a], lx, zi[b], lz, T, np.searchsorted(pair, np.arange(nx * nz))
 
 
-def _pair_key(term, xp, zp):
+def _pair_key(term, xp, xi, zp, zi):
     """Cache key of ``_pair_vertices``: the term's class and parameters and
-    the cells' vertex coordinates, so that equal terms on equal cells share
-    one entry."""
+    the cells' vertex coordinates and indices, so that equal terms on equal
+    cells share one entry."""
     return ((type(term).__name__,)
             + tuple(np.asarray(v).tobytes() for _, v in
                     sorted(vars(term).items()))
-            + (xp.shape, xp.tobytes(), zp.shape, zp.tobytes()))
+            + tuple((a.shape, a.tobytes()) for a in (xp, xi, zp, zi)))
 
 
 def _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv, cache):
@@ -321,19 +318,22 @@ def _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv, cache):
     (``_cell_vertex_arrays``).  On a cell pair the objective is convex and
     affine between the term's kink hyperplanes, so its minimum sits at a
     vertex of the pair cut by them (``_pair_vertices``, cached across
-    calls and oracles by ``_cached``).  Each call contracts the cached
-    weights with the vertex multipliers and takes the least vertex per
-    pair.  Returns the (nx, nz) value table and the (nx * nz, d) points,
-    x-cell major.
+    calls and oracles by ``_cached``).  A call values the rows with the
+    multipliers and takes each pair's first least row.  Returns the
+    (nx, nz) value table and the (nx * nz, d) points, x-cell major.
     """
-    lx, lz, X, Z, T = _cached(cache, _pair_key(term, xp, zp),
-                              lambda: _pair_vertices(term, xp, zp))
-    vals = (T - np.einsum("abmk,ak->abm", lx, Yv[xi])
-            - np.einsum("abmk,bk->abm", lz, Wv[zi]))
-    a, b = np.indices(vals.shape[:2])
-    m = vals.argmin(axis=2)
-    return (vals[a, b, m], X[a, b, m].reshape(-1, X.shape[-1]),
-            Z[a, b, m].reshape(-1, Z.shape[-1]))
+    ix, lx, iz, lz, T, start = _cached(
+        cache, _pair_key(term, xp, xi, zp, zi),
+        lambda: _pair_vertices(term, xp, xi, zp, zi))
+    # k innermost: another summation order moves the values' last bits
+    vals = (T - np.einsum("nk,nk->n", lx, Yv[ix])
+            - np.einsum("nk,nk->n", lz, Wv[iz]))
+    low = np.minimum.reduceat(vals, start)
+    hit = np.flatnonzero(vals == low.repeat(np.diff(start, append=len(T))))
+    first = hit[np.searchsorted(hit, start)]   # each pair's first least row
+    return (low.reshape(len(xp), len(zp)),
+            np.einsum("nk,nkd->nd", lx[first], xp.repeat(len(zp), 0)),
+            np.einsum("nk,nkd->nd", lz[first], np.vstack([zp] * len(xp))))
 
 
 def type_minima(model, i, x_space, x_basis, y, Z):
@@ -482,8 +482,8 @@ def make_oracle(model, x_spaces, x_bases, z_space, z_basis,
 
     Each call enumerates vertex pairs where both arguments are
     vertex-exact, takes the family's closed-form face minima where it has
-    them, and else the cost family's oracle terms, whose static geometry
-    is cached across calls and oracles (``_cached``); it offers at most ``pool_cap`` cuts of
+    them, and else the cost family's oracle terms, with their static
+    geometry cached (``_cached``); it offers at most ``pool_cap`` cuts of
     distinct point keys, the optimum first.  A family with none of these
     raises ``CostModelError`` from ``oracle_terms``.  ``pool_margin`` has
     no effect and is accepted only for callers that still pass it.

@@ -46,10 +46,15 @@ class DiscreteCoupling:
         self.source = source
         self.target = target
         self.plan = plan                      # (n1, n2), row sums = source w
+        sums = plan.sum(axis=1)
+        if not (sums > 0).all():
+            # every source atom has a positive weight (``DiscreteMeasure``)
+            raise TransportError("a source atom has an empty transport plan "
+                                 "row")
         # source row r's positive conditional masses are the flat entries
         # start[r]..last[r]: their target atoms and cumulative sums; adding
         # the zeros in between leaves each sum exactly as it is
-        cond = plan / plan.sum(axis=1)[:, None]
+        cond = plan / sums[:, None]
         pos = cond > 0
         self._cols = np.nonzero(pos)[1]
         self._cum = np.cumsum(np.where(pos, cond, 0.0), axis=1)[pos]
@@ -107,6 +112,11 @@ def ot_discrete(nu1, nu2):
         b_eq = np.concatenate([nu1.weights, nu2.weights[:-1]])
         res = solve_min(D.ravel(), A_eq, b_eq)
         plan = np.clip(res.x.reshape(n1, n2), 0.0, None)
+        # a source atom the solver left no positive entry sends its weight
+        # to its nearest target atom; the marginal check below bounds the
+        # drift this adds to that atom's column
+        empty = plan.sum(axis=1) == 0
+        plan[empty, D[empty].argmin(axis=1)] = nu1.weights[empty]
     # repair solver-tolerance drift so the conditionals are exact
     plan *= (nu1.weights / np.maximum(plan.sum(axis=1), 1e-300))[:, None]
     coupling = DiscreteCoupling(nu1, nu2, plan)

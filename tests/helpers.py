@@ -14,17 +14,22 @@ from teamsolve.equilibrium import TIE_TOL
 from teamsolve.geometry import (FiniteSpace, GeometryError, IndicatorBasis,
                                 PointOutsideComplexError, SimplicialComplex,
                                 build_box_partition, edge_crossings,
-                                first_seen, point_key)
+                                first_seen, point_keys)
 from teamsolve.linprog import (LpError, LpInfeasibleError, LpProblem,
                                LpSolution, LpUnboundedError, _core)
 from teamsolve.measures import DiscreteMeasure
-from teamsolve.oracle import (OracleError, _cell_vertex_arrays,
-                              _coupled_term_values, _finalize,
-                              _vertex_multipliers,
+from teamsolve.oracle import (SINGULAR_TOL, WEIGHT_TOL, OracleError,
+                              _cell_vertex_arrays, _coupled_term_values,
+                              _finalize, _kink_systems, _vertex_multipliers,
                               axis_arrangement_candidates)
 from teamsolve.problems import (BusinessLocationCost, CappedAffineCost,
                                 CostModelError, DirectL1Term, ScalarRampTerm,
                                 SeparableL1Term, tabulated_cpwa_cost)
+
+
+def point_key(p):
+    """Hashable key of one point (``geometry.point_keys`` of one row)."""
+    return point_keys(p)[0]
 
 
 def brute_force_discrete_optimum(model, measures, x_spaces, z_space):
@@ -424,6 +429,79 @@ def coupled_term_values_vertices(term, xp, xi, zp, zi, Yv, Wv):
     best = np.full(P, np.inf)
     np.minimum.at(best, pair, vals)
     return best.reshape(nx, nz)
+
+
+# ---------------------------------------------------------------------------
+# the coupled terms' arrangement vertices as the oracle once tabulated them:
+# dense (nx, nz, M, .) tensors, a slot that is no vertex padded with zero
+# weights and an infinite value
+
+def pair_vertices_dense(term, xp, zp):
+    """Every arrangement vertex of each cell pair, as (nx, nz, M, .)
+    weights ``lx``, ``lz``, points ``X``, ``Z`` and values ``T``, over the
+    slots of every ``oracle._kink_systems`` system in order; a slot that
+    holds no vertex has zero weights and the value +inf."""
+    A, B, c = term.kinks(zp.shape[2])
+    nx, kx, _ = xp.shape
+    nz, kz, _ = zp.shape
+    ax = xp @ A.T                                   # (nx, kx, q)
+    bz = zp @ B.T                                   # (nz, kz, q)
+    norms = np.sqrt((A ** 2).sum(1) + (B ** 2).sum(1))
+    normals = np.hstack([A, B])
+    lx, lz, ok = [], [], []
+    for system in _kink_systems(kx, kz, len(c)):
+        S = system[2]
+        NS = normals[S]                             # (ns, r, dx + dz)
+        full = (np.linalg.det(NS @ NS.transpose(0, 2, 1))
+                > SINGULAR_TOL ** 2 * (norms[S] ** 2).prod(-1))
+        if not full.any():
+            continue
+        j0, k0, S, Dx, Dz = (part[full] for part in system)
+        ns = len(j0)
+        axS = ax[:, :, S]                           # (nx, kx, ns, r)
+        bzS = bz[:, :, S]
+        M = (np.einsum("ntk,aknr->anrt", Dx, axS)[:, None]
+             + np.einsum("ntk,bknr->bnrt", Dz, bzS)[None])
+        rhs = (c[S] - axS[:, j0, np.arange(ns)][:, None]
+               - bzS[:, k0, np.arange(ns)][None])
+        ex = (np.einsum("ntk,akd->antd", Dx, xp) ** 2).sum(-1)
+        ez = (np.einsum("ntk,bkd->bntd", Dz, zp) ** 2).sum(-1)
+        scale = (np.sqrt(ex[:, None] + ez[None]).prod(-1)
+                 * norms[S].prod(-1))
+        singular = np.abs(np.linalg.det(M)) <= SINGULAR_TOL * scale
+        M[singular] = np.eye(M.shape[-1])
+        t = np.linalg.solve(M, rhs[..., None])[..., 0]
+        lx.append(np.eye(kx)[j0] + np.einsum("abnt,ntk->abnk", t, Dx))
+        lz.append(np.eye(kz)[k0] + np.einsum("abnt,ntk->abnk", t, Dz))
+        ok.append(~singular & (lx[-1].min(-1) >= -WEIGHT_TOL)
+                  & (lz[-1].min(-1) >= -WEIGHT_TOL))
+    ok = np.concatenate(ok, axis=2)
+
+    def clipped(w):
+        # a vertex's weights clipped onto its simplex, zeros at a non-vertex
+        w = np.where(ok[..., None],
+                     np.clip(np.concatenate(w, axis=2), 0.0, None), 0.0)
+        return w / np.where(ok[..., None], w.sum(-1, keepdims=True), 1.0)
+
+    lx, lz = clipped(lx), clipped(lz)
+    X = np.einsum("abmk,akd->abmd", lx, xp)
+    Z = np.einsum("abmk,bkd->abmd", lz, zp)
+    T = np.where(ok, term.eval(X, Z), np.inf)
+    return lx, lz, X, Z, T
+
+
+def coupled_term_values_dense(term, xp, xi, zp, zi, Yv, Wv):
+    """``oracle._coupled_term_values`` over ``pair_vertices_dense``: the
+    (nx, nz) value table, the (nx * nz, d) points that attain it, x-cell
+    major, the first slot on ties, and the (nx, nz, M) values of every
+    slot."""
+    lx, lz, X, Z, T = pair_vertices_dense(term, xp, zp)
+    vals = (T - np.einsum("abmk,ak->abm", lx, Yv[xi])
+            - np.einsum("abmk,bk->abm", lz, Wv[zi]))
+    a, b = np.indices(vals.shape[:2])
+    m = vals.argmin(axis=2)
+    return (vals[a, b, m], X[a, b, m].reshape(-1, X.shape[-1]),
+            Z[a, b, m].reshape(-1, Z.shape[-1]), vals)
 
 
 def model_lp(problem: LpProblem):

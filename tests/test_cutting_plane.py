@@ -8,10 +8,10 @@ from scipy import sparse
 from helpers import (CutStoreLoop, assemble_lp_loop,
                      brute_force_discrete_optimum, dual_objective,
                      dual_plan_reference, model_lp, parametric_objective,
-                     random_discrete_instance, solve_reference)
+                     point_key, random_discrete_instance, solve_reference)
 from teamsolve import cutting_plane, linprog
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
-                                build_box_partition, point_key, point_keys)
+                                build_box_partition, point_keys)
 from teamsolve.measures import DiscreteMeasure, moment_vector
 from teamsolve.cutting_plane import (MaxIterationsExceededError,
                                      UnboundedRelaxationError, _add_new_cuts,

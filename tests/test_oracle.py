@@ -1,9 +1,10 @@
 """The exact oracle through ``make_oracle``: its values against dense
 references, the candidate generator each cost family and pair of spaces
 takes, and the cut pool it offers; the coupled terms' closed-form cell-pair
-minima against each cell pair's LP, solved by vertex enumeration; the
-static geometry shared between oracles by content, and the separable terms'
-one block against the former loop over terms."""
+minima against each cell pair's LP, solved by vertex enumeration, and their
+flat vertex table against the former dense tensors; the static geometry
+shared between oracles by content, and the separable terms' one block
+against the former loop over terms."""
 
 import sys
 from collections import OrderedDict
@@ -14,9 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (ZeroTauError, coupled_term_values_vertices, l_shape,
-                     oracle_lipschitz_grid, quadratic_candidates_d2,
-                     rebased_y, term_candidates_per_term)
+from helpers import (ZeroTauError, coupled_term_values_dense,
+                     coupled_term_values_vertices, l_shape,
+                     oracle_lipschitz_grid, pair_vertices_dense,
+                     quadratic_candidates_d2, rebased_y,
+                     term_candidates_per_term)
 from teamsolve import cutting_plane, oracle as oracle_module
 from teamsolve.equilibrium import z_opt
 from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
@@ -543,18 +546,20 @@ def test_pair_vertices_leave_out_the_parallel_kink_systems():
     # a ramp's two kinks are parallel: of the 29 systems of a (segment,
     # triangle) pair, the 5 that take both are singular on every pair
     term = ScalarRampTerm([0.6, 0.8], 0.1, 1.0)
-    xp, _ = oracle_module._cell_vertex_arrays(
+    xp, xi = oracle_module._cell_vertex_arrays(
         build_box_partition([(0, 1)], (2,)))
-    zp, _ = oracle_module._cell_vertex_arrays(
+    zp, zi = oracle_module._cell_vertex_arrays(
         build_box_partition([(0, 1), (0, 1)], (2, 2)))
     systems = oracle_module._kink_systems(2, 3, 2)
     both = sum(np.all(S == [0, 1], axis=1).sum() for _, _, S, _, _ in systems
                if S.shape[1] == 2)
     assert sum(len(S) for _, _, S, _, _ in systems) == 29 and both == 5
-    T = oracle_module._pair_vertices(term, xp, zp)[-1]
-    assert T.shape == (len(xp), len(zp), 24)
-    # every pair keeps its vertices: a finite least value
-    assert np.isfinite(T.min(axis=2)).all()
+    *_, T, start = oracle_module._pair_vertices(term, xp, xi, zp, zi)
+    # every one of the nx * nz pairs has a first row, and its rows are its
+    # 2 x 3 vertex pairs and at most the 24 - 6 solutions of the others
+    rows = np.diff(start, append=len(T))
+    assert len(start) == len(xp) * len(zp) and start[0] == 0
+    assert rows.min() >= 6 and rows.max() <= 24
 
 
 @settings(max_examples=40, deadline=None)
@@ -614,6 +619,68 @@ def test_one_point_quality_cells_match_the_lp(direct, s, kappa1, n, seed):
                        rng.normal(size=x_space.n_vertices), np.zeros(n))
 
 
+def _assert_equals_the_dense_tensors(term, xp, xi, zp, zi, Yv, Wv):
+    """The flat table holds the dense tensors' vertices bit for bit, in
+    their slot order, and a call returns the values and points of the
+    dense argmin, the first slot on ties, bit for bit.  Returns how many
+    pairs attain their least value at vertices of distinct points."""
+    table = oracle_module._pair_vertices(term, xp, xi, zp, zi)
+    lx, lz, X, Z, T = pair_vertices_dense(term, xp, zp)
+    ok = np.isfinite(T)
+    a, b, _ = np.nonzero(ok)
+    counts = ok.sum(axis=2).ravel()
+    for got, want in zip(table, (xi[a], lx[ok], zi[b], lz[ok], T[ok],
+                                 np.cumsum(counts) - counts)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    got = oracle_module._coupled_term_values(term, xp, xi, zp, zi, Yv, Wv,
+                                             {})
+    want = coupled_term_values_dense(term, xp, xi, zp, zi, Yv, Wv)
+    for g, w in zip(got, want[:3], strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    picked = [P.reshape(len(xp), len(zp), 1, -1) for P in got[1:]]
+    distinct = (X != picked[0]).any(-1) | (Z != picked[1]).any(-1)
+    return int(((want[3] == got[0][..., None]) & distinct).any(-1).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(direct=st.booleans(), nx=st.integers(1, 4), nz=st.integers(1, 2),
+       points=st.sampled_from(["", "type", "quality"]), s=DIRECTIONS,
+       kappa1=st.sampled_from([0.0, 0.2]), zero=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+# 32 type cells against 2 quality cells: a per-row sum of another order
+# than the einsum's differs from it in the last bit here
+@example(direct=True, nx=4, nz=1, points="", s=(1.0, 0.0), kappa1=0.0,
+         zero=False, seed=1)
+def test_vertex_table_matches_the_dense_tensors(direct, nx, nz, points, s,
+                                                kappa1, zero, seed):
+    # direct-L1 terms on 2-D cells, ramps on 1-D type cells, and one-point
+    # cells on either side; zero multipliers tie vertices at distinct points
+    rng = np.random.default_rng(seed)
+    if direct:
+        x_space = build_box_partition([(0, 1), (0, 1)], (nx, nx))
+        term = DirectL1Term(rng.uniform(0.1, 2.0))
+    else:
+        x_space = build_box_partition([(0, 1)], (nx,))
+        term = ScalarRampTerm(s, kappa1, rng.uniform(0.1, 2.0))
+    if points == "type":
+        x_space = FiniteSpace(x_space.vertices)
+    xp, xi = oracle_module._cell_vertex_arrays(x_space)
+    if points == "quality":
+        Z = np.where(rng.random((5, 2)) < 0.5,
+                     rng.integers(0, 3, (5, 2)) / 2, rng.uniform(size=(5, 2)))
+        zp, zi = Z[:, None, :], np.arange(5)[:, None]
+    else:
+        zp, zi = oracle_module._cell_vertex_arrays(
+            build_box_partition([(0, 1), (0, 1)], (nz, nz)))
+    Yv, Wv = (np.zeros(n) if zero else rng.normal(size=n)
+              for n in (xi.max() + 1, zi.max() + 1))
+    ties = _assert_equals_the_dense_tensors(term, xp, xi, zp, zi, Yv, Wv)
+    if zero and direct and not points:
+        # every type cell overlaps some quality cell, where |x - z|_1 = 0
+        # at more than one vertex
+        assert ties > 0
+
+
 @settings(max_examples=10, deadline=None)
 @given(direct=st.booleans(), s=DIRECTIONS, seed=st.integers(0, 2 ** 32 - 1))
 def test_coupled_oracle_against_a_certified_grid(direct, s, seed):
@@ -660,12 +727,12 @@ def _count_builds(monkeypatch):
 
 
 def _business(stations=workloads.BUSINESS_STATIONS, counts=(2, 2),
-              excluded=None, c_walk=0.15):
+              excluded=None, c_walk=0.15, z_counts=(2, 2)):
     """A business-location model on new spaces and bases of the city, two
     categories: the walking one holds both kinds of terms."""
     city = [(-2, 2), (-2, 2)]
     xs = build_box_partition(city, counts)
-    zs = build_box_partition(city, (2, 2))
+    zs = build_box_partition(city, z_counts)
     m = business_location_cost(np.array(stations), c_walk=c_walk,
                                n_categories=2)
     return m, xs, HatBasis(xs, excluded), zs, HatBasis(zs)
@@ -728,6 +795,28 @@ def test_changed_geometry_gets_its_own_entry(shared, monkeypatch, change,
     _assert_same(changed, _results(*_business(**change)))
 
 
+def test_another_vertex_numbering_gets_its_own_table(shared):
+    # equal cell coordinates whose vertices are numbered otherwise: the
+    # table holds global vertex indices, so its key holds them too
+    term = DirectL1Term(0.5)
+    xp, xi = oracle_module._cell_vertex_arrays(
+        build_box_partition([(0, 1), (0, 1)], (2, 2)))
+    zp, zi = oracle_module._cell_vertex_arrays(
+        build_box_partition([(0, 1), (0, 1)], (1, 2)))
+    rng = np.random.default_rng(33)
+    Yv, Wv = rng.normal(size=xi.max() + 1), rng.normal(size=zi.max() + 1)
+    perm = rng.permutation(len(Yv))
+    renamed = np.empty_like(Yv)
+    renamed[perm] = Yv
+    cache = {}
+    first = oracle_module._coupled_term_values(term, xp, xi, zp, zi, Yv, Wv,
+                                               cache)
+    again = oracle_module._coupled_term_values(term, xp, perm[xi], zp, zi,
+                                               renamed, Wv, cache)
+    assert len(cache) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
 def _shared_bytes(shared):
     return sum(a.nbytes for entry in shared.values() for a in entry)
 
@@ -752,6 +841,27 @@ def test_a_small_bound_evicts_without_changing_results(shared, monkeypatch,
     if not half:
         assert builds == {"axis_arrangement_candidates": 20,
                           "_pair_vertices": 4}
+
+
+def test_a_fine_table_leaves_the_shared_cache_whole(shared, monkeypatch):
+    # on 4 x 4 meshes a category's direct-L1 table is 2.3 MB of vertex
+    # rows, where the dense tensors took 5.4 MB: over this bound they
+    # flushed the whole cache, and an oracle on equal geometry built all of
+    # it again
+    bound = 5 << 20
+    monkeypatch.setattr(oracle_module, "SHARED_CACHE_BYTES", bound)
+    m, xs, bx, zs, bz = _business(counts=(4, 4), z_counts=(4, 4))
+    term = next(t for t in m.oracle_terms(0) if isinstance(t, DirectL1Term))
+    xp, _ = oracle_module._cell_vertex_arrays(xs)
+    zp, _ = oracle_module._cell_vertex_arrays(zs)
+    assert sum(a.nbytes for a in pair_vertices_dense(term, xp, zp)) > bound
+    builds = _count_builds(monkeypatch)
+    first = _results(m, xs, bx, zs, bz)
+    built = dict(builds)
+    assert built["_pair_vertices"] == 2
+    second = _results(*_business(counts=(4, 4), z_counts=(4, 4)))
+    assert builds == built
+    _assert_same(first, second)
 
 
 def _block_cases():

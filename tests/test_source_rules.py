@@ -32,6 +32,10 @@ Threads live in ``equilibrium.py``, where ``z_opt`` spreads its chunks:
 no other module imports ``threading`` or ``concurrent.futures``.  No
 module reads the environment except ``cli.py``, for ``TEAMSOLVE_LOG``:
 the package has no knob outside its options and config keys.
+
+Every module-level function and class of the package has a caller in
+``src/``, ``perfbench/`` or ``demos/``, an export from ``__init__``
+included: no helper that only the tests use lives in the package.
 """
 
 import ast
@@ -460,3 +464,66 @@ def test_environment_rule_catches_the_patterns(tmp_path):
     other = tmp_path / "equilibrium.py"
     other.write_text(text)
     assert len(_environ_reads(other)) == 5
+
+
+# the trees whose modules may call the package's functions and classes
+CALLER_TREES = ("src", "perfbench", "demos")
+
+
+def _names_used(path):
+    """The names a module reads, imports or reads as attributes, each
+    outside the definition of that name, so that recursion calls nothing."""
+    out = set()
+
+    def walk(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name is not None and name not in inside:
+            out.add(name)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(ast.parse(path.read_text(), str(path)), frozenset())
+    return out
+
+
+def _uncalled(modules, callers):
+    """The module-level functions and classes of ``modules`` that no module
+    of ``callers`` names."""
+    used = set().union(*(_names_used(p) for p in callers))
+    return ["%s:%d defines %s, which nothing calls" % (p.name, n.lineno,
+                                                       n.name)
+            for p in modules for n in ast.parse(p.read_text(), str(p)).body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+            and n.name not in used]
+
+
+def test_every_package_function_has_a_caller_outside_the_tests():
+    root = SRC.parents[1]
+    callers = [p for tree in CALLER_TREES for p in (root / tree).rglob("*.py")]
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9 and len(callers) > len(modules)
+    found = _uncalled(modules, callers)
+    assert not found, found
+
+
+def test_caller_rule_catches_a_helper_only_the_tests_use(tmp_path):
+    package = tmp_path / "geometry.py"
+    package.write_text("def point_key(p):\n"
+                       "    return point_keys(p)[0]\n"
+                       "def point_keys(P):\n"
+                       "    return P\n"
+                       "def _depth(n):\n"
+                       "    return _depth(n - 1) if n else 0\n"
+                       "class Unused:\n"
+                       "    pass\n")
+    caller = tmp_path / "oracle.py"
+    caller.write_text("from .geometry import point_keys\n"
+                      "keys = point_keys(P)\n")
+    assert _uncalled([package], [package, caller]) == [
+        "geometry.py:1 defines point_key, which nothing calls",
+        "geometry.py:5 defines _depth, which nothing calls",
+        "geometry.py:7 defines Unused, which nothing calls"]

@@ -1,3 +1,6 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,9 @@ from helpers import (assignment_bruteforce_w1, sample_pairs,
                      w1_quantile_quadrature)
 from teamsolve.geometry import build_box_partition
 from teamsolve.measures import CpwaDensityMeasure, DiscreteMeasure, random_cpwa
-from teamsolve.transport import (TransportError, ot_discrete, ot_quantile_1d,
-                                 ot_semidiscrete)
+from teamsolve import transport
+from teamsolve.transport import (DiscreteCoupling, TransportError, ot_discrete,
+                                 ot_quantile_1d, ot_semidiscrete)
 
 
 def test_discrete_trivials():
@@ -40,6 +44,31 @@ def test_discrete_marginals_exact():
     coup, _ = ot_discrete(a, b)
     assert np.abs(coup.plan.sum(1) - a.weights).max() < 1e-10
     assert np.abs(coup.plan.sum(0) - b.weights).max() < 1e-10
+
+
+def test_an_empty_plan_row_goes_to_the_nearest_target(monkeypatch):
+    # the solver leaves the light source atom at 1.0, equally far from both
+    # targets, an all-zero row: its weight goes to the first of them, and
+    # no division by a zero row sum warns
+    light = 1e-10
+    src = DiscreteMeasure([[0.0], [2.0], [1.0]], [0.5, 0.5 - light, light])
+    tgt = DiscreteMeasure([[0.5], [1.5]], [0.5, 0.5])
+    plan = np.array([[0.5, 0.0], [0.0, 0.5 - light], [0.0, 0.0]])
+    monkeypatch.setattr(transport, "solve_min",
+                        lambda c, A_eq, b_eq: SimpleNamespace(x=plan.ravel()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coup, _ = ot_discrete(src, tgt)
+    assert coup.plan[2].tolist() == [light, 0.0]
+    assert np.array_equal(coup.plan.sum(axis=1), src.weights)
+    rng = np.random.default_rng(5)
+    assert (coup.columns(rng, np.full(100, 2)) == 0).all()
+
+
+def test_a_zero_plan_row_is_rejected():
+    src = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
+    with pytest.raises(TransportError, match="empty transport plan row"):
+        DiscreteCoupling(src, src, np.array([[0.5, 0.0], [0.0, 0.0]]))
 
 
 def test_quantile_coupling_halves():
