@@ -192,12 +192,12 @@ class ProblemSetup:
                 w = doc.get("weights", [1.0 / self.N] * self.N)
                 return barycenter_cost(
                     w, self.x_spaces, self.z_space, self.measures,
-                    shift_accounting=doc.get("shift_accounting", True))
+                    **{k: doc[k] for k in ("shift_accounting",) if k in doc})
             if fam == "business_location":
                 return business_location_cost(
-                    _need(doc, "stations", "$.problem"),
-                    doc.get("c_walk", 0.15), doc.get("c_train", 0.015),
-                    doc.get("c_restock", 0.4), n_categories=self.N)
+                    _need(doc, "stations", "$.problem"), n_categories=self.N,
+                    **{k: doc[k] for k in ("c_walk", "c_train", "c_restock")
+                       if k in doc})
             if fam == "capped_affine":
                 model = capped_affine_cost(
                     _need(doc, "s", "$.problem"),

@@ -251,7 +251,7 @@ class _SamplerChain:
         return out
 
 
-def _reduce_support(atoms, weights, z_basis, cap):
+def _reduce_support(atoms, weights, z_basis):
     """Re-express a discrete quality measure on at most k+1 atoms of its own
     support while preserving its test-function moments (basic solution of
     the moment system)."""
@@ -264,8 +264,6 @@ def _reduce_support(atoms, weights, z_basis, cap):
     res = solve_min(c, A_eq, b_eq)
     w = np.clip(res.x, 0.0, None)
     keep = np.flatnonzero(w > 1e-12)
-    if len(keep) > cap:
-        keep = np.argsort(w)[::-1][:cap]
     w = w[keep] / w[keep].sum()
     return atoms[keep], w
 
@@ -317,7 +315,7 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
     reduced = nu_hat.n_atoms > bound
     if reduced:
         nu_hat = DiscreteMeasure(*_reduce_support(
-            nu_hat.atoms, nu_hat.weights, z_basis, bound))
+            nu_hat.atoms, nu_hat.weights, z_basis))
         log.info("quality support reduced to %d atoms", nu_hat.n_atoms)
 
     # per category: nu_hat -> nu_i, the dual plan, then mu_hat_i onto the

@@ -67,7 +67,7 @@ class DiscreteMeasure:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0) or np.any(t > 1):
             raise MeasureError("quantile level outside [0, 1]")
-        order = np.argsort(self.atoms[:, 0])
+        order = np.argsort(self.atoms[:, 0], kind="stable")
         pts = self.atoms[order, 0]
         cum = np.cumsum(self.weights[order])
         cum[-1] = 1.0
@@ -164,7 +164,8 @@ class CpwaDensityMeasure:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0) or np.any(t > 1):
             raise MeasureError("quantile level outside [0, 1]")
-        order = np.argsort(self.complex._cell_pts[:, :, 0].min(axis=1))
+        order = np.argsort(self.complex._cell_pts[:, :, 0].min(axis=1),
+                           kind="stable")
         cum = np.concatenate([[0.0], np.cumsum(self._cell_mass[order])])
         cum[-1] = 1.0
         last = len(order) - 1

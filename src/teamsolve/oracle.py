@@ -16,9 +16,11 @@ vertex-exact (``vertex_exact``), the family's closed-form minima on every
 face of the quality complex at each type vertex (``face_minima``), or
 else its oracle terms, a separable term's side taking the
 ``axis_arrangement_candidates`` of its anchor.  ``_best_and_pool`` turns
-the candidates into the optimum and the cut pool.  ``type_minima``
-answers the minimization over the type space alone at fixed quality
-points, which the transfer functions need.
+the candidates into the optimum and the cut pool.  Every ranking of
+candidates is by value, ties in the order of generation: a stable sort,
+never numpy's default, whose kernel (and so its ties) varies by CPU.
+``type_minima`` answers the minimization over the type space alone at
+fixed quality points, which the transfer functions need.
 
 No LP is solved.  A coupled oracle term is convex and affine between its
 kink hyperplanes, so on each (type cell, quality cell) pair its minimum
@@ -33,9 +35,9 @@ Static geometry is cached by content, never by object identity, so equal
 meshes share it: a side's candidate set by the side, the anchor's bytes,
 the space's vertex and cell arrays and the basis's excluded vertex
 (``_side_table``), a coupled term's arrangement vertices by ``_pair_key``.
-Each oracle keeps the entries it used; all of them also go into one
-module-level LRU bounded by the summed ``nbytes`` of their arrays
-(``SHARED_CACHE_BYTES``), which later oracles and ``type_minima`` read.
+Each oracle keeps the entries it used; those within
+``SHARED_CACHE_BYTES`` also go into one module-level LRU bounded by their
+arrays' summed ``nbytes``, which later oracles and ``type_minima`` read.
 """
 
 from __future__ import annotations
@@ -118,17 +120,17 @@ _shared = OrderedDict()
 
 
 def _cached(cache, key, build):
-    """``cache[key]``; on a miss the shared cache's entry, or else
-    ``build()``, is entered in both, and the shared cache drops its least
-    recently used entries until it is within ``SHARED_CACHE_BYTES``."""
+    """``cache[key]``, on a miss taken from the shared cache or built.  An
+    entry within ``SHARED_CACHE_BYTES`` also goes into the shared cache,
+    which then drops its least recently used entries until it is within
+    the bound; a larger one stays out, so it flushes nothing."""
     if key not in cache:
-        entry = _shared.pop(key, None)
-        if entry is None:
-            entry = build()
-        _shared[key] = cache[key] = entry
-        total = sum(a.nbytes for e in _shared.values() for a in e)
-        while total > SHARED_CACHE_BYTES:
-            total -= sum(a.nbytes for a in _shared.popitem(last=False)[1])
+        entry = cache[key] = _shared.pop(key, None) or build()
+        if sum(a.nbytes for a in entry) <= SHARED_CACHE_BYTES:
+            _shared[key] = entry
+            total = sum(a.nbytes for e in _shared.values() for a in e)
+            while total > SHARED_CACHE_BYTES:
+                total -= sum(a.nbytes for a in _shared.popitem(last=False)[1])
     return cache[key]
 
 
@@ -149,9 +151,9 @@ def _side_table(side, space, basis, coeffs, terms, cache):
     Each distinct (anchor, weight) is valued and sorted once.  A candidate
     set's cache key is the side, the basis's excluded vertex, the space's
     vertex and cell arrays with their shapes, and the anchor's bytes.
-    Returns per term the (n_terms, k) values, lowest first, and the
-    (n_terms, k, d) points, k the most points a side has up to 8; a side
-    with fewer has +inf values after its own.
+    Returns per term the (n_terms, k) values, lowest first, ties in
+    candidate order, and the (n_terms, k, d) points, k the most points a
+    side has up to 8; a side with fewer has +inf values after its own.
     """
     key = (side, basis.excluded) + tuple(
         (a.shape, a.tobytes())
@@ -168,7 +170,7 @@ def _side_table(side, space, basis, coeffs, terms, cache):
         vals = -G @ coeffs
         if anchor is not None and weight != 0.0:
             vals = vals + weight * np.abs(cand - anchor).sum(axis=1)
-        low = np.argsort(vals)[:8]
+        low = np.argsort(vals, kind="stable")[:8]
         lows.append((cand[low], vals[low]))
     k = max(len(v) for _, v in lows)
     V = np.full((len(lows), k), np.inf)
@@ -394,6 +396,14 @@ def _face_candidates(model, i, x_space, z_space, Yv, Wv):
             Z.reshape(-1, xs.shape[1]))
 
 
+def _lowest(v, k):
+    """The first ``k`` of ``np.argsort(v, kind="stable")`` for a ``v``
+    without NaN, sorting only the values up to the k-th least."""
+    near = (np.flatnonzero(v <= np.partition(v, k - 1)[k - 1])
+            if k < len(v) else np.arange(len(v)))
+    return near[np.argsort(v[near], kind="stable")[:k]]
+
+
 def _term_candidates(model, i, x_space, x_basis, z_space, z_basis, y, w,
                      Yv, Wv, cap, cache):
     """Candidates of a cost that is a minimum of convex CPWA terms.
@@ -402,9 +412,9 @@ def _term_candidates(model, i, x_space, x_basis, z_space, z_basis, y, w,
     each distinct side is valued once (``_side_table``), and each term
     pairs the 8 lowest points of its two sides, x-major, in term order.  A
     coupled term (direct city-block distance, scalar ramp) keeps the
-    ``max(cap, 8)`` lowest per-cell-pair minima, each the least of the
-    pair's arrangement vertices (``_coupled_term_values``).  The static
-    geometry of both is cached (``_cached``); no LP is solved.
+    ``max(cap, 8)`` lowest per-cell-pair minima, ties in pair order, each
+    the least of the pair's arrangement vertices (``_coupled_term_values``).
+    The static geometry of both is cached (``_cached``); no LP is solved.
     """
     parts, sep, at = [], [], 0
     for term in model.oracle_terms(i):
@@ -417,7 +427,7 @@ def _term_candidates(model, i, x_space, x_basis, z_space, z_basis, y, w,
             v, px, pz = _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv,
                                              cache)
             v = v.ravel()
-            low = np.argsort(v)[:max(cap, 8)]
+            low = _lowest(v, max(cap, 8))
             parts.append((v[low], px[low], pz[low]))
     if sep:
         VX, PX = _side_table("x", x_space, x_basis, y, sep, cache)
@@ -435,10 +445,10 @@ def _term_candidates(model, i, x_space, x_basis, z_space, z_basis, y, w,
 def _best_and_pool(vals, X, Z, cap):
     """The optimum's index and the cut pool of flat candidates.
 
-    The finite candidates are ranked by value, stably; the first lowest is
-    the optimum.  The pool takes the ranked candidates of distinct point
-    keys until it holds ``cap``, keying them ``cap`` at a time, so a call
-    keys about as many candidates as it keeps.
+    The finite candidates are ranked by value, ties in candidate order; the
+    first is the optimum.  The pool takes the ranked candidates of distinct
+    point keys until it holds ``cap``, keying them ``cap`` at a time, so a
+    call keys about as many candidates as it keeps.
     """
     order = np.argsort(vals, kind="stable")
     order = order[np.isfinite(vals[order])]

@@ -724,11 +724,10 @@ class TabulatedCpwaCost(CostModel):
         return Wx @ self.tables[i] @ Wz.T
 
 
-def business_location_cost(stations, c_walk=0.15, c_train=0.015,
-                           c_restock=0.4, n_categories=5):
-    """Build the business-location cost model (defaults as configured)."""
-    return BusinessLocationCost(stations, c_walk, c_train, c_restock,
-                                n_categories)
+def business_location_cost(stations, **kwargs):
+    """Build the business-location cost model; the keywords and their
+    defaults are ``BusinessLocationCost``'s."""
+    return BusinessLocationCost(stations, **kwargs)
 
 
 def barycenter_cost(weights, x_spaces, z_space, measures=None,

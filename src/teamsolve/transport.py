@@ -136,7 +136,7 @@ class QuantileCoupling:
             raise TransportError("target must be one-dimensional")
         self.source = nu1
         self.target = nu2
-        order = np.argsort(nu1.atoms[:, 0])
+        order = np.argsort(nu1.atoms[:, 0], kind="stable")
         self._rank_of_atom = np.empty(nu1.n_atoms, dtype=int)
         self._rank_of_atom[order] = np.arange(nu1.n_atoms)
         cum = np.concatenate([[0.0], np.cumsum(nu1.weights[order])])

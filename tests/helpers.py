@@ -1112,7 +1112,8 @@ def term_candidates_per_term(model, i, x_space, x_basis, z_space, z_basis,
                              y, w, cap):
     """Flat (vals, X, Z) candidates of ``oracle._term_candidates``: per
     term in order, a separable term's 8 lowest points of each side paired
-    x-major, a coupled term's ``max(cap, 8)`` lowest cell-pair minima."""
+    x-major, a coupled term's ``max(cap, 8)`` lowest cell-pair minima, each
+    ranked by a stable sort, ties in candidate order."""
     Yv = _vertex_multipliers(x_basis, y)
     Wv = _vertex_multipliers(z_basis, w)
 
@@ -1131,8 +1132,8 @@ def term_candidates_per_term(model, i, x_space, x_basis, z_space, z_basis,
         if isinstance(term, SeparableL1Term):
             cx, vx = side(x_space, x_basis, y, term.anchor_x, term.weight_x)
             cz, vz = side(z_space, z_basis, w, term.anchor_z, term.weight_z)
-            kx = np.argsort(vx)[:8]
-            kz = np.argsort(vz)[:8]
+            kx = np.argsort(vx, kind="stable")[:8]
+            kz = np.argsort(vz, kind="stable")[:8]
             vals.append((vx[kx][:, None] + vz[kz][None, :]
                          + term.const).ravel())
             X.append(np.repeat(cx[kx], len(kz), axis=0))
@@ -1143,7 +1144,7 @@ def term_candidates_per_term(model, i, x_space, x_basis, z_space, z_basis,
             v, px, pz = _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv,
                                              {})
             v = v.ravel()
-            low = np.argsort(v)[:max(cap, 8)]
+            low = np.argsort(v, kind="stable")[:max(cap, 8)]
             vals.append(v[low])
             X.append(px[low])
             Z.append(pz[low])

@@ -8,6 +8,7 @@ from helpers import brute_force_discrete_optimum
 from teamsolve import equilibrium
 from teamsolve.cli import (ConfigError, ProblemSetup, load_config, main,
                            run_pipeline, verify_setup)
+from teamsolve.problems import barycenter_cost, business_location_cost
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(HERE, os.pardir, "demos", "configs")
@@ -256,6 +257,32 @@ def test_invalid_business_cost_is_rejected(tmp_path, capsys):
     assert ProblemSetup(cfg).model.N == 2
     cfg["problem"]["c_walk"] = -0.15
     _rejected(tmp_path, capsys, cfg, "problem")
+
+
+def test_omitted_cost_keys_take_the_family_defaults():
+    # the CLI passes only the optional keys a config gives
+    space = {"type": "box", "box": [[-2, 2], [-2, 2]], "counts": [2, 2]}
+    cat = {"space": space, "measure": {"type": "discrete",
+                                       "atoms": [[0.0, 0.0]],
+                                       "weights": [1.0]}}
+    cfg = {"problem": {"family": "business_location",
+                       "stations": [[0.0, 0.0], [1.0, 1.0]]},
+           "categories": [cat, cat], "quality": {"space": space},
+           "eps_lsip": 1e-6}
+    ref = business_location_cost(cfg["problem"]["stations"])
+    model = ProblemSetup(cfg).model
+    assert (model.c_walk, model.c_train, model.c_restock) == (
+        ref.c_walk, ref.c_train, ref.c_restock)
+    cfg["problem"]["c_train"] = 0.05
+    model = ProblemSetup(cfg).model
+    assert (model.c_walk, model.c_train) == (ref.c_walk, 0.05)
+    cfg = _load("barycenter_two_points.json")
+    assert "shift_accounting" not in cfg["problem"]
+    setup = ProblemSetup(cfg)
+    assert setup.model.shift == barycenter_cost(
+        [0.5, 0.5], setup.x_spaces, setup.z_space, setup.measures).shift > 0
+    cfg["problem"]["shift_accounting"] = False
+    assert ProblemSetup(cfg).model.shift == 0.0
 
 
 def _at(cfg, where):

@@ -1,4 +1,8 @@
+import json
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -611,3 +615,52 @@ def test_dual_plan_matches_set_reference():
     res = _solve_discrete(model, mu, xs, xb, zs, zb)
     for i in range(3):
         _check_plan(res.duals, i)
+
+
+# numpy's dispatch targets above its x86-64-v2 baseline: disabling them makes
+# numpy's default sort take another kernel, which breaks ties otherwise
+ABOVE_BASELINE = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+SOLVE_TWO_BENCH_INSTANCES = """
+    import json
+    import teamsolve as ts
+    import workloads
+    out = []
+    for name, j in (("business-location", 0), ("capped-affine", 8)):
+        inst = workloads.build(name, 3, j)
+        gbar = [ts.moment_vector(mu, b)
+                for mu, b in zip(inst.measures, inst.x_bases)]
+        cp = ts.cutting_plane.run(inst.model, gbar, inst.x_spaces,
+                                  inst.x_bases, inst.z_space, inst.z_basis,
+                                  inst.oracle, inst.eps_lsip)
+        out.append([len(cp.iterations),
+                    [it.lp_rows for it in cp.iterations],
+                    cp.alpha_lb.hex(), cp.alpha_ub.hex(),
+                    [v.hex() for w in cp.duals.weights for v in w.tolist()]])
+    print(json.dumps(out))
+"""
+
+
+def test_the_cuts_do_not_depend_on_numpy_sort_kernels():
+    # seed 3's instance 0 of business-location and instance 8 of
+    # capped-affine: with numpy's default sort in the oracle, the baseline
+    # kernels broke ties otherwise and gave other LP rows, another alpha_lb
+    # and, on capped-affine, another round count
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    if "X86_V3" not in umath.__cpu_dispatch__ \
+            or not umath.__cpu_features__.get("AVX2"):
+        pytest.skip("numpy dispatches no sort kernel above x86-64-v2 here")
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for disabled in ("", ",".join(f for f in ABOVE_BASELINE
+                                  if f in umath.__cpu_dispatch__)):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(SOLVE_TWO_BENCH_INSTANCES)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        outputs.append(json.loads(out.stdout))
+    assert outputs[0] == outputs[1]

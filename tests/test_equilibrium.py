@@ -193,7 +193,7 @@ def test_reduce_support_preserves_moments():
     bz = HatBasis(zc)
     atoms = rng.uniform(0, 1, (10, 1))
     w = rng.dirichlet(np.ones(10))
-    a2, w2 = _reduce_support(atoms, w, bz, cap=bz.m + 3)
+    a2, w2 = _reduce_support(atoms, w, bz)
     assert len(w2) <= bz.m + 1
     H1 = w @ bz.eval_many(atoms)
     H2 = w2 @ bz.eval_many(a2)

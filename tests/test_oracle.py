@@ -4,7 +4,8 @@ takes, and the cut pool it offers; the coupled terms' closed-form cell-pair
 minima against each cell pair's LP, solved by vertex enumeration, and their
 flat vertex table against the former dense tensors; the static geometry
 shared between oracles by content, and the separable terms' one block
-against the former loop over terms."""
+against the former loop over terms; and the one ranking rule, ties in the
+order of generation."""
 
 import sys
 from collections import OrderedDict
@@ -28,9 +29,9 @@ from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
 from teamsolve.measures import DiscreteMeasure, moment_vector
 from teamsolve.oracle import make_oracle
 from teamsolve.problems import (CostModel, CostModelError, DirectL1Term,
-                                ScalarRampTerm, barycenter_cost,
-                                business_location_cost, capped_affine_cost,
-                                tabulated_cpwa_cost)
+                                ScalarRampTerm, SeparableL1Term,
+                                barycenter_cost, business_location_cost,
+                                capped_affine_cost, tabulated_cpwa_cost)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -864,6 +865,25 @@ def test_a_fine_table_leaves_the_shared_cache_whole(shared, monkeypatch):
     _assert_same(first, second)
 
 
+def test_an_entry_over_the_bound_stays_out_of_the_shared_cache(shared,
+                                                              monkeypatch):
+    # a 4 x 4 category's direct-L1 table is 2.2 MiB, the side candidate
+    # sets a few kB each: under a 1 MiB bound the tables stay with their
+    # oracle, and the side sets stay shared instead of being flushed by them
+    bound = 1 << 20
+    monkeypatch.setattr(oracle_module, "SHARED_CACHE_BYTES", bound)
+    builds = _count_builds(monkeypatch)
+    first = _results(*_business(counts=(4, 4), z_counts=(4, 4)))
+    built = dict(builds)
+    assert built == {"axis_arrangement_candidates": 10, "_pair_vertices": 2}
+    assert 0 < _shared_bytes(shared) <= bound
+    assert all(sum(a.nbytes for a in entry) <= bound
+               for entry in shared.values())
+    second = _results(*_business(counts=(4, 4), z_counts=(4, 4)))
+    assert builds == {"axis_arrangement_candidates": 10, "_pair_vertices": 4}
+    _assert_same(first, second)
+
+
 def _block_cases():
     """Per case: the model, its type spaces and bases, and the quality
     space and basis."""
@@ -916,3 +936,66 @@ def test_separable_block_matches_the_per_term_loop(case):
         assert len(pool) == len(ref)
         for (px, pz), (qx, qz) in zip(pool, ref):
             assert np.array_equal(px, qx) and np.array_equal(pz, qz)
+
+
+# ---------------------------------------------------------------------------
+# one ranking rule: by value, ties in the order of generation
+
+def _first_in_order(vals, k):
+    """The indices of the k least values, ties in index order, by Python's
+    stable sort rather than numpy's."""
+    return sorted(range(len(vals)), key=lambda j: vals[j])[:k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vals=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0, np.inf]),
+                               st.floats(-1e3, 1e3), st.just(-np.inf)),
+                     max_size=300),
+       k=st.integers(1, 310))
+def test_lowest_is_the_stable_sorts_first_k(vals, k):
+    v = np.array(vals, dtype=float)
+    low = oracle_module._lowest(v, k)
+    assert np.array_equal(low, np.argsort(v, kind="stable")[:k])
+    assert low.tolist() == _first_in_order(vals, k)
+
+
+def test_a_tie_in_a_side_table_goes_to_the_first_candidate():
+    # zero multipliers: the values are the L1 distances to the anchor, 1
+    # point at 0, then 4, 8 and 8 at equal distances; the 8 lowest take the
+    # first of the ties in the order of generation
+    space = build_box_partition([(-2, 2), (-2, 2)], (4, 4))
+    basis = HatBasis(space)
+    anchor = np.zeros(2)
+    cand = oracle_module.axis_arrangement_candidates(space, anchor[None])
+    dist = np.abs(cand - anchor).sum(axis=1)
+    assert len(cand) > 16 and len(np.unique(dist)) < len(cand) // 2
+    term = SeparableL1Term(anchor, 1.0, None, 0.0)
+    V, P = oracle_module._side_table("x", space, basis, np.zeros(basis.m),
+                                     [term], {})
+    first = _first_in_order(dist.tolist(), 8)
+    assert np.array_equal(V[0], dist[first])
+    assert np.array_equal(P[0], cand[first])
+
+
+def test_a_tie_in_the_coupled_preselection_goes_to_the_first_pair():
+    # zero multipliers: every pair of touching cells has the restocking
+    # distance 0, hundreds of ties among 1,024 pairs; the 32 kept are the
+    # first of them in pair order
+    m, xs, bx, zs, bz = _business(counts=(4, 4), z_counts=(4, 4))
+    i = m.N - 1
+    assert not any(isinstance(t, SeparableL1Term)
+                   for t in m.oracle_terms(i))
+    y, w = np.zeros(bx.m), np.zeros(bz.m)
+    Yv = oracle_module._vertex_multipliers(bx, y)
+    Wv = oracle_module._vertex_multipliers(bz, w)
+    xp, xi = oracle_module._cell_vertex_arrays(xs)
+    zp, zi = oracle_module._cell_vertex_arrays(zs)
+    v, px, pz = oracle_module._coupled_term_values(
+        m.oracle_terms(i)[0], xp, xi, zp, zi, Yv, Wv, {})
+    v = v.ravel()
+    assert (v == 0).sum() > 32
+    vals, X, Z = oracle_module._term_candidates(m, i, xs, bx, zs, bz, y, w,
+                                                Yv, Wv, 32, {})
+    first = _first_in_order(v.tolist(), 32)
+    assert np.array_equal(vals, v[first])
+    assert np.array_equal(X, px[first]) and np.array_equal(Z, pz[first])

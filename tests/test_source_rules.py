@@ -36,6 +36,11 @@ the package has no knob outside its options and config keys.
 Every module-level function and class of the package has a caller in
 ``src/``, ``perfbench/`` or ``demos/``, an export from ``__init__``
 included: no helper that only the tests use lives in the package.
+
+Every ranking ranks by value, ties in index order: each ``argsort`` passes
+``kind="stable"``, as numpy's default kernel, which numpy picks for the
+CPU, breaks ties its own way.  ``partition`` and ``argpartition`` appear
+only in ``oracle._lowest``, which returns a stable sort's first k.
 """
 
 import ast
@@ -527,3 +532,60 @@ def test_caller_rule_catches_a_helper_only_the_tests_use(tmp_path):
         "geometry.py:1 defines point_key, which nothing calls",
         "geometry.py:5 defines _depth, which nothing calls",
         "geometry.py:7 defines Unused, which nothing calls"]
+
+
+# the one function that may partition, by module
+PARTITION_IN = ("oracle.py", "_lowest")
+
+
+def _unstable_rankings(path):
+    """``argsort`` other than called with ``kind="stable"``, and
+    ``partition`` or ``argpartition`` outside ``PARTITION_IN``."""
+    tree = ast.parse(path.read_text(), str(path))
+    stable = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and any(k.arg == "kind" and isinstance(k.value, ast.Constant)
+                      and k.value.value == "stable" for k in node.keywords)}
+    out = []
+
+    def walk(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        where = "%s:%d" % (path.name, getattr(node, "lineno", 0))
+        if name == "argsort" and id(node) not in stable:
+            out.append(where + ' argsort without kind="stable"')
+        elif name in ("partition", "argpartition") \
+                and (path.name, function) != PARTITION_IN:
+            out.append(where + " names " + name)
+        for child in ast.iter_child_nodes(node):
+            walk(child, function)
+
+    walk(tree, None)
+    return out
+
+
+def test_every_ranking_breaks_ties_in_index_order():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9
+    found = [v for p in modules for v in _unstable_rankings(p)]
+    assert not found, found
+
+
+def test_ranking_rule_catches_the_patterns(tmp_path):
+    text = ("low = np.argsort(vals)[:8]\n"
+            "keep = np.argsort(w)[::-1][:cap]\n"
+            "order = vals.argsort()\n"
+            "rank = np.argsort(vals, kind='quicksort')\n"
+            "key = np.argsort\n"
+            "order = np.argsort(-frac, axis=1, kind='stable')\n"
+            "kth = np.partition(v, 3)\n"
+            "def _lowest(v, k):\n"
+            "    return np.argpartition(v, k)\n")
+    oracle = tmp_path / "oracle.py"
+    oracle.write_text(text)
+    assert len(_unstable_rankings(oracle)) == 6
+    other = tmp_path / "measures.py"
+    other.write_text(text)
+    assert len(_unstable_rankings(other)) == 7
