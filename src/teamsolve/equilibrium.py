@@ -55,42 +55,63 @@ class UnsupportedMeasureClassError(EquilibriumError):
 # ---------------------------------------------------------------------------
 # quality selector
 
-# samples per chunk of the quality selector, from a measured table of 256,
-# 512 and 1024 (CHANGES.md)
+# samples per chunk of the quality selector for a family without buffers,
+# from a measured table of 256, 512 and 1024 (CHANGES.md)
 CHUNK = 256
+# bytes of a buffered family's buffers per worker thread: a chunk takes as
+# many samples as fit, at the bytes per sample the family states
+# (``z_opt_buffers``), but at least CHUNK_MIN, below which a chunk's fixed
+# cost outweighs its samples' (CHANGES.md).  256 samples of the
+# business-location bench's buffers, 12.7 kB each, the chunk that bench has
+# always run
+CHUNK_BYTES = 3_250_000
+CHUNK_MIN = 64
 
 
-def _lex_argmin(points, values):
-    """Per-sample argmin with lexicographic tie-break on the point coords.
+def _lex_argmin(points, values, starts):
+    """Per sample, the index of its pick among flat candidates.
 
-    ``values`` is (n, p) with +inf at invalid candidates.  Among candidates
-    within ``TIE_TOL`` of the sample's minimum, keep those with the smallest
-    first coordinate, then the smallest second, and so on; of exact
-    duplicates the lowest index wins."""
-    keep = values <= values.min(axis=1, keepdims=True) + TIE_TOL
-    for l in range(points.shape[2]):
-        c = np.where(keep, points[:, :, l], np.inf)
-        keep &= c == c.min(axis=1, keepdims=True)
-    return keep.argmax(axis=1)
+    ``points`` is (m, d) and ``values`` (m,), +inf at invalid candidates;
+    sample s owns the rows ``starts[s]:starts[s + 1]`` (the last one the
+    rows to the end), at least one each.  Among a sample's candidates
+    within ``TIE_TOL`` of its minimum, pick the one with the smallest first
+    coordinate, then the smallest second, and so on; of exact duplicates
+    the lowest index wins.  Only the tied candidates, about one per
+    sample, are ranked, and only when some sample has two: by a stable
+    sort on the sample, then the coordinates."""
+    least = np.minimum.reduceat(values, starts)
+    tied = np.flatnonzero(values <= np.repeat(
+        least + TIE_TOL, np.diff(starts, append=len(values))))
+    if len(tied) == len(starts):
+        return tied             # one candidate within reach in every sample
+    rows = np.searchsorted(starts, tied, side="right")
+    order = np.lexsort((*points[tied].T[::-1], rows))
+    first = np.flatnonzero(np.diff(rows[order], prepend=0))
+    return tied[order[first]]
 
 
-def z_opt(model, x_list, z_space, chunk=CHUNK):
+def z_opt(model, x_list, z_space, chunk=None):
     """Global minimizer of z -> sum_i c_i(x_i, z) over the quality space.
 
     Vectorized over samples, ``chunk`` rows at a time; ``x_list`` holds
     one (n, d_i) array per category.  Each chunk's candidates and the
-    summed cost at them, +inf at invalid ones, come from the model's
+    summed cost at them, flat with each sample's start
+    (``CostModel.z_opt_values``), come from the model's
     ``z_vertex_values`` where the quality side is vertex-exact
     (``oracle.vertex_exact``), else from its ``z_opt_values``.  Exact for
     the shipped cost families; ties are broken by the lexicographically
-    smallest minimizer among the candidate points.
+    smallest minimizer among the candidate points (``_lex_argmin``).
+    Without ``chunk``, a chunk of a family without buffers holds
+    ``CHUNK`` samples, and one of a family with them the samples whose
+    buffers fit in ``CHUNK_BYTES``, at the bytes per sample that
+    ``z_opt_buffers`` states, and at least ``CHUNK_MIN``.
 
-    A family with per-thread buffers (``z_opt_buffers``) runs the chunks
-    on one thread per CPU of the process's affinity mask (at most one per
-    chunk); the others, whose chunks are mostly Python overhead, run them
-    inline.  Each thread fills its own buffers, made once and reused for
-    every chunk it takes, and writes its chunks' rows of the output, so
-    the picks do not depend on the number of threads.
+    A family with per-thread buffers runs the chunks on one thread per CPU
+    of the process's affinity mask (at most one per chunk); the others,
+    whose chunks are mostly Python overhead, run them inline.  Each thread
+    fills its own buffers, made once and reused for every chunk it takes,
+    and writes its chunks' rows of the output, so the picks do not depend
+    on the number of threads.
     """
     x_list = [np.atleast_2d(np.asarray(X, dtype=float)) for X in x_list]
     n = x_list[0].shape[0]
@@ -98,20 +119,24 @@ def z_opt(model, x_list, z_space, chunk=CHUNK):
         values, buffers = model.z_vertex_values, None
     else:
         values, buffers = model.z_opt_values, model.z_opt_buffers(z_space)
+    if buffers is not None:
+        row_bytes, buffers = buffers
+        chunk = chunk or max(CHUNK_MIN, CHUNK_BYTES // row_bytes)
+    chunk = chunk or CHUNK
     out = np.empty((n, z_space.dim))
     per_thread = {}     # thread id -> its buffers
 
     def select(s0):
         xs = [X[s0:s0 + chunk] for X in x_list]
         if buffers is None:
-            cand, vals = values(xs, z_space)
+            pts, vals, starts = values(xs, z_space)
         else:
             work = per_thread.get(threading.get_ident())
             if work is None:
-                work = per_thread[threading.get_ident()] = buffers(chunk)
-            cand, vals = values(xs, z_space, work)
-        out[s0:s0 + chunk] = cand[np.arange(len(cand)),
-                                  _lex_argmin(cand, vals)]
+                work = per_thread[threading.get_ident()] = buffers(
+                    min(chunk, n))
+            pts, vals, starts = values(xs, z_space, work)
+        out[s0:s0 + chunk] = pts[_lex_argmin(pts, vals, starts)]
 
     starts = range(0, n, chunk)
     workers = 1 if buffers is None else min(len(os.sched_getaffinity(0)),
@@ -239,10 +264,15 @@ class _SamplerChain:
         self.links = links
         self.z_space = z_space
 
-    def sample(self, rng, n, with_zbar=True):
+    def sample(self, rng, n, with_zbar=True, links=None):
+        """n draws of the root atoms and, through the first ``links``
+        links (all by default), the categories' types; then, with
+        ``with_zbar``, the quality selector's picks.  Each link draws from
+        ``rng`` after the ones before it, so the first links' draws do not
+        depend on how many links follow."""
         a = rng.choice(self.nu_hat.n_atoms, size=n, p=self.nu_hat.weights)
         Xbars = []
-        for to_nu, dual, to_mu in self.links:
+        for to_nu, dual, to_mu in self.links[:links]:
             b = to_nu.columns(rng, a)
             Xbars.append(to_mu.sample_given_source(rng, dual.columns(rng, b)))
         out = {"Z": self.nu_hat.atoms[a], "X_bar": Xbars}
@@ -466,7 +496,9 @@ def write_nu_hat_csv(report, path):
 
 
 def write_coupling_csv(report, rng, n, i, path):
-    S = report._chain.sample(rng, n, with_zbar=False)
+    """Category i's coupled samples: n draws of its types and the root
+    quality atoms, the chain drawn through link i only."""
+    S = report._chain.sample(rng, n, with_zbar=False, links=i + 1)
     X, Z = S["X_bar"][i], S["Z"]
     _write_csv(path, ["x%d" % j for j in range(X.shape[1])]
                + ["z%d" % j for j in range(Z.shape[1])], np.hstack([X, Z]))

@@ -9,7 +9,8 @@ The solver parametrizes continuous test functions by vertex-interpolation
   of every dimension (``faces``, with ``edges`` the 1-faces), its
   ``boundary`` (corners and straight sides), the ``face_frames`` of both
   and, for a box grid, its ``box`` and ``refined`` grids,
-* ``edge_crossings`` -- where hyperplanes cross given edges of a complex,
+* ``edge_crossings`` -- where hyperplanes cross given edges of a complex
+  (``EdgeFrame`` keeps its offset-free part for repeated batches),
 * ``build_box_partition`` -- regular grid over a box, each cell triangulated
   by the order-based (Kuhn) triangulation into ``d!`` simplices,
 * ``FiniteSpace`` -- a finite point set (degenerate complex of 0-simplices),
@@ -396,7 +397,7 @@ def build_box_partition(box, counts):
     return SimplicialComplex(vertices, np.asarray(simplices), _grid=grid)
 
 
-def edge_crossings(complex, edges, normals, offsets, out=None):
+def edge_crossings(complex, edges, normals, offsets):
     """Where the hyperplanes <normals[k], z> = offsets[..., k] cross the
     given edges of a complex.
 
@@ -405,33 +406,51 @@ def edge_crossings(complex, edges, normals, offsets, out=None):
     (..., K).  Returns ``(points, hit)``: (..., K, E, d) points on each
     edge, with the edge parameter clipped to [0, 1], and the (..., K, E)
     mask of the edges each hyperplane crosses.  An edge parallel to a
-    hyperplane is never hit.  ``out``, a ``(points, hit, t)`` triple of
-    arrays of the result shapes and of the (..., K, E) edge parameters,
-    receives them instead of fresh arrays.
+    hyperplane is never hit.
     """
-    V = complex.vertices
-    e0 = V[edges[:, 0]]
-    de = V[edges[:, 1]] - e0
-    se0 = normals @ e0.T                # (K, E)
-    sde = normals @ de.T
-    ok = np.abs(sde) > 1e-14
-    points, hit, t = (None, None, None) if out is None else out
-    t = np.subtract(offsets[..., None], se0, out=t)
-    np.divide(t, np.where(ok, sde, 1.0), out=t)
-    hit = np.greater_equal(t, -1e-12, out=hit)
-    hit &= t <= 1 + 1e-12
-    hit &= ok
-    # in place: a batch of samples brings thousands of hyperplanes
-    np.clip(t, 0, 1, out=t)
-    if points is None:
-        points = np.empty(t.shape + de.shape[1:])
-    # one coordinate at a time against (K, E) tables, so that the inner
-    # loop runs over K * E values instead of the d coordinates
-    for l in range(de.shape[1]):
-        np.multiply(t, np.tile(de[:, l], (len(normals), 1)),
-                    out=points[..., l])
-        points[..., l] += np.tile(e0[:, l], (len(normals), 1))
-    return points, hit
+    return EdgeFrame(complex, edges, normals).crossings(offsets)
+
+
+class EdgeFrame:
+    """What ``edge_crossings`` computes before it sees the offsets: each
+    hyperplane's value at every edge's first end and its step along the
+    edge, and the edges' ends and steps per coordinate as (K, E) tables,
+    so that a caller with many batches of offsets builds them once."""
+
+    def __init__(self, complex, edges, normals):
+        V = complex.vertices
+        e0 = V[edges[:, 0]]
+        de = V[edges[:, 1]] - e0
+        self.se0 = normals @ e0.T                # (K, E)
+        sde = normals @ de.T
+        self.ok = np.abs(sde) > 1e-14
+        self.sde = np.where(self.ok, sde, 1.0)
+        # one coordinate at a time against (K, E) tables, so that the inner
+        # loop runs over K * E values instead of the d coordinates
+        self.e0 = [np.tile(e0[:, l], (len(normals), 1))
+                   for l in range(de.shape[1])]
+        self.de = [np.tile(de[:, l], (len(normals), 1))
+                   for l in range(de.shape[1])]
+
+    def crossings(self, offsets, out=None):
+        """``edge_crossings`` at the (..., K) offsets.  ``out``, a
+        ``(points, hit, t)`` triple of arrays of the result shapes and of
+        the (..., K, E) edge parameters, receives them instead of fresh
+        arrays."""
+        points, hit, t = (None, None, None) if out is None else out
+        t = np.subtract(offsets[..., None], self.se0, out=t)
+        np.divide(t, self.sde, out=t)
+        hit = np.greater_equal(t, -1e-12, out=hit)
+        hit &= t <= 1 + 1e-12
+        hit &= self.ok
+        # in place: a batch of samples brings thousands of hyperplanes
+        np.clip(t, 0, 1, out=t)
+        if points is None:
+            points = np.empty(t.shape + (len(self.de),))
+        for l, (e0, de) in enumerate(zip(self.e0, self.de)):
+            np.multiply(t, de, out=points[..., l])
+            points[..., l] += e0
+        return points, hit
 
 
 class FiniteSpace:

@@ -22,7 +22,7 @@ exact: vertex exactness (``affine_in_x``, ``affine_in_z``), closed-form
 face minima, or a min-of-convex-terms decomposition whose kinks (a
 separable term's per-argument kinks, a coupled term's hyperplanes in the
 joint space) yield finite candidate sets, built on ``geometry``'s
-``covers``, ``boundary``, ``box``, ``edge_crossings`` and face frames.
+``covers``, ``boundary``, ``box``, ``EdgeFrame`` and face frames.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import FiniteSpace, edge_crossings, has_duplicate_rows
+from .geometry import EdgeFrame, FiniteSpace, has_duplicate_rows
 
 
 class CostModelError(ValueError):
@@ -120,6 +120,21 @@ class ScalarRampTerm:
 
 # ---------------------------------------------------------------------------
 
+class _Scratch:
+    """A float array that grows, with an eighth to spare, to the largest
+    length asked of it: one worker's room for a chunk whose size is known
+    only once its candidates are."""
+
+    def __init__(self):
+        self.array = np.empty(0)
+
+    def take(self, size):
+        """The first ``size`` entries."""
+        if len(self.array) < size:
+            self.array = np.empty(size + size // 8)
+        return self.array[:size]
+
+
 class CostModel:
     """Base class: N categories, eval, Lipschitz constants, objective shift.
 
@@ -170,27 +185,30 @@ class CostModel:
 
     def z_opt_values(self, X_list, z_space):
         """Candidate minimizers of z -> sum_i c_i(x_i, z) per sample and the
-        summed cost at each: (n, k, d) points and (n, k) values, +inf at
-        invalid candidates."""
+        summed cost at each, flat in sample order: (m, d) points, (m,)
+        values (+inf at an invalid candidate) and the (n,) index of each
+        sample's first row; every sample has at least one candidate."""
         raise CostModelError("cost model lacks a quality selector")
 
     def z_opt_buffers(self, z_space):
-        """None, or ``make(rows)``: one worker's fixed-shape buffers for
-        ``z_opt_values`` (its ``work`` argument) over up to ``rows``
-        samples.  What the selector needs that does not change between
-        chunks of samples is computed here, once per selector call; a
-        family that returns None takes no buffers."""
+        """None, or ``(row_bytes, make)``: the bytes of one sample's
+        buffers, from which ``z_opt`` sizes its chunks, and ``make(rows)``,
+        one worker's fixed-shape buffers for ``z_opt_values`` (its ``work``
+        argument) over up to ``rows`` samples.  What the selector needs
+        that does not change between chunks of samples is computed here,
+        once per selector call; a family that returns None takes no
+        buffers."""
         return None
 
     def z_vertex_values(self, X_list, z_space):
         """The quality vertices as every sample's candidates and the summed
-        cost at each: (n, V, d) points and (n, V) values.  Exact where a
-        vertex minimizes z -> sum_i c_i(x_i, z): over a finite quality
-        space, or for a family with ``affine_in_z``."""
+        cost at each, flat as in ``z_opt_values``.  Exact where a vertex
+        minimizes z -> sum_i c_i(x_i, z): over a finite quality space, or
+        for a family with ``affine_in_z``."""
         zs = z_space.vertices
-        n = np.atleast_2d(X_list[0]).shape[0]
+        n, V = np.atleast_2d(X_list[0]).shape[0], len(zs)
         vals = sum(self.eval_grid(i, X_list[i], zs) for i in range(self.N))
-        return np.broadcast_to(zs[None], (n,) + zs.shape), vals
+        return np.tile(zs, (n, 1)), vals.reshape(-1), np.arange(0, n * V, V)
 
 
 class BusinessLocationCost(CostModel):
@@ -295,10 +313,12 @@ class BusinessLocationCost(CostModel):
                   for l, side in enumerate(z_space.box)]
         V, H = (len(p) + self.N for p in static)
         S = len(self.stations)
+        row_bytes = 8 * (V * H * (6 + 2 * S) + (V + H) * (2 + S) + 2 * S + 1)
 
         def make(rows):
             w = SimpleNamespace(
                 static=[len(p) for p in static],
+                starts=np.arange(0, rows * V * H, V * H),
                 pools=[np.empty((rows, V)), np.empty((rows, H))],
                 cand=np.empty((rows, V * H, 2)),
                 dzu=np.empty((S, rows, V, H)), fare=np.empty((S, rows, V, H)),
@@ -311,7 +331,7 @@ class BusinessLocationCost(CostModel):
             for pool, p in zip(w.pools, static):
                 pool[:, :len(p)] = p
             return w
-        return make
+        return row_bytes, make
 
     def z_opt_values(self, X_list, z_space, work=None):
         """The summed cost on each sample's kink-line grid.
@@ -332,7 +352,7 @@ class BusinessLocationCost(CostModel):
         """
         X_list = [np.atleast_2d(X) for X in X_list]
         n = len(X_list[0])
-        w = work if work is not None else self.z_opt_buffers(z_space)(n)
+        w = work if work is not None else self.z_opt_buffers(z_space)[1](n)
         for l, (pool, k, side) in enumerate(zip(w.pools, w.static,
                                                 z_space.box)):
             for i, X in enumerate(X_list):
@@ -370,7 +390,7 @@ class BusinessLocationCost(CostModel):
             self._route_minimum(dxu[:, :, None, None], fare, station, route)
             np.minimum(station, direct, out=station)
             tot += station
-        return w.cand[:n], tot.reshape(n, V * H)
+        return w.cand[:n].reshape(-1, 2), tot.reshape(-1), w.starts[:n]
 
 
 class QuadraticBarycenterCost(CostModel):
@@ -429,12 +449,18 @@ class QuadraticBarycenterCost(CostModel):
         (2 lam) - D p0), so x enters one product.  The minimum over a union
         of faces is the critical point of the face that holds it in its
         relative interior, so a face whose t is not in the open simplex
-        gets +inf.
+        gets +inf.  A 0-face is its own minimum, z = p0, valued in closed
+        form.
         """
         n, d = X.shape
         vals, Z = [], []
         for F, p0, D, G, GD in frames:
             w0 = Wv[F[:, 0]]
+            if not D.shape[1]:
+                vals.append(lam * (_dot(p0, p0) - 2.0 * _dot(X[:, None, :], p0))
+                            - w0)
+                Z.append(np.broadcast_to(p0, (n,) + p0.shape))
+                continue
             dW = Wv[F[:, 1:]] - w0[:, None]                # (f, j)
             shift = dW / (2.0 * lam) - (D @ p0[:, :, None])[..., 0]
             t = ((X @ GD.reshape(-1, d).T).reshape(n, len(F), -1)
@@ -478,7 +504,10 @@ class QuadraticBarycenterCost(CostModel):
             cand[-1][out] = pts
             vals.append(np.full((len(xbar), pv.shape[1]), np.inf))
             vals[-1][out] = pv
-        return np.concatenate(cand, axis=1), np.concatenate(vals, axis=1)
+        vals = np.concatenate(vals, axis=1)
+        n, k = vals.shape
+        return (np.concatenate(cand, axis=1).reshape(-1, z_space.dim),
+                vals.reshape(-1), np.arange(0, n * k, k))
 
 
 class CappedAffineCost(CostModel):
@@ -518,20 +547,30 @@ class CappedAffineCost(CostModel):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         n = np.broadcast_shapes((len(X),), (len(Z),))
-        return self._cost(i, X[:, 0], Z, np.empty(n), np.empty(n))
+        return self._ramp(X[:, 0], self._sz(self.s[i], Z, np.empty(n),
+                                            np.empty(n)),
+                          self.kappa1[i], self.kappa2[i])
 
-    def _cost(self, i, x, Z, out, tmp):
-        """c_i at the scalar types ``x`` and the quality points ``Z``,
-        written into ``out``; ``tmp`` is scratch of the same shape.
-        <s_i, z> is summed one column at a time: a GEMV rounds one row and
-        a batch differently."""
-        np.multiply(Z[:, 0], self.s[i, 0], out=out)
+    def _sz(self, s, Z, out, tmp):
+        """<s, z> at the quality points ``Z``, written into ``out``: for
+        one direction s of d numbers, or for c of them as a (d, c, 1)
+        array into a (c, points) table; ``tmp`` is scratch of out's shape.
+        Summed one column at a time: a GEMV rounds one row and a batch
+        differently."""
+        np.multiply(s[0], Z[:, 0], out=out)
         for j in range(1, self.d0):
-            out += np.multiply(Z[:, j], self.s[i, j], out=tmp)
+            out += np.multiply(s[j], Z[:, j], out=tmp)
+        return out
+
+    def _ramp(self, x, out, kappa1, kappa2):
+        """The costs from the <s_i, z> values ``out``, in place:
+        (min(|x - <s_i, z>|, kappa2) - kappa1)^+ / N, with the scalar types
+        ``x`` and the bands (numbers, or (c, 1) columns of a table)
+        broadcast against ``out``."""
         np.abs(np.subtract(x, out, out=out), out=out)
-        np.minimum(out, self.kappa2[i], out=out)
-        np.subtract(out, self.kappa1[i], out=out)
-        np.clip(out, 0.0, None, out=out)
+        np.minimum(out, kappa2, out=out)
+        np.subtract(out, kappa1, out=out)
+        np.maximum(out, 0.0, out=out)
         return np.divide(out, self.N, out=out)
 
     def oracle_terms(self, i):
@@ -567,70 +606,89 @@ class CappedAffineCost(CostModel):
                 np.reshape(Ma, (-1, self.d0)), np.reshape(Mb, (-1, self.d0)))
 
     def z_opt_buffers(self, z_space):
-        """The boundary's ends and segments and, in 2-D, the line pairs,
-        and buffers for k candidates per sample: the C ends, then the 2N
-        lines' points (1-D) or their crossings with the E segments and
-        the P line pairs' crossings (2-D)."""
+        """The boundary's ends and, in 2-D, the line pairs and the frame of
+        the boundary's segments, and buffers for k candidates per sample,
+        one coordinate at a time: the C ends, then the 2N lines' points
+        (1-D) or their crossings with the E segments and the P line pairs'
+        crossings (2-D).  The valid candidates' coordinates and their
+        tables of types and costs go in a scratch array that grows to the
+        largest chunk's need."""
         corners, segments = z_space.boundary
         ends = z_space.vertices[corners]
         N, d, C, E = self.N, self.d0, len(ends), len(segments)
         pairs = self._line_pairs if d > 1 else None
         P = 0 if pairs is None else len(pairs[0])
         k = C + (2 * N if d == 1 else 2 * N * E + P)
+        # the segment crossings' edge parameters, then the line pairs' two
+        # offsets, share one scratch row per sample
+        width = max(2 * N * E, 2 * P)
+        # a valid candidate takes its coordinates and a column of each
+        # table in the scratch, an eighth to spare, and about as much again
+        # in flat indices and the selection's masks; a fifth of the
+        # candidates were valid on the bench and on random lines at N = 4
+        # to 64, and a quarter is counted
+        row_bytes = (8 * (k * d + 3 * N + width + 1) + k
+                     + 10 * (d + 2 * N + 2) * k // 4)
+        frame = EdgeFrame(z_space, segments, self.s) if d > 1 else None
 
         def make(rows):
-            cand = np.empty((rows, k, d))
+            cand = np.empty((d, rows, k))
             valid = np.empty((rows, k), dtype=bool)
-            cand[:, :C] = ends
+            cand[:, :, :C] = ends.T[:, None]
             valid[:, :C] = True
             crossings = slice(C, C + 2 * N * E)
+            shared = np.empty((rows, width))
             return SimpleNamespace(
-                segments=segments, pairs=pairs, rhs=np.empty((rows, N, 2)),
-                cand=cand, valid=valid, vals=np.empty((rows, k)),
+                frame=frame, pairs=pairs, x=np.empty((N, rows)),
+                rhs=np.empty((rows, N, 2)), cand=cand, valid=valid,
                 lines_at=slice(C, k), pairs_at=slice(k - P, k),
                 # views: the 1-D line points, the 2-D segment crossings
-                lines=cand[:, C:, 0].reshape(rows, N, 2) if d == 1 else None,
-                edges=cand[:, crossings].reshape(rows, 2, N, E, d),
+                lines=cand[0, :, C:].reshape(rows, N, 2) if d == 1 else None,
+                edges=np.moveaxis(
+                    cand[:, :, crossings].reshape(d, rows, 2, N, E), 0, -1),
                 hit=valid[:, crossings].reshape(rows, 2, N, E),
-                t=np.empty((rows, 2, N, E)), ra=np.empty((rows, P)),
-                rb=np.empty((rows, P)), pb=np.empty((rows, P)),
-                rows_of=np.empty(rows * k, dtype=int),
-                zc=np.empty((rows * k, d)), x=np.empty(rows * k),
-                cost=np.empty(rows * k), tmp=np.empty(rows * k),
-                tot=np.empty(rows * k))
-        return make
+                t=shared[:, :2 * N * E].reshape(rows, 2, N, E),
+                ra=shared[:, :P], rb=shared[:, P:2 * P],
+                samples=np.arange(rows), scratch=_Scratch())
+        return row_bytes, make
 
     def z_opt_values(self, X_list, z_space, work=None):
         """Kink-line arrangement candidates for the summed cost, from the
-        quality region's boundary (``_kink_candidates``), and the summed
-        cost at each: +inf at the candidates outside the region, and only
-        the others evaluated.  ``work`` is a buffer set of
-        ``z_opt_buffers`` for at least n samples, and the results are views
-        into it; without it the call makes its own."""
-        x = [np.atleast_2d(X)[:, 0] for X in X_list]
-        n = len(x[0])
-        w = work if work is not None else self.z_opt_buffers(z_space)(n)
+        quality region's boundary (``_kink_candidates``): the valid ones,
+        those inside the region, and the summed cost at each.
+
+        The categories' costs at the valid candidates are one (N, m) table
+        (``_sz``, then ``_ramp``: ``eval``'s operations), summed down its
+        rows by one ``np.add.reduce`` along its first axis, which adds the
+        rows in order, as ``eval``'s sum over the categories would.  So the
+        calls and the Python lines of a chunk do not depend on N.  ``work``
+        is a buffer set of ``z_opt_buffers`` for at least n samples, and the
+        results are views into it; without it the call makes its own."""
+        n, N, d = len(X_list[0]), self.N, self.d0
+        w = work if work is not None else self.z_opt_buffers(z_space)[1](n)
+        x = np.concatenate(X_list, axis=1, out=w.x[:, :n].T)
         self._kink_candidates(x, z_space, w)
-        cand, valid = w.cand[:n], w.valid[:n]
-        flat = np.flatnonzero(valid)
+        flat = np.flatnonzero(w.valid[:n])
         m = len(flat)
-        rows = np.floor_divide(flat, valid.shape[1], out=w.rows_of[:m])
-        zc = np.take(cand.reshape(-1, self.d0), flat, axis=0, out=w.zc[:m],
-                     mode="clip")
-        tot = w.tot[:m]
-        tot.fill(0.0)
-        for i in range(self.N):
-            xi = np.take(x[i], rows, out=w.x[:m], mode="clip")
-            tot += self._cost(i, xi, zc, w.cost[:m], w.tmp[:m])
-        vals = w.vals[:n]
-        vals.fill(np.inf)
-        np.put(vals, flat, tot)
-        return cand, vals
+        scratch = w.scratch.take((d + 2 * N + 1) * m)
+        zc = scratch[:d * m].reshape(d, m)
+        # the sum, then the categories' costs
+        costs = scratch[d * m:(d + N + 1) * m].reshape(N + 1, m)
+        types = scratch[(d + N + 1) * m:].reshape(N, m)
+        np.take(w.cand[:, :n].reshape(d, -1), flat, axis=1, out=zc,
+                mode="clip")
+        rows = np.floor_divide(flat, w.valid.shape[1], out=flat)
+        self._sz(self.s.T[:, :, None], zc.T, costs[1:], types)
+        np.take(w.x[:, :n], rows, axis=1, out=types, mode="clip")
+        self._ramp(types, costs[1:], self.kappa1[:, None],
+                   self.kappa2[:, None])
+        tot = np.add.reduce(costs[1:], axis=0, out=costs[0])
+        return zc.T, tot, np.searchsorted(rows, w.samples[:n])
 
     def _kink_candidates(self, x, z_space, w):
         """Fill ``w.cand`` and ``w.valid`` with the candidates of the
-        scalar types ``x`` (one (n,) array per category) and the mask of
-        those inside the region.
+        scalar types ``x`` ((n, N), one column per category) and the mask
+        of those inside the region.
 
         Writing each category cost as min{(|f_i| - kappa1)^+, const}, every
         selection of branches gives a convex function whose only kinks lie
@@ -641,29 +699,33 @@ class CappedAffineCost(CostModel):
         arrangement clipped to the region: a line/line crossing inside the
         region, a line/boundary-segment crossing or a boundary corner (the
         two interval ends in 1-D).  That candidate set is exact."""
-        n = len(x[0])
+        n = len(x)
         rhs = w.rhs[:n]
-        for i, xi in enumerate(x):
-            np.subtract(xi, self.kappa1[i], out=rhs[:, i, 0])
-            np.add(xi, self.kappa1[i], out=rhs[:, i, 1])
+        np.subtract(x, self.kappa1, out=rhs[:, :, 0])
+        np.add(x, self.kappa1, out=rhs[:, :, 1])
         if self.d0 == 1:
             np.divide(rhs, self.s[None, :, :1], out=w.lines[:n])
-            w.valid[:n, w.lines_at] = z_space.covers(w.cand[:n, w.lines_at])
+            w.valid[:n, w.lines_at] = z_space.covers(
+                w.cand[0, :n, w.lines_at, None])
             return
         # line x boundary-segment crossings, lower lines first
-        edge_crossings(z_space, w.segments, self.s, rhs.transpose(0, 2, 1),
-                       out=(w.edges[:n], w.hit[:n], w.t[:n]))
+        w.frame.crossings(rhs.transpose(0, 2, 1),
+                          out=(w.edges[:n], w.hit[:n], w.t[:n]))
         # line x line crossings across categories, one column at a time as
-        # in eval: a BLAS product rounds one row and a batch differently
+        # in eval: a BLAS product rounds one row and a batch differently.
+        # The second line's term of a coordinate is scratch in the last
+        # coordinate's rows, not yet filled, and for the last in its own
+        # offsets
         ia, ib, Ma, Mb = w.pairs
         lines = rhs.reshape(n, -1)
-        pts, ra, rb = w.cand[:n, w.pairs_at], w.ra[:n], w.rb[:n]
-        np.take(lines, ia, axis=1, out=ra, mode="clip")
-        np.take(lines, ib, axis=1, out=rb, mode="clip")
+        ra = np.take(lines, ia, axis=1, out=w.ra[:n], mode="clip")
+        rb = np.take(lines, ib, axis=1, out=w.rb[:n], mode="clip")
+        pts = w.cand[:, :n, w.pairs_at]
         for l in range(self.d0):
-            np.multiply(ra, Ma[:, l], out=pts[:, :, l])
-            pts[:, :, l] += np.multiply(rb, Mb[:, l], out=w.pb[:n])
-        w.valid[:n, w.pairs_at] = z_space.covers(pts)
+            np.multiply(ra, Ma[:, l], out=pts[l])
+            pts[l] += np.multiply(rb, Mb[:, l],
+                                  out=rb if l == self.d0 - 1 else pts[-1])
+        w.valid[:n, w.pairs_at] = z_space.covers(np.moveaxis(pts, 0, -1))
 
 
 class TabulatedCpwaCost(CostModel):

@@ -5,6 +5,7 @@ check (dense brute force where the library is structured/sparse)."""
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -24,7 +25,7 @@ from teamsolve.oracle import (SINGULAR_TOL, WEIGHT_TOL, OracleError,
                               axis_arrangement_candidates)
 from teamsolve.problems import (BusinessLocationCost, CappedAffineCost,
                                 CostModelError, DirectL1Term, ScalarRampTerm,
-                                SeparableL1Term, tabulated_cpwa_cost)
+                                SeparableL1Term, _dot, tabulated_cpwa_cost)
 
 
 def point_key(p):
@@ -594,23 +595,128 @@ def lex_argmin_loop(points, values, valid):
     return choice
 
 
+def lex_argmin_dense(points, values):
+    """Per-sample argmin with lexicographic tie-break on the point coords,
+    over an (n, p, d) candidate table and its (n, p) values, +inf at
+    invalid candidates: among candidates within ``TIE_TOL`` of the
+    sample's minimum, keep those with the smallest first coordinate, then
+    the smallest second, and so on; of exact duplicates the lowest index
+    wins.  The dense form of ``equilibrium._lex_argmin``."""
+    keep = values <= values.min(axis=1, keepdims=True) + TIE_TOL
+    for l in range(points.shape[2]):
+        c = np.where(keep, points[:, :, l], np.inf)
+        keep &= c == c.min(axis=1, keepdims=True)
+    return keep.argmax(axis=1)
+
+
+def padded_selector_candidates(model, x_list, z_space):
+    """``model.z_opt_values``' flat candidates as an (n, p, d) table, each
+    sample's in order and padded to the longest, with the (n, p) mask of
+    the real ones whose value is finite."""
+    pts, vals, starts = model.z_opt_values(x_list, z_space)
+    counts = np.diff(starts, append=len(vals))
+    row = np.repeat(np.arange(len(starts)), counts)
+    col = np.arange(len(vals)) - np.repeat(starts, counts)
+    cand = np.zeros((len(starts), counts.max(), pts.shape[1]))
+    valid = np.zeros(cand.shape[:2], dtype=bool)
+    cand[row, col] = pts
+    valid[row, col] = np.isfinite(vals)
+    return cand, valid
+
+
+def capped_affine_dense_values(model, X_list, z_space):
+    """The capped-affine selector's candidates as one (n, k, d) table per
+    sample and the summed cost at each, +inf outside the region: the
+    boundary's corners, every kink line's crossings with the boundary's
+    segments (its points in 1-D) and every crossing of two categories'
+    lines, in that order.  The costs are ``eval``'s, added category by
+    category.  The dense reference for ``CappedAffineCost.z_opt_values``,
+    which values the candidates inside the region only."""
+    x = np.concatenate([np.atleast_2d(X)[:, :1] for X in X_list], axis=1)
+    n, N, d = len(x), model.N, model.d0
+    rhs = np.stack([x - model.kappa1, x + model.kappa1], axis=2)   # (n, N, 2)
+    corners, segments = z_space.boundary
+    ends = z_space.vertices[corners]
+    cand = [np.broadcast_to(ends, (n,) + ends.shape)]
+    valid = [np.ones((n, len(ends)), dtype=bool)]
+    if d == 1:
+        pts = (rhs / model.s[None, :, :1]).reshape(n, -1, 1)
+        cand.append(pts)
+        valid.append(z_space.covers(pts))
+    else:
+        pts, hit = edge_crossings(z_space, segments, model.s,
+                                  rhs.transpose(0, 2, 1))
+        cand.append(pts.reshape(n, -1, d))
+        valid.append(hit.reshape(n, -1))
+        ia, ib, Ma, Mb = model._line_pairs
+        lines = rhs.reshape(n, -1)
+        pts = np.empty((n, len(ia), d))
+        for l in range(d):
+            pts[:, :, l] = lines[:, ia] * Ma[:, l]
+            pts[:, :, l] += lines[:, ib] * Mb[:, l]
+        cand.append(pts)
+        valid.append(z_space.covers(pts))
+    cand = np.concatenate([np.ascontiguousarray(c) for c in cand], axis=1)
+    valid = np.concatenate(valid, axis=1)
+    k = cand.shape[1]
+    tot = np.zeros((n, k))
+    for i in range(N):
+        tot += model.eval(i, np.repeat(x[:, i:i + 1], k, axis=0),
+                          cand.reshape(-1, d)).reshape(n, k)
+    return cand, np.where(valid, tot, np.inf)
+
+
 def z_opt_dense(model, x_list, z_space, candidates=None):
     """Quality selector of a min-of-convex-terms family, evaluating the cost
     with ``eval`` at every candidate (valid or not) of every sample.
     ``candidates(x_list, z_space)`` gives the candidates and their validity,
-    by default those of ``model.z_opt_values`` with valid = finite value."""
+    by default those of ``model.z_opt_values``
+    (``padded_selector_candidates``)."""
     x_list = [np.atleast_2d(np.asarray(X, dtype=float)) for X in x_list]
     if candidates is None:
-        cand, vals = model.z_opt_values(x_list, z_space)
-        valid = np.isfinite(vals)
-    else:
-        cand, valid = candidates(x_list, z_space)
+        candidates = partial(padded_selector_candidates, model)
+    cand, valid = candidates(x_list, z_space)
     k = cand.shape[1]
     vals = np.zeros((len(cand), k))
     for i in range(model.N):
         XX = np.repeat(x_list[i], k, axis=0)
         vals += model.eval(i, XX, cand.reshape(-1, z_space.dim)).reshape(-1, k)
     return cand[np.arange(len(cand)), lex_argmin_loop(cand, vals, valid)]
+
+
+def face_minima_every_face(lam, X, frames, Wv):
+    """``QuadraticBarycenterCost._face_minima`` with the 0-faces run
+    through the general face arithmetic on empty edge parameters, as it
+    was before their closed form: per row x of X, lam (||z||^2 - 2 <x, z>)
+    minus the hat combination of the vertex values Wv, minimized on each
+    face of ``frames`` (``geometry.face_frames``): (n, K) values and
+    (n, K, d) points, the faces in their order.
+
+    The hat combination is affine on a face with base point p0 and edge
+    rows D, so the objective is a strictly convex quadratic there, least
+    at z = p0 + D^T t with t = G (D (x - p0) + dW / (2 lam)), dW the
+    steps of Wv along the edges; it is evaluated as G D x + G (dW /
+    (2 lam) - D p0), so x enters one product.  The minimum over a union
+    of faces is the critical point of the face that holds it in its
+    relative interior, so a face whose t is not in the open simplex
+    gets +inf.
+    """
+    n, d = X.shape
+    vals, Z = [], []
+    for F, p0, D, G, GD in frames:
+        w0 = Wv[F[:, 0]]
+        dW = Wv[F[:, 1:]] - w0[:, None]                # (f, j)
+        shift = dW / (2.0 * lam) - (D @ p0[:, :, None])[..., 0]
+        t = ((X @ GD.reshape(-1, d).T).reshape(n, len(F), -1)
+             + (G @ shift[:, :, None])[..., 0])        # (n, f, j)
+        inside = ((t.min(-1, initial=1.0) > 1e-12)
+                  & (t.sum(-1) < 1 - 1e-12))
+        z = p0 + _dot(t[..., None, :], D.swapaxes(-1, -2))
+        v = (lam * (_dot(z, z) - 2.0 * _dot(X[:, None, :], z))
+             - (w0 + _dot(t, dW)))
+        vals.append(np.where(inside, v, np.inf))
+        Z.append(z)
+    return np.concatenate(vals, axis=1), np.concatenate(Z, axis=1)
 
 
 def z_opt_quadratic(model, x_list, z_space):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import (brute_force_discrete_optimum, exact_tilde_loop,
-                     lex_argmin_loop, random_discrete_instance, z_opt_dense)
+                     lex_argmin_dense, lex_argmin_loop,
+                     random_discrete_instance, z_opt_dense)
 from teamsolve import equilibrium, transport
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
                                 SimplicialComplex, build_box_partition,
@@ -277,8 +278,19 @@ def test_lex_argmin_matches_lexsort_loop():
                 + rng.choice([0.0, 0.4, 0.9, 1.5], size=(n, p)) * TIE_TOL)
         valid = rng.uniform(size=(n, p)) < 0.7
         valid[:, 0] = True
-        got = _lex_argmin(pts, np.where(valid, vals, np.inf))
-        assert np.array_equal(got, lex_argmin_loop(pts, vals, valid))
+        ref = lex_argmin_loop(pts, vals, valid)
+        dense = np.where(valid, vals, np.inf)
+        assert np.array_equal(lex_argmin_dense(pts, dense), ref)
+        # every candidate, +inf at the invalid ones, p per sample
+        starts = np.arange(n) * p
+        got = _lex_argmin(pts.reshape(-1, d), dense.ravel(), starts)
+        assert np.array_equal(got - starts, ref)
+        # the valid candidates only, as many per sample as it has
+        flat = np.flatnonzero(valid)
+        starts = np.searchsorted(flat // p, np.arange(n))
+        got = _lex_argmin(pts.reshape(-1, d)[flat], vals.ravel()[flat],
+                          starts)
+        assert np.array_equal(flat[got] - np.arange(n) * p, ref)
 
 
 def test_zopt_matches_dense_reference():
@@ -327,6 +339,33 @@ def test_coupling_csv_draws_no_quality_selection(tmp_path, monkeypatch):
     assert path.read_text().splitlines()[0] == "x0,z0,z1"
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(rows, np.hstack([S["X_bar"][1], S["Z"]]))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_coupling_csv_bytes_are_a_full_chain_draw(name, tmp_path):
+    # each export draws the chain through its own category's link only;
+    # the later links draw from the generator after it, so every file's
+    # bytes are those of a draw through every link
+    inst = workloads.build(name, 3)
+    gbar = [moment_vector(mu, b) for mu, b in zip(inst.measures,
+                                                  inst.x_bases)]
+    cp = run(inst.model, gbar, inst.x_spaces, inst.x_bases, inst.z_space,
+             inst.z_basis, inst.oracle, inst.eps_lsip)
+    rep = construct(cp, inst.model, inst.measures, inst.x_spaces,
+                    inst.x_bases, inst.z_space, inst.z_basis, mc_n=200,
+                    mc_repetitions=2, seed=inst.seed,
+                    semidiscrete_params=inst.semidiscrete_params)
+    ref = tmp_path / "full.csv"
+    for i in range(inst.N):
+        path = tmp_path / ("coupling_samples_%d.csv" % i)
+        write_coupling_csv(rep, np.random.default_rng(100 + i), 500, i, path)
+        S = rep._chain.sample(
+            np.random.default_rng(100 + i), 500, with_zbar=False)
+        X, Z = S["X_bar"][i], S["Z"]
+        _write_csv(ref, ["x%d" % j for j in range(X.shape[1])]
+                   + ["z%d" % j for j in range(Z.shape[1])],
+                   np.hstack([X, Z]))
+        assert path.read_bytes() == ref.read_bytes(), i
 
 
 def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import business_eval_pair_tensor
+from helpers import business_eval_pair_tensor, face_minima_every_face, l_shape
 from teamsolve.geometry import FiniteSpace, build_box_partition
 from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
                                 random_cpwa, uniform_points)
-from teamsolve.problems import (CostModelError, _dot, barycenter_cost,
-                                business_location_cost, capped_affine_cost,
-                                tabulated_cpwa_cost)
+from teamsolve.problems import (CostModelError, QuadraticBarycenterCost, _dot,
+                                barycenter_cost, business_location_cost,
+                                capped_affine_cost, tabulated_cpwa_cost)
 
 STATIONS = np.array([[0.0, 2.0], [0.0, 0.75], [0.0, -0.75],
                      [0.0, -1.5], [-1.5, -1.5]])
@@ -113,6 +113,30 @@ def test_column_dot_has_the_bits_of_numpys_sum():
                 for _ in range(2))
         assert np.array_equal(_dot(a, b), (a * b).sum(-1))
         assert np.array_equal(_dot(a[:, :1], b), (a[:, :1] * b).sum(-1))
+
+
+@pytest.mark.parametrize("Z", [build_box_partition([(0, 1)], (4,)),
+                               build_box_partition([(0, 1), (0, 1)], (6, 6)),
+                               l_shape()], ids=["line", "grid", "l-shape"])
+def test_zero_faces_in_closed_form_match_the_face_arithmetic(Z):
+    # the corners' values and points, given in closed form, have the bits
+    # of the general face arithmetic on empty edge parameters: for the
+    # selector's boundary faces (lam 1, no multipliers) and the oracle's
+    # every face (a weight and multipliers), with means inside the region
+    # and outside it (a +-0.05 jitter around its box)
+    rng = np.random.default_rng(98)
+    X = rng.uniform(-0.02, 1.02, size=(600, Z.dim))
+    X += rng.uniform(-0.05, 0.05, size=X.shape)
+    X[:100] = np.round(4 * X[:100]) / 4
+    inside = Z.covers(X)
+    assert inside.any() and not inside.all()
+    for lam, frames, Wv in (
+            (1.0, Z.boundary_frames, np.zeros(Z.n_vertices)),
+            (0.3, Z.face_frames, rng.normal(size=Z.n_vertices))):
+        got = QuadraticBarycenterCost._face_minima(lam, X, frames, Wv)
+        ref = face_minima_every_face(lam, X, frames, Wv)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_barycenter_shift_and_lipschitz():

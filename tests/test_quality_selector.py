@@ -33,8 +33,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (l_shape, mesh_z_opt_candidates, z_opt_dense,
-                     z_opt_quadratic)
+from helpers import (capped_affine_dense_values, l_shape, lex_argmin_dense,
+                     mesh_z_opt_candidates, padded_selector_candidates,
+                     z_opt_dense, z_opt_quadratic)
 from teamsolve import equilibrium
 from teamsolve.equilibrium import TIE_TOL, z_opt
 from teamsolve.geometry import (FiniteSpace, SimplicialComplex,
@@ -73,8 +74,7 @@ def _min_cost(model, xs, Z, candidates):
 
 def _selector_candidates(model, xs, Z):
     """``z_opt_values``' candidates, valid where their value is finite."""
-    cand, vals = model.z_opt_values(xs, Z)
-    return cand, np.isfinite(vals)
+    return padded_selector_candidates(model, xs, Z)
 
 
 def _types(rng, N, n=400, quarter=False):
@@ -117,9 +117,10 @@ def test_boundary_candidates_pick_the_mesh_point(name):
 def test_boundary_candidates_count():
     model = workloads.build("capped-affine", 3).model
     xs = _types(np.random.default_rng(82), model.N, 10)
-    cand, valid = _selector_candidates(model, xs, SQUARE)
+    cand, vals = capped_affine_dense_values(model, xs, SQUARE)
     # 2N lines x 4 sides + 4 C(N, 2) line pairs + 4 corners, at N = 8
-    assert cand.shape == (10, 180, 2) and valid.shape == (10, 180)
+    assert cand.shape == (10, 180, 2) and vals.shape == (10, 180)
+    assert model.z_opt_buffers(SQUARE)[1](10).valid.shape == (10, 180)
     assert mesh_z_opt_candidates(model, xs, SQUARE)[0].shape[1] == 1033
 
 
@@ -344,9 +345,136 @@ def test_direct_selector_call_matches_the_buffered_one():
     for name in ("capped-affine-1d", "capped-affine-2d", "business-location"):
         model, Z, draw = _family_cases()[name]
         xs = draw(np.random.default_rng(93), 300)
-        cand, vals = model.z_opt_values(xs, Z)
-        work = model.z_opt_buffers(Z)(300)
+        part = [X[:120] for X in xs]
+        ref = model.z_opt_values(part, Z)
+        work = model.z_opt_buffers(Z)[1](300)
         model.z_opt_values(xs, Z, work)
-        got = model.z_opt_values([X[:120] for X in xs], Z, work)
-        assert np.array_equal(got[0], cand[:120])
-        assert np.array_equal(got[1], vals[:120])
+        got = model.z_opt_values(part, Z, work)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the capped-affine chunk path against the dense reference
+
+LINE = build_box_partition([(0, 1)], (4,))
+
+
+def _dense_case(N, d, case, rng):
+    """A capped-affine model on the unit interval (d = 1) or square
+    (d = 2) and 300 types per category: random directions and bands;
+    parallel directions (all of them in 1-D, repeated and opposite ones in
+    2-D); kappa1 = 0 with kappa2 = inf; or lines through the region's
+    corners, with kappa1 = 0 and types on the corners' values."""
+    if d == 1:
+        s = rng.choice([-1.0, 1.0], size=(N, 1))
+    elif case == "parallel":
+        base = rng.normal(size=(max(1, N // 3), 2))
+        s = base[rng.integers(0, len(base), N)] * rng.choice([-1, 1], (N, 1))
+    elif case == "corners":
+        s = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [-0.8, 0.6]])[
+            rng.integers(0, 4, N)]
+    else:
+        s = rng.normal(size=(N, 2))
+    s = s / np.linalg.norm(s, axis=1, keepdims=True)
+    k1 = rng.uniform(0.0, 0.2, N)
+    k2 = k1 + rng.uniform(0.1, 0.5, N)
+    if case in ("kappa-limits", "corners"):
+        k1, k2 = np.zeros(N), np.full(N, np.inf)
+    n = 300
+    if case == "corners":
+        Z = LINE if d == 1 else SQUARE
+        ends = Z.vertices[Z.boundary[0]]
+        xs = [(ends[rng.integers(0, len(ends), (n, 1))] @ s[i])
+              for i in range(N)]
+        for X in xs:
+            X[::3] = rng.uniform(size=(len(X[::3]), 1))
+    else:
+        xs = _types(rng, N, n, quarter=True)
+    return capped_affine_cost(s, k1, k2), xs
+
+
+DENSE_CASES = [(N, d, case) for N in (1, 2, 8, 32) for d in (1, 2)
+               for case in ("random", "parallel", "kappa-limits", "corners")
+               if not (d == 1 and case == "parallel")]
+
+
+@pytest.mark.parametrize("N,d,case", DENSE_CASES)
+def test_flat_path_matches_the_dense_reference(N, d, case, monkeypatch):
+    # the valid candidates and their values, in order and bit for bit, and
+    # the picks for every chunk length and number of workers
+    rng = np.random.default_rng(1000 * N + 10 * d + len(case))
+    model, xs = _dense_case(N, d, case, rng)
+    Z = LINE if d == 1 else SQUARE
+    cand, vals = capped_affine_dense_values(model, xs, Z)
+    valid = np.isfinite(vals)
+    pts, got, starts = model.z_opt_values(xs, Z)
+    assert np.array_equal(pts.view(np.uint64), cand[valid].view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), vals[valid].view(np.uint64))
+    counts = valid.sum(axis=1)
+    assert np.array_equal(starts, np.cumsum(counts) - counts)
+    ref = cand[np.arange(len(cand)), lex_argmin_dense(cand, vals)]
+    for workers in (1, 2, 3):
+        _cpus(monkeypatch, workers)
+        for chunk in (1, 64, 256, 1024):
+            picks = z_opt(model, xs, Z, chunk=chunk)
+            assert np.array_equal(picks.view(np.uint64),
+                                  ref.view(np.uint64)), (workers, chunk)
+
+
+def _teamsolve_lines(call):
+    """The number of lines of the package's modules that ``call()`` runs."""
+    root = str(Path(equilibrium.__file__).parent)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def global_(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(root) else None
+
+    sys.settrace(global_)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_chunk_lines_do_not_depend_on_the_category_count():
+    # one 64-sample chunk, on buffers made beforehand (the line pairs are
+    # found once per model, by a loop over the category pairs)
+    counts = []
+    for N in (4, 8, 16, 32):
+        rng = np.random.default_rng(N)
+        s = rng.normal(size=(N, 2))
+        model = capped_affine_cost(s / np.linalg.norm(s, axis=1)[:, None],
+                                   0.05, 0.3)
+        work = model.z_opt_buffers(SQUARE)[1](64)
+        xs = _types(rng, N, 64)
+        counts.append(_teamsolve_lines(
+            lambda: model.z_opt_values(xs, SQUARE, work)))
+    assert len(set(counts)) == 1, counts
+
+
+def test_add_reduce_down_the_rows_is_the_sequential_sum():
+    # the selector sums its (N, m) cost table with one np.add.reduce along
+    # the first axis; over a C-ordered table numpy adds the rows in order,
+    # the sum eval's category loop makes.  Values over many magnitudes make
+    # the order show in the last bits
+    rng = np.random.default_rng(96)
+    for N in range(2, 101):
+        table = rng.lognormal(0.0, 8.0, size=(N, 37))
+        table[:, ::5] *= -1.0
+        seq = np.zeros(table.shape[1])
+        for row in table:
+            seq += row
+        got = np.add.reduce(table, axis=0, out=np.empty(table.shape[1]))
+        assert np.array_equal(got.view(np.uint64), seq.view(np.uint64)), N
+        if N >= 8:
+            # the data tells the orders apart: the transposed table's
+            # contiguous (pairwise) sum differs somewhere
+            pairwise = np.ascontiguousarray(table.T).sum(axis=1)
+            assert not np.array_equal(pairwise, seq)
