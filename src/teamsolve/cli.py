@@ -30,7 +30,7 @@ import numpy as np
 from . import cutting_plane, equilibrium
 from .geometry import (FiniteSpace, HatBasis, PointOutsideComplexError,
                        build_box_partition, epsilon_bar)
-from .measures import (DiscreteMeasure, measure_from_json, moment_vector,
+from .measures import (CpwaDensityMeasure, DiscreteMeasure, moment_vector,
                        moments_all_vertices, random_cpwa, uniform_points)
 from .oracle import make_oracle
 from .problems import (barycenter_cost, business_location_cost,
@@ -101,12 +101,26 @@ def _count(value, path, least=1):
     return value
 
 
+def _entries(value, path, check):
+    """``value`` after ``check`` of each entry of it, a number or a nested
+    JSON array of numbers, each at its own path: ``numpy`` would read
+    2.5, true or "3" as a number of cells or a coordinate."""
+    if isinstance(value, list):
+        for j, v in enumerate(value):
+            _entries(v, "%s[%d]" % (path, j), check)
+    else:
+        check(value, path)
+    return value
+
+
 def _build_space(doc, path):
     if _kind(doc, "type", SPACE_FIELDS, "space type", path) == "box":
-        build, args = build_box_partition, (_need(doc, "box", path),
-                                            _need(doc, "counts", path))
+        build, args = build_box_partition, (
+            _entries(_need(doc, "box", path), path + ".box", _number),
+            _entries(_need(doc, "counts", path), path + ".counts", _count))
     else:
-        build, args = FiniteSpace, (_need(doc, "points", path),)
+        build, args = FiniteSpace, (
+            _entries(_need(doc, "points", path), path + ".points", _number),)
     try:
         return build(*args)
     except Exception as e:
@@ -120,9 +134,12 @@ def _build_measure(doc, space, seed, path):
             rng = np.random.default_rng(
                 _count(doc.get("seed", seed), path + ".seed", least=0))
             return random_cpwa(space, rng)
-        for key in MEASURE_FIELDS[kind]:
-            _need(doc, key, path)
-        return measure_from_json(doc, complex=space)
+        if kind == "discrete":
+            return DiscreteMeasure(
+                np.asarray(_need(doc, "atoms", path), dtype=float),
+                np.asarray(_need(doc, "weights", path), dtype=float))
+        return CpwaDensityMeasure(space, np.asarray(
+            _need(doc, "vertex_density", path), dtype=float))
     except ConfigError:
         raise
     except Exception as e:
@@ -324,9 +341,10 @@ def run_pipeline(setup, out_dir=None, seed=None):
     return cp_res, report
 
 
-def verify_setup(setup, out=sys.stdout):
-    """Dry-run validation; returns the number of warnings."""
-    warnings = 0
+def verify_setup(setup):
+    """Dry-run validation, reported on standard output; returns the number
+    of warnings."""
+    out, warnings = sys.stdout, 0
     for i in range(setup.N):
         mu = setup.measures[i]
         sp = setup.x_spaces[i]
@@ -346,8 +364,7 @@ def verify_setup(setup, out=sys.stdout):
     ok, worst = setup.model.check_lipschitz(
         rng,
         lambda i, n: uniform_points(setup.x_spaces[i], rng, n),
-        lambda n: uniform_points(setup.z_space, rng, n),
-        n=10000)
+        lambda n: uniform_points(setup.z_space, rng, n))
     if not ok:
         raise ConfigError("$.problem",
                           "Lipschitz constants violated by %.3g" % worst)
@@ -363,7 +380,7 @@ def verify_setup(setup, out=sys.stdout):
     return warnings
 
 
-def main(argv=None):
+def main():
     parser = argparse.ArgumentParser(
         prog="teamsolve",
         description="approximate matching equilibria for N-category "
@@ -375,7 +392,7 @@ def main(argv=None):
     p_run.add_argument("--seed", type=int, default=None)
     p_ver = sub.add_parser("verify", help="validate a config without solving")
     p_ver.add_argument("--config", required=True)
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if args.command == "run" and args.seed is not None and args.seed < 0:
         parser.error("--seed must be at least 0")
 

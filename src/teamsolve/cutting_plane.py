@@ -202,8 +202,7 @@ def _relaxation(gbar, k):
         np.arange(0, k * N + 1, N, dtype=np.int32),
         (offsets[1:, None] - k + np.arange(k)).T.ravel().astype(np.int32),
         np.ones(k * N), (k, offsets[-1])) if k else None
-    return (linprog.LpProblem(c, A_eq=A_eq, b_eq=np.zeros(k) if k else None),
-            offsets)
+    return linprog.LpProblem(c, A_eq, np.zeros(k) if k else None), offsets
 
 
 def _add_new_cuts(problem, store, offsets, rows):
@@ -250,7 +249,7 @@ def _drop_slack_rows(problem, store, rows, sol):
 
 
 def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
-        eps_lsip, initial_cuts=None, max_iterations=10000):
+        eps_lsip, max_iterations=10000):
     """Run the cutting-plane loop to an eps_lsip-certified solution.
 
     Parameters
@@ -259,9 +258,9 @@ def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
     gbar : per-category exact moment vectors of the type test functions
     oracle : callable ``oracle(i, y_i, w_i) -> OracleResult``
     eps_lsip : positive target for the certified upper-lower gap
-    initial_cuts : per-category ``(X, Z)`` pairs of row arrays, the cut
-        points ``(X[q], Z[q])``; defaults to the vertex product of the type
-        and quality spaces (``default_initial_cuts``)
+
+    The first relaxation holds the vertex product of the type and quality
+    spaces (``default_initial_cuts``).
 
     Returns a :class:`CuttingPlaneResult`. Raises
     ``UnboundedRelaxationError`` if the starting relaxation is unbounded and
@@ -274,9 +273,7 @@ def run(model, gbar, x_spaces, x_bases, z_space, z_basis, oracle,
         raise CuttingPlaneError("max_iterations must be at least 1")
     k = z_basis.m
     store = _CutStore(model, x_bases, z_basis)
-    if initial_cuts is None:
-        initial_cuts = default_initial_cuts(x_spaces, z_space)
-    for i, (X, Z) in enumerate(initial_cuts):
+    for i, (X, Z) in enumerate(default_initial_cuts(x_spaces, z_space)):
         store.add(i, X, Z)
 
     problem, offsets = _relaxation(gbar, k)

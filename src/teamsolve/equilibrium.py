@@ -90,21 +90,21 @@ def _lex_argmin(points, values, starts):
     return tied[order[first]]
 
 
-def z_opt(model, x_list, z_space, chunk=None):
+def z_opt(model, x_list, z_space):
     """Global minimizer of z -> sum_i c_i(x_i, z) over the quality space.
 
-    Vectorized over samples, ``chunk`` rows at a time; ``x_list`` holds
-    one (n, d_i) array per category.  Each chunk's candidates and the
+    Vectorized over samples, one chunk of rows at a time; ``x_list``
+    holds one (n, d_i) array per category.  Each chunk's candidates and the
     summed cost at them, flat with each sample's start
     (``CostModel.z_opt_values``), come from the model's
     ``z_vertex_values`` where the quality side is vertex-exact
     (``oracle.vertex_exact``), else from its ``z_opt_values``.  Exact for
     the shipped cost families; ties are broken by the lexicographically
     smallest minimizer among the candidate points (``_lex_argmin``).
-    Without ``chunk``, a chunk of a family without buffers holds
-    ``CHUNK`` samples, and one of a family with them the samples whose
-    buffers fit in ``CHUNK_BYTES``, at the bytes per sample that
-    ``z_opt_buffers`` states, and at least ``CHUNK_MIN``.
+    A chunk of a family without buffers holds ``CHUNK`` samples, and one
+    of a family with them the samples whose buffers fit in
+    ``CHUNK_BYTES``, at the bytes per sample that ``z_opt_buffers``
+    states, and at least ``CHUNK_MIN``.
 
     A family with per-thread buffers runs the chunks on one thread per CPU
     of the process's affinity mask (at most one per chunk); the others,
@@ -119,10 +119,10 @@ def z_opt(model, x_list, z_space, chunk=None):
         values, buffers = model.z_vertex_values, None
     else:
         values, buffers = model.z_opt_values, model.z_opt_buffers(z_space)
+    chunk = CHUNK
     if buffers is not None:
         row_bytes, buffers = buffers
-        chunk = chunk or max(CHUNK_MIN, CHUNK_BYTES // row_bytes)
-    chunk = chunk or CHUNK
+        chunk = max(CHUNK_MIN, CHUNK_BYTES // row_bytes)
     out = np.empty((n, z_space.dim))
     per_thread = {}     # thread id -> its buffers
 
@@ -518,11 +518,11 @@ def write_transfer_values_csv(z_points, phi, path):
                np.column_stack([z_points, phi]))
 
 
-def write_nu_tilde_hist_csv(report, rng, n, path, bins=40):
-    """Histogram of the pushforward quality samples: ``bins`` bins per axis
-    over the first one or two coordinates, one line per bin in C order."""
+def write_nu_tilde_hist_csv(report, rng, n, path):
+    """Histogram of the pushforward quality samples: 40 bins per axis over
+    the first one or two coordinates, one line per bin in C order."""
     Zb = report.sample_streams(rng, n)["Z_bar"][:, :2]
-    h, edges = np.histogramdd(Zb, bins=bins)
+    h, edges = np.histogramdd(Zb, bins=40)
     cell = np.indices(h.shape).reshape(h.ndim, -1)
     names = [""] if h.ndim == 1 else ["x_", "y_"]
     cols = [e[c + k] for e, c in zip(edges, cell) for k in (0, 1)]

@@ -9,8 +9,8 @@ The solver parametrizes continuous test functions by vertex-interpolation
   of every dimension (``faces``, with ``edges`` the 1-faces), its
   ``boundary`` (corners and straight sides), the ``face_frames`` of both
   and, for a box grid, its ``box`` and ``refined`` grids,
-* ``edge_crossings`` -- where hyperplanes cross given edges of a complex
-  (``EdgeFrame`` keeps its offset-free part for repeated batches),
+* ``EdgeFrame`` -- where hyperplanes cross given edges of a complex, the
+  offset-free part built once for repeated batches of offsets,
 * ``build_box_partition`` -- regular grid over a box, each cell triangulated
   by the order-based (Kuhn) triangulation into ``d!`` simplices,
 * ``FiniteSpace`` -- a finite point set (degenerate complex of 0-simplices),
@@ -265,7 +265,7 @@ class SimplicialComplex:
         dets = np.abs(np.linalg.det(edges))
         return dets / math.factorial(self.dim)
 
-    def vertex_weights(self, X, tol=TOL_GEOM):
+    def vertex_weights(self, X):
         """Locate the rows of an (n, d) array of points in the complex.
 
         Returns ``(V, W)``, two (n, d+1) arrays: the vertex indices of a
@@ -278,30 +278,30 @@ class SimplicialComplex:
         Raises
         ------
         PointOutsideComplexError
-            If a point is farther than ``tol`` from every simplex.
+            If a point is farther than ``TOL_GEOM`` from every simplex.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self._grid is not None:
             s, lam = self._kuhn_locate(X)
-            bad = self._outside_box(X, tol)
+            bad = self._outside_box(X, TOL_GEOM)
         else:
             s, lam, viol = self._search(X)
-            bad = viol > tol
+            bad = viol > TOL_GEOM
         _raise_outside(X, bad, "outside complex")
         np.clip(lam, 0.0, None, out=lam)
         lam /= lam.sum(axis=1, keepdims=True)
         return self.simplices[s], lam
 
-    def covers(self, X, tol=TOL_GEOM):
+    def covers(self, X):
         """Mask of the points of an (..., d) array, the last axis holding
         the coordinates, that ``vertex_weights`` locates, by the same
         test."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self._grid is not None:
-            outside = self._outside_box(X, tol)
+            outside = self._outside_box(X, TOL_GEOM)
             return np.logical_not(outside, out=outside)
         return self._search(X.reshape(-1, self.dim))[2].reshape(
-            X.shape[:-1]) <= tol
+            X.shape[:-1]) <= TOL_GEOM
 
     def _outside_box(self, X, tol):
         """Points of the (..., d) array X farther outside the grid's box
@@ -397,25 +397,16 @@ def build_box_partition(box, counts):
     return SimplicialComplex(vertices, np.asarray(simplices), _grid=grid)
 
 
-def edge_crossings(complex, edges, normals, offsets):
+class EdgeFrame:
     """Where the hyperplanes <normals[k], z> = offsets[..., k] cross the
-    given edges of a complex.
+    given edges of a complex, for batches of offsets (``crossings``).
 
     ``edges`` is (E, 2) vertex-index pairs, such as ``complex.edges`` or
-    ``complex.boundary.segments``; ``normals`` is (K, d) and ``offsets``
-    (..., K).  Returns ``(points, hit)``: (..., K, E, d) points on each
-    edge, with the edge parameter clipped to [0, 1], and the (..., K, E)
-    mask of the edges each hyperplane crosses.  An edge parallel to a
-    hyperplane is never hit.
-    """
-    return EdgeFrame(complex, edges, normals).crossings(offsets)
-
-
-class EdgeFrame:
-    """What ``edge_crossings`` computes before it sees the offsets: each
-    hyperplane's value at every edge's first end and its step along the
-    edge, and the edges' ends and steps per coordinate as (K, E) tables,
-    so that a caller with many batches of offsets builds them once."""
+    ``complex.boundary.segments``, and ``normals`` is (K, d).  The frame
+    holds what does not depend on the offsets: each hyperplane's value at
+    every edge's first end and its step along the edge, and the edges' ends
+    and steps per coordinate as (K, E) tables, so that a caller with many
+    batches of offsets builds them once."""
 
     def __init__(self, complex, edges, normals):
         V = complex.vertices
@@ -433,8 +424,11 @@ class EdgeFrame:
                    for l in range(de.shape[1])]
 
     def crossings(self, offsets, out=None):
-        """``edge_crossings`` at the (..., K) offsets.  ``out``, a
-        ``(points, hit, t)`` triple of arrays of the result shapes and of
+        """The crossings at the (..., K) offsets, as ``(points, hit)``:
+        (..., K, E, d) points on each edge, with the edge parameter clipped
+        to [0, 1], and the (..., K, E) mask of the edges each hyperplane
+        crosses.  An edge parallel to a hyperplane is never hit.  ``out``,
+        a ``(points, hit, t)`` triple of arrays of the result shapes and of
         the (..., K, E) edge parameters, receives them instead of fresh
         arrays."""
         points, hit, t = (None, None, None) if out is None else out
@@ -468,12 +462,12 @@ class FiniteSpace:
     def n_vertices(self):
         return self.vertices.shape[0]
 
-    def vertex_weights(self, X, tol=TOL_GEOM):
+    def vertex_weights(self, X):
         """Nearest point of each row of an (n, d) array, as (n, 1) arrays of
         point indices and unit weights.
 
-        Raises ``PointOutsideComplexError`` if a row is farther than ``tol``
-        from every point.
+        Raises ``PointOutsideComplexError`` if a row is farther than
+        ``TOL_GEOM`` from every point.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         j = np.empty(len(X), dtype=int)
@@ -482,7 +476,7 @@ class FiniteSpace:
             D = np.linalg.norm(X[sl, None, :] - self.vertices[None], axis=-1)
             j[sl] = D.argmin(axis=1)
             dist[sl] = D.min(axis=1)
-        _raise_outside(X, dist > tol, "not in finite space")
+        _raise_outside(X, dist > TOL_GEOM, "not in finite space")
         return j[:, None], np.ones((len(X), 1))
 
     def cell_diameters(self):
@@ -495,7 +489,8 @@ def _default_excluded(vertices):
 
 
 class HatBasis:
-    """Vertex-interpolation test functions on a complex, one vertex dropped.
+    """Vertex-interpolation test functions on a complex, one vertex dropped:
+    the lexicographically smallest (``_default_excluded``).
 
     The basis value at x is the vector of barycentric weights of the
     non-excluded vertices in a simplex containing x; the excluded vertex's
@@ -503,13 +498,9 @@ class HatBasis:
     are one-hot, so this is the indicator basis.
     """
 
-    def __init__(self, complex, excluded_vertex=None):
+    def __init__(self, complex):
         self.complex = complex
-        if excluded_vertex is None:
-            excluded_vertex = _default_excluded(complex.vertices)
-        self.excluded = int(excluded_vertex)
-        if not 0 <= self.excluded < complex.n_vertices:
-            raise GeometryError("excluded vertex index out of range")
+        self.excluded = _default_excluded(complex.vertices)
         self.m = complex.n_vertices - 1
         keep = [v for v in range(complex.n_vertices) if v != self.excluded]
         # vertex index -> component; the excluded vertex gets the spare last
@@ -522,13 +513,13 @@ class HatBasis:
     def vertices(self):
         return self.complex.vertices
 
-    def eval(self, x, tol=TOL_GEOM):
+    def eval(self, x):
         """Basis vector at a single point."""
-        return self.eval_many(np.atleast_1d(x)[None], tol)[0]
+        return self.eval_many(np.atleast_1d(x)[None])[0]
 
-    def eval_many(self, X, tol=TOL_GEOM):
+    def eval_many(self, X):
         """Basis vectors for an (n, d) array of points, (n, m) output."""
-        V, W = self.complex.vertex_weights(X, tol)
+        V, W = self.complex.vertex_weights(X)
         out = np.zeros((len(V), self.m + 1))
         out[np.arange(len(V))[:, None], self._col[V]] = W
         return out[:, :self.m]

@@ -222,11 +222,12 @@ class LpProblem:
     """max <c, x> subject to A_eq x = b_eq, A_ub x <= b_ub, x free, held as
     a live HiGHS model of its dual (module docstring).  Model row j is
     primal column j, fixed at ``c[j]``; model column r is equality row r
-    and model column ``n_eq + j`` is inequality row j.  ``add_rows``
+    and model column ``n_eq + j`` is inequality row j.  The model starts
+    with the equality rows (none when ``A_eq`` is None), ``add_rows``
     appends inequality rows, ``delete_rows`` removes some, and the next
     ``solve`` starts from the basis of the last one."""
 
-    def __init__(self, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    def __init__(self, c, A_eq, b_eq):
         c = np.asarray(c, dtype=float)
         n = c.shape[0]
         if n == 0:
@@ -239,18 +240,14 @@ class LpProblem:
         self.c = c
         self.n = n
         self.n_eq = self.n_ineq = 0
-        self.b_ub = np.zeros(0)
         if A_eq is not None:
             self._add(A_eq, b_eq, "eq")
             self.n_eq = len(b_eq)
-        if A_ub is not None:
-            self.add_rows(A_ub, b_ub)
 
     def add_rows(self, A_ub, b_ub):
         """Append the inequality rows ``A_ub x <= b_ub``; returns their
         indices among the inequality rows, which index ``duals_ineq``."""
         self._add(A_ub, b_ub, "ub")
-        self.b_ub = np.concatenate([self.b_ub, np.asarray(b_ub, dtype=float)])
         start, self.n_ineq = self.n_ineq, self.highs.getNumCol() - self.n_eq
         return np.arange(start, self.n_ineq)
 
@@ -266,7 +263,6 @@ class LpProblem:
         _accepted(self.highs.deleteCols(
             len(idx), (self.n_eq + idx).astype(np.int32)),
             "deleting %d rows" % len(idx))
-        self.b_ub = np.delete(self.b_ub, idx)
         self.n_ineq -= len(idx)
 
     def _add(self, A, b, name):

@@ -201,19 +201,6 @@ def _uniform_barycentric(rng, n, d):
     return lam
 
 
-def measure_from_json(doc, complex=None):
-    """Build a measure from its JSON spec; CPWA specs need the complex."""
-    if doc["type"] == "discrete":
-        return DiscreteMeasure(np.asarray(doc["atoms"], dtype=float),
-                               np.asarray(doc["weights"], dtype=float))
-    if doc["type"] == "cpwa":
-        if complex is None:
-            raise MeasureError("cpwa measure spec needs its complex")
-        return CpwaDensityMeasure(complex, np.asarray(doc["vertex_density"],
-                                                      dtype=float))
-    raise MeasureError("unknown measure type %r" % doc.get("type"))
-
-
 def moments_all_vertices(measure, space):
     """Integral of every vertex hat (or indicator) of a space against the
     measure, in closed form.

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import FiniteSpace, edge_crossings, first_seen, point_keys
+from .geometry import EdgeFrame, FiniteSpace, first_seen, point_keys
 from .problems import SeparableL1Term
 
 
@@ -103,8 +103,8 @@ def axis_arrangement_candidates(space, anchors):
     d = space.dim
     levels = [np.unique(anchors[:, l]) for l in range(d)]
     axes = np.concatenate([np.full(len(v), l) for l, v in enumerate(levels)])
-    on_edges, hit = edge_crossings(space, space.edges, np.eye(d)[axes],
-                                   np.concatenate(levels))
+    on_edges, hit = EdgeFrame(space, space.edges, np.eye(d)[axes]).crossings(
+        np.concatenate(levels))
     pts = [space.vertices, on_edges[hit]]
     if d >= 2:
         crossings = np.array(list(itertools.product(*levels))).reshape(-1, d)

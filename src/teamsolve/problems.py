@@ -160,17 +160,18 @@ class CostModel:
         return self.eval(i, np.repeat(X, nz, axis=0),
                          np.tile(Z, (nx, 1))).reshape(nx, nz)
 
-    def check_lipschitz(self, rng, x_sampler, z_sampler, n=10000, slack=1e-9):
-        """Random-pair verification of the declared Lipschitz constants."""
+    def check_lipschitz(self, rng, x_sampler, z_sampler):
+        """Random-pair verification of the declared Lipschitz constants on
+        10,000 pairs per category, within a slack of 1e-9."""
         worst = 0.0
         for i in range(self.N):
-            X1, X2 = x_sampler(i, n), x_sampler(i, n)
-            Z1, Z2 = z_sampler(n), z_sampler(n)
+            X1, X2 = x_sampler(i, 10000), x_sampler(i, 10000)
+            Z1, Z2 = z_sampler(10000), z_sampler(10000)
             lhs = np.abs(self.eval(i, X1, Z1) - self.eval(i, X2, Z2))
             rhs = (self.L1[i] * np.linalg.norm(X1 - X2, axis=1)
                    + self.L2[i] * np.linalg.norm(Z1 - Z2, axis=1))
             worst = max(worst, float((lhs - rhs).max()))
-        return worst <= slack, worst
+        return worst <= 1e-9, worst
 
     def oracle_terms(self, i):
         raise CostModelError("%s has no exact oracle: it is not vertex-exact "
@@ -333,7 +334,7 @@ class BusinessLocationCost(CostModel):
             return w
         return row_bytes, make
 
-    def z_opt_values(self, X_list, z_space, work=None):
+    def z_opt_values(self, X_list, z_space, work):
         """The summed cost on each sample's kink-line grid.
 
         The candidates are the cross product of the vertical/horizontal
@@ -348,11 +349,10 @@ class BusinessLocationCost(CostModel):
         the stations (``_route_minimum``).  Every entry equals ``eval`` on
         its pair bit for bit.  ``work`` is a buffer set of
         ``z_opt_buffers`` for at least n samples, and the results are views
-        into it; without it the call makes its own.
+        into it.
         """
         X_list = [np.atleast_2d(X) for X in X_list]
-        n = len(X_list[0])
-        w = work if work is not None else self.z_opt_buffers(z_space)[1](n)
+        n, w = len(X_list[0]), work
         for l, (pool, k, side) in enumerate(zip(w.pools, w.static,
                                                 z_space.box)):
             for i, X in enumerate(X_list):
@@ -652,7 +652,7 @@ class CappedAffineCost(CostModel):
                 samples=np.arange(rows), scratch=_Scratch())
         return row_bytes, make
 
-    def z_opt_values(self, X_list, z_space, work=None):
+    def z_opt_values(self, X_list, z_space, work):
         """Kink-line arrangement candidates for the summed cost, from the
         quality region's boundary (``_kink_candidates``): the valid ones,
         those inside the region, and the summed cost at each.
@@ -663,9 +663,8 @@ class CappedAffineCost(CostModel):
         rows in order, as ``eval``'s sum over the categories would.  So the
         calls and the Python lines of a chunk do not depend on N.  ``work``
         is a buffer set of ``z_opt_buffers`` for at least n samples, and the
-        results are views into it; without it the call makes its own."""
-        n, N, d = len(X_list[0]), self.N, self.d0
-        w = work if work is not None else self.z_opt_buffers(z_space)[1](n)
+        results are views into it."""
+        n, N, d, w = len(X_list[0]), self.N, self.d0, work
         x = np.concatenate(X_list, axis=1, out=w.x[:, :n].T)
         self._kink_candidates(x, z_space, w)
         flat = np.flatnonzero(w.valid[:n])

@@ -8,14 +8,16 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+import pytest
 from scipy import sparse
 from scipy.optimize import linprog as scipy_linprog
 
+from teamsolve import equilibrium, geometry
 from teamsolve.equilibrium import TIE_TOL
-from teamsolve.geometry import (FiniteSpace, GeometryError, IndicatorBasis,
+from teamsolve.geometry import (EdgeFrame, FiniteSpace, GeometryError,
+                                HatBasis, IndicatorBasis,
                                 PointOutsideComplexError, SimplicialComplex,
-                                build_box_partition, edge_crossings,
-                                first_seen, point_keys)
+                                build_box_partition, first_seen, point_keys)
 from teamsolve.linprog import (LpError, LpInfeasibleError, LpProblem,
                                LpSolution, LpUnboundedError, _core)
 from teamsolve.measures import DiscreteMeasure
@@ -145,10 +147,10 @@ def random_discrete_instance(rng, N=None):
     return model, measures, x_spaces, x_bases, z_space, z_basis
 
 
-def locate(complex, x, tol=1e-9):
+def locate(complex, x):
     """Locate one point of a simplicial complex: ``(simplex_index,
     barycentric)``, the simplex that ``vertex_weights`` picks."""
-    V, W = complex.vertex_weights(np.atleast_1d(x)[None], tol)
+    V, W = complex.vertex_weights(np.atleast_1d(x)[None])
     return int(np.flatnonzero((complex.simplices == V[0]).all(1))[0]), W[0]
 
 
@@ -173,6 +175,14 @@ def dual_objective(duals, model):
     return float(sum(
         (model.eval(i, duals.xs[i], duals.zs[i]) * duals.weights[i]).sum()
         for i in range(len(duals.weights))))
+
+
+def hat_basis_excluding(complex, v):
+    """``HatBasis(complex)`` with vertex v as its excluded vertex: the basis
+    takes it from ``geometry._default_excluded``, replaced for the call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_default_excluded", lambda vertices: v)
+        return HatBasis(complex)
 
 
 def rebased_y(basis_from, basis_to, y):
@@ -505,6 +515,16 @@ def coupled_term_values_dense(term, xp, xi, zp, zi, Yv, Wv):
             Z[a, b, m].reshape(-1, Z.shape[-1]), vals)
 
 
+def lp_problem(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    """``LpProblem(c, A_eq, b_eq)`` with the inequality rows
+    ``A_ub x <= b_ub``, when given, appended by ``add_rows``, as the
+    cutting plane adds its cuts."""
+    problem = LpProblem(c, A_eq, b_eq)
+    if A_ub is not None:
+        problem.add_rows(A_ub, b_ub)
+    return problem
+
+
 def model_lp(problem: LpProblem):
     """The primal LP of the live model, read back through ``getLp()``:
     objective, the constraint matrix as CSR in row order (equality rows
@@ -522,12 +542,15 @@ def model_lp(problem: LpProblem):
           else sparse.csr_matrix(parts, shape=shape))
     c = np.asarray(lp.row_lower_)
     assert np.array_equal(c, np.asarray(lp.row_upper_))
-    col_lower = np.asarray(lp.col_lower_)
+    # a rejected ``addCols`` leaves the column arrays longer than
+    # ``num_col_`` until the next solve
+    cols = slice(lp.num_col_)
+    col_lower = np.asarray(lp.col_lower_)[cols]
     eq = col_lower == -np.inf
     assert np.array_equal(np.flatnonzero(eq), np.arange(problem.n_eq))
     assert np.all(col_lower[~eq] == 0.0)
-    assert np.all(np.asarray(lp.col_upper_) == np.inf)
-    b = np.asarray(lp.col_cost_)
+    assert np.all(np.asarray(lp.col_upper_)[cols] == np.inf)
+    b = np.asarray(lp.col_cost_)[cols]
     return c, sparse.csr_matrix(At.T), np.where(eq, b, -np.inf), b
 
 
@@ -609,11 +632,34 @@ def lex_argmin_dense(points, values):
     return keep.argmax(axis=1)
 
 
+def z_opt_chunked(model, x_list, z_space, chunk):
+    """``equilibrium.z_opt`` with ``chunk`` samples a chunk, for a family
+    with buffers and for one without: its chunk constants are set for the
+    call, ``CHUNK`` and ``CHUNK_MIN`` to ``chunk`` and ``CHUNK_BYTES`` to
+    0."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (("CHUNK", chunk), ("CHUNK_BYTES", 0),
+                            ("CHUNK_MIN", chunk)):
+            patch.setattr(equilibrium, name, value)
+        return equilibrium.z_opt(model, x_list, z_space)
+
+
+def selector_values(model, X_list, z_space):
+    """``model.z_opt_values`` on one batch, as ``z_opt`` calls it on a
+    chunk: with a buffer set of ``z_opt_buffers`` made for the batch when
+    the family takes buffers."""
+    buffers = model.z_opt_buffers(z_space)
+    if buffers is None:
+        return model.z_opt_values(X_list, z_space)
+    return model.z_opt_values(X_list, z_space,
+                              buffers[1](len(np.atleast_2d(X_list[0]))))
+
+
 def padded_selector_candidates(model, x_list, z_space):
     """``model.z_opt_values``' flat candidates as an (n, p, d) table, each
     sample's in order and padded to the longest, with the (n, p) mask of
     the real ones whose value is finite."""
-    pts, vals, starts = model.z_opt_values(x_list, z_space)
+    pts, vals, starts = selector_values(model, x_list, z_space)
     counts = np.diff(starts, append=len(vals))
     row = np.repeat(np.arange(len(starts)), counts)
     col = np.arange(len(vals)) - np.repeat(starts, counts)
@@ -644,8 +690,8 @@ def capped_affine_dense_values(model, X_list, z_space):
         cand.append(pts)
         valid.append(z_space.covers(pts))
     else:
-        pts, hit = edge_crossings(z_space, segments, model.s,
-                                  rhs.transpose(0, 2, 1))
+        pts, hit = EdgeFrame(z_space, segments, model.s).crossings(
+            rhs.transpose(0, 2, 1))
         cand.append(pts.reshape(n, -1, d))
         valid.append(hit.reshape(n, -1))
         ia, ib, Ma, Mb = model._line_pairs
@@ -779,8 +825,8 @@ def mesh_z_opt_candidates(model, X_list, z_space):
         masks.append(z_space.covers(pts.reshape(-1, 1)).reshape(n, -1))
     else:
         # line x edge intersections, lower lines first
-        pts, hit = edge_crossings(z_space, z_space.edges, model.s,
-                                  rhs.transpose(0, 2, 1))
+        pts, hit = EdgeFrame(z_space, z_space.edges, model.s).crossings(
+            rhs.transpose(0, 2, 1))
         cand.append(pts.reshape(n, -1, 2))
         masks.append(hit.reshape(n, -1))
         # line x line intersections across categories

@@ -8,11 +8,11 @@ import numpy as np
 
 from helpers import (assignment_bruteforce_w1, brute_force_discrete_optimum,
                      component_of, enumerate_vertices_max, locate,
-                     random_bounded_lp, random_discrete_instance,
+                     lp_problem, random_bounded_lp, random_discrete_instance,
                      sample_pairs, w1_quantile_quadrature)
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
                                 build_box_partition)
-from teamsolve.linprog import LpProblem, solve
+from teamsolve.linprog import solve
 from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
                                 moment_vector, random_cpwa, second_moment)
 from teamsolve.cutting_plane import run, sparsity_bound
@@ -220,9 +220,9 @@ def test_criterion_8_property_suites():
     for _ in range(40):
         n = int(lp_rng.integers(2, 7))
         cvec, A_ub, b_ub, A_eq, b_eq = random_bounded_lp(lp_rng, n)
-        s = solve(LpProblem(cvec, sp.csr_matrix(A_ub), b_ub,
-                            sp.csr_matrix(A_eq) if A_eq is not None else None,
-                            b_eq))
+        s = solve(lp_problem(cvec, sp.csr_matrix(A_ub), b_ub,
+                             sp.csr_matrix(A_eq) if A_eq is not None else None,
+                             b_eq))
         ref = enumerate_vertices_max(cvec, A_ub, b_ub, A_eq, b_eq)
         assert abs(s.value - ref) < 1e-8
     # transfer function zero-sum and Lipschitz checks on a solved instance

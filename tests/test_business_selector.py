@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (business_eval_walks_first, business_z_opt_candidates,
-                     lex_argmin_loop)
+                     lex_argmin_loop, selector_values, z_opt_chunked)
 from teamsolve import equilibrium
 from teamsolve.equilibrium import TIE_TOL, z_opt
 from teamsolve.geometry import SimplicialComplex, build_box_partition
@@ -67,7 +67,7 @@ def _cases():
 def _table(model, xs):
     """``z_opt_values``' flat candidates and values as (n, k) tables, after
     checking that every sample owns k of them in order."""
-    pts, vals, starts = model.z_opt_values(xs, CITY)
+    pts, vals, starts = selector_values(model, xs, CITY)
     n = len(xs[0])
     k = len(vals) // n
     assert np.array_equal(starts, np.arange(n) * k)
@@ -103,7 +103,7 @@ def test_buffers_reused_across_chunk_lengths(name):
     for rows in (slice(0, 256), slice(256, 293)):
         part = [X[rows] for X in xs]
         got = model.z_opt_values(part, CITY, work)
-        ref = model.z_opt_values(part, CITY)
+        ref = selector_values(model, part, CITY)
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
 
@@ -203,6 +203,6 @@ def test_error_in_a_worker_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(model, "z_opt_values", fail_on_third_chunk)
     before = threading.active_count()
     with pytest.raises(CostModelError) as caught:
-        z_opt(model, xs, CITY, chunk=64)
+        z_opt_chunked(model, xs, CITY, 64)
     assert caught.value is planted
     assert threading.active_count() == before

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,13 @@ CONFIGS = os.path.join(HERE, os.pardir, "demos", "configs")
 
 def _load(name):
     return load_config(os.path.join(CONFIGS, name))
+
+
+def _main(*args):
+    """``main()`` on the command line ``teamsolve ARGS``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "argv", ["teamsolve", *args])
+        return main()
 
 
 def test_run_discrete_tiny(tmp_path):
@@ -74,11 +83,11 @@ def test_run_pipeline_minimizes_each_type_once(tmp_path, monkeypatch):
 def test_malformed_config_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"problem": {"family": "barycenter"}}')
-    rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    rc = _main("run", "--config", str(bad), "--out", str(tmp_path / "o"))
     assert rc == 2
     worse = tmp_path / "worse.json"
     worse.write_text("{nope")
-    assert main(["verify", "--config", str(worse)]) == 2
+    assert _main("verify", "--config", str(worse)) == 2
 
 
 def test_config_error_paths():
@@ -98,10 +107,8 @@ def test_config_error_paths():
 
 def test_verify_warns_on_zero_mass_vertex(capsys):
     setup = ProblemSetup(_load("discrete_tiny.json"))
-    import io
-    buf = io.StringIO()
-    warnings = verify_setup(setup, out=buf)
-    text = buf.getvalue()
+    warnings = verify_setup(setup)
+    text = capsys.readouterr().out
     assert warnings == 2
     assert "zero measure mass" in text
     assert "lp decision variables n = 6" in text
@@ -115,17 +122,17 @@ def test_verify_dimension_mismatch(tmp_path):
 
 
 def test_cli_main_run(tmp_path, capsys):
-    rc = main(["run", "--config",
+    rc = _main("run", "--config",
                os.path.join(CONFIGS, "discrete_tiny.json"),
-               "--out", str(tmp_path / "o"), "--seed", "3"])
+               "--out", str(tmp_path / "o"), "--seed", "3")
     assert rc == 0
     out = capsys.readouterr().out
     assert "alpha_lb" in out and "eps_theo" in out
 
 
 def test_cli_verify_ok():
-    rc = main(["verify", "--config",
-               os.path.join(CONFIGS, "barycenter_two_points.json")])
+    rc = _main("verify", "--config",
+               os.path.join(CONFIGS, "barycenter_two_points.json"))
     assert rc == 0
 
 
@@ -146,7 +153,7 @@ def test_unknown_config_keys_are_rejected(tmp_path):
     cfg.update(tau=5.0, threads=8, eps_lsp=1.0)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
-    assert main(["verify", "--config", str(bad)]) == 2
+    assert _main("verify", "--config", str(bad)) == 2
 
 
 def test_non_finite_numbers_are_rejected(tmp_path, capsys):
@@ -168,7 +175,7 @@ def test_non_finite_numbers_are_rejected(tmp_path, capsys):
         assert "NaN" in path.read_text() or "Infinity" in path.read_text()
         with pytest.raises(ConfigError):
             load_config(str(path))
-        assert main(["verify", "--config", str(path)]) == 2
+        assert _main("verify", "--config", str(path)) == 2
         assert "non-finite" in capsys.readouterr().err
     # a literal beyond the float range reads as infinity
     path = tmp_path / "overflow.json"
@@ -197,7 +204,7 @@ def _rejected(tmp_path, capsys, cfg, path):
     assert e.value.path == "$." + path
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
-    assert main(["verify", "--config", str(bad)]) == 2
+    assert _main("verify", "--config", str(bad)) == 2
     assert "config error at $.%s:" % path in capsys.readouterr().err
 
 
@@ -237,8 +244,8 @@ def test_negative_seed_is_rejected(tmp_path, capsys):
                                            "seed": value}
         _rejected(tmp_path, capsys, cfg, "categories[0].measure.seed")
     with pytest.raises(SystemExit) as e:
-        main(["run", "--config", os.path.join(CONFIGS, "discrete_tiny.json"),
-              "--out", str(tmp_path / "o"), "--seed", "-1"])
+        _main("run", "--config", os.path.join(CONFIGS, "discrete_tiny.json"),
+              "--out", str(tmp_path / "o"), "--seed", "-1")
     assert e.value.code == 2
     assert "--seed must be at least 0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -336,7 +343,7 @@ def test_unknown_keys_depend_on_the_kind(tmp_path, capsys):
     cfg["categories"][0]["measure"]["wieghts"] = [1.0]
     bad = tmp_path / "typos.json"
     bad.write_text(json.dumps(cfg))
-    assert main(["verify", "--config", str(bad)]) == 2
+    assert _main("verify", "--config", str(bad)) == 2
     assert "unknown field" in capsys.readouterr().err
 
 
@@ -368,8 +375,8 @@ def test_capped_affine_spaces_must_fit_the_directions(tmp_path, capsys):
                       "kappa2": 0.5}
     _rejected(tmp_path, capsys, cfg, "categories[0].space")
     out = str(tmp_path / "out")
-    assert main(["run", "--config", str(tmp_path / "bad.json"),
-                 "--out", out]) == 2
+    assert _main("run", "--config", str(tmp_path / "bad.json"),
+                 "--out", out) == 2
     assert "config error at $.categories[0].space:" in capsys.readouterr().err
     line = {"type": "box", "box": [[0, 1]], "counts": [2]}
     cat = {"space": line, "measure": {"type": "discrete", "atoms": [[0.5]],
@@ -381,8 +388,8 @@ def test_capped_affine_spaces_must_fit_the_directions(tmp_path, capsys):
                                  "counts": [2, 2]}},
            "eps_lsip": 1e-4}
     _rejected(tmp_path, capsys, cfg, "problem.s")
-    assert main(["run", "--config", str(tmp_path / "bad.json"),
-                 "--out", out]) == 2
+    assert _main("run", "--config", str(tmp_path / "bad.json"),
+                 "--out", out) == 2
     assert "config error at $.problem.s:" in capsys.readouterr().err
     cfg["quality"]["space"] = line
     assert ProblemSetup(cfg).model.d0 == 1
@@ -399,3 +406,35 @@ def test_missing_measure_fields_are_named(tmp_path, capsys, measure, key):
     with pytest.raises(ConfigError, match="missing required field"):
         ProblemSetup(cfg)
     _rejected(tmp_path, capsys, cfg, "categories[0].measure." + key)
+
+
+def _put(cfg, where, value):
+    """Set the entry at a config path such as ``quality.space.box[1][0]``."""
+    keys = [int(k) if k.isdigit() else k
+            for k in re.findall(r"\w+", where)]
+    for key in keys[:-1]:
+        cfg = cfg[key]
+    cfg[keys[-1]] = value
+
+
+@pytest.mark.parametrize("where,value", [
+    ("quality.space.counts[0]", 2.5),
+    ("quality.space.counts[1]", True),
+    ("quality.space.counts[0]", "3"),
+    ("quality.space.counts[1]", 0),
+    ("quality.space.box[0][1]", "2.0"),
+    ("quality.space.box[1][0]", True),
+    ("quality.space.box[1][1]", None),
+    ("categories[0].space.points[0][0]", "0.0"),
+    ("categories[1].space.points[0][1]", False),
+])
+def test_space_entries_must_be_json_numbers(tmp_path, capsys, where, value):
+    # numpy read 2.5 cells as 2, true as 1 and "3" as 3, so a space was
+    # built with another mesh than the config states
+    cfg = _load("barycenter_two_points.json")
+    _put(cfg, where, value)
+    _rejected(tmp_path, capsys, cfg, where)
+    assert _main("run", "--config", str(tmp_path / "bad.json"),
+                 "--out", str(tmp_path / "out")) == 2
+    assert "config error at $.%s:" % where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

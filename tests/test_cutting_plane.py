@@ -11,7 +11,8 @@ from scipy import sparse
 
 from helpers import (CutStoreLoop, assemble_lp_loop,
                      brute_force_discrete_optimum, dual_objective,
-                     dual_plan_reference, model_lp, parametric_objective,
+                     dual_plan_reference, lp_problem, model_lp,
+                     parametric_objective,
                      point_key, random_discrete_instance, solve_reference)
 from teamsolve import cutting_plane, linprog
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
@@ -192,7 +193,7 @@ def test_barycenter_two_point_bracket():
     assert res.gap <= 1e-5
 
 
-def test_unbounded_initial_relaxation():
+def test_unbounded_initial_relaxation(monkeypatch):
     X = FiniteSpace([[0.0], [1.0]])
     Z = FiniteSpace([[0.0], [1.0]])
     bx, bz = IndicatorBasis(X), IndicatorBasis(Z)
@@ -203,9 +204,10 @@ def test_unbounded_initial_relaxation():
     oracle = make_oracle(model, [X, X], [bx, bx], Z, bz)
     # a single starting pair per category leaves w unpinned
     K0 = [(X.vertices[:1], Z.vertices[:1]) for _ in range(2)]
+    monkeypatch.setattr(cutting_plane, "default_initial_cuts",
+                        lambda x_spaces, z_space: K0)
     with pytest.raises(UnboundedRelaxationError):
-        run(model, gbar, [X, X], [bx, bx], Z, bz, oracle, eps_lsip=1e-6,
-            initial_cuts=K0)
+        run(model, gbar, [X, X], [bx, bx], Z, bz, oracle, eps_lsip=1e-6)
 
 
 def test_iteration_cap():
@@ -421,7 +423,7 @@ def test_drop_leaves_tight_rows_when_candidates_run_out():
     slack = [(1, 0), (0, 1), (1, 1)]
     A = np.array(tight + slack, dtype=float)
     b = np.concatenate([A[:12].sum(1), [2.0, 3.0, 5.0]])
-    problem = linprog.LpProblem([1.0, 1.0], sparse.csr_matrix(A), b)
+    problem = lp_problem([1.0, 1.0], sparse.csr_matrix(A), b)
     sol = linprog.solve(problem)
     assert np.array_equal(sol.slack_ineq[:12], np.zeros(12))
     priced_or_tight = (sol.duals_ineq > 0) | (sol.slack_ineq == 0)

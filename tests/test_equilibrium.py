@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (brute_force_discrete_optimum, exact_tilde_loop,
                      lex_argmin_dense, lex_argmin_loop,
-                     random_discrete_instance, z_opt_dense)
+                     random_discrete_instance, z_opt_chunked, z_opt_dense)
 from teamsolve import equilibrium, transport
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
                                 SimplicialComplex, build_box_partition,
@@ -316,7 +316,7 @@ def test_zopt_matches_dense_reference():
         xs = [np.concatenate([
             lo + (hi - lo) * np.round(4 * rng.uniform(size=(150, dim))) / 4,
             rng.uniform(lo, hi, size=(150, dim))]) for _ in range(model.N)]
-        got = z_opt(model, xs, Z, chunk=64)
+        got = z_opt_chunked(model, xs, Z, 64)
         assert np.array_equal(_bits(got), _bits(z_opt_dense(model, xs, Z)))
 
 

@@ -307,7 +307,7 @@ def test_edge_crossings():
         normals[0] = np.eye(c.dim)[0]           # parallel to some edges
         offsets = rng.uniform(-0.5, 2.0, size=(5, 6))
         offsets[:, 0] = 0.5
-        pts, hit = geometry.edge_crossings(c, c.edges, normals, offsets)
+        pts, hit = geometry.EdgeFrame(c, c.edges, normals).crossings(offsets)
         E = len(c.edges)
         assert pts.shape == (5, 6, E, c.dim) and hit.shape == (5, 6, E)
         a, b = c.vertices[c.edges[:, 0]], c.vertices[c.edges[:, 1]]
@@ -395,6 +395,9 @@ def test_outside_box_matches_the_any_reduction(dim, tol, seed):
     ref = outside_box_any(c, X, tol)
     assert ref.any() and not ref.all()
     assert np.array_equal(c._outside_box(X, tol), ref)
-    assert np.array_equal(c.covers(X, tol), ~ref)
-    assert np.array_equal(c.covers(X.reshape(3, 200, dim), tol),
-                          ~ref.reshape(3, 200))
+    # ``covers`` reads the tolerance from ``TOL_GEOM`` at call time
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "TOL_GEOM", tol)
+        assert np.array_equal(c.covers(X), ~ref)
+        assert np.array_equal(c.covers(X.reshape(3, 200, dim)),
+                              ~ref.reshape(3, 200))

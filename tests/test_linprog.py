@@ -8,35 +8,35 @@ import scipy
 from scipy import sparse
 
 from helpers import (enumerate_vertices_max, export_mps, linprog_reference,
-                     random_bounded_lp)
+                     lp_problem, model_lp, random_bounded_lp)
 from teamsolve import linprog
 from teamsolve.linprog import (LpBackendError, LpError, LpInfeasibleError,
-                               LpProblem, LpUnboundedError, solve, solve_min)
+                               LpUnboundedError, solve, solve_min)
 
 TOL = 1e-8
 
 
 def test_single_constraint():
-    s = solve(LpProblem([1.0], sparse.csr_matrix([[1.0]]), [3.0]))
+    s = solve(lp_problem([1.0], sparse.csr_matrix([[1.0]]), [3.0]))
     assert abs(s.value - 3.0) < TOL
     assert abs(s.x[0] - 3.0) < TOL
     assert abs(s.duals_ineq[0] - 1.0) < TOL
 
 
 def test_equality_coupled():
-    s = solve(LpProblem([1.0, 1.0],
-                        sparse.csr_matrix([[1.0, 0.0], [0.0, 1.0]]), [1, 1],
-                        sparse.csr_matrix([[1.0, -1.0]]), [0.0]))
+    s = solve(lp_problem([1.0, 1.0],
+                         sparse.csr_matrix([[1.0, 0.0], [0.0, 1.0]]), [1, 1],
+                         sparse.csr_matrix([[1.0, -1.0]]), [0.0]))
     assert abs(s.value - 2.0) < TOL
     assert np.allclose(s.x, [1, 1], atol=TOL)
 
 
 def test_unbounded_and_infeasible():
     with pytest.raises(LpUnboundedError):
-        solve(LpProblem([1.0], sparse.csr_matrix([[-1.0]]), [0.0]))
+        solve(lp_problem([1.0], sparse.csr_matrix([[-1.0]]), [0.0]))
     with pytest.raises(LpInfeasibleError):
-        solve(LpProblem([1.0], sparse.csr_matrix([[1.0], [-1.0]]),
-                        [1.0, -2.0]))
+        solve(lp_problem([1.0], sparse.csr_matrix([[1.0], [-1.0]]),
+                         [1.0, -2.0]))
 
 
 def test_statuses_map_back_from_the_dual_form():
@@ -44,15 +44,15 @@ def test_statuses_map_back_from_the_dual_form():
     # primal, an unbounded dual an infeasible primal, cold or warm
     A_eq = sparse.csr_matrix([[1.0, -1.0]])
     with pytest.raises(LpUnboundedError, match="Infeasible"):
-        solve(LpProblem([1.0, 1.0], sparse.csr_matrix([[-1.0, 0.0]]), [0.0],
-                        A_eq, [0.0]))
+        solve(lp_problem([1.0, 1.0], sparse.csr_matrix([[-1.0, 0.0]]), [0.0],
+                         A_eq, [0.0]))
     with pytest.raises(LpInfeasibleError, match="Unbounded"):
-        solve(LpProblem([1.0, 1.0], sparse.csr_matrix([[1.0, 0.0],
-                                                       [-1.0, 0.0]]),
-                        [1.0, -2.0], A_eq, [0.0]))
+        solve(lp_problem([1.0, 1.0], sparse.csr_matrix([[1.0, 0.0],
+                                                        [-1.0, 0.0]]),
+                         [1.0, -2.0], A_eq, [0.0]))
     # warm: a cut that empties the feasible set, found by the primal
     # simplex from the last basis
-    prob = LpProblem([1.0], sparse.csr_matrix([[1.0]]), [1.0])
+    prob = lp_problem([1.0], sparse.csr_matrix([[1.0]]), [1.0])
     assert solve(prob).value == 1.0
     prob.add_rows(sparse.csr_matrix([[-1.0]]), [-2.0])
     with pytest.raises(LpInfeasibleError, match="Unbounded"):
@@ -65,13 +65,13 @@ def test_undecided_presolve_gets_a_definite_status():
     # options HiGHS then solves again without presolve, and solve reports
     # the infeasible primal
     A, b = np.array([[3.0], [-2.0]]), [0.0, -3.0]
-    undecided = LpProblem([0.0], A, b)
+    undecided = lp_problem([0.0], A, b)
     undecided.highs.setOptionValue("allow_unbounded_or_infeasible", True)
     undecided.highs.run()
     assert undecided.highs.getModelStatus() == \
         linprog._Status.kUnboundedOrInfeasible
     with pytest.raises(LpInfeasibleError, match="Unbounded"):
-        solve(LpProblem([0.0], A, b))
+        solve(lp_problem([0.0], A, b))
 
 
 def test_value_is_c_dot_x():
@@ -81,7 +81,7 @@ def test_value_is_c_dot_x():
     for trial in range(50):
         c, A_ub, b_ub, A_eq, b_eq = random_bounded_lp(rng, int(
             rng.integers(2, 7)))
-        s = solve(LpProblem(c, A_ub, b_ub, A_eq, b_eq))
+        s = solve(lp_problem(c, A_ub, b_ub, A_eq, b_eq))
         assert s.value == float(c @ s.x), trial
 
 
@@ -90,9 +90,9 @@ def test_strong_duality_vs_vertex_enumeration():
     for trial in range(100):
         n = int(rng.integers(2, 7))
         c, A_ub, b_ub, A_eq, b_eq = random_bounded_lp(rng, n)
-        prob = LpProblem(c, sparse.csr_matrix(A_ub), b_ub,
-                         sparse.csr_matrix(A_eq) if A_eq is not None else None,
-                         b_eq)
+        prob = lp_problem(
+            c, sparse.csr_matrix(A_ub), b_ub,
+            sparse.csr_matrix(A_eq) if A_eq is not None else None, b_eq)
         s = solve(prob)
         ref = enumerate_vertices_max(c, A_ub, b_ub, A_eq, b_eq)
         assert abs(s.value - ref) < 1e-8, (trial, s.value, ref)
@@ -113,8 +113,8 @@ def test_strong_duality_vs_vertex_enumeration():
 
 
 def test_mps_export(tmp_path):
-    prob = LpProblem([1.0, -1.0], sparse.csr_matrix([[1.0, 1.0]]), [2.0],
-                     sparse.csr_matrix([[1.0, -1.0]]), [0.5])
+    prob = lp_problem([1.0, -1.0], sparse.csr_matrix([[1.0, 1.0]]), [2.0],
+                      sparse.csr_matrix([[1.0, -1.0]]), [0.5])
     path = os.path.join(tmp_path, "debug.mps")
     export_mps(prob, path)
     text = open(path).read()
@@ -124,8 +124,8 @@ def test_mps_export(tmp_path):
 
 def test_add_rows_warm_start():
     # box rows, then a cut that binds; the equality row stays first
-    prob = LpProblem([1.0, 1.0], sparse.csr_matrix(np.eye(2)), [2.0, 2.0],
-                     sparse.csr_matrix([[1.0, -1.0]]), [0.0])
+    prob = lp_problem([1.0, 1.0], sparse.csr_matrix(np.eye(2)), [2.0, 2.0],
+                      sparse.csr_matrix([[1.0, -1.0]]), [0.0])
     first = solve(prob)
     assert abs(first.value - 4.0) < TOL
     rows = prob.add_rows(sparse.csr_matrix([[1.0, 2.0], [2.0, 1.0]]),
@@ -137,23 +137,24 @@ def test_add_rows_warm_start():
     # multipliers in row-add order: (1, 1) = 1/3 (1, -1) + 2/3 (1, 2)
     assert np.allclose(s.duals_ineq, [0.0, 0.0, 2 / 3, 0.0], atol=TOL)
     assert np.allclose(s.duals_eq, [1 / 3], atol=TOL)
-    cold = solve(LpProblem([1.0, 1.0],
-                           sparse.csr_matrix([[1, 0], [0, 1], [1, 2], [2, 1]]),
-                           [2.0, 2.0, 3.0, 6.0],
-                           sparse.csr_matrix([[1.0, -1.0]]), [0.0]))
+    cold = solve(lp_problem(
+        [1.0, 1.0], sparse.csr_matrix([[1, 0], [0, 1], [1, 2], [2, 1]]),
+        [2.0, 2.0, 3.0, 6.0], sparse.csr_matrix([[1.0, -1.0]]), [0.0]))
     assert abs(cold.value - s.value) < TOL
 
 
 def test_delete_rows_renumbers_and_checks_indices():
     # box rows and two slack rows behind the equality row
-    prob = LpProblem([1.0, 1.0],
-                     sparse.csr_matrix([[1, 0], [0, 1], [1, 1], [2, 1]]),
-                     [2.0, 2.0, 5.0, 7.0], sparse.csr_matrix([[1.0, -1.0]]),
-                     [0.0])
+    prob = lp_problem([1.0, 1.0],
+                      sparse.csr_matrix([[1, 0], [0, 1], [1, 1], [2, 1]]),
+                      [2.0, 2.0, 5.0, 7.0], sparse.csr_matrix([[1.0, -1.0]]),
+                      [0.0])
     first = solve(prob)
     assert np.array_equal(first.slack_ineq, [0.0, 0.0, 1.0, 1.0])
     prob.delete_rows([2])
-    assert prob.n_ineq == 3 and np.array_equal(prob.b_ub, [2.0, 2.0, 7.0])
+    # the right-hand sides HiGHS holds, as column costs behind the equality
+    assert prob.n_ineq == 3
+    assert np.array_equal(model_lp(prob)[3][1:], [2.0, 2.0, 7.0])
     s = solve(prob)
     assert s.iterations == 0 and abs(s.value - 4.0) < TOL
     assert np.array_equal(s.slack_ineq, [0.0, 0.0, 1.0])
@@ -208,17 +209,17 @@ def test_rejected_models_raise_lp_error():
     with pytest.raises(LpError, match="rejected the 1 rows of A_eq") as e:
         solve_min([1.0, 2.0], [[1.0, np.inf]], [1.0])
     assert type(e.value) is LpError
-    prob = LpProblem([1.0, 1.0], np.eye(2), [1.0, 1.0])
+    prob = lp_problem([1.0, 1.0], np.eye(2), [1.0, 1.0])
     with pytest.raises(LpError, match="rejected the 2 rows of A_ub") as e:
         prob.add_rows([[1.0, 0.0], [1.0, 1e300]], [1.0, 1.0])
     assert type(e.value) is LpError
     assert prob.n_ineq == 2 and prob.highs.getNumCol() == 2
-    assert np.array_equal(prob.b_ub, [1.0, 1.0])
+    assert np.array_equal(model_lp(prob)[3], [1.0, 1.0])
     assert solve(prob).value == 2.0
     with pytest.raises(LpError, match="rejected the 1 rows of A_eq"):
-        LpProblem([1.0, 1.0], A_eq=[[-np.inf, 1.0]], b_eq=[0.0])
+        lp_problem([1.0, 1.0], A_eq=[[-np.inf, 1.0]], b_eq=[0.0])
     with pytest.raises(LpError, match="rejected the objective"):
-        LpProblem([1.0, 1e300], np.eye(2), [1.0, 1.0])
+        lp_problem([1.0, 1e300], np.eye(2), [1.0, 1.0])
     # HiGHS would take a NaN cost and report a NaN value
     for bad in (np.nan, np.inf):
         with pytest.raises(LpError, match="non-finite"):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (ZeroTauError, coupled_term_values_dense,
-                     coupled_term_values_vertices, l_shape,
+                     coupled_term_values_vertices, hat_basis_excluding, l_shape,
                      oracle_lipschitz_grid, pair_vertices_dense,
                      quadratic_candidates_d2, rebased_y,
                      term_candidates_per_term)
@@ -468,8 +468,9 @@ def test_affine_rebasing_invariance():
     # transported constant
     rng = np.random.default_rng(13)
     cx = build_box_partition([(0, 1)], (3,))
-    b0 = HatBasis(cx, excluded_vertex=0)
-    b1 = HatBasis(cx, excluded_vertex=2)
+    b0 = hat_basis_excluding(cx, 0)
+    b1 = hat_basis_excluding(cx, 2)
+    assert (b0.excluded, b1.excluded) == (0, 2)
     zc = build_box_partition([(0, 1)], (2,))
     bz = HatBasis(zc)
     m = capped_affine_cost([[1.0]], [0.1], [0.6])
@@ -736,7 +737,9 @@ def _business(stations=workloads.BUSINESS_STATIONS, counts=(2, 2),
     zs = build_box_partition(city, z_counts)
     m = business_location_cost(np.array(stations), c_walk=c_walk,
                                n_categories=2)
-    return m, xs, HatBasis(xs, excluded), zs, HatBasis(zs)
+    bx = HatBasis(xs) if excluded is None else hat_basis_excluding(xs,
+                                                                    excluded)
+    return m, xs, bx, zs, HatBasis(zs)
 
 
 def _results(model, xs, bx, zs, bz):

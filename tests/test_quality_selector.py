@@ -35,7 +35,8 @@ from hypothesis import strategies as st
 
 from helpers import (capped_affine_dense_values, l_shape, lex_argmin_dense,
                      mesh_z_opt_candidates, padded_selector_candidates,
-                     z_opt_dense, z_opt_quadratic)
+                     selector_values, z_opt_chunked, z_opt_dense,
+                     z_opt_quadratic)
 from teamsolve import equilibrium
 from teamsolve.equilibrium import TIE_TOL, z_opt
 from teamsolve.geometry import (FiniteSpace, SimplicialComplex,
@@ -56,7 +57,7 @@ def _cost(model, xs, P):
 def _picks(model, xs, Z):
     """The boundary picks and the dense mesh picks, after checking that both
     attain the same cost within ``TIE_TOL``."""
-    got = z_opt(model, xs, Z, chunk=64)
+    got = z_opt_chunked(model, xs, Z, 64)
     ref = z_opt_dense(model, xs, Z, partial(mesh_z_opt_candidates, model))
     assert np.abs(_cost(model, xs, got) - _cost(model, xs, ref)).max() \
         <= TIE_TOL
@@ -188,9 +189,9 @@ def _chunk_cases():
 def test_picks_do_not_depend_on_the_chunk():
     for seed, (model, Z) in zip((84, 86, 87), _chunk_cases()):
         xs = _types(np.random.default_rng(seed), model.N, 600, quarter=True)
-        ref = z_opt(model, xs, Z, chunk=1024)
+        ref = z_opt_chunked(model, xs, Z, 1024)
         for chunk in (1, 64):
-            assert np.array_equal(z_opt(model, xs, Z, chunk=chunk), ref)
+            assert np.array_equal(z_opt_chunked(model, xs, Z, chunk), ref)
 
 
 def test_vertex_branch_evaluates_one_chunk_at_a_time(monkeypatch):
@@ -206,7 +207,7 @@ def test_vertex_branch_evaluates_one_chunk_at_a_time(monkeypatch):
 
         monkeypatch.setattr(model, "eval_grid", spy)
         xs = _types(np.random.default_rng(88), model.N, 300)
-        z_opt(model, xs, Z, chunk=64)
+        z_opt_chunked(model, xs, Z, 64)
         assert rows and max(rows) == 64
         monkeypatch.undo()
 
@@ -288,7 +289,7 @@ def test_picks_do_not_depend_on_workers_or_chunk(name, monkeypatch):
         _cpus(monkeypatch, k)
         for chunk in (64, 256, 1024):
             for n in (1, 200, 1500):
-                got = z_opt(model, [X[:n] for X in xs], Z, chunk=chunk)
+                got = z_opt_chunked(model, [X[:n] for X in xs], Z, chunk)
                 assert np.array_equal(got, ref[:n]), (k, chunk, n)
 
 
@@ -297,7 +298,7 @@ def test_z_opt_leaves_no_thread_running(monkeypatch):
     xs = draw(np.random.default_rng(92), 700)
     _cpus(monkeypatch, 3)
     before = threading.active_count()
-    z_opt(model, xs, Z, chunk=64)
+    z_opt_chunked(model, xs, Z, 64)
     assert threading.active_count() == before
 
 
@@ -316,7 +317,7 @@ def test_threads_only_for_families_with_buffers(name, monkeypatch):
         return pool(workers)
 
     monkeypatch.setattr(equilibrium, "ThreadPoolExecutor", counted)
-    z_opt(model, xs, Z, chunk=64)
+    z_opt_chunked(model, xs, Z, 64)
     assert pools == ([] if name in ("quadratic", "tabulated") else [3])
 
 
@@ -328,25 +329,25 @@ def test_many_threads_with_short_switch_interval(monkeypatch):
         model, Z, draw = _family_cases()[name]
         xs = draw(np.random.default_rng(94), 300)
         _cpus(monkeypatch, 1)
-        ref = z_opt(model, xs, Z, chunk=2)
+        ref = z_opt_chunked(model, xs, Z, 2)
         _cpus(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = z_opt(model, xs, Z, chunk=2)
+            got = z_opt_chunked(model, xs, Z, 2)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(got, ref)
 
 
 def test_direct_selector_call_matches_the_buffered_one():
-    # a direct ``z_opt_values`` call makes its own buffers; a buffer set
-    # reused for a smaller batch gives that batch's rows
+    # a buffer set reused for a smaller batch gives that batch's rows, as
+    # a call on buffers made for the batch does
     for name in ("capped-affine-1d", "capped-affine-2d", "business-location"):
         model, Z, draw = _family_cases()[name]
         xs = draw(np.random.default_rng(93), 300)
         part = [X[:120] for X in xs]
-        ref = model.z_opt_values(part, Z)
+        ref = selector_values(model, part, Z)
         work = model.z_opt_buffers(Z)[1](300)
         model.z_opt_values(xs, Z, work)
         got = model.z_opt_values(part, Z, work)
@@ -408,7 +409,7 @@ def test_flat_path_matches_the_dense_reference(N, d, case, monkeypatch):
     Z = LINE if d == 1 else SQUARE
     cand, vals = capped_affine_dense_values(model, xs, Z)
     valid = np.isfinite(vals)
-    pts, got, starts = model.z_opt_values(xs, Z)
+    pts, got, starts = selector_values(model, xs, Z)
     assert np.array_equal(pts.view(np.uint64), cand[valid].view(np.uint64))
     assert np.array_equal(got.view(np.uint64), vals[valid].view(np.uint64))
     counts = valid.sum(axis=1)
@@ -417,7 +418,7 @@ def test_flat_path_matches_the_dense_reference(N, d, case, monkeypatch):
     for workers in (1, 2, 3):
         _cpus(monkeypatch, workers)
         for chunk in (1, 64, 256, 1024):
-            picks = z_opt(model, xs, Z, chunk=chunk)
+            picks = z_opt_chunked(model, xs, Z, chunk)
             assert np.array_equal(picks.view(np.uint64),
                                   ref.view(np.uint64)), (workers, chunk)
 

@@ -35,7 +35,9 @@ the package has no knob outside its options and config keys.
 
 Every module-level function and class of the package has a caller in
 ``src/``, ``perfbench/`` or ``demos/``, an export from ``__init__``
-included: no helper that only the tests use lives in the package.
+included: no helper that only the tests use lives in the package.  Every
+parameter with a default is set by some caller there too: no option that
+only the tests set.
 
 Every ranking ranks by value, ties in index order: each ``argsort`` passes
 ``kind="stable"``, as numpy's default kernel, which numpy picks for the
@@ -532,6 +534,122 @@ def test_caller_rule_catches_a_helper_only_the_tests_use(tmp_path):
         "geometry.py:1 defines point_key, which nothing calls",
         "geometry.py:5 defines _depth, which nothing calls",
         "geometry.py:7 defines Unused, which nothing calls"]
+
+
+def _defaulted_parameters(path):
+    """A module's parameters with a default, of its functions and methods
+    at any depth, as ``(where, callee names, position, name)``: a method's
+    position does not count ``self`` or ``cls`` (a static method's counts
+    from its first parameter), a keyword-only parameter has none, and an
+    ``__init__`` is called by its class's name."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+                continue
+            if not isinstance(child, ast.FunctionDef):
+                visit(child, cls)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            if cls is not None and not static:
+                positional = positional[1:]
+            name = (cls.name if cls is not None and child.name == "__init__"
+                    else child.name)
+            where = "%s:%d %s%s" % (path.name, child.lineno,
+                                    "" if cls is None else cls.name + ".",
+                                    child.name)
+            first = len(positional) - len(args.defaults)
+            out.extend((where, name, j, a.arg)
+                       for j, a in enumerate(positional) if j >= first)
+            out.extend((where, name, None, a.arg)
+                       for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None)
+            visit(child, None)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return out
+
+
+def _calls_by_name(paths):
+    """Per callee name (a called name or attribute), what each call sets:
+    ``(star, positional count, keywords)``, where ``star`` is a ``*`` or
+    ``**`` argument, which may set any parameter."""
+    out = {}
+    for p in paths:
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            star = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            out.setdefault(name, []).append(
+                (star, len(node.args), {k.arg for k in node.keywords}))
+    return out
+
+
+def _unset_options(modules, callers):
+    """The parameters with a default in ``modules`` that no call in
+    ``callers`` to a callee of that name sets, by keyword, by position or
+    through ``*`` or ``**``."""
+    calls = _calls_by_name(callers)
+    return ["%s: no caller sets %s" % (where, arg)
+            for p in modules
+            for where, name, j, arg in _defaulted_parameters(p)
+            if not any(star or arg in keywords
+                       or j is not None and j < count
+                       for star, count, keywords in calls.get(name, ()))]
+
+
+def test_every_optional_parameter_is_set_outside_the_tests():
+    """Matching is by name, as for the callers above: a call to another
+    function or method of the same name, such as a cost model's ``eval``
+    and ``HatBasis.eval``, counts, so a shared name can hide a parameter
+    that only the tests set.  A dataclass's fields are no parameters
+    here."""
+    root = SRC.parents[1]
+    callers = [p for tree in CALLER_TREES for p in (root / tree).rglob("*.py")]
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9 and len(callers) > len(modules)
+    found = _unset_options(modules, callers)
+    assert not found, found
+
+
+def test_option_rule_catches_a_keyword_only_the_tests_set(tmp_path):
+    package = tmp_path / "geometry.py"
+    package.write_text("class HatBasis:\n"
+                       "    def __init__(self, complex, excluded=None):\n"
+                       "        self.complex = complex\n"
+                       "    def eval(self, x, tol=1e-9, *, out=None):\n"
+                       "        return x\n"
+                       "    @staticmethod\n"
+                       "    def key(p, decimals=12):\n"
+                       "        return p\n"
+                       "def covers(X, tol=1e-9, margin=0.0):\n"
+                       "    return X\n")
+    caller = tmp_path / "oracle.py"
+    caller.write_text("b = HatBasis(space)\n"
+                      "g = b.eval(x, 1e-6)\n"
+                      "k = HatBasis.key(p, 10)\n"
+                      "m = covers(X, **options)\n")
+    test = tmp_path / "test_geometry.py"
+    test.write_text("b = HatBasis(space, excluded=2)\n"
+                    "g = b.eval(x, out=buf)\n")
+    assert _unset_options([package], [package, caller]) == [
+        "geometry.py:2 HatBasis.__init__: no caller sets excluded",
+        "geometry.py:4 HatBasis.eval: no caller sets out"]
+    caller.write_text("b = HatBasis(space, excluded=2)\n"
+                      "g = b.eval(x, out=buf)\n"
+                      "k = HatBasis.key(p, decimals=10)\n"
+                      "m = covers(X, *args)\n"
+                      "g = b.eval(x, tol=1e-6)\n")
+    assert _unset_options([package], [package, caller]) == []
 
 
 # the one function that may partition, by module
