@@ -104,7 +104,7 @@ def _count(value, path, least=1):
 def _entries(value, path, check):
     """``value`` after ``check`` of each entry of it, a number or a nested
     JSON array of numbers, each at its own path: ``numpy`` would read
-    2.5, true or "3" as a number of cells or a coordinate."""
+    2.5, true or "3" as a number of cells, a coordinate or a weight."""
     if isinstance(value, list):
         for j, v in enumerate(value):
             _entries(v, "%s[%d]" % (path, j), check)
@@ -113,14 +113,26 @@ def _entries(value, path, check):
     return value
 
 
+def _numbers(doc, key, path):
+    """``doc[key]``, a number or a nested JSON array of numbers, each entry
+    checked at its own path."""
+    return _entries(_need(doc, key, path), "%s.%s" % (path, key), _number)
+
+
+def _flag(value, path):
+    """A JSON boolean from the config: ``"no"`` would read as true."""
+    if not isinstance(value, bool):
+        raise ConfigError(path, "need true or false, got %r" % (value,))
+    return value
+
+
 def _build_space(doc, path):
     if _kind(doc, "type", SPACE_FIELDS, "space type", path) == "box":
         build, args = build_box_partition, (
-            _entries(_need(doc, "box", path), path + ".box", _number),
+            _numbers(doc, "box", path),
             _entries(_need(doc, "counts", path), path + ".counts", _count))
     else:
-        build, args = FiniteSpace, (
-            _entries(_need(doc, "points", path), path + ".points", _number),)
+        build, args = FiniteSpace, (_numbers(doc, "points", path),)
     try:
         return build(*args)
     except Exception as e:
@@ -136,10 +148,10 @@ def _build_measure(doc, space, seed, path):
             return random_cpwa(space, rng)
         if kind == "discrete":
             return DiscreteMeasure(
-                np.asarray(_need(doc, "atoms", path), dtype=float),
-                np.asarray(_need(doc, "weights", path), dtype=float))
+                np.asarray(_numbers(doc, "atoms", path), dtype=float),
+                np.asarray(_numbers(doc, "weights", path), dtype=float))
         return CpwaDensityMeasure(space, np.asarray(
-            _need(doc, "vertex_density", path), dtype=float))
+            _numbers(doc, "vertex_density", path), dtype=float))
     except ConfigError:
         raise
     except Exception as e:
@@ -206,20 +218,23 @@ class ProblemSetup:
         fam = _kind(doc, "family", PROBLEM_FIELDS, "family", "$.problem")
         try:
             if fam == "barycenter":
-                w = doc.get("weights", [1.0 / self.N] * self.N)
+                w = (_numbers(doc, "weights", "$.problem") if "weights" in doc
+                     else [1.0 / self.N] * self.N)
                 return barycenter_cost(
                     w, self.x_spaces, self.z_space, self.measures,
-                    **{k: doc[k] for k in ("shift_accounting",) if k in doc})
+                    **{k: _flag(doc[k], "$.problem." + k)
+                       for k in ("shift_accounting",) if k in doc})
             if fam == "business_location":
                 return business_location_cost(
-                    _need(doc, "stations", "$.problem"), n_categories=self.N,
-                    **{k: doc[k] for k in ("c_walk", "c_train", "c_restock")
+                    _numbers(doc, "stations", "$.problem"),
+                    n_categories=self.N,
+                    **{k: _number(doc[k], "$.problem." + k)
+                       for k in ("c_walk", "c_train", "c_restock")
                        if k in doc})
             if fam == "capped_affine":
                 model = capped_affine_cost(
-                    _need(doc, "s", "$.problem"),
-                    _need(doc, "kappa1", "$.problem"),
-                    _need(doc, "kappa2", "$.problem"))
+                    *(_numbers(doc, k, "$.problem")
+                      for k in ("s", "kappa1", "kappa2")))
                 wide = [i for i, sp in enumerate(self.x_spaces) if sp.dim > 1]
                 if wide:
                     raise ConfigError("$.categories[%d].space" % wide[0],
@@ -231,7 +246,7 @@ class ProblemSetup:
             return tabulated_cpwa_cost(
                 self.x_spaces, self.z_space,
                 [np.asarray(T, dtype=float)
-                 for T in _need(doc, "tables", "$.problem")])
+                 for T in _numbers(doc, "tables", "$.problem")])
         except ConfigError:
             raise
         except Exception as e:
@@ -280,10 +295,8 @@ def _provenance(config):
     return doc
 
 
-def run_pipeline(setup, out_dir=None, seed=None):
-    """Solve and assemble; optionally write the artifact files."""
-    if seed is not None:
-        setup.seed = int(seed)
+def run_pipeline(setup, out_dir):
+    """Solve and assemble, and write the artifact files to ``out_dir``."""
     t_total = time.perf_counter()
     gbar = setup.moments()
     oracle = make_oracle(setup.model, setup.x_spaces, setup.x_bases,
@@ -300,44 +313,38 @@ def run_pipeline(setup, out_dir=None, seed=None):
         i_hat=setup.i_hat)
     t_total = time.perf_counter() - t_total
 
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        cp_res.write_iteration_log(os.path.join(out_dir, "iterations.csv"))
-        equilibrium.write_nu_hat_csv(report,
-                                     os.path.join(out_dir, "nu_hat.csv"))
-        rng = np.random.default_rng(setup.seed + 77)
-        n_export = min(setup.mc_n, 2000)
-        transfers = equilibrium.transfer_table(
-            setup.model, cp_res.solution, setup.x_spaces, setup.x_bases,
-            setup.z_space.vertices)
-        for i in range(setup.N):
-            equilibrium.write_coupling_csv(
-                report, np.random.default_rng(setup.seed + 100 + i), n_export,
-                i, os.path.join(out_dir, "coupling_samples_%d.csv" % i))
-            equilibrium.write_transfer_values_csv(
-                setup.z_space.vertices, transfers[i],
-                os.path.join(out_dir, "transfer_%d.csv" % i))
-        equilibrium.write_nu_tilde_hist_csv(
-            report, rng, min(setup.mc_n, 20000),
-            os.path.join(out_dir, "nu_tilde_hist.csv"))
-        add_time = sum(r.add_time for r in cp_res.iterations)
-        lp_time = sum(r.lp_time for r in cp_res.iterations)
-        oracle_time = sum(r.oracle_time for r in cp_res.iterations)
-        equilibrium.write_report_json(
-            report, os.path.join(out_dir, "result.json"),
-            extra={
-                "alpha_ub_parametric": cp_res.alpha_ub + report.shift,
-                "lsip_gap": cp_res.gap,
-                "eps_lsip": setup.eps_lsip,
-                "iterations": len(cp_res.iterations),
-                "lp_rows": cp_res.n_lp_rows,
-                "lp_width": setup.lp_width(),
-                "config_echo": setup.config,
-                "provenance": _provenance(setup.config),
-                "timing": {"add_time": add_time, "lp_time": lp_time,
-                           "oracle_time": oracle_time,
-                           "solve_time": t_solve, "total_time": t_total},
-            })
+    os.makedirs(out_dir, exist_ok=True)
+    cp_res.write_iteration_log(os.path.join(out_dir, "iterations.csv"))
+    equilibrium.write_nu_hat_csv(report, os.path.join(out_dir, "nu_hat.csv"))
+    n_export = min(setup.mc_n, 2000)
+    transfers = equilibrium.transfer_table(
+        setup.model, cp_res.solution, setup.x_spaces, setup.x_bases,
+        setup.z_space.vertices)
+    for i in range(setup.N):
+        equilibrium.write_coupling_csv(
+            report, np.random.default_rng(setup.seed + 100 + i), n_export,
+            i, os.path.join(out_dir, "coupling_samples_%d.csv" % i))
+        equilibrium.write_transfer_values_csv(
+            setup.z_space.vertices, transfers[i],
+            os.path.join(out_dir, "transfer_%d.csv" % i))
+    equilibrium.write_nu_tilde_hist_csv(
+        report, np.random.default_rng(setup.seed + 77), min(setup.mc_n, 20000),
+        os.path.join(out_dir, "nu_tilde_hist.csv"))
+    timing = {k: sum(getattr(r, k) for r in cp_res.iterations)
+              for k in ("add_time", "lp_time", "oracle_time")}
+    equilibrium.write_report_json(
+        report, os.path.join(out_dir, "result.json"),
+        extra={
+            "alpha_ub_parametric": cp_res.alpha_ub + report.shift,
+            "lsip_gap": cp_res.gap,
+            "eps_lsip": setup.eps_lsip,
+            "iterations": len(cp_res.iterations),
+            "lp_rows": cp_res.n_lp_rows,
+            "lp_width": setup.lp_width(),
+            "config_echo": setup.config,
+            "provenance": _provenance(setup.config),
+            "timing": dict(timing, solve_time=t_solve, total_time=t_total),
+        })
     return cp_res, report
 
 
@@ -345,36 +352,30 @@ def verify_setup(setup):
     """Dry-run validation, reported on standard output; returns the number
     of warnings."""
     out, warnings = sys.stdout, 0
-    for i in range(setup.N):
-        mu = setup.measures[i]
-        sp = setup.x_spaces[i]
+    for i, (mu, sp) in enumerate(zip(setup.measures, setup.x_spaces)):
         if isinstance(mu, DiscreteMeasure):
             try:
                 sp.vertex_weights(mu.atoms)
             except PointOutsideComplexError as e:
                 raise ConfigError("$.categories[%d].measure" % i,
                                   "atom outside the partition: %s" % e) from e
-        allm = moments_all_vertices(mu, sp)
-        zero = np.flatnonzero(allm <= 1e-14)
-        for v in zero:
+        for v in np.flatnonzero(moments_all_vertices(mu, sp) <= 1e-14):
             warnings += 1
             out.write("warning: category %d vertex %d at %s carries zero "
                       "measure mass\n" % (i, v, sp.vertices[v]))
     rng = np.random.default_rng(setup.seed)
     ok, worst = setup.model.check_lipschitz(
-        rng,
         lambda i, n: uniform_points(setup.x_spaces[i], rng, n),
         lambda n: uniform_points(setup.z_space, rng, n))
     if not ok:
         raise ConfigError("$.problem",
                           "Lipschitz constants violated by %.3g" % worst)
-    n_vars = setup.lp_width()
     best_ih = int(np.argmax(setup.model.L2))
     theo = equilibrium.eps_theo(
         setup.eps_lsip, setup.model.L1, setup.model.L2,
         [epsilon_bar(sp) for sp in setup.x_spaces],
         epsilon_bar(setup.z_space), best_ih)
-    out.write("lp decision variables n = %d\n" % n_vars)
+    out.write("lp decision variables n = %d\n" % setup.lp_width())
     out.write("predicted eps_theo (best reference category) = %.6g\n" % theo)
     out.write("verify ok: %d warning(s)\n" % warnings)
     return warnings
@@ -413,8 +414,10 @@ def main():
             sys.stderr.write("config error at %s\n" % e)
             return 2
         return 0
+    if args.seed is not None:
+        setup.seed = args.seed
     try:
-        cp_res, report = run_pipeline(setup, out_dir=args.out, seed=args.seed)
+        cp_res, report = run_pipeline(setup, args.out)
     except Exception as e:
         sys.stderr.write("solver error [%s]: %s\n" % (type(e).__name__, e))
         return 1

@@ -60,10 +60,11 @@ class UnsupportedMeasureClassError(EquilibriumError):
 CHUNK = 256
 # bytes of a buffered family's buffers per worker thread: a chunk takes as
 # many samples as fit, at the bytes per sample the family states
-# (``z_opt_buffers``), but at least CHUNK_MIN, below which a chunk's fixed
-# cost outweighs its samples' (CHANGES.md).  256 samples of the
+# (``z_opt_buffers``), but at least CHUNK_MIN.  256 samples of the
 # business-location bench's buffers, 12.7 kB each, the chunk that bench has
-# always run
+# always run.  CHUNK_MIN is a floor, not a measured optimum: with N = 100
+# capped-affine categories, 384 samples on 2 CPUs took 292 ms in 4-sample
+# chunks against 586 ms in 64-sample ones (CHANGES.md; ROADMAP item 8)
 CHUNK_BYTES = 3_250_000
 CHUNK_MIN = 64
 
@@ -220,9 +221,9 @@ class EquilibriumReport:
     mc_repetitions: int
     seed: int
     sparsity_bound: int
-    support_reduced: bool = False
-    agent_couplings: list = field(default_factory=list)
-    _chain: object = field(default=None, repr=False)
+    support_reduced: bool
+    agent_couplings: list
+    _chain: object = field(repr=False)
 
     def sample_streams(self, rng, n):
         """Coupled sample streams: dict with Z, Z_bar, and per-category
@@ -299,8 +300,8 @@ def _reduce_support(atoms, weights, z_basis):
 
 
 def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
-              z_basis, mc_n=100000, mc_repetitions=20, seed=0,
-              i_hat="auto", semidiscrete_params=None):
+              z_basis, mc_n, mc_repetitions, seed, i_hat="auto",
+              semidiscrete_params=None):
     """Build the equilibrium report from cutting-plane outputs.
 
     ``i_hat`` selects the reference dual measure: ``"auto"`` picks the
@@ -531,9 +532,6 @@ def write_nu_tilde_hist_csv(report, rng, n, path):
                "%.17g," * len(cols) + "%d")
 
 
-def write_report_json(report, path, extra=None):
-    doc = report.to_json()
-    if extra:
-        doc.update(extra)
+def write_report_json(report, path, extra):
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+        json.dump({**report.to_json(), **extra}, f, indent=2, sort_keys=True)

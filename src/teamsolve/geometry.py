@@ -169,24 +169,20 @@ class SimplicialComplex:
     def _validate(self):
         if has_duplicate_rows(self.vertices):
             raise GeometryError("duplicate vertices")
-        for s, idx in enumerate(self.simplices):
-            edges = self.vertices[idx[1:]] - self.vertices[idx[0]]
-            scale = max(np.abs(edges).max(), 1.0)
-            if abs(np.linalg.det(edges)) <= (TOL_GEOM * scale) ** self.dim:
-                raise GeometryError("degenerate simplex %d" % s)
+        P = self.vertices[self.simplices]
+        edges = P[:, 1:] - P[:, :1]                             # (m, d, d)
+        scale = np.maximum(np.abs(edges).max(axis=(1, 2)), 1.0)
+        bad = np.abs(np.linalg.det(edges)) <= (TOL_GEOM * scale) ** self.dim
+        if bad.any():
+            raise GeometryError("degenerate simplex %d" % np.argmax(bad))
 
     def _build_cell_data(self):
         # Per-simplex interpolation matrix: lam = Minv @ [1, x]; the columns
         # of Minv[:, 1:] are the gradients of the barycentric coordinates.
-        n_s = len(self.simplices)
-        d = self.dim
-        self._minv = np.empty((n_s, d + 1, d + 1))
-        for s, idx in enumerate(self.simplices):
-            M = np.empty((d + 1, d + 1))
-            M[0, :] = 1.0
-            M[1:, :] = self.vertices[idx].T
-            self._minv[s] = np.linalg.inv(M)
         self._cell_pts = self.vertices[self.simplices]          # (m, d+1, d)
+        M = np.ones((len(self.simplices), self.dim + 1, self.dim + 1))
+        M[:, 1:, :] = self._cell_pts.transpose(0, 2, 1)
+        self._minv = np.linalg.inv(M)
         diffs = self._cell_pts[:, :, None, :] - self._cell_pts[:, None, :, :]
         self._cell_diam2 = np.sqrt((diffs ** 2).sum(-1)).max(axis=(1, 2))
 
@@ -508,10 +504,6 @@ class HatBasis:
         self._col = np.full(complex.n_vertices, self.m, dtype=int)
         self._col[keep] = np.arange(self.m)
         self._keep = np.asarray(keep, dtype=int)
-
-    @property
-    def vertices(self):
-        return self.complex.vertices
 
     def eval(self, x):
         """Basis vector at a single point."""

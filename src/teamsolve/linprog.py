@@ -286,7 +286,7 @@ class LpSolution:
     duals_eq: np.ndarray
     slack_ineq: np.ndarray      # b_ub - A_ub x
     value: float
-    iterations: int = 0
+    iterations: int
 
 
 def solve(problem: LpProblem) -> LpSolution:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class OracleResult:
     z: np.ndarray
     beta_tilde: float
     beta_lower: float
-    pool: list = field(default_factory=list)   # (x, z) pairs incl. the optimum
+    pool: list          # (x, z) pairs incl. the optimum
 
 
 def vertex_exact(affine, space):
@@ -253,7 +253,7 @@ def _pair_vertices(term, xp, xi, zp, zi):
     and its value ``T``; and each pair's first row ``start``, as r = 0 is
     never singular and gives every pair rows.
     """
-    A, B, c = term.kinks(zp.shape[2])
+    A, B, c = term.kinks()
     nx, kx, _ = xp.shape
     nz, kz, _ = zp.shape
     ax = xp @ A.T                                   # (nx, kx, q)

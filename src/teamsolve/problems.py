@@ -70,7 +70,7 @@ class SeparableL1Term:
     complex using the axis arrangement candidates.
     """
 
-    def __init__(self, anchor_x, weight_x, anchor_z, weight_z, const=0.0):
+    def __init__(self, anchor_x, weight_x, anchor_z, weight_z, const):
         self.anchor_x = None if anchor_x is None else np.asarray(anchor_x, float)
         self.weight_x = float(weight_x)
         self.anchor_z = None if anchor_z is None else np.asarray(anchor_z, float)
@@ -79,17 +79,18 @@ class SeparableL1Term:
 
 
 class DirectL1Term:
-    """weight * ||x - z||_1 with matching dimensions.
+    """weight * ||x - z||_1 with x and z of dimension ``dim``.
 
     Coupled: convex, and affine between its kink hyperplanes x_l = z_l.
     """
 
-    def __init__(self, weight):
+    def __init__(self, weight, dim):
         self.weight = float(weight)
+        self.dim = dim
 
-    def kinks(self, dim):
+    def kinks(self):
         """(A, B, c) of the kink hyperplanes A x + B z = c, one per row."""
-        return np.eye(dim), -np.eye(dim), np.zeros(dim)
+        return np.eye(self.dim), -np.eye(self.dim), np.zeros(self.dim)
 
     def eval(self, X, Z):
         return self.weight * np.abs(X - Z).sum(-1)
@@ -107,9 +108,8 @@ class ScalarRampTerm:
         self.kappa1 = float(kappa1)
         self.slope = float(slope)
 
-    def kinks(self, dim):
-        """(A, B, c) of the kink hyperplanes A x + B z = c, one per row;
-        ``dim`` is the quality dimension, ``len(s)``."""
+    def kinks(self):
+        """(A, B, c) of the kink hyperplanes A x + B z = c, one per row."""
         return (np.ones((2, 1)), -np.vstack([self.s, self.s]),
                 np.array([self.kappa1, -self.kappa1]))
 
@@ -160,7 +160,7 @@ class CostModel:
         return self.eval(i, np.repeat(X, nz, axis=0),
                          np.tile(Z, (nx, 1))).reshape(nx, nz)
 
-    def check_lipschitz(self, rng, x_sampler, z_sampler):
+    def check_lipschitz(self, x_sampler, z_sampler):
         """Random-pair verification of the declared Lipschitz constants on
         10,000 pairs per category, within a slack of 1e-9."""
         worst = 0.0
@@ -224,7 +224,8 @@ class BusinessLocationCost(CostModel):
             raise CostModelError("stations must be distinct")
         for name, value in (("c_walk", c_walk), ("c_train", c_train),
                             ("c_restock", c_restock)):
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            if not (isinstance(value, numbers.Real)
+                    and not isinstance(value, bool) and math.isfinite(value)
                     and value >= 0):
                 raise CostModelError("%s must be a finite number >= 0, not %r"
                                      % (name, value))
@@ -289,9 +290,10 @@ class BusinessLocationCost(CostModel):
         return out
 
     def oracle_terms(self, i):
+        dim = self.stations.shape[1]
         if i == self.N - 1:
-            return [DirectL1Term(self.c_restock)]
-        terms = [DirectL1Term(self.c_walk)]
+            return [DirectL1Term(self.c_restock, dim)]
+        terms = [DirectL1Term(self.c_walk, dim)]
         S = len(self.stations)
         for j in range(S):
             for jp in range(S):
@@ -401,7 +403,7 @@ class QuadraticBarycenterCost(CostModel):
 
     affine_in_x = True
 
-    def __init__(self, weights, x_spaces, z_space, shift=0.0):
+    def __init__(self, weights, x_spaces, z_space, shift):
         w = np.atleast_1d(np.asarray(weights, dtype=float))
         if w.ndim != 1 or not (np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-9):
             raise CostModelError("weights must be positive and sum to 1")

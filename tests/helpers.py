@@ -452,7 +452,7 @@ def pair_vertices_dense(term, xp, zp):
     weights ``lx``, ``lz``, points ``X``, ``Z`` and values ``T``, over the
     slots of every ``oracle._kink_systems`` system in order; a slot that
     holds no vertex has zero weights and the value +inf."""
-    A, B, c = term.kinks(zp.shape[2])
+    A, B, c = term.kinks()
     nx, kx, _ = xp.shape
     nz, kz, _ = zp.shape
     ax = xp @ A.T                                   # (nx, kx, q)

@@ -57,7 +57,8 @@ def test_criterion_1_discrete_exactness():
     for q in range(25):
         N = 2 + (q % 2)
         model, mus, xs, bs, zc, bz = random_discrete_instance(rng, N=N)
-        res, rep = _pipeline(model, mus, xs, bs, zc, bz, eps=1e-6, seed=q)
+        res, rep = _pipeline(model, mus, xs, bs, zc, bz, eps=1e-6, seed=q,
+                             mc_n=100000, mc_repetitions=20)
         ref = brute_force_discrete_optimum(model, mus, xs, zc)
         assert res.alpha_lb - 1e-9 <= ref <= res.alpha_ub + 1e-9
         assert rep.eps_hat_sub <= 1e-6 + 1e-9
@@ -104,7 +105,7 @@ def test_criterion_5_two_point_barycenter():
            DiscreteMeasure([[2.0, 0.0]], [1.0])]
     model = barycenter_cost([0.5, 0.5], [Xa, Xb], Z, mus)
     res, rep = _pipeline(model, mus, [Xa, Xb], [ba, bb], Z, bz, eps=1e-5,
-                         seed=5)
+                         seed=5, mc_n=100000, mc_repetitions=20)
     max_diam = float(Z.cell_diameters().max())
     assert rep.alpha_lb - 1e-9 <= 1.0 <= rep.alpha_hat_ub + 1e-9
     assert rep.alpha_hat_ub - rep.alpha_lb <= 2 * max_diam + 1e-5

@@ -43,16 +43,45 @@ def test_run_discrete_tiny(tmp_path):
         assert os.path.exists(os.path.join(out, f)), f
 
 
+def _artifacts(out):
+    """Every file of a run directory by name, as bytes, less the timings:
+    ``result.json``'s ``timing`` block and the ``*_time`` columns of
+    ``iterations.csv``."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "result.json":
+            doc = json.loads(data)
+            doc.pop("timing")
+            data = json.dumps(doc, sort_keys=True).encode()
+        elif path.name == "iterations.csv":
+            rows = [line.split(b",") for line in data.split(b"\r\n")]
+            keep = [j for j, name in enumerate(rows[0])
+                    if not name.endswith(b"_time")]
+            assert len(keep) == len(rows[0]) - 3
+            data = b"\r\n".join(b",".join(row[j] for j in keep)
+                                 for row in rows if row != [b""])
+        files[path.name] = data
+    return files
+
+
 def test_determinism(tmp_path):
-    config = _load("discrete_tiny.json")
-    docs = []
-    for tag in ("a", "b"):
-        out = str(tmp_path / tag)
-        run_pipeline(ProblemSetup(config), out_dir=out)
-        doc = json.load(open(os.path.join(out, "result.json")))
-        doc.pop("timing")
-        docs.append(json.dumps(doc, sort_keys=True))
-    assert docs[0] == docs[1]
+    # two runs of each config in one process, the second on the oracle's
+    # warm shared cache: every artifact has the same bytes but for the
+    # timings.  The shipped configs' agents are single atoms, so a capped
+    # config with a density samples its coupling and histogram files.
+    capped = dict(_capped_config(), mc={"n": 2000, "repetitions": 2})
+    for k, config in enumerate([_load("discrete_tiny.json"),
+                                _load("barycenter_two_points.json"), capped]):
+        runs = []
+        for tag in ("a", "b"):
+            out = tmp_path / ("%d%s" % (k, tag))
+            run_pipeline(ProblemSetup(config), str(out))
+            runs.append(_artifacts(out))
+        assert sorted(runs[0]) == sorted(runs[1])
+        assert len(runs[0]) == 4 + 2 * ProblemSetup(config).N
+        for f in runs[0]:
+            assert runs[0][f] == runs[1][f], (k, f)
 
 
 def test_run_pipeline_minimizes_each_type_once(tmp_path, monkeypatch):
@@ -432,6 +461,81 @@ def test_space_entries_must_be_json_numbers(tmp_path, capsys, where, value):
     # numpy read 2.5 cells as 2, true as 1 and "3" as 3, so a space was
     # built with another mesh than the config states
     cfg = _load("barycenter_two_points.json")
+    _put(cfg, where, value)
+    _rejected(tmp_path, capsys, cfg, where)
+    assert _main("run", "--config", str(tmp_path / "bad.json"),
+                 "--out", str(tmp_path / "out")) == 2
+    assert "config error at $.%s:" % where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _business_config():
+    """Two walking categories and the restocking one on a 2 x 2 city."""
+    space = {"type": "box", "box": [[-2, 2], [-2, 2]], "counts": [2, 2]}
+    cat = {"space": space, "measure": {"type": "discrete",
+                                       "atoms": [[0.0, 0.0]],
+                                       "weights": [1.0]}}
+    return {"problem": {"family": "business_location",
+                        "stations": [[0.0, 1.0], [0.5, -1.0]],
+                        "c_walk": 0.15, "c_train": 0.015, "c_restock": 0.4},
+            "categories": [cat] * 3, "quality": {"space": space},
+            "eps_lsip": 1e-6}
+
+
+def _capped_config():
+    """Two categories on a line, the second with a CPWA density, and a
+    square of qualities."""
+    line = {"type": "box", "box": [[0, 1]], "counts": [2]}
+    return {"problem": {"family": "capped_affine", "s": [[1, 0], [0, 1]],
+                        "kappa1": 0.1, "kappa2": [0.5, 0.6]},
+            "categories": [
+                {"space": line, "measure": {"type": "discrete",
+                                            "atoms": [[0.5]],
+                                            "weights": [1.0]}},
+                {"space": line, "measure": {"type": "cpwa",
+                                            "vertex_density": [1, 1, 1]}}],
+            "quality": {"space": {"type": "box", "box": [[0, 1], [0, 1]],
+                                  "counts": [2, 2]}},
+            "eps_lsip": 1e-4}
+
+
+def _barycenter_config():
+    """The shipped two-point barycenter, its weights stated."""
+    cfg = _load("barycenter_two_points.json")
+    cfg["problem"]["weights"] = [0.5, 0.5]
+    return cfg
+
+
+CONFIGS_BY_NAME = {
+    "discrete_tiny": lambda: _load("discrete_tiny.json"),
+    "barycenter": _barycenter_config, "business": _business_config,
+    "capped": _capped_config}
+
+
+@pytest.mark.parametrize("name,where,value", [
+    ("discrete_tiny", "categories[0].measure.atoms[0][0]", "0"),
+    ("discrete_tiny", "categories[1].measure.weights[0]", True),
+    ("discrete_tiny", "problem.tables[0][0][0]", "0"),
+    ("discrete_tiny", "problem.tables[0][0][1]", True),
+    ("discrete_tiny", "problem.tables[1][1][0]", False),
+    ("barycenter", "problem.weights[0]", "0.5"),
+    ("barycenter", "problem.shift_accounting", "no"),
+    ("barycenter", "problem.shift_accounting", 0),
+    ("business", "problem.stations[1][0]", "0.5"),
+    ("business", "problem.c_walk", True),
+    ("business", "problem.c_train", "0.015"),
+    ("business", "problem.c_restock", [0.4]),
+    ("capped", "problem.s[0][0]", True),
+    ("capped", "problem.kappa1", "0.1"),
+    ("capped", "problem.kappa2[1]", True),
+    ("capped", "categories[1].measure.vertex_density[2]", "1"),
+])
+def test_measure_and_cost_entries_must_be_json_numbers(tmp_path, capsys,
+                                                       name, where, value):
+    # numpy read "0" and true as numbers, a cost model took true as a rate
+    # of 1.0, and "no" switched the shift accounting on
+    cfg = CONFIGS_BY_NAME[name]()
+    assert ProblemSetup(cfg).N >= 2
     _put(cfg, where, value)
     _rejected(tmp_path, capsys, cfg, where)
     assert _main("run", "--config", str(tmp_path / "bad.json"),

@@ -28,6 +28,10 @@ from teamsolve.problems import (barycenter_cost, business_location_cost,
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
+# the Monte Carlo sizes of the cases below that state none: the exact
+# bounds of fully discrete data only record them
+MC = {"mc_n": 100000, "mc_repetitions": 20}
+
 
 def _pipeline(model, mu, xs, xb, zs, zb, eps=1e-6, **kw):
     gbar = [moment_vector(mu[i], xb[i]) for i in range(model.N)]
@@ -40,7 +44,7 @@ def _pipeline(model, mu, xs, xb, zs, zb, eps=1e-6, **kw):
 def test_discrete_exactness():
     rng = np.random.default_rng(31)
     model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=2)
-    res, rep = _pipeline(model, mu, xs, xb, zs, zb, seed=3)
+    res, rep = _pipeline(model, mu, xs, xb, zs, zb, seed=3, **MC)
     ref = brute_force_discrete_optimum(model, mu, xs, zs)
     assert rep.exact
     assert rep.eps_hat_sub <= 1e-6 + 1e-9
@@ -55,7 +59,7 @@ def test_zero_cost_everything_zero():
     bx = IndicatorBasis(X)
     model = tabulated_cpwa_cost([X], X, [np.zeros((2, 2))])
     mu = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])]
-    _, rep = _pipeline(model, mu, [X], [bx], X, bx, seed=0)
+    _, rep = _pipeline(model, mu, [X], [bx], X, bx, seed=0, **MC)
     assert abs(rep.alpha_hat_ub) <= 1e-6 + 1e-12
     assert abs(rep.eps_hat_sub) <= 1e-6 + 1e-12
 
@@ -392,7 +396,7 @@ def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
 def test_auto_i_hat_solves_each_pair_once(monkeypatch):
     rng = np.random.default_rng(52)
     model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=4)
-    res, _ = _pipeline(model, mu, xs, xb, zs, zb)
+    res, _ = _pipeline(model, mu, xs, xb, zs, zb, seed=0, **MC)
     calls = []
 
     def counting(*args, **kw):
@@ -400,9 +404,11 @@ def test_auto_i_hat_solves_each_pair_once(monkeypatch):
         return transport.ot_discrete(*args, **kw)
 
     monkeypatch.setattr(equilibrium, "ot_discrete", counting)
-    auto = construct(res, model, mu, xs, xb, zs, zb, i_hat="auto")
+    auto = construct(res, model, mu, xs, xb, zs, zb, seed=0, i_hat="auto",
+                     **MC)
     n_auto = len(calls)
-    pinned = construct(res, model, mu, xs, xb, zs, zb, i_hat=auto.i_hat)
+    pinned = construct(res, model, mu, xs, xb, zs, zb, seed=0,
+                       i_hat=auto.i_hat, **MC)
     assert pinned.alpha_hat_ub == auto.alpha_hat_ub
     # the 6 pairs, less the 3 - i_hat that stand in for links of nu_hat
     # which the pinned run solves
@@ -429,7 +435,8 @@ def test_unreduced_links_reuse_the_solved_couplings(monkeypatch):
     monkeypatch.setattr(equilibrium, "ot_discrete", counting)
     for i_hat in ("auto", 0, 1, 2):
         del calls[:]
-        rep = construct(res, *args, mc_n=100, mc_repetitions=1, i_hat=i_hat)
+        rep = construct(res, *args, mc_n=100, mc_repetitions=1, seed=0,
+                        i_hat=i_hat)
         assert not rep.support_reduced
         links = [link[0] for link in rep._chain.links]
         nu_hat = links[rep.i_hat].source
@@ -450,11 +457,12 @@ def test_unreduced_links_reuse_the_solved_couplings(monkeypatch):
 def test_out_of_range_i_hat_is_a_typed_error():
     rng = np.random.default_rng(53)
     model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=3)
-    res, _ = _pipeline(model, mu, xs, xb, zs, zb)
+    res, _ = _pipeline(model, mu, xs, xb, zs, zb, seed=0, **MC)
     # -1 would index the last category, 3 the end of the list
     for i_hat in (-1, 3):
         with pytest.raises(EquilibriumError, match="i_hat %d" % i_hat):
-            construct(res, model, mu, xs, xb, zs, zb, i_hat=i_hat)
+            construct(res, model, mu, xs, xb, zs, zb, seed=0, i_hat=i_hat,
+                      **MC)
 
 
 @pytest.mark.parametrize("i_hat", [1.5, True, "2"])
@@ -462,17 +470,17 @@ def test_non_integer_i_hat_is_a_typed_error(i_hat):
     # int() would take each of these: 1.5 and True as category 1, "2" as 2
     rng = np.random.default_rng(53)
     model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=3)
-    res, _ = _pipeline(model, mu, xs, xb, zs, zb)
+    res, _ = _pipeline(model, mu, xs, xb, zs, zb, seed=0, **MC)
     with pytest.raises(EquilibriumError, match="i_hat must be"):
-        construct(res, model, mu, xs, xb, zs, zb, i_hat=i_hat)
+        construct(res, model, mu, xs, xb, zs, zb, seed=0, i_hat=i_hat, **MC)
 
 
 def test_numpy_integer_i_hat_pins_the_category():
     rng = np.random.default_rng(53)
     model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=3)
-    res, _ = _pipeline(model, mu, xs, xb, zs, zb)
-    assert construct(res, model, mu, xs, xb, zs, zb,
-                     i_hat=np.int64(2)).i_hat == 2
+    res, _ = _pipeline(model, mu, xs, xb, zs, zb, seed=0, **MC)
+    assert construct(res, model, mu, xs, xb, zs, zb, seed=0,
+                     i_hat=np.int64(2), **MC).i_hat == 2
 
 
 def test_agent_couplings_recorded():
@@ -507,7 +515,7 @@ def test_chain_kernels_carry_nu_hat_onto_the_agents():
     # product of the row-normalised plans is the agent measure
     rng = np.random.default_rng(36)
     model, mu, xs, xb, zs, zb = random_discrete_instance(rng, N=3)
-    _, rep = _pipeline(model, mu, xs, xb, zs, zb, seed=4)
+    _, rep = _pipeline(model, mu, xs, xb, zs, zb, seed=4, **MC)
     chain = rep._chain
     for i, link in enumerate(chain.links):
         to_nu, dual, to_mu = link
@@ -534,7 +542,7 @@ def test_batched_tilde_bound_matches_the_loop():
     cases.append((barycenter_cost([0.3, 0.7], xs, zs, mu), mu, xs,
                   [IndicatorBasis(sp) for sp in xs], zs, HatBasis(zs)))
     for model, mu, xs, xb, zs, zb in cases:
-        _, rep = _pipeline(model, mu, xs, xb, zs, zb, seed=4)
+        _, rep = _pipeline(model, mu, xs, xb, zs, zb, seed=4, **MC)
         assert rep.exact
         ref = exact_tilde_loop(model, rep._chain, zs) + rep.shift
         assert abs(rep.alpha_tilde_ub - ref) <= 1e-12

@@ -142,6 +142,24 @@ def test_degenerate_simplex_rejected():
         SimplicialComplex([[0, 0], [1, 0], [2, 0]], [[0, 1, 2]])
     with pytest.raises(GeometryError):
         SimplicialComplex([[0, 0], [0, 0], [1, 1]], [[0, 1, 2]])
+    # the first of two flat simplices is named
+    with pytest.raises(GeometryError, match="degenerate simplex 1$"):
+        SimplicialComplex([[0, 0], [1, 0], [0, 1], [2, 0], [3, 0]],
+                          [[0, 1, 2], [0, 1, 3], [1, 3, 4]])
+
+
+@pytest.mark.parametrize("box,counts", [
+    ([(0, 1), (0, 1)], (6, 6)), ([(-2, 2), (0, 1)], (12, 3)),
+    ([(0, 1)], (4,)), ([(0, 1), (0, 2), (0, 3)], (3, 2, 2))])
+def test_cell_inverses_are_the_per_simplex_inverses(box, counts):
+    # one batched inverse, bit for bit each simplex's own, on grids, their
+    # general complexes and an L-shape
+    grid = build_box_partition(box, counts)
+    for c in (grid, SimplicialComplex(grid.vertices, grid.simplices[:, ::-1]),
+              l_shape()):
+        for s, idx in enumerate(c.simplices):
+            M = np.vstack([np.ones(c.dim + 1), c.vertices[idx].T])
+            assert np.linalg.inv(M).tobytes() == c._minv[s].tobytes()
 
 
 def test_epsilon_bar():

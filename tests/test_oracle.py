@@ -593,7 +593,7 @@ def test_direct_l1_cell_pair_minima_match_the_lp(nx, nz, shift, seed):
     rng = np.random.default_rng(seed)
     x_space = build_box_partition([(-1, 1), (-1, 1)], nx)
     z_space = build_box_partition([(-1 + shift, 1 + shift), (-1, 1)], nz)
-    term = DirectL1Term(rng.uniform(0.1, 2.0))
+    term = DirectL1Term(rng.uniform(0.1, 2.0), 2)
     xp, xi = oracle_module._cell_vertex_arrays(x_space)
     zp, zi = oracle_module._cell_vertex_arrays(z_space)
     _assert_matches_lp(term, xp, xi, zp, zi,
@@ -610,7 +610,7 @@ def test_one_point_quality_cells_match_the_lp(direct, s, kappa1, n, seed):
     rng = np.random.default_rng(seed)
     if direct:
         x_space = build_box_partition([(0, 1), (0, 1)], (2, 2))
-        term = DirectL1Term(rng.uniform(0.1, 2.0))
+        term = DirectL1Term(rng.uniform(0.1, 2.0), 2)
     else:
         x_space = build_box_partition([(0, 1)], (3,))
         term = ScalarRampTerm(s, kappa1, rng.uniform(0.1, 2.0))
@@ -660,7 +660,7 @@ def test_vertex_table_matches_the_dense_tensors(direct, nx, nz, points, s,
     rng = np.random.default_rng(seed)
     if direct:
         x_space = build_box_partition([(0, 1), (0, 1)], (nx, nx))
-        term = DirectL1Term(rng.uniform(0.1, 2.0))
+        term = DirectL1Term(rng.uniform(0.1, 2.0), 2)
     else:
         x_space = build_box_partition([(0, 1)], (nx,))
         term = ScalarRampTerm(s, kappa1, rng.uniform(0.1, 2.0))
@@ -802,7 +802,7 @@ def test_changed_geometry_gets_its_own_entry(shared, monkeypatch, change,
 def test_another_vertex_numbering_gets_its_own_table(shared):
     # equal cell coordinates whose vertices are numbered otherwise: the
     # table holds global vertex indices, so its key holds them too
-    term = DirectL1Term(0.5)
+    term = DirectL1Term(0.5, 2)
     xp, xi = oracle_module._cell_vertex_arrays(
         build_box_partition([(0, 1), (0, 1)], (2, 2)))
     zp, zi = oracle_module._cell_vertex_arrays(
@@ -972,7 +972,7 @@ def test_a_tie_in_a_side_table_goes_to_the_first_candidate():
     cand = oracle_module.axis_arrangement_candidates(space, anchor[None])
     dist = np.abs(cand - anchor).sum(axis=1)
     assert len(cand) > 16 and len(np.unique(dist)) < len(cand) // 2
-    term = SeparableL1Term(anchor, 1.0, None, 0.0)
+    term = SeparableL1Term(anchor, 1.0, None, 0.0, 0.0)
     V, P = oracle_module._side_table("x", space, basis, np.zeros(basis.m),
                                      [term], {})
     first = _first_in_order(dist.tolist(), 8)

@@ -21,6 +21,14 @@ def test_business_defaults_echo():
     assert m.N == 5
 
 
+@pytest.mark.parametrize("key", ["c_walk", "c_train", "c_restock"])
+def test_business_rates_must_be_numbers_not_booleans(key):
+    # True is a numbers.Real and used to build a rate of 1.0
+    for value in (True, False, "0.15", float("nan"), -0.1):
+        with pytest.raises(CostModelError, match=key):
+            business_location_cost(STATIONS, **{key: value})
+
+
 def test_business_trivials():
     m = business_location_cost(STATIONS)
     z = np.array([[0.3, -0.7]])
@@ -164,23 +172,23 @@ def test_lipschitz_random_pairs_all_families():
         return uniform_points(zsq, rng, n)
 
     bl = business_location_cost(STATIONS)
-    ok, worst = bl.check_lipschitz(rng, xs2, zs2)
+    ok, worst = bl.check_lipschitz(xs2, zs2)
     assert ok, worst
 
     bc = barycenter_cost([0.3, 0.7], [xsq, xsq], zsq)
-    ok, worst = bc.check_lipschitz(rng, xs2, zs2)
+    ok, worst = bc.check_lipschitz(xs2, zs2)
     assert ok, worst
 
     ca = capped_affine_cost([[0.6, 0.8], [1.0, 0.0]], [0.1, 0.2], [0.5, 0.9])
     zt = build_box_partition([(0, 1), (0, 1)], (2, 2))
     ok, worst = ca.check_lipschitz(
-        rng, lambda i, n: rng.uniform(0, 1, (n, 1)),
+        lambda i, n: rng.uniform(0, 1, (n, 1)),
         lambda n: uniform_points(zt, rng, n))
     assert ok, worst
 
     tab = tabulated_cpwa_cost(
         [xsq], zsq, [rng.uniform(0, 1, (xsq.n_vertices, zsq.n_vertices))])
-    ok, worst = tab.check_lipschitz(rng, xs2, zs2)
+    ok, worst = tab.check_lipschitz(xs2, zs2)
     assert ok, worst
 
 

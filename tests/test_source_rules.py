@@ -36,8 +36,11 @@ the package has no knob outside its options and config keys.
 Every module-level function and class of the package has a caller in
 ``src/``, ``perfbench/`` or ``demos/``, an export from ``__init__``
 included: no helper that only the tests use lives in the package.  Every
-parameter with a default is set by some caller there too: no option that
-only the tests set.
+parameter with a default, a dataclass field's included, is set by some
+caller there too, and some caller there relies on its default: no option
+that only the tests set, and no default that every caller overrides.
+Every parameter is read by its function's body: none is accepted and then
+ignored.
 
 Every ranking ranks by value, ties in index order: each ``argsort`` passes
 ``kind="stable"``, as numpy's default kernel, which numpy picks for the
@@ -536,17 +539,54 @@ def test_caller_rule_catches_a_helper_only_the_tests_use(tmp_path):
         "geometry.py:7 defines Unused, which nothing calls"]
 
 
+def _dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _fields_with_defaults(cls):
+    """A dataclass's fields with a default, as ``(node, position, name)``:
+    the position among the fields of its ``__init__``, a ``field(...)``
+    without ``default`` or ``default_factory`` giving none and one with
+    ``init=False`` taking no position."""
+    out, position = [], 0
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)):
+            continue
+        value = node.value
+        keywords = {}
+        if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+                and value.func.id == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+        if value is not None and (not keywords or "default" in keywords
+                                  or "default_factory" in keywords):
+            out.append((node, position, node.target.id))
+        position += 1
+    return out
+
+
 def _defaulted_parameters(path):
     """A module's parameters with a default, of its functions and methods
-    at any depth, as ``(where, callee names, position, name)``: a method's
-    position does not count ``self`` or ``cls`` (a static method's counts
-    from its first parameter), a keyword-only parameter has none, and an
-    ``__init__`` is called by its class's name."""
+    at any depth and of its dataclasses' ``__init__``, as ``(module, line,
+    qualified name, callee name, position, name)``: a method's position
+    does not count ``self`` or ``cls`` (a static method's counts from its
+    first parameter), a keyword-only parameter has none, and an
+    ``__init__`` is called by its class's name; a dataclass field's
+    qualified name is its class's."""
     out = []
 
     def visit(node, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if _dataclass(child):
+                    out.extend((path.name, f.lineno, child.name, child.name,
+                                j, arg)
+                               for f, j, arg in _fields_with_defaults(child))
                 visit(child, child)
                 continue
             if not isinstance(child, ast.FunctionDef):
@@ -560,13 +600,11 @@ def _defaulted_parameters(path):
                 positional = positional[1:]
             name = (cls.name if cls is not None and child.name == "__init__"
                     else child.name)
-            where = "%s:%d %s%s" % (path.name, child.lineno,
-                                    "" if cls is None else cls.name + ".",
-                                    child.name)
+            qualified = ("" if cls is None else cls.name + ".") + child.name
             first = len(positional) - len(args.defaults)
-            out.extend((where, name, j, a.arg)
+            out.extend((path.name, child.lineno, qualified, name, j, a.arg)
                        for j, a in enumerate(positional) if j >= first)
-            out.extend((where, name, None, a.arg)
+            out.extend((path.name, child.lineno, qualified, name, None, a.arg)
                        for a, d in zip(args.kwonlyargs, args.kw_defaults)
                        if d is not None)
             visit(child, None)
@@ -599,9 +637,10 @@ def _unset_options(modules, callers):
     ``callers`` to a callee of that name sets, by keyword, by position or
     through ``*`` or ``**``."""
     calls = _calls_by_name(callers)
-    return ["%s: no caller sets %s" % (where, arg)
+    return ["%s:%d %s: no caller sets %s" % (module, line, qualified, arg)
             for p in modules
-            for where, name, j, arg in _defaulted_parameters(p)
+            for module, line, qualified, name, j, arg
+            in _defaulted_parameters(p)
             if not any(star or arg in keywords
                        or j is not None and j < count
                        for star, count, keywords in calls.get(name, ()))]
@@ -611,8 +650,7 @@ def test_every_optional_parameter_is_set_outside_the_tests():
     """Matching is by name, as for the callers above: a call to another
     function or method of the same name, such as a cost model's ``eval``
     and ``HatBasis.eval``, counts, so a shared name can hide a parameter
-    that only the tests set.  A dataclass's fields are no parameters
-    here."""
+    that only the tests set."""
     root = SRC.parents[1]
     callers = [p for tree in CALLER_TREES for p in (root / tree).rglob("*.py")]
     modules = sorted(SRC.glob("*.py"))
@@ -632,24 +670,241 @@ def test_option_rule_catches_a_keyword_only_the_tests_set(tmp_path):
                        "    def key(p, decimals=12):\n"
                        "        return p\n"
                        "def covers(X, tol=1e-9, margin=0.0):\n"
-                       "    return X\n")
+                       "    return X\n"
+                       "@dataclass\n"
+                       "class Frame:\n"
+                       "    points: list\n"
+                       "    hit: list = field(default_factory=list)\n")
     caller = tmp_path / "oracle.py"
     caller.write_text("b = HatBasis(space)\n"
                       "g = b.eval(x, 1e-6)\n"
                       "k = HatBasis.key(p, 10)\n"
-                      "m = covers(X, **options)\n")
+                      "m = covers(X, **options)\n"
+                      "f = Frame(p)\n")
     test = tmp_path / "test_geometry.py"
     test.write_text("b = HatBasis(space, excluded=2)\n"
-                    "g = b.eval(x, out=buf)\n")
+                    "g = b.eval(x, out=buf)\n"
+                    "f = Frame(p, hit=h)\n")
     assert _unset_options([package], [package, caller]) == [
         "geometry.py:2 HatBasis.__init__: no caller sets excluded",
-        "geometry.py:4 HatBasis.eval: no caller sets out"]
+        "geometry.py:4 HatBasis.eval: no caller sets out",
+        "geometry.py:14 Frame: no caller sets hit"]
     caller.write_text("b = HatBasis(space, excluded=2)\n"
                       "g = b.eval(x, out=buf)\n"
                       "k = HatBasis.key(p, decimals=10)\n"
                       "m = covers(X, *args)\n"
-                      "g = b.eval(x, tol=1e-6)\n")
+                      "g = b.eval(x, tol=1e-6)\n"
+                      "f = Frame(p, [])\n")
     assert _unset_options([package], [package, caller]) == []
+
+
+# the one default on which no call outside the tests relies, by module,
+# qualified name and parameter: the general complex of given vertices and
+# simplices (``_grid`` None) is what the tests check the box grids' Kuhn
+# location, membership and boundary against
+DEFAULTS_KEPT = {("geometry.py", "SimplicialComplex.__init__", "_grid")}
+
+
+def _unrelied_defaults(modules, callers, kept):
+    """The defaults in ``modules``, other than ``kept``, on which no call in
+    ``callers`` to a callee of that name relies: every such call sets the
+    parameter by keyword or by position, and none passes ``*`` or ``**``,
+    which may leave it unset.  Also each entry of ``kept`` on which some
+    call relies or that is gone."""
+    calls = _calls_by_name(callers)
+    found, out = set(), []
+    for p in modules:
+        for module, line, qualified, name, j, arg in _defaulted_parameters(p):
+            if any(star or arg not in keywords and (j is None or j >= count)
+                   for star, count, keywords in calls.get(name, ())):
+                continue
+            found.add((module, qualified, arg))
+            if (module, qualified, arg) not in kept:
+                out.append("%s:%d %s: no caller relies on the default of %s"
+                           % (module, line, qualified, arg))
+    return out + ["%s %s: the default of %s is kept, but a caller relies on "
+                  "it or it is gone" % k for k in sorted(set(kept) - found)]
+
+
+def test_every_default_is_relied_on_outside_the_tests():
+    """A default that every call overrides is a required parameter in
+    disguise: its value is stated a second time, and may differ, at the
+    callers.  Matching is by name, as above."""
+    root = SRC.parents[1]
+    callers = [p for tree in CALLER_TREES for p in (root / tree).rglob("*.py")]
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9 and len(callers) > len(modules)
+    found = _unrelied_defaults(modules, callers, DEFAULTS_KEPT)
+    assert not found, found
+
+
+def test_default_rule_catches_a_default_every_caller_overrides(tmp_path):
+    package = tmp_path / "equilibrium.py"
+    package.write_text("def construct(res, mc_n=100000, seed=0, i_hat=0):\n"
+                       "    return res\n"
+                       "def write(report, path, extra=None, *, fmt=None):\n"
+                       "    return path\n"
+                       "@dataclass(frozen=True)\n"
+                       "class Report:\n"
+                       "    alpha: float\n"
+                       "    kept: bool = False\n"
+                       "    chain: object = field(default=None)\n"
+                       "    late: int = field(init=False, default=0)\n"
+                       "    n: int = field(repr=False)\n")
+    caller = tmp_path / "cli.py"
+    caller.write_text("r = construct(res, 10, seed=1, i_hat=2)\n"
+                      "r = construct(res, mc_n=5, seed=2, i_hat=1)\n"
+                      "write(r, p, {}, fmt='%d')\n"
+                      "write(r, p, extra={})\n"
+                      "Report(1.0, True, None, n=3)\n")
+    kept = {("equilibrium.py", "construct", "i_hat")}
+    assert _unrelied_defaults([package], [package, caller], kept) == [
+        "equilibrium.py:1 construct: no caller relies on the default of mc_n",
+        "equilibrium.py:1 construct: no caller relies on the default of seed",
+        "equilibrium.py:3 write: no caller relies on the default of extra",
+        "equilibrium.py:8 Report: no caller relies on the default of kept",
+        "equilibrium.py:9 Report: no caller relies on the default of chain"]
+    # a call through ``*`` or ``**`` may leave every default unset, and a
+    # kept default on which a caller relies is reported
+    caller.write_text("r = construct(res, *args)\n"
+                      "write(r, p, **options)\n"
+                      "Report(**fields)\n")
+    assert _unrelied_defaults([package], [package, caller], kept) == [
+        "equilibrium.py construct: the default of i_hat is kept, but a "
+        "caller relies on it or it is gone"]
+
+
+def _parameters(fn, method):
+    """The parameters of a function or lambda, without a method's ``self``
+    or ``cls``."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    return (positional[1:] if method else positional) + a.kwonlyargs \
+        + [p for p in (a.vararg, a.kwarg) if p is not None]
+
+
+def _reads(node, name):
+    """Whether the tree ``node`` reads ``name``, outside the bodies of the
+    nested functions and lambdas that take a parameter of that name (their
+    defaults and decorators are read where they are defined)."""
+    if isinstance(node, ast.Name):
+        return node.id == name and isinstance(node.ctx, ast.Load)
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)) \
+            and name in {p.arg for p in _parameters(node, False)}:
+        outer = node.args.defaults + [d for d in node.args.kw_defaults if d] \
+            + getattr(node, "decorator_list", [])
+        return any(_reads(n, name) for n in outer)
+    return any(_reads(c, name) for c in ast.iter_child_nodes(node))
+
+
+def _stub(fn):
+    """A protocol stub: a docstring at most, then one ``raise`` or one
+    ``return`` of a constant."""
+    body = fn.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value,
+                                                    ast.Constant):
+        body = body[1:]
+    return len(body) == 1 and (
+        isinstance(body[0], ast.Raise)
+        or isinstance(body[0], ast.Return)
+        and isinstance(body[0].value, (ast.Constant, type(None))))
+
+
+def _unread_parameters(path):
+    """The parameters that a module's functions, methods and lambdas at any
+    depth take and never read, but for protocol stubs' (``_stub``), as
+    ``(module, line, qualified name, parameter)``; a lambda's name is
+    ``<lambda>``, qualified by the functions and classes around it."""
+    out = []
+
+    def visit(node, cls, outer):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child, outer + child.name + ".")
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                visit(child, cls, outer)
+                continue
+            lam = isinstance(child, ast.Lambda)
+            name = outer + ("<lambda>" if lam else child.name)
+            static = not lam and any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in child.decorator_list)
+            body = [child.body] if lam else child.body
+            if lam or not _stub(child):
+                out.extend((path.name, child.lineno, name, p.arg)
+                           for p in _parameters(child, cls is not None
+                                                and not lam and not static)
+                           if not any(_reads(n, p.arg) for n in body))
+            visit(child, None, name + ".")
+
+    visit(ast.parse(path.read_text(), str(path)), None, "")
+    return out
+
+
+# parameters that no body reads, by module, qualified name and parameter,
+# kept because ``perfbench/`` passes them; both go with the next benchmark
+# change (ROADMAP item 6)
+UNREAD_KEPT = {("oracle.py", "make_oracle", "pool_margin"),
+               ("equilibrium.py", "construct", "semidiscrete_params")}
+
+
+def _unread_violations(modules, kept):
+    """The unread parameters of ``modules`` other than ``kept``, and each
+    entry of ``kept`` that is read or gone."""
+    found = [u for p in modules for u in _unread_parameters(p)]
+    keys = {(module, name, arg) for module, _, name, arg in found}
+    return (["%s:%d %s reads no %s" % u for u in found
+             if (u[0], u[2], u[3]) not in kept]
+            + ["%s %s: %s is kept as unread, but it is read or gone" % k
+               for k in sorted(set(kept) - keys)])
+
+
+def test_every_parameter_is_read():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 9
+    found = _unread_violations(modules, UNREAD_KEPT)
+    assert not found, found
+
+
+def test_read_rule_catches_a_parameter_no_body_reads(tmp_path):
+    p = tmp_path / "problems.py"
+    p.write_text("class ScalarRampTerm:\n"
+                 "    def kinks(self, dim):\n"
+                 "        return self.s\n"
+                 "    def eval(self, i, X, Z):\n"
+                 "        'A stub.'\n"
+                 "        raise NotImplementedError\n"
+                 "    def buffers(self, z_space):\n"
+                 "        return None\n"
+                 "    @staticmethod\n"
+                 "    def key(p, *args, **kw):\n"
+                 "        return kw\n"
+                 "def check(rng, x_sampler, n=3):\n"
+                 "    f = lambda i, m: x_sampler(i, m)\n"
+                 "    def draw(rng, k=n):\n"
+                 "        return rng.random(k)\n"
+                 "    return f, draw\n"
+                 "def outer(a, b):\n"
+                 "    def inner(c):\n"
+                 "        return a\n"
+                 "    return inner\n"
+                 "g = lambda x, y: x\n")
+    assert _unread_violations([p], set()) == [
+        "problems.py:2 ScalarRampTerm.kinks reads no dim",
+        "problems.py:10 ScalarRampTerm.key reads no p",
+        "problems.py:10 ScalarRampTerm.key reads no args",
+        "problems.py:12 check reads no rng",
+        "problems.py:17 outer reads no b",
+        "problems.py:18 outer.inner reads no c",
+        "problems.py:21 <lambda> reads no y"]
+    # a kept parameter is left out, and one that is read or gone reported
+    kept = {("problems.py", "check", "rng"), ("problems.py", "outer", "a")}
+    assert _unread_violations([p], kept)[3:] == [
+        "problems.py:17 outer reads no b",
+        "problems.py:18 outer.inner reads no c",
+        "problems.py:21 <lambda> reads no y",
+        "problems.py outer: a is kept as unread, but it is read or gone"]
 
 
 # the one function that may partition, by module
