@@ -225,6 +225,12 @@ class ProblemSetup:
                     **{k: _flag(doc[k], "$.problem." + k)
                        for k in ("shift_accounting",) if k in doc})
             if fam == "business_location":
+                for where, sp in ([("$.categories[%d].space" % i, sp)
+                                   for i, sp in enumerate(self.x_spaces)]
+                                  + [("$.quality.space", self.z_space)]):
+                    if sp.dim != 2:
+                        raise ConfigError(where, "business_location needs "
+                                          "2-D spaces")
                 return business_location_cost(
                     _numbers(doc, "stations", "$.problem"),
                     n_categories=self.N,
@@ -242,6 +248,11 @@ class ProblemSetup:
                 if model.d0 != self.z_space.dim:
                     raise ConfigError("$.problem.s", "directions must have "
                                       "the quality dimension")
+                # the quality selector walks a grid's boundary, which is
+                # described in 1-D and 2-D only
+                if model.d0 > 2 and not isinstance(self.z_space, FiniteSpace):
+                    raise ConfigError("$.quality.space", "capped_affine needs "
+                                      "a 1-D or 2-D grid, or finite points")
                 return model
             return tabulated_cpwa_cost(
                 self.x_spaces, self.z_space,

@@ -60,9 +60,9 @@ class UnsupportedMeasureClassError(EquilibriumError):
 CHUNK = 256
 # bytes of a buffered family's buffers per worker thread: a chunk takes as
 # many samples as fit, at the bytes per sample the family states
-# (``z_opt_buffers``), but at least CHUNK_MIN.  256 samples of the
-# business-location bench's buffers, 12.7 kB each, the chunk that bench has
-# always run.  CHUNK_MIN is a floor, not a measured optimum: with N = 100
+# (``z_opt_buffers``), but at least CHUNK_MIN: 256 samples of the
+# business-location bench's buffers, 12.7 kB each with a fare table (358 of
+# 9.1 kB since).  CHUNK_MIN is a floor, not a measured optimum: with N = 100
 # capped-affine categories, 384 samples on 2 CPUs took 292 ms in 4-sample
 # chunks against 586 ms in 64-sample ones (CHANGES.md; ROADMAP item 8)
 CHUNK_BYTES = 3_250_000
@@ -265,21 +265,24 @@ class _SamplerChain:
         self.links = links
         self.z_space = z_space
 
-    def sample(self, rng, n, with_zbar=True, links=None):
-        """n draws of the root atoms and, through the first ``links``
-        links (all by default), the categories' types; then, with
-        ``with_zbar``, the quality selector's picks.  Each link draws from
-        ``rng`` after the ones before it, so the first links' draws do not
-        depend on how many links follow."""
-        a = rng.choice(self.nu_hat.n_atoms, size=n, p=self.nu_hat.weights)
-        Xbars = []
-        for to_nu, dual, to_mu in self.links[:links]:
-            b = to_nu.columns(rng, a)
-            Xbars.append(to_mu.sample_given_source(rng, dual.columns(rng, b)))
-        out = {"Z": self.nu_hat.atoms[a], "X_bar": Xbars}
-        if with_zbar:
-            out["Z_bar"] = z_opt(self.model, Xbars, self.z_space)
-        return out
+    def roots(self, rng, n):
+        """n draws of the root quality atoms' indices."""
+        return rng.choice(self.nu_hat.n_atoms, size=n, p=self.nu_hat.weights)
+
+    def types(self, rng, i, a):
+        """Category i's types given the root atoms ``a``, through its own
+        link only: the links are independent given the root."""
+        to_nu, dual, to_mu = self.links[i]
+        return to_mu.sample_given_source(rng, dual.columns(
+            rng, to_nu.columns(rng, a)))
+
+    def sample(self, rng, n):
+        """n draws of the root atoms, every category's types and the
+        quality selector's picks."""
+        a = self.roots(rng, n)
+        Xbars = [self.types(rng, i, a) for i in range(len(self.links))]
+        return {"Z": self.nu_hat.atoms[a], "X_bar": Xbars,
+                "Z_bar": z_opt(self.model, Xbars, self.z_space)}
 
 
 def _reduce_support(atoms, weights, z_basis):
@@ -497,10 +500,11 @@ def write_nu_hat_csv(report, path):
 
 
 def write_coupling_csv(report, rng, n, i, path):
-    """Category i's coupled samples: n draws of its types and the root
-    quality atoms, the chain drawn through link i only."""
-    S = report._chain.sample(rng, n, with_zbar=False, links=i + 1)
-    X, Z = S["X_bar"][i], S["Z"]
+    """Category i's coupled samples: n draws of the root quality atoms,
+    then of its types through its own link alone."""
+    chain = report._chain
+    a = chain.roots(rng, n)
+    X, Z = chain.types(rng, i, a), chain.nu_hat.atoms[a]
     _write_csv(path, ["x%d" % j for j in range(X.shape[1])]
                + ["z%d" % j for j in range(Z.shape[1])], np.hstack([X, Z]))
 

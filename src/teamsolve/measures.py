@@ -3,8 +3,8 @@ continuous piecewise-affine (CPWA) densities on a simplicial complex.
 
 Moments against hat bases are computed in closed form (exact for the
 degree-2 integrands that arise from affine density times affine hat), and
-sampling is exact: inverse-CDF in one dimension, envelope rejection inside
-higher-dimensional simplices.  Samplers take a caller-owned numpy Generator
+sampling is exact: a density's cell, then a Dirichlet mixture of
+barycentric weights inside it.  Samplers take a caller-owned numpy Generator
 so parallel workers can use independently seeded streams.
 """
 
@@ -118,10 +118,22 @@ class CpwaDensityMeasure:
 
     def sample_cells(self, rng, cells):
         """One point per entry of ``cells``, drawn from the density
-        restricted to that simplex."""
-        if self.dim == 1:
-            return self._sample_1d(rng, cells)
-        return self._sample_reject(rng, cells)
+        restricted to that simplex, from d + 2 uniforms each.
+
+        The density is sum_k f_k lam_k in the barycentric weights lam, and
+        each lam_k integrates to the same mass over the simplex, so it is a
+        mixture: vertex k with probability f_k / sum f, then lam from
+        Dirichlet(1, ..., 2 at k, ..., 1), whose d + 2 uniform spacings
+        (``_uniform_barycentric``) have their last one added to part k
+        (Devroye, *Non-Uniform Random Variate Generation*, 1986)."""
+        n, d = len(cells), self.dim
+        cum = np.cumsum(self.vertex_density[self.complex.simplices[cells]],
+                        axis=1)
+        pick = rng.uniform(size=n) * cum[:, -1]
+        k = np.minimum((cum <= pick[:, None]).sum(axis=1), d)
+        lam = _uniform_barycentric(rng, n, d + 1)
+        lam[np.arange(n), k] += lam[:, -1]
+        return (lam[:, :-1, None] * self.complex._cell_pts[cells]).sum(axis=1)
 
     def _cell_ends(self, cells):
         """Left and right ends of the given 1d cells and the density at
@@ -133,29 +145,6 @@ class CpwaDensityMeasure:
         f1 = self.vertex_density[idx[:, 1]]
         return (pts.min(axis=1), pts.max(axis=1),
                 np.where(left_first, f0, f1), np.where(left_first, f1, f0))
-
-    def _sample_1d(self, rng, cells):
-        a, b, fa, fb = self._cell_ends(cells)
-        m = rng.uniform(size=len(cells)) * ((b - a) * (fa + fb) / 2.0)
-        return (a + _linear_cdf_inverse(a, b, fa, fb, m))[:, None]
-
-    def _sample_reject(self, rng, cells):
-        n = len(cells)
-        d = self.dim
-        out = np.empty((n, d))
-        pending = np.arange(n)
-        fv = self.vertex_density[self.complex.simplices]     # (m, d+1)
-        fmax = fv.max(axis=1)
-        while pending.size:
-            k = pending.size
-            lam = _uniform_barycentric(rng, k, d)
-            cp = self.complex._cell_pts[cells[pending]]      # (k, d+1, d)
-            x = (lam[:, :, None] * cp).sum(axis=1)
-            fx = (lam * fv[cells[pending]]).sum(axis=1)
-            acc = rng.uniform(size=k) * fmax[cells[pending]] <= fx
-            out[pending[acc]] = x[acc]
-            pending = pending[~acc]
-        return out
 
     def quantile(self, t):
         """Generalized inverse CDF for a 1d CPWA measure."""

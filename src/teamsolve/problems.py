@@ -246,9 +246,10 @@ class BusinessLocationCost(CostModel):
 
     def eval(self, i, X, Z):
         """Walking category: the least of the direct walk and the best
-        station route, min over stations j of dxu[j] + fare[j], where dxu
-        is the walk from x to j and fare the table of ``_fare_table`` at
-        z; the last category walks directly at the restocking rate."""
+        station route, min over exit stations jp of rides[jp] + dzu[jp],
+        where rides are ``_rides`` of the walks from x to the stations and
+        dzu the walk from jp to z; the last category walks directly at the
+        restocking rate."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         direct_w = self.c_restock if i == self.N - 1 else self.c_walk
@@ -261,33 +262,19 @@ class BusinessLocationCost(CostModel):
                              + np.abs(X[:, 1] - U[:, 1:]))
         dzu = self.c_walk * (np.abs(Z[:, 0] - U[:, :1])
                              + np.abs(Z[:, 1] - U[:, 1:]))
-        tmp = np.empty(len(X))
-        fare = self._fare_table(dzu, np.empty_like(dzu), tmp)
-        station = self._route_minimum(dxu, fare, np.empty(len(X)), tmp)
-        return np.minimum(station, direct)
+        return np.minimum((self._rides(dxu) + dzu).min(axis=0), direct)
 
-    def _fare_table(self, dzu, out, tmp):
-        """out[j] = min over stations jp of dzu[jp] + c_train * |j - jp|:
-        the cheapest ride from station j plus the walk from its exit
-        station to the quality point.  It depends on the quality side
-        only.  ``dzu`` and ``out`` are (S, ...) arrays and ``tmp`` is
-        scratch of one station's shape."""
-        S = len(dzu)
-        for j in range(S):
-            np.add(dzu[0], self.c_train * j, out=out[j])
-            for jp in range(1, S):
-                np.add(dzu[jp], self.c_train * abs(j - jp), out=tmp)
-                np.minimum(out[j], tmp, out=out[j])
-        return out
-
-    def _route_minimum(self, dxu, fare, out, tmp):
-        """out = min over stations j of dxu[j] + fare[j], the cheapest
-        station route; ``tmp`` is scratch of out's shape."""
-        np.add(dxu[0], fare[0], out=out)
-        for j in range(1, len(fare)):
-            np.add(dxu[j], fare[j], out=tmp)
-            np.minimum(out, tmp, out=out)
-        return out
+    def _rides(self, dxu):
+        """The (S, n) cheapest rides from the (S, n) walks ``dxu`` to the
+        stations: entry jp is the least over entry stations j of dxu[j] +
+        c_train * |j - jp|.  Rounding is monotone, so rides[jp] + dzu[jp]
+        is the least over j of (dxu[j] + fare) + dzu[jp]."""
+        rides = np.empty_like(dxu)
+        for jp, ride in enumerate(rides):
+            np.add(dxu[0], self.c_train * jp, out=ride)
+            for j in range(1, len(dxu)):
+                np.minimum(ride, dxu[j] + self.c_train * abs(j - jp), out=ride)
+        return rides
 
     def oracle_terms(self, i):
         dim = self.stations.shape[1]
@@ -306,8 +293,8 @@ class BusinessLocationCost(CostModel):
     def z_opt_buffers(self, z_space):
         """The static kink lines per axis (stations and box sides, clipped
         into the box) and buffers for the (n, V, H) tables and the
-        (S, n, V, H) quality-side walking costs and fare table.  The
-        quality space must be a box grid."""
+        (S, n, V, H) quality-side walking costs.  The quality space must be
+        a box grid."""
         if getattr(z_space, "box", None) is None:
             raise CostModelError("business-location z_opt needs a box-grid "
                                  "quality space")
@@ -316,7 +303,7 @@ class BusinessLocationCost(CostModel):
                   for l, side in enumerate(z_space.box)]
         V, H = (len(p) + self.N for p in static)
         S = len(self.stations)
-        row_bytes = 8 * (V * H * (6 + 2 * S) + (V + H) * (2 + S) + 2 * S + 1)
+        row_bytes = 8 * (V * H * (6 + S) + (V + H) * (2 + S) + 2 * S + 1)
 
         def make(rows):
             w = SimpleNamespace(
@@ -324,8 +311,7 @@ class BusinessLocationCost(CostModel):
                 starts=np.arange(0, rows * V * H, V * H),
                 pools=[np.empty((rows, V)), np.empty((rows, H))],
                 cand=np.empty((rows, V * H, 2)),
-                dzu=np.empty((S, rows, V, H)), fare=np.empty((S, rows, V, H)),
-                dzv=np.empty((S, rows, V, 1)),
+                dzu=np.empty((S, rows, V, H)), dzv=np.empty((S, rows, V, 1)),
                 dzh=np.empty((S, rows, 1, H)), dxu=np.empty((S, rows)),
                 dxh=np.empty((S, rows)), dv=np.empty((rows, V, 1)),
                 dh=np.empty((rows, 1, H)), direct=np.empty((rows, V, H)),
@@ -345,13 +331,13 @@ class BusinessLocationCost(CostModel):
         static lines (stations and box sides) are taken once each: an exact
         duplicate cannot change the lexicographic pick.  The (n, V, H)
         table is built from per-axis walking costs with ``eval``'s
-        grouping: the fare table (``_fare_table``) depends on the quality
-        point only, so it is built once per call as an (S, n, V, H) array,
-        and each walking category then takes S additions and minimums over
-        the stations (``_route_minimum``).  Every entry equals ``eval`` on
-        its pair bit for bit.  ``work`` is a buffer set of
-        ``z_opt_buffers`` for at least n samples, and the results are views
-        into it.
+        grouping: the quality-side walks dzu depend on the quality point
+        only, so they are built once per call as an (S, n, V, H) array, and
+        each walking category then adds its rides (``_rides``, one per exit
+        station and sample) to them, with S additions and S - 1 minimums.
+        Every entry equals ``eval`` on its pair bit for bit.  ``work`` is a
+        buffer set of ``z_opt_buffers`` for at least n samples, and the
+        results are views into it.
         """
         X_list = [np.atleast_2d(X) for X in X_list]
         n, w = len(X_list[0]), work
@@ -366,15 +352,13 @@ class BusinessLocationCost(CostModel):
         grid[..., 1] = hpool[:, None, :]
         v, h = vpool[:, :, None], hpool[:, None, :]
         U = self.stations
-        # (S, n, V, H) quality-side walking costs and fare table, shared by
-        # the categories
+        # (S, n, V, H) quality-side walking costs, shared by the categories
         dzv, dzh, dzu = w.dzv[:, :n], w.dzh[:, :n], w.dzu[:, :n]
         direct, station, route, tot = (w.direct[:n], w.station[:n],
                                        w.route[:n], w.tot[:n])
         np.abs(np.subtract(v, U[:, :1, None, None], out=dzv), out=dzv)
         np.abs(np.subtract(h, U[:, 1:, None, None], out=dzh), out=dzh)
         np.multiply(self.c_walk, np.add(dzv, dzh, out=dzu), out=dzu)
-        fare = self._fare_table(dzu, w.fare[:, :n], route)
         dv, dh, dxu, dxh = w.dv[:n], w.dh[:n], w.dxu[:, :n], w.dxh[:, :n]
         tot.fill(0.0)
         for i, X in enumerate(X_list):
@@ -389,7 +373,11 @@ class BusinessLocationCost(CostModel):
             np.abs(np.subtract(X[:, 0], U[:, :1], out=dxu), out=dxu)
             np.abs(np.subtract(X[:, 1], U[:, 1:], out=dxh), out=dxh)
             np.multiply(self.c_walk, np.add(dxu, dxh, out=dxu), out=dxu)
-            self._route_minimum(dxu[:, :, None, None], fare, station, route)
+            rides = self._rides(dxu)[:, :, None, None]
+            np.add(rides[0], dzu[0], out=station)
+            for jp in range(1, len(U)):
+                np.minimum(station, np.add(rides[jp], dzu[jp], out=route),
+                           out=station)
             np.minimum(station, direct, out=station)
             tot += station
         return w.cand[:n].reshape(-1, 2), tot.reshape(-1), w.starts[:n]
@@ -522,6 +510,13 @@ class CappedAffineCost(CostModel):
     instances such as a plain |x - <s, z>| cost for cross-checks)."""
 
     def __init__(self, s_list, kappa1, kappa2):
+        for name, value in (("s", s_list), ("kappa1", kappa1),
+                            ("kappa2", kappa2)):
+            # numpy would read True as 1.0
+            if any(isinstance(v, (bool, np.bool_))
+                   for v in np.asarray(value, dtype=object).flat):
+                raise CostModelError("%s must hold numbers, not booleans"
+                                     % name)
         self.s = np.atleast_2d(np.asarray(s_list, dtype=float))
         # written so that a NaN fails each test
         if self.s.ndim != 2 or not np.all(

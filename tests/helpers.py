@@ -1047,13 +1047,14 @@ def _business_walks(model, i, X, Z):
 
 def business_eval_pair_tensor(model, i, X, Z):
     """Business-location cost with the station route minimum taken over one
-    (n, S, S) tensor of station pairs, grouped as ``eval`` groups it:
-    dxu[j] + (dzu[jp] + fare[j, jp])."""
+    (n, S, S) tensor of station pairs, grouped as (dxu[j] + fare[j, jp]) +
+    dzu[jp]: the ride first, then the walk from its exit station, which is
+    ``eval``'s value bit for bit."""
     direct, walks = _business_walks(model, i, X, Z)
     if walks is None:
         return direct
     dxu, dzu, fare = walks
-    station = (dxu[:, :, None] + (dzu[:, None, :] + fare[None])).min(
+    station = ((dxu[:, :, None] + fare[None]) + dzu[:, None, :]).min(
         axis=(1, 2))
     return np.minimum(station, direct)
 
@@ -1069,6 +1070,17 @@ def business_eval_walks_first(model, i, X, Z):
     station = (dxu[:, :, None] + dzu[:, None, :] + fare[None]).min(
         axis=(1, 2))
     return np.minimum(station, direct)
+
+
+def own_link_draw(chain, rng, n, i):
+    """Category i's types and the root quality atoms as a coupling file
+    draws them: n root atoms from nu_hat, then category i's link alone
+    (nu_hat -> nu_i, the dual plan, then the coupling onto the agent)."""
+    nu = chain.nu_hat
+    a = rng.choice(nu.n_atoms, size=n, p=nu.weights)
+    to_nu, dual, to_mu = chain.links[i]
+    b = to_nu.columns(rng, a)
+    return to_mu.sample_given_source(rng, dual.columns(rng, b)), nu.atoms[a]
 
 
 def dual_plan_reference(xs, zs, weights):

@@ -7,11 +7,13 @@ each row, so its candidates must equal the frozen reference
 ``helpers.business_z_opt_candidates`` in order and every entry must equal
 ``eval`` on its (sample, candidate) pair bit for bit.
 
-``eval`` and the table group the station route as dxu[j] + (dzu[jp] +
-fare), so the quality side (the fare table) is built once per chunk.  A
-property test holds them against the former grouping (dxu[j] + dzu[jp]) +
-fare, ``helpers.business_eval_walks_first``: the values agree to rounding,
-and the picks agree wherever the minimum is not tied within ``TIE_TOL``.
+``eval`` and the table take the station route as rides[jp] + dzu[jp]:
+the cheapest ride to each exit station jp (``_rides``, the least over j of
+dxu[j] + fare) plus the walk on, so the quality side (dzu) is built once
+per chunk and each category adds S rides to it.  A property test holds
+them against another grouping, (dxu[j] + dzu[jp]) + fare,
+``helpers.business_eval_walks_first``: the values agree to rounding, and
+the picks agree wherever the minimum is not tied within ``TIE_TOL``.
 """
 
 import sys
@@ -97,7 +99,8 @@ def test_table_equals_eval_bitwise(name):
 @pytest.mark.parametrize("name", sorted(_cases()))
 def test_buffers_reused_across_chunk_lengths(name):
     # one buffer set through a full chunk, then a shorter one: no row of
-    # the fare table (or any other buffer) may carry over from the first
+    # the quality-side walks (or any other buffer) may carry over from the
+    # first
     model, xs = _cases()[name]
     work = model.z_opt_buffers(CITY)[1](256)
     for rows in (slice(0, 256), slice(256, 293)):

@@ -512,6 +512,33 @@ CONFIGS_BY_NAME = {
     "capped": _capped_config}
 
 
+LINE = {"type": "box", "box": [[-2, 2]], "counts": [2]}
+
+
+@pytest.mark.parametrize("name,edits,where", [
+    ("capped", {"problem.s": [[0.6, 0.8, 0.0], [0.0, 0.6, 0.8]],
+                "quality.space": {"type": "box", "box": [[0, 1]] * 3,
+                                  "counts": [2, 2, 2]}}, "quality.space"),
+    ("business", {"quality.space": LINE}, "quality.space"),
+    ("business", {"categories[0].space": LINE,
+                  "categories[0].measure.atoms": [[0.0]]},
+     "categories[0].space"),
+], ids=["capped-3d-quality", "business-1d-quality", "business-1d-type"])
+def test_spaces_must_have_the_family_dimension(tmp_path, capsys, name, edits,
+                                               where):
+    # each passed verify: the capped-affine run stopped after the whole
+    # solve, in the quality selector, and business-location's eval ended in
+    # an IndexError
+    cfg = CONFIGS_BY_NAME[name]()
+    for at, value in edits.items():
+        _put(cfg, at, value)
+    _rejected(tmp_path, capsys, cfg, where)
+    assert _main("run", "--config", str(tmp_path / "bad.json"),
+                 "--out", str(tmp_path / "out")) == 2
+    assert "config error at $.%s:" % where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name,where,value", [
     ("discrete_tiny", "categories[0].measure.atoms[0][0]", "0"),
     ("discrete_tiny", "categories[1].measure.weights[0]", True),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (brute_force_discrete_optimum, exact_tilde_loop,
-                     lex_argmin_dense, lex_argmin_loop,
+                     lex_argmin_dense, lex_argmin_loop, own_link_draw,
                      random_discrete_instance, z_opt_chunked, z_opt_dense)
 from teamsolve import equilibrium, transport
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
@@ -339,17 +339,16 @@ def test_coupling_csv_draws_no_quality_selection(tmp_path, monkeypatch):
     monkeypatch.setattr(equilibrium, "z_opt", _no_z_opt)
     write_coupling_csv(rep, np.random.default_rng(3), 300, 1, path)
     monkeypatch.undo()
-    S = rep.sample_streams(np.random.default_rng(3), 300)
+    X, Z = own_link_draw(rep._chain, np.random.default_rng(3), 300, 1)
     assert path.read_text().splitlines()[0] == "x0,z0,z1"
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(rows, np.hstack([S["X_bar"][1], S["Z"]]))
+    assert np.array_equal(rows, np.hstack([X, Z]))
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_coupling_csv_bytes_are_a_full_chain_draw(name, tmp_path):
-    # each export draws the chain through its own category's link only;
-    # the later links draw from the generator after it, so every file's
-    # bytes are those of a draw through every link
+def test_coupling_csv_bytes_are_an_own_link_draw(name, tmp_path):
+    # each export draws the root atoms, then its own category's link alone:
+    # the links are independent given the root, so no other link is drawn
     inst = workloads.build(name, 3)
     gbar = [moment_vector(mu, b) for mu, b in zip(inst.measures,
                                                   inst.x_bases)]
@@ -363,9 +362,8 @@ def test_coupling_csv_bytes_are_a_full_chain_draw(name, tmp_path):
     for i in range(inst.N):
         path = tmp_path / ("coupling_samples_%d.csv" % i)
         write_coupling_csv(rep, np.random.default_rng(100 + i), 500, i, path)
-        S = rep._chain.sample(
-            np.random.default_rng(100 + i), 500, with_zbar=False)
-        X, Z = S["X_bar"][i], S["Z"]
+        X, Z = own_link_draw(rep._chain, np.random.default_rng(100 + i), 500,
+                             i)
         _write_csv(ref, ["x%d" % j for j in range(X.shape[1])]
                    + ["z%d" % j for j in range(Z.shape[1])],
                    np.hstack([X, Z]))

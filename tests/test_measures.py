@@ -74,6 +74,32 @@ def test_cpwa_sampling_matches_density():
     assert np.allclose(m.quantile(t), np.sqrt(t), atol=1e-9)
 
 
+@pytest.mark.parametrize("counts", [(3,), (2, 2), (1, 1, 1)])
+def test_cell_samples_follow_the_linear_density(counts):
+    # in barycentric weights, the density f restricted to a cell has mean
+    # (S + f_k) / ((d + 2) S), S = sum f: per cell and weight, the draws'
+    # mean lies within 4 SE of it, and every draw lies in its cell.  One
+    # vertex has density 0, so its weight is never drawn as the mixture's
+    rng = np.random.default_rng(11)
+    cx = build_box_partition([(0, 1)] * len(counts), counts)
+    f = rng.gamma(1.0, 1.0, size=cx.n_vertices) + 0.05
+    f[0] = 0.0
+    mass = float(np.dot(cx.volumes(), f[cx.simplices].mean(axis=1)))
+    m = CpwaDensityMeasure(cx, f / mass)
+    per_cell, d = 20000, cx.dim
+    cells = np.repeat(np.arange(cx.n_simplices), per_cell)
+    X = m.sample_cells(rng, cells)
+    q = np.hstack([np.ones((len(X), 1)), X])
+    lam = np.einsum("nij,nj->ni", cx._minv[cells], q)
+    assert lam.min() >= -1e-12
+    lam = lam.reshape(cx.n_simplices, per_cell, d + 1)
+    fv = m.vertex_density[cx.simplices]
+    S = fv.sum(axis=1, keepdims=True)
+    centroid = (S + fv) / ((d + 2) * S)
+    se = lam.std(axis=1) / np.sqrt(per_cell)
+    assert np.all(np.abs(lam.mean(axis=1) - centroid) <= 4 * se)
+
+
 def test_quantile_conventions():
     c = build_box_partition([(0, 1)], (1,))
     u = CpwaDensityMeasure(c, [1.0, 1.0])

@@ -66,6 +66,22 @@ def test_capped_affine_regimes():
 THREE = [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]
 
 
+@pytest.mark.parametrize("s,kappa1,kappa2,key", [
+    ([[True, 0], [0, 1]], 0.1, [0.5, 0.6], "s"),
+    ([[1, 0], [0, 1]], [0.1, False], 0.5, "kappa1"),
+    ([[1, 0], [0, 1]], 0.1, [0.5, True], "kappa2"),
+    (np.eye(2), 0.1, np.array([True, True]), "kappa2"),
+    (np.eye(2), np.False_, 0.5, "kappa1"),
+], ids=["list-s", "list-kappa1", "list-kappa2", "array-kappa2",
+        "numpy-scalar-kappa1"])
+def test_capped_affine_entries_must_be_numbers_not_booleans(s, kappa1,
+                                                            kappa2, key):
+    # True used to build a direction entry or a band of 1.0, as it did a
+    # business-location rate
+    with pytest.raises(CostModelError, match=key):
+        capped_affine_cost(s, kappa1, kappa2)
+
+
 def test_capped_affine_broadcasts_a_scalar_band():
     # one number serves every category, as the same number per category
     m = capped_affine_cost(THREE, 0.1, 0.5)
