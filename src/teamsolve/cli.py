@@ -47,7 +47,7 @@ class ConfigError(ValueError):
 
 # the fields of each family of problem and type of space and measure,
 # besides the field that names it
-PROBLEM_FIELDS = {"barycenter": ("weights", "shift_accounting"),
+PROBLEM_FIELDS = {"barycenter": ("weights",),
                   "business_location": ("stations", "c_walk", "c_train",
                                         "c_restock"),
                   "capped_affine": ("s", "kappa1", "kappa2"),
@@ -117,13 +117,6 @@ def _numbers(doc, key, path):
     """``doc[key]``, a number or a nested JSON array of numbers, each entry
     checked at its own path."""
     return _entries(_need(doc, key, path), "%s.%s" % (path, key), _number)
-
-
-def _flag(value, path):
-    """A JSON boolean from the config: ``"no"`` would read as true."""
-    if not isinstance(value, bool):
-        raise ConfigError(path, "need true or false, got %r" % (value,))
-    return value
 
 
 def _build_space(doc, path):
@@ -220,10 +213,8 @@ class ProblemSetup:
             if fam == "barycenter":
                 w = (_numbers(doc, "weights", "$.problem") if "weights" in doc
                      else [1.0 / self.N] * self.N)
-                return barycenter_cost(
-                    w, self.x_spaces, self.z_space, self.measures,
-                    **{k: _flag(doc[k], "$.problem." + k)
-                       for k in ("shift_accounting",) if k in doc})
+                return barycenter_cost(w, self.x_spaces, self.z_space,
+                                       self.measures)
             if fam == "business_location":
                 for where, sp in ([("$.categories[%d].space" % i, sp)
                                    for i, sp in enumerate(self.x_spaces)]

@@ -3,16 +3,16 @@
 The solver parametrizes continuous test functions by vertex-interpolation
 ("hat") functions on a simplicial complex.  This module provides:
 
-* ``SimplicialComplex`` -- a triangulated domain with batched point
-  location (``vertex_weights``: containing-simplex vertices and barycentric
-  weights), the membership test that location uses (``covers``), its faces
-  of every dimension (``faces``, with ``edges`` the 1-faces), its
-  ``boundary`` (corners and straight sides), the ``face_frames`` of both
-  and, for a box grid, its ``box`` and ``refined`` grids,
+* ``build_box_partition`` -- regular grid over a box, each cell triangulated
+  by the order-based (Kuhn) triangulation into ``d!`` simplices: a
+  ``SimplicialComplex``, with batched closed-form point location
+  (``vertex_weights``: containing-simplex vertices and barycentric
+  weights), the box test that location uses (``covers``), its faces of
+  every dimension (``faces``, with ``edges`` the 1-faces) and their
+  ``face_frames``, its ``box``, the box's ``boundary`` (corners and sides)
+  and its ``refined`` grids,
 * ``EdgeFrame`` -- where hyperplanes cross given edges of a complex, the
   offset-free part built once for repeated batches of offsets,
-* ``build_box_partition`` -- regular grid over a box, each cell triangulated
-  by the order-based (Kuhn) triangulation into ``d!`` simplices,
 * ``FiniteSpace`` -- a finite point set (degenerate complex of 0-simplices),
   whose ``vertex_weights`` picks the matching point,
 * ``HatBasis`` -- the test-function basis with one designated vertex
@@ -66,7 +66,7 @@ def first_seen(P):
     return P[np.unique(inv, return_index=True)[1]], inv
 
 
-# point location works through row blocks of about this many elements
+# finite-space location works through row blocks of about this many elements
 LOCATE_BLOCK = 1 << 20
 
 
@@ -91,36 +91,6 @@ class Boundary(NamedTuple):
     segments: np.ndarray
 
 
-def _straight_runs(V, edges):
-    """Corners and maximal straight runs of a polygonal boundary in the
-    plane given as (E, 2) vertex-index pairs.
-
-    A vertex is a corner unless exactly two boundary edges meet there and
-    they continue each other in a straight line."""
-    nb = [[] for _ in V]
-    for a, b in edges.tolist():
-        nb[a].append(b)
-        nb[b].append(a)
-
-    def turns(v):
-        if len(nb[v]) != 2:
-            return True
-        u, w = V[nb[v]] - V[v]
-        return (u @ w >= 0 or abs(u[0] * w[1] - u[1] * w[0])
-                > TOL_GEOM * np.linalg.norm(u) * np.linalg.norm(w))
-
-    corners = [v for v in range(len(V)) if nb[v] and turns(v)]
-    runs = []
-    for c in corners:
-        for v in nb[c]:
-            prev = c
-            while not turns(v):             # on to v's other neighbour
-                prev, v = v, sum(nb[v]) - prev
-            runs.append(sorted((c, v)))
-    return (np.asarray(corners, dtype=int),
-            np.unique(np.asarray(runs, dtype=int).reshape(-1, 2), axis=0))
-
-
 def face_frames(V, groups):
     """Per non-empty group of faces, each an (F, j+1) array of vertex
     indices into V: the faces, their base points p0, their (F, j, d) edge
@@ -136,7 +106,9 @@ def face_frames(V, groups):
 
 
 class SimplicialComplex:
-    """A finite collection of d-simplices in R^d sharing vertices along faces.
+    """The Kuhn triangulation of a regular grid over a box, made by
+    ``build_box_partition``: d-simplices in R^d sharing vertices along
+    faces.
 
     Parameters
     ----------
@@ -145,24 +117,20 @@ class SimplicialComplex:
     simplices : (m, d+1) int array
         Vertex indices of each simplex.  Every simplex must be
         non-degenerate (its d edge vectors are linearly independent).
+    _grid : tuple
+        ``(lo, widths, counts, perms, perm_index)`` of the grid.
     """
 
-    def __init__(self, vertices, simplices, _grid=None):
+    def __init__(self, vertices, simplices, _grid):
         self.vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
         self.simplices = np.atleast_2d(np.asarray(simplices, dtype=int))
         self.dim = self.vertices.shape[1]
-        if self.simplices.shape[1] != self.dim + 1:
-            raise GeometryError(
-                "simplices must have dim+1 = %d vertices, got %d"
-                % (self.dim + 1, self.simplices.shape[1]))
-        self._grid = _grid  # (lo, widths, counts, perms, perm_index) for box grids
-        # (d, 2) array of the (lo, hi) sides of a box grid, None otherwise
-        self.box = None
-        if _grid is not None:
-            lo, widths, counts = _grid[:3]
-            self.box = np.stack([lo, lo + widths * counts], axis=1)
-            # per-axis scale of the membership tolerance (``_outside_box``)
-            self._box_slack = widths / widths.min()
+        self._grid = _grid
+        lo, widths, counts = _grid[:3]
+        # (d, 2) array of the (lo, hi) sides of the box
+        self.box = np.stack([lo, lo + widths * counts], axis=1)
+        # per-axis scale of the membership tolerance (``_outside_box``)
+        self._box_slack = widths / widths.min()
         self._validate()
         self._build_cell_data()
 
@@ -218,33 +186,21 @@ class SimplicialComplex:
 
     @cached_property
     def boundary(self):
-        """The complex's :class:`Boundary`, from its simplices alone.
-
-        The boundary facets are the facets (edges in 2-D, vertices in 1-D)
-        that lie in exactly one simplex.  In 2-D each straight run of
-        boundary edges is merged into one segment, and the corners are the
-        boundary vertices where the boundary turns, so a box grid has its
-        4 sides and 4 corners and an L-shape keeps its reflex corner.  In
-        1-D the corners are the interval ends and there are no segments.
-        """
+        """The box's :class:`Boundary`, from the grid's shape: in 1-D the
+        two interval ends and no segments, in 2-D the 4 corners in
+        ascending order and the 4 sides."""
         d = self.dim
         if d > 2:
             raise GeometryError("the boundary is described in dimension 1 "
                                 "and 2 only, not %d" % d)
-        faces = list(itertools.combinations(range(d + 1), d))
-        facets, count = np.unique(
-            np.sort(self.simplices[:, faces].reshape(-1, d), axis=1),
-            axis=0, return_counts=True)
-        facets = facets[count == 1]
+        counts = self._grid[2]
+        corners = np.ravel_multi_index(
+            np.array(list(itertools.product(*[(0, c) for c in counts]))).T,
+            tuple(counts + 1))
         if d == 1:
-            return Boundary(facets[:, 0], np.empty((0, 2), dtype=int))
-        return Boundary(*_straight_runs(self.vertices, facets))
-
-    @cached_property
-    def boundary_frames(self):
-        """The ``face_frames`` of the corners, as 0-faces, and segments."""
-        corners, segments = self.boundary
-        return face_frames(self.vertices, [corners[:, None], segments])
+            return Boundary(corners, np.empty((0, 2), dtype=int))
+        # the sides join the corners that differ on one axis
+        return Boundary(corners, corners[[[0, 1], [0, 2], [1, 3], [2, 3]]])
 
     def refined(self, factor):
         """The box grid over the same box with ``factor`` times the cells
@@ -266,24 +222,18 @@ class SimplicialComplex:
 
         Returns ``(V, W)``, two (n, d+1) arrays: the vertex indices of a
         simplex containing each point and the point's barycentric weights on
-        them, clamped to be >= 0 and renormalized to sum to 1.  A grid
-        complex uses the closed-form Kuhn location; otherwise the first
-        containing simplex wins, or the least-violated one if none contains
-        the point.
+        them, clamped to be >= 0 and renormalized to sum to 1, by the
+        closed-form Kuhn location.
 
         Raises
         ------
         PointOutsideComplexError
-            If a point is farther than ``TOL_GEOM`` from every simplex.
+            If a point is outside the box by more than ``_outside_box``'s
+            tolerance.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._grid is not None:
-            s, lam = self._kuhn_locate(X)
-            bad = self._outside_box(X, TOL_GEOM)
-        else:
-            s, lam, viol = self._search(X)
-            bad = viol > TOL_GEOM
-        _raise_outside(X, bad, "outside complex")
+        s, lam = self._kuhn_locate(X)
+        _raise_outside(X, self._outside_box(X, TOL_GEOM), "outside complex")
         np.clip(lam, 0.0, None, out=lam)
         lam /= lam.sum(axis=1, keepdims=True)
         return self.simplices[s], lam
@@ -293,11 +243,8 @@ class SimplicialComplex:
         the coordinates, that ``vertex_weights`` locates, by the same
         test."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._grid is not None:
-            outside = self._outside_box(X, TOL_GEOM)
-            return np.logical_not(outside, out=outside)
-        return self._search(X.reshape(-1, self.dim))[2].reshape(
-            X.shape[:-1]) <= TOL_GEOM
+        outside = self._outside_box(X, TOL_GEOM)
+        return np.logical_not(outside, out=outside)
 
     def _outside_box(self, X, tol):
         """Points of the (..., d) array X farther outside the grid's box
@@ -312,25 +259,6 @@ class SimplicialComplex:
             out |= X[..., l] < lo[l]
             out |= X[..., l] > hi[l]
         return out
-
-    def _search(self, X):
-        """Per row of X: the first simplex containing it, else the least
-        violated one, the row's barycentric coordinates there, and their
-        violation (minus the smallest coordinate)."""
-        n, m = len(X), self.n_simplices
-        s = np.empty(n, dtype=int)
-        lam = np.empty((n, self.dim + 1))
-        viol = np.empty(n)
-        q = np.hstack([np.ones((n, 1)), X])
-        for sl in _row_chunks(n, m * (self.dim + 1)):
-            L = (self._minv @ q[sl, None, :, None])[..., 0]
-            v = -L.min(axis=2)
-            inside = v <= 0.0
-            pick = np.where(inside.any(axis=1), inside.argmax(axis=1),
-                            v.argmin(axis=1))
-            rows = np.arange(len(pick))
-            s[sl], lam[sl], viol[sl] = pick, L[rows, pick], v[rows, pick]
-        return s, lam, viol
 
     def _kuhn_locate(self, X):
         lo, widths, counts, perms, perm_index = self._grid

@@ -95,18 +95,24 @@ def axis_arrangement_candidates(space, anchors):
     the axis-aligned hyperplanes through the given anchor points.
 
     Returns the union over the complex of: cell vertices, intersections of
-    the anchor hyperplanes with cell edges, and pairwise hyperplane crossing
-    points that land inside the complex.  Minimizing any function that is
-    affine between these hyperplanes within each cell is exact on this set.
+    the anchor hyperplanes with cell edges, and the points where d anchor
+    hyperplanes cross inside the complex.  In 1-D and 2-D these are every
+    vertex of the cells cut by the hyperplanes, so minimizing any function
+    that is affine between these hyperplanes within each cell is exact on
+    this set.  In 3-D and up the crossings of fewer than d hyperplanes with
+    the cells' faces would be missing, so the complex must be 1-D or 2-D.
     """
     anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
     d = space.dim
+    if d > 2:
+        raise OracleError("an anchored separable term needs a 1-D or 2-D "
+                          "complex, not %d-D" % d)
     levels = [np.unique(anchors[:, l]) for l in range(d)]
     axes = np.concatenate([np.full(len(v), l) for l, v in enumerate(levels)])
     on_edges, hit = EdgeFrame(space, space.edges, np.eye(d)[axes]).crossings(
         np.concatenate(levels))
     pts = [space.vertices, on_edges[hit]]
-    if d >= 2:
+    if d == 2:
         crossings = np.array(list(itertools.product(*levels))).reshape(-1, d)
         pts.append(crossings[space.covers(crossings)])
     return first_seen(np.vstack(pts))[0]

@@ -8,9 +8,9 @@ Four families are shipped:
   category pays a pure restocking cost.
 * ``barycenter_cost`` -- the 2-Wasserstein barycenter cost written without
   its measure-dependent constant, tracked separately so reported bounds
-  refer to the sum of squared W2 distances; one closed-form minimization on
-  the faces of the quality complex (``_face_minima``) serves its oracle
-  (``face_minima``) and its quality selector (the boundary's faces).
+  refer to the sum of squared W2 distances; its oracle takes the closed-form
+  minima on the faces of the quality complex (``face_minima``), and its
+  quality selector clips the weighted type mean into the quality box.
 * ``capped_affine_cost`` -- one-dimensional preference matching with a dead
   zone, a linear ramp and a saturation cap.
 * ``tabulated_cpwa_cost`` -- cost given by a value table on vertex pairs,
@@ -215,8 +215,7 @@ class CostModel:
 class BusinessLocationCost(CostModel):
     """Commuting/restocking costs on a city with a railway line (2d)."""
 
-    def __init__(self, stations, c_walk=0.15, c_train=0.015, c_restock=0.4,
-                 n_categories=5):
+    def __init__(self, stations, c_walk, c_train, c_restock, n_categories):
         self.stations = np.atleast_2d(np.asarray(stations, dtype=float))
         if self.stations.shape[1] != 2:
             raise CostModelError("stations must be 2d points")
@@ -293,11 +292,7 @@ class BusinessLocationCost(CostModel):
     def z_opt_buffers(self, z_space):
         """The static kink lines per axis (stations and box sides, clipped
         into the box) and buffers for the (n, V, H) tables and the
-        (S, n, V, H) quality-side walking costs.  The quality space must be
-        a box grid."""
-        if getattr(z_space, "box", None) is None:
-            raise CostModelError("business-location z_opt needs a box-grid "
-                                 "quality space")
+        (S, n, V, H) quality-side walking costs."""
         static = [np.unique(np.clip(np.append(self.stations[:, l], side),
                                     *side))
                   for l, side in enumerate(z_space.box)]
@@ -422,15 +417,11 @@ class QuadraticBarycenterCost(CostModel):
         return self.lam[i] * ((Z ** 2).sum(1)[None, :] - 2.0 * X @ Z.T)
 
     def face_minima(self, i, X, z_space, Wv):
-        """``CostModel.face_minima``: ``_face_minima`` over every face."""
-        return self._face_minima(self.lam[i], X, z_space.face_frames, Wv)
-
-    @staticmethod
-    def _face_minima(lam, X, frames, Wv):
-        """Per row x of X, lam (||z||^2 - 2 <x, z>) minus the hat
-        combination of the vertex values Wv, minimized on each face of
-        ``frames`` (``geometry.face_frames``): (n, K) values and (n, K, d)
-        points, the faces in their order.
+        """``CostModel.face_minima``: per row x of X, lam_i (||z||^2 -
+        2 <x, z>) minus the hat combination of the vertex values Wv,
+        minimized on each face of the quality complex (its
+        ``face_frames``): (n, K) values and (n, K, d) points, the faces in
+        their order.
 
         The hat combination is affine on a face with base point p0 and edge
         rows D, so the objective is a strictly convex quadratic there, least
@@ -442,9 +433,9 @@ class QuadraticBarycenterCost(CostModel):
         gets +inf.  A 0-face is its own minimum, z = p0, valued in closed
         form.
         """
-        n, d = X.shape
+        lam, (n, d) = self.lam[i], X.shape
         vals, Z = [], []
-        for F, p0, D, G, GD in frames:
+        for F, p0, D, G, GD in z_space.face_frames:
             w0 = Wv[F[:, 0]]
             if not D.shape[1]:
                 vals.append(lam * (_dot(p0, p0) - 2.0 * _dot(X[:, None, :], p0))
@@ -465,39 +456,19 @@ class QuadraticBarycenterCost(CostModel):
         return np.concatenate(vals, axis=1), np.concatenate(Z, axis=1)
 
     def z_opt_values(self, X_list, z_space):
-        """Each sample's weighted type mean, then its projection candidates
-        onto the quality region's boundary.
+        """Each sample's one candidate: its weighted type mean xbar clipped
+        into the quality box.
 
-        The summed cost is ||z||^2 - 2 <xbar, z> for the weighted mean xbar,
-        so its minimizer is xbar where the region covers it and else its
-        projection onto the boundary, the ``_face_minima`` of lam = 1 and no
-        multipliers on the corners and segments (``boundary_frames``).  The
-        first candidate is xbar, +inf where it lies outside; the boundary
-        faces follow, +inf where xbar lies inside.
+        The summed cost is ||z - xbar||^2 - ||xbar||^2, so its one
+        minimizer over the box is the nearest point of the box to xbar,
+        which clipping finds axis by axis in any dimension; inside the box
+        it is xbar itself.
         """
         xbar = np.zeros_like(X_list[0])
         for i in range(self.N):
             xbar += self.lam[i] * X_list[i]
-        inside = z_space.covers(xbar)
-        cand = [xbar[:, None, :]]
-        vals = [np.where(inside, -_dot(xbar, xbar), np.inf)[:, None]]
-        if not inside.all():
-            if z_space.dim > 2:
-                raise CostModelError(
-                    "quality selector needs the quality space to contain "
-                    "the weighted type means in dimension > 2")
-            out = np.flatnonzero(~inside)
-            pv, pts = self._face_minima(1.0, xbar[out],
-                                        z_space.boundary_frames,
-                                        np.zeros(z_space.n_vertices))
-            cand.append(np.zeros((len(xbar),) + pts.shape[1:]))
-            cand[-1][out] = pts
-            vals.append(np.full((len(xbar), pv.shape[1]), np.inf))
-            vals[-1][out] = pv
-        vals = np.concatenate(vals, axis=1)
-        n, k = vals.shape
-        return (np.concatenate(cand, axis=1).reshape(-1, z_space.dim),
-                vals.reshape(-1), np.arange(0, n * k, k))
+        z = np.clip(xbar, z_space.box[:, 0], z_space.box[:, 1])
+        return z, _dot(z, z) - 2.0 * _dot(xbar, z), np.arange(len(z))
 
 
 class CappedAffineCost(CostModel):
@@ -782,23 +753,23 @@ class TabulatedCpwaCost(CostModel):
         return Wx @ self.tables[i] @ Wz.T
 
 
-def business_location_cost(stations, **kwargs):
-    """Build the business-location cost model; the keywords and their
-    defaults are ``BusinessLocationCost``'s."""
-    return BusinessLocationCost(stations, **kwargs)
+def business_location_cost(stations, *, n_categories, c_walk=0.15,
+                           c_train=0.015, c_restock=0.4):
+    """Build the business-location cost model of ``n_categories``
+    categories, the last one restocking."""
+    return BusinessLocationCost(stations, c_walk, c_train, c_restock,
+                                n_categories)
 
 
-def barycenter_cost(weights, x_spaces, z_space, measures=None,
-                    shift_accounting=True):
+def barycenter_cost(weights, x_spaces, z_space, measures):
     """Build the 2-Wasserstein barycenter cost model.
 
-    When ``shift_accounting`` is on and the measures are supplied, the
-    objective constant -- the weighted sum of exact second moments -- is
-    computed and stored on the model so bounds can be reported on the
-    squared-W2 scale.
+    When the measures are supplied, the objective constant -- the weighted
+    sum of exact second moments -- is computed and stored on the model so
+    bounds can be reported on the squared-W2 scale; with None it is 0.
     """
     shift = 0.0
-    if shift_accounting and measures is not None:
+    if measures is not None:
         from .measures import second_moment
         w = np.atleast_1d(np.asarray(weights, dtype=float))
         if len(measures) != len(w):

@@ -159,12 +159,12 @@ class SemidiscreteCoupling:
     """Coupling of a discrete source with a CPWA target through ``plan``, a
     ``DiscreteCoupling`` onto the target's positive-mass cells."""
 
-    def __init__(self, plan, target, cell_simplex, refinement):
+    def __init__(self, plan, target, cell_simplex):
         self.source = plan.source
         self.target = target
         self.plan = plan
         self.cell_simplex = cell_simplex      # target simplex of each column
-        self.refinement = refinement
+        self.refinement = REFINEMENT
         self.est_masses = plan.plan.sum(axis=1)
 
     def sample_given_source(self, rng, src_idx):
@@ -177,17 +177,13 @@ class SemidiscreteCoupling:
 def ot_semidiscrete(nu1, nu2):
     """W1 coupling of a discrete and a CPWA measure with exact marginals.
 
-    A grid target is carried over unchanged to the nested grid with
-    ``REFINEMENT`` times the cells per axis; other complexes keep their
-    cells.  The cost of a cell is the distance to its density centroid."""
+    The target is carried over unchanged to the nested grid with
+    ``REFINEMENT`` times the cells per axis.  The cost of a cell is the
+    distance to its density centroid."""
     if not isinstance(nu2, CpwaDensityMeasure):
         raise TransportError("target must be a CPWA density measure")
-    cx = nu2.complex
-    refinement = 1
-    if cx.box is not None:
-        refinement = REFINEMENT
-        cx = cx.refined(refinement)
-        nu2 = CpwaDensityMeasure(cx, nu2.density(cx.vertices))
+    cx = nu2.complex.refined(REFINEMENT)
+    nu2 = CpwaDensityMeasure(cx, nu2.density(cx.vertices))
     keep = np.flatnonzero(nu2._cell_mass > 0)
     f = nu2.vertex_density[cx.simplices[keep]]            # (m, d+1)
     S = f.sum(axis=1, keepdims=True)
@@ -195,4 +191,4 @@ def ot_semidiscrete(nu1, nu2):
     centroids = (lam[:, :, None] * cx._cell_pts[keep]).sum(axis=1)
     cells = DiscreteMeasure(centroids, nu2._cell_mass[keep])
     plan, _ = ot_discrete(nu1, cells)
-    return SemidiscreteCoupling(plan, nu2, keep, refinement)
+    return SemidiscreteCoupling(plan, nu2, keep)

@@ -16,8 +16,8 @@ from teamsolve import equilibrium, geometry
 from teamsolve.equilibrium import TIE_TOL
 from teamsolve.geometry import (EdgeFrame, FiniteSpace, GeometryError,
                                 HatBasis, IndicatorBasis,
-                                PointOutsideComplexError, SimplicialComplex,
-                                build_box_partition, first_seen, point_keys)
+                                PointOutsideComplexError, first_seen,
+                                point_keys)
 from teamsolve.linprog import (LpError, LpInfeasibleError, LpProblem,
                                LpSolution, LpUnboundedError, _core)
 from teamsolve.measures import DiscreteMeasure
@@ -731,7 +731,7 @@ def z_opt_dense(model, x_list, z_space, candidates=None):
 
 
 def face_minima_every_face(lam, X, frames, Wv):
-    """``QuadraticBarycenterCost._face_minima`` with the 0-faces run
+    """``QuadraticBarycenterCost.face_minima`` with the 0-faces run
     through the general face arithmetic on empty edge parameters, as it
     was before their closed form: per row x of X, lam (||z||^2 - 2 <x, z>)
     minus the hat combination of the vertex values Wv, minimized on each
@@ -763,46 +763,6 @@ def face_minima_every_face(lam, X, frames, Wv):
         vals.append(np.where(inside, v, np.inf))
         Z.append(z)
     return np.concatenate(vals, axis=1), np.concatenate(Z, axis=1)
-
-
-def z_opt_quadratic(model, x_list, z_space):
-    """The barycenter quality selector as a separate pass: the weighted
-    mean, projected onto the quality complex's boundary where it falls
-    outside.  The reference for ``QuadraticBarycenterCost.z_opt_values``."""
-    xbar = np.zeros_like(x_list[0])
-    for i in range(model.N):
-        xbar += model.lam[i] * x_list[i]
-    inside = z_space.covers(xbar)
-    out = xbar.copy()
-    if not inside.all():
-        V = z_space.vertices
-        corners, segments = z_space.boundary
-        C = V[corners]
-        e0 = V[segments[:, 0]]
-        de = V[segments[:, 1]] - e0
-        xs = xbar[~inside]
-        vv = (C ** 2).sum(1)[None, :] - 2.0 * xs @ C.T
-        num = ((xs[:, None, :] - e0[None]) * de[None]).sum(-1)
-        t = np.clip(num / (de ** 2).sum(1)[None], 0.0, 1.0)
-        ze = e0[None] + t[..., None] * de[None]
-        ve = (ze ** 2).sum(-1) - 2.0 * np.einsum("nd,ned->ne", xs, ze)
-        pts = np.concatenate(
-            [np.broadcast_to(C[None], (len(xs),) + C.shape), ze], axis=1)
-        vals = np.concatenate([vv, ve], axis=1)
-        valid = np.ones(vals.shape, dtype=bool)
-        pick = lex_argmin_loop(pts, vals, valid)
-        out[~inside] = pts[np.arange(len(xs)), pick]
-    return out
-
-
-def l_shape():
-    """The unit square's 4x4 Kuhn grid without its top-right quarter: a
-    grid-free complex whose boundary turns inward at (0.5, 0.5)."""
-    g = build_box_partition([(0, 1), (0, 1)], (4, 4))
-    centroids = g.vertices[g.simplices].mean(axis=1)
-    keep = g.simplices[~np.all(centroids > 0.5, axis=1)]
-    used, simplices = np.unique(keep, return_inverse=True)
-    return SimplicialComplex(g.vertices[used], simplices.reshape(keep.shape))
 
 
 def mesh_z_opt_candidates(model, X_list, z_space):
@@ -935,8 +895,8 @@ def outside_box_any(complex, X, tol):
 
 def locate_scalar(space, x, tol=1e-9):
     """(vertex indices, weights) of one point: the nearest point of a finite
-    space, the Kuhn closed form on a grid, else the first containing simplex
-    or the least-violated one.  Raises PointOutsideComplexError beyond tol."""
+    space, the Kuhn closed form on a grid.  Raises PointOutsideComplexError
+    beyond tol."""
     x = np.asarray(x, dtype=float)
     if isinstance(space, FiniteSpace):
         d = np.linalg.norm(space.vertices - x, axis=-1)
@@ -944,23 +904,81 @@ def locate_scalar(space, x, tol=1e-9):
         if d[j] > tol:
             raise PointOutsideComplexError("point %s not in finite space" % x)
         return np.array([j]), np.array([1.0])
-    if space._grid is not None:
-        s, lam = _grid_locate_scalar(space, x, tol)
-        if s is None:
-            raise PointOutsideComplexError("point %s outside complex" % x)
-        return space.simplices[s], lam
-    best, best_lam, best_viol = None, None, np.inf
-    for s in range(space.n_simplices):
-        lam = barycentric(space, s, x)
-        viol = -lam.min()
-        if viol < best_viol:
-            best, best_lam, best_viol = s, lam, viol
-        if viol <= 0.0:
-            break
-    if best_viol > tol:
+    s, lam = _grid_locate_scalar(space, x, tol)
+    if s is None:
         raise PointOutsideComplexError("point %s outside complex" % x)
-    lam = np.clip(best_lam, 0.0, None)
-    return space.simplices[best], lam / lam.sum()
+    return space.simplices[s], lam
+
+
+def search_locate(complex, X):
+    """Brute-force point location over every simplex, without the grid:
+    per row of the (n, d) array X, its (n_vertices,) barycentric weights in
+    the first simplex containing it, else in the least violated one,
+    clamped to be >= 0 and renormalized, and the violation there (minus
+    the smallest barycentric coordinate).  The reference for the Kuhn
+    location of ``vertex_weights`` and for ``covers``."""
+    n = len(X)
+    q = np.hstack([np.ones((n, 1)), X])
+    L = (complex._minv @ q[:, None, :, None])[..., 0]       # (n, m, d+1)
+    v = -L.min(axis=2)
+    inside = v <= 0.0
+    pick = np.where(inside.any(axis=1), inside.argmax(axis=1),
+                    v.argmin(axis=1))
+    rows = np.arange(n)
+    lam = np.clip(L[rows, pick], 0.0, None)
+    W = np.zeros((n, complex.n_vertices))
+    W[rows[:, None], complex.simplices[pick]] = \
+        lam / lam.sum(axis=1, keepdims=True)
+    return W, v[rows, pick]
+
+
+def _straight_runs(V, edges):
+    """Corners and maximal straight runs of a polygonal boundary in the
+    plane given as (E, 2) vertex-index pairs.
+
+    A vertex is a corner unless exactly two boundary edges meet there and
+    they continue each other in a straight line."""
+    nb = [[] for _ in V]
+    for a, b in edges.tolist():
+        nb[a].append(b)
+        nb[b].append(a)
+
+    def turns(v):
+        if len(nb[v]) != 2:
+            return True
+        u, w = V[nb[v]] - V[v]
+        return (u @ w >= 0 or abs(u[0] * w[1] - u[1] * w[0])
+                > geometry.TOL_GEOM * np.linalg.norm(u) * np.linalg.norm(w))
+
+    corners = [v for v in range(len(V)) if nb[v] and turns(v)]
+    runs = []
+    for c in corners:
+        for v in nb[c]:
+            prev = c
+            while not turns(v):             # on to v's other neighbour
+                prev, v = v, sum(nb[v]) - prev
+            runs.append(sorted((c, v)))
+    return (np.asarray(corners, dtype=int),
+            np.unique(np.asarray(runs, dtype=int).reshape(-1, 2), axis=0))
+
+
+def facet_boundary(complex):
+    """The boundary of a 1-D or 2-D complex from its simplices alone, as
+    ``(corners, segments)``: the boundary facets are the facets (edges in
+    2-D, vertices in 1-D) that lie in exactly one simplex.  In 2-D each
+    straight run of boundary edges is merged into one segment, and the
+    corners are the boundary vertices where the boundary turns; in 1-D the
+    corners are the interval ends and there are no segments.  The
+    reference for the closed-form ``SimplicialComplex.boundary``."""
+    d = complex.dim
+    faces = list(itertools.combinations(range(d + 1), d))
+    facets, count = np.unique(
+        np.sort(complex.simplices[:, faces].reshape(-1, d), axis=1),
+        axis=0, return_counts=True)
+    facets = facets[count == 1]
+    if d == 1:
+        return facets[:, 0], np.empty((0, 2), dtype=int)
+    return _straight_runs(complex.vertices, facets)
 
 
 class CutStoreLoop:

@@ -29,7 +29,7 @@ from helpers import (business_eval_walks_first, business_z_opt_candidates,
                      lex_argmin_loop, selector_values, z_opt_chunked)
 from teamsolve import equilibrium
 from teamsolve.equilibrium import TIE_TOL, z_opt
-from teamsolve.geometry import SimplicialComplex, build_box_partition
+from teamsolve.geometry import build_box_partition
 from teamsolve.problems import CostModelError, business_location_cost
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -180,13 +180,6 @@ def test_one_sample_picks_as_in_a_batch():
     alone = np.vstack([z_opt(model, [X[q:q + 1] for X in xs], CITY)
                        for q in range(0, len(batch), 7)])
     assert np.array_equal(alone, batch[::7])
-
-
-def test_grid_free_quality_space_raises():
-    model, xs = _cases()["bench-uniform"]
-    free = SimplicialComplex(CITY.vertices, CITY.simplices)
-    with pytest.raises(CostModelError, match="needs a box-grid quality space"):
-        z_opt(model, xs, free)
 
 
 def test_error_in_a_worker_reaches_the_caller(monkeypatch):

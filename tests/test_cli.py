@@ -295,7 +295,7 @@ def test_invalid_business_cost_is_rejected(tmp_path, capsys):
     _rejected(tmp_path, capsys, cfg, "problem")
 
 
-def test_omitted_cost_keys_take_the_family_defaults():
+def test_omitted_cost_keys_take_the_family_defaults(tmp_path, capsys):
     # the CLI passes only the optional keys a config gives
     space = {"type": "box", "box": [[-2, 2], [-2, 2]], "counts": [2, 2]}
     cat = {"space": space, "measure": {"type": "discrete",
@@ -305,7 +305,7 @@ def test_omitted_cost_keys_take_the_family_defaults():
                        "stations": [[0.0, 0.0], [1.0, 1.0]]},
            "categories": [cat, cat], "quality": {"space": space},
            "eps_lsip": 1e-6}
-    ref = business_location_cost(cfg["problem"]["stations"])
+    ref = business_location_cost(cfg["problem"]["stations"], n_categories=2)
     model = ProblemSetup(cfg).model
     assert (model.c_walk, model.c_train, model.c_restock) == (
         ref.c_walk, ref.c_train, ref.c_restock)
@@ -313,12 +313,13 @@ def test_omitted_cost_keys_take_the_family_defaults():
     model = ProblemSetup(cfg).model
     assert (model.c_walk, model.c_train) == (ref.c_walk, 0.05)
     cfg = _load("barycenter_two_points.json")
-    assert "shift_accounting" not in cfg["problem"]
     setup = ProblemSetup(cfg)
     assert setup.model.shift == barycenter_cost(
         [0.5, 0.5], setup.x_spaces, setup.z_space, setup.measures).shift > 0
+    # the shift is always accounted for: the key that switched it off is
+    # gone, and a config that still has it is refused
     cfg["problem"]["shift_accounting"] = False
-    assert ProblemSetup(cfg).model.shift == 0.0
+    _rejected(tmp_path, capsys, cfg, "problem.shift_accounting")
 
 
 def _at(cfg, where):
@@ -560,7 +561,8 @@ def test_spaces_must_have_the_family_dimension(tmp_path, capsys, name, edits,
 def test_measure_and_cost_entries_must_be_json_numbers(tmp_path, capsys,
                                                        name, where, value):
     # numpy read "0" and true as numbers, a cost model took true as a rate
-    # of 1.0, and "no" switched the shift accounting on
+    # of 1.0, and "no" switched the shift accounting on (the key is gone
+    # since, and refused as an unknown field)
     cfg = CONFIGS_BY_NAME[name]()
     assert ProblemSetup(cfg).N >= 2
     _put(cfg, where, value)

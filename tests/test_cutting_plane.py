@@ -533,7 +533,7 @@ def test_batched_add_matches_single_adds():
     xs = [build_box_partition(box, (2, 2)), FiniteSpace(rng.uniform(-1, 1, (6, 2)))]
     zs = build_box_partition(box, (3, 2))
     xb, zb = [HatBasis(sp) for sp in xs], HatBasis(zs)
-    model = barycenter_cost([0.4, 0.6], xs, zs)
+    model = barycenter_cost([0.4, 0.6], xs, zs, None)
     batched = _CutStore(model, xb, zb)
     single = CutStoreLoop(model, xb, zb)
     for i, sp in enumerate(xs):

@@ -12,8 +12,7 @@ from helpers import (brute_force_discrete_optimum, exact_tilde_loop,
                      random_discrete_instance, z_opt_chunked, z_opt_dense)
 from teamsolve import equilibrium, transport
 from teamsolve.geometry import (FiniteSpace, HatBasis, IndicatorBasis,
-                                SimplicialComplex, build_box_partition,
-                                epsilon_bar)
+                                build_box_partition, epsilon_bar)
 from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
                                 moment_vector, random_cpwa)
 from teamsolve.cutting_plane import ParametricSolution, run
@@ -68,7 +67,7 @@ def test_zopt_barycenter_mean():
     Z = build_box_partition([(0, 2), (-1, 1)], (2, 2))
     model = barycenter_cost([0.5, 0.5],
                             [FiniteSpace([[0.0, 0.0]]),
-                             FiniteSpace([[2.0, 0.0]])], Z)
+                             FiniteSpace([[2.0, 0.0]])], Z, None)
     zz = z_opt(model, [np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]])], Z)
     assert np.allclose(zz, [[1.0, 0.0]])
     # outside the quality space: projected onto the boundary
@@ -482,14 +481,13 @@ def test_numpy_integer_i_hat_pins_the_category():
 
 
 def test_agent_couplings_recorded():
-    # one agent of each coupling kind: discrete, 1-D quantile, cells on a
-    # refined grid, and cells of a complex without a grid
+    # one agent of each coupling kind: discrete, 1-D quantile, and cells on
+    # a refined grid
     rng = np.random.default_rng(41)
     fin = FiniteSpace([[0.0], [0.5], [1.0]])
     line = build_box_partition([(0, 1)], (2,))
     sq = build_box_partition([(0, 1), (0, 1)], (1, 1))
-    free = SimplicialComplex(sq.vertices, sq.simplices)
-    xs = [fin, line, sq, free]
+    xs = [fin, line, sq]
     mus = [DiscreteMeasure(fin.vertices, [0.2, 0.5, 0.3])] \
         + [random_cpwa(sp, rng) for sp in xs[1:]]
     zs = build_box_partition([(0, 1)], (2,))
@@ -500,9 +498,8 @@ def test_agent_couplings_recorded():
                        mc_n=500, mc_repetitions=2, seed=5)
     doc = json.loads(json.dumps(rep.to_json()))
     recs = doc["agent_couplings"]
-    assert [r["kind"] for r in recs] == ["discrete", "quantile", "cells",
-                                         "cells"]
-    assert [r["refinement"] for r in recs] == [None, None, 2, 1]
+    assert [r["kind"] for r in recs] == ["discrete", "quantile", "cells"]
+    assert [r["refinement"] for r in recs] == [None, None, 2]
     assert recs[1]["marginal_residual"] == 0.0
     assert max(r["marginal_residual"] for r in recs) <= 1e-12
 

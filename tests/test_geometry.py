@@ -1,16 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (BudgetError, barycentric, check_face_property,
-                     component_of, l_shape, locate, locate_scalar,
-                     outside_box_any, plan_partition, unique_faces)
+                     component_of, facet_boundary, locate, locate_scalar,
+                     outside_box_any, plan_partition, search_locate,
+                     unique_faces)
 from teamsolve import geometry
 from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
                                 IndicatorBasis, PointOutsideComplexError,
-                                SimplicialComplex, build_box_partition,
-                                epsilon_bar)
+                                build_box_partition, epsilon_bar)
 
 
 def test_interval_split():
@@ -131,35 +133,31 @@ def test_face_property_exhaustive():
     c = build_box_partition([(0, 1), (0, 1)], (2, 2))
     assert check_face_property(c)
     # a broken complex: two overlapping triangles that do not share a face
-    bad = SimplicialComplex(
-        [[0, 0], [1, 0], [0, 1], [1.0, 0.4]],
-        [[0, 1, 2], [0, 1, 3]])
+    bad = SimpleNamespace(
+        dim=2, n_simplices=2,
+        vertices=np.array([[0, 0], [1, 0], [0, 1], [1.0, 0.4]]),
+        simplices=np.array([[0, 1, 2], [0, 1, 3]]))
     assert not check_face_property(bad)
 
 
 def test_degenerate_simplex_rejected():
-    with pytest.raises(GeometryError):
-        SimplicialComplex([[0, 0], [1, 0], [2, 0]], [[0, 1, 2]])
-    with pytest.raises(GeometryError):
-        SimplicialComplex([[0, 0], [0, 0], [1, 1]], [[0, 1, 2]])
-    # the first of two flat simplices is named
-    with pytest.raises(GeometryError, match="degenerate simplex 1$"):
-        SimplicialComplex([[0, 0], [1, 0], [0, 1], [2, 0], [3, 0]],
-                          [[0, 1, 2], [0, 1, 3], [1, 3, 4]])
+    # cells flat to within TOL_GEOM, and a side so short that its vertices
+    # have the same point key
+    with pytest.raises(GeometryError, match="degenerate simplex 0$"):
+        build_box_partition([(0, 1e-10), (0, 1e-10)], (1, 1))
+    with pytest.raises(GeometryError, match="duplicate vertices"):
+        build_box_partition([(0, 1e-13), (0, 1)], (1, 1))
 
 
 @pytest.mark.parametrize("box,counts", [
     ([(0, 1), (0, 1)], (6, 6)), ([(-2, 2), (0, 1)], (12, 3)),
     ([(0, 1)], (4,)), ([(0, 1), (0, 2), (0, 3)], (3, 2, 2))])
 def test_cell_inverses_are_the_per_simplex_inverses(box, counts):
-    # one batched inverse, bit for bit each simplex's own, on grids, their
-    # general complexes and an L-shape
-    grid = build_box_partition(box, counts)
-    for c in (grid, SimplicialComplex(grid.vertices, grid.simplices[:, ::-1]),
-              l_shape()):
-        for s, idx in enumerate(c.simplices):
-            M = np.vstack([np.ones(c.dim + 1), c.vertices[idx].T])
-            assert np.linalg.inv(M).tobytes() == c._minv[s].tobytes()
+    # one batched inverse, bit for bit each simplex's own
+    c = build_box_partition(box, counts)
+    for s, idx in enumerate(c.simplices):
+        M = np.vstack([np.ones(c.dim + 1), c.vertices[idx].T])
+        assert np.linalg.inv(M).tobytes() == c._minv[s].tobytes()
 
 
 def test_epsilon_bar():
@@ -195,18 +193,15 @@ def test_indicator_basis():
 
 def _location_cases():
     """(space, points): points on shared faces and vertices, inside, and
-    within tol outside the boundary, for grids, a grid-free complex and
-    finite spaces."""
+    within tol outside the boundary, for 1-, 2- and 3-D grids, the first
+    four spaces, and finite spaces."""
     rng = np.random.default_rng(3)
-    line = build_box_partition([(0, 1)], (4,))
-    sq = build_box_partition([(-2, 2), (-1, 3)], (3, 4))
-    grid = build_box_partition([(0, 1), (0, 2)], (2, 3))
-    free = SimplicialComplex(grid.vertices, grid.simplices)
-    assert free._grid is None
     cases = []
-    for c, lo, hi in ((line, [0.0], [1.0]), (sq, [-2.0, -1.0], [2.0, 3.0]),
-                      (free, [0.0, 0.0], [1.0, 2.0])):
-        lo, hi = np.asarray(lo), np.asarray(hi)
+    for box, counts in ((((0, 1),), (4,)), (((-2, 2), (-1, 3)), (3, 4)),
+                        (((0, 1), (0, 2)), (2, 3)),
+                        (((0, 1), (0, 2), (0, 1)), (2, 2, 2))):
+        c = build_box_partition(box, counts)
+        lo, hi = c.box.T
         edges = c.edges
         t = rng.uniform(size=(len(edges), 1))
         P = np.vstack([
@@ -261,9 +256,9 @@ def test_covers_matches_vertex_weights():
     rng = np.random.default_rng(17)
     # an unequal-width grid: x cells are 4/3 wide, y cells 1
     sq = build_box_partition([(-2, 2), (-1, 3)], (3, 4))
-    found = np.array([[2 + 1.2e-9, 0.5]])
-    assert sq.covers(found)[0] and _located(sq, found[0])
-    for space, P in _location_cases()[:3]:
+    found = np.array([[2 + 1.2e-9, 0.5, 0.5]])
+    assert sq.covers(found[:, :2])[0] and _located(sq, found[0, :2])
+    for space, P in _location_cases()[:4]:
         # shift every point by up to 1e-8 per axis, so that points near the
         # boundary fall on both sides of tol
         step = rng.choice([-1.0, 1.0], size=P.shape) \
@@ -275,13 +270,45 @@ def test_covers_matches_vertex_weights():
         assert mask.any() and not mask.all()
 
 
+@pytest.mark.parametrize("box,counts", [
+    ([(0, 1)], (4,)), ([(-1, 2)], (3,)), ([(0, 1), (0, 1)], (3, 3)),
+    ([(-2, 2), (-1, 3)], (3, 4)), ([(0, 1), (0, 2)], (2, 3)),
+    ([(0, 1)] * 3, (2, 2, 2)), ([(0, 1), (0, 2), (-1, 0.5)], (2, 1, 3))])
+def test_kuhn_location_matches_the_search_over_every_simplex(box, counts):
+    # the closed-form location against the search over every simplex: the
+    # same weight on every vertex for points inside, on shared faces and
+    # at the vertices, the Kuhn simplex's vertices having the weights the
+    # search finds in its own containing simplex
+    c = build_box_partition(box, counts)
+    rng = np.random.default_rng(sum(counts))
+    lo, hi = c.box.T
+    t = rng.uniform(size=(len(c.edges), 1))
+    P = np.vstack([rng.uniform(lo, hi, size=(400, c.dim)), c.vertices,
+                   c.vertices[c.edges[:, 0]] * (1 - t)
+                   + c.vertices[c.edges[:, 1]] * t])
+    ref, viol = search_locate(c, P)
+    assert viol.max() <= 1e-14
+    V, W = c.vertex_weights(P)
+    got = np.zeros_like(ref)
+    np.put_along_axis(got, V, W, axis=1)
+    assert np.abs(got - ref).max() <= 1e-14
+    # the same membership for points at least 1e-7 of a cell width outside
+    # the box or inside it: within that band, the search's tolerance is
+    # barycentric, the box test's is scaled by the cell widths per axis
+    span = hi - lo
+    Q = rng.uniform(lo - 0.25 * span, hi + 0.25 * span, size=(2000, c.dim))
+    gap = np.minimum(np.abs(Q - lo), np.abs(Q - hi)) / c._grid[1]
+    Q = Q[(gap > 1e-7).all(axis=1)]
+    inside = c.covers(Q)
+    assert inside.any() and not inside.all()
+    assert np.array_equal(inside, search_locate(c, Q)[1] <= geometry.TOL_GEOM)
+
+
 def test_edges_match_set_reference():
-    grid = build_box_partition([(0, 1), (0, 2)], (2, 3))
-    free = SimplicialComplex(grid.vertices, grid.simplices)
     for c in (build_box_partition([(0, 1)], (4,)),
               build_box_partition([(-2, 2), (-1, 3)], (3, 4)),
-              build_box_partition([(0, 1)] * 3, (2, 1, 2)), free,
-              SimplicialComplex(free.vertices, free.simplices[:, ::-1])):
+              build_box_partition([(0, 1), (0, 2)], (2, 3)),
+              build_box_partition([(0, 1)] * 3, (2, 1, 2))):
         ref = unique_faces(c, 1)
         assert c.edges.dtype == ref.dtype
         assert np.array_equal(c.edges, ref)
@@ -289,9 +316,8 @@ def test_edges_match_set_reference():
 
 
 def test_faces_match_set_reference():
-    grid = build_box_partition([(0, 1), (0, 2)], (2, 3))
-    for c in (build_box_partition([(0, 1)], (4,)), grid, l_shape(),
-              SimplicialComplex(grid.vertices, grid.simplices[:, ::-1]),
+    for c in (build_box_partition([(0, 1)], (4,)),
+              build_box_partition([(0, 1), (0, 2)], (2, 3)),
               build_box_partition([(0, 1)] * 3, (2, 1, 2))):
         assert len(c.faces) == c.dim + 1
         for j, F in enumerate(c.faces):
@@ -313,14 +339,12 @@ def test_box_and_refined():
     assert np.array_equal(f.box, c.box)
     assert f.n_simplices == 4 * c.n_simplices
     assert np.allclose(f.volumes().sum(), c.volumes().sum())
-    assert SimplicialComplex(c.vertices, c.simplices).box is None
 
 
 def test_edge_crossings():
     rng = np.random.default_rng(23)
     cube = build_box_partition([(0, 1)] * 3, (1, 2, 1))
-    for c in (build_box_partition([(0, 1), (0, 2)], (2, 3)),
-              SimplicialComplex(cube.vertices, cube.simplices)):
+    for c in (build_box_partition([(0, 1), (0, 2)], (2, 3)), cube):
         normals = rng.normal(size=(6, c.dim))
         normals[0] = np.eye(c.dim)[0]           # parallel to some edges
         offsets = rng.uniform(-0.5, 2.0, size=(5, 6))
@@ -365,23 +389,23 @@ def test_boundary_corners_and_sides():
         sw, nw, se, ne = (x0, y0), (x0, y1), (x1, y0), (x1, y1)
         assert _boundary_points(c) == (
             [sw, nw, se, ne], [(sw, nw), (sw, se), (nw, ne), (se, ne)])
-        # from the simplices alone: a grid-free copy has the same arrays
-        free = SimplicialComplex(c.vertices, c.simplices)
-        for a, b in zip(free.boundary, c.boundary):
-            assert np.array_equal(a, b)
-    # the L-shape keeps its reflex corner (0.5, 0.5); its straight sides run
-    # over 2 or 4 boundary edges each
-    corners, sides = _boundary_points(l_shape())
-    assert corners == [(0.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.5, 1.0),
-                       (1.0, 0.0), (1.0, 0.5)]
-    assert sides == [((0.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (1.0, 0.0)),
-                     ((0.0, 1.0), (0.5, 1.0)), ((0.5, 0.5), (0.5, 1.0)),
-                     ((0.5, 0.5), (1.0, 0.5)), ((1.0, 0.0), (1.0, 0.5))]
+
+
+@pytest.mark.parametrize("box,counts", [
+    ([(0, 1)], (1,)), ([(-1, 2)], (5,)), ([(0, 1), (0, 1)], (1, 1)),
+    ([(0, 1), (0, 1)], (4, 4)), ([(-2, 2), (-1, 3)], (3, 4)),
+    ([(0, 1), (0, 2)], (1, 3)), ([(0, 3), (0, 1)], (6, 1))])
+def test_closed_form_boundary_matches_the_facet_walk(box, counts):
+    # the same arrays as the boundary found from the simplices alone: the
+    # facets in one simplex each, their straight runs merged
+    c = build_box_partition(box, counts)
+    for a, b in zip(c.boundary, facet_boundary(c)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_boundary_format():
     for c in (build_box_partition([(0, 1)], (3,)),
-              build_box_partition([(-2, 2), (-1, 3)], (3, 4)), l_shape()):
+              build_box_partition([(-2, 2), (-1, 3)], (3, 4))):
         corners, segments = c.boundary
         assert c.boundary is c.boundary          # built once
         assert corners.dtype == segments.dtype == c.edges.dtype

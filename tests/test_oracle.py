@@ -17,17 +17,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (ZeroTauError, coupled_term_values_dense,
-                     coupled_term_values_vertices, hat_basis_excluding, l_shape,
+                     coupled_term_values_vertices, hat_basis_excluding,
                      oracle_lipschitz_grid, pair_vertices_dense,
                      quadratic_candidates_d2, rebased_y,
                      term_candidates_per_term)
 from teamsolve import cutting_plane, oracle as oracle_module
 from teamsolve.equilibrium import z_opt
 from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
-                                SimplicialComplex, build_box_partition,
-                                point_keys)
+                                build_box_partition, point_keys)
 from teamsolve.measures import DiscreteMeasure, moment_vector
-from teamsolve.oracle import make_oracle
+from teamsolve.oracle import OracleError, make_oracle
 from teamsolve.problems import (CostModel, CostModelError, DirectL1Term,
                                 ScalarRampTerm, SeparableL1Term,
                                 barycenter_cost, business_location_cost,
@@ -115,7 +114,7 @@ def test_oracle_result_consistency():
 def test_quadratic_oracle_unit_square():
     sq = build_box_partition([(0, 1), (0, 1)], (2, 2))
     b = HatBasis(sq)
-    m = barycenter_cost([1.0], [sq], sq)
+    m = barycenter_cost([1.0], [sq], sq, None)
     r = _oracle(m, sq, b, sq, b)(0, np.zeros(8), np.zeros(8))
     # brute force grid at step 0.01 gives -2 at x = z = (1, 1)
     assert abs(r.beta_tilde + 2.0) < 1e-9
@@ -129,7 +128,7 @@ def test_quadratic_oracle_vs_dense_grid():
     rng = np.random.default_rng(5)
     sq = build_box_partition([(0, 1), (0, 1)], (2, 2))
     b = HatBasis(sq)
-    m = barycenter_cost([0.4, 0.6], [sq, sq], sq)
+    m = barycenter_cost([0.4, 0.6], [sq, sq], sq, None)
     g = np.linspace(0, 1, 101)
     GZ = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
     HZ = b.eval_many(GZ)
@@ -154,7 +153,7 @@ def test_quadratic_oracle_reaches_the_two_faces_of_a_cube():
     # vertex, edge or tetrahedron holds it in its relative interior
     cube = build_box_partition([(0, 1)] * 3, (2, 2, 2))
     xs = FiniteSpace([[0.7, 0.4, 2.0]])
-    m = barycenter_cost([0.5, 0.5], [xs, xs], cube)
+    m = barycenter_cost([0.5, 0.5], [xs, xs], cube, None)
     r = _oracle(m, xs, HatBasis(xs), cube, HatBasis(cube))(
         0, np.zeros(0), np.zeros(cube.n_vertices - 1))
     assert abs(r.beta_lower + 1.825) < 1e-12
@@ -178,7 +177,7 @@ def test_quadratic_oracle_projects_onto_the_box(d, counts, seed):
     lam = rng.uniform(0.1, 0.9)
     zs = build_box_partition(box, counts[:d])
     xs = FiniteSpace(x[None])
-    m = barycenter_cost([lam, 1.0 - lam], [xs, xs], zs)
+    m = barycenter_cost([lam, 1.0 - lam], [xs, xs], zs, None)
     r = _oracle(m, xs, HatBasis(xs), zs, HatBasis(zs))(
         0, np.zeros(0), np.zeros(zs.n_vertices - 1))
     p = np.clip(x, box[:, 0], box[:, 1])
@@ -193,7 +192,7 @@ def _finite_rows(vals, X, Z):
 
 
 @pytest.mark.parametrize("space", ["line-1", "line-5", "grid-2x2",
-                                   "grid-3x2", "l-shape"])
+                                   "grid-3x2"])
 def test_quadratic_faces_match_the_d2_reference(space):
     # every face's critical point against the former vertex / edge / cell
     # blocks, as sets of (x, z, value) rows, and the same least value
@@ -201,8 +200,7 @@ def test_quadratic_faces_match_the_d2_reference(space):
                "line-5": lambda: build_box_partition([(-1, 2)], (5,)),
                "grid-2x2": lambda: build_box_partition([(0, 1)] * 2, (2, 2)),
                "grid-3x2": lambda: build_box_partition([(-1, 1), (0, 2)],
-                                                       (3, 2)),
-               "l-shape": l_shape}[space]()
+                                                       (3, 2))}[space]()
     rng = np.random.default_rng(21)
     d = z_space.dim
     for _ in range(12):
@@ -210,7 +208,7 @@ def test_quadratic_faces_match_the_d2_reference(space):
         lam = rng.uniform(0.1, 1.0)
         Yv = rng.normal(scale=0.5, size=x_space.n_vertices)
         Wv = rng.normal(scale=0.5, size=z_space.n_vertices)
-        model = barycenter_cost([lam, 1.0 - lam], [x_space] * 2, z_space)
+        model = barycenter_cost([lam, 1.0 - lam], [x_space] * 2, z_space, None)
         new = oracle_module._face_candidates(model, 0, x_space, z_space, Yv,
                                              Wv)
         ref = quadratic_candidates_d2(lam, x_space, z_space, Yv, Wv)
@@ -289,9 +287,10 @@ def _branch_cases():
         "finite-finite": (capped_affine_cost([[1.0]], [0.1], [0.6]),
                           pts1, FiniteSpace(rng.uniform(size=(5, 1))),
                           "_vertex_candidates", 1e-12),
-        "quadratic-finite-quality": (barycenter_cost([1.0], [sq], pts2), sq,
-                                     pts2, "_vertex_candidates", 1e-12),
-        "quadratic-faces": (barycenter_cost([1.0], [sq], sq), sq, sq,
+        "quadratic-finite-quality": (barycenter_cost([1.0], [sq], pts2,
+                                                     None),
+                                     sq, pts2, "_vertex_candidates", 1e-12),
+        "quadratic-faces": (barycenter_cost([1.0], [sq], sq, None), sq, sq,
                             "_face_candidates", 0.1),
         "terms": (capped_affine_cost([[1.0]], [0.1], [0.6]), line, line,
                   "_term_candidates", 1e-2),
@@ -366,7 +365,44 @@ def test_pools_hold_distinct_cuts_in_value_order():
 
 def test_degenerate_space_rejected():
     with pytest.raises(GeometryError):
-        SimplicialComplex([[0.0, 0.0]], [[0]])
+        build_box_partition([(0.0, 1e-10), (0.0, 1e-10)], (1, 1))
+
+
+class _AnchoredL1(CostModel):
+    """||x - anchor||_1, one separable term with an anchor on the type
+    side, constant in z."""
+
+    N = 1
+
+    def __init__(self, anchor):
+        self.anchor = anchor
+
+    def eval(self, i, X, Z):
+        return np.abs(np.atleast_2d(X) - self.anchor).sum(1)
+
+    def oracle_terms(self, i):
+        return [SeparableL1Term(self.anchor, 1.0, None, 0.0, 0.0)]
+
+
+def test_an_anchored_side_in_three_dimensions_is_refused():
+    # ||x - a||_1 - 2 x_3 on the unit cube is least, -1.5, at (0.3, 0.6, 1),
+    # where two anchor planes cross a 2-face.  The vertices, the anchor
+    # planes' edge crossings and the three planes' crossing reach -1.2 at
+    # best, so a certified bound from them would be too high
+    cube = build_box_partition([(0, 1)] * 3, (1, 1, 1))
+    line = build_box_partition([(0, 1)], (1,))
+    anchor = np.array([0.3, 0.6, 0.5])
+    bx, bz = HatBasis(cube), HatBasis(line)
+    y = 2.0 * cube.vertices[bx._keep, 2]        # <g(x), y> = 2 x_3
+    X = np.random.default_rng(7).uniform(size=(50, 3))
+    assert np.allclose(bx.eval_many(X) @ y, 2.0 * X[:, 2])
+    model = _AnchoredL1(anchor)
+    assert model.eval(0, [[0.3, 0.6, 1.0]], [[0.0]])[0] - 2.0 == -1.5
+    oracle = _oracle(model, cube, bx, line, bz)
+    with pytest.raises(OracleError, match="not 3-D"):
+        oracle(0, y, np.zeros(bz.m))
+    with pytest.raises(OracleError, match="not 3-D"):
+        oracle_module.axis_arrangement_candidates(cube, anchor[None])
 
 
 def test_grid_oracle_contract():
@@ -489,7 +525,7 @@ def test_pool_contains_optimum():
     rng = np.random.default_rng(14)
     sq = build_box_partition([(0, 1), (0, 1)], (2, 2))
     b = HatBasis(sq)
-    m = barycenter_cost([1.0], [sq], sq)
+    m = barycenter_cost([1.0], [sq], sq, None)
     y = rng.normal(size=8)
     w = rng.normal(size=8)
     r = _oracle(m, sq, b, sq, b)(0, y, w)

@@ -33,14 +33,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (capped_affine_dense_values, l_shape, lex_argmin_dense,
+from helpers import (capped_affine_dense_values, lex_argmin_dense,
                      mesh_z_opt_candidates, padded_selector_candidates,
-                     selector_values, z_opt_chunked, z_opt_dense,
-                     z_opt_quadratic)
+                     selector_values, z_opt_chunked, z_opt_dense)
 from teamsolve import equilibrium
 from teamsolve.equilibrium import TIE_TOL, z_opt
-from teamsolve.geometry import (FiniteSpace, SimplicialComplex,
-                                build_box_partition)
+from teamsolve.geometry import FiniteSpace, build_box_partition
 from teamsolve.problems import (barycenter_cost, business_location_cost,
                                 capped_affine_cost, tabulated_cpwa_cost)
 
@@ -97,14 +95,11 @@ def _cases():
                               [0.1, 0.05, 0.12], [0.4, 0.5, 0.3])
     line = capped_affine_cost([[1.0], [-1.0], [1.0]], [0.1, 0.25, 0.0],
                               [0.4, 0.5, 0.3])
-    free = SimplicialComplex(SQUARE.vertices, SQUARE.simplices)
     return {
         "bench": (bench, SQUARE, _types(rng, 8, 1000, quarter=True)),
         "side-parallel": (side, SQUARE, _types(rng, 3)),
         "d0=1": (line, build_box_partition([(0, 1)], (4,)),
                  _types(rng, 3, quarter=True)),
-        "grid-free": (bench, free, _types(rng, 8, quarter=True)),
-        "l-shape": (bench, l_shape(), _types(rng, 8, quarter=True)),
     }
 
 
@@ -215,21 +210,32 @@ def test_vertex_branch_evaluates_one_chunk_at_a_time(monkeypatch):
 @pytest.mark.parametrize("dim,Z", [
     (2, SQUARE),
     (1, build_box_partition([(0, 1)], (4,))),
-    (2, SimplicialComplex(SQUARE.vertices, SQUARE.simplices)),
-    (2, l_shape())])
+    # unequal cell widths
+    (2, build_box_partition([(-2, 2), (-1, 3)], (3, 4))),
+    (2, build_box_partition([(0.5, 1.0), (-1.0, 0.0)], (1, 2))),
+    (3, build_box_partition([(0, 1)] * 3, (2, 2, 2)))])
 def test_barycenter_selector_matches_the_projection_pass(dim, Z):
-    # the weighted mean where the region covers it, else its projection
-    # onto the boundary: the same point bit for bit as the separate pass
+    # the projection onto the box: the weighted mean bit for bit on the
+    # axes where it lies in the box, and on each axis where it violates a
+    # bound, that bound
     rng = np.random.default_rng(89)
     lam = [0.5, 0.3, 0.2]
-    model = barycenter_cost(lam, [Z] * 3, Z)
-    xs = [rng.uniform(-0.5, 1.5, size=(500, dim)) for _ in lam]
-    for X in xs:
-        X[:200] = np.round(4 * X[:200]) / 4
+    model = barycenter_cost(lam, [Z] * 3, Z, None)
+    lo, hi = Z.box.T
+    span = hi - lo
+    xs = [rng.uniform(lo - 0.5 * span, hi + 0.5 * span, size=(500, dim))
+          for _ in lam]
+    for X in xs:        # some means on the box's sides
+        X[:200] = lo + np.round(4 * (X[:200] - lo) / span) * span / 4
     xbar = sum(w * X for w, X in zip(lam, xs))
-    inside = Z.covers(xbar)
-    assert inside.any() and not inside.all()
-    assert np.array_equal(z_opt(model, xs, Z), z_opt_quadratic(model, xs, Z))
+    below, above = xbar < lo, xbar > hi
+    inside = ~(below | above)
+    assert below.any() and above.any()
+    assert inside.all(axis=1).any() and not inside.all(axis=1).all()
+    z = z_opt(model, xs, Z)
+    assert np.array_equal(z[inside], xbar[inside])
+    assert np.array_equal(z[below], np.broadcast_to(lo, z.shape)[below])
+    assert np.array_equal(z[above], np.broadcast_to(hi, z.shape)[above])
 
 
 def _family_cases():
@@ -263,7 +269,7 @@ def _family_cases():
         "business-location": (
             business_location_cost([[-2.0, 0.3], [1.0, -2.0], [0.5, 0.5]],
                                    n_categories=3), city, box_types),
-        "quadratic": (barycenter_cost(lam, [SQUARE] * 3, SQUARE), SQUARE,
+        "quadratic": (barycenter_cost(lam, [SQUARE] * 3, SQUARE, None), SQUARE,
                       means_partly_outside),
         "tabulated": (
             tabulated_cpwa_cost([build_box_partition([(0, 1)], (4,))] * 3,

@@ -9,8 +9,8 @@ included, imports a cost model class or tests a model's class with
 ``face_minima``, ``oracle_terms``), read where its vertices are exact
 (``affine_in_x``, ``affine_in_z``) or call the oracle (``type_minima``)
 instead.  The barycenter family's closed-form face minima take their
-frames from a complex's ``faces`` and ``boundary``, never from the
-per-simplex interpolation matrices.  ``oracle.py`` imports neither
+frames from a complex's ``faces``, never from the per-simplex
+interpolation matrices.  ``oracle.py`` imports neither
 ``linprog`` nor scipy, so the oracle's certified lower bound rests on no
 solver's tolerances.  ``oracle.py`` calls no ``id``: its caches are keyed
 by content, so that equal geometry in new objects shares an entry and a
@@ -237,21 +237,21 @@ def _attrs(nodes):
 
 
 def test_oracle_reads_faces_not_cell_inverses():
-    # the barycenter faces come from ``faces`` and ``boundary``, not from
-    # the per-simplex interpolation matrices: in the frame builder and in
-    # the family routine that the oracle and the quality selector share
+    # the barycenter faces come from ``faces``, not from the per-simplex
+    # interpolation matrices: in the frame builder and in the family's face
+    # minima, which the oracle calls; its quality selector reads the box
     # (``TabulatedCpwaCost._grad_bound`` reads ``_minv`` for its Lipschitz
     # bound)
     geometry, problems = _functions(SRC / "geometry.py"), \
         _functions(SRC / "problems.py")
     frames = [geometry[name] for name in (
-        "face_frames", "SimplicialComplex.face_frames",
-        "SimplicialComplex.boundary_frames")]
-    routine = [problems["QuadraticBarycenterCost." + name] for name in (
-        "face_minima", "_face_minima", "z_opt_values")]
-    assert "_minv" not in _attrs(frames + routine)
-    assert {"faces", "boundary"} <= _attrs(frames)
-    assert {"face_frames", "boundary_frames"} <= _attrs(routine)
+        "face_frames", "SimplicialComplex.face_frames")]
+    minima, selector = (problems["QuadraticBarycenterCost." + name]
+                        for name in ("face_minima", "z_opt_values"))
+    assert "_minv" not in _attrs(frames + [minima, selector])
+    assert "faces" in _attrs(frames)
+    assert "face_frames" in _attrs([minima])
+    assert "box" in _attrs([selector])
     oracle = ast.parse((SRC / "oracle.py").read_text())
     assert "_minv" not in _attrs([oracle])
 
@@ -698,11 +698,9 @@ def test_option_rule_catches_a_keyword_only_the_tests_set(tmp_path):
     assert _unset_options([package], [package, caller]) == []
 
 
-# the one default on which no call outside the tests relies, by module,
-# qualified name and parameter: the general complex of given vertices and
-# simplices (``_grid`` None) is what the tests check the box grids' Kuhn
-# location, membership and boundary against
-DEFAULTS_KEPT = {("geometry.py", "SimplicialComplex.__init__", "_grid")}
+# the defaults on which no call outside the tests relies, by module,
+# qualified name and parameter: none
+DEFAULTS_KEPT = set()
 
 
 def _unrelied_defaults(modules, callers, kept):
