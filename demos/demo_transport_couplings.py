@@ -10,6 +10,7 @@ import numpy as np
 from teamsolve import (build_box_partition, ot_discrete, ot_quantile_1d,
                        ot_semidiscrete)
 from teamsolve.measures import CpwaDensityMeasure, DiscreteMeasure
+from teamsolve.transport import REFINEMENT
 
 rng = np.random.default_rng(1)
 
@@ -45,7 +46,7 @@ sd = ot_semidiscrete(two, square)
 # the plan's cost is the W1 distance from the atoms to the cell centroids
 _, cell_cost = ot_discrete(two, sd.plan.target)
 print("semi-discrete: %d cells (refinement %d) of masses %s"
-      % (len(sd.cell_simplex), sd.refinement,
+      % (len(sd.cell_simplex), REFINEMENT,
          np.unique(sd.plan.target.weights)))
 print("  cell mass coupled to each atom %s vs weights %s, plan cost %.4f"
       % (sd.est_masses, two.weights, cell_cost))

@@ -353,21 +353,20 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
         log.info("quality support reduced to %d atoms", nu_hat.n_atoms)
 
     # per category: nu_hat -> nu_i, the dual plan, then mu_hat_i onto the
-    # true agent measure, recorded with its kind, refinement and marginal
-    # residual
+    # true agent measure, recorded with its kind and marginal residual
     links = []
     records = []
     for i, dual in enumerate(duals):
         mu_hat, mu = dual.target, measures[i]
         if isinstance(mu, DiscreteMeasure):
             coup = ot_discrete(mu_hat, mu)[0]
-            rec = ("discrete", None, coup.marginal_residual())
+            rec = ("discrete", coup.marginal_residual())
         elif isinstance(mu, CpwaDensityMeasure) and mu.dim == 1:
             coup = ot_quantile_1d(mu_hat, mu)
-            rec = ("quantile", None, 0.0)
+            rec = ("quantile", 0.0)
         elif isinstance(mu, CpwaDensityMeasure):
             coup = ot_semidiscrete(mu_hat, mu)
-            rec = ("cells", coup.refinement, coup.plan.marginal_residual())
+            rec = ("cells", coup.plan.marginal_residual())
         else:
             raise UnsupportedMeasureClassError(
                 "measure %d of type %r" % (i, type(mu)))
@@ -381,8 +380,7 @@ def construct(cp_result, model, measures, x_spaces, x_bases, z_space,
         else:
             to_nu = ot_discrete(nu_hat, dual.source)[0]
         links.append((to_nu, dual, coup))
-        records.append(dict(zip(("kind", "refinement", "marginal_residual"),
-                                rec)))
+        records.append(dict(zip(("kind", "marginal_residual"), rec)))
     all_discrete = all(r["kind"] == "discrete" for r in records)
 
     chain = _SamplerChain(model, nu_hat, links, z_space)

@@ -8,9 +8,9 @@ The solver parametrizes continuous test functions by vertex-interpolation
   ``SimplicialComplex``, with batched closed-form point location
   (``vertex_weights``: containing-simplex vertices and barycentric
   weights), the box test that location uses (``covers``), its faces of
-  every dimension (``faces``, with ``edges`` the 1-faces) and their
-  ``face_frames``, its ``box``, the box's ``boundary`` (corners and sides)
-  and its ``refined`` grids,
+  every dimension (``faces``) and their ``face_frames``, its ``box``, the
+  box's ``boundary`` (corners and sides), its ``refined`` grids, and its
+  simplices' ``volumes`` and ``cell_diameters`` from their Kuhn steps,
 * ``EdgeFrame`` -- where hyperplanes cross given edges of a complex, the
   offset-free part built once for repeated batches of offsets,
 * ``FiniteSpace`` -- a finite point set (degenerate complex of 0-simplices),
@@ -86,7 +86,7 @@ def _raise_outside(X, bad, what):
 class Boundary(NamedTuple):
     """The boundary of a complex: its ``corners``, a (C,) array of vertex
     indices, and its straight ``segments``, (S, 2) vertex-index pairs in the
-    format of ``SimplicialComplex.edges``."""
+    format of ``SimplicialComplex.faces[1]``."""
     corners: np.ndarray
     segments: np.ndarray
 
@@ -115,8 +115,10 @@ class SimplicialComplex:
     vertices : (n, d) array
         Distinct vertex coordinates.
     simplices : (m, d+1) int array
-        Vertex indices of each simplex.  Every simplex must be
-        non-degenerate (its d edge vectors are linearly independent).
+        Vertex indices of each simplex, a Kuhn chain: each vertex one
+        cell width along one axis from the one before.  Every simplex must
+        be non-degenerate (the product of its steps above ``TOL_GEOM``'s
+        scale).
     _grid : tuple
         ``(lo, widths, counts, perms, perm_index)`` of the grid.
     """
@@ -131,28 +133,20 @@ class SimplicialComplex:
         self.box = np.stack([lo, lo + widths * counts], axis=1)
         # per-axis scale of the membership tolerance (``_outside_box``)
         self._box_slack = widths / widths.min()
+        self._cell_pts = self.vertices[self.simplices]          # (m, d+1, d)
+        # (m, d) lengths of each chain's steps, one axis each: the edge
+        # matrix is a permuted triangle of them, so they give every
+        # per-simplex quantity in closed form
+        self._steps = np.abs(np.diff(self._cell_pts, axis=1)).sum(-1)
         self._validate()
-        self._build_cell_data()
 
     def _validate(self):
         if has_duplicate_rows(self.vertices):
             raise GeometryError("duplicate vertices")
-        P = self.vertices[self.simplices]
-        edges = P[:, 1:] - P[:, :1]                             # (m, d, d)
-        scale = np.maximum(np.abs(edges).max(axis=(1, 2)), 1.0)
-        bad = np.abs(np.linalg.det(edges)) <= (TOL_GEOM * scale) ** self.dim
+        scale = np.maximum(self._steps.max(axis=1), 1.0)
+        bad = self._steps.prod(axis=1) <= (TOL_GEOM * scale) ** self.dim
         if bad.any():
             raise GeometryError("degenerate simplex %d" % np.argmax(bad))
-
-    def _build_cell_data(self):
-        # Per-simplex interpolation matrix: lam = Minv @ [1, x]; the columns
-        # of Minv[:, 1:] are the gradients of the barycentric coordinates.
-        self._cell_pts = self.vertices[self.simplices]          # (m, d+1, d)
-        M = np.ones((len(self.simplices), self.dim + 1, self.dim + 1))
-        M[:, 1:, :] = self._cell_pts.transpose(0, 2, 1)
-        self._minv = np.linalg.inv(M)
-        diffs = self._cell_pts[:, :, None, :] - self._cell_pts[:, None, :, :]
-        self._cell_diam2 = np.sqrt((diffs ** 2).sum(-1)).max(axis=(1, 2))
 
     @property
     def n_vertices(self):
@@ -173,11 +167,6 @@ class SimplicialComplex:
             out.append(np.unique(np.sort(
                 self.simplices[:, ends].reshape(-1, j + 1), axis=1), axis=0))
         return out
-
-    @property
-    def edges(self):
-        """(E, 2) vertex-index pairs of the simplex edges, ``faces[1]``."""
-        return self.faces[1]
 
     @cached_property
     def face_frames(self):
@@ -208,14 +197,12 @@ class SimplicialComplex:
         return build_box_partition(self.box, factor * self._grid[2])
 
     def cell_diameters(self):
-        """Max pairwise vertex distance per simplex."""
-        return self._cell_diam2.copy()
+        """Max pairwise vertex distance per simplex: its chain's ends'."""
+        return np.sqrt((self._steps ** 2).sum(axis=1))
 
     def volumes(self):
         """Lebesgue volume of each simplex."""
-        edges = self._cell_pts[:, 1:, :] - self._cell_pts[:, :1, :]
-        dets = np.abs(np.linalg.det(edges))
-        return dets / math.factorial(self.dim)
+        return self._steps.prod(axis=1) / math.factorial(self.dim)
 
     def vertex_weights(self, X):
         """Locate the rows of an (n, d) array of points in the complex.
@@ -323,10 +310,11 @@ def build_box_partition(box, counts):
 
 class EdgeFrame:
     """Where the hyperplanes <normals[k], z> = offsets[..., k] cross the
-    given edges of a complex, for batches of offsets (``crossings``).
+    given edges of a complex, for batches of offsets (``crossings``), into
+    buffers the caller reuses.
 
-    ``edges`` is (E, 2) vertex-index pairs, such as ``complex.edges`` or
-    ``complex.boundary.segments``, and ``normals`` is (K, d).  The frame
+    ``edges`` is (E, 2) vertex-index pairs, such as ``complex.faces[1]``
+    or ``complex.boundary.segments``, and ``normals`` is (K, d).  The frame
     holds what does not depend on the offsets: each hyperplane's value at
     every edge's first end and its step along the edge, and the edges' ends
     and steps per coordinate as (K, E) tables, so that a caller with many
@@ -347,28 +335,24 @@ class EdgeFrame:
         self.de = [np.tile(de[:, l], (len(normals), 1))
                    for l in range(de.shape[1])]
 
-    def crossings(self, offsets, out=None):
-        """The crossings at the (..., K) offsets, as ``(points, hit)``:
-        (..., K, E, d) points on each edge, with the edge parameter clipped
-        to [0, 1], and the (..., K, E) mask of the edges each hyperplane
-        crosses.  An edge parallel to a hyperplane is never hit.  ``out``,
-        a ``(points, hit, t)`` triple of arrays of the result shapes and of
-        the (..., K, E) edge parameters, receives them instead of fresh
-        arrays."""
-        points, hit, t = (None, None, None) if out is None else out
-        t = np.subtract(offsets[..., None], self.se0, out=t)
+    def crossings(self, offsets, out):
+        """The crossings at the (..., K) offsets, written into ``out``, a
+        ``(points, hit, t)`` triple of arrays: the (..., K, E, d) points on
+        each edge, with the edge parameter clipped to [0, 1], the
+        (..., K, E) mask of the edges each hyperplane crosses, and the
+        (..., K, E) edge parameters.  An edge parallel to a hyperplane is
+        never hit."""
+        points, hit, t = out
+        np.subtract(offsets[..., None], self.se0, out=t)
         np.divide(t, self.sde, out=t)
-        hit = np.greater_equal(t, -1e-12, out=hit)
+        np.greater_equal(t, -1e-12, out=hit)
         hit &= t <= 1 + 1e-12
         hit &= self.ok
         # in place: a batch of samples brings thousands of hyperplanes
         np.clip(t, 0, 1, out=t)
-        if points is None:
-            points = np.empty(t.shape + (len(self.de),))
         for l, (e0, de) in enumerate(zip(self.e0, self.de)):
             np.multiply(t, de, out=points[..., l])
             points[..., l] += e0
-        return points, hit
 
 
 class FiniteSpace:

@@ -14,20 +14,22 @@ candidate generators fits, each returning flat ``(vals, X, Z)`` arrays:
 every type-vertex x quality-vertex pair where both arguments are
 vertex-exact (``vertex_exact``), the family's closed-form minima on every
 face of the quality complex at each type vertex (``face_minima``), or
-else its oracle terms, a separable term's side taking the
-``axis_arrangement_candidates`` of its anchor.  ``_best_and_pool`` turns
-the candidates into the optimum and the cut pool.  Every ranking of
-candidates is by value, ties in the order of generation: a stable sort,
-never numpy's default, whose kernel (and so its ties) varies by CPU.
+else its oracle terms.  ``_best_and_pool`` turns the candidates into the
+optimum and the cut pool.  Every ranking of candidates is by value, ties
+in the order of generation: a stable sort, never numpy's default, whose
+kernel (and so its ties) varies by CPU.
 ``type_minima`` answers the minimization over the type space alone at
 fixed quality points, which the transfer functions need.
 
-No LP is solved.  A coupled oracle term is convex and affine between its
-kink hyperplanes, so on each (type cell, quality cell) pair its minimum
-sits at a vertex of the pair cut by them.  Those vertices depend on the
-geometry and the kinks only, not on the multipliers, so they are computed
-once in closed form and cached, one row per vertex; a call values the
-rows with the multipliers and takes the least per pair.  The values the
+No LP is solved.  Every oracle term is convex and affine between its
+kink hyperplanes: a coupled term's in the joint space, a separable term's
+side's the axis hyperplanes through its anchor.  So on each (type cell,
+quality cell) pair, or on each cell of a side, the objective's minimum
+sits at a vertex of the cell cut by them, and one enumerator
+(``_pair_vertices``) finds those vertices in any dimension.  They depend
+on the geometry and the kinks only, not on the multipliers, so they are
+computed once in closed form and cached, one row per vertex; a call
+values the rows with the multipliers and takes the least.  The values the
 oracle returns are the objective at points it names, so the certified
 bound rests on no solver's tolerances.
 
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EdgeFrame, FiniteSpace, first_seen, point_keys
+from .geometry import FiniteSpace, first_seen, point_keys
 from .problems import SeparableL1Term
 
 
@@ -90,34 +92,6 @@ def _finalize(model, i, x_basis, z_basis, y, w, x, z, pool, beta_lower):
                         beta_lower=min(beta_lower, beta), pool=pool)
 
 
-def axis_arrangement_candidates(space, anchors):
-    """Candidate minimizer points of a convex PWA function whose kinks lie on
-    the axis-aligned hyperplanes through the given anchor points.
-
-    Returns the union over the complex of: cell vertices, intersections of
-    the anchor hyperplanes with cell edges, and the points where d anchor
-    hyperplanes cross inside the complex.  In 1-D and 2-D these are every
-    vertex of the cells cut by the hyperplanes, so minimizing any function
-    that is affine between these hyperplanes within each cell is exact on
-    this set.  In 3-D and up the crossings of fewer than d hyperplanes with
-    the cells' faces would be missing, so the complex must be 1-D or 2-D.
-    """
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
-    d = space.dim
-    if d > 2:
-        raise OracleError("an anchored separable term needs a 1-D or 2-D "
-                          "complex, not %d-D" % d)
-    levels = [np.unique(anchors[:, l]) for l in range(d)]
-    axes = np.concatenate([np.full(len(v), l) for l, v in enumerate(levels)])
-    on_edges, hit = EdgeFrame(space, space.edges, np.eye(d)[axes]).crossings(
-        np.concatenate(levels))
-    pts = [space.vertices, on_edges[hit]]
-    if d == 2:
-        crossings = np.array(list(itertools.product(*levels))).reshape(-1, d)
-        pts.append(crossings[space.covers(crossings)])
-    return first_seen(np.vstack(pts))[0]
-
-
 # The shared cache of static geometry, least recently used first, and the
 # bound on the summed nbytes of its entries' arrays.  It takes no lock: the
 # package's only threads are ``z_opt``'s, which call no oracle.
@@ -142,11 +116,21 @@ def _cached(cache, key, build):
 
 def _side_candidates(space, basis, anchor):
     """A side's exact candidate set for its anchor and the basis values
-    there."""
+    there.
+
+    With an anchor on a complex, the candidates are every vertex of the
+    cells cut by the anchor's axis hyperplanes x_l = anchor_l: the
+    ``_pair_vertices`` of the kinks (I, 0, anchor) with a one-point other
+    side, each point once by its key, in lexicographic order.
+    """
     if anchor is None or isinstance(space, FiniteSpace):
         cand = space.vertices
     else:
-        cand = axis_arrangement_candidates(space, np.atleast_2d(anchor))
+        d, xp = space.dim, space._cell_pts
+        a, lx = _pair_vertices(np.eye(d), np.zeros((d, 1)), anchor, xp,
+                               np.zeros((1, 1, 1)))[:2]
+        cand = first_seen(np.einsum("nk,nkd->nd", lx, xp[a]))[0]
+        cand = cand[np.lexsort(cand.T[::-1])]
     return cand, basis.eval_many(cand)
 
 
@@ -158,8 +142,9 @@ def _side_table(side, space, basis, coeffs, terms, cache):
     set's cache key is the side, the basis's excluded vertex, the space's
     vertex and cell arrays with their shapes, and the anchor's bytes.
     Returns per term the (n_terms, k) values, lowest first, ties in
-    candidate order, and the (n_terms, k, d) points, k the most points a
-    side has up to 8; a side with fewer has +inf values after its own.
+    candidate order (lexicographic, ``_side_candidates``), and the
+    (n_terms, k, d) points, k the most points a side has up to 8; a side
+    with fewer has +inf values after its own.
     """
     key = (side, basis.excluded) + tuple(
         (a.shape, a.tobytes())
@@ -242,9 +227,9 @@ def _kink_systems(kx, kz, q):
     return out
 
 
-def _pair_vertices(term, xp, xi, zp, zi):
-    """Every vertex of each cell pair's product polytope cut by the term's
-    kink hyperplanes, one row per vertex, and the term's value there.
+def _pair_vertices(A, B, c, xp, zp):
+    """Every vertex of each cell pair's product polytope cut by the kink
+    hyperplanes A x + B z = c, one row per vertex.
 
     Each pair (x-cell a, z-cell b) solves every ``_kink_systems`` system
     in the face's edge parameters t: the r chosen kinks, n . p = c, at
@@ -254,12 +239,10 @@ def _pair_vertices(term, xp, xi, zp, zi):
     its solution, and one with a weight below ``-WEIGHT_TOL``, is no
     vertex.  A system whose kinks have linearly dependent normals is
     singular on every cell pair and is left out before solving.  Returns
-    per row, in (x-cell, z-cell, system) order, its cells' global vertex
-    indices ``ix``, ``iz``, its weights ``lx``, ``lz`` clipped onto them
-    and its value ``T``; and each pair's first row ``start``, as r = 0 is
-    never singular and gives every pair rows.
+    per row, in (x-cell, z-cell, system) order, its cells ``a``, ``b`` and
+    its weights ``lx``, ``lz`` clipped onto them; and each pair's first row
+    ``start``, as r = 0 is never singular and gives every pair rows.
     """
-    A, B, c = term.kinks()
     nx, kx, _ = xp.shape
     nz, kz, _ = zp.shape
     ax = xp @ A.T                                   # (nx, kx, q)
@@ -303,9 +286,7 @@ def _pair_vertices(term, xp, xi, zp, zi):
     a, b = np.divmod(pair, nz)
     lx, lz = (np.clip(w[order], 0.0, None) for w in (lx, lz))
     lx, lz = lx / lx.sum(-1, keepdims=True), lz / lz.sum(-1, keepdims=True)
-    T = term.eval(np.einsum("nk,nkd->nd", lx, xp[a]),
-                  np.einsum("nk,nkd->nd", lz, zp[b]))
-    return xi[a], lx, zi[b], lz, T, np.searchsorted(pair, np.arange(nx * nz))
+    return a, lx, b, lz, np.searchsorted(pair, np.arange(nx * nz))
 
 
 def _pair_key(term, xp, xi, zp, zi):
@@ -325,14 +306,20 @@ def _coupled_term_values(term, xp, xi, zp, zi, Yv, Wv, cache):
     The cells are given by their vertex coordinates and vertex indices
     (``_cell_vertex_arrays``).  On a cell pair the objective is convex and
     affine between the term's kink hyperplanes, so its minimum sits at a
-    vertex of the pair cut by them (``_pair_vertices``, cached across
-    calls and oracles by ``_cached``).  A call values the rows with the
-    multipliers and takes each pair's first least row.  Returns the
-    (nx, nz) value table and the (nx * nz, d) points, x-cell major.
+    vertex of the pair cut by them (``_pair_vertices``).  Its rows' global
+    vertex indices, weights and term values are cached across calls and
+    oracles by ``_cached``.  A call values the rows with the multipliers
+    and takes each pair's first least row.  Returns the (nx, nz) value
+    table and the (nx * nz, d) points, x-cell major.
     """
+    def rows():
+        a, lx, b, lz, start = _pair_vertices(*term.kinks(), xp, zp)
+        T = term.eval(np.einsum("nk,nkd->nd", lx, xp[a]),
+                      np.einsum("nk,nkd->nd", lz, zp[b]))
+        return xi[a], lx, zi[b], lz, T, start
+
     ix, lx, iz, lz, T, start = _cached(
-        cache, _pair_key(term, xp, xi, zp, zi),
-        lambda: _pair_vertices(term, xp, xi, zp, zi))
+        cache, _pair_key(term, xp, xi, zp, zi), rows)
     # k innermost: another summation order moves the values' last bits
     vals = (T - np.einsum("nk,nk->n", lx, Yv[ix])
             - np.einsum("nk,nk->n", lz, Wv[iz]))

@@ -67,7 +67,9 @@ class SeparableL1Term:
 
     Either side may be absent (anchor None).  Convex, and separable across
     the two arguments, so each side is minimized independently over its own
-    complex using the axis arrangement candidates.
+    complex: a side is affine between the axis hyperplanes through its
+    anchor, so its minimum sits at a vertex of a cell cut by them, in any
+    dimension.
     """
 
     def __init__(self, anchor_x, weight_x, anchor_z, weight_z, const):
@@ -677,7 +679,7 @@ class CappedAffineCost(CostModel):
             return
         # line x boundary-segment crossings, lower lines first
         w.frame.crossings(rhs.transpose(0, 2, 1),
-                          out=(w.edges[:n], w.hit[:n], w.t[:n]))
+                          (w.edges[:n], w.hit[:n], w.t[:n]))
         # line x line crossings across categories, one column at a time as
         # in eval: a BLAS product rounds one row and a batch differently.
         # The second line's term of a coordinate is scratch in the last
@@ -718,7 +720,9 @@ class TabulatedCpwaCost(CostModel):
     def _grad_bound(self, space, values_for_cells):
         """Max euclidean norm over cells of the gradient of the barycentric
         interpolation of per-vertex values; finite spaces use the worst
-        pairwise difference quotient instead."""
+        pairwise difference quotient instead.  Along each step of a Kuhn
+        chain, which moves along one axis, the gradient's component on
+        that axis is the values' change over the step's length."""
         if isinstance(space, FiniteSpace):
             V = space.vertices
             if len(V) < 2:
@@ -728,12 +732,9 @@ class TabulatedCpwaCost(CostModel):
             diffs = np.abs(values_for_cells[:, :, None]
                            - values_for_cells[:, None, :])
             return float((diffs / dist[None]).max())
-        worst = 0.0
-        for s, idx in enumerate(space.simplices):
-            G = space._minv[s][:, 1:]          # (d+1, d): grad of lam rows
-            vals = values_for_cells[:, idx]    # (k, d+1)
-            worst = max(worst, float(np.linalg.norm(vals @ G, axis=1).max()))
-        return worst
+        slopes = (np.diff(values_for_cells[:, space.simplices], axis=-1)
+                  / space._steps)                # (k, m, d)
+        return float(np.sqrt((slopes ** 2).sum(-1)).max())
 
     def _lipschitz(self, i):
         T = self.tables[i]

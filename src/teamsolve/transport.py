@@ -164,7 +164,6 @@ class SemidiscreteCoupling:
         self.target = target
         self.plan = plan
         self.cell_simplex = cell_simplex      # target simplex of each column
-        self.refinement = REFINEMENT
         self.est_masses = plan.plan.sum(axis=1)
 
     def sample_given_source(self, rng, src_idx):

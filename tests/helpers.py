@@ -23,8 +23,8 @@ from teamsolve.linprog import (LpError, LpInfeasibleError, LpProblem,
 from teamsolve.measures import DiscreteMeasure
 from teamsolve.oracle import (SINGULAR_TOL, WEIGHT_TOL, OracleError,
                               _cell_vertex_arrays, _coupled_term_values,
-                              _finalize, _kink_systems, _vertex_multipliers,
-                              axis_arrangement_candidates)
+                              _finalize, _kink_systems, _side_candidates,
+                              _vertex_multipliers)
 from teamsolve.problems import (BusinessLocationCost, CappedAffineCost,
                                 CostModelError, DirectL1Term, ScalarRampTerm,
                                 SeparableL1Term, _dot, tabulated_cpwa_cost)
@@ -33,6 +33,16 @@ from teamsolve.problems import (BusinessLocationCost, CappedAffineCost,
 def point_key(p):
     """Hashable key of one point (``geometry.point_keys`` of one row)."""
     return point_keys(p)[0]
+
+
+def edge_crossings(complex, edges, normals, offsets):
+    """``EdgeFrame(complex, edges, normals).crossings(offsets, ...)`` into
+    new arrays: the (..., K, E, d) points and the (..., K, E) hit mask."""
+    shape = np.shape(offsets) + (len(edges),)
+    out = np.empty(shape + (complex.dim,)), np.empty(shape, bool), \
+        np.empty(shape)
+    EdgeFrame(complex, edges, normals).crossings(offsets, out)
+    return out[:2]
 
 
 def brute_force_discrete_optimum(model, measures, x_spaces, z_space):
@@ -235,9 +245,10 @@ def _grad_bound(basis, coeffs):
     if isinstance(basis.complex, FiniteSpace):
         return 0.0
     Yv = _vertex_multipliers(basis, coeffs)
+    minv = cell_inverses(basis.complex)
     worst = 0.0
     for s, idx in enumerate(basis.complex.simplices):
-        G = basis.complex._minv[s][:, 1:]
+        G = minv[s][:, 1:]
         worst = max(worst, float(np.linalg.norm(Yv[idx] @ G)))
     return worst
 
@@ -690,8 +701,8 @@ def capped_affine_dense_values(model, X_list, z_space):
         cand.append(pts)
         valid.append(z_space.covers(pts))
     else:
-        pts, hit = EdgeFrame(z_space, segments, model.s).crossings(
-            rhs.transpose(0, 2, 1))
+        pts, hit = edge_crossings(z_space, segments, model.s,
+                                  rhs.transpose(0, 2, 1))
         cand.append(pts.reshape(n, -1, d))
         valid.append(hit.reshape(n, -1))
         ia, ib, Ma, Mb = model._line_pairs
@@ -785,8 +796,8 @@ def mesh_z_opt_candidates(model, X_list, z_space):
         masks.append(z_space.covers(pts.reshape(-1, 1)).reshape(n, -1))
     else:
         # line x edge intersections, lower lines first
-        pts, hit = EdgeFrame(z_space, z_space.edges, model.s).crossings(
-            rhs.transpose(0, 2, 1))
+        pts, hit = edge_crossings(z_space, z_space.faces[1], model.s,
+                                  rhs.transpose(0, 2, 1))
         cand.append(pts.reshape(n, -1, 2))
         masks.append(hit.reshape(n, -1))
         # line x line intersections across categories
@@ -849,8 +860,8 @@ def business_z_opt_candidates(model, X_list, z_space):
 
 def unique_faces(complex, j):
     """(F, j+1) vertex indices of all j-faces of the simplices, each sorted
-    and deduplicated through a set: the reference for ``complex.faces[j]``
-    (``complex.edges`` for j = 1)."""
+    and deduplicated through a set: the reference for
+    ``complex.faces[j]``."""
     faces = set()
     for simplex in complex.simplices:
         for face in itertools.combinations(sorted(simplex.tolist()), j + 1):
@@ -858,10 +869,21 @@ def unique_faces(complex, j):
     return np.asarray(sorted(faces), dtype=int).reshape(-1, j + 1)
 
 
+def cell_inverses(complex):
+    """(m, d+1, d+1) inverses of each simplex's [1; P^T] by a generic
+    batched inverse: lam = M^-1 [1, x], so columns 1: hold the gradients of
+    the barycentric coordinates.  The reference for the Kuhn closed forms
+    of ``SimplicialComplex``, which inverts nothing."""
+    P = complex._cell_pts
+    M = np.ones((len(P), complex.dim + 1, complex.dim + 1))
+    M[:, 1:, :] = P.transpose(0, 2, 1)
+    return np.linalg.inv(M)
+
+
 def barycentric(complex, s, x):
     """Barycentric coordinates of x in simplex s (no membership check)."""
     q = np.concatenate(([1.0], np.asarray(x, dtype=float)))
-    return complex._minv[s] @ q
+    return cell_inverses(complex)[s] @ q
 
 
 def _grid_locate_scalar(complex, x, tol):
@@ -919,7 +941,7 @@ def search_locate(complex, X):
     location of ``vertex_weights`` and for ``covers``."""
     n = len(X)
     q = np.hstack([np.ones((n, 1)), X])
-    L = (complex._minv @ q[:, None, :, None])[..., 0]       # (n, m, d+1)
+    L = (cell_inverses(complex) @ q[:, None, :, None])[..., 0]  # (n, m, d+1)
     v = -L.min(axis=2)
     inside = v <= 0.0
     pick = np.where(inside.any(axis=1), inside.argmax(axis=1),
@@ -1145,6 +1167,30 @@ def exact_tilde_loop(model, chain, z_space):
 # ---------------------------------------------------------------------------
 # per-point reference for the transfer functions
 
+def axis_arrangement_candidates(space, anchors):
+    """The vertices of a 1-D or 2-D complex's cells cut by the axis
+    hyperplanes through the anchor points, in lexicographic order: the cell
+    vertices, the hyperplanes' crossings with the edges and, in 2-D, the
+    crossings of two hyperplanes inside the box.  From 3-D on the crossings
+    of fewer than d hyperplanes with the cells' faces would be missing.
+    The construction the oracle used for a separable side before it took
+    the side's candidates from its one arrangement enumerator, kept as the
+    reference in 1-D and 2-D."""
+    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    d = space.dim
+    assert d <= 2, "the edge-and-crossing construction is exact up to 2-D"
+    levels = [np.unique(anchors[:, l]) for l in range(d)]
+    axes = np.concatenate([np.full(len(v), l) for l, v in enumerate(levels)])
+    on_edges, hit = edge_crossings(space, space.faces[1], np.eye(d)[axes],
+                                   np.concatenate(levels))
+    pts = [space.vertices, on_edges[hit]]
+    if d == 2:
+        crossings = np.array(list(itertools.product(*levels))).reshape(-1, d)
+        pts.append(crossings[space.covers(crossings)])
+    P = first_seen(np.vstack(pts))[0]
+    return P[np.lexsort(P.T[::-1])]
+
+
 def transfer_x_candidates(model, i, z, x_space):
     """A finite type set holding a minimizer of x -> c_i(x, z) minus any
     per-cell affine function: the vertices, with the kink arrangement of
@@ -1245,11 +1291,11 @@ def quadratic_candidates_d2(lam, x_space, z_space, Yv, Wv):
     """
     xs = x_space.vertices                              # (nx, d)
     V0 = z_space.vertices
-    edges = z_space.edges
+    edges = z_space.faces[1]
     e0 = V0[edges[:, 0]]
     de = V0[edges[:, 1]] - e0
     # per cell C: <h(z), w> = aC + <bC, z> on C
-    minv = z_space._minv
+    minv = cell_inverses(z_space)
     Wc = Wv[z_space.simplices]                         # (m, d+1)
     aC = np.einsum("mk,mk->m", Wc, minv[:, :, 0])
     bC = np.einsum("mk,mkd->md", Wc, minv[:, :, 1:])
@@ -1295,15 +1341,16 @@ def term_candidates_per_term(model, i, x_space, x_basis, z_space, z_basis,
     """Flat (vals, X, Z) candidates of ``oracle._term_candidates``: per
     term in order, a separable term's 8 lowest points of each side paired
     x-major, a coupled term's ``max(cap, 8)`` lowest cell-pair minima, each
-    ranked by a stable sort, ties in candidate order."""
+    ranked by a stable sort, ties in candidate order.  A side's candidate
+    set is the oracle's own (``oracle._side_candidates``): the former
+    construction, ``axis_arrangement_candidates``, finds the same points
+    but may round a crossing otherwise in the last bit, and the sets are
+    compared on their own."""
     Yv = _vertex_multipliers(x_basis, y)
     Wv = _vertex_multipliers(z_basis, w)
 
     def side(space, basis, coeffs, anchor, weight):
-        if anchor is None or isinstance(space, FiniteSpace):
-            cand = space.vertices
-        else:
-            cand = axis_arrangement_candidates(space, np.atleast_2d(anchor))
+        cand = _side_candidates(space, basis, anchor)[0]
         vals = -basis.eval_many(cand) @ coeffs
         if anchor is not None and weight != 0.0:
             vals = vals + weight * np.abs(cand - anchor).sum(axis=1)

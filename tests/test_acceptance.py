@@ -16,7 +16,7 @@ from teamsolve.linprog import solve
 from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
                                 moment_vector, random_cpwa, second_moment)
 from teamsolve.cutting_plane import run, sparsity_bound
-from teamsolve.equilibrium import construct, transfer_eval, z_opt
+from teamsolve.equilibrium import construct, transfer_eval
 from teamsolve.oracle import make_oracle
 from teamsolve.problems import barycenter_cost, capped_affine_cost
 from teamsolve.transport import ot_discrete, ot_quantile_1d, ot_semidiscrete

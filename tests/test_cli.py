@@ -3,7 +3,6 @@ import os
 import re
 import sys
 
-import numpy as np
 import pytest
 
 from helpers import brute_force_discrete_optimum

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (BudgetError, barycentric, check_face_property,
-                     component_of, facet_boundary, locate, locate_scalar,
-                     outside_box_any, plan_partition, search_locate,
-                     unique_faces)
+from helpers import (BudgetError, barycentric, cell_inverses,
+                     check_face_property, component_of, edge_crossings,
+                     facet_boundary, locate, locate_scalar, outside_box_any,
+                     plan_partition, search_locate, unique_faces)
 from teamsolve import geometry
 from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
                                 IndicatorBasis, PointOutsideComplexError,
                                 build_box_partition, epsilon_bar)
+from teamsolve.problems import TabulatedCpwaCost
 
 
 def test_interval_split():
@@ -112,7 +114,7 @@ def test_face_consistency():
     c = build_box_partition([(0, 1), (0, 1)], (2, 2))
     rng = np.random.default_rng(1)
     # points on shared faces: edges common to two simplices
-    edges = c.edges
+    edges = c.faces[1]
     for e in edges:
         owners = [s for s in range(c.n_simplices)
                   if e[0] in c.simplices[s] and e[1] in c.simplices[s]]
@@ -151,13 +153,36 @@ def test_degenerate_simplex_rejected():
 
 @pytest.mark.parametrize("box,counts", [
     ([(0, 1), (0, 1)], (6, 6)), ([(-2, 2), (0, 1)], (12, 3)),
-    ([(0, 1)], (4,)), ([(0, 1), (0, 2), (0, 3)], (3, 2, 2))])
+    ([(0, 1)], (4,)), ([(0, 1), (0, 2), (0, 3)], (3, 2, 2)),
+    ([(0, 1)], (8,)), ([(-2, 2), (0, 1)], (4, 4)),
+    ([(0, 2), (0, 1), (-1, 1)], (2, 2, 4))])
 def test_cell_inverses_are_the_per_simplex_inverses(box, counts):
-    # one batched inverse, bit for bit each simplex's own
+    # the Kuhn closed forms from the steps against the generic linear
+    # algebra of each simplex: its edges' determinant, its vertices' largest
+    # pairwise distance and the norms of the gradients that the inverse of
+    # [1; P^T] gives, within 8 ulps.  Where every cell width is a power of
+    # two the diameters and gradient norms are bit for bit, and the
+    # volumes are the widths' exact product over d!, which numpy's
+    # determinant, taken through its logarithm, misses by an ulp
     c = build_box_partition(box, counts)
-    for s, idx in enumerate(c.simplices):
-        M = np.vstack([np.ones(c.dim + 1), c.vertices[idx].T])
-        assert np.linalg.inv(M).tobytes() == c._minv[s].tobytes()
+    minv = cell_inverses(c)
+    P = c._cell_pts
+    volumes = np.abs(np.linalg.det(P[:, 1:] - P[:, :1])) \
+        / math.factorial(c.dim)
+    diameters = np.sqrt(((P[:, :, None] - P[:, None]) ** 2).sum(-1)) \
+        .max(axis=(1, 2))
+    F = np.random.default_rng(sum(counts)).normal(size=(5, c.n_vertices))
+    grads = np.linalg.norm(np.einsum("kmi,mid->kmd", F[:, c.simplices],
+                                     minv[:, :, 1:]), axis=-1).max()
+    got = (c.volumes(), c.cell_diameters(),
+           TabulatedCpwaCost._grad_bound(None, c, F))
+    for have, want in zip(got, (volumes, diameters, grads), strict=True):
+        assert np.all(np.abs(have - want) <= 8 * np.spacing(want))
+    widths = c._grid[1]
+    if np.array_equal(np.frexp(widths)[0], np.full(c.dim, 0.5)):
+        assert np.array_equal(got[0], np.full(c.n_simplices, widths.prod())
+                              / math.factorial(c.dim))
+        assert np.array_equal(got[1], diameters) and got[2] == grads
 
 
 def test_epsilon_bar():
@@ -202,7 +227,7 @@ def _location_cases():
                         (((0, 1), (0, 2), (0, 1)), (2, 2, 2))):
         c = build_box_partition(box, counts)
         lo, hi = c.box.T
-        edges = c.edges
+        edges = c.faces[1]
         t = rng.uniform(size=(len(edges), 1))
         P = np.vstack([
             rng.uniform(lo, hi, size=(300, len(lo))),
@@ -282,10 +307,11 @@ def test_kuhn_location_matches_the_search_over_every_simplex(box, counts):
     c = build_box_partition(box, counts)
     rng = np.random.default_rng(sum(counts))
     lo, hi = c.box.T
-    t = rng.uniform(size=(len(c.edges), 1))
+    edges = c.faces[1]
+    t = rng.uniform(size=(len(edges), 1))
     P = np.vstack([rng.uniform(lo, hi, size=(400, c.dim)), c.vertices,
-                   c.vertices[c.edges[:, 0]] * (1 - t)
-                   + c.vertices[c.edges[:, 1]] * t])
+                   c.vertices[edges[:, 0]] * (1 - t)
+                   + c.vertices[edges[:, 1]] * t])
     ref, viol = search_locate(c, P)
     assert viol.max() <= 1e-14
     V, W = c.vertex_weights(P)
@@ -310,9 +336,9 @@ def test_edges_match_set_reference():
               build_box_partition([(0, 1), (0, 2)], (2, 3)),
               build_box_partition([(0, 1)] * 3, (2, 1, 2))):
         ref = unique_faces(c, 1)
-        assert c.edges.dtype == ref.dtype
-        assert np.array_equal(c.edges, ref)
-        assert c.edges is c.edges           # built once
+        assert c.faces[1].dtype == ref.dtype
+        assert np.array_equal(c.faces[1], ref)
+        assert c.faces[1] is c.faces[1]     # built once
 
 
 def test_faces_match_set_reference():
@@ -326,7 +352,7 @@ def test_faces_match_set_reference():
             assert np.array_equal(F, ref)
         assert np.array_equal(c.faces[0][:, 0], np.arange(c.n_vertices))
         assert len(c.faces[c.dim]) == c.n_simplices
-        assert c.faces is c.faces and c.edges is c.faces[1]
+        assert c.faces is c.faces
     # the Kuhn cube: 27 vertices, 98 edges, 120 triangles, 48 tetrahedra
     cube = build_box_partition([(0, 1)] * 3, (2, 2, 2))
     assert [len(F) for F in cube.faces] == [27, 98, 120, 48]
@@ -349,10 +375,11 @@ def test_edge_crossings():
         normals[0] = np.eye(c.dim)[0]           # parallel to some edges
         offsets = rng.uniform(-0.5, 2.0, size=(5, 6))
         offsets[:, 0] = 0.5
-        pts, hit = geometry.EdgeFrame(c, c.edges, normals).crossings(offsets)
-        E = len(c.edges)
+        edges = c.faces[1]
+        pts, hit = edge_crossings(c, edges, normals, offsets)
+        E = len(edges)
         assert pts.shape == (5, 6, E, c.dim) and hit.shape == (5, 6, E)
-        a, b = c.vertices[c.edges[:, 0]], c.vertices[c.edges[:, 1]]
+        a, b = c.vertices[edges[:, 0]], c.vertices[edges[:, 1]]
         for r in range(5):
             for k in range(6):
                 on = pts[r, k, hit[r, k]]
@@ -408,9 +435,10 @@ def test_boundary_format():
               build_box_partition([(-2, 2), (-1, 3)], (3, 4))):
         corners, segments = c.boundary
         assert c.boundary is c.boundary          # built once
-        assert corners.dtype == segments.dtype == c.edges.dtype
+        assert corners.dtype == segments.dtype == c.faces[1].dtype
         assert np.array_equal(corners, np.unique(corners))
-        # the format of ``edges``: smaller index first, lexicographic order
+        # the format of ``faces[1]``: smaller index first, lexicographic
+        # order
         assert np.array_equal(segments, np.unique(np.sort(segments, axis=1),
                                                   axis=0))
         assert np.isin(segments, corners).all()

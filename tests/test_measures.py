@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (cpwa_second_moment_loop, cpwa_vertex_moments_loop,
-                     discrete_moment_vector_dense)
+from helpers import (cell_inverses, cpwa_second_moment_loop,
+                     cpwa_vertex_moments_loop, discrete_moment_vector_dense)
 from teamsolve.geometry import FiniteSpace, HatBasis, build_box_partition
 from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
                                 MeasureError, SupportOutsideBasisError,
@@ -90,7 +90,7 @@ def test_cell_samples_follow_the_linear_density(counts):
     cells = np.repeat(np.arange(cx.n_simplices), per_cell)
     X = m.sample_cells(rng, cells)
     q = np.hstack([np.ones((len(X), 1)), X])
-    lam = np.einsum("nij,nj->ni", cx._minv[cells], q)
+    lam = np.einsum("nij,nj->ni", cell_inverses(cx)[cells], q)
     assert lam.min() >= -1e-12
     lam = lam.reshape(cx.n_simplices, per_cell, d + 1)
     fv = m.vertex_density[cx.simplices]

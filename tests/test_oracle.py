@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (ZeroTauError, coupled_term_values_dense,
+from helpers import (ZeroTauError, axis_arrangement_candidates,
+                     coupled_term_values_dense,
                      coupled_term_values_vertices, hat_basis_excluding,
                      oracle_lipschitz_grid, pair_vertices_dense,
                      quadratic_candidates_d2, rebased_y,
@@ -26,7 +27,7 @@ from teamsolve.equilibrium import z_opt
 from teamsolve.geometry import (FiniteSpace, GeometryError, HatBasis,
                                 build_box_partition, point_keys)
 from teamsolve.measures import DiscreteMeasure, moment_vector
-from teamsolve.oracle import OracleError, make_oracle
+from teamsolve.oracle import make_oracle
 from teamsolve.problems import (CostModel, CostModelError, DirectL1Term,
                                 ScalarRampTerm, SeparableL1Term,
                                 barycenter_cost, business_location_cost,
@@ -370,12 +371,14 @@ def test_degenerate_space_rejected():
 
 class _AnchoredL1(CostModel):
     """||x - anchor||_1, one separable term with an anchor on the type
-    side, constant in z."""
+    side, constant in z; Lipschitz sqrt(d) in x."""
 
     N = 1
 
     def __init__(self, anchor):
         self.anchor = anchor
+        self.L1 = np.array([np.sqrt(len(anchor))])
+        self.L2 = np.zeros(1)
 
     def eval(self, i, X, Z):
         return np.abs(np.atleast_2d(X) - self.anchor).sum(1)
@@ -384,11 +387,12 @@ class _AnchoredL1(CostModel):
         return [SeparableL1Term(self.anchor, 1.0, None, 0.0, 0.0)]
 
 
-def test_an_anchored_side_in_three_dimensions_is_refused():
+def test_an_anchored_side_in_three_dimensions_is_exact():
     # ||x - a||_1 - 2 x_3 on the unit cube is least, -1.5, at (0.3, 0.6, 1),
     # where two anchor planes cross a 2-face.  The vertices, the anchor
     # planes' edge crossings and the three planes' crossing reach -1.2 at
-    # best, so a certified bound from them would be too high
+    # best; the side's candidates are every vertex of the cube cut by the
+    # anchor planes, the 2-face crossings included
     cube = build_box_partition([(0, 1)] * 3, (1, 1, 1))
     line = build_box_partition([(0, 1)], (1,))
     anchor = np.array([0.3, 0.6, 0.5])
@@ -398,11 +402,75 @@ def test_an_anchored_side_in_three_dimensions_is_refused():
     assert np.allclose(bx.eval_many(X) @ y, 2.0 * X[:, 2])
     model = _AnchoredL1(anchor)
     assert model.eval(0, [[0.3, 0.6, 1.0]], [[0.0]])[0] - 2.0 == -1.5
-    oracle = _oracle(model, cube, bx, line, bz)
-    with pytest.raises(OracleError, match="not 3-D"):
-        oracle(0, y, np.zeros(bz.m))
-    with pytest.raises(OracleError, match="not 3-D"):
-        oracle_module.axis_arrangement_candidates(cube, anchor[None])
+    r = _oracle(model, cube, bx, line, bz)(0, y, np.zeros(bz.m))
+    assert np.allclose(r.x, [0.3, 0.6, 1.0], rtol=0.0, atol=1e-12)
+    assert abs(r.beta_lower + 1.5) <= 1e-12
+    assert abs(r.beta_tilde + 1.5) <= 1e-12
+    cand = oracle_module._side_candidates(cube, bx, anchor)[0]
+    assert len(cand) == 48
+    assert np.abs(cand - [0.3, 0.6, 1.0]).sum(axis=1).min() <= 1e-12
+
+
+def _kuhn_grid(dim, data):
+    """A Kuhn grid of 1, 2 or 3 dimensions, of at most 3, 2 or 1 cells per
+    axis, over a box drawn by hypothesis, its sides at most 1.5, 1.5 or
+    0.6 long."""
+    counts = data.draw(st.lists(st.integers(1, (3, 2, 1)[dim - 1]),
+                                min_size=dim, max_size=dim))
+    lo = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim,
+                            max_size=dim))
+    width = data.draw(st.lists(st.floats(0.5, (1.5, 1.5, 0.6)[dim - 1]),
+                               min_size=dim, max_size=dim))
+    return build_box_partition([(a, a + b) for a, b in zip(lo, width)],
+                               counts)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_a_separable_side_lies_in_the_grid_oracles_bracket(dim, data):
+    # a random anchor, inside the box or near it, and random multipliers:
+    # the side's least value lies in the covering grid's certified bracket
+    # [grid min - tau, grid min].  The grid's points number about tau^-d,
+    # so the cube takes a coarser tau
+    xs = _kuhn_grid(dim, data)
+    zs = build_box_partition([(0, 1)], (1,))
+    lo, hi = xs.box.T
+    anchor = np.array([data.draw(st.floats(a - 0.25, b + 0.25))
+                       for a, b in zip(lo, hi)])
+    bx, bz = HatBasis(xs), HatBasis(zs)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    y, w = rng.normal(scale=0.2, size=bx.m), np.zeros(bz.m)
+    model = _AnchoredL1(anchor)
+    exact = _oracle(model, xs, bx, zs, bz)(0, y, w)
+    tau = 0.1 if dim < 3 else 0.3
+    grid = oracle_lipschitz_grid(model, 0, xs, bx, zs, bz, y, w, tau=tau)
+    assert grid.beta_lower - 1e-12 <= exact.beta_lower
+    assert exact.beta_lower <= grid.beta_tilde + 1e-12
+    assert abs(exact.beta_tilde - exact.beta_lower) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 2), data=st.data())
+def test_a_side_holds_the_edge_and_crossing_points_in_one_and_two_d(dim,
+                                                                    data):
+    # in 1-D and 2-D the enumerator's candidates are the former
+    # construction's points: the vertices, the anchor lines' edge
+    # crossings and their crossing inside the box, in lexicographic order;
+    # anchors on grid lines and vertices too
+    xs = _kuhn_grid(dim, data)
+    lo, hi = xs.box.T
+    on_grid = xs.vertices[data.draw(st.integers(0, xs.n_vertices - 1))]
+    anchor = np.array([data.draw(st.one_of(
+        st.floats(a - 0.25, b + 0.25), st.just(float(v))))
+        for a, b, v in zip(lo, hi, on_grid)])
+    cand = oracle_module._side_candidates(xs, HatBasis(xs), anchor)[0]
+    ref = axis_arrangement_candidates(xs, anchor[None])
+    # the same points up to rounding, so that two of them may swap places
+    # in the order where a coordinate differs in the last bit
+    gap = np.abs(cand[:, None] - ref[None]).max(axis=-1)
+    assert cand.shape == ref.shape
+    assert gap.min(axis=0).max() <= 1e-12 and gap.min(axis=1).max() <= 1e-12
+    assert np.array_equal(np.lexsort(cand.T[::-1]), np.arange(len(cand)))
 
 
 def test_grid_oracle_contract():
@@ -592,10 +660,10 @@ def test_pair_vertices_leave_out_the_parallel_kink_systems():
     both = sum(np.all(S == [0, 1], axis=1).sum() for _, _, S, _, _ in systems
                if S.shape[1] == 2)
     assert sum(len(S) for _, _, S, _, _ in systems) == 29 and both == 5
-    *_, T, start = oracle_module._pair_vertices(term, xp, xi, zp, zi)
+    a, *_, start = oracle_module._pair_vertices(*term.kinks(), xp, zp)
     # every one of the nx * nz pairs has a first row, and its rows are its
     # 2 x 3 vertex pairs and at most the 24 - 6 solutions of the others
-    rows = np.diff(start, append=len(T))
+    rows = np.diff(start, append=len(a))
     assert len(start) == len(xp) * len(zp) and start[0] == 0
     assert rows.min() >= 6 and rows.max() <= 24
 
@@ -662,16 +730,17 @@ def _assert_equals_the_dense_tensors(term, xp, xi, zp, zi, Yv, Wv):
     their slot order, and a call returns the values and points of the
     dense argmin, the first slot on ties, bit for bit.  Returns how many
     pairs attain their least value at vertices of distinct points."""
-    table = oracle_module._pair_vertices(term, xp, xi, zp, zi)
+    cache = {}
+    got = oracle_module._coupled_term_values(term, xp, xi, zp, zi, Yv, Wv,
+                                             cache)
+    (table,) = cache.values()
     lx, lz, X, Z, T = pair_vertices_dense(term, xp, zp)
     ok = np.isfinite(T)
     a, b, _ = np.nonzero(ok)
     counts = ok.sum(axis=2).ravel()
-    for got, want in zip(table, (xi[a], lx[ok], zi[b], lz[ok], T[ok],
-                                 np.cumsum(counts) - counts)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    got = oracle_module._coupled_term_values(term, xp, xi, zp, zi, Yv, Wv,
-                                             {})
+    for have, want in zip(table, (xi[a], lx[ok], zi[b], lz[ok], T[ok],
+                                  np.cumsum(counts) - counts), strict=True):
+        assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
     want = coupled_term_values_dense(term, xp, xi, zp, zi, Yv, Wv)
     for g, w in zip(got, want[:3], strict=True):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
@@ -752,9 +821,12 @@ def shared(monkeypatch):
 
 
 def _count_builds(monkeypatch):
-    """Count the calls of the two builders of static geometry."""
+    """Count the calls of the two builders of static geometry: a side's
+    candidate set, and the arrangement vertices, which every side on a
+    complex takes too, so that ``_pair_vertices`` counts the side builds
+    on the business city's complexes and each coupled term's."""
     builds = {}
-    for name in ("axis_arrangement_candidates", "_pair_vertices"):
+    for name in ("_side_candidates", "_pair_vertices"):
         builds[name] = 0
 
         def spy(*args, _name=name, _f=getattr(oracle_module, name)):
@@ -799,8 +871,8 @@ def _assert_same(a, b):
 def test_equal_geometry_shares_the_static_candidates(shared, monkeypatch):
     builds = _count_builds(monkeypatch)
     first = _results(*_business())
-    assert builds["axis_arrangement_candidates"] > 0
-    assert builds["_pair_vertices"] > 0
+    assert builds["_side_candidates"] > 0
+    assert builds["_pair_vertices"] > builds["_side_candidates"]
     built = dict(builds)
     # equal content in new objects: the second oracle builds nothing
     second = _results(*_business())
@@ -809,8 +881,7 @@ def test_equal_geometry_shares_the_static_candidates(shared, monkeypatch):
     # ``type_minima`` takes the side candidate sets from the shared cache
     m, xs, bx, _, _ = _business()
     oracle_module.type_minima(m, 0, xs, bx, np.ones(bx.m), [[0.5, 0.5]])
-    assert builds["axis_arrangement_candidates"] == \
-        built["axis_arrangement_candidates"]
+    assert builds["_side_candidates"] == built["_side_candidates"]
 
 
 @pytest.mark.parametrize("change,sides,pairs", [
@@ -828,8 +899,8 @@ def test_changed_geometry_gets_its_own_entry(shared, monkeypatch, change,
     entries = len(shared)
     builds = _count_builds(monkeypatch)
     changed = _results(*_business(**change))
-    assert (builds["axis_arrangement_candidates"] > 0) == sides
-    assert (builds["_pair_vertices"] > 0) == pairs
+    assert (builds["_side_candidates"] > 0) == sides
+    assert (builds["_pair_vertices"] > builds["_side_candidates"]) == pairs
     assert len(shared) > entries
     monkeypatch.setattr(oracle_module, "_shared", OrderedDict())
     _assert_same(changed, _results(*_business(**change)))
@@ -872,15 +943,14 @@ def test_a_small_bound_evicts_without_changing_results(shared, monkeypatch,
     _assert_same(default, _results(*_business()))
     # an oracle keeps what it used: one build per entry over its six
     # calls, the walking category's 10 sides and each category's pairs
-    assert builds == {"axis_arrangement_candidates": 10, "_pair_vertices": 2}
+    assert builds == {"_side_candidates": 10, "_pair_vertices": 12}
     if half:
         assert 0 < _shared_bytes(shared) <= bound
     else:
         assert not shared
     _assert_same(default, _results(*_business()))
     if not half:
-        assert builds == {"axis_arrangement_candidates": 20,
-                          "_pair_vertices": 4}
+        assert builds == {"_side_candidates": 20, "_pair_vertices": 24}
 
 
 def test_a_fine_table_leaves_the_shared_cache_whole(shared, monkeypatch):
@@ -898,7 +968,7 @@ def test_a_fine_table_leaves_the_shared_cache_whole(shared, monkeypatch):
     builds = _count_builds(monkeypatch)
     first = _results(m, xs, bx, zs, bz)
     built = dict(builds)
-    assert built["_pair_vertices"] == 2
+    assert built["_pair_vertices"] - built["_side_candidates"] == 2
     second = _results(*_business(counts=(4, 4), z_counts=(4, 4)))
     assert builds == built
     _assert_same(first, second)
@@ -914,12 +984,12 @@ def test_an_entry_over_the_bound_stays_out_of_the_shared_cache(shared,
     builds = _count_builds(monkeypatch)
     first = _results(*_business(counts=(4, 4), z_counts=(4, 4)))
     built = dict(builds)
-    assert built == {"axis_arrangement_candidates": 10, "_pair_vertices": 2}
+    assert built == {"_side_candidates": 10, "_pair_vertices": 12}
     assert 0 < _shared_bytes(shared) <= bound
     assert all(sum(a.nbytes for a in entry) <= bound
                for entry in shared.values())
     second = _results(*_business(counts=(4, 4), z_counts=(4, 4)))
-    assert builds == {"axis_arrangement_candidates": 10, "_pair_vertices": 4}
+    assert builds == {"_side_candidates": 10, "_pair_vertices": 14}
     _assert_same(first, second)
 
 
@@ -1001,11 +1071,13 @@ def test_lowest_is_the_stable_sorts_first_k(vals, k):
 def test_a_tie_in_a_side_table_goes_to_the_first_candidate():
     # zero multipliers: the values are the L1 distances to the anchor, 1
     # point at 0, then 4, 8 and 8 at equal distances; the 8 lowest take the
-    # first of the ties in the order of generation
+    # first of the ties in the candidates' lexicographic order
     space = build_box_partition([(-2, 2), (-2, 2)], (4, 4))
     basis = HatBasis(space)
     anchor = np.zeros(2)
-    cand = oracle_module.axis_arrangement_candidates(space, anchor[None])
+    cand = axis_arrangement_candidates(space, anchor[None])
+    assert np.array_equal(
+        cand, oracle_module._side_candidates(space, basis, anchor)[0])
     dist = np.abs(cand - anchor).sum(axis=1)
     assert len(cand) > 16 and len(np.unique(dist)) < len(cand) // 2
     term = SeparableL1Term(anchor, 1.0, None, 0.0, 0.0)

@@ -4,7 +4,7 @@ import pytest
 from helpers import business_eval_pair_tensor, face_minima_every_face
 from teamsolve.geometry import FiniteSpace, build_box_partition
 from teamsolve.measures import (CpwaDensityMeasure, DiscreteMeasure,
-                                random_cpwa, uniform_points)
+                                uniform_points)
 from teamsolve.problems import (CostModelError, _dot, barycenter_cost,
                                 business_location_cost, capped_affine_cost,
                                 tabulated_cpwa_cost)

@@ -1,20 +1,23 @@
 """Source rules: the region geometry of a complex lives in ``geometry.py``,
 and the choice of an exact minimization per cost family in ``problems.py``.
 
-No other module of the package reads a complex's private ``_grid`` tuple
-or attaches attributes to a complex; they ask the complex (``covers``,
-``edges``, ``box``, ``refined``) instead.  No other module, ``oracle.py``
-included, imports a cost model class or tests a model's class with
-``isinstance``; they call the model's hooks (``z_opt_values``,
-``face_minima``, ``oracle_terms``), read where its vertices are exact
-(``affine_in_x``, ``affine_in_z``) or call the oracle (``type_minima``)
-instead.  The barycenter family's closed-form face minima take their
-frames from a complex's ``faces``, never from the per-simplex
-interpolation matrices.  ``oracle.py`` imports neither
-``linprog`` nor scipy, so the oracle's certified lower bound rests on no
-solver's tolerances.  ``oracle.py`` calls no ``id``: its caches are keyed
-by content, so that equal geometry in new objects shares an entry and a
-freed object's address reused by another cannot match a stale one.
+No other module of the package reads a complex's private ``_grid`` tuple or
+attaches attributes to a complex; they ask the complex (``covers``,
+``faces``, ``box``, ``refined``) instead.  No method of the complex calls
+numpy's linear algebra: a Kuhn simplex's quantities come from its axis
+steps.  No other module, ``oracle.py`` included, imports a cost model class
+or tests a model's class with ``isinstance``; they call the model's hooks
+(``z_opt_values``, ``face_minima``, ``oracle_terms``), read where its
+vertices are exact (``affine_in_x``, ``affine_in_z``) or call the oracle
+(``type_minima``) instead.  The barycenter family's closed-form face minima
+take their frames from a complex's ``faces``.  The oracle has one
+arrangement enumerator: a separable side takes its candidates from
+``_pair_vertices``, and ``oracle.py`` imports no ``EdgeFrame``.
+``oracle.py`` imports neither ``linprog`` nor scipy, so the oracle's
+certified lower bound rests on no solver's tolerances.  ``oracle.py`` calls
+no ``id``: its caches are keyed by content, so that equal geometry in new
+objects shares an entry and a freed object's address reused by another
+cannot match a stale one.
 
 The HiGHS binding lives in ``linprog.py``: no other module reads a model's
 ``highs`` attribute, calls HiGHS's row or column methods or imports
@@ -46,6 +49,8 @@ Every ranking ranks by value, ties in index order: each ``argsort`` passes
 ``kind="stable"``, as numpy's default kernel, which numpy picks for the
 CPU, breaks ties its own way.  ``partition`` and ``argpartition`` appear
 only in ``oracle._lowest``, which returns a stable sort's first k.
+
+Every module-level import of a test module is read by it.
 """
 
 import ast
@@ -237,23 +242,68 @@ def _attrs(nodes):
 
 
 def test_oracle_reads_faces_not_cell_inverses():
-    # the barycenter faces come from ``faces``, not from the per-simplex
-    # interpolation matrices: in the frame builder and in the family's face
-    # minima, which the oracle calls; its quality selector reads the box
-    # (``TabulatedCpwaCost._grad_bound`` reads ``_minv`` for its Lipschitz
-    # bound)
+    # the barycenter faces come from ``faces``: in the frame builder and in
+    # the family's face minima, which the oracle calls; its quality
+    # selector reads the box
     geometry, problems = _functions(SRC / "geometry.py"), \
         _functions(SRC / "problems.py")
     frames = [geometry[name] for name in (
         "face_frames", "SimplicialComplex.face_frames")]
     minima, selector = (problems["QuadraticBarycenterCost." + name]
                         for name in ("face_minima", "z_opt_values"))
-    assert "_minv" not in _attrs(frames + [minima, selector])
     assert "faces" in _attrs(frames)
     assert "face_frames" in _attrs([minima])
     assert "box" in _attrs([selector])
-    oracle = ast.parse((SRC / "oracle.py").read_text())
-    assert "_minv" not in _attrs([oracle])
+
+
+def _imported_names(path):
+    """The names a module imports."""
+    return {(a.asname or a.name).split(".")[0]
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for a in node.names}
+
+
+def test_oracle_has_one_arrangement_enumerator():
+    # a separable side takes its candidates from ``_pair_vertices`` as a
+    # coupled term does, so the oracle needs no edge crossings
+    assert "EdgeFrame" not in _imported_names(SRC / "oracle.py")
+    side = _functions(SRC / "oracle.py")["_side_candidates"]
+    assert "_pair_vertices" in {n.id for n in ast.walk(side)
+                                if isinstance(n, ast.Name)}
+
+
+def _linalg_calls(fns):
+    """Where the given functions read ``np.linalg`` (or ``linalg``)."""
+    return ["%s:%d" % (name, n.lineno) for name, fn in sorted(fns.items())
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Attribute) and n.attr == "linalg"
+            or isinstance(n, ast.Name) and n.id == "linalg"]
+
+
+def test_a_complex_takes_its_cell_quantities_in_closed_form():
+    # a Kuhn simplex's volume, diameter and degeneracy come from its axis
+    # steps: no method of ``SimplicialComplex`` calls numpy's linear
+    # algebra (``face_frames`` keeps its Gram inverse, a module function)
+    methods = {name: fn for name, fn in
+               _functions(SRC / "geometry.py").items()
+               if name.startswith("SimplicialComplex.")}
+    assert len(methods) >= 10
+    found = _linalg_calls(methods)
+    assert not found, found
+
+
+def test_linalg_rule_catches_the_patterns(tmp_path):
+    p = tmp_path / "geometry.py"
+    p.write_text("class SimplicialComplex:\n"
+                 "    def volumes(self):\n"
+                 "        return np.abs(np.linalg.det(self.e))\n"
+                 "    def inverses(self):\n"
+                 "        return linalg.inv(self.m)\n"
+                 "    def steps(self):\n"
+                 "        return self.s.prod(axis=1)\n")
+    assert _linalg_calls(_functions(p)) == [
+        "SimplicialComplex.inverses:5", "SimplicialComplex.volumes:3"]
 
 
 HIGHS_ATTRS = {"highs", "addRows", "deleteRows", "addCols", "deleteCols"}
@@ -960,3 +1010,43 @@ def test_ranking_rule_catches_the_patterns(tmp_path):
     other = tmp_path / "measures.py"
     other.write_text(text)
     assert len(_unstable_rankings(other)) == 7
+
+
+TESTS = SRC.parents[1] / "tests"
+
+
+def _unread_imports(path):
+    """The module-level imports of a module whose names it never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return ["%s:%d imports %s, which it never reads"
+            % (path.name, node.lineno, a.asname or a.name)
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for a in node.names
+            if (a.asname or a.name).split(".")[0] not in read]
+
+
+def test_every_test_import_is_read():
+    modules = sorted(TESTS.glob("*.py"))
+    assert len(modules) >= 20
+    found = [v for p in modules for v in _unread_imports(p)]
+    assert not found, found
+
+
+def test_import_rule_catches_an_import_never_read(tmp_path):
+    p = tmp_path / "test_cli.py"
+    p.write_text("from __future__ import annotations\n"
+                 "import json\n"
+                 "import numpy as np\n"
+                 "import os.path\n"
+                 "from helpers import (random_cpwa,\n"
+                 "                     brute)\n"
+                 "def test_x():\n"
+                 "    import math\n"
+                 "    return json.loads(brute(os.path.sep))\n")
+    assert _unread_imports(p) == [
+        "test_cli.py:3 imports np, which it never reads",
+        "test_cli.py:5 imports random_cpwa, which it never reads"]
+

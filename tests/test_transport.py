@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import (assignment_bruteforce_w1, sample_pairs,
+from helpers import (assignment_bruteforce_w1, cell_inverses, sample_pairs,
                      w1_quantile_quadrature)
 from teamsolve.geometry import build_box_partition
 from teamsolve.measures import CpwaDensityMeasure, DiscreteMeasure, random_cpwa
@@ -134,7 +134,7 @@ def test_semidiscrete_matches_1d_quantile():
     two = DiscreteMeasure([[0.25], [0.75]], [0.5, 0.5])
     U1 = CpwaDensityMeasure(build_box_partition([(0, 1)], (2,)), np.ones(3))
     coup = ot_semidiscrete(two, U1)
-    assert coup.refinement == 2 and coup.target.complex.n_simplices == 4
+    assert coup.target.complex.n_simplices == 2 * transport.REFINEMENT
     cond0 = coup.sample_given_source(rng, np.zeros(200000, dtype=int))
     cond1 = coup.sample_given_source(rng, np.ones(200000, dtype=int))
     assert cond0.max() <= 0.5 and cond1.min() >= 0.5
@@ -165,7 +165,8 @@ def test_semidiscrete_marginals_exact():
     cells = coup.cell_simplex[plan[0] > 0]
     Y = coup.sample_given_source(rng, np.zeros(500, dtype=int))
     q = np.hstack([np.ones((len(Y), 1)), Y])
-    lam = np.einsum("sij,nj->nsi", coup.target.complex._minv[cells], q)
+    lam = np.einsum("sij,nj->nsi", cell_inverses(coup.target.complex)[cells],
+                    q)
     assert np.all(lam.min(axis=2).max(axis=1) >= -1e-12)
 
 
